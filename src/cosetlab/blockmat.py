@@ -2,13 +2,14 @@
 
 A square matrix of size alpha + m*(k + n_tail) is sliced into a distinguished
 ``corner`` of size alpha followed by m copies, each split into an ``active``
-leading k-block and a ``tail`` of size n_tail.  Permutation matrices carry
-their image word alongside the dense entries so symmetric-group arithmetic
-stays exact.
+leading k-block and a ``tail`` of size n_tail.  A permutation matrix is held
+as its image word, so symmetric-group arithmetic stays exact; its dense
+entries are built only when something reads them.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ __all__ = [
     "BlockSpec",
     "BlockMatrix",
     "PermutationWord",
+    "as_word",
+    "load_source",
     "block",
     "embed",
     "embed_k",
@@ -167,9 +170,10 @@ class PermutationWord:
 
 
 class BlockMatrix:
-    """Dense complex square matrix, optionally block-partitioned and/or an exact permutation."""
+    """Dense complex square matrix, optionally block-partitioned and/or an exact
+    permutation; ``from_permutation`` stores only the word until ``entries`` is read."""
 
-    __slots__ = ("entries", "spec", "exact_permutation")
+    __slots__ = ("_entries", "spec", "exact_permutation")
 
     def __init__(self, entries, spec: BlockSpec | None = None,
                  exact_permutation: PermutationWord | None = None):
@@ -183,21 +187,35 @@ class BlockMatrix:
                 raise ValueError("permutation degree mismatch")
             if np.abs(entries - exact_permutation.matrix()).max() != 0.0:
                 raise ValueError("entries do not match the claimed exact permutation")
-        self.entries = entries
+        self._entries = entries
         self.spec = spec
         self.exact_permutation = exact_permutation
 
     @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = np.ascontiguousarray(self.exact_permutation.matrix(), dtype=complex)
+        return self._entries
+
+    @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        if self.exact_permutation is not None:
+            return self.exact_permutation.degree
+        return self._entries.shape[0]
 
     @classmethod
     def identity(cls, dim: int, spec: BlockSpec | None = None) -> "BlockMatrix":
-        return cls(np.eye(dim, dtype=complex), spec, PermutationWord.identity(dim))
+        return cls.from_permutation(PermutationWord.identity(dim), spec)
 
     @classmethod
     def from_permutation(cls, word: PermutationWord, spec: BlockSpec | None = None) -> "BlockMatrix":
-        return cls(word.matrix(), spec, word)
+        if spec is not None and spec.dim != word.degree:
+            raise ValueError(f"spec dimension {spec.dim} != permutation degree {word.degree}")
+        mat = cls.__new__(cls)
+        mat._entries = None
+        mat.spec = spec
+        mat.exact_permutation = word
+        return mat
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         if self.dim != other.dim:
@@ -235,6 +253,49 @@ class BlockMatrix:
     def __repr__(self):
         tag = " perm" if self.exact_permutation is not None else ""
         return f"<BlockMatrix dim={self.dim}{tag}>"
+
+
+def as_word(x) -> PermutationWord:
+    """The word of a PermutationWord or of an exact-permutation BlockMatrix."""
+    word = x.exact_permutation if isinstance(x, BlockMatrix) else x
+    if not isinstance(word, PermutationWord):
+        raise ValueError(f"expected an exact permutation, got {x!r}")
+    return word
+
+
+def load_source(source: str, degrees) -> BlockMatrix:
+    """Parse a matrix source at one of the allowed degrees (an int or a tuple).
+
+    "identity" and cycle ("(1 2)") or image-list ("2,1") permutations take the
+    smallest allowed degree that holds them; any other text is the path of a
+    matrix JSON file as written by ``to_json_dict``.  Raises ValueError naming
+    the source when it is empty, unreadable or of no allowed degree.
+    """
+    degrees = (degrees,) if isinstance(degrees, int) else tuple(sorted(degrees))
+    text = source.strip()
+    if not text:
+        raise ValueError(f"empty matrix source {source!r}")
+    if text == "identity":
+        return BlockMatrix.identity(degrees[0])
+    if text.startswith("(") or text[0].isdigit():
+        try:
+            need = PermutationWord.parse(text).degree
+            degree = next((d for d in degrees if d >= need), need)
+            mat = BlockMatrix.from_permutation(PermutationWord.parse(text, degree=degree))
+        except ValueError as exc:
+            raise ValueError(f"bad permutation {source!r}: {exc}") from exc
+    else:
+        try:
+            with open(text) as fh:
+                mat = BlockMatrix.from_json_dict(json.load(fh))
+        except FileNotFoundError as exc:
+            raise ValueError(f"matrix file not found: {source}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed matrix JSON in {source}: {exc}") from exc
+    if mat.dim not in degrees:
+        raise ValueError(f"{source}: dimension {mat.dim}, expected "
+                         + " or ".join(str(d) for d in degrees))
+    return mat
 
 
 def block(mat: BlockMatrix, row_block: str, col_block: str) -> np.ndarray:

@@ -11,15 +11,9 @@ import argparse
 import json
 import sys
 
-from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed
+from .blockmat import BlockMatrix, BlockSpec, embed, load_source
 from .cosets import FAMILY_KINDS, GroupFamily, circ_N, circ_colligation, circ_infinite
-from .experiments import (
-    ConcentrationReport,
-    ExperimentConfig,
-    run_block_decay,
-    run_concentration,
-    write_report,
-)
+from .experiments import ExperimentConfig, run_block_decay, run_concentration, write_report
 from .geometry import sym_membership
 from .haar import RandomStream, haar_orthogonal, haar_unitary, uniform_permutation
 from .hypergroup_exact import ENUMERATION_BUDGET, exact_convolution
@@ -27,8 +21,8 @@ from .hypergroup_exact import ENUMERATION_BUDGET, exact_convolution
 __all__ = ["main"]
 
 
-class ConfigError(Exception):
-    pass
+class ConfigError(ValueError):
+    """A bad command line, config file or matrix source: exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,25 +42,6 @@ def _write_text(text: str, out_path):
             raise RuntimeError(f"cannot write to {out_path}: {exc}") from exc
 
 
-def _load_element(source: str, degree: int) -> BlockMatrix:
-    """Parse an element source: 'identity', a permutation, or a matrix JSON path."""
-    if source == "identity":
-        return BlockMatrix.identity(degree)
-    if source.startswith("(") or source[0].isdigit():
-        return BlockMatrix.from_permutation(PermutationWord.parse(source, degree=degree))
-    try:
-        with open(source) as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"matrix file not found: {source}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed matrix JSON in {source}: {exc}") from exc
-    mat = BlockMatrix.from_json_dict(data)
-    if mat.dim != degree:
-        raise ConfigError(f"{source}: dimension {mat.dim}, expected {degree}")
-    return mat
-
-
 def _cmd_sample(args) -> int:
     rng = RandomStream(args.seed, args.stream)
     if args.kind == "orthogonal":
@@ -81,8 +56,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_product(args) -> int:
     window = args.alpha + args.m * args.k
-    g = _load_element(args.g, window)
-    h = _load_element(args.h, window)
+    g = load_source(args.g, window)
+    h = load_source(args.h, window)
     if args.N is None:
         if args.m != 1:
             raise ConfigError("the size-stable product needs m=1; pass --N for the finite product")
@@ -100,8 +75,8 @@ def _cmd_product(args) -> int:
 def _cmd_membership(args) -> int:
     spec = BlockSpec(args.alpha, args.k, args.N, args.m)
     fam = GroupFamily("symmetric", spec)
-    x = _load_element(args.x, spec.dim)
-    rep = _load_element(args.target, spec.dim)
+    x = load_source(args.x, spec.dim)
+    rep = load_source(args.target, spec.dim)
     from .cosets import CosetTarget
 
     verdict = sym_membership(x, CosetTarget(rep, fam))
@@ -114,8 +89,7 @@ def _cmd_exact_sym(args) -> int:
     fam = GroupFamily("symmetric", spec)
 
     def load(src):
-        elem = _load_element(src, spec.window) if _degree_of(src, spec) == spec.window \
-            else _load_element(src, spec.dim)
+        elem = load_source(src, (spec.window, spec.dim))
         return elem if elem.dim == spec.dim else embed(elem, spec)
 
     g = load(args.g)
@@ -123,19 +97,6 @@ def _cmd_exact_sym(args) -> int:
     dist = exact_convolution(g, h, fam, budget=args.budget)
     _write_text(json.dumps(dist.to_json_dict(), indent=2) + "\n", args.out)
     return 0
-
-
-def _degree_of(source: str, spec: BlockSpec) -> int:
-    # window-degree words are accepted and embedded; anything else must be full size
-    if source == "identity":
-        return spec.window
-    if source.startswith("(") or source[0].isdigit():
-        try:
-            word = PermutationWord.parse(source)
-        except ValueError:
-            return spec.dim
-        return spec.window if word.degree <= spec.window else spec.dim
-    return spec.dim
 
 
 def _cmd_block_decay(args) -> int:
@@ -166,7 +127,7 @@ def _cmd_concentration(args) -> int:
         raise ConfigError("concentration needs an explicit --seed (or a seed in the config)")
     try:
         cfg = ExperimentConfig.from_json_dict(data)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise ConfigError(str(exc)) from exc
     report = run_concentration(cfg, threads=args.threads)
     write_report(report, args.out, args.format)
@@ -218,7 +179,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--g", required=True, help="window or full-size permutation")
+    p.add_argument("--g", required=True, help="window- or full-size matrix source")
     p.add_argument("--h", required=True)
     p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
 
@@ -261,10 +222,7 @@ def main(argv=None) -> int:
             parser.print_help(sys.stderr)
             return 1
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and bad inputs found while running
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures: I/O, numerical, interrupts

@@ -81,15 +81,13 @@ def _infer_alpha(g: BlockMatrix, h: BlockMatrix, alpha):
 
 
 def _maybe_exact(entries: np.ndarray, spec=None) -> BlockMatrix:
-    # recover the word when entries form an exact 0-1 permutation matrix
-    n = entries.shape[0]
-    cols = np.argmax(entries.real, axis=0)
-    word = cols + 1
-    if sorted(word) == list(range(1, n + 1)):
-        perm = PermutationWord(word)
-        if np.abs(entries - perm.matrix()).max() == 0.0:
-            return BlockMatrix(entries, spec, perm)
-    return BlockMatrix(entries, spec)
+    # recover the word when entries form an exact 0-1 permutation matrix; the
+    # word and the entries-against-word check each raise ValueError otherwise
+    word = np.argmax(entries.real, axis=0) + 1
+    try:
+        return BlockMatrix(entries, spec, PermutationWord(word))
+    except ValueError:
+        return BlockMatrix(entries, spec)
 
 
 def circ_infinite(g: BlockMatrix, h: BlockMatrix, alpha: int | None = None) -> BlockMatrix:

@@ -6,6 +6,7 @@ drives the effect, with reproducible seeds and machine-readable reports.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -15,10 +16,9 @@ from io import StringIO
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, operator_norm
+from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, load_source, operator_norm
 from .cosets import (
     FAMILY_KINDS,
-    CosetTarget,
     GroupFamily,
     circ_N,
     sample_tau_full,
@@ -50,10 +50,10 @@ MEASURES = ("tau_tilde", "tau_full")
 class ExperimentConfig:
     """One concentration sweep: fixed (g, h), varying tail size N.
 
-    g_spec / h_spec are matrix sources: "identity", "random_unitary" (one Haar
-    window draw per experiment, from the seed's stream 0, g before h; a
-    uniform window permutation for the symmetric family), a permutation in
-    cycle or image-list notation, or a path to a matrix JSON file.
+    g_spec / h_spec are "random_unitary" (one Haar window draw per
+    experiment, from the seed's stream 0, g before h; a uniform window
+    permutation for the symmetric family) or any window-size source that
+    ``blockmat.load_source`` reads.
     """
 
     family: str
@@ -90,6 +90,12 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.measure not in MEASURES:
             raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1; got {self.restarts}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
+        if not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"tol must be finite and >= 0; got {self.tol}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
@@ -156,7 +162,8 @@ class ConcentrationReport:
 
 
 def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion, as Python floats; the
+    ends are exactly 0.0 at zero hits and 1.0 at full hits."""
     if not 0 <= hits <= samples or samples < 1:
         raise ValueError("need 0 <= hits <= samples and samples >= 1")
     z = float(_norm.ppf(0.5 + confidence / 2.0))
@@ -164,8 +171,10 @@ def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
     p = hits / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
-    half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
+    half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == samples else min(1.0, center + half)
+    return lo, hi
 
 
 def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
@@ -175,21 +184,15 @@ def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
         elem = source
     elif isinstance(source, PermutationWord):
         elem = BlockMatrix.from_permutation(source)
-    elif isinstance(source, str):
-        if source == "identity":
-            elem = BlockMatrix.identity(window)
-        elif source == "random_unitary":
-            if family.kind == "symmetric":
-                elem = BlockMatrix.from_permutation(uniform_permutation(window, gen))
-            else:
-                elem = BlockMatrix(haar_unitary(window, gen))
-        elif source.startswith("(") or source[0].isdigit():
-            elem = BlockMatrix.from_permutation(PermutationWord.parse(source, degree=window))
-        else:
-            with open(source) as fh:
-                elem = BlockMatrix.from_json_dict(json.load(fh))
-    else:
+    elif not isinstance(source, str):
         raise TypeError(f"cannot interpret matrix source {source!r}")
+    elif source == "random_unitary":
+        if family.kind == "symmetric":
+            elem = BlockMatrix.from_permutation(uniform_permutation(window, gen))
+        else:
+            elem = BlockMatrix(haar_unitary(window, gen))
+    else:
+        elem = load_source(source, window)
     if elem.dim != window:
         raise ValueError(f"matrix source has dimension {elem.dim}, expected window {window}")
     if family.kind == "symmetric" and elem.exact_permutation is None:

@@ -11,13 +11,14 @@ evaluation.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .blockmat import BlockMatrix, PermutationWord, embed_k, operator_norm
+from .blockmat import BlockMatrix, PermutationWord, as_word, embed_k, operator_norm
 from .cosets import CosetTarget
 from .haar import RandomStream, _as_generator, haar_orthogonal, uniform_permutation
 
@@ -379,16 +380,6 @@ def dist_conjugacy(
 # exact symmetric membership
 
 
-def _as_word(x) -> PermutationWord:
-    if isinstance(x, PermutationWord):
-        return x
-    if isinstance(x, BlockMatrix):
-        if x.exact_permutation is None:
-            raise ValueError("expected an exact permutation matrix")
-        return x.exact_permutation
-    raise TypeError(f"expected PermutationWord or BlockMatrix, got {type(x).__name__}")
-
-
 def sym_membership(x, target: CosetTarget) -> bool:
     """Exact test of x in K.r.K for the symmetric family.
 
@@ -400,8 +391,8 @@ def sym_membership(x, target: CosetTarget) -> bool:
     fam = target.family
     if fam.kind != "symmetric":
         raise ValueError(f"membership needs the symmetric family, got {fam.kind!r}")
-    xw = _as_word(x)
-    rw = _as_word(target.representative)
+    xw = as_word(x)
+    rw = as_word(target.representative)
     if xw.degree != rw.degree:
         raise ValueError("degree mismatch")
     spec = fam.spec
@@ -445,8 +436,6 @@ def sym_membership(x, target: CosetTarget) -> bool:
             if tx[0] != c2 or not bind(l, tx[1]):
                 return False
 
-    uused = [False] * (w + 1)
-
     def propagate(j, val, undo):
         # u(j) = val: each copy c demands diag(v)(r(pos(c, val))) = x(pos(c, j))
         for c in range(m):
@@ -468,28 +457,33 @@ def sym_membership(x, target: CosetTarget) -> bool:
                     undo.append(l - 1)
         return True
 
-    def dfs(j):
-        if j > w:
-            return True
-        for val in range(1, w + 1):
-            if uused[val]:
-                continue
-            undo = []
-            uused[val] = True
-            if propagate(j, val, undo) and dfs(j + 1):
-                return True
+    # depth-first search over u(1), u(2), ... in increasing value order, on an
+    # explicit stack so copy size is not bounded by the recursion limit; frame j
+    # is [least value left to try for u(j), value in place or 0, its undo log]
+    free = list(range(1, w + 1))  # values not yet taken by u, ascending
+    stack = [[1, 0, []]]
+    while stack and len(stack) <= w:
+        frame = stack[-1]
+        nxt, val, undo = frame
+        if val:
             for idx in undo:
                 vused[vbind[idx]] = False
                 vbind[idx] = 0
-            uused[val] = False
-        return False
-
-    return dfs(1)
+            insort(free, val)
+        i = bisect_left(free, nxt)
+        if i == len(free):
+            stack.pop()
+            continue
+        val = free.pop(i)
+        frame[:] = [val + 1, val, []]
+        if propagate(len(stack), val, frame[2]):
+            stack.append([1, 0, []])
+    return bool(stack)  # nonempty only once u is complete
 
 
 def sym_corner_invariant(x, alpha: int) -> np.ndarray:
     """0-1 pattern of the corner block: entry (i, j) is 1 iff x sends j to i (both <= alpha)."""
-    xw = _as_word(x)
+    xw = as_word(x)
     out = np.zeros((alpha, alpha))
     for j in range(1, alpha + 1):
         i = xw(j)

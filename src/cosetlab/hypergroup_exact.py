@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockmat import BlockMatrix, PermutationWord, embed
+from .blockmat import BlockMatrix, PermutationWord, as_word, embed, embed_k
 from .cosets import CosetTarget, GroupFamily, circ_N
 from .geometry import sym_membership
 
@@ -39,9 +39,8 @@ class ExactDistribution:
 
     def prob_of_coset(self, rep) -> Fraction:
         """Probability of the atom whose coset contains rep (0 if none does)."""
-        target_word = rep.exact_permutation if isinstance(rep, BlockMatrix) else rep
         for atom_rep, p in self.atoms:
-            if sym_membership(target_word, CosetTarget(
+            if sym_membership(rep, CosetTarget(
                     BlockMatrix.from_permutation(atom_rep, self.family.spec), self.family)):
                 return p
         return Fraction(0)
@@ -64,32 +63,12 @@ class ExactDistribution:
         }
 
 
-def _as_word(x) -> PermutationWord:
-    if isinstance(x, BlockMatrix):
-        if x.exact_permutation is None:
-            raise ValueError("expected an exact permutation matrix")
-        return x.exact_permutation
-    if isinstance(x, PermutationWord):
-        return x
-    raise TypeError(f"expected PermutationWord or BlockMatrix, got {type(x).__name__}")
-
-
 def _check_budget(spec, budget):
     w = spec.copy_size
     if math.factorial(w) > budget:
         raise ValueError(
             f"enumeration budget exceeded: (k + n_tail)! = {w}! = {math.factorial(w)} "
             f"> {budget}; shrink k + n_tail or raise the budget")
-
-
-def _diag_word(spec, u: PermutationWord) -> PermutationWord:
-    im = list(range(1, spec.dim + 1))
-    w = spec.copy_size
-    for c in range(spec.m):
-        base = spec.alpha + c * w
-        for j, t in enumerate(u.images):
-            im[base + j] = base + t
-    return PermutationWord(im)
 
 
 def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGET) -> ExactDistribution:
@@ -104,7 +83,7 @@ def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGE
         raise ValueError(f"exact convolution needs the symmetric family, got {family.kind!r}")
     spec = family.spec
     _check_budget(spec, budget)
-    gw, hw = _as_word(g), _as_word(h)
+    gw, hw = as_word(g), as_word(h)
     if gw.degree != spec.dim or hw.degree != spec.dim:
         raise ValueError(f"g and h must have degree {spec.dim}")
     w = spec.copy_size
@@ -115,7 +94,7 @@ def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGE
     total = 0
     for images in itertools.permutations(range(1, w + 1)):
         u = PermutationWord(images)
-        x = gw * _diag_word(spec, u) * hw
+        x = gw * embed_k(u, spec).exact_permutation * hw
         total += 1
         for i, tgt in enumerate(targets):
             if sym_membership(x, tgt):
@@ -137,7 +116,7 @@ def concentration_exact(g, h, family: GroupFamily, N_list,
     g and h are window permutations (degree alpha + m*k), re-embedded for
     every N.
     """
-    gw, hw = _as_word(g), _as_word(h)
+    gw, hw = as_word(g), as_word(h)
     base = family.spec
     if gw.degree != base.window or hw.degree != base.window:
         raise ValueError(f"g and h must be window permutations of degree {base.window}")

@@ -14,9 +14,13 @@ from cosetlab.blockmat import (
     embed,
     embed_k,
     is_unitary,
+    load_source,
     operator_norm,
 )
+from cosetlab.cosets import GroupFamily
+from cosetlab.experiments import ExperimentConfig, run_concentration
 from cosetlab.haar import RandomStream, haar_unitary
+from cosetlab.hypergroup_exact import exact_convolution
 
 
 class TestBlockSpec:
@@ -109,6 +113,67 @@ class TestBlockMatrix:
         m = BlockMatrix.from_permutation(PermutationWord([3, 1, 2]))
         back = BlockMatrix.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
         assert back.exact_permutation == m.exact_permutation
+
+    def test_permutation_entries_built_on_first_read(self):
+        word = PermutationWord([3, 1, 2])
+        m = BlockMatrix.from_permutation(word)
+        assert m.dim == 3
+        first = m.entries
+        np.testing.assert_array_equal(first, word.matrix())
+        assert first.dtype == complex
+        assert m.entries is first
+
+    def test_symmetric_path_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("dense permutation matrix built")
+
+        monkeypatch.setattr(PermutationWord, "matrix", refuse)
+        cfg = ExperimentConfig(family="symmetric", alpha=1, k=1, m=2, N_list=(512,),
+                               epsilon_list=(0.4,), samples=4, seed=7,
+                               g_spec="(1 2 3)", h_spec="(1 3)")
+        (row,) = run_concentration(cfg).rows
+        assert row.samples == 4
+        fam = GroupFamily("symmetric", BlockSpec(1, 1, 3, 1))
+        swap = embed(BlockMatrix.from_permutation(PermutationWord([2, 1])), fam.spec)
+        assert exact_convolution(swap, swap, fam).total() == 1
+
+
+class TestLoadSource:
+    @pytest.mark.parametrize("source,degrees,images", [
+        ("identity", 3, [1, 2, 3]),
+        ("(1 2)", 3, [2, 1, 3]),
+        ("2,1,3", 3, [2, 1, 3]),
+        (" (1 3) ", (3, 5), [3, 2, 1]),
+        ("(1 4)", (3, 5), [4, 2, 3, 1, 5]),
+        ("identity", (5, 3), [1, 2, 3]),
+    ])
+    def test_permutations_take_smallest_degree(self, source, degrees, images):
+        assert load_source(source, degrees).exact_permutation == PermutationWord(images)
+
+    @pytest.mark.parametrize("dim", [3, 5])
+    def test_matrix_file_at_either_degree(self, tmp_path, dim):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(BlockMatrix(np.eye(dim)).to_json_dict()))
+        assert load_source(str(path), (3, 5)).dim == dim
+
+    @pytest.mark.parametrize("source,text,match", [
+        ("", None, "empty matrix source"),
+        ("   ", None, "empty matrix source"),
+        ("nope.json", None, "not found: .*nope.json"),
+        ("bad.json", "{not json", "malformed matrix JSON in .*bad.json"),
+        ("list.json", "[1, 2]", "malformed matrix JSON in .*list.json"),
+        ("big.json", json.dumps({"perm": [2, 1, 3, 4]}), "big.json: dimension 4, expected 3"),
+        ("(1 4)", None, r"\(1 4\): dimension 4, expected 3"),
+        ("1 2", None, "bad permutation '1 2'"),
+        ("(1 x)", None, r"bad permutation '\(1 x\)'"),
+    ])
+    def test_bad_source_names_it(self, tmp_path, source, text, match):
+        if text is not None:
+            (tmp_path / source).write_text(text)
+        if source.endswith(".json"):
+            source = str(tmp_path / source)
+        with pytest.raises(ValueError, match=match):
+            load_source(source, 3)
 
 
 class TestBlockAccess:

@@ -181,6 +181,52 @@ class TestConcentration:
         assert code == 1
 
 
+class TestExitCodes:
+    SYM = ("--alpha", "1", "--k", "1", "--N", "3")
+    CONC = ("concentration", "--family", "symmetric", "--alpha", "1", "--k", "1", "--m", "2",
+            "--epsilon", "0.4", "--seed", "1", "--h", "(1 3)")
+
+    @pytest.mark.parametrize("argv", [
+        ("product", "--family", "symmetric", *SYM, "--g", "", "--h", "identity"),
+        ("membership", *SYM, "--x", "", "--target", "(1 2)"),
+        ("exact-sym", *SYM, "--g", "", "--h", "identity"),
+        (*CONC, "--N", "3", "--samples", "2", "--g", ""),
+    ])
+    def test_empty_source_is_config_error(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "empty matrix source" in err
+
+    def test_missing_concentration_source_names_file(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, *self.CONC, "--N", "3", "--samples", "2",
+                               "--g", str(tmp_path / "missing.json"))
+        assert code == 1
+        assert "missing.json" in err
+
+    def test_zero_max_iters_is_config_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "concentration", "--family", "unitary_orthogonal", "--alpha", "1",
+            "--k", "1", "--m", "1", "--N", "3", "--epsilon", "0.4", "--samples", "2",
+            "--seed", "1", "--max-iters", "0")
+        assert code == 1
+        assert "max_iters" in err
+
+    def test_symmetric_copy_larger_than_recursion_limit(self, capsys):
+        code, out, _ = run_cli(capsys, *self.CONC, "--N", "1024", "--samples", "2",
+                               "--g", "(1 2 3)")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[7] == "2"
+
+    def test_exact_sym_window_matrix_file(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"perm": [2, 1]}))
+        _, by_word, _ = run_cli(capsys, "exact-sym", *self.SYM, "--g", "(1 2)", "--h", "(1 2)")
+        code, by_file, _ = run_cli(capsys, "exact-sym", *self.SYM, "--g", str(path),
+                                   "--h", "(1 2)")
+        assert code == 0
+        assert by_file == by_word
+
+
 class TestTopLevel:
     def test_no_subcommand_exits_one(self, capsys):
         code, _, err = run_cli(capsys)

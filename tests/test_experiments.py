@@ -31,11 +31,15 @@ class TestWilsonInterval:
         lo, hi = wilson_interval(0, 40)
         assert lo == 0.0
         assert 0 < hi < 0.2
+        for n in (6, 10):
+            assert wilson_interval(0, n)[0] == 0.0
 
     def test_full_hits_pins_high_end(self):
         lo, hi = wilson_interval(40, 40)
         assert hi == 1.0
         assert 0.8 < lo < 1
+        for n in (6, 10):
+            assert wilson_interval(n, n)[1] == 1.0
 
     def test_reference_point(self):
         # closed form at z = Phi^-1(0.975), p = 0.75, n = 100
@@ -88,6 +92,12 @@ class TestExperimentConfig:
         dict(epsilon_list=()),
         dict(samples=0),
         dict(measure="tau_squared"),
+        dict(restarts=0),
+        dict(restarts=-3),
+        dict(max_iters=0),
+        dict(tol=-1e-9),
+        dict(tol=float("nan")),
+        dict(tol=float("inf")),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
@@ -188,6 +198,7 @@ class TestReports:
         write_report(report, csv_path)
         write_report(report, json_path, format="json")
         assert csv_path.read_text().startswith(",".join(CSV_COLUMNS))
+        assert "np.float64" not in report.to_csv_text()
         assert json.loads(json_path.read_text())["rows"]
 
     def test_write_block_decay_table(self, tmp_path):

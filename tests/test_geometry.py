@@ -7,10 +7,11 @@ from cosetlab.blockmat import (
     BlockMatrix,
     BlockSpec,
     PermutationWord,
+    embed,
     embed_k,
     operator_norm,
 )
-from cosetlab.cosets import GroupFamily, circ_N
+from cosetlab.cosets import CosetTarget, GroupFamily, circ_N, sample_tau_full
 from cosetlab.geometry import (
     colligation_char_function,
     dist_conjugacy,
@@ -208,6 +209,24 @@ class TestSymMembership:
         for _ in range(20):
             x = uniform_permutation(spec.dim, gen)
             assert sym_membership(x, target) == (x.images in brute_set)
+
+    # Verdicts of the recursive search the explicit-stack one replaced, for 40
+    # tau_full samples (streams (5, 1..40)) against the product coset and
+    # against the coset of embed(g).embed(h); m = 2, g = (1 2 3), h = (1 3).
+    @pytest.mark.parametrize("N,product,plain", [
+        (3, "1111111111100101111111110110111111101110",
+         "0000000000011010000000001001000000010001"),
+        (128, "1" * 40, "0" * 40),
+    ])
+    def test_matches_recursive_verdicts(self, N, product, plain):
+        fam = GroupFamily("symmetric", BlockSpec(1, 1, N, 2))
+        g = BlockMatrix.from_permutation(PermutationWord.parse("(1 2 3)", 3))
+        h = BlockMatrix.from_permutation(PermutationWord.parse("(1 3)", 3))
+        G, H = embed(g, fam.spec), embed(h, fam.spec)
+        targets = (circ_N(g, h, fam), CosetTarget(G @ H, fam))
+        xs = [sample_tau_full(G, H, fam, RandomStream(5, 1 + i)) for i in range(40)]
+        got = ["".join("1" if sym_membership(x, t) else "0" for x in xs) for t in targets]
+        assert got == [product, plain]
 
 
 class TestSymCornerInvariant:
