@@ -13,7 +13,13 @@ import sys
 
 from .blockmat import BlockMatrix, BlockSpec, embed, load_source
 from .cosets import FAMILY_KINDS, GroupFamily, circ_N, circ_colligation, circ_infinite
-from .experiments import ExperimentConfig, run_block_decay, run_concentration, write_report
+from .experiments import (
+    ExperimentConfig,
+    run_block_decay,
+    run_concentration,
+    write_report,
+    write_text,
+)
 from .geometry import sym_membership
 from .haar import RandomStream, haar_orthogonal, haar_unitary, uniform_permutation
 from .hypergroup_exact import ENUMERATION_BUDGET, exact_convolution
@@ -31,17 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _write_text(text: str, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise RuntimeError(f"cannot write to {out_path}: {exc}") from exc
-
-
 def _cmd_sample(args) -> int:
     rng = RandomStream(args.seed, args.stream)
     if args.kind == "orthogonal":
@@ -50,7 +45,7 @@ def _cmd_sample(args) -> int:
         mat = BlockMatrix(haar_unitary(args.dim, rng))
     else:
         mat = BlockMatrix.from_permutation(uniform_permutation(args.dim, rng))
-    _write_text(json.dumps(mat.to_json_dict()) + "\n", args.out)
+    write_text(json.dumps(mat.to_json_dict()) + "\n", args.out)
     return 0
 
 
@@ -68,7 +63,7 @@ def _cmd_product(args) -> int:
     else:
         fam = GroupFamily(args.family, BlockSpec(args.alpha, args.k, args.N, args.m))
         rep = circ_N(g, h, fam).representative
-    _write_text(json.dumps(rep.to_json_dict()) + "\n", args.out)
+    write_text(json.dumps(rep.to_json_dict()) + "\n", args.out)
     return 0
 
 
@@ -80,7 +75,7 @@ def _cmd_membership(args) -> int:
     from .cosets import CosetTarget
 
     verdict = sym_membership(x, CosetTarget(rep, fam))
-    _write_text(("true" if verdict else "false") + "\n", args.out)
+    write_text(("true" if verdict else "false") + "\n", args.out)
     return 0
 
 
@@ -95,7 +90,7 @@ def _cmd_exact_sym(args) -> int:
     g = load(args.g)
     h = load(args.h)
     dist = exact_convolution(g, h, fam, budget=args.budget)
-    _write_text(json.dumps(dist.to_json_dict(), indent=2) + "\n", args.out)
+    write_text(json.dumps(dist.to_json_dict(), indent=2) + "\n", args.out)
     return 0
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -35,6 +36,7 @@ __all__ = [
     "run_block_decay",
     "wilson_interval",
     "write_report",
+    "write_text",
     "CSV_COLUMNS",
 ]
 
@@ -301,12 +303,19 @@ def write_report(report, path, format: str = "csv") -> None:
         else:
             text = "N,median_norm,mean_norm\n" + "".join(
                 f"{n},{md!r},{mn!r}\n" for n, md, mn in report)
+    write_text(text, path)
+
+
+def write_text(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when path is None.
+
+    Raises OSError naming the destination when the write fails.
+    """
     try:
         if path is None:
-            import sys
             sys.stdout.write(text)
         else:
             with open(path, "w") as fh:
                 fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+        raise OSError(f"cannot write to {'stdout' if path is None else path}: {exc}") from exc

@@ -2,16 +2,15 @@
 
 Unitary targets get an alternating two-sided Procrustes minimizer whose
 alignment steps respect the diagonal-copy block structure; symmetric targets
-get exact backtracking membership plus a discrete (assignment-step) variant of
-the same alternation; conjugation targets get a structured minimal-singular-
-vector initialization refined by a fixed-point iteration.  Every estimate
-carries explicit witnesses, so the reported bound can be re-verified by direct
-evaluation.
+get exact membership by forced propagation between the two subgroup factors,
+plus a discrete (assignment-step) variant of the same alternation; conjugation
+targets get a structured minimal-singular-vector initialization refined by a
+fixed-point iteration.  Every estimate carries explicit witnesses, so the
+reported bound can be re-verified by direct evaluation.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,13 +207,16 @@ def dist_double_coset(
     tol/rel_tol stop a run once the Frobenius residual's absolute/relative
     improvement falls below them.  stop_below, when given, skips the remaining
     restarts as soon as a run's bound is already that small; the returned
-    bound stays a witnessed upper bound in every case.
+    bound stays a witnessed upper bound in every case.  Raises ValueError when
+    restarts or max_iters is below 1.
     """
     fam = target.family
     if fam.kind not in ("unitary_orthogonal", "symmetric"):
         raise ValueError(f"two-sided coset distance undefined for family {fam.kind!r}")
     if x.dim != target.representative.dim:
         raise ValueError("dimension mismatch between sample and target")
+    if restarts < 1 or max_iters < 1:
+        raise ValueError(f"restarts and max_iters must be >= 1; got {restarts} and {max_iters}")
     layout = _CopyLayout(fam.spec)
     gen = _as_generator(rng) if rng is not None else RandomStream(0, 0).generator()
     xe = x.entries
@@ -222,7 +224,7 @@ def dist_double_coset(
     w = layout.w
 
     best = None
-    for trial in range(max(restarts, 1)):
+    for trial in range(restarts):
         if fam.kind == "symmetric":
             v0 = PermutationWord.identity(w) if trial == 0 else uniform_permutation(w, gen)
             run = _alternate_discrete(xe, re_, layout, v0, max_iters)
@@ -381,12 +383,22 @@ def dist_conjugacy(
 
 
 def sym_membership(x, target: CosetTarget) -> bool:
-    """Exact test of x in K.r.K for the symmetric family.
+    """Exact test of x in K.r.K for the symmetric family, by forced propagation.
 
-    Searches for the single permutation u of a copy window defining the right
-    factor k2 = diag(u); partial images of u force, through
-    k1 = x.k2^-1.r^-1, entries of the left factor's copy permutation v, and
-    any corner violation or inconsistent v binding prunes the branch.
+    Writes x = diag(v).r.diag(u) with u, v permutations of one copy window.
+    Binding u(j) fixes, in each copy, where x must send that copy's j-th point:
+    either a corner point, which r must give too, or one forced value of v.
+    Binding a value of v likewise fixes x^-1 at that label in each copy: a
+    corner-point equality or one forced value of u.  So fixing one label forces
+    its whole connected piece of labels, in time linear in the piece.
+
+    The corner rows and columns are propagated first.  Then each free label of
+    u, in ascending order, takes the least free value whose trial propagates
+    without a conflict; a failed trial is undone and a committed one is never
+    revisited.  This is exact: if a piece P of x matches an unused piece Q of r,
+    a solution that maps P elsewhere maps some other piece onto Q, and swapping
+    the two (both are isomorphic to P) gives a solution that maps P onto Q.
+    The cost is O(w^2 m) for copy size w and m copies, never exponential.
     """
     fam = target.family
     if fam.kind != "symmetric":
@@ -397,88 +409,72 @@ def sym_membership(x, target: CosetTarget) -> bool:
         raise ValueError("degree mismatch")
     spec = fam.spec
     alpha, w, m = spec.alpha, spec.copy_size, spec.m
+    xs, rs = list(xw.images), list(rw.images)
+    xi, ri = [0] * len(xs), [0] * len(rs)
+    for p, (q, s) in enumerate(zip(xs, rs), 1):
+        xi[q - 1] = p
+        ri[s - 1] = p
+    # side 0 binds u and reads (x, r); side 1 binds v^-1 and reads (x^-1, r^-1).
+    # image[side][a] is the label of r's copies that x's label a goes to (0-based,
+    # -1 = free); taken[side][b] says whether r's label b has been used
+    sides = ((xs, rs), (xi, ri))
+    image = ([-1] * w, [-1] * w)
+    taken = ([False] * w, [False] * w)
+    log = []
 
-    def locate(p):
-        # global 1-based position -> ('corner', p) or (copy, local)
-        if p <= alpha:
-            return ("corner", p)
-        q = p - alpha - 1
-        return (q // w, q % w + 1)
-
-    def pos(c, j):
-        return alpha + c * w + j
-
-    vbind = [0] * w  # forced images of the left copy permutation, 0 = free
-    vused = [False] * (w + 1)
-
-    def bind(target_local, value):
-        # record v(target_local) = value; False on conflict
-        cur = vbind[target_local - 1]
-        if cur:
-            return cur == value
-        if vused[value]:
-            return False
-        vbind[target_local - 1] = value
-        vused[value] = True
+    def settle(todo):
+        # each (side, ts, ss) in todo: side's map must send x's 1-based points ts
+        # to r's points ss; bind all that this forces, False on a conflict
+        while todo:
+            side, ts, ss = todo.pop()
+            im, tk = image[side], taken[side]
+            xk, rk = sides[side]
+            for t, s in zip(ts, ss):
+                if t <= alpha or s <= alpha:
+                    if t != s:
+                        return False
+                    continue
+                ct, a = divmod(t - alpha - 1, w)
+                cs, b = divmod(s - alpha - 1, w)
+                if ct != cs:
+                    return False
+                if im[a] < 0 and not tk[b]:
+                    im[a] = b
+                    tk[b] = True
+                    log.append((side, a))
+                    # copy ct only leads back to the pair that gave (t, s), which holds
+                    ts2, ss2 = xk[alpha + a::w], rk[alpha + b::w]
+                    del ts2[ct], ss2[ct]
+                    todo.append((1 - side, ts2, ss2))
+                elif im[a] != b:
+                    return False
         return True
 
-    # corner rows constrain nothing about u but may force v entries outright
-    for p in range(1, alpha + 1):
-        s = rw(p)
-        loc = locate(s)
-        xp = xw(p)
-        if loc[0] == "corner":
-            if xp != s:
-                return False
-        else:
-            c2, l = loc
-            tx = locate(xp)
-            if tx[0] != c2 or not bind(l, tx[1]):
-                return False
-
-    def propagate(j, val, undo):
-        # u(j) = val: each copy c demands diag(v)(r(pos(c, val))) = x(pos(c, j))
-        for c in range(m):
-            s = rw(pos(c, val))
-            xp = xw(pos(c, j))
-            loc = locate(s)
-            if loc[0] == "corner":
-                if xp != s:
-                    return False
-            else:
-                c2, l = loc
-                tx = locate(xp)
-                if tx[0] != c2:
-                    return False
-                before = vbind[l - 1]
-                if not bind(l, tx[1]):
-                    return False
-                if not before:
-                    undo.append(l - 1)
-        return True
-
-    # depth-first search over u(1), u(2), ... in increasing value order, on an
-    # explicit stack so copy size is not bounded by the recursion limit; frame j
-    # is [least value left to try for u(j), value in place or 0, its undo log]
-    free = list(range(1, w + 1))  # values not yet taken by u, ascending
-    stack = [[1, 0, []]]
-    while stack and len(stack) <= w:
-        frame = stack[-1]
-        nxt, val, undo = frame
-        if val:
-            for idx in undo:
-                vused[vbind[idx]] = False
-                vbind[idx] = 0
-            insort(free, val)
-        i = bisect_left(free, nxt)
-        if i == len(free):
-            stack.pop()
+    # u and v fix the corner, so x and r must agree on its rows and columns
+    if not settle([(1, xs[:alpha], rs[:alpha]), (0, xi[:alpha], ri[:alpha])]):
+        return False
+    low = 0  # every value of u below low is committed
+    for a in range(w):
+        if image[0][a] >= 0:
             continue
-        val = free.pop(i)
-        frame[:] = [val + 1, val, []]
-        if propagate(len(stack), val, frame[2]):
-            stack.append([1, 0, []])
-    return bool(stack)  # nonempty only once u is complete
+        while taken[0][low]:
+            low += 1
+        for b in range(low, w):
+            if taken[0][b]:
+                continue
+            mark = len(log)
+            image[0][a] = b
+            taken[0][b] = True
+            log.append((0, a))
+            if settle([(1, xs[alpha + a::w], rs[alpha + b::w])]):
+                break
+            while len(log) > mark:
+                side, c = log.pop()
+                taken[side][image[side][c]] = False
+                image[side][c] = -1
+        else:
+            return False
+    return True
 
 
 def sym_corner_invariant(x, alpha: int) -> np.ndarray:

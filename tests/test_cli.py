@@ -1,13 +1,18 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cosetlab.blockmat import BlockMatrix
+import cosetlab
+from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord, embed
 from cosetlab.cli import main
+from cosetlab.cosets import GroupFamily, sample_tau_full
+from cosetlab.haar import RandomStream
 
 FIXTURE_PRODUCT = ["product", "--family", "symmetric", "--alpha", "1", "--k", "1",
                    "--N", "3", "--g", "(1 2)", "--h", "(1 2)"]
@@ -71,6 +76,25 @@ class TestMembership:
             "--x", "(1 4)", "--target", "(1 3)")
         assert code == 0
         assert out == "true\n"
+
+    def test_corner_swapped_sample_n128(self, capsys, tmp_path):
+        # x = (1 3).(tau_full sample) is a non-member: it sends a different number
+        # of points from one block (corner, copy 0, copy 1) to another than the
+        # representative does, a count that no element of K changes
+        fam = GroupFamily("symmetric", BlockSpec(1, 1, 128, 2))
+        g = BlockMatrix.from_permutation(PermutationWord.parse("(1 2 3)", 3))
+        h = BlockMatrix.from_permutation(PermutationWord.parse("(1 3)", 3))
+        y = sample_tau_full(embed(g, fam.spec), embed(h, fam.spec), fam, RandomStream(5, 1))
+        x = PermutationWord.from_cycles(fam.spec.dim, [(1, 3)]) * y.exact_permutation
+        x_path, r_path = tmp_path / "x.json", tmp_path / "r.json"
+        x_path.write_text(json.dumps({"perm": list(x.images)}))
+        sym = ("--alpha", "1", "--k", "1", "--m", "2", "--N", "128")
+        run_cli(capsys, "product", "--family", "symmetric", *sym, "--g", "(1 2 3)",
+                "--h", "(1 3)", "--out", str(r_path))
+        code, out, _ = run_cli(capsys, "membership", *sym, "--x", str(x_path),
+                               "--target", str(r_path))
+        assert code == 0
+        assert out == "false\n"
 
 
 class TestSample:
@@ -217,6 +241,16 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines()[1].split(",")[7] == "2"
 
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--kind", "permutation", "--dim", "3", "--seed", "1"),
+        (*CONC, "--N", "3", "--samples", "2", "--g", "(1 2 3)"),
+    ])
+    def test_unwritable_out_is_runtime_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "missing" / "out.txt"
+        code, _, err = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 2
+        assert f"cannot write to {path}" in err
+
     def test_exact_sym_window_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"perm": [2, 1]}))
@@ -253,9 +287,13 @@ class TestTopLevel:
         assert json.loads(proc.stdout)["perm"] == [3, 2, 1, 4, 5]
 
     def test_module_invocation(self):
+        # the child imports the package this process imported, installed or not
+        src = str(Path(cosetlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "cosetlab.cli", "membership",
                                "--alpha", "1", "--k", "1", "--N", "3",
                                "--x", "identity", "--target", "(1 2)"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout == "false\n"

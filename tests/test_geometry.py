@@ -116,6 +116,13 @@ class TestDistDoubleCoset:
         est = dist_double_coset(target.representative, target)
         assert est.upper_bound == 0.0
 
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"max_iters": 0}])
+    def test_iteration_counts_below_one_rejected(self, kwargs):
+        fam = _sym_family()
+        target = circ_N(SWAP, SWAP, fam)
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            dist_double_coset(target.representative, target, **kwargs)
+
 
 class TestDistConjugacy:
     def _target(self, seed=41, N=8):
@@ -175,15 +182,18 @@ class TestSymMembership:
         target = circ_N(SWAP, SWAP, fam)
         assert sym_membership(target.representative, target)
 
-    @pytest.mark.parametrize("alpha,k,N,m", [(1, 1, 2, 1), (0, 1, 2, 1), (2, 1, 2, 1), (1, 2, 2, 1)])
+    # despite its name, the list also holds configurations with m = 2 and 3
+    @pytest.mark.parametrize("alpha,k,N,m", [(1, 1, 2, 1), (0, 1, 2, 1), (2, 1, 2, 1), (1, 2, 2, 1),
+                                             (1, 1, 3, 3), (2, 1, 3, 2), (2, 2, 2, 2), (0, 2, 2, 2)])
     def test_matches_brute_force_m1(self, alpha, k, N, m):
         fam = GroupFamily("symmetric", BlockSpec(alpha, k, N, m))
         spec = fam.spec
         gen = RandomStream(800 + alpha * 10 + k, 0).generator()
+        near_gen = RandomStream(800 + alpha * 10 + k, m).generator()
         from cosetlab.haar import uniform_permutation
 
-        g = BlockMatrix.from_permutation(uniform_permutation(alpha + k, gen))
-        h = BlockMatrix.from_permutation(uniform_permutation(alpha + k, gen))
+        g = BlockMatrix.from_permutation(uniform_permutation(spec.window, gen))
+        h = BlockMatrix.from_permutation(uniform_permutation(spec.window, gen))
         target = circ_N(g, h, fam)
         ks = [embed_k(PermutationWord(list(p)), spec).exact_permutation
               for p in itertools.permutations(range(1, k + N + 1))]
@@ -192,6 +202,12 @@ class TestSymMembership:
         for _ in range(20):
             x = uniform_permutation(spec.dim, gen)
             assert sym_membership(x, target) == (x.images in brute_set)
+            # a planted member, and a near-member: the same times a random transposition
+            k1, k2 = (ks[int(near_gen.integers(len(ks)))] for _ in range(2))
+            i, j = near_gen.choice(np.arange(1, spec.dim + 1), size=2, replace=False)
+            y = k1 * r * k2 * PermutationWord.from_cycles(spec.dim, [(int(i), int(j))])
+            assert sym_membership(k1 * r * k2, target)
+            assert sym_membership(y, target) == (y.images in brute_set)
 
     def test_matches_brute_force_two_copies(self):
         fam = GroupFamily("symmetric", BlockSpec(1, 1, 2, 2))
@@ -227,6 +243,44 @@ class TestSymMembership:
         xs = [sample_tau_full(G, H, fam, RandomStream(5, 1 + i)) for i in range(40)]
         got = ["".join("1" if sym_membership(x, t) else "0" for x in xs) for t in targets]
         assert got == [product, plain]
+
+    # non-members that a propagation would accept if, after each binding, it
+    # skipped the constraints of copy 0 in place of the copy the binding came from
+    @pytest.mark.parametrize("images", [[4, 7, 3, 6, 5, 2, 1, 8], [4, 7, 5, 3, 6, 8, 2, 1],
+                                        [4, 7, 6, 5, 3, 1, 8, 2]])
+    def test_constraints_of_every_copy_checked(self, images):
+        spec = BlockSpec(2, 1, 2, 2)
+        r = PermutationWord([4, 7, 6, 3, 5, 2, 1, 8])
+        x = PermutationWord(images)
+        ks = [embed_k(PermutationWord(list(p)), spec).exact_permutation
+              for p in itertools.permutations(range(1, 4))]
+        assert not any((k1 * r * k2) == x for k1 in ks for k2 in ks)
+        target = CosetTarget(BlockMatrix.from_permutation(r), GroupFamily("symmetric", spec))
+        assert not sym_membership(x, target)
+
+    # x = (1 3).(tau_full sample), m = 2, g = (1 2 3), h = (1 3): non-members on
+    # which a search over the right factor alone backtracks for exponential time.
+    # At N=12 every verdict is known from such a search (over 20 s in total); at
+    # N=128 each x sends a different number of points from one block (corner,
+    # copy 0, copy 1) to another than r does, a count that no element of K changes.
+    @pytest.mark.parametrize("N", [4, 12, 128])
+    def test_corner_swapped_tau_full_samples(self, N):
+        fam = GroupFamily("symmetric", BlockSpec(1, 1, N, 2))
+        g = BlockMatrix.from_permutation(PermutationWord.parse("(1 2 3)", 3))
+        h = BlockMatrix.from_permutation(PermutationWord.parse("(1 3)", 3))
+        G, H = embed(g, fam.spec), embed(h, fam.spec)
+        target = circ_N(g, h, fam)
+        swap = PermutationWord.from_cycles(fam.spec.dim, [(1, 3)])
+        xs = [swap * sample_tau_full(G, H, fam, RandomStream(5, 1 + i)).exact_permutation
+              for i in range(22)]
+        expected = [False] * 22
+        if N == 4:
+            ks = [embed_k(PermutationWord(list(p)), fam.spec).exact_permutation
+                  for p in itertools.permutations(range(1, N + 2))]
+            rinv = target.representative.exact_permutation.inverse()
+            k_set = {k.images for k in ks}
+            expected = [any((rinv * k1.inverse() * x).images in k_set for k1 in ks) for x in xs]
+        assert [sym_membership(x, target) for x in xs] == expected
 
 
 class TestSymCornerInvariant:
