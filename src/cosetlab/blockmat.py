@@ -83,13 +83,14 @@ class BlockSpec:
 class PermutationWord:
     """A permutation of {1..n} stored as the tuple of images (1-based)."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_inverse")
 
     def __init__(self, images):
         images = tuple(int(i) for i in images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        object.__setattr__(self, "images", images)
+        self.images = images
+        self._inverse = None
 
     @property
     def degree(self) -> int:
@@ -146,10 +147,16 @@ class PermutationWord:
         return PermutationWord(self.images[j - 1] for j in other.images)
 
     def inverse(self) -> "PermutationWord":
-        out = [0] * self.degree
-        for i, v in enumerate(self.images):
-            out[v - 1] = i + 1
-        return PermutationWord(out)
+        """The inverse word; built on the first call and kept, as a word never changes."""
+        if self._inverse is None:
+            out = [0] * self.degree
+            for i, v in enumerate(self.images, 1):
+                out[v - 1] = i
+            inv = PermutationWord.__new__(PermutationWord)  # valid by construction
+            inv.images = tuple(out)
+            inv._inverse = self
+            self._inverse = inv
+        return self._inverse
 
     def matrix(self) -> np.ndarray:
         """0-1 matrix P with P @ e_j = e_{images[j]}."""

@@ -5,7 +5,10 @@ real-orthogonal diagonal cosets, complex unitary matrices up to diagonal
 unitary conjugation, and exact permutations with diagonal-copy cosets.  The
 finite-size product of g and h is the double coset (or conjugacy class) of
 g.J.h, where J swaps each copy's active block into its tail; samplers draw
-from the one-middle-draw and three-draw convolution measures.
+from the one-middle-draw and three-draw convolution measures.  For the two
+unitary families a sample also has a core of dimension alpha + 2mk, equivalent
+to it under K for every tail size, built from the first k rows of the middle
+draw alone.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ __all__ = [
     "circ_N",
     "sample_tau_tilde",
     "sample_tau_full",
+    "sample_core",
+    "lift_core_witnesses",
 ]
 
 FAMILY_KINDS = ("unitary_orthogonal", "unitary_conjugation", "symmetric")
@@ -197,3 +202,65 @@ def sample_tau_full(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rng) ->
     k2 = _draw_k(family, gen)
     k3 = _draw_k(family, gen)
     return k1 @ g @ k2 @ h @ k3
+
+
+def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> BlockMatrix:
+    """Core of the unitary-family sample whose middle draw x_w has first k rows ``rows``.
+
+    g and h live on the window.  Split rows = [A, T] after k columns, take a
+    thin QR T^* = Q_t R_t and let q = I_k (+) the complete Householder factor
+    of Q_t, Q = embed_k(q), X = embed_k(x_w).  For the sample
+    x = embed(g).X.embed(h) (times X^* for the conjugation family), Q^*X^*.x.Q
+    (Q^*X^*.x.X.Q) is the identity outside the corner and the first 2k points
+    of each copy; the d x d matrix there, d = alpha + 2mk, is the core,
+    (I + Y^*(g - I)Y).embed(h) with Y = I_alpha (+) [A, R_t^*] per copy.  So
+    the core is K-equivalent (K-conjugate) to the sample, and the outer draws
+    of ``sample_tau_full`` do not change it.  Its target is
+    circ_N(g, h, family.with_n_tail(k)), the product target restricted to the
+    core.  Cost: O(w k^2) for the QR plus the d x d products, for any w.
+    """
+    if family.kind == "symmetric":
+        raise ValueError("the sample core is defined for the unitary families")
+    spec = family.spec
+    alpha, k = spec.alpha, spec.k
+    rows = np.asarray(rows)
+    if rows.shape != (k, spec.copy_size):
+        raise ValueError(f"expected the first {k} rows of a {spec.copy_size}-point draw, "
+                         f"got shape {rows.shape}")
+    r_t = np.linalg.qr(rows[:, k:].conj().T, mode="r")
+    frame = np.hstack([rows[:, :k], r_t.conj().T])
+    core_spec = family.with_n_tail(k).spec
+    y = np.zeros((spec.window, core_spec.dim), dtype=complex)
+    y[:alpha, :alpha] = np.eye(alpha)
+    for c in range(spec.m):
+        y[alpha + c * k:alpha + (c + 1) * k, core_spec.copy_slice(c)] = frame
+    left = np.eye(core_spec.dim) + y.conj().T @ (g.entries - np.eye(spec.window)) @ y
+    return BlockMatrix(left, core_spec) @ embed(h, core_spec)
+
+
+def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, x_w, family: GroupFamily):
+    """Full-size witnesses (U, V) from core-size ones (u, v) of ``sample_core``.
+
+    x_w is the whole middle draw whose first k rows built the core.  With q as
+    in ``sample_core``, U = embed_k(x_w.q.(u (+) I)) and V = embed_k((v (+) I).q^*),
+    times x_w^* on the right for the conjugation family, so that
+    x - U.r.V is (core - u.r_core.v) (+) 0 and both have the same norm.  Builds
+    w x w matrices, so it serves checks at sizes where the sample fits in memory.
+    """
+    spec = family.spec
+    k, w = spec.k, spec.copy_size
+    x_w = np.asarray(x_w)
+    q = np.eye(w, dtype=complex)
+    q[k:, k:] = np.linalg.qr(x_w[:k, k:].conj().T, mode="complete")[0]
+    block = family.with_n_tail(k).spec.copy_slice(0)
+
+    def widen(b: BlockMatrix) -> np.ndarray:
+        out = np.eye(w, dtype=complex)
+        out[:2 * k, :2 * k] = b.entries[block, block]
+        return out
+
+    left = x_w @ q @ widen(u)
+    right = widen(v) @ q.conj().T
+    if family.kind == "unitary_conjugation":
+        right = right @ x_w.conj().T
+    return embed_k(left, spec), embed_k(right, spec)

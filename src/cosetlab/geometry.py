@@ -408,12 +408,17 @@ def sym_membership(x, target: CosetTarget) -> bool:
     if xw.degree != rw.degree:
         raise ValueError("degree mismatch")
     spec = fam.spec
-    alpha, w, m = spec.alpha, spec.copy_size, spec.m
+    alpha, w = spec.alpha, spec.copy_size
     xs, rs = list(xw.images), list(rw.images)
-    xi, ri = [0] * len(xs), [0] * len(rs)
-    for p, (q, s) in enumerate(zip(xs, rs), 1):
+    # u fixes the corner, so on each corner point x and r agree or go into one
+    # copy; most non-members fail here, before x^-1 is built (r keeps its inverse)
+    for t, s in zip(xs[:alpha], rs[:alpha]):
+        if t != s and (t <= alpha or s <= alpha or (t - alpha - 1) // w != (s - alpha - 1) // w):
+            return False
+    xi = [0] * len(xs)
+    for p, q in enumerate(xs, 1):
         xi[q - 1] = p
-        ri[s - 1] = p
+    ri = list(rw.inverse().images)
     # side 0 binds u and reads (x, r); side 1 binds v^-1 and reads (x^-1, r^-1).
     # image[side][a] is the label of r's copies that x's label a goes to (0-based,
     # -1 = free); taken[side][b] says whether r's label b has been used

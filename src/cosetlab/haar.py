@@ -17,6 +17,7 @@ __all__ = [
     "RandomStream",
     "haar_orthogonal",
     "haar_unitary",
+    "haar_columns",
     "uniform_permutation",
     "top_block",
 ]
@@ -46,31 +47,36 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RandomStream or numpy Generator, got {type(rng).__name__}")
 
 
-def haar_orthogonal(n: int, rng) -> np.ndarray:
-    """Haar-uniform element of O(n).
+def haar_columns(n: int, k: int, rng, unitary: bool = False) -> np.ndarray:
+    """First k columns of a Haar-uniform element of O(n), or of U(n) when unitary.
 
-    QR of a Gaussian matrix, with each column of Q multiplied by the sign of
-    the matching diagonal entry of R; the sign correction removes the bias
-    from QR's sign ambiguity.
+    QR of an n x k (complex when unitary) Gaussian matrix, with each column of
+    Q multiplied by the sign (phase) of the matching diagonal entry of R; the
+    correction removes the bias from QR's sign ambiguity (Mezzadri 2007).
+    Gram-Schmidt of the first k Gaussian columns ignores the other n - k, so
+    the draw costs O(n k^2); k = n gives the whole matrix.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n; got k={k}, n={n}")
     gen = _as_generator(rng)
-    z = gen.standard_normal((n, n))
+    z = gen.standard_normal((n, k))
+    if unitary:
+        z = z + 1j * gen.standard_normal((n, k))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
+    if unitary:
+        return q * (d / np.abs(d))
     return q * np.where(d >= 0, 1.0, -1.0)
 
 
+def haar_orthogonal(n: int, rng) -> np.ndarray:
+    """Haar-uniform element of O(n): ``haar_columns`` with all n columns."""
+    return haar_columns(n, n, rng)
+
+
 def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-uniform element of U(n): complex Gaussian QR with phase correction."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    gen = _as_generator(rng)
-    z = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-uniform element of U(n): ``haar_columns`` with all n columns."""
+    return haar_columns(n, n, rng, unitary=True)
 
 
 def uniform_permutation(n: int, rng) -> PermutationWord:

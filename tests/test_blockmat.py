@@ -89,6 +89,13 @@ class TestPermutationWord:
         assert recovered == word
         assert (word * word.inverse()) == PermutationWord.identity(word.degree)
 
+    def test_inverse_is_kept(self):
+        word = PermutationWord([3, 1, 4, 2])
+        inv = word.inverse()
+        assert inv.images == (2, 4, 1, 3)
+        assert word.inverse() is inv and inv.inverse() is word
+        assert inv == PermutationWord(inv.images) and hash(inv) == hash(PermutationWord(inv.images))
+
 
 class TestBlockMatrix:
     def test_exact_permutation_consistency(self):

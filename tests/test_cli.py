@@ -241,6 +241,21 @@ class TestExitCodes:
         assert code == 0
         assert out.splitlines()[1].split(",")[7] == "2"
 
+    @pytest.mark.parametrize("family", ["unitary_orthogonal", "unitary_conjugation"])
+    def test_unitary_tail_of_a_hundred_thousand(self, capsys, family):
+        # a full sample would be a 100001 x 100001 complex matrix (about 160 GB)
+        code, out, _ = run_cli(
+            capsys, "concentration", "--family", family, "--alpha", "1", "--k", "1",
+            "--m", "1", "--N", "100000", "--epsilon", "0.4", "--samples", "2", "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[4] == "100000"
+
+    def test_block_decay_tail_of_a_hundred_thousand(self, capsys):
+        code, out, _ = run_cli(capsys, "block-decay", "--k", "2", "--N", "100000",
+                               "--samples", "30", "--seed", "1")
+        assert code == 0
+        assert out.splitlines()[1].startswith("100000,")
+
     @pytest.mark.parametrize("argv", [
         ("sample", "--kind", "permutation", "--dim", "3", "--seed", "1"),
         (*CONC, "--N", "3", "--samples", "2", "--g", "(1 2 3)"),

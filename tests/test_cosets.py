@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from cosetlab.blockmat import (
     PermutationWord,
     build_JN,
     embed,
+    embed_k,
     is_unitary,
 )
 from cosetlab.cosets import (
@@ -14,11 +17,19 @@ from cosetlab.cosets import (
     circ_N,
     circ_colligation,
     circ_infinite,
+    lift_core_witnesses,
+    sample_core,
     sample_tau_full,
     sample_tau_tilde,
 )
-from cosetlab.geometry import eigenvalue_matching_distance, sym_membership
-from cosetlab.haar import RandomStream, haar_unitary
+from cosetlab.geometry import (
+    dist_conjugacy,
+    dist_double_coset,
+    eigenvalue_matching_distance,
+    sym_membership,
+    verify_estimate,
+)
+from cosetlab.haar import RandomStream, haar_orthogonal, haar_unitary
 
 SWAP = BlockMatrix.from_permutation(PermutationWord([2, 1]))
 
@@ -225,3 +236,73 @@ class TestSamplers:
         fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 1, 3, 1))
         with pytest.raises(ValueError):
             sample_tau_tilde(SWAP, SWAP, fam, RandomStream(0, 0))
+
+
+CORE_SHAPES = [(2, 2, 2, 5), (0, 1, 2, 1), (1, 2, 1, 2), (0, 2, 3, 4), (2, 1, 1, 1)]
+
+
+def _core_case(kind, alpha, k, m, N, seed):
+    """A full sample built from a whole Haar middle draw x_w, and its core."""
+    fam = GroupFamily(kind, BlockSpec(alpha, k, N, m))
+    gen = RandomStream(seed, 0).generator()
+    g = BlockMatrix(haar_unitary(fam.spec.window, gen))
+    h = BlockMatrix(haar_unitary(fam.spec.window, gen))
+    conj = kind == "unitary_conjugation"
+    x_w = (haar_unitary if conj else haar_orthogonal)(fam.spec.copy_size, gen)
+    X = embed_k(x_w, fam.spec)
+    x = embed(g, fam.spec) @ X @ embed(h, fam.spec)
+    if conj:
+        x = BlockMatrix(x.entries @ X.entries.conj().T, fam.spec)
+    return fam, g, h, x_w, x, sample_core(g, h, fam, x_w[:k])
+
+
+class TestSampleCore:
+    @pytest.mark.parametrize("kind", ["unitary_orthogonal", "unitary_conjugation"])
+    @pytest.mark.parametrize("alpha,k,m,N", CORE_SHAPES)
+    def test_core_is_the_sample_in_the_core_frame(self, kind, alpha, k, m, N):
+        # identity core witnesses lift to U = XQ and V = Q^* (Q^*X^* for the
+        # conjugation family), so U^* x V^* must be the core on the corner and
+        # the first 2k points of each copy and the identity elsewhere
+        m = 1 if kind == "unitary_conjugation" else m
+        fam, _, _, x_w, x, core = _core_case(kind, alpha, k, m, N, seed=40 + N)
+        core_spec = fam.with_n_tail(k).spec
+        assert core.spec == core_spec
+        e = BlockMatrix.identity(core_spec.dim, core_spec)
+        U, V = lift_core_witnesses(e, e, x_w, fam)
+        framed = U.entries.conj().T @ x.entries @ V.entries.conj().T
+        padded = embed(core, BlockSpec(alpha, 2 * k, N - k, m)).entries
+        assert np.abs(framed - padded).max() <= 1e-12
+        assert is_unitary(U, 1e-12) and is_unitary(V, 1e-12)
+
+    @pytest.mark.parametrize("kind", ["unitary_orthogonal", "unitary_conjugation"])
+    @pytest.mark.parametrize("alpha,k,m,N", CORE_SHAPES)
+    def test_lifted_witnesses_verify_at_full_size(self, kind, alpha, k, m, N):
+        m = 1 if kind == "unitary_conjugation" else m
+        fam, g, h, x_w, x, core = _core_case(kind, alpha, k, m, N, seed=60 + N)
+        core_target = circ_N(g, h, fam.with_n_tail(k))
+        if kind == "unitary_conjugation":
+            est = dist_conjugacy(core, core_target)
+        else:
+            est = dist_double_coset(core, core_target, rng=RandomStream(61, N).generator())
+        U, V = lift_core_witnesses(est.witness_left, est.witness_right, x_w, fam)
+        if kind == "unitary_orthogonal":
+            # real orthogonal copy blocks: the lifted witnesses stay in K
+            assert np.abs(U.entries.imag).max() == 0 and np.abs(V.entries.imag).max() == 0
+        lifted = replace(est, witness_left=U, witness_right=V)
+        assert abs(verify_estimate(lifted, x, circ_N(g, h, fam)) - est.upper_bound) <= 1e-10
+
+    def test_core_ignores_tail_size(self):
+        # the same first rows padded with zeros to a longer tail give the same core
+        fam, g, h, x_w, _, core = _core_case("unitary_orthogonal", 1, 2, 2, 3, seed=7)
+        longer = GroupFamily(fam.kind, BlockSpec(1, 2, 9, 2))
+        rows = np.hstack([x_w[:2], np.zeros((2, 6))])
+        np.testing.assert_allclose(sample_core(g, h, longer, rows).entries, core.entries,
+                                   atol=1e-14)
+
+    def test_rejects_symmetric_family_and_bad_rows(self):
+        fam = GroupFamily("symmetric", BlockSpec(1, 1, 2, 1))
+        with pytest.raises(ValueError):
+            sample_core(SWAP, SWAP, fam, np.eye(1, 3))
+        fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 1, 2, 1))
+        with pytest.raises(ValueError, match="first 1 rows"):
+            sample_core(SWAP, SWAP, fam, np.eye(2, 3))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,6 +132,21 @@ class TestRunConcentration:
         seq = run_concentration(cfg, threads=1).with_zeroed_runtime()
         par = run_concentration(cfg, threads=4).with_zeroed_runtime()
         assert seq == par
+
+    def test_thread_count_does_not_change_unitary_rows(self):
+        cfg = _cfg(family="unitary_orthogonal", N_list=(4, 64), epsilon_list=(0.3,),
+                   samples=24, seed=8, g_spec="random_unitary", h_spec="random_unitary")
+        seq = run_concentration(cfg, threads=1).with_zeroed_runtime()
+        assert seq == run_concentration(cfg, threads=2).with_zeroed_runtime()
+
+    @pytest.mark.parametrize("family", ["unitary_orthogonal", "unitary_conjugation"])
+    def test_unitary_measures_share_the_core(self, family):
+        # tau_full's outer draws leave the sample's core unchanged
+        cfg = _cfg(family=family, N_list=(5,), epsilon_list=(0.4,), samples=10, seed=3,
+                   g_spec="random_unitary", h_spec="random_unitary")
+        full = replace(cfg, measure="tau_full")
+        assert (run_concentration(cfg).with_zeroed_runtime()
+                == run_concentration(full).with_zeroed_runtime())
 
     def test_threads_env_cap(self, monkeypatch):
         monkeypatch.setenv("COSETLAB_THREADS", "1")

@@ -11,7 +11,8 @@ from cosetlab.blockmat import (
     embed_k,
     operator_norm,
 )
-from cosetlab.cosets import CosetTarget, GroupFamily, circ_N, sample_tau_full
+from cosetlab.cosets import CosetTarget, GroupFamily, circ_N, sample_core, sample_tau_full
+from cosetlab.experiments import ExperimentConfig
 from cosetlab.geometry import (
     colligation_char_function,
     dist_conjugacy,
@@ -164,11 +165,62 @@ class TestDistConjugacy:
         assert est.upper_bound >= 0.3
 
 
+class TestCoreAgainstFullSolver:
+    """Paired samples at N=8 on the acceptance fixture (seed 42, stream 0):
+    the same middle draw solved at full size and as its core."""
+
+    EPS = 0.4
+
+    def _pairs(self, kind, seed, samples):
+        fam = GroupFamily(kind, BlockSpec(1, 1, 8, 1))
+        setup = RandomStream(42, 0).generator()
+        g = BlockMatrix(haar_unitary(2, setup))
+        h = BlockMatrix(haar_unitary(2, setup))
+        full_target, core_target = circ_N(g, h, fam), circ_N(g, h, fam.with_n_tail(1))
+        G, H = embed(g, fam.spec), embed(h, fam.spec)
+        conj = kind == "unitary_conjugation"
+        for i in range(samples):
+            gen = RandomStream(seed, 1 + i).generator()
+            x_w = (haar_unitary if conj else haar_orthogonal)(9, gen)
+            X = embed_k(x_w, fam.spec)
+            x = G @ X @ H
+            core = sample_core(g, h, fam, x_w[:1])
+            if conj:
+                x = BlockMatrix(x.entries @ X.entries.conj().T, fam.spec)
+                yield dist_conjugacy(x, full_target), dist_conjugacy(core, core_target)
+            else:
+                full = dist_double_coset(x, full_target, restarts=5, rng=gen,
+                                         stop_below=self.EPS)
+                yield full, dist_double_coset(
+                    core, core_target, restarts=ExperimentConfig.restarts,
+                    rng=RandomStream(seed + 1, 1 + i).generator(), stop_below=self.EPS)
+
+    def test_conjugation_core_never_worse(self):
+        for full, core in self._pairs("unitary_conjugation", 5, 60):
+            assert core.upper_bound <= full.upper_bound + 1e-9
+
+    def test_orthogonal_core_keeps_the_hits(self):
+        # the full solver with the former default of 5 restarts against the
+        # core with the default; at these seeds the core loses no hit
+        pairs = list(self._pairs("unitary_orthogonal", 5, 200))
+        full_hits = [full.upper_bound <= self.EPS for full, _ in pairs]
+        core_hits = [core.upper_bound <= self.EPS for _, core in pairs]
+        lost = sum(f and not c for f, c in zip(full_hits, core_hits))
+        assert lost <= 0, f"{lost} hits lost; full {sum(full_hits)}, core {sum(core_hits)}"
+
+
 class TestSymMembership:
     def test_identity_not_in_swap_coset(self):
         fam = _sym_family()
         target = circ_N(SWAP, SWAP, fam)
         assert not sym_membership(PermutationWord.identity(5), target)
+
+    def test_corner_mismatch_rejected_before_inverting(self):
+        # x keeps the corner point where r sends it into the tail
+        target = circ_N(SWAP, SWAP, _sym_family())
+        x = PermutationWord([1, 3, 2, 4, 5])
+        assert not sym_membership(x, target)
+        assert x._inverse is None
 
     def test_far_transposition_in_coset(self):
         # (1 4) lies in the double coset of (1 3) because the subgroup acts

@@ -5,6 +5,7 @@ from scipy.stats import ks_2samp
 from cosetlab.blockmat import is_unitary, operator_norm
 from cosetlab.haar import (
     RandomStream,
+    haar_columns,
     haar_orthogonal,
     haar_unitary,
     top_block,
@@ -81,6 +82,40 @@ class TestHaarUnitary:
         gen = RandomStream(5, 0).generator()
         vals = [np.abs(haar_unitary(n, gen)[0, 0]) ** 2 for _ in range(2000)]
         assert np.mean(vals) == pytest.approx(1 / n, rel=0.2)
+
+
+class TestHaarColumns:
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_orthonormal_columns(self, unitary):
+        for n, k in ((1, 1), (5, 2), (40, 3), (1000, 2)):
+            q = haar_columns(n, k, RandomStream(8, n), unitary=unitary)
+            assert q.shape == (n, k)
+            assert q.dtype.kind == ("c" if unitary else "f")
+            assert np.abs(q.conj().T @ q - np.eye(k)).max() <= 1e-12
+
+    def test_all_columns_are_the_full_draw(self):
+        # k = n consumes the same Gaussians as the full draw, bit for bit
+        np.testing.assert_array_equal(haar_columns(6, 6, RandomStream(3, 1)),
+                                      haar_orthogonal(6, RandomStream(3, 1)))
+        np.testing.assert_array_equal(haar_columns(6, 6, RandomStream(3, 2), unitary=True),
+                                      haar_unitary(6, RandomStream(3, 2)))
+
+    @pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 0)])
+    def test_bad_shape_rejected(self, n, k):
+        with pytest.raises(ValueError):
+            haar_columns(n, k, RandomStream(0, 0))
+
+    @pytest.mark.parametrize("N", [20, 200])
+    def test_top_block_law_matches_full_draw(self, N):
+        # the leading k x k block of the first k columns has the law of the
+        # leading block of a whole Haar draw: medians within 10% (about three
+        # standard errors at 200 draws) and the KS statistic below its 1% value
+        k = 2
+        gen = RandomStream(17, N).generator()
+        cols = [operator_norm(top_block(haar_columns(k + N, k, gen), k)) for _ in range(200)]
+        full = [operator_norm(top_block(haar_orthogonal(k + N, gen), k)) for _ in range(200)]
+        assert np.median(cols) == pytest.approx(np.median(full), rel=0.1)
+        assert ks_2samp(cols, full).statistic < 1.628 * np.sqrt(2 / 200)
 
 
 class TestUniformPermutation:
