@@ -205,7 +205,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="accepted and ignored: samples run sequentially")
     return parser
 
 

@@ -7,10 +7,10 @@ from __future__ import annotations
 
 import json
 import math
-import os
+import numbers
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from io import StringIO
 
@@ -77,6 +77,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in FAMILY_KINDS:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("alpha", "k", "m", "samples", "seed", "restarts", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer; got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("N_list", "epsilon_list"):
+            value = getattr(self, name)
+            if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+                raise ValueError(f"{name} must be a list of numbers; got {value!r}")
+            value = tuple(value)
+            if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value):
+                raise ValueError(f"{name} must be a list of numbers; got {list(value)!r}")
+            object.__setattr__(self, name, value)
+        if not all(float(n).is_integer() for n in self.N_list):
+            raise ValueError(f"every N must be an integer; got {list(self.N_list)}")
         object.__setattr__(self, "N_list", tuple(int(n) for n in self.N_list))
         object.__setattr__(self, "epsilon_list", tuple(float(e) for e in self.epsilon_list))
         BlockSpec(self.alpha, self.k, 0, self.m)  # validates the window shape
@@ -87,8 +102,8 @@ class ExperimentConfig:
                 raise ValueError(f"every N must be >= k; got N={n} < k={self.k}")
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
-        if any(e <= 0 for e in self.epsilon_list) or not self.epsilon_list:
-            raise ValueError("epsilon_list must be nonempty and positive")
+        if not self.epsilon_list or not all(0 < e < math.inf for e in self.epsilon_list):
+            raise ValueError("epsilon_list must be nonempty, positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.measure not in MEASURES:
@@ -203,22 +218,14 @@ def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
     return elem
 
 
-def _thread_count(threads) -> int:
-    if threads is None:
-        threads = 1
-    cap = os.environ.get("COSETLAB_THREADS")
-    if cap is not None:
-        threads = min(int(threads), max(1, int(cap)))
-    return max(1, int(threads))
-
-
 def run_concentration(cfg: ExperimentConfig, threads: int | None = None) -> ConcentrationReport:
     """Run the sweep: for each N build the product target, draw samples from
     the configured measure, and report per-(N, epsilon) hit fractions.
 
-    Sample i uses the dedicated stream (seed, 1 + i) for both its subgroup
-    draw and any solver restarts, so reports are reproducible and samples can
-    run concurrently (COSETLAB_THREADS or the threads argument caps workers).
+    Samples run in order, one after another.  Sample i uses the dedicated
+    stream (seed, 1 + i) for both its subgroup draw and any solver restarts,
+    so reports are reproducible.  ``threads`` (like the COSETLAB_THREADS
+    environment variable) is accepted for compatibility and has no effect.
     Symmetric hits are exact membership verdicts recorded as 0/1 distances.
     A unitary-family sample draws only the first k rows of its middle Haar
     element and is solved as its core (``cosets.sample_core``) of dimension
@@ -233,7 +240,6 @@ def run_concentration(cfg: ExperimentConfig, threads: int | None = None) -> Conc
     sampler = sample_tau_tilde if cfg.measure == "tau_tilde" else sample_tau_full
     eps_floor = min(cfg.epsilon_list)
     conj = cfg.family == "unitary_conjugation"
-    workers = _thread_count(threads)
 
     rows = []
     for N in cfg.N_list:
@@ -262,11 +268,7 @@ def run_concentration(cfg: ExperimentConfig, threads: int | None = None) -> Conc
                 return est.upper_bound
 
         start = time.perf_counter()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                distances = list(pool.map(one_sample, range(cfg.samples)))
-        else:
-            distances = [one_sample(i) for i in range(cfg.samples)]
+        distances = [one_sample(i) for i in range(cfg.samples)]
         elapsed = time.perf_counter() - start
 
         med = float(np.median(distances))

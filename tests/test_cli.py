@@ -235,6 +235,21 @@ class TestExitCodes:
         assert code == 1
         assert "max_iters" in err
 
+    @pytest.mark.parametrize("config,flags", [
+        ({"samples": 2.5}, ()),
+        ({"N_list": "64"}, ()),
+        ({}, ("--epsilon", "nan")),
+    ])
+    def test_wrongly_typed_config_value_is_config_error(self, capsys, tmp_path, config, flags):
+        data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],
+                "epsilon_list": [0.4], "samples": 2, "seed": 1}
+        data.update(config)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "concentration", "--config", str(path), *flags)
+        assert code == 1
+        assert err.startswith("error: ")
+
     def test_symmetric_copy_larger_than_recursion_limit(self, capsys):
         code, out, _ = run_cli(capsys, *self.CONC, "--N", "1024", "--samples", "2",
                                "--g", "(1 2 3)")

@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +100,21 @@ class TestExperimentConfig:
         dict(tol=-1e-9),
         dict(tol=float("nan")),
         dict(tol=float("inf")),
+        dict(samples=2.5),
+        dict(restarts=2.5),
+        dict(alpha=1.5),
+        dict(k=True),
+        dict(seed="abc"),
+        dict(m=1.0),
+        dict(max_iters=2.5),
+        dict(N_list="64"),
+        dict(N_list=64),
+        dict(N_list=(8.7,)),
+        dict(N_list=(True,)),
+        dict(epsilon_list="0.4"),
+        dict(epsilon_list=0.4),
+        dict(epsilon_list=(float("nan"),)),
+        dict(epsilon_list=(float("inf"),)),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
@@ -153,6 +169,21 @@ class TestRunConcentration:
         cfg = _cfg(samples=40, seed=3)
         report = run_concentration(cfg, threads=8).with_zeroed_runtime()
         assert report == run_concentration(cfg, threads=1).with_zeroed_runtime()
+
+    @pytest.mark.parametrize("family", ["symmetric", "unitary_orthogonal"])
+    def test_sweep_starts_no_worker_threads(self, monkeypatch, family):
+        def refuse(self):
+            raise AssertionError("run_concentration started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        cfg = _cfg(samples=8, seed=3) if family == "symmetric" else _cfg(
+            family=family, N_list=(8,), epsilon_list=(0.4,), samples=8, seed=3,
+            g_spec="random_unitary", h_spec="random_unitary")
+        (row,) = run_concentration(cfg, threads=4).rows
+        assert row.samples == 8
+
+    def test_integral_float_tail_sizes_accepted(self):
+        assert _cfg(N_list=[3.0, np.int64(4)]).N_list == (3, 4)
 
     def test_fraction_improves_with_tail_size(self):
         cfg = _cfg(family="unitary_orthogonal", N_list=(2, 8), epsilon_list=(0.5,),
