@@ -200,7 +200,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--g", default=None, help="matrix source for g")
     p.add_argument("--h", default=None)
-    p.add_argument("--measure", choices=("tau_tilde", "tau_full"))
+    p.add_argument("--measure", choices=("tau_tilde", "tau_full"), help="same report either way")
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tol", type=float)

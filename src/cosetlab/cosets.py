@@ -5,10 +5,10 @@ real-orthogonal diagonal cosets, complex unitary matrices up to diagonal
 unitary conjugation, and exact permutations with diagonal-copy cosets.  The
 finite-size product of g and h is the double coset (or conjugacy class) of
 g.J.h, where J swaps each copy's active block into its tail; samplers draw
-from the one-middle-draw and three-draw convolution measures.  For the two
-unitary families a sample also has a core of dimension alpha + 2mk, equivalent
-to it under K for every tail size, built from the first k rows of the middle
-draw alone.
+from the one-middle-draw and three-draw convolution measures.  In every family
+a sample also has a core of dimension alpha + 2mk, equivalent to it under K
+for every tail size, built from the first k rows of the middle draw (for
+permutations, its k active images) alone.
 """
 
 from __future__ import annotations
@@ -205,7 +205,7 @@ def sample_tau_full(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rng) ->
 
 
 def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> BlockMatrix:
-    """Core of the unitary-family sample whose middle draw x_w has first k rows ``rows``.
+    """Core of the sample whose middle draw x_w has first k rows ``rows``.
 
     g and h live on the window.  Split rows = [A, T] after k columns, take a
     thin QR T^* = Q_t R_t and let q = I_k (+) the complete Householder factor
@@ -218,18 +218,30 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
     of ``sample_tau_full`` do not change it.  Its target is
     circ_N(g, h, family.with_n_tail(k)), the product target restricted to the
     core.  Cost: O(w k^2) for the QR plus the d x d products, for any w.
+
+    For the symmetric family ``rows`` holds u(1..k), the images of the middle
+    permutation's active points; K holds every tail permutation, so only they
+    matter.  Images above k take the first tail slots in order, the other
+    points follow in ascending order, and the core is the exact permutation
+    embed(g).embed_k(u_core).embed(h) at tail size k, for any w.
     """
-    if family.kind == "symmetric":
-        raise ValueError("the sample core is defined for the unitary families")
     spec = family.spec
     alpha, k = spec.alpha, spec.k
+    core_spec = family.with_n_tail(k).spec
     rows = np.asarray(rows)
+    if family.kind == "symmetric":
+        if rows.shape != (k,):
+            raise ValueError(f"expected the {k} active images of a {spec.copy_size}-point "
+                             f"draw, got shape {rows.shape}")
+        tail = iter(range(k + 1, 2 * k + 1))
+        head = [int(v) if v <= k else next(tail) for v in rows]
+        u_core = PermutationWord(head + sorted(set(range(1, 2 * k + 1)) - set(head)))
+        return embed(g, core_spec) @ embed_k(u_core, core_spec) @ embed(h, core_spec)
     if rows.shape != (k, spec.copy_size):
         raise ValueError(f"expected the first {k} rows of a {spec.copy_size}-point draw, "
                          f"got shape {rows.shape}")
     r_t = np.linalg.qr(rows[:, k:].conj().T, mode="r")
     frame = np.hstack([rows[:, :k], r_t.conj().T])
-    core_spec = family.with_n_tail(k).spec
     y = np.zeros((spec.window, core_spec.dim), dtype=complex)
     y[:alpha, :alpha] = np.eye(alpha)
     for c in range(spec.m):

@@ -17,15 +17,8 @@ from io import StringIO
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, load_source, operator_norm
-from .cosets import (
-    FAMILY_KINDS,
-    GroupFamily,
-    circ_N,
-    sample_core,
-    sample_tau_full,
-    sample_tau_tilde,
-)
+from .blockmat import BlockMatrix, BlockSpec, PermutationWord, load_source, operator_norm
+from .cosets import FAMILY_KINDS, GroupFamily, circ_N, sample_core
 from .geometry import dist_conjugacy, dist_double_coset, sym_membership
 from .haar import RandomStream, haar_columns, haar_unitary, top_block, uniform_permutation
 
@@ -77,6 +70,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.family not in FAMILY_KINDS:
             raise ValueError(f"unknown family {self.family!r}")
+        for name in ("g_spec", "h_spec"):
+            if not isinstance(getattr(self, name), (str, BlockMatrix, PermutationWord)):
+                raise ValueError(f"{name} must be a matrix source; got {getattr(self, name)!r}")
         for name in ("alpha", "k", "m", "samples", "seed", "restarts", "max_iters"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -202,8 +198,6 @@ def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
         elem = source
     elif isinstance(source, PermutationWord):
         elem = BlockMatrix.from_permutation(source)
-    elif not isinstance(source, str):
-        raise TypeError(f"cannot interpret matrix source {source!r}")
     elif source == "random_unitary":
         if family.kind == "symmetric":
             elem = BlockMatrix.from_permutation(uniform_permutation(window, gen))
@@ -219,62 +213,56 @@ def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
 
 
 def run_concentration(cfg: ExperimentConfig, threads: int | None = None) -> ConcentrationReport:
-    """Run the sweep: for each N build the product target, draw samples from
-    the configured measure, and report per-(N, epsilon) hit fractions.
+    """Run the sweep: for each N draw samples, reduce each to its core and
+    report per-(N, epsilon) hit fractions.
 
     Samples run in order, one after another.  Sample i uses the dedicated
-    stream (seed, 1 + i) for both its subgroup draw and any solver restarts,
+    stream (seed, 1 + i) for both its middle draw and any solver restarts,
     so reports are reproducible.  ``threads`` (like the COSETLAB_THREADS
     environment variable) is accepted for compatibility and has no effect.
-    Symmetric hits are exact membership verdicts recorded as 0/1 distances.
-    A unitary-family sample draws only the first k rows of its middle Haar
-    element and is solved as its core (``cosets.sample_core``) of dimension
-    alpha + 2mk against the product target at tail size k, so its cost does
-    not grow with N; both measures give the same core law, and every distance
-    is a witnessed upper bound for the sample.
+    A sample draws only the first k rows of its middle Haar element, or the k
+    active images of its middle permutation (O(k) for any N), and is solved
+    as its core (``cosets.sample_core``) of dimension alpha + 2mk against the
+    product target at tail size k, so its cost does not grow with N.  The
+    outer draws of tau_full leave the core unchanged, so ``measure`` does not
+    change a report.  Symmetric hits are exact membership verdicts recorded as
+    0/1 distances; unitary distances are witnessed upper bounds for the sample.
     """
     setup_gen = RandomStream(cfg.seed, 0).generator()
-    fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, max(cfg.N_list), cfg.m))
+    fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
     g_win = _resolve_window_element(cfg.g_spec, fam0, setup_gen)
     h_win = _resolve_window_element(cfg.h_spec, fam0, setup_gen)
-    sampler = sample_tau_tilde if cfg.measure == "tau_tilde" else sample_tau_full
+    target = circ_N(g_win, h_win, fam0)
     eps_floor = min(cfg.epsilon_list)
+    sym = cfg.family == "symmetric"
     conj = cfg.family == "unitary_conjugation"
+
+    def one_sample(i, fam):
+        gen = RandomStream(cfg.seed, 1 + i).generator()
+        if sym:
+            draw = gen.choice(fam.spec.copy_size, cfg.k, replace=False) + 1
+        else:
+            draw = haar_columns(fam.spec.copy_size, cfg.k, gen, unitary=conj).T
+        core = sample_core(g_win, h_win, fam, draw)
+        if sym:
+            return 0.0 if sym_membership(core, target) else 1.0
+        if conj:
+            return dist_conjugacy(core, target, max_iters=cfg.max_iters, tol=cfg.tol).upper_bound
+        return dist_double_coset(
+            core, target, max_iters=cfg.max_iters, tol=cfg.tol,
+            restarts=cfg.restarts, rng=gen, stop_below=eps_floor).upper_bound
 
     rows = []
     for N in cfg.N_list:
         fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
-        if cfg.family == "symmetric":
-            target = circ_N(g_win, h_win, fam)
-            g_full = embed(g_win, fam.spec)
-            h_full = embed(h_win, fam.spec)
-
-            def one_sample(i, fam=fam, target=target, g_full=g_full, h_full=h_full):
-                x = sampler(g_full, h_full, fam, RandomStream(cfg.seed, 1 + i).generator())
-                return 0.0 if sym_membership(x, target) else 1.0
-        else:
-            target = circ_N(g_win, h_win, fam.with_n_tail(cfg.k))
-
-            def one_sample(i, fam=fam, target=target):
-                gen = RandomStream(cfg.seed, 1 + i).generator()
-                cols = haar_columns(fam.spec.copy_size, cfg.k, gen, unitary=conj)
-                core = sample_core(g_win, h_win, fam, cols.T)
-                if conj:
-                    est = dist_conjugacy(core, target, max_iters=cfg.max_iters, tol=cfg.tol)
-                else:
-                    est = dist_double_coset(
-                        core, target, max_iters=cfg.max_iters, tol=cfg.tol,
-                        restarts=cfg.restarts, rng=gen, stop_below=eps_floor)
-                return est.upper_bound
-
         start = time.perf_counter()
-        distances = [one_sample(i) for i in range(cfg.samples)]
+        distances = [one_sample(i, fam) for i in range(cfg.samples)]
         elapsed = time.perf_counter() - start
 
         med = float(np.median(distances))
         mean = float(np.mean(distances))
         for eps in cfg.epsilon_list:
-            if cfg.family == "symmetric":
+            if sym:
                 hits = sum(1 for d in distances if d == 0.0)
             else:
                 hits = sum(1 for d in distances if d <= eps)

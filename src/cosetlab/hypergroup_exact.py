@@ -1,9 +1,11 @@
 """Exact convolution structure constants for the symmetric family.
 
-For windows small enough to enumerate, the product measure of two coset
-measures is computed exactly: every middle draw u is enumerated, the products
-g.diag(u).h are sorted into cosets by the exact membership test, and the atom
-probabilities come out as exact rationals.
+Within ``ENUMERATION_BUDGET``, the product measure of two coset measures is
+computed exactly: every middle draw u is enumerated, the products g.diag(u).h
+are sorted into cosets by the exact membership test, and the atom
+probabilities come out as exact rationals.  ``concentration_exact`` gives the
+product coset's own probability at any tail size, from the cores of u's
+active images.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockmat import BlockMatrix, PermutationWord, as_word, embed, embed_k
-from .cosets import CosetTarget, GroupFamily, circ_N
+from .blockmat import BlockMatrix, PermutationWord, as_word, embed_k
+from .cosets import CosetTarget, GroupFamily, circ_N, sample_core
 from .geometry import sym_membership
 
 __all__ = [
@@ -108,26 +110,32 @@ def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGE
     return ExactDistribution(atoms, family)
 
 
-def concentration_exact(g, h, family: GroupFamily, N_list,
-                        budget: int = ENUMERATION_BUDGET) -> list[tuple[int, Fraction]]:
+def concentration_exact(g, h, family: GroupFamily, N_list) -> list[tuple[int, Fraction]]:
     """Exact probability that a uniform middle draw lands in the coset of the
-    product representative, at each requested tail size.
+    product representative, at each requested tail size N >= k.
 
-    g and h are window permutations (degree alpha + m*k), re-embedded for
-    every N.
+    g and h are window permutations (degree alpha + m*k).  The coset depends
+    only on the active images u(1..k) (``cosets.sample_core``), so each ordered
+    choice of k images among the core's 2k points is classified once, at tail
+    size k.  A choice with t tail images stands for falling(N, t) / falling(k, t)
+    of the falling(N+k, k) equally likely image tuples at tail size N.  These
+    falling factorials are math.perm products of at most k terms; nothing of
+    size N is built, so any N runs.
     """
     gw, hw = as_word(g), as_word(h)
     base = family.spec
+    k = base.k
     if gw.degree != base.window or hw.degree != base.window:
         raise ValueError(f"g and h must be window permutations of degree {base.window}")
-    out = []
-    for N in N_list:
-        fam_N = family.with_n_tail(int(N))
-        spec_N = fam_N.spec
-        gN = BlockMatrix.from_permutation(gw, None)
-        hN = BlockMatrix.from_permutation(hw, None)
-        target = circ_N(gN, hN, fam_N)
-        dist = exact_convolution(
-            embed(gN, spec_N), embed(hN, spec_N), fam_N, budget=budget)
-        out.append((int(N), dist.prob_of_coset(target.representative)))
-    return out
+    Ns = [int(N) for N in N_list]
+    if any(N < k for N in Ns):
+        raise ValueError(f"every N must be >= k={k}; got {Ns}")
+    core_fam = family.with_n_tail(k)
+    gb, hb = BlockMatrix.from_permutation(gw), BlockMatrix.from_permutation(hw)
+    target = circ_N(gb, hb, core_fam)
+    members = [0] * (k + 1)  # member choices by their number of tail images
+    for images in itertools.permutations(range(1, 2 * k + 1), k):
+        if sym_membership(sample_core(gb, hb, core_fam, images), target):
+            members[sum(v > k for v in images)] += 1
+    return [(N, sum((Fraction(c * math.perm(N, t), math.perm(k, t) * math.perm(N + k, k))
+                     for t, c in enumerate(members)), Fraction(0))) for N in Ns]

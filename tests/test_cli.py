@@ -239,6 +239,7 @@ class TestExitCodes:
         ({"samples": 2.5}, ()),
         ({"N_list": "64"}, ()),
         ({}, ("--epsilon", "nan")),
+        ({"g_spec": 5}, ()),
     ])
     def test_wrongly_typed_config_value_is_config_error(self, capsys, tmp_path, config, flags):
         data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],

@@ -29,7 +29,7 @@ from cosetlab.geometry import (
     sym_membership,
     verify_estimate,
 )
-from cosetlab.haar import RandomStream, haar_orthogonal, haar_unitary
+from cosetlab.haar import RandomStream, haar_orthogonal, haar_unitary, uniform_permutation
 
 SWAP = BlockMatrix.from_permutation(PermutationWord([2, 1]))
 
@@ -306,3 +306,33 @@ class TestSampleCore:
         fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 1, 2, 1))
         with pytest.raises(ValueError, match="first 1 rows"):
             sample_core(SWAP, SWAP, fam, np.eye(2, 3))
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_symmetric_core_verdict_matches_full_size(self, alpha, k, m):
+        # the core built from u's active images is in the product coset at
+        # tail size k exactly when the full sample is at tail size N
+        gen = RandomStream(500 + 9 * alpha + 3 * k + m, 0).generator()
+        verdicts = set()
+        for N in (k, k + 1, k + 3, 9):
+            fam = GroupFamily("symmetric", BlockSpec(alpha, k, N, m))
+            core_fam = fam.with_n_tail(k)
+            for _ in range(25):
+                g = BlockMatrix.from_permutation(uniform_permutation(fam.spec.window, gen))
+                h = BlockMatrix.from_permutation(uniform_permutation(fam.spec.window, gen))
+                u = uniform_permutation(fam.spec.copy_size, gen)
+                x = embed(g, fam.spec) @ embed_k(u, fam.spec) @ embed(h, fam.spec)
+                full = sym_membership(x, circ_N(g, h, fam))
+                core = sample_core(g, h, fam, np.array(u.images[:k]))
+                assert core.spec == core_fam.spec and core.exact_permutation is not None
+                assert sym_membership(core, circ_N(g, h, core_fam)) == full, (N, u)
+                verdicts.add(full)
+        # at alpha = 0 and m = 1, K is the whole group: every sample is a member
+        assert verdicts == ({True} if alpha == 0 and m == 1 else {True, False})
+
+    def test_symmetric_core_rejects_bad_images(self):
+        fam = GroupFamily("symmetric", BlockSpec(1, 2, 5, 1))
+        for rows in ([1], [1, 2, 3], [[1, 2]]):
+            with pytest.raises(ValueError, match="2 active images"):
+                sample_core(SWAP, SWAP, fam, np.array(rows))

@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cosetlab.blockmat import BlockMatrix
+from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord
+from cosetlab.cosets import GroupFamily
 from cosetlab.experiments import (
     CSV_COLUMNS,
     ConcentrationReport,
@@ -18,6 +19,7 @@ from cosetlab.experiments import (
     write_report,
 )
 from cosetlab.haar import RandomStream, haar_unitary
+from cosetlab.hypergroup_exact import concentration_exact
 
 
 def _cfg(**overrides):
@@ -115,6 +117,8 @@ class TestExperimentConfig:
         dict(epsilon_list=0.4),
         dict(epsilon_list=(float("nan"),)),
         dict(epsilon_list=(float("inf"),)),
+        dict(g_spec=5),
+        dict(h_spec=None),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
@@ -163,6 +167,29 @@ class TestRunConcentration:
         full = replace(cfg, measure="tau_full")
         assert (run_concentration(cfg).with_zeroed_runtime()
                 == run_concentration(full).with_zeroed_runtime())
+
+    def test_symmetric_measures_give_identical_reports(self):
+        # tau_full's outer draws lie in K, so they leave the sample's core unchanged
+        cfg = _cfg(m=2, N_list=(3, 40), samples=60, seed=4, g_spec="(1 2 3)", h_spec="(1 3)")
+        full = replace(cfg, measure="tau_full")
+        assert (run_concentration(cfg).with_zeroed_runtime()
+                == run_concentration(full).with_zeroed_runtime())
+
+    @pytest.mark.parametrize("alpha,k,m,N,samples,g,h,confidence", [
+        (1, 1, 2, 10**6, 200, "(1 2 3)", "(1 3)", 0.95),
+        (0, 2, 2, 16, 3000, "(1 3)(2 4)", "(1 2)", 1 - 1e-6),
+    ])
+    def test_symmetric_sweep_covers_exact_probability(self, alpha, k, m, N, samples, g, h,
+                                                      confidence):
+        cfg = _cfg(alpha=alpha, k=k, m=m, N_list=(N,), samples=samples, seed=12,
+                   g_spec=g, h_spec=h)
+        (row,) = run_concentration(cfg).rows
+        gw = PermutationWord.parse(g, degree=cfg.alpha + m * k)
+        hw = PermutationWord.parse(h, degree=cfg.alpha + m * k)
+        fam = GroupFamily("symmetric", BlockSpec(alpha, k, N, m))
+        ((_, p),) = concentration_exact(gw, hw, fam, [N])
+        lo, hi = wilson_interval(row.hits, row.samples, confidence)
+        assert lo <= p <= hi, (row.hits, float(p))
 
     def test_threads_env_cap(self, monkeypatch):
         monkeypatch.setenv("COSETLAB_THREADS", "1")

@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -158,3 +160,43 @@ class TestExactConvolution:
         assert probs == {"1/4", "3/4"}
         for a in d["atoms"]:
             assert sorted(a["representative"]) == [1, 2, 3, 4, 5]
+
+
+class TestConcentrationExact:
+    @pytest.mark.parametrize("alpha,k,m,seed", [
+        (0, 1, 2, 0), (1, 1, 1, 1), (2, 1, 2, 2), (0, 2, 2, 3), (1, 2, 1, 4), (1, 2, 2, 5),
+    ])
+    def test_matches_enumeration(self, alpha, k, m, seed):
+        # every tail size whose (k+N)! draws exact_convolution can enumerate
+        gen = RandomStream(700 + seed, 0).generator()
+        window = alpha + m * k
+        for N in range(k, 8 - k):
+            fam = GroupFamily("symmetric", BlockSpec(alpha, k, N, m))
+            assert math.factorial(k + N) <= ENUMERATION_BUDGET
+            g = BlockMatrix.from_permutation(uniform_permutation(window, gen))
+            h = BlockMatrix.from_permutation(uniform_permutation(window, gen))
+            dist = exact_convolution(embed(g, fam.spec), embed(h, fam.spec), fam)
+            want = dist.prob_of_coset(circ_N(g, h, fam).representative)
+            assert concentration_exact(g, h, fam, [N]) == [(N, want)], (N, g, h)
+
+    def test_tail_below_k_rejected(self):
+        fam = _family(alpha=0, k=2, N=2, m=2)
+        e = PermutationWord.identity(4)
+        with pytest.raises(ValueError, match="N must be >= k"):
+            concentration_exact(e, e, fam, [2, 1])
+        with pytest.raises(ValueError, match="N must be >= k"):
+            concentration_exact(e, e, fam, [-10**12])
+
+    def test_trillion_tail_is_exact_and_fast(self):
+        # the bench fixture's closed form N/(N+1) and a k=2 pair at N = 10^12
+        g = PermutationWord.parse("(1 2 3)", degree=3)
+        h = PermutationWord.parse("(1 3)", degree=3)
+        big = 10**12
+        start = time.perf_counter()
+        got = concentration_exact(g, h, _family(m=2), [2, 100, big])
+        pair = concentration_exact(PermutationWord([3, 4, 1, 2]), PermutationWord([2, 1, 3, 4]),
+                                   _family(alpha=0, k=2, N=2, m=2), [2, 16, big])
+        assert time.perf_counter() - start < 1.0
+        assert got == [(N, Fraction(N, N + 1)) for N in (2, 100, big)]
+        assert [p for _, p in pair][:2] == [Fraction(1, 6), Fraction(40, 51)]
+        assert 1 - Fraction(1, 10**11) < pair[2][1] < 1
