@@ -206,7 +206,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored: samples run sequentially")
+                   help="accepted and ignored: the sweep runs in one thread")
     return parser
 
 

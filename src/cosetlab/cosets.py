@@ -220,10 +220,12 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
     core.  Cost: O(w k^2) for the QR plus the d x d products, for any w.
 
     For the symmetric family ``rows`` holds u(1..k), the images of the middle
-    permutation's active points; K holds every tail permutation, so only they
-    matter.  Images above k take the first tail slots in order, the other
-    points follow in ascending order, and the core is the exact permutation
-    embed(g).embed_k(u_core).embed(h) at tail size k, for any w.
+    permutation's active points: k distinct integers in 1..w, else ValueError.
+    K holds every tail permutation, so only they matter.  Images above k take
+    the first tail slots in order, the other points follow in ascending order,
+    and the core is the exact permutation embed(g).embed_k(u_core).embed(h) at
+    tail size k, for any w.  Here g and h may also be given already embedded
+    at core size, so that a caller making many cores of one pair embeds once.
     """
     spec = family.spec
     alpha, k = spec.alpha, spec.k
@@ -233,10 +235,16 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
         if rows.shape != (k,):
             raise ValueError(f"expected the {k} active images of a {spec.copy_size}-point "
                              f"draw, got shape {rows.shape}")
+        images = [int(v) for v in rows]
+        if (rows.dtype.kind not in "iu" or len(set(images)) != k
+                or not all(1 <= v <= spec.copy_size for v in images)):
+            raise ValueError(f"expected {k} distinct active images in 1..{spec.copy_size}, "
+                             f"got {images}")
         tail = iter(range(k + 1, 2 * k + 1))
-        head = [int(v) if v <= k else next(tail) for v in rows]
+        head = [v if v <= k else next(tail) for v in images]
         u_core = PermutationWord(head + sorted(set(range(1, 2 * k + 1)) - set(head)))
-        return embed(g, core_spec) @ embed_k(u_core, core_spec) @ embed(h, core_spec)
+        g, h = (b if b.dim == core_spec.dim else embed(b, core_spec) for b in (g, h))
+        return g @ embed_k(u_core, core_spec) @ h
     if rows.shape != (k, spec.copy_size):
         raise ValueError(f"expected the first {k} rows of a {spec.copy_size}-point draw, "
                          f"got shape {rows.shape}")

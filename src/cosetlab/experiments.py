@@ -17,9 +17,9 @@ from io import StringIO
 import numpy as np
 from scipy.stats import norm as _norm
 
-from .blockmat import BlockMatrix, BlockSpec, PermutationWord, load_source, operator_norm
+from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, load_source, operator_norm
 from .cosets import FAMILY_KINDS, GroupFamily, circ_N, sample_core
-from .geometry import dist_conjugacy, dist_double_coset, sym_membership
+from .geometry import dist_conjugacy_stack, dist_double_coset, sym_membership
 from .haar import RandomStream, haar_columns, haar_unitary, top_block, uniform_permutation
 
 __all__ = [
@@ -40,6 +40,11 @@ CSV_COLUMNS = (
 )
 
 MEASURES = ("tau_tilde", "tau_full")
+
+# Conjugation samples solved per stacked call.  The solver's memory grows with
+# the stack, not with samples: its dense Sylvester SVD holds about 3.3 MB per
+# sample at k=8, so a block of 32 adds about 0.1 GB there and little at k=1.
+_CONJ_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -216,9 +221,12 @@ def run_concentration(cfg: ExperimentConfig, threads: int | None = None) -> Conc
     """Run the sweep: for each N draw samples, reduce each to its core and
     report per-(N, epsilon) hit fractions.
 
-    Samples run in order, one after another.  Sample i uses the dedicated
-    stream (seed, 1 + i) for both its middle draw and any solver restarts,
-    so reports are reproducible.  ``threads`` (like the COSETLAB_THREADS
+    Samples are drawn in order.  Sample i uses the dedicated stream
+    (seed, 1 + i) for both its middle draw and any solver restarts, so
+    reports are reproducible.  Conjugation cores are solved as stacks of up to
+    32 samples (``geometry.dist_conjugacy_stack``), each lane giving exactly
+    the per-sample ``dist_conjugacy`` estimate; other samples are solved one
+    after another.  ``threads`` (like the COSETLAB_THREADS
     environment variable) is accepted for compatibility and has no effect.
     A sample draws only the first k rows of its middle Haar element, or the k
     active images of its middle permutation (O(k) for any N), and is solved
@@ -236,27 +244,40 @@ def run_concentration(cfg: ExperimentConfig, threads: int | None = None) -> Conc
     eps_floor = min(cfg.epsilon_list)
     sym = cfg.family == "symmetric"
     conj = cfg.family == "unitary_conjugation"
+    # the symmetric core takes g and h embedded at core size; fam0 is the core's family
+    g_core, h_core = (embed(g_win, fam0.spec), embed(h_win, fam0.spec)) if sym else (g_win, h_win)
 
-    def one_sample(i, fam):
+    def core_of(i, fam):
         gen = RandomStream(cfg.seed, 1 + i).generator()
         if sym:
             draw = gen.choice(fam.spec.copy_size, cfg.k, replace=False) + 1
         else:
             draw = haar_columns(fam.spec.copy_size, cfg.k, gen, unitary=conj).T
-        core = sample_core(g_win, h_win, fam, draw)
+        return sample_core(g_core, h_core, fam, draw), gen
+
+    def one_sample(i, fam):
+        core, gen = core_of(i, fam)
         if sym:
             return 0.0 if sym_membership(core, target) else 1.0
-        if conj:
-            return dist_conjugacy(core, target, max_iters=cfg.max_iters, tol=cfg.tol).upper_bound
         return dist_double_coset(
             core, target, max_iters=cfg.max_iters, tol=cfg.tol,
             restarts=cfg.restarts, rng=gen, stop_below=eps_floor).upper_bound
+
+    def conj_block(lo, fam):
+        cores = np.stack([core_of(i, fam)[0].entries
+                          for i in range(lo, min(lo + _CONJ_BLOCK, cfg.samples))])
+        return [est.upper_bound for est in dist_conjugacy_stack(
+            cores, target, max_iters=cfg.max_iters, tol=cfg.tol)]
 
     rows = []
     for N in cfg.N_list:
         fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
         start = time.perf_counter()
-        distances = [one_sample(i, fam) for i in range(cfg.samples)]
+        if conj:
+            distances = [d for lo in range(0, cfg.samples, _CONJ_BLOCK)
+                         for d in conj_block(lo, fam)]
+        else:
+            distances = [one_sample(i, fam) for i in range(cfg.samples)]
         elapsed = time.perf_counter() - start
 
         med = float(np.median(distances))

@@ -5,8 +5,11 @@ alignment steps respect the diagonal-copy block structure; symmetric targets
 get exact membership by forced propagation between the two subgroup factors,
 plus a discrete (assignment-step) variant of the same alternation; conjugation
 targets get a structured minimal-singular-vector initialization refined by a
-fixed-point iteration.  Every estimate carries explicit witnesses, so the
-reported bound can be re-verified by direct evaluation.
+fixed-point iteration.  The conjugation solver runs on a stack of samples at
+once (``dist_conjugacy_stack``; ``dist_conjugacy`` is a stack of one), with
+numpy's stacked SVD, eig and matmul, and each lane's result is the one it
+would get alone.  Every estimate carries explicit witnesses, so the reported
+bound can be re-verified by direct evaluation.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "DistanceEstimate",
     "dist_double_coset",
     "dist_conjugacy",
+    "dist_conjugacy_stack",
     "sym_membership",
     "sym_corner_invariant",
     "colligation_char_function",
@@ -221,28 +225,39 @@ def dist_double_coset(
 
 # ---------------------------------------------------------------------------
 # conjugation distance
+#
+# These functions take stacks of cores (leading axis: lanes).  numpy's stacked
+# linalg and matmul solve each lane with the same LAPACK/BLAS call as a lone
+# matrix, so a lane's result does not depend on the rest of its stack.
+
+# A lane whose best bound falls below this is exact and leaves the stack.
+_CONJ_EXACT = 1e-11
+# Non-improving fixed-point steps after which a lane's phase ends, converged.
+_CONJ_STALL = 25
 
 
 def _blockify_unitary(M: np.ndarray, alpha: int) -> np.ndarray:
     """Nearest corner-fixing structured unitary: identity corner, polar of the rest."""
     W = np.zeros_like(M, dtype=complex)
-    W[:alpha, :alpha] = np.eye(alpha)
-    W[alpha:, alpha:] = _polar(M[alpha:, alpha:])
+    W[..., :alpha, :alpha] = np.eye(alpha)
+    W[..., alpha:, alpha:] = _polar(M[..., alpha:, alpha:])
     return W
 
 
 def _spectral_match_init(x: np.ndarray, r: np.ndarray, alpha: int) -> np.ndarray:
-    """Unitary mapping r's eigenbasis to x's, eigenvalues matched around the circle."""
+    """Per lane of x, the unitary mapping r's eigenbasis to x's, eigenvalues
+    matched around the circle."""
     lx, P = np.linalg.eig(x)
     lr, Q = np.linalg.eig(r)
-    ix = np.argsort(np.angle(lx))
+    ix = np.argsort(np.angle(lx), axis=-1)
     ir = np.argsort(np.angle(lr))
-    P, lx = P[:, ix], lx[ix]
+    P, lx = np.take_along_axis(P, ix[:, None, :], axis=-1), np.take_along_axis(lx, ix, axis=-1)
     Q, lr = Q[:, ir], lr[ir]
-    n = len(lx)
-    shifts = [np.abs(lx - np.roll(lr, -s)).max() for s in range(n)]
-    Q = np.roll(Q, -int(np.argmin(shifts)), axis=1)
-    return _blockify_unitary(P @ Q.conj().T, alpha)
+    n = len(lr)
+    shifts = np.stack([np.abs(lx - np.roll(lr, -s)).max(axis=-1) for s in range(n)], axis=-1)
+    cols = (np.arange(n) + shifts.argmin(axis=-1)[:, None]) % n
+    Q = np.moveaxis(Q[:, cols], 1, 0)
+    return _blockify_unitary(P @ Q.conj().swapaxes(-1, -2), alpha)
 
 
 # Largest non-corner size w = dim - alpha whose (1 + w^2)-column Sylvester map
@@ -252,51 +267,140 @@ _DENSE_SYLVESTER_MAX = 34
 
 
 def _min_singular_init(x, r, alpha, spectral_guess):
-    """Minimizer of ||xW - Wr||_F over W = diag(s.1_alpha, w): smallest singular
-    vector of the restricted Sylvester map, then rescaled to a unit corner."""
-    dim = x.shape[0]
+    """Per lane of x, the minimizer of ||xW - Wr||_F over W = diag(s.1_alpha, w):
+    smallest singular vector of the restricted Sylvester map, then rescaled to
+    a unit corner.  Returns the solved lanes' starts and the mask of those
+    lanes; a lane whose ARPACK run does not converge has none."""
+    lanes, dim = x.shape[0], x.shape[-1]
     w = dim - alpha
     n = 1 + w * w
 
     def from_vec(p):
-        W = np.zeros((dim, dim), dtype=complex)
-        W[:alpha, :alpha] = p[0] * np.eye(alpha)
-        W[alpha:, alpha:] = p[1:].reshape(w, w)
+        W = np.zeros(p.shape[:-1] + (dim, dim), dtype=complex)
+        W[..., :alpha, :alpha] = p[..., :1, None] * np.eye(alpha)
+        W[..., alpha:, alpha:] = p[..., 1:].reshape(p.shape[:-1] + (w, w))
         return W
 
     if w <= _DENSE_SYLVESTER_MAX:
-        L = np.empty((dim * dim, n), dtype=complex)
-        for j in range(n):
-            p = np.zeros(n, dtype=complex)
-            p[j] = 1.0
-            Wj = from_vec(p)
-            L[:, j] = (x @ Wj - Wj @ r).ravel()
+        L = np.empty((lanes, dim * dim, n), dtype=complex)
+        for j, Wj in enumerate(from_vec(np.eye(n, dtype=complex))):
+            L[:, :, j] = (x @ Wj - Wj @ r).reshape(lanes, -1)
         _, _, vh = np.linalg.svd(L, full_matrices=False)
-        p = vh[-1].conj()
+        p = vh[:, -1].conj()
+        solved = np.ones(lanes, dtype=bool)
     else:
-        def matvec(p):
-            W = from_vec(np.asarray(p, dtype=complex))
-            R = x @ W - W @ r
-            G = x.conj().T @ R - R @ r.conj().T
-            out = np.empty(n, dtype=complex)
-            out[0] = np.trace(G[:alpha, :alpha])
-            out[1:] = G[alpha:, alpha:].ravel()
-            return out
+        found = []
+        for xe, guess in zip(x, spectral_guess):
+            def matvec(p, xe=xe):
+                W = from_vec(np.asarray(p, dtype=complex))
+                R = xe @ W - W @ r
+                G = xe.conj().T @ R - R @ r.conj().T
+                out = np.empty(n, dtype=complex)
+                out[0] = np.trace(G[:alpha, :alpha])
+                out[1:] = G[alpha:, alpha:].ravel()
+                return out
 
-        v0 = np.empty(n, dtype=complex)
-        v0[0] = 1.0
-        v0[1:] = spectral_guess[alpha:, alpha:].ravel()
-        op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-        try:
-            _, vec = eigsh(op, k=1, which="SA", v0=v0, maxiter=60, tol=1e-4)
-            p = vec[:, 0]
-        except ArpackNoConvergence:
-            return None
-    s = p[0]
-    if abs(s) > 1e-9:
-        p = p / s
-    W = from_vec(p)
-    return _blockify_unitary(W, alpha)
+            v0 = np.empty(n, dtype=complex)
+            v0[0] = 1.0
+            v0[1:] = guess[alpha:, alpha:].ravel()
+            op = LinearOperator((n, n), matvec=matvec, dtype=complex)
+            try:
+                found.append(eigsh(op, k=1, which="SA", v0=v0, maxiter=60, tol=1e-4)[1][:, 0])
+            except ArpackNoConvergence:
+                found.append(None)
+        solved = np.array([f is not None for f in found], dtype=bool)
+        p = np.array([f for f in found if f is not None]).reshape(-1, n)
+    s = p[:, 0]
+    scale = np.abs(s) > 1e-9
+    p = np.where(scale[:, None], p / np.where(scale, s, 1.0)[:, None], p)
+    return _blockify_unitary(from_vec(p), alpha), solved
+
+
+def dist_conjugacy_stack(
+    xs,
+    target: CosetTarget,
+    max_iters: int = 200,
+    tol: float = 1e-12,
+) -> list[DistanceEstimate]:
+    """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
+
+    Each lane runs the same phases, with its own best conjugator, stall
+    counter and iteration count, and gets the estimate ``dist_conjugacy``
+    gives for it alone, bit for bit.  A lane leaves the stack when its phase
+    stalls or its bound drops below 1e-11 (which also skips its later
+    phases), so the stack shrinks as it runs.  Memory is O(S d^2 (1 + w^2))
+    for the dense Sylvester map, w = d - alpha: callers bound S.
+    """
+    fam = target.family
+    if fam.kind != "unitary_conjugation":
+        raise ValueError(f"conjugation distance needs the conjugation family, got {fam.kind!r}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1; got {max_iters}")
+    r = target.representative.entries
+    x = np.asarray(xs)
+    if x.ndim != 3 or x.shape[1:] != r.shape:
+        raise ValueError("dimension mismatch between sample and target")
+    alpha = fam.spec.alpha
+    lanes_total, dim = x.shape[0], r.shape[0]
+    eye = np.broadcast_to(np.eye(dim, dtype=complex), x.shape)
+    best_op = np.full(lanes_total, np.inf)
+    best_W = eye.copy()
+    iters = np.zeros(lanes_total, dtype=int)
+    converged = np.zeros(lanes_total, dtype=bool)
+
+    def op_of(xl, W):
+        a = xl - W @ r @ W.conj().swapaxes(-1, -2)
+        return np.linalg.svd(a, compute_uv=False)[:, 0]
+
+    def run(lanes, W):
+        # one phase from the starts W: W <- blockified polar of x^H W r; the
+        # live lanes' x, best and stall counter shrink with them
+        if not len(lanes):
+            return
+        xl = x[lanes]
+        xc = xl.conj()
+        best, best_w = best_op[lanes], best_W[lanes]
+        op = op_of(xl, W)
+        better = op < best
+        best[better], best_w[better] = op[better], W[better]
+        stall = np.zeros(len(lanes), dtype=int)
+        for t in range(1, max_iters + 1):
+            W = _blockify_unitary(xc.swapaxes(-1, -2) @ W @ r, alpha)
+            op = op_of(xl, W)
+            better = op < best - tol
+            stall += 1
+            if better.any():
+                best[better], best_w[better], stall[better] = op[better], W[better], 0
+            stop = (best < _CONJ_EXACT) | (stall >= _CONJ_STALL)
+            if stop.any():
+                done = lanes[stop]
+                best_op[done], best_W[done] = best[stop], best_w[stop]
+                iters[done] += t
+                converged[done] = True
+                go = ~stop
+                lanes, W, xl, xc = lanes[go], W[go], xl[go], xc[go]
+                best, best_w, stall = best[go], best_w[go], stall[go]
+                if not len(lanes):
+                    return
+        best_op[lanes], best_W[lanes] = best, best_w
+        iters[lanes] += max_iters
+
+    lanes = np.arange(lanes_total)
+    run(lanes, eye)
+    lanes = lanes[best_op >= _CONJ_EXACT]
+    if len(lanes):
+        spectral = _spectral_match_init(x[lanes], r, alpha)
+        run(lanes, spectral)
+        open_ = best_op[lanes] >= _CONJ_EXACT
+        lanes, spectral = lanes[open_], spectral[open_]
+    if len(lanes):
+        sval, solved = _min_singular_init(x[lanes], r, alpha, spectral)
+        run(lanes[solved], sval)
+
+    return [DistanceEstimate(float(best_op[i]), int(iters[i]), bool(converged[i]),
+                             BlockMatrix(best_W[i], fam.spec),
+                             BlockMatrix(best_W[i].conj().T, fam.spec))
+            for i in range(lanes_total)]
 
 
 def dist_conjugacy(
@@ -307,59 +411,19 @@ def dist_conjugacy(
 ) -> DistanceEstimate:
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
-    Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w):
-    (i) take the smallest singular vector of the structured Sylvester map,
-    (ii) project its copy block to the nearest unitary, (iii) refine by the
-    fixed-point iteration W <- blockified polar of x^H W r (which increases
-    Re tr(W^H x^H W r)), tracking the best conjugator seen.  Identity and
-    spectral-matching starts are always included.
+    Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w) and
+    runs three phases from three starts: the identity, the spectral match of
+    eigenvalues around the circle, and the smallest singular vector of
+    the structured Sylvester map with its copy block projected to the nearest
+    unitary.  Each phase refines its start by the fixed-point iteration
+    W <- blockified polar of x^H W r (which increases Re tr(W^H x^H W r)),
+    tracking the best conjugator seen, until 25 steps bring no gain beyond
+    tol or max_iters steps have run.  A bound below 1e-11 ends the run.  The
+    Sylvester start is skipped when its ARPACK solve (non-corner size above 34)
+    does not converge.  This is ``dist_conjugacy_stack`` on a stack of one.
+    Raises ValueError when max_iters is below 1.
     """
-    fam = target.family
-    if fam.kind != "unitary_conjugation":
-        raise ValueError(f"conjugation distance needs the conjugation family, got {fam.kind!r}")
-    if x.dim != target.representative.dim:
-        raise ValueError("dimension mismatch between sample and target")
-    alpha = fam.spec.alpha
-    xe = x.entries
-    re_ = target.representative.entries
-    dim = xe.shape[0]
-
-    spectral = _spectral_match_init(xe, re_, alpha)
-    inits = [np.eye(dim, dtype=complex), spectral]
-    sval = _min_singular_init(xe, re_, alpha, spectral)
-    if sval is not None:
-        inits.append(sval)
-
-    def op_of(W):
-        return operator_norm(xe - W @ re_ @ W.conj().T)
-
-    best_op = float("inf")
-    best_W = inits[0]
-    total_iters = 0
-    converged = False
-    for W in inits:
-        op = op_of(W)
-        if op < best_op:
-            best_op, best_W = op, W
-        stall = 0
-        for t in range(max_iters):
-            total_iters += 1
-            W = _blockify_unitary(xe.conj().T @ W @ re_, alpha)
-            op = op_of(W)
-            if op < best_op - tol:
-                best_op, best_W = op, W
-                stall = 0
-            else:
-                stall += 1
-            if best_op < 1e-11 or stall >= 25:
-                converged = True
-                break
-        if best_op < 1e-11:
-            break
-
-    wl = BlockMatrix(best_W, fam.spec)
-    wr = BlockMatrix(best_W.conj().T, fam.spec)
-    return DistanceEstimate(best_op, total_iters, converged, wl, wr)
+    return dist_conjugacy_stack(x.entries[None], target, max_iters=max_iters, tol=tol)[0]
 
 
 # ---------------------------------------------------------------------------

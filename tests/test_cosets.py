@@ -336,3 +336,21 @@ class TestSampleCore:
         for rows in ([1], [1, 2, 3], [[1, 2]]):
             with pytest.raises(ValueError, match="2 active images"):
                 sample_core(SWAP, SWAP, fam, np.array(rows))
+
+    @pytest.mark.parametrize("rows", [[5, 5], [99, 4], [0, 3], [8, 1], [1.5, 2]])
+    def test_symmetric_core_rejects_repeated_or_out_of_range_images(self, rows):
+        fam = GroupFamily("symmetric", BlockSpec(1, 2, 5, 1))
+        g = BlockMatrix.from_permutation(PermutationWord([1, 3, 2]))
+        with pytest.raises(ValueError, match="distinct active images in 1..7"):
+            sample_core(g, g, fam, np.array(rows))
+
+    def test_symmetric_core_takes_core_size_factors(self):
+        gen = RandomStream(8, 0).generator()
+        fam = GroupFamily("symmetric", BlockSpec(1, 2, 6, 2))
+        core_spec = fam.with_n_tail(2).spec
+        for _ in range(10):
+            g = BlockMatrix.from_permutation(uniform_permutation(fam.spec.window, gen))
+            h = BlockMatrix.from_permutation(uniform_permutation(fam.spec.window, gen))
+            rows = gen.choice(fam.spec.copy_size, 2, replace=False) + 1
+            assert (sample_core(embed(g, core_spec), embed(h, core_spec), fam, rows)
+                    .exact_permutation == sample_core(g, h, fam, rows).exact_permutation)

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cosetlab.experiments as experiments
 from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord
-from cosetlab.cosets import GroupFamily
+from cosetlab.cosets import GroupFamily, circ_N, sample_core
 from cosetlab.experiments import (
     CSV_COLUMNS,
     ConcentrationReport,
@@ -18,7 +19,8 @@ from cosetlab.experiments import (
     wilson_interval,
     write_report,
 )
-from cosetlab.haar import RandomStream, haar_unitary
+from cosetlab.geometry import dist_conjugacy
+from cosetlab.haar import RandomStream, haar_columns, haar_unitary
 from cosetlab.hypergroup_exact import concentration_exact
 
 
@@ -224,6 +226,45 @@ class TestRunConcentration:
         (row,) = run_concentration(cfg).rows
         assert 0.0 <= row.fraction <= 1.0
         assert row.median_dist >= 0.0
+
+    def test_conjugation_report_matches_per_sample_loop(self):
+        # more samples than one stacked block, so blocks are crossed
+        cfg = _cfg(family="unitary_conjugation", N_list=(8, 24), epsilon_list=(0.2, 0.4),
+                   samples=experiments._CONJ_BLOCK + 6, seed=5, g_spec="random_unitary",
+                   h_spec="random_unitary")
+        setup = RandomStream(cfg.seed, 0).generator()
+        g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
+        target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(1, 1, 1, 1)))
+        rows = iter(run_concentration(cfg).with_zeroed_runtime().rows)
+        for N in cfg.N_list:
+            fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
+            dists = [dist_conjugacy(sample_core(g, h, fam, haar_columns(
+                1 + N, 1, RandomStream(cfg.seed, 1 + i).generator(), unitary=True).T),
+                target).upper_bound for i in range(cfg.samples)]
+            for eps in cfg.epsilon_list:
+                hits = sum(d <= eps for d in dists)
+                lo, hi = wilson_interval(hits, cfg.samples)
+                assert next(rows) == ReportRow(
+                    family=cfg.family, alpha=1, k=1, m=1, N=N, epsilon=eps,
+                    samples=cfg.samples, hits=hits, fraction=hits / cfg.samples, ci_low=lo,
+                    ci_high=hi, median_dist=float(np.median(dists)),
+                    mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
+
+    def test_conjugation_stacks_stay_bounded(self, monkeypatch):
+        sizes = []
+        real = experiments.dist_conjugacy_stack
+
+        def spy(xs, *args, **kwargs):
+            sizes.append(len(xs))
+            return real(xs, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "dist_conjugacy_stack", spy)
+        block = experiments._CONJ_BLOCK
+        cfg = _cfg(family="unitary_conjugation", N_list=(4,), epsilon_list=(0.4,),
+                   samples=2 * block + 3, seed=2, g_spec="random_unitary",
+                   h_spec="random_unitary", max_iters=2)
+        run_concentration(cfg)
+        assert sizes == [block, block, 3]
 
     def test_file_source(self, tmp_path):
         u = BlockMatrix(haar_unitary(2, RandomStream(77, 0)))

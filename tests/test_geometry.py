@@ -2,7 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import cosetlab.geometry as geometry
 from cosetlab.blockmat import (
     BlockMatrix,
     BlockSpec,
@@ -16,13 +18,14 @@ from cosetlab.experiments import ExperimentConfig
 from cosetlab.geometry import (
     colligation_char_function,
     dist_conjugacy,
+    dist_conjugacy_stack,
     dist_double_coset,
     eigenvalue_matching_distance,
     sym_corner_invariant,
     sym_membership,
     verify_estimate,
 )
-from cosetlab.haar import RandomStream, haar_orthogonal, haar_unitary
+from cosetlab.haar import RandomStream, haar_columns, haar_orthogonal, haar_unitary
 
 SWAP = BlockMatrix.from_permutation(PermutationWord([2, 1]))
 
@@ -163,6 +166,150 @@ class TestDistConjugacy:
         assert gap > 0.3
         est = dist_conjugacy(x, target)
         assert est.upper_bound >= 0.3
+
+    @pytest.mark.parametrize("max_iters", [0, -3])
+    def test_iteration_count_below_one_rejected(self, max_iters):
+        target, _ = self._target()
+        with pytest.raises(ValueError, match="max_iters"):
+            dist_conjugacy(target.representative, target, max_iters=max_iters)
+
+
+def _reference_conjugacy(x, r, alpha, inits, max_iters=200, tol=1e-12):
+    """The per-sample fixed-point loop over the given starts, one after another:
+    the reference the stacked solver must match bit for bit."""
+    def op_of(W):
+        return operator_norm(x - W @ r @ W.conj().T)
+
+    best_op, best_W, total, converged = np.inf, inits[0], 0, False
+    for W in inits:
+        op = op_of(W)
+        if op < best_op:
+            best_op, best_W = op, W
+        stall = 0
+        for _ in range(max_iters):
+            total += 1
+            W = geometry._blockify_unitary(x.conj().T @ W @ r, alpha)
+            op = op_of(W)
+            if op < best_op - tol:
+                best_op, best_W, stall = op, W, 0
+            else:
+                stall += 1
+            if best_op < 1e-11 or stall >= 25:
+                converged = True
+                break
+        if best_op < 1e-11:
+            break
+    return best_op, total, converged, best_W
+
+
+def _same_estimate(a, b):
+    return (a.upper_bound == b.upper_bound and a.iterations == b.iterations
+            and a.converged == b.converged
+            and np.array_equal(a.witness_left.entries, b.witness_left.entries)
+            and np.array_equal(a.witness_right.entries, b.witness_right.entries))
+
+
+class TestDistConjugacyStack:
+    """The stacked solver against per-sample calls and the reference loop."""
+
+    def _cores(self, N, samples, seed=42, alpha=1, k=1):
+        fam = GroupFamily("unitary_conjugation", BlockSpec(alpha, k, N, 1))
+        setup = RandomStream(seed, 0).generator()
+        g = BlockMatrix(haar_unitary(fam.spec.window, setup))
+        h = BlockMatrix(haar_unitary(fam.spec.window, setup))
+        cores = [sample_core(g, h, fam, haar_columns(
+            k + N, k, RandomStream(seed, 1 + i).generator(), unitary=True).T)
+            for i in range(samples)]
+        return cores, circ_N(g, h, fam.with_n_tail(k))
+
+    @pytest.mark.parametrize("N", [8, 24, 64])
+    def test_stack_equals_per_sample_calls(self, N):
+        cores, target = self._cores(N, 24, seed=7 + N)
+        stacked = dist_conjugacy_stack(np.stack([c.entries for c in cores]), target)
+        assert len(stacked) == len(cores)
+        for core, est in zip(cores, stacked):
+            assert _same_estimate(est, dist_conjugacy(core, target))
+            assert abs(verify_estimate(est, core, target) - est.upper_bound) <= 1e-9
+
+    @pytest.mark.parametrize("alpha,k", [(1, 1), (2, 2), (0, 2)])
+    def test_stack_equals_reference_loop(self, alpha, k):
+        cores, target = self._cores(6, 8, seed=3, alpha=alpha, k=k)
+        r = target.representative.entries
+        stacked = dist_conjugacy_stack(np.stack([c.entries for c in cores]), target)
+        for core, est in zip(cores, stacked):
+            x = core.entries
+            spectral = geometry._spectral_match_init(x[None], r, alpha)
+            sval, solved = geometry._min_singular_init(x[None], r, alpha, spectral)
+            assert solved.all()
+            inits = [np.eye(len(x), dtype=complex), spectral[0], sval[0]]
+            op, iters, converged, W = _reference_conjugacy(x, r, alpha, inits)
+            assert (est.upper_bound, est.iterations, est.converged) == (op, iters, converged)
+            assert np.array_equal(est.witness_left.entries, W)
+
+    def test_mixed_lanes(self, monkeypatch):
+        # exact lanes stop below 1e-11 in the identity phase and skip the
+        # spectral and Sylvester starts; the others run all three phases
+        cores, target = self._cores(8, 6, seed=11)
+        r = target.representative.entries
+        xs = np.stack([c.entries if i % 2 else r for i, c in enumerate(cores)])
+        seen = {}
+
+        def spy(name):
+            real = getattr(geometry, name)
+
+            def wrapped(x, *args):
+                seen[name] = x.copy()
+                return real(x, *args)
+            return wrapped
+
+        for name in ("_spectral_match_init", "_min_singular_init"):
+            monkeypatch.setattr(geometry, name, spy(name))
+        stacked = dist_conjugacy_stack(xs, target)
+        for name in ("_spectral_match_init", "_min_singular_init"):
+            assert np.array_equal(seen[name], xs[1::2])
+        for i, est in enumerate(stacked):
+            assert _same_estimate(est, dist_conjugacy(BlockMatrix(xs[i], target.family.spec),
+                                                      target))
+            if i % 2 == 0:
+                assert est.upper_bound < 1e-11
+                assert (est.iterations, est.converged) == (1, True)
+            else:
+                assert est.upper_bound > 1e-3 and est.iterations > 3
+
+    def test_arpack_failure_skips_sylvester_phase(self, monkeypatch):
+        # copy size 35 > 34 takes the ARPACK branch; lane 0's solve fails
+        fam = GroupFamily("unitary_conjugation", BlockSpec(1, 1, 34, 1))
+        setup = RandomStream(5, 0).generator()
+        target = circ_N(BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup)),
+                        fam)
+        r = target.representative.entries
+        xs = np.stack([haar_unitary(fam.spec.dim, setup) for _ in range(2)])
+        real_eigsh, calls = geometry.eigsh, []
+
+        def flaky(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((36, 0)))
+            return real_eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "eigsh", flaky)
+        failed, solved = dist_conjugacy_stack(xs, target, max_iters=40)
+        assert calls == [0, 1]
+        monkeypatch.setattr(geometry, "eigsh", real_eigsh)
+        eye = np.eye(fam.spec.dim, dtype=complex)
+        spectral = geometry._spectral_match_init(xs[:1], r, 1)[0]
+        op, iters, converged, W = _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)
+        assert (failed.upper_bound, failed.iterations, failed.converged) == (op, iters, converged)
+        assert np.array_equal(failed.witness_left.entries, W)
+        assert _same_estimate(solved, dist_conjugacy(BlockMatrix(xs[1], fam.spec), target,
+                                                     max_iters=40))
+
+    def test_rejects_bad_stacks(self):
+        cores, target = self._cores(8, 2)
+        with pytest.raises(ValueError, match="dimension"):
+            dist_conjugacy_stack(cores[0].entries, target)
+        with pytest.raises(ValueError, match="max_iters"):
+            dist_conjugacy_stack(np.stack([c.entries for c in cores]), target, max_iters=0)
 
 
 class TestCoreAgainstFullSolver:
