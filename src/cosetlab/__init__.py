@@ -16,7 +16,6 @@ from .cosets import (
     CosetTarget,
     GroupFamily,
     circ_N,
-    circ_colligation,
     circ_infinite,
     sample_tau_full,
     sample_tau_tilde,
@@ -58,7 +57,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockMatrix", "BlockSpec", "PermutationWord", "block", "build_JN", "embed",
     "embed_k", "is_unitary", "operator_norm",
-    "CosetTarget", "GroupFamily", "circ_N", "circ_colligation", "circ_infinite",
+    "CosetTarget", "GroupFamily", "circ_N", "circ_infinite",
     "sample_tau_full", "sample_tau_tilde",
     "ConcentrationReport", "ExperimentConfig", "run_block_decay",
     "run_concentration", "wilson_interval", "write_report",

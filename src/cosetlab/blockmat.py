@@ -274,9 +274,11 @@ def load_source(source: str, degrees) -> BlockMatrix:
     """Parse a matrix source at one of the allowed degrees (an int or a tuple).
 
     "identity" and cycle ("(1 2)") or image-list ("2,1") permutations take the
-    smallest allowed degree that holds them; any other text is the path of a
-    matrix JSON file as written by ``to_json_dict``.  Raises ValueError naming
-    the source when it is empty, unreadable or of no allowed degree.
+    smallest allowed degree that holds them; text is an image list only when
+    it holds nothing but digits, commas and whitespace.  Any other text is the
+    path of a matrix JSON file as written by ``to_json_dict``.  Raises
+    ValueError naming the source when it is empty, unreadable or of no allowed
+    degree.
     """
     degrees = (degrees,) if isinstance(degrees, int) else tuple(sorted(degrees))
     text = source.strip()
@@ -284,7 +286,7 @@ def load_source(source: str, degrees) -> BlockMatrix:
         raise ValueError(f"empty matrix source {source!r}")
     if text == "identity":
         return BlockMatrix.identity(degrees[0])
-    if text.startswith("(") or text[0].isdigit():
+    if text.startswith("(") or all(c.isdigit() or c == "," or c.isspace() for c in text):
         try:
             need = PermutationWord.parse(text).degree
             degree = next((d for d in degrees if d >= need), need)

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .blockmat import BlockMatrix, BlockSpec, embed, load_source
-from .cosets import FAMILY_KINDS, GroupFamily, circ_N, circ_colligation, circ_infinite
+from .cosets import FAMILY_KINDS, GroupFamily, circ_N, circ_infinite
 from .experiments import (
     ExperimentConfig,
     run_block_decay,
@@ -56,10 +56,7 @@ def _cmd_product(args) -> int:
     if args.N is None:
         if args.m != 1:
             raise ConfigError("the size-stable product needs m=1; pass --N for the finite product")
-        if args.family == "unitary_conjugation":
-            rep = circ_colligation(g, h, alpha=args.alpha)
-        else:
-            rep = circ_infinite(g, h, alpha=args.alpha)
+        rep = circ_infinite(g, h, alpha=args.alpha)
     else:
         fam = GroupFamily(args.family, BlockSpec(args.alpha, args.k, args.N, args.m))
         rep = circ_N(g, h, fam).representative
@@ -110,11 +107,14 @@ def _cmd_concentration(args) -> int:
             raise ConfigError(f"config file not found: {args.config}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed config JSON in {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object; "
+                              f"got {type(data).__name__}")
     overrides = {
         "family": args.family, "alpha": args.alpha, "k": args.k, "m": args.m,
         "N_list": args.N or None, "epsilon_list": args.epsilon or None,
         "samples": args.samples, "seed": args.seed,
-        "g_spec": args.g, "h_spec": args.h, "measure": args.measure,
+        "g_spec": args.g, "h_spec": args.h,
         "restarts": args.restarts, "max_iters": args.max_iters, "tol": args.tol,
     }
     data.update({key: val for key, val in overrides.items() if val is not None})
@@ -124,7 +124,7 @@ def _cmd_concentration(args) -> int:
         cfg = ExperimentConfig.from_json_dict(data)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    report = run_concentration(cfg, threads=args.threads)
+    report = run_concentration(cfg)
     write_report(report, args.out, args.format)
     return 0
 
@@ -200,13 +200,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--g", default=None, help="matrix source for g")
     p.add_argument("--h", default=None)
-    p.add_argument("--measure", choices=("tau_tilde", "tau_full"), help="same report either way")
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=None,
-                   help="accepted and ignored: the sweep runs in one thread")
     return parser
 
 

@@ -32,7 +32,6 @@ __all__ = [
     "GroupFamily",
     "CosetTarget",
     "circ_infinite",
-    "circ_colligation",
     "circ_N",
     "sample_tau_tilde",
     "sample_tau_full",
@@ -100,7 +99,9 @@ def circ_infinite(g: BlockMatrix, h: BlockMatrix, alpha: int | None = None) -> B
 
     With g = [[a, b], [c, d]] and h = [[p, q], [r, t]] split at the corner,
     the result is [[ap, b, aq], [cp, d, cq], [r, 0, t]].  Unitary inputs give
-    a unitary output.  The two active sizes may differ.
+    a unitary output.  The two active sizes may differ.  The conjugation
+    family uses the same formula; only the ambient equivalence differs, being
+    conjugacy by the corner-fixing subgroup rather than two-sided cosets.
     """
     alpha = _infer_alpha(g, h, alpha)
     a, b, c, d = _split(g, alpha)
@@ -120,12 +121,6 @@ def circ_infinite(g: BlockMatrix, h: BlockMatrix, alpha: int | None = None) -> B
     if g.exact_permutation is not None and h.exact_permutation is not None:
         return _maybe_exact(out)
     return BlockMatrix(out)
-
-
-def circ_colligation(g: BlockMatrix, h: BlockMatrix, alpha: int | None = None) -> BlockMatrix:
-    """Same representative formula as circ_infinite; the ambient equivalence is
-    conjugacy by the corner-fixing subgroup rather than two-sided cosets."""
-    return circ_infinite(g, h, alpha)
 
 
 def circ_N(g: BlockMatrix, h: BlockMatrix, family: GroupFamily) -> CosetTarget:

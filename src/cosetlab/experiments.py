@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, load_source, operator_norm
-from .cosets import FAMILY_KINDS, GroupFamily, circ_N, sample_core
+from .cosets import GroupFamily, circ_N, sample_core
 from .geometry import dist_conjugacy_stack, dist_double_coset, sym_membership
 from .haar import RandomStream, haar_columns, haar_unitary, top_block, uniform_permutation
 
@@ -38,8 +38,6 @@ CSV_COLUMNS = (
     "family", "alpha", "k", "m", "N", "epsilon", "samples", "hits", "fraction",
     "ci_low", "ci_high", "median_dist", "mean_dist", "seed", "runtime_s",
 )
-
-MEASURES = ("tau_tilde", "tau_full")
 
 # Conjugation samples solved per stacked call.  The solver's memory grows with
 # the stack, not with samples: its dense Sylvester SVD holds about 3.3 MB per
@@ -67,14 +65,11 @@ class ExperimentConfig:
     seed: int
     g_spec: str = "random_unitary"
     h_spec: str = "random_unitary"
-    measure: str = "tau_tilde"
     restarts: int = 10
     max_iters: int = 200
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.family not in FAMILY_KINDS:
-            raise ValueError(f"unknown family {self.family!r}")
         for name in ("g_spec", "h_spec"):
             if not isinstance(getattr(self, name), (str, BlockMatrix, PermutationWord)):
                 raise ValueError(f"{name} must be a matrix source; got {getattr(self, name)!r}")
@@ -95,9 +90,8 @@ class ExperimentConfig:
             raise ValueError(f"every N must be an integer; got {list(self.N_list)}")
         object.__setattr__(self, "N_list", tuple(int(n) for n in self.N_list))
         object.__setattr__(self, "epsilon_list", tuple(float(e) for e in self.epsilon_list))
-        BlockSpec(self.alpha, self.k, 0, self.m)  # validates the window shape
-        if self.family == "unitary_conjugation" and self.m != 1:
-            raise ValueError("the conjugation family needs m=1")
+        # raises for a bad window shape, an unknown family or conjugation with m != 1
+        GroupFamily(self.family, BlockSpec(self.alpha, self.k, 0, self.m))
         for n in self.N_list:
             if n < self.k:
                 raise ValueError(f"every N must be >= k; got N={n} < k={self.k}")
@@ -107,8 +101,6 @@ class ExperimentConfig:
             raise ValueError("epsilon_list must be nonempty, positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.measure not in MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}; expected one of {MEASURES}")
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1; got {self.restarts}")
         if self.max_iters < 1:
@@ -132,7 +124,7 @@ class ExperimentConfig:
             "family": self.family, "alpha": self.alpha, "k": self.k, "m": self.m,
             "N_list": list(self.N_list), "epsilon_list": list(self.epsilon_list),
             "samples": self.samples, "seed": self.seed,
-            "g_spec": self.g_spec, "h_spec": self.h_spec, "measure": self.measure,
+            "g_spec": self.g_spec, "h_spec": self.h_spec,
             "restarts": self.restarts, "max_iters": self.max_iters, "tol": self.tol,
         }
 
@@ -185,6 +177,8 @@ def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
     ends are exactly 0.0 at zero hits and 1.0 at full hits."""
     if not 0 <= hits <= samples or samples < 1:
         raise ValueError("need 0 <= hits <= samples and samples >= 1")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie strictly between 0 and 1; got {confidence}")
     z = float(_norm.ppf(0.5 + confidence / 2.0))
     n = samples
     p = hits / n
@@ -217,7 +211,7 @@ def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
     return elem
 
 
-def run_concentration(cfg: ExperimentConfig, threads: int | None = None) -> ConcentrationReport:
+def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     """Run the sweep: for each N draw samples, reduce each to its core and
     report per-(N, epsilon) hit fractions.
 
@@ -226,15 +220,14 @@ def run_concentration(cfg: ExperimentConfig, threads: int | None = None) -> Conc
     reports are reproducible.  Conjugation cores are solved as stacks of up to
     32 samples (``geometry.dist_conjugacy_stack``), each lane giving exactly
     the per-sample ``dist_conjugacy`` estimate; other samples are solved one
-    after another.  ``threads`` (like the COSETLAB_THREADS
-    environment variable) is accepted for compatibility and has no effect.
-    A sample draws only the first k rows of its middle Haar element, or the k
-    active images of its middle permutation (O(k) for any N), and is solved
-    as its core (``cosets.sample_core``) of dimension alpha + 2mk against the
-    product target at tail size k, so its cost does not grow with N.  The
-    outer draws of tau_full leave the core unchanged, so ``measure`` does not
-    change a report.  Symmetric hits are exact membership verdicts recorded as
-    0/1 distances; unitary distances are witnessed upper bounds for the sample.
+    after another.  A sample draws only the first k rows of its middle Haar
+    element, or the k active images of its middle permutation (O(k) for any
+    N), and is solved as its core (``cosets.sample_core``) of dimension
+    alpha + 2mk against the product target at tail size k, so its cost does
+    not grow with N.  The samples follow tau_tilde; the outer draws of
+    tau_full leave the core unchanged, so that measure gives the same report.
+    Symmetric hits are exact membership verdicts recorded as 0/1 distances;
+    unitary distances are witnessed upper bounds for the sample.
     """
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))

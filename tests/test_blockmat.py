@@ -153,9 +153,15 @@ class TestLoadSource:
         (" (1 3) ", (3, 5), [3, 2, 1]),
         ("(1 4)", (3, 5), [4, 2, 3, 1, 5]),
         ("identity", (5, 3), [1, 2, 3]),
+        ("2 1 3", 3, [2, 1, 3]),
     ])
     def test_permutations_take_smallest_degree(self, source, degrees, images):
         assert load_source(source, degrees).exact_permutation == PermutationWord(images)
+
+    def test_matrix_file_named_with_a_leading_digit(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "2g.json").write_text(json.dumps({"perm": [2, 1, 3]}))
+        assert load_source("2g.json", 3).exact_permutation == PermutationWord([2, 1, 3])
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_matrix_file_at_either_degree(self, tmp_path, dim):

@@ -10,8 +10,9 @@ import pytest
 
 import cosetlab
 from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord, embed
-from cosetlab.cli import main
-from cosetlab.cosets import GroupFamily, sample_tau_full
+from cosetlab.cli import _build_parser, main
+from cosetlab.cosets import FAMILY_KINDS, GroupFamily, sample_tau_full
+from cosetlab.experiments import ExperimentConfig
 from cosetlab.haar import RandomStream
 
 FIXTURE_PRODUCT = ["product", "--family", "symmetric", "--alpha", "1", "--k", "1",
@@ -31,11 +32,13 @@ class TestProduct:
         assert json.loads(out)["perm"] == [3, 2, 1, 4, 5]
 
     def test_size_stable_product(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "product", "--family", "unitary_orthogonal", "--alpha", "1",
-            "--k", "1", "--g", "(1 2)", "--h", "(1 2)")
-        assert code == 0
-        assert json.loads(out)["perm"] == [3, 1, 2]
+        # every family, conjugation included, shares the corner product formula
+        for family in FAMILY_KINDS:
+            code, out, _ = run_cli(
+                capsys, "product", "--family", family, "--alpha", "1",
+                "--k", "1", "--g", "(1 2)", "--h", "(1 2)")
+            assert code == 0, family
+            assert json.loads(out)["perm"] == [3, 1, 2], family
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rep.json"
@@ -180,6 +183,31 @@ class TestConcentration:
                                str(tmp_path / "missing.json"), "--seed", "1")
         assert code == 1
         assert "missing.json" in err
+
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"abc"', "null"])
+    def test_config_that_is_not_an_object(self, capsys, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "concentration", "--config", str(path), "--seed", "1")
+        assert code == 1
+        assert "cfg.json" in err and "JSON object" in err
+
+    @pytest.mark.parametrize("flag", [("--threads", "2"), ("--measure", "tau_full")])
+    def test_removed_flags_are_unknown(self, capsys, flag):
+        code, _, err = run_cli(capsys, *self.ARGS, "--seed", "6", *flag)
+        assert code == 1
+        assert "unrecognized arguments" in err
+
+    def test_flags_are_the_config_fields(self):
+        # apart from where the config comes from and where the report goes,
+        # each flag sets one config field and each field has one flag
+        sub = _build_parser()._subparsers._group_actions[0].choices["concentration"]
+        renamed = {"N": "N_list", "epsilon": "epsilon_list", "g": "g_spec", "h": "h_spec"}
+        dests = [a.dest for a in sub._actions
+                 if a.option_strings and a.dest not in ("help", "config", "format", "out")]
+        fields = [renamed.get(d, d) for d in dests]
+        assert len(fields) == len(set(fields))
+        assert set(fields) == set(ExperimentConfig.__dataclass_fields__)
 
     def test_seed_is_mandatory(self, capsys):
         code, _, err = run_cli(capsys, *self.ARGS)

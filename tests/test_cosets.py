@@ -15,7 +15,6 @@ from cosetlab.blockmat import (
 from cosetlab.cosets import (
     GroupFamily,
     circ_N,
-    circ_colligation,
     circ_infinite,
     lift_core_witnesses,
     sample_core,
@@ -83,13 +82,6 @@ class TestCircInfinite:
         out = circ_infinite(g, h, alpha=1)
         assert out.dim == 4
         assert is_unitary(out, 1e-10)
-
-    def test_colligation_same_formula(self):
-        gen = RandomStream(4, 0).generator()
-        g = BlockMatrix(haar_unitary(3, gen))
-        h = BlockMatrix(haar_unitary(3, gen))
-        np.testing.assert_array_equal(
-            circ_colligation(g, h, alpha=1).entries, circ_infinite(g, h, alpha=1).entries)
 
     def test_alpha_inference_needs_spec(self):
         with pytest.raises(ValueError):
