@@ -34,6 +34,7 @@ from .geometry import (
     dist_conjugacy,
     dist_conjugacy_stack,
     dist_double_coset,
+    dist_double_coset_stack,
     eigenvalue_matching_distance,
     sym_corner_invariant,
     sym_membership,
@@ -62,7 +63,8 @@ __all__ = [
     "ConcentrationReport", "ExperimentConfig", "run_block_decay",
     "run_concentration", "wilson_interval", "write_report",
     "DistanceEstimate", "colligation_char_function", "dist_conjugacy",
-    "dist_conjugacy_stack", "dist_double_coset", "eigenvalue_matching_distance",
+    "dist_conjugacy_stack", "dist_double_coset", "dist_double_coset_stack",
+    "eigenvalue_matching_distance",
     "sym_corner_invariant", "sym_membership", "verify_estimate",
     "RandomStream", "haar_orthogonal", "haar_unitary", "top_block",
     "uniform_permutation",

@@ -57,6 +57,8 @@ def _cmd_product(args) -> int:
         if args.m != 1:
             raise ConfigError("the size-stable product needs m=1; pass --N for the finite product")
         rep = circ_infinite(g, h, alpha=args.alpha)
+        if args.family == "symmetric" and rep.exact_permutation is None:
+            raise ConfigError("symmetric family requires exact permutation inputs")
     else:
         fam = GroupFamily(args.family, BlockSpec(args.alpha, args.k, args.N, args.m))
         rep = circ_N(g, h, fam).representative

@@ -219,8 +219,8 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
     K holds every tail permutation, so only they matter.  Images above k take
     the first tail slots in order, the other points follow in ascending order,
     and the core is the exact permutation embed(g).embed_k(u_core).embed(h) at
-    tail size k, for any w.  Here g and h may also be given already embedded
-    at core size, so that a caller making many cores of one pair embeds once.
+    tail size k, for any w.  Here g, and in every family h, may also be given
+    already embedded at core size, so a caller making many cores embeds once.
     """
     spec = family.spec
     alpha, k = spec.alpha, spec.k
@@ -250,7 +250,7 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
     for c in range(spec.m):
         y[alpha + c * k:alpha + (c + 1) * k, core_spec.copy_slice(c)] = frame
     left = np.eye(core_spec.dim) + y.conj().T @ (g.entries - np.eye(spec.window)) @ y
-    return BlockMatrix(left, core_spec) @ embed(h, core_spec)
+    return BlockMatrix(left, core_spec) @ (h if h.dim == core_spec.dim else embed(h, core_spec))
 
 
 def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, x_w, family: GroupFamily):

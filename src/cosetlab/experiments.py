@@ -19,7 +19,7 @@ from scipy.stats import norm as _norm
 
 from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, load_source, operator_norm
 from .cosets import GroupFamily, circ_N, sample_core
-from .geometry import dist_conjugacy_stack, dist_double_coset, sym_membership
+from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import RandomStream, haar_columns, haar_unitary, top_block, uniform_permutation
 
 __all__ = [
@@ -43,6 +43,8 @@ CSV_COLUMNS = (
 # the stack, not with samples: its dense Sylvester SVD holds about 3.3 MB per
 # sample at k=8, so a block of 32 adds about 0.1 GB there and little at k=1.
 _CONJ_BLOCK = 32
+# Bytes per orthogonal block; its Procrustes stack holds about 160 d^2 per sample.
+_ORTH_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -217,10 +219,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
     Samples are drawn in order.  Sample i uses the dedicated stream
     (seed, 1 + i) for both its middle draw and any solver restarts, so
-    reports are reproducible.  Conjugation cores are solved as stacks of up to
-    32 samples (``geometry.dist_conjugacy_stack``), each lane giving exactly
-    the per-sample ``dist_conjugacy`` estimate; other samples are solved one
-    after another.  A sample draws only the first k rows of its middle Haar
+    reports are reproducible.  Unitary cores are solved as one stack per block
+    (``geometry.dist_conjugacy_stack``, 32 cores; ``dist_double_coset_stack``,
+    a few MB), each lane exactly its per-sample estimate; symmetric samples go
+    one at a time.  A sample draws only the first k rows of its middle Haar
     element, or the k active images of its middle permutation (O(k) for any
     N), and is solved as its core (``cosets.sample_core``) of dimension
     alpha + 2mk against the product target at tail size k, so its cost does
@@ -237,8 +239,9 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     eps_floor = min(cfg.epsilon_list)
     sym = cfg.family == "symmetric"
     conj = cfg.family == "unitary_conjugation"
-    # the symmetric core takes g and h embedded at core size; fam0 is the core's family
-    g_core, h_core = (embed(g_win, fam0.spec), embed(h_win, fam0.spec)) if sym else (g_win, h_win)
+    # sample_core takes h, and the symmetric g, embedded at core size (fam0's spec)
+    g_core, h_core = (embed(g_win, fam0.spec) if sym else g_win), embed(h_win, fam0.spec)
+    block = _CONJ_BLOCK if conj else max(1, _ORTH_BLOCK_BYTES // (160 * fam0.spec.dim ** 2))
 
     def core_of(i, fam):
         gen = RandomStream(cfg.seed, 1 + i).generator()
@@ -248,29 +251,27 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
             draw = haar_columns(fam.spec.copy_size, cfg.k, gen, unitary=conj).T
         return sample_core(g_core, h_core, fam, draw), gen
 
-    def one_sample(i, fam):
-        core, gen = core_of(i, fam)
-        if sym:
-            return 0.0 if sym_membership(core, target) else 1.0
-        return dist_double_coset(
-            core, target, max_iters=cfg.max_iters, tol=cfg.tol,
-            restarts=cfg.restarts, rng=gen, stop_below=eps_floor).upper_bound
-
-    def conj_block(lo, fam):
-        cores = np.stack([core_of(i, fam)[0].entries
-                          for i in range(lo, min(lo + _CONJ_BLOCK, cfg.samples))])
-        return [est.upper_bound for est in dist_conjugacy_stack(
-            cores, target, max_iters=cfg.max_iters, tol=cfg.tol)]
+    def unitary_block(lo, fam):
+        drawn = [core_of(i, fam) for i in range(lo, min(lo + block, cfg.samples))]
+        cores = np.stack([core.entries for core, _ in drawn])
+        if conj:
+            ests = dist_conjugacy_stack(cores, target, max_iters=cfg.max_iters, tol=cfg.tol)
+        else:
+            ests = dist_double_coset_stack(
+                cores, target, [gen for _, gen in drawn], max_iters=cfg.max_iters,
+                tol=cfg.tol, restarts=cfg.restarts, stop_below=eps_floor)
+        return [est.upper_bound for est in ests]
 
     rows = []
     for N in cfg.N_list:
         fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
         start = time.perf_counter()
-        if conj:
-            distances = [d for lo in range(0, cfg.samples, _CONJ_BLOCK)
-                         for d in conj_block(lo, fam)]
+        if sym:
+            distances = [0.0 if sym_membership(core_of(i, fam)[0], target) else 1.0
+                         for i in range(cfg.samples)]
         else:
-            distances = [one_sample(i, fam) for i in range(cfg.samples)]
+            distances = [d for lo in range(0, cfg.samples, block)
+                         for d in unitary_block(lo, fam)]
         elapsed = time.perf_counter() - start
 
         med = float(np.median(distances))

@@ -5,11 +5,12 @@ alignment steps respect the diagonal-copy block structure; symmetric targets
 get exact membership by forced propagation between the two subgroup factors,
 plus a discrete (assignment-step) variant of the same alternation; conjugation
 targets get a structured minimal-singular-vector initialization refined by a
-fixed-point iteration.  The conjugation solver runs on a stack of samples at
-once (``dist_conjugacy_stack``; ``dist_conjugacy`` is a stack of one), with
-numpy's stacked SVD, eig and matmul, and each lane's result is the one it
-would get alone.  Every estimate carries explicit witnesses, so the reported
-bound can be re-verified by direct evaluation.
+fixed-point iteration.  Both unitary solvers run on a stack of samples at
+once (``dist_double_coset_stack`` and ``dist_conjugacy_stack``; the
+per-sample ``dist_double_coset`` and ``dist_conjugacy`` are stacks of one),
+with numpy's stacked SVD, eig and matmul, and each lane's result is the one
+it would get alone.  Every estimate carries explicit witnesses, so the
+reported bound can be re-verified by direct evaluation.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .haar import RandomStream, _as_generator, haar_orthogonal, uniform_permutat
 __all__ = [
     "DistanceEstimate",
     "dist_double_coset",
+    "dist_double_coset_stack",
     "dist_conjugacy",
     "dist_conjugacy_stack",
     "sym_membership",
@@ -79,7 +81,8 @@ def _perm_procrustes(M: np.ndarray) -> PermutationWord:
 
 
 class _CopyLayout:
-    """Slices and stacked products for the m diagonal copies of one spec."""
+    """Slices and stacked products for the m diagonal copies of one spec; each
+    method also takes stacks (leading axes) of x, u and v against one r."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -88,65 +91,80 @@ class _CopyLayout:
         self.slices = [spec.copy_slice(c) for c in range(spec.m)]
 
     def apply_right(self, r, v):
-        out = r.copy()
+        out = np.empty(v.shape[:-2] + r.shape[-2:], dtype=r.dtype)
+        out[...] = r
         for sl in self.slices:
-            out[:, sl] = r[:, sl] @ v
+            out[..., sl] = r[..., sl] @ v
         return out
 
     def apply_left(self, r, u):
-        out = r.copy()
+        out = np.empty(u.shape[:-2] + r.shape[-2:], dtype=r.dtype)
+        out[...] = r
         for sl in self.slices:
-            out[sl, :] = u @ r[sl, :]
+            out[..., sl, :] = u @ r[..., sl, :]
         return out
 
     def row_gram(self, x, rV):
         # sum over copies of Re( x[rows] @ rV[rows]^H ): the stacked U-step target
-        M = np.zeros((self.w, self.w))
+        M = np.zeros(x.shape[:-2] + (self.w, self.w))
         for sl in self.slices:
-            M += (x[sl, :] @ rV[sl, :].conj().T).real
+            M += (x[..., sl, :] @ rV[..., sl, :].conj().swapaxes(-1, -2)).real
         return M
 
     def col_gram(self, Ur, x):
         # sum over copies of Re( Ur[cols]^H @ x[cols] ): the stacked V-step target
-        M = np.zeros((self.w, self.w))
+        M = np.zeros(x.shape[:-2] + (self.w, self.w))
         for sl in self.slices:
-            M += (Ur[:, sl].conj().T @ x[:, sl]).real
+            M += (Ur[..., sl].conj().swapaxes(-1, -2) @ x[..., sl]).real
         return M
 
 
-def _alternate_continuous(x, r, layout, v0, max_iters, tol, rel_tol, stop_below):
-    """One run of the alternating Frobenius descent over real orthogonal (u, v).
+def _alternate_stack(x, r, layout, v0, max_iters, tol, rel_tol, stop_below):
+    """One run of the alternating Frobenius descent over real orthogonal (u, v)
+    per lane of x, from the lane's start v0.
 
     The Frobenius residual is tracked through the trace identity
     ||x - UrV||_F^2 = 2 dim - 2 Re tr(x^H U r V), which is free given the
-    V-step target matrix; the operator norm is evaluated once at the end.
+    V-step target matrix; the operator norm is evaluated once at the end.  A
+    lane leaves the stack when it stops, so the stack shrinks as it runs.
+    Returns per-lane (operator norm, u, v, iterations, converged).
     """
-    dim = x.shape[0]
+    lanes_total, dim = x.shape[0], x.shape[-1]
     alpha = layout.alpha
-    v = v0
+    u_out, v_out = np.empty_like(v0), np.empty_like(v0)
+    iters = np.full(lanes_total, max_iters)
+    converged = np.zeros(lanes_total, dtype=bool)
+    lanes, xl, v = np.arange(lanes_total), x, v0
+    xc = x[..., :alpha].conj()
     f_prev = None
-    iters = 0
-    converged = False
     for t in range(max_iters):
-        iters = t + 1
         rV = layout.apply_right(r, v)
-        u = _polar(layout.row_gram(x, rV))
+        u = _polar(layout.row_gram(xl, rV))
         Ur = layout.apply_left(r, u)
-        Mv = layout.col_gram(Ur, x)
+        Mv = layout.col_gram(Ur, xl)
         v = _polar(Mv)
-        corner = (x[:, :alpha].conj() * Ur[:, :alpha]).sum().real
-        inner = corner + float((Mv * v).sum())
-        f = float(np.sqrt(max(2.0 * dim - 2.0 * inner, 0.0)))
-        if stop_below is not None and f <= stop_below:
-            break
+        corner = (xc * Ur[..., :alpha]).reshape(len(lanes), -1).sum(axis=-1).real
+        inner = corner + (Mv * v).reshape(len(lanes), -1).sum(axis=-1)
+        f = np.sqrt(np.maximum(2.0 * dim - 2.0 * inner, 0.0))
+        below = np.zeros(len(lanes), dtype=bool) if stop_below is None else f <= stop_below
+        stop = below
         if f_prev is not None:
             gain = f_prev - f
-            if gain < tol or gain < rel_tol * max(f, 1e-300):
-                converged = True
+            stop = below | (gain < tol) | (gain < rel_tol * np.maximum(f, 1e-300))
+        n_stop = np.count_nonzero(stop)
+        if n_stop:
+            done = lanes[stop]
+            u_out[done], v_out[done], iters[done] = u[stop], v[stop], t + 1
+            converged[done] = ~below[stop]
+            if n_stop == len(lanes):
                 break
+            go = ~stop
+            lanes, xl, xc, u, v, f = lanes[go], xl[go], xc[go], u[go], v[go], f[go]
         f_prev = f
-    op = operator_norm(x - layout.apply_right(layout.apply_left(r, u), v))
-    return op, u, v, iters, converged
+    else:
+        u_out[lanes], v_out[lanes] = u, v
+    a = x - layout.apply_right(layout.apply_left(r, u_out), v_out)
+    return np.linalg.svd(a, compute_uv=False)[:, 0], u_out, v_out, iters, converged
 
 
 def _alternate_discrete(x, r, layout, v0: PermutationWord, max_iters):
@@ -168,6 +186,72 @@ def _alternate_discrete(x, r, layout, v0: PermutationWord, max_iters):
     return op, u, v, iters, True
 
 
+def dist_double_coset_stack(
+    xs,
+    target: CosetTarget,
+    gens,
+    max_iters: int = 200,
+    tol: float = 1e-12,
+    restarts: int = 5,
+    rel_tol: float = 1e-3,
+    stop_below: float | None = None,
+) -> list[DistanceEstimate]:
+    """``dist_double_coset`` for every matrix of an (S, d, d) stack of
+    unitary_orthogonal samples, in one run; gens[i] is lane i's generator.
+
+    Restarts run in rounds: round 0 starts every lane from the identity, and
+    each later round draws a start from gens[i] only for the lanes whose best
+    bound is still above stop_below.  Without stop_below every lane needs every
+    restart, so all S * restarts starts are drawn, lane by lane, and run as one
+    stack.  Each lane consumes its generator as the per-sample solver does and
+    gets its estimate bit for bit (the first best restart wins), but a
+    generator shared between lanes is consumed in round order.  Memory is
+    O(S d^2), times restarts without stop_below: callers bound S.
+    """
+    fam = target.family
+    if fam.kind != "unitary_orthogonal":
+        raise ValueError(f"stacked two-sided distance needs the unitary_orthogonal family, "
+                         f"got {fam.kind!r}")
+    r = target.representative.entries
+    x = np.asarray(xs)
+    if x.ndim != 3 or x.shape[1:] != r.shape:
+        raise ValueError("dimension mismatch between sample and target")
+    if len(gens) != len(x):
+        raise ValueError(f"need one generator per sample; got {len(gens)} for {len(x)}")
+    if restarts < 1 or max_iters < 1:
+        raise ValueError(f"restarts and max_iters must be >= 1; got {restarts} and {max_iters}")
+    if not len(x):
+        return []
+    layout = _CopyLayout(fam.spec)
+    w, lanes_total = layout.w, len(x)
+    # each round's runs are kept; best_run indexes them in round order
+    rounds, done_runs = [], 0
+    best_op = np.full(lanes_total, np.inf)
+    best_run = np.zeros(lanes_total, dtype=int)
+    lanes, first, eye = np.arange(lanes_total), 0, np.eye(w)
+    while first < restarts and len(lanes):
+        trials = range(first, restarts if stop_below is None else first + 1)
+        n = len(trials)
+        v0 = np.array([eye if t == 0 else haar_orthogonal(w, gens[i])
+                       for i in lanes for t in trials])
+        run = _alternate_stack(x[np.repeat(lanes, n)], r, layout, v0,
+                               max_iters, tol, rel_tol, stop_below)
+        op, ids = run[0], done_runs + np.arange(len(v0)).reshape(-1, n)
+        for j in range(n):
+            better = op[j::n] < best_op[lanes]
+            won = lanes[better]
+            best_op[won], best_run[won] = op[j::n][better], ids[better, j]
+        rounds.append(run)
+        done_runs += len(v0)
+        first = trials.stop
+        if stop_below is not None:
+            lanes = lanes[best_op[lanes] > stop_below]
+    op, u, v, iters, conv = (np.concatenate(parts)[best_run] for parts in zip(*rounds))
+    return [DistanceEstimate(float(op[i]), int(iters[i]), bool(conv[i]),
+                             embed_k(u[i], fam.spec), embed_k(v[i], fam.spec))
+            for i in range(lanes_total)]
+
+
 def dist_double_coset(
     x: BlockMatrix,
     target: CosetTarget,
@@ -185,7 +269,8 @@ def dist_double_coset(
     row cross-Gram, solved by the orthogonal polar factor (unitary families)
     or by linear assignment (symmetric family, keeping witnesses inside the
     exact subgroup); symmetrically for V.  Runs from the identity plus
-    ``restarts - 1`` random starts and keeps the best.
+    ``restarts - 1`` random starts and keeps the best.  For unitary targets
+    this is ``dist_double_coset_stack`` on a stack of one.
 
     tol/rel_tol stop a run once the Frobenius residual's absolute/relative
     improvement falls below them.  stop_below, when given, skips the remaining
@@ -194,26 +279,26 @@ def dist_double_coset(
     restarts or max_iters is below 1.
     """
     fam = target.family
-    if fam.kind not in ("unitary_orthogonal", "symmetric"):
+    gen = _as_generator(rng) if rng is not None else RandomStream(0, 0).generator()
+    if fam.kind == "unitary_orthogonal":
+        return dist_double_coset_stack(x.entries[None], target, [gen], max_iters=max_iters,
+                                       tol=tol, restarts=restarts, rel_tol=rel_tol,
+                                       stop_below=stop_below)[0]
+    if fam.kind != "symmetric":
         raise ValueError(f"two-sided coset distance undefined for family {fam.kind!r}")
     if x.dim != target.representative.dim:
         raise ValueError("dimension mismatch between sample and target")
     if restarts < 1 or max_iters < 1:
         raise ValueError(f"restarts and max_iters must be >= 1; got {restarts} and {max_iters}")
     layout = _CopyLayout(fam.spec)
-    gen = _as_generator(rng) if rng is not None else RandomStream(0, 0).generator()
     xe = x.entries
     re_ = target.representative.entries
     w = layout.w
 
     best = None
     for trial in range(restarts):
-        if fam.kind == "symmetric":
-            v0 = PermutationWord.identity(w) if trial == 0 else uniform_permutation(w, gen)
-            run = _alternate_discrete(xe, re_, layout, v0, max_iters)
-        else:
-            v0 = np.eye(w) if trial == 0 else haar_orthogonal(w, gen)
-            run = _alternate_continuous(xe, re_, layout, v0, max_iters, tol, rel_tol, stop_below)
+        v0 = PermutationWord.identity(w) if trial == 0 else uniform_permutation(w, gen)
+        run = _alternate_discrete(xe, re_, layout, v0, max_iters)
         if best is None or run[0] < best[0]:
             best = run
         if stop_below is not None and best[0] <= stop_below:

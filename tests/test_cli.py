@@ -40,6 +40,17 @@ class TestProduct:
             assert code == 0, family
             assert json.loads(out)["perm"] == [3, 1, 2], family
 
+    @pytest.mark.parametrize("size", [[], ["--N", "2"]], ids=["size_stable", "finite"])
+    def test_symmetric_rejects_dense_inputs(self, capsys, tmp_path, size):
+        path = tmp_path / "u2.json"
+        u = np.array([[0.6, 0.8], [-0.8, 0.6]])
+        path.write_text(json.dumps(BlockMatrix(u).to_json_dict()))
+        code, out, err = run_cli(
+            capsys, "product", "--family", "symmetric", "--alpha", "1", "--k", "1",
+            "--g", str(path), "--h", "identity", *size)
+        assert (code, out) == (1, "")
+        assert "exact permutation" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rep.json"
         code, out, _ = run_cli(capsys, *FIXTURE_PRODUCT, "--out", str(path))

@@ -283,6 +283,14 @@ class TestSampleCore:
         lifted = replace(est, witness_left=U, witness_right=V)
         assert abs(verify_estimate(lifted, x, circ_N(g, h, fam)) - est.upper_bound) <= 1e-10
 
+    @pytest.mark.parametrize("kind", ["unitary_orthogonal", "unitary_conjugation"])
+    @pytest.mark.parametrize("alpha,k,m,N", CORE_SHAPES)
+    def test_unitary_core_takes_core_size_h(self, kind, alpha, k, m, N):
+        m = 1 if kind == "unitary_conjugation" else m
+        fam, g, h, x_w, _, core = _core_case(kind, alpha, k, m, N, seed=80 + N)
+        h_core = embed(h, fam.with_n_tail(k).spec)
+        assert np.array_equal(sample_core(g, h_core, fam, x_w[:k]).entries, core.entries)
+
     def test_core_ignores_tail_size(self):
         # the same first rows padded with zeros to a longer tail give the same core
         fam, g, h, x_w, _, core = _core_case("unitary_orthogonal", 1, 2, 2, 3, seed=7)

@@ -246,6 +246,23 @@ class TestRunConcentration:
         run_concentration(cfg)
         assert sizes == [block, block, 3]
 
+    @pytest.mark.parametrize("k,m,samples,sizes", [(1, 1, 100, [100]), (8, 2, 50, [24, 24, 2])])
+    def test_orthogonal_stacks_sized_by_core_dimension(self, monkeypatch, k, m, samples, sizes):
+        # blocks of _ORTH_BLOCK_BYTES // (160 d^2) samples: d=3 fits a sweep, d=33 does not
+        seen = []
+        real = experiments.dist_double_coset_stack
+
+        def spy(xs, *args, **kwargs):
+            seen.append(len(xs))
+            return real(xs, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "dist_double_coset_stack", spy)
+        cfg = _cfg(family="unitary_orthogonal", k=k, m=m, N_list=(k,), epsilon_list=(0.4,),
+                   samples=samples, seed=2, g_spec="random_unitary", h_spec="random_unitary",
+                   restarts=1, max_iters=2)
+        run_concentration(cfg)
+        assert seen == sizes
+
     def test_file_source(self, tmp_path):
         u = BlockMatrix(haar_unitary(2, RandomStream(77, 0)))
         path = tmp_path / "g.json"

@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
+import cosetlab.experiments as experiments
 import cosetlab.geometry as geometry
 from cosetlab.blockmat import (
     BlockMatrix,
@@ -14,12 +16,13 @@ from cosetlab.blockmat import (
     operator_norm,
 )
 from cosetlab.cosets import CosetTarget, GroupFamily, circ_N, sample_core, sample_tau_full
-from cosetlab.experiments import ExperimentConfig
+from cosetlab.experiments import ExperimentConfig, run_concentration
 from cosetlab.geometry import (
     colligation_char_function,
     dist_conjugacy,
     dist_conjugacy_stack,
     dist_double_coset,
+    dist_double_coset_stack,
     eigenvalue_matching_distance,
     sym_corner_invariant,
     sym_membership,
@@ -310,6 +313,128 @@ class TestDistConjugacyStack:
             dist_conjugacy_stack(cores[0].entries, target)
         with pytest.raises(ValueError, match="max_iters"):
             dist_conjugacy_stack(np.stack([c.entries for c in cores]), target, max_iters=0)
+
+
+def _reference_double_coset(x, target, gen, max_iters=200, tol=1e-12, restarts=5,
+                            rel_tol=1e-3, stop_below=None):
+    """The per-sample alternation, one restart after another: the reference
+    the stacked Procrustes solver must match bit for bit."""
+    spec = target.family.spec
+    layout = geometry._CopyLayout(spec)
+    r = target.representative.entries
+    dim, alpha, w = len(x), layout.alpha, layout.w
+
+    def run(v):
+        f_prev, iters, converged = None, 0, False
+        for t in range(max_iters):
+            iters = t + 1
+            rV = layout.apply_right(r, v)
+            u = geometry._polar(layout.row_gram(x, rV))
+            Ur = layout.apply_left(r, u)
+            Mv = layout.col_gram(Ur, x)
+            v = geometry._polar(Mv)
+            corner = (x[:, :alpha].conj() * Ur[:, :alpha]).sum().real
+            inner = corner + float((Mv * v).sum())
+            f = float(np.sqrt(max(2.0 * dim - 2.0 * inner, 0.0)))
+            if stop_below is not None and f <= stop_below:
+                break
+            if f_prev is not None:
+                gain = f_prev - f
+                if gain < tol or gain < rel_tol * max(f, 1e-300):
+                    converged = True
+                    break
+            f_prev = f
+        op = operator_norm(x - layout.apply_right(layout.apply_left(r, u), v))
+        return op, u, v, iters, converged
+
+    best = None
+    for trial in range(restarts):
+        result = run(np.eye(w) if trial == 0 else haar_orthogonal(w, gen))
+        if best is None or result[0] < best[0]:
+            best = result
+        if stop_below is not None and best[0] <= stop_below:
+            break
+    op, u, v, iters, converged = best
+    return geometry.DistanceEstimate(op, iters, converged, embed_k(u, spec), embed_k(v, spec))
+
+
+class TestDistDoubleCosetStack:
+    """The stacked Procrustes solver against the per-sample reference loop."""
+
+    def _cores(self, alpha, k, m, N=5, samples=10, seed=21):
+        fam = GroupFamily("unitary_orthogonal", BlockSpec(alpha, k, N, m))
+        setup = RandomStream(seed, 0).generator()
+        g = BlockMatrix(haar_unitary(fam.spec.window, setup))
+        h = BlockMatrix(haar_unitary(fam.spec.window, setup))
+        target = circ_N(g, h, fam.with_n_tail(k))
+        cores = [sample_core(g, h, fam, haar_columns(
+            k + N, k, RandomStream(seed, 1 + i).generator()).T).entries
+            for i in range(samples)]
+        # one lane on the target itself, which stops after two steps
+        return np.stack(cores + [target.representative.entries]), target
+
+    @pytest.mark.parametrize("alpha,k,m", [(1, 1, 1), (1, 2, 2), (0, 2, 1)])
+    @pytest.mark.parametrize("restarts", [1, 5, 10])
+    @pytest.mark.parametrize("stop", [False, True], ids=["no_stop", "stop_below"])
+    def test_lanes_equal_reference_loop(self, alpha, k, m, restarts, stop):
+        xs, target = self._cores(alpha, k, m)
+        # the median identity-start bound: some lanes stop in round 0, others go on
+        stop_below = float(np.median([_reference_double_coset(
+            x, target, None, restarts=1).upper_bound for x in xs])) if stop else None
+        gens = [RandomStream(3, i).generator() for i in range(len(xs))]
+        stacked = dist_double_coset_stack(xs, target, gens, restarts=restarts,
+                                          stop_below=stop_below)
+        assert len(stacked) == len(xs)
+        for i, (x, est) in enumerate(zip(xs, stacked)):
+            ref_gen = RandomStream(3, i).generator()
+            ref = _reference_double_coset(x, target, ref_gen, restarts=restarts,
+                                          stop_below=stop_below)
+            assert _same_estimate(est, ref)
+            assert gens[i].bit_generator.state == ref_gen.bit_generator.state
+            core = BlockMatrix(x, target.family.spec)
+            assert abs(verify_estimate(est, core, target) - est.upper_bound) <= 1e-9
+
+    def test_direct_call_is_a_stack_of_one(self):
+        xs, target = self._cores(1, 1, 1, samples=4)
+        for i, x in enumerate(xs):
+            est = dist_double_coset(BlockMatrix(x, target.family.spec), target, restarts=10,
+                                    rng=RandomStream(4, i), stop_below=0.3)
+            ref = _reference_double_coset(x, target, RandomStream(4, i).generator(),
+                                          restarts=10, stop_below=0.3)
+            assert _same_estimate(est, ref)
+
+    def test_input_checks(self):
+        xs, target = self._cores(1, 1, 1, samples=2)
+        gens = [np.random.default_rng(i) for i in range(len(xs))]
+        assert dist_double_coset_stack(xs[:0], target, []) == []
+        for kind in ("symmetric", "unitary_conjugation"):
+            other = CosetTarget(target.representative, replace(target.family, kind=kind))
+            with pytest.raises(ValueError, match="unitary_orthogonal"):
+                dist_double_coset_stack(xs, other, gens)
+        with pytest.raises(ValueError, match="dimension"):
+            dist_double_coset_stack(xs[0], target, gens[:1])
+        with pytest.raises(ValueError, match="dimension"):
+            dist_double_coset_stack(xs[:, :2, :2], target, gens)
+        with pytest.raises(ValueError, match="one generator per sample"):
+            dist_double_coset_stack(xs, target, gens[:1])
+        for kwargs in ({"restarts": 0}, {"max_iters": 0}):
+            with pytest.raises(ValueError, match=next(iter(kwargs))):
+                dist_double_coset_stack(xs, target, gens, **kwargs)
+
+    def test_run_concentration_matches_reference(self, monkeypatch):
+        # the sweep's report, in its own blocks and in blocks of 7, against one
+        # whose samples are each solved by the reference loop
+        cfg = ExperimentConfig(family="unitary_orthogonal", alpha=1, k=1, m=1, N_list=(8, 64),
+                               epsilon_list=(0.1, 0.4), samples=30, seed=9)
+        stacked = run_concentration(cfg).with_zeroed_runtime()
+        monkeypatch.setattr(experiments, "_ORTH_BLOCK_BYTES", 160 * 9 * 7)
+        assert run_concentration(cfg).with_zeroed_runtime() == stacked
+
+        def reference(xs, target, gens, **kwargs):
+            return [_reference_double_coset(x, target, gen, **kwargs) for x, gen in zip(xs, gens)]
+
+        monkeypatch.setattr(experiments, "dist_double_coset_stack", reference)
+        assert run_concentration(cfg).with_zeroed_runtime() == stacked
 
 
 class TestCoreAgainstFullSolver:
