@@ -21,6 +21,7 @@ from .cosets import (
     sample_tau_tilde,
 )
 from .experiments import (
+    BlockDecayReport,
     ConcentrationReport,
     ExperimentConfig,
     run_block_decay,
@@ -60,7 +61,7 @@ __all__ = [
     "embed_k", "is_unitary", "operator_norm",
     "CosetTarget", "GroupFamily", "circ_N", "circ_infinite",
     "sample_tau_full", "sample_tau_tilde",
-    "ConcentrationReport", "ExperimentConfig", "run_block_decay",
+    "BlockDecayReport", "ConcentrationReport", "ExperimentConfig", "run_block_decay",
     "run_concentration", "wilson_interval", "write_report",
     "DistanceEstimate", "colligation_char_function", "dist_conjugacy",
     "dist_conjugacy_stack", "dist_double_coset", "dist_double_coset_stack",

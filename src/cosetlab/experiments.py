@@ -1,6 +1,8 @@
 """Monte Carlo sweeps measuring how convolution samples concentrate on the
 product coset as the tail size grows, plus the corner-block decay study that
 drives the effect, with reproducible seeds and machine-readable reports.
+Wilson intervals take their normal quantile from the standard library's
+``statistics.NormalDist``, so this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from io import StringIO
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm as _norm
 
 from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, load_source, operator_norm
 from .cosets import GroupFamily, circ_N, sample_core
@@ -26,6 +28,7 @@ __all__ = [
     "ExperimentConfig",
     "ReportRow",
     "ConcentrationReport",
+    "BlockDecayReport",
     "run_concentration",
     "run_block_decay",
     "wilson_interval",
@@ -174,6 +177,19 @@ class ConcentrationReport:
         return {r.N: r.fraction for r in self.rows if r.epsilon == epsilon}
 
 
+class BlockDecayReport(tuple):
+    """Block-decay rows (N, median_norm, mean_norm), one per N in sweep order.
+
+    A plain tuple of the rows, so callers index and unpack them directly."""
+
+    def to_csv_text(self) -> str:
+        return "N,median_norm,mean_norm\n" + "".join(f"{n},{md!r},{mn!r}\n" for n, md, mn in self)
+
+    def to_json_text(self) -> str:
+        rows = [{"N": n, "median_norm": md, "mean_norm": mn} for n, md, mn in self]
+        return json.dumps({"rows": rows}, indent=2) + "\n"
+
+
 def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
     """Wilson score interval for a binomial proportion, as Python floats; the
     ends are exactly 0.0 at zero hits and 1.0 at full hits."""
@@ -181,7 +197,7 @@ def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
         raise ValueError("need 0 <= hits <= samples and samples >= 1")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie strictly between 0 and 1; got {confidence}")
-    z = float(_norm.ppf(0.5 + confidence / 2.0))
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     n = samples
     p = hits / n
     denom = 1.0 + z * z / n
@@ -291,7 +307,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     return ConcentrationReport(tuple(rows))
 
 
-def run_block_decay(k: int, N_list, samples: int, seed: int) -> list[tuple[int, float, float]]:
+def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport:
     """Median and mean operator norm of the leading k x k block of Haar
     orthogonal (k+N) x (k+N) matrices, per N, each drawn as its first k
     columns only.  The decay of this block is what makes the convolution
@@ -307,22 +323,12 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> list[tuple[int, 
             for i in range(samples)
         ]
         out.append((N, float(np.median(norms)), float(np.mean(norms))))
-    return out
+    return BlockDecayReport(out)
 
 
 def write_report(report, path, format: str = "csv") -> None:
-    """Write a ConcentrationReport (csv/json) or a block-decay table (csv)."""
-    if isinstance(report, ConcentrationReport):
-        text = report.to_csv_text() if format == "csv" else report.to_json_text()
-    else:  # block-decay rows
-        if format == "json":
-            text = json.dumps(
-                {"rows": [{"N": n, "median_norm": md, "mean_norm": mn} for n, md, mn in report]},
-                indent=2) + "\n"
-        else:
-            text = "N,median_norm,mean_norm\n" + "".join(
-                f"{n},{md!r},{mn!r}\n" for n, md, mn in report)
-    write_text(text, path)
+    """Write a ConcentrationReport or BlockDecayReport as csv or json."""
+    write_text(report.to_csv_text() if format == "csv" else report.to_json_text(), path)
 
 
 def write_text(text: str, path) -> None:

@@ -1,16 +1,20 @@
 """Distance bounds and exact membership for coset targets.
 
-Unitary targets get an alternating two-sided Procrustes minimizer whose
-alignment steps respect the diagonal-copy block structure; symmetric targets
-get exact membership by forced propagation between the two subgroup factors,
-plus a discrete (assignment-step) variant of the same alternation; conjugation
-targets get a structured minimal-singular-vector initialization refined by a
-fixed-point iteration.  Both unitary solvers run on a stack of samples at
-once (``dist_double_coset_stack`` and ``dist_conjugacy_stack``; the
-per-sample ``dist_double_coset`` and ``dist_conjugacy`` are stacks of one),
-with numpy's stacked SVD, eig and matmul, and each lane's result is the one
-it would get alone.  Every estimate carries explicit witnesses, so the
-reported bound can be re-verified by direct evaluation.
+Unitary_orthogonal targets get an alternating two-sided Procrustes minimizer
+whose alignment steps respect the diagonal-copy block structure; symmetric
+targets get exact membership by forced propagation between the two subgroup
+factors; conjugation targets get a structured minimal-singular-vector
+initialization refined by a fixed-point iteration.  Both unitary solvers run
+on a stack of samples at once (``dist_double_coset_stack`` and
+``dist_conjugacy_stack``; the per-sample ``dist_double_coset`` and
+``dist_conjugacy`` are stacks of one), with numpy's stacked SVD, eig and
+matmul, and each lane's result is the one it would get alone.  Every estimate
+carries explicit witnesses, so the reported bound can be re-verified by
+direct evaluation.
+
+scipy is imported only where it is called: ARPACK for conjugation cores whose
+non-corner size exceeds 34, and linear assignment in
+``eigenvalue_matching_distance``.
 """
 
 from __future__ import annotations
@@ -18,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .blockmat import BlockMatrix, PermutationWord, as_word, embed_k, operator_norm
+from .blockmat import BlockMatrix, as_word, embed_k, operator_norm
 from .cosets import CosetTarget
-from .haar import RandomStream, _as_generator, haar_orthogonal, uniform_permutation
+from .haar import RandomStream, _as_generator, haar_orthogonal
 
 __all__ = [
     "DistanceEstimate",
@@ -70,14 +72,6 @@ def _polar(M: np.ndarray) -> np.ndarray:
     """Unitary (orthogonal, for real M) polar factor of a square matrix, by SVD."""
     u, _, vt = np.linalg.svd(M)
     return u @ vt
-
-
-def _perm_procrustes(M: np.ndarray) -> PermutationWord:
-    # argmax over permutation matrices P of tr(P^T M)
-    rows, cols = linear_sum_assignment(-M)
-    im = np.empty(M.shape[0], dtype=int)
-    im[cols] = rows + 1
-    return PermutationWord(im)
 
 
 class _CopyLayout:
@@ -167,25 +161,6 @@ def _alternate_stack(x, r, layout, v0, max_iters, tol, rel_tol, stop_below):
     return np.linalg.svd(a, compute_uv=False)[:, 0], u_out, v_out, iters, converged
 
 
-def _alternate_discrete(x, r, layout, v0: PermutationWord, max_iters):
-    """Alternating descent with exact permutation alignment steps."""
-    v = v0
-    u = None
-    iters = 0
-    for t in range(max_iters):
-        iters = t + 1
-        vm = v.matrix()
-        rV = layout.apply_right(r, vm)
-        u_new = _perm_procrustes(layout.row_gram(x, rV))
-        Ur = layout.apply_left(r, u_new.matrix())
-        v_new = _perm_procrustes(layout.col_gram(Ur, x))
-        if u_new == u and v_new == v:
-            break
-        u, v = u_new, v_new
-    op = operator_norm(x - layout.apply_right(layout.apply_left(r, u.matrix()), v.matrix()))
-    return op, u, v, iters, True
-
-
 def dist_double_coset_stack(
     xs,
     target: CosetTarget,
@@ -210,7 +185,7 @@ def dist_double_coset_stack(
     """
     fam = target.family
     if fam.kind != "unitary_orthogonal":
-        raise ValueError(f"stacked two-sided distance needs the unitary_orthogonal family, "
+        raise ValueError(f"two-sided coset distance needs the unitary_orthogonal family, "
                          f"got {fam.kind!r}")
     r = target.representative.entries
     x = np.asarray(xs)
@@ -262,50 +237,26 @@ def dist_double_coset(
     rel_tol: float = 1e-3,
     stop_below: float | None = None,
 ) -> DistanceEstimate:
-    """Witnessed upper bound on the operator-norm distance from x to K.r.K.
+    """Witnessed upper bound on the operator-norm distance from x to K.r.K,
+    for a unitary_orthogonal target.
 
     Alternates block-constrained Procrustes steps: with V fixed, the optimal
     shared copy block u maximizes tr(u^T M) for the stacked real part M of the
-    row cross-Gram, solved by the orthogonal polar factor (unitary families)
-    or by linear assignment (symmetric family, keeping witnesses inside the
-    exact subgroup); symmetrically for V.  Runs from the identity plus
-    ``restarts - 1`` random starts and keeps the best.  For unitary targets
-    this is ``dist_double_coset_stack`` on a stack of one.
+    row cross-Gram, solved by the orthogonal polar factor; symmetrically for
+    V.  Runs from the identity plus ``restarts - 1`` random starts and keeps
+    the best.  This is ``dist_double_coset_stack`` on a stack of one.
 
     tol/rel_tol stop a run once the Frobenius residual's absolute/relative
     improvement falls below them.  stop_below, when given, skips the remaining
     restarts as soon as a run's bound is already that small; the returned
-    bound stays a witnessed upper bound in every case.  Raises ValueError when
-    restarts or max_iters is below 1.
+    bound stays a witnessed upper bound in every case.  Raises ValueError for
+    any other family (the symmetric family's view is exact membership,
+    ``sym_membership``) and when restarts or max_iters is below 1.
     """
-    fam = target.family
     gen = _as_generator(rng) if rng is not None else RandomStream(0, 0).generator()
-    if fam.kind == "unitary_orthogonal":
-        return dist_double_coset_stack(x.entries[None], target, [gen], max_iters=max_iters,
-                                       tol=tol, restarts=restarts, rel_tol=rel_tol,
-                                       stop_below=stop_below)[0]
-    if fam.kind != "symmetric":
-        raise ValueError(f"two-sided coset distance undefined for family {fam.kind!r}")
-    if x.dim != target.representative.dim:
-        raise ValueError("dimension mismatch between sample and target")
-    if restarts < 1 or max_iters < 1:
-        raise ValueError(f"restarts and max_iters must be >= 1; got {restarts} and {max_iters}")
-    layout = _CopyLayout(fam.spec)
-    xe = x.entries
-    re_ = target.representative.entries
-    w = layout.w
-
-    best = None
-    for trial in range(restarts):
-        v0 = PermutationWord.identity(w) if trial == 0 else uniform_permutation(w, gen)
-        run = _alternate_discrete(xe, re_, layout, v0, max_iters)
-        if best is None or run[0] < best[0]:
-            best = run
-        if stop_below is not None and best[0] <= stop_below:
-            break
-
-    op, u, v, iters, converged = best
-    return DistanceEstimate(op, iters, converged, embed_k(u, fam.spec), embed_k(v, fam.spec))
+    return dist_double_coset_stack(x.entries[None], target, [gen], max_iters=max_iters,
+                                   tol=tol, restarts=restarts, rel_tol=rel_tol,
+                                   stop_below=stop_below)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +325,8 @@ def _min_singular_init(x, r, alpha, spectral_guess):
         p = vh[:, -1].conj()
         solved = np.ones(lanes, dtype=bool)
     else:
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
         found = []
         for xe, guess in zip(x, spectral_guess):
             def matvec(p, xe=xe):
@@ -656,6 +609,8 @@ def colligation_char_function(g: BlockMatrix, z_grid) -> list[np.ndarray]:
 
 def eigenvalue_matching_distance(a, b) -> float:
     """Smallest l-infinity distance between the two eigenvalue multisets over all matchings."""
+    from scipy.optimize import linear_sum_assignment
+
     ae = a.entries if isinstance(a, BlockMatrix) else np.asarray(a, dtype=complex)
     be = b.entries if isinstance(b, BlockMatrix) else np.asarray(b, dtype=complex)
     la = np.linalg.eigvals(ae)

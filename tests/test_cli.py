@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,14 @@ from cosetlab.haar import RandomStream
 
 FIXTURE_PRODUCT = ["product", "--family", "symmetric", "--alpha", "1", "--k", "1",
                    "--N", "3", "--g", "(1 2)", "--h", "(1 2)"]
+
+
+def _child_env() -> dict:
+    """Environment under which a child process imports the package this
+    process imported, installed or not."""
+    src = str(Path(cosetlab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def run_cli(capsys, *argv):
@@ -357,13 +366,28 @@ class TestTopLevel:
         assert json.loads(proc.stdout)["perm"] == [3, 2, 1, 4, 5]
 
     def test_module_invocation(self):
-        # the child imports the package this process imported, installed or not
-        src = str(Path(cosetlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "cosetlab.cli", "membership",
                                "--alpha", "1", "--k", "1", "--N", "3",
                                "--x", "identity", "--target", "(1 2)"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=_child_env())
         assert proc.returncode == 0
         assert proc.stdout == "false\n"
+
+    def test_import_and_sweeps_load_no_scipy(self):
+        # a fresh process, since other tests load scipy into this one
+        script = textwrap.dedent("""
+            import json, os, sys
+            import cosetlab, cosetlab.cli
+            for family, m in [("unitary_orthogonal", 1), ("unitary_conjugation", 1),
+                              ("symmetric", 2)]:
+                code = cosetlab.cli.main([
+                    "concentration", "--family", family, "--alpha", "1", "--k", "1",
+                    "--m", str(m), "--N", "8", "--epsilon", "0.4", "--samples", "3",
+                    "--seed", "1", "--out", os.devnull])
+                assert code == 0, family
+            print(json.dumps([n for n in sys.modules if n.split(".")[0] == "scipy"]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == []

@@ -64,6 +64,22 @@ class TestWilsonInterval:
         lo99, hi99 = wilson_interval(30, 60, confidence=0.99)
         assert lo99 < lo95 and hi99 > hi95
 
+    @pytest.mark.parametrize("confidence", [1e-6, 0.1, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999,
+                                            1 - 1e-6, 1 - 1e-9])
+    def test_matches_scipy_normal_quantile(self, confidence):
+        from scipy.stats import norm
+
+        z = float(norm.ppf(0.5 + confidence / 2))
+        for hits, n in [(0, 1), (1, 1), (0, 40), (1, 40), (3, 7), (30, 60), (75, 100),
+                        (1, 400), (399, 400), (400, 400)]:
+            p = hits / n
+            denom = 1 + z * z / n
+            center = (p + z * z / (2 * n)) / denom
+            half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
+            lo, hi = wilson_interval(hits, n, confidence)
+            assert (lo == 0.0) if hits == 0 else abs(lo - (center - half)) <= 1e-12 * lo
+            assert (hi == 1.0) if hits == n else abs(hi - (center + half)) <= 1e-12 * hi
+
     @pytest.mark.parametrize("hits,samples", [(-1, 10), (11, 10), (0, 0)])
     def test_invalid_inputs(self, hits, samples):
         with pytest.raises(ValueError):
@@ -320,6 +336,23 @@ class TestReports:
         lines = path.read_text().splitlines()
         assert lines[0] == "N,median_norm,mean_norm"
         assert len(lines) == 3
+
+    def test_block_decay_text_pinned(self, tmp_path):
+        # the block-decay layout byte for byte, and the values pinned to the
+        # seed up to rounding
+        rows = run_block_decay(2, [0, 8], samples=30, seed=3)
+        _, md, mn = rows[1]
+        assert md == pytest.approx(0.5748332790334012, rel=1e-12)
+        assert mn == pytest.approx(0.5645150995575252, rel=1e-12)
+        write_report(rows, tmp_path / "d.csv")
+        write_report(rows, tmp_path / "d.json", format="json")
+        assert (tmp_path / "d.csv").read_text() == (
+            f"N,median_norm,mean_norm\n0,1.0,1.0\n8,{md!r},{mn!r}\n")
+        assert (tmp_path / "d.json").read_text() == (
+            '{\n  "rows": [\n'
+            '    {\n      "N": 0,\n      "median_norm": 1.0,\n      "mean_norm": 1.0\n    },\n'
+            f'    {{\n      "N": 8,\n      "median_norm": {md!r},\n      "mean_norm": {mn!r}\n'
+            '    }\n  ]\n}\n')
 
 
 class TestRunBlockDecay:

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import cosetlab.experiments as experiments
@@ -97,35 +98,15 @@ class TestDistDoubleCoset:
         d5 = dist_double_coset(x, target, restarts=5, rng=np.random.default_rng(7))
         assert d5.upper_bound <= d1.upper_bound + 1e-12
 
-    def test_symmetric_sound_against_enumeration(self):
-        # brute force over all 24 x 24 witness pairs; the true operator-norm
-        # minimum is sqrt(3), attained by a 3-cycle through the corner slot
-        fam = _sym_family()
-        target = circ_N(SWAP, SWAP, fam)  # coset of the corner/tail swap
-        x = BlockMatrix.identity(5)
-        r = target.representative.exact_permutation
-        best = np.inf
-        for u in itertools.permutations(range(1, 5)):
-            ku = embed_k(PermutationWord(list(u)), fam.spec).exact_permutation
-            for v in itertools.permutations(range(1, 5)):
-                kv = embed_k(PermutationWord(list(v)), fam.spec).exact_permutation
-                q = (ku * r * kv).matrix()
-                best = min(best, operator_norm(np.eye(5) - q))
-        assert best == pytest.approx(np.sqrt(3), abs=1e-12)
-        est = dist_double_coset(x, target, rng=np.random.default_rng(4))
-        assert est.upper_bound >= best - 1e-9
-        assert abs(verify_estimate(est, x, target) - est.upper_bound) <= 1e-10
-        assert est.witness_left.exact_permutation is not None
-
-    def test_symmetric_membership_gives_zero(self):
-        fam = _sym_family()
-        target = circ_N(SWAP, SWAP, fam)
-        est = dist_double_coset(target.representative, target)
-        assert est.upper_bound == 0.0
+    def test_symmetric_family_rejected(self):
+        # the symmetric family's geometric view is exact membership
+        target = circ_N(SWAP, SWAP, _sym_family())
+        with pytest.raises(ValueError, match="unitary_orthogonal"):
+            dist_double_coset(target.representative, target)
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"max_iters": 0}])
     def test_iteration_counts_below_one_rejected(self, kwargs):
-        fam = _sym_family()
+        fam = _unitary_family()
         target = circ_N(SWAP, SWAP, fam)
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             dist_double_coset(target.representative, target, **kwargs)
@@ -287,7 +268,7 @@ class TestDistConjugacyStack:
                         fam)
         r = target.representative.entries
         xs = np.stack([haar_unitary(fam.spec.dim, setup) for _ in range(2)])
-        real_eigsh, calls = geometry.eigsh, []
+        real_eigsh, calls = scipy.sparse.linalg.eigsh, []
 
         def flaky(*args, **kwargs):
             calls.append(len(calls))
@@ -295,10 +276,10 @@ class TestDistConjugacyStack:
                 raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((36, 0)))
             return real_eigsh(*args, **kwargs)
 
-        monkeypatch.setattr(geometry, "eigsh", flaky)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flaky)
         failed, solved = dist_conjugacy_stack(xs, target, max_iters=40)
         assert calls == [0, 1]
-        monkeypatch.setattr(geometry, "eigsh", real_eigsh)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real_eigsh)
         eye = np.eye(fam.spec.dim, dtype=complex)
         spectral = geometry._spectral_match_init(xs[:1], r, 1)[0]
         op, iters, converged, W = _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)
