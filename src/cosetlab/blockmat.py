@@ -5,6 +5,11 @@ A square matrix of size alpha + m*(k + n_tail) is sliced into a distinguished
 leading k-block and a ``tail`` of size n_tail.  A permutation matrix is held
 as its image word, so symmetric-group arithmetic stays exact; its dense
 entries are built only when something reads them.
+
+Every embedding is one placement: an identity with a small block on the rows
+and columns of given position sets, a word staying a word.  ``embed`` places
+the window on the corner and active points, ``embed_k`` a block on each copy,
+and ``build_JN`` is ``embed_k`` of the word swapping active and first k tail.
 """
 
 from __future__ import annotations
@@ -314,21 +319,35 @@ def block(mat: BlockMatrix, row_block: str, col_block: str) -> np.ndarray:
     return mat.entries[mat.spec.block_slice(row_block), mat.spec.block_slice(col_block)].copy()
 
 
-def _window_indices(spec: BlockSpec) -> list[int]:
-    # 0-based positions of the embedded subgroup: corner then each copy's active block
-    idx = list(range(spec.alpha))
-    for c in range(spec.m):
-        start = spec.alpha + c * spec.copy_size
-        idx.extend(range(start, start + spec.k))
-    return idx
-
-
-def _window_perm_to_full(word: PermutationWord, spec: BlockSpec) -> PermutationWord:
-    idx = _window_indices(spec)  # idx[i-1]+1 is the full-space position of window point i
-    im = list(range(1, spec.dim + 1))
-    for i, target in enumerate(word.images):
-        im[idx[i]] = idx[target - 1] + 1
-    return PermutationWord(im)
+def _place(u, size: int, n: int, blocks, spec: BlockSpec | None = None) -> BlockMatrix:
+    """The identity of size n with the size x size block u on the rows and
+    columns of each position set in ``blocks``: an int s for the run
+    s..s+size-1 (placed by slice assignment), or a list of 0-based positions.
+    A PermutationWord u, or an exact-permutation BlockMatrix, stays exact."""
+    if isinstance(u, BlockMatrix):
+        u = u.exact_permutation if u.exact_permutation is not None else u.entries
+    if isinstance(u, PermutationWord):
+        if u.degree != size:
+            raise ValueError(f"expected degree {size}, got {u.degree}")
+        im = list(range(1, n + 1))
+        for pos in blocks:
+            if isinstance(pos, int):
+                for j, target in enumerate(u.images):
+                    im[pos + j] = pos + target
+            else:
+                for i, target in zip(pos, u.images):
+                    im[i] = pos[target - 1] + 1
+        return BlockMatrix.from_permutation(PermutationWord(im), spec)
+    u = np.asarray(u)
+    if u.shape != (size, size):
+        raise ValueError(f"expected a {size}x{size} matrix, got {u.shape}")
+    out = np.eye(n, dtype=complex)
+    for pos in blocks:
+        if isinstance(pos, int):
+            out[pos:pos + size, pos:pos + size] = u
+        else:
+            out[np.ix_(pos, pos)] = u
+    return BlockMatrix(out, spec)
 
 
 def embed(g: BlockMatrix, spec: BlockSpec) -> BlockMatrix:
@@ -337,37 +356,16 @@ def embed(g: BlockMatrix, spec: BlockSpec) -> BlockMatrix:
     The corner and active blocks of the result are g's blocks; every tail
     carries the identity, so the result is unitary whenever g is.
     """
-    if g.dim != spec.window:
-        raise ValueError(f"expected dimension {spec.window}, got {g.dim}")
-    if g.exact_permutation is not None:
-        return BlockMatrix.from_permutation(
-            _window_perm_to_full(g.exact_permutation, spec), spec)
-    out = np.eye(spec.dim, dtype=complex)
-    idx = _window_indices(spec)
-    out[np.ix_(idx, idx)] = g.entries
-    return BlockMatrix(out, spec)
+    window = list(range(spec.alpha))
+    for start in range(spec.alpha, spec.dim, spec.copy_size):
+        window.extend(range(start, start + spec.k))
+    return _place(g, spec.window, spec.dim, [window], spec)
 
 
 def embed_k(u, spec: BlockSpec) -> BlockMatrix:
     """Place m identical diagonal copies of u (size k + n_tail) after an identity corner."""
-    w = spec.copy_size
-    if isinstance(u, PermutationWord):
-        if u.degree != w:
-            raise ValueError(f"expected degree {w}, got {u.degree}")
-        im = list(range(1, spec.dim + 1))
-        for c in range(spec.m):
-            base = spec.alpha + c * w
-            for j, target in enumerate(u.images):
-                im[base + j] = base + target
-        return BlockMatrix.from_permutation(PermutationWord(im), spec)
-    u = np.asarray(u)
-    if u.shape != (w, w):
-        raise ValueError(f"expected a {w}x{w} matrix, got {u.shape}")
-    out = np.eye(spec.dim, dtype=complex)
-    for c in range(spec.m):
-        sl = spec.copy_slice(c)
-        out[sl, sl] = u
-    return BlockMatrix(out, spec)
+    w, n = spec.copy_size, spec.dim
+    return _place(u, w, n, range(spec.alpha, n, w), spec)
 
 
 def build_JN(spec: BlockSpec) -> BlockMatrix:
@@ -377,12 +375,8 @@ def build_JN(spec: BlockSpec) -> BlockMatrix:
     """
     if spec.n_tail < spec.k:
         raise ValueError(f"n_tail={spec.n_tail} < k={spec.k}: tail too short for the block swap")
-    im = list(range(1, spec.dim + 1))
-    for c in range(spec.m):
-        base = spec.alpha + c * spec.copy_size
-        for j in range(spec.k):
-            im[base + j], im[base + spec.k + j] = im[base + spec.k + j], im[base + j]
-    return BlockMatrix.from_permutation(PermutationWord(im), spec)
+    swaps = [(j, spec.k + j) for j in range(1, spec.k + 1)]
+    return embed_k(PermutationWord.from_cycles(spec.copy_size, swaps), spec)
 
 
 def operator_norm(mat) -> float:

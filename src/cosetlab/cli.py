@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .blockmat import BlockMatrix, BlockSpec, embed, load_source
-from .cosets import FAMILY_KINDS, GroupFamily, circ_N, circ_infinite
+from .cosets import FAMILY_KINDS, CosetTarget, GroupFamily, circ_N, circ_infinite
 from .experiments import (
     ExperimentConfig,
     run_block_decay,
@@ -71,8 +72,6 @@ def _cmd_membership(args) -> int:
     fam = GroupFamily("symmetric", spec)
     x = load_source(args.x, spec.dim)
     rep = load_source(args.target, spec.dim)
-    from .cosets import CosetTarget
-
     verdict = sym_membership(x, CosetTarget(rep, fam))
     write_text(("true" if verdict else "false") + "\n", args.out)
     return 0
@@ -112,13 +111,7 @@ def _cmd_concentration(args) -> int:
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object; "
                               f"got {type(data).__name__}")
-    overrides = {
-        "family": args.family, "alpha": args.alpha, "k": args.k, "m": args.m,
-        "N_list": args.N or None, "epsilon_list": args.epsilon or None,
-        "samples": args.samples, "seed": args.seed,
-        "g_spec": args.g, "h_spec": args.h,
-        "restarts": args.restarts, "max_iters": args.max_iters, "tol": args.tol,
-    }
+    overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     data.update({key: val for key, val in overrides.items() if val is not None})
     if data.get("seed") is None:
         raise ConfigError("concentration needs an explicit --seed (or a seed in the config)")
@@ -196,12 +189,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int)
-    p.add_argument("--N", type=int, action="append")
-    p.add_argument("--epsilon", type=float, action="append")
+    p.add_argument("--N", dest="N_list", metavar="N", type=int, action="append")
+    p.add_argument("--epsilon", dest="epsilon_list", metavar="EPSILON", type=float,
+                   action="append")
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--g", default=None, help="matrix source for g")
-    p.add_argument("--h", default=None)
+    p.add_argument("--g", dest="g_spec", metavar="G", help="matrix source for g")
+    p.add_argument("--h", dest="h_spec", metavar="H")
     p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--tol", type=float)

@@ -21,6 +21,7 @@ from .blockmat import (
     BlockMatrix,
     BlockSpec,
     PermutationWord,
+    _place,
     build_JN,
     embed,
     embed_k,
@@ -67,60 +68,25 @@ class CosetTarget:
     family: GroupFamily
 
 
-def _split(g: BlockMatrix, alpha: int):
-    a = g.entries[:alpha, :alpha]
-    b = g.entries[:alpha, alpha:]
-    c = g.entries[alpha:, :alpha]
-    d = g.entries[alpha:, alpha:]
-    return a, b, c, d
-
-
-def _infer_alpha(g: BlockMatrix, h: BlockMatrix, alpha):
-    if alpha is not None:
-        return int(alpha)
-    for side in (g, h):
-        if side.spec is not None:
-            return side.spec.alpha
-    raise ValueError("alpha not given and neither input carries a spec")
-
-
-def _maybe_exact(entries: np.ndarray, spec=None) -> BlockMatrix:
-    # recover the word when entries form an exact 0-1 permutation matrix; the
-    # word and the entries-against-word check each raise ValueError otherwise
-    word = np.argmax(entries.real, axis=0) + 1
-    try:
-        return BlockMatrix(entries, spec, PermutationWord(word))
-    except ValueError:
-        return BlockMatrix(entries, spec)
-
-
 def circ_infinite(g: BlockMatrix, h: BlockMatrix, alpha: int | None = None) -> BlockMatrix:
     """Size-stable product of corner groups: (alpha+k1) x (alpha+k2) -> alpha+k1+k2.
 
-    With g = [[a, b], [c, d]] and h = [[p, q], [r, t]] split at the corner,
-    the result is [[ap, b, aq], [cp, d, cq], [r, 0, t]].  Unitary inputs give
-    a unitary output.  The two active sizes may differ.  The conjugation
-    family uses the same formula; only the ambient equivalence differs, being
-    conjugacy by the corner-fixing subgroup rather than two-sided cosets.
+    g placed on the first alpha+k1 points times h placed on the corner and the
+    last k2 points: with g = [[a, b], [c, d]] and h = [[p, q], [r, t]] split
+    at the corner, [[ap, b, aq], [cp, d, cq], [r, 0, t]].  Two permutations
+    give an exact permutation, unitary inputs a unitary.  The active sizes may
+    differ.  The conjugation family uses the same product; only the ambient
+    equivalence differs, being conjugacy by the corner-fixing subgroup rather
+    than two-sided cosets.  alpha defaults to the spec of g, else of h.
     """
-    alpha = _infer_alpha(g, h, alpha)
-    a, b, c, d = _split(g, alpha)
-    p, q, r, t = _split(h, alpha)
-    k1 = g.dim - alpha
-    k2 = h.dim - alpha
-    out = np.zeros((alpha + k1 + k2, alpha + k1 + k2), dtype=complex)
-    s0, s1, s2 = slice(0, alpha), slice(alpha, alpha + k1), slice(alpha + k1, alpha + k1 + k2)
-    out[s0, s0] = a @ p
-    out[s0, s1] = b
-    out[s0, s2] = a @ q
-    out[s1, s0] = c @ p
-    out[s1, s1] = d
-    out[s1, s2] = c @ q
-    out[s2, s0] = r
-    out[s2, s2] = t
-    if g.exact_permutation is not None and h.exact_permutation is not None:
-        return _maybe_exact(out)
-    return BlockMatrix(out)
+    specs = [b.spec for b in (g, h) if b.spec is not None]
+    if alpha is None and not specs:
+        raise ValueError("alpha not given and neither input carries a spec")
+    alpha = int(specs[0].alpha if alpha is None else alpha)
+    if not 0 <= alpha <= min(g.dim, h.dim):
+        raise ValueError(f"alpha={alpha} must lie in 0..{min(g.dim, h.dim)}")
+    n = g.dim + h.dim - alpha
+    return _place(g, g.dim, n, [0]) @ _place(h, h.dim, n, [[*range(alpha), *range(g.dim, n)]])
 
 
 def circ_N(g: BlockMatrix, h: BlockMatrix, family: GroupFamily) -> CosetTarget:
@@ -270,9 +236,7 @@ def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, x_w, family: GroupFamily
     block = family.with_n_tail(k).spec.copy_slice(0)
 
     def widen(b: BlockMatrix) -> np.ndarray:
-        out = np.eye(w, dtype=complex)
-        out[:2 * k, :2 * k] = b.entries[block, block]
-        return out
+        return _place(b.entries[block, block], 2 * k, w, [0]).entries
 
     left = x_w @ q @ widen(u)
     right = widen(v) @ q.conj().T

@@ -13,7 +13,7 @@ import numbers
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from io import StringIO
 from statistics import NormalDist
 
@@ -110,28 +110,27 @@ class ExperimentConfig:
             raise ValueError(f"restarts must be >= 1; got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0; got {self.seed}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a number; got {self.tol!r}")
+        object.__setattr__(self, "tol", float(self.tol))
         if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"tol must be finite and >= 0; got {self.tol}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"family", "alpha", "k", "m", "N_list", "epsilon_list", "samples", "seed"} - set(data)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(data)
         if missing:
             raise ValueError(f"missing config fields: {sorted(missing)}")
         return cls(**data)
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family, "alpha": self.alpha, "k": self.k, "m": self.m,
-            "N_list": list(self.N_list), "epsilon_list": list(self.epsilon_list),
-            "samples": self.samples, "seed": self.seed,
-            "g_spec": self.g_spec, "h_spec": self.h_spec,
-            "restarts": self.restarts, "max_iters": self.max_iters, "tol": self.tol,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in data.items()}
 
 
 @dataclass(frozen=True)

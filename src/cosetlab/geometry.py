@@ -199,11 +199,8 @@ def dist_double_coset_stack(
         return []
     layout = _CopyLayout(fam.spec)
     w, lanes_total = layout.w, len(x)
-    # each round's runs are kept; best_run indexes them in round order
-    rounds, done_runs = [], 0
-    best_op = np.full(lanes_total, np.inf)
-    best_run = np.zeros(lanes_total, dtype=int)
-    lanes, first, eye = np.arange(lanes_total), 0, np.eye(w)
+    # each lane's best run so far: (bound, u, v, iterations, converged)
+    best, lanes, first, eye = None, np.arange(lanes_total), 0, np.eye(w)
     while first < restarts and len(lanes):
         trials = range(first, restarts if stop_below is None else first + 1)
         n = len(trials)
@@ -211,17 +208,16 @@ def dist_double_coset_stack(
                        for i in lanes for t in trials])
         run = _alternate_stack(x[np.repeat(lanes, n)], r, layout, v0,
                                max_iters, tol, rel_tol, stop_below)
-        op, ids = run[0], done_runs + np.arange(len(v0)).reshape(-1, n)
+        if best is None:  # round 0 starts every lane from the identity
+            best = [part[::n].copy() for part in run]
         for j in range(n):
-            better = op[j::n] < best_op[lanes]
-            won = lanes[better]
-            best_op[won], best_run[won] = op[j::n][better], ids[better, j]
-        rounds.append(run)
-        done_runs += len(v0)
+            better = run[0][j::n] < best[0][lanes]
+            for kept, part in zip(best, run):
+                kept[lanes[better]] = part[j::n][better]
         first = trials.stop
         if stop_below is not None:
-            lanes = lanes[best_op[lanes] > stop_below]
-    op, u, v, iters, conv = (np.concatenate(parts)[best_run] for parts in zip(*rounds))
+            lanes = lanes[best[0][lanes] > stop_below]
+    op, u, v, iters, conv = best
     return [DistanceEstimate(float(op[i]), int(iters[i]), bool(conv[i]),
                              embed_k(u[i], fam.spec), embed_k(v[i], fam.spec))
             for i in range(lanes_total)]

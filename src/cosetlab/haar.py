@@ -31,6 +31,8 @@ class RandomStream:
     stream_index: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative; got {self.seed}")
         if self.stream_index < 0:
             raise ValueError("stream_index must be nonnegative")
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -19,7 +20,7 @@ from cosetlab.blockmat import (
 )
 from cosetlab.cosets import GroupFamily
 from cosetlab.experiments import ExperimentConfig, run_concentration
-from cosetlab.haar import RandomStream, haar_unitary
+from cosetlab.haar import RandomStream, haar_unitary, uniform_permutation
 from cosetlab.hypergroup_exact import exact_convolution
 
 
@@ -280,6 +281,22 @@ class TestEmbedK:
     def test_size_check(self):
         with pytest.raises(ValueError):
             embed_k(np.eye(2), BlockSpec(1, 1, 2, 1))
+
+
+class TestWordAndDenseEmbeddingsAgree:
+    def test_same_entries(self):
+        gen = RandomStream(12, 0).generator()
+        for alpha, k, n_tail, m in itertools.product((0, 1, 2), (1, 2), (0, 1, 3), (1, 2, 3)):
+            spec = BlockSpec(alpha, k, n_tail, m)
+            g = uniform_permutation(spec.window, gen)
+            u = uniform_permutation(spec.copy_size, gen)
+            by_word = embed(BlockMatrix.from_permutation(g), spec)
+            by_dense = embed(BlockMatrix(g.matrix()), spec)
+            assert by_word.exact_permutation is not None
+            np.testing.assert_array_equal(by_word.entries, by_dense.entries)
+            by_word, by_dense = embed_k(u, spec), embed_k(u.matrix(), spec)
+            assert by_word.exact_permutation is not None
+            np.testing.assert_array_equal(by_word.entries, by_dense.entries)
 
 
 class TestBuildJN:

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -288,6 +289,7 @@ class TestExitCodes:
         ({"N_list": "64"}, ()),
         ({}, ("--epsilon", "nan")),
         ({"g_spec": 5}, ()),
+        ({"tol": True}, ()),
     ])
     def test_wrongly_typed_config_value_is_config_error(self, capsys, tmp_path, config, flags):
         data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],
@@ -298,6 +300,20 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "concentration", "--config", str(path), *flags)
         assert code == 1
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--kind", "unitary", "--dim", "3", "--seed", "-5"),
+        ("block-decay", "--k", "1", "--N", "4", "--samples", "30", "--seed", "-1"),
+        (*CONC, "--N", "3", "--samples", "2", "--g", "(1 2 3)", "--seed", "-1"),
+    ], ids=["sample", "block-decay", "concentration"])
+    def test_negative_seed_is_config_error(self, capsys, monkeypatch, argv):
+        def sweep(cfg):
+            raise AssertionError("the sweep started with a negative seed")
+
+        monkeypatch.setattr("cosetlab.cli.run_concentration", sweep)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "seed must be" in err
 
     def test_symmetric_copy_larger_than_recursion_limit(self, capsys):
         code, out, _ = run_cli(capsys, *self.CONC, "--N", "1024", "--samples", "2",
@@ -341,6 +357,16 @@ class TestExitCodes:
 
 
 class TestTopLevel:
+    def test_readme_command_lines_run(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.replace("\\\n", " ").splitlines()
+                 if line.startswith("cosetlab ")]
+        assert len(lines) == 7
+        for line in lines:
+            code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+            assert code == 0, (line, err)
+
     def test_no_subcommand_exits_one(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1

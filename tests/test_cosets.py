@@ -83,9 +83,28 @@ class TestCircInfinite:
         assert out.dim == 4
         assert is_unitary(out, 1e-10)
 
+    def test_equals_conjugation_product_at_tail_k(self):
+        # at n_tail = k, embed(g).J.embed(h).J is g on the first alpha+k points
+        # times h on the corner and the tail: the corner product
+        gen = RandomStream(8, 0).generator()
+        for alpha, k in [(0, 1), (1, 1), (1, 2), (2, 3)]:
+            fam = GroupFamily("unitary_conjugation", BlockSpec(alpha, k, k, 1))
+            w = alpha + k
+            g, h = (BlockMatrix.from_permutation(uniform_permutation(w, gen)) for _ in "gh")
+            out = circ_infinite(g, h, alpha)
+            assert out.exact_permutation == circ_N(g, h, fam).representative.exact_permutation
+            g, h = (BlockMatrix(haar_unitary(w, gen)) for _ in "gh")
+            ref = circ_N(g, h, fam).representative.entries
+            assert np.abs(circ_infinite(g, h, alpha).entries - ref).max() <= 1e-15
+
     def test_alpha_inference_needs_spec(self):
         with pytest.raises(ValueError):
             circ_infinite(BlockMatrix.identity(2), BlockMatrix.identity(2))
+
+    def test_alpha_out_of_range(self):
+        for alpha in (-1, 3):
+            with pytest.raises(ValueError, match="alpha"):
+                circ_infinite(SWAP, BlockMatrix.identity(3), alpha=alpha)
 
 
 class TestCircN:

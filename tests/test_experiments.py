@@ -151,10 +151,19 @@ class TestExperimentConfig:
         dict(epsilon_list=(float("inf"),)),
         dict(g_spec=5),
         dict(h_spec=None),
+        dict(tol=True),
+        dict(tol="1e-3"),
+        dict(tol=None),
+        dict(seed=-1),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ValueError):
             _cfg(**overrides)
+
+    def test_tol_is_stored_as_float(self):
+        cfg = _cfg(tol=1)
+        assert type(cfg.tol) is float
+        assert type(cfg.to_json_dict()["tol"]) is float
 
 
 class TestRunConcentration:

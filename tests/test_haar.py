@@ -28,6 +28,10 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(1, -1)
 
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed"):
+            RandomStream(-5, 0)
+
     def test_accepts_generator(self):
         gen = RandomStream(1, 0).generator()
         haar_orthogonal(3, gen)
