@@ -107,9 +107,13 @@ class PermutationWord:
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "PermutationWord":
-        im = list(range(1, n + 1))
+        """The product of disjoint cycles on 1..n; ValueError names a bad point."""
+        im, seen = list(range(1, n + 1)), set()
         for cyc in cycles:
             for i, a in enumerate(cyc):
+                if not 1 <= a <= n or a in seen:
+                    raise ValueError(f"cycle point {a} repeats or lies outside 1..{n}")
+                seen.add(a)
                 im[a - 1] = cyc[(i + 1) % len(cyc)]
         return cls(im)
 

@@ -51,9 +51,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    window = args.alpha + args.m * args.k
-    g = load_source(args.g, window)
-    h = load_source(args.h, window)
+    spec = BlockSpec(args.alpha, args.k, args.k if args.N is None else args.N, args.m)
+    g = load_source(args.g, spec.window)
+    h = load_source(args.h, spec.window)
     if args.N is None:
         if args.m != 1:
             raise ConfigError("the size-stable product needs m=1; pass --N for the finite product")
@@ -61,7 +61,7 @@ def _cmd_product(args) -> int:
         if args.family == "symmetric" and rep.exact_permutation is None:
             raise ConfigError("symmetric family requires exact permutation inputs")
     else:
-        fam = GroupFamily(args.family, BlockSpec(args.alpha, args.k, args.N, args.m))
+        fam = GroupFamily(args.family, spec)
         rep = circ_N(g, h, fam).representative
     write_text(json.dumps(rep.to_json_dict()) + "\n", args.out)
     return 0

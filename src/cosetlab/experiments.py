@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, load_source, operator_norm
+from .blockmat import BlockMatrix, BlockSpec, embed, load_source, operator_norm
 from .cosets import GroupFamily, circ_N, sample_core
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import RandomStream, haar_columns, haar_unitary, top_block, uniform_permutation
@@ -54,10 +54,10 @@ _ORTH_BLOCK_BYTES = 4 << 20
 class ExperimentConfig:
     """One concentration sweep: fixed (g, h), varying tail size N.
 
-    g_spec / h_spec are "random_unitary" (one Haar window draw per
-    experiment, from the seed's stream 0, g before h; a uniform window
-    permutation for the symmetric family) or any window-size source that
-    ``blockmat.load_source`` reads.
+    g_spec / h_spec are matrix-source strings: "random_unitary" (one Haar
+    window draw per experiment, from the seed's stream 0, g before h; a uniform
+    window permutation for the symmetric family) or any window-size source
+    that ``blockmat.load_source`` reads.
     """
 
     family: str
@@ -76,7 +76,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("g_spec", "h_spec"):
-            if not isinstance(getattr(self, name), (str, BlockMatrix, PermutationWord)):
+            if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a matrix source; got {getattr(self, name)!r}")
         for name in ("alpha", "k", "m", "samples", "seed", "restarts", "max_iters"):
             value = getattr(self, name)
@@ -210,19 +210,13 @@ def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
 def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
     """Turn a g_spec/h_spec matrix source into a window-sized BlockMatrix."""
     window = family.spec.window
-    if isinstance(source, BlockMatrix):
-        elem = source
-    elif isinstance(source, PermutationWord):
-        elem = BlockMatrix.from_permutation(source)
-    elif source == "random_unitary":
+    if source == "random_unitary":
         if family.kind == "symmetric":
             elem = BlockMatrix.from_permutation(uniform_permutation(window, gen))
         else:
             elem = BlockMatrix(haar_unitary(window, gen))
     else:
         elem = load_source(source, window)
-    if elem.dim != window:
-        raise ValueError(f"matrix source has dimension {elem.dim}, expected window {window}")
     if family.kind == "symmetric" and elem.exact_permutation is None:
         raise ValueError("symmetric family needs exact permutation g/h")
     return elem

@@ -12,9 +12,7 @@ matmul, and each lane's result is the one it would get alone.  Every estimate
 carries explicit witnesses, so the reported bound can be re-verified by
 direct evaluation.
 
-scipy is imported only where it is called: ARPACK for conjugation cores whose
-non-corner size exceeds 34, and linear assignment in
-``eigenvalue_matching_distance``.
+scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockMatrix, as_word, embed_k, operator_norm
+from .blockmat import BlockMatrix, as_word, embed_k, is_unitary, operator_norm
 from .cosets import CosetTarget
 from .haar import RandomStream, _as_generator, haar_orthogonal
 
@@ -79,7 +77,6 @@ class _CopyLayout:
     method also takes stacks (leading axes) of x, u and v against one r."""
 
     def __init__(self, spec):
-        self.spec = spec
         self.alpha = spec.alpha
         self.w = spec.copy_size
         self.slices = [spec.copy_slice(c) for c in range(spec.m)]
@@ -276,19 +273,26 @@ def _blockify_unitary(M: np.ndarray, alpha: int) -> np.ndarray:
     return W
 
 
+def _circle_match(lx: np.ndarray, lr: np.ndarray):
+    """Min-max matching of the unit-circle spectra lx (S, n) and lr (n,): the best
+    cyclic shift of the angle-sorted lists, optimal among all matchings.  Returns
+    per lane the orders ix and jr that pair lx[ix] with lr[jr], and the largest gap."""
+    ix, ir = np.argsort(np.angle(lx), axis=-1), np.argsort(np.angle(lr))
+    lx, lr = np.take_along_axis(lx, ix, axis=-1), lr[ir]
+    n = len(lr)
+    gaps = np.stack([np.abs(lx - np.roll(lr, -s)).max(axis=-1) for s in range(n)], axis=-1)
+    cols = (np.arange(n) + gaps.argmin(axis=-1)[:, None]) % n
+    return ix, ir[cols], gaps.min(axis=-1)
+
+
 def _spectral_match_init(x: np.ndarray, r: np.ndarray, alpha: int) -> np.ndarray:
     """Per lane of x, the unitary mapping r's eigenbasis to x's, eigenvalues
     matched around the circle."""
     lx, P = np.linalg.eig(x)
     lr, Q = np.linalg.eig(r)
-    ix = np.argsort(np.angle(lx), axis=-1)
-    ir = np.argsort(np.angle(lr))
-    P, lx = np.take_along_axis(P, ix[:, None, :], axis=-1), np.take_along_axis(lx, ix, axis=-1)
-    Q, lr = Q[:, ir], lr[ir]
-    n = len(lr)
-    shifts = np.stack([np.abs(lx - np.roll(lr, -s)).max(axis=-1) for s in range(n)], axis=-1)
-    cols = (np.arange(n) + shifts.argmin(axis=-1)[:, None]) % n
-    Q = np.moveaxis(Q[:, cols], 1, 0)
+    ix, jr, _ = _circle_match(lx, lr)
+    P = np.take_along_axis(P, ix[:, None, :], axis=-1)
+    Q = np.moveaxis(Q[:, jr], 1, 0)
     return _blockify_unitary(P @ Q.conj().swapaxes(-1, -2), alpha)
 
 
@@ -604,13 +608,10 @@ def colligation_char_function(g: BlockMatrix, z_grid) -> list[np.ndarray]:
 
 
 def eigenvalue_matching_distance(a, b) -> float:
-    """Smallest l-infinity distance between the two eigenvalue multisets over all matchings."""
-    from scipy.optimize import linear_sum_assignment
-
-    ae = a.entries if isinstance(a, BlockMatrix) else np.asarray(a, dtype=complex)
-    be = b.entries if isinstance(b, BlockMatrix) else np.asarray(b, dtype=complex)
-    la = np.linalg.eigvals(ae)
-    lb = np.linalg.eigvals(be)
-    cost = np.abs(la[:, None] - lb[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+    """Min-max eigenvalue matching distance of two same-size unitaries (by Bhatia and
+    Davis, the operator-norm distance between their unitary orbits); else ValueError."""
+    ae, be = (np.asarray(getattr(m, "entries", m), dtype=complex) for m in (a, b))
+    square = ae.ndim == 2 and ae.shape == be.shape == ae.shape[::-1]
+    if not (square and is_unitary(ae) and is_unitary(be)):
+        raise ValueError(f"need two unitaries of one size; got shapes {ae.shape} and {be.shape}")
+    return float(_circle_match(np.linalg.eigvals(ae)[None], np.linalg.eigvals(be))[2][0])

@@ -67,6 +67,26 @@ class TestPermutationWord:
         assert PermutationWord.from_cycles(5, [[1, 3]]) == PermutationWord([3, 2, 1, 4, 5])
         assert PermutationWord.from_cycles(4, [[1, 2], [3, 4]]) == PermutationWord([2, 1, 4, 3])
 
+    @pytest.mark.parametrize("n,cycles,point", [
+        (2, [[1, 2], [1, 2]], 1),
+        (3, [[1, 2], [2, 3]], 2),
+        (3, [[1, 2, 1]], 1),
+        (3, [[1, 5]], 5),
+        (3, [[0, 1]], 0),
+    ], ids=["repeated_cycle", "overlap", "within", "above", "zero"])
+    def test_from_cycles_rejects_bad_points(self, n, cycles, point):
+        with pytest.raises(ValueError, match=f"cycle point {point} "):
+            PermutationWord.from_cycles(n, cycles)
+
+    @pytest.mark.parametrize("text,degree,point", [
+        ("(1 2)(1 2)", None, 1),
+        ("(1 2)(2 3)", None, 2),
+        ("(1 5)", 3, 5),
+    ])
+    def test_parse_rejects_bad_cycles(self, text, degree, point):
+        with pytest.raises(ValueError, match=f"cycle point {point} "):
+            PermutationWord.parse(text, degree=degree)
+
     @pytest.mark.parametrize("text,images", [
         ("(1 2)", [2, 1]),
         ("(1 2)(3 4)", [2, 1, 4, 3]),

@@ -61,6 +61,24 @@ class TestProduct:
         assert (code, out) == (1, "")
         assert "exact permutation" in err
 
+    def test_overlapping_cycles_are_config_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "product", "--family", "symmetric", "--alpha", "1", "--k", "1",
+            "--N", "3", "--g", "(1 2)(1 2)", "--h", "identity")
+        assert (code, out) == (1, "")
+        assert "cycle point 1" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "unitary_orthogonal", "--alpha", "0", "--k", "0",
+         "--g", "identity", "--h", "identity"),
+        ("--family", "symmetric", "--alpha", "2", "--k", "0", "--g", "(1 2)", "--h", "identity"),
+    ], ids=["empty", "corner_only"])
+    def test_size_stable_product_checks_shape(self, capsys, argv):
+        # the same check as the finite product's BlockSpec
+        code, out, err = run_cli(capsys, "product", *argv)
+        assert (code, out) == (1, "")
+        assert "k and m must be positive" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rep.json"
         code, out, _ = run_cli(capsys, *FIXTURE_PRODUCT, "--out", str(path))
@@ -403,6 +421,7 @@ class TestTopLevel:
         # a fresh process, since other tests load scipy into this one
         script = textwrap.dedent("""
             import json, os, sys
+            import numpy as np
             import cosetlab, cosetlab.cli
             for family, m in [("unitary_orthogonal", 1), ("unitary_conjugation", 1),
                               ("symmetric", 2)]:
@@ -411,6 +430,7 @@ class TestTopLevel:
                     "--m", str(m), "--N", "8", "--epsilon", "0.4", "--samples", "3",
                     "--seed", "1", "--out", os.devnull])
                 assert code == 0, family
+            cosetlab.eigenvalue_matching_distance(1j * np.eye(3), np.eye(3))
             print(json.dumps([n for n in sys.modules if n.split(".")[0] == "scipy"]))
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

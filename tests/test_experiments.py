@@ -155,6 +155,8 @@ class TestExperimentConfig:
         dict(tol="1e-3"),
         dict(tol=None),
         dict(seed=-1),
+        dict(g_spec=BlockMatrix.identity(2)),
+        dict(h_spec=PermutationWord([2, 1])),
     ])
     def test_validation(self, overrides):
         with pytest.raises(ValueError):

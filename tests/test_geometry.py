@@ -664,3 +664,56 @@ class TestEigenvalueMatchingDistance:
         u = haar_unitary(4, gen)
         p = PermutationWord([3, 1, 4, 2]).matrix()
         assert eigenvalue_matching_distance(u, p @ u @ p.T) <= 1e-10
+
+    @staticmethod
+    def _brute_force(a, b):
+        # min over every permutation of the largest eigenvalue gap
+        la, lb = np.linalg.eigvals(a), np.linalg.eigvals(b)
+        perms = np.array(list(itertools.permutations(range(len(la)))))
+        return float(np.abs(la[None, :] - lb[perms]).max(axis=1).min())
+
+    def test_equals_brute_force_min_max_matching(self):
+        # min-sum assignment is not min-max; repeated eigenvalues come from
+        # spectra drawn from the 4th roots of unity
+        gen = RandomStream(94, 0).generator()
+        worst = 0.0
+        for trial in range(1200):
+            n = 1 + trial % 6
+            pair = []
+            for _ in range(2):
+                if trial % 3 == 0:
+                    q = haar_unitary(n, gen)
+                    spectrum = 1j ** gen.integers(0, 4, size=n)
+                    pair.append(q @ np.diag(spectrum) @ q.conj().T)
+                else:
+                    pair.append(haar_unitary(n, gen))
+            gap = abs(eigenvalue_matching_distance(*pair) - self._brute_force(*pair))
+            worst = max(worst, gap)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("N", [2, 8])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_is_conjugacy_distance_without_corner(self, k, N, seed):
+        # at alpha=0 the conjugators are the whole unitary group, so by Bhatia
+        # and Davis the distance to the class is the optimal matching distance
+        fam = GroupFamily("unitary_conjugation", BlockSpec(0, k, N, 1))
+        gen = RandomStream(seed, 0).generator()
+        g = BlockMatrix(haar_unitary(k, gen))
+        h = BlockMatrix(haar_unitary(k, gen))
+        target = circ_N(g, h, fam)
+        x = BlockMatrix(haar_unitary(fam.spec.dim, gen))
+        est = dist_conjugacy(x, target)
+        assert est.upper_bound == pytest.approx(
+            eigenvalue_matching_distance(x, target.representative), abs=1e-9)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.eye(3), 2 * np.eye(3)),
+        (np.diag([1.0, 0.5]), np.eye(2)),
+        (np.eye(2), np.eye(3)),
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.ones(3), np.ones(3)),
+    ], ids=["scaled", "contraction", "sizes", "non_square", "vector"])
+    def test_non_unitary_or_mismatched_rejected(self, a, b):
+        with pytest.raises(ValueError, match="two unitaries of one size"):
+            eigenvalue_matching_distance(a, b)
