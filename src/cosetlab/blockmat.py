@@ -392,6 +392,8 @@ def operator_norm(mat) -> float:
 
 
 def is_unitary(mat, tol: float = 1e-10) -> bool:
+    """Whether mat is a square matrix with ||mat^H mat - I|| <= tol; False for any other shape."""
     a = mat.entries if isinstance(mat, BlockMatrix) else np.asarray(mat, dtype=complex)
-    n = a.shape[0]
-    return operator_norm(a.conj().T @ a - np.eye(n)) <= tol
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    return operator_norm(a.conj().T @ a - np.eye(len(a))) <= tol

@@ -25,6 +25,7 @@ from .blockmat import (
     build_JN,
     embed,
     embed_k,
+    is_unitary,
 )
 from .haar import _as_generator, haar_orthogonal, haar_unitary, uniform_permutation
 
@@ -95,10 +96,14 @@ def circ_N(g: BlockMatrix, h: BlockMatrix, family: GroupFamily) -> CosetTarget:
     g and h live on the window (corner + active blocks); the representative is
     full-dimensional.  For the conjugation family the representative is
     embed(g) . J . embed(h) . J instead, so it stays in the same conjugacy
-    picture (J is an involution).
+    picture (J is an involution).  Raises ValueError when g or h is not in
+    the group: not unitary (tol 1e-10), or for the symmetric family not an
+    exact permutation.
     """
     spec = family.spec
     J = build_JN(spec)  # raises when n_tail < k
+    if family.kind != "symmetric" and not (is_unitary(g) and is_unitary(h)):
+        raise ValueError(f"the {family.kind} family needs unitary g and h")
     rep = embed(g, spec) @ J @ embed(h, spec)
     if family.kind == "unitary_conjugation":
         rep = rep @ J

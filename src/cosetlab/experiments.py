@@ -42,12 +42,10 @@ CSV_COLUMNS = (
     "ci_low", "ci_high", "median_dist", "mean_dist", "seed", "runtime_s",
 )
 
-# Conjugation samples solved per stacked call.  The solver's memory grows with
-# the stack, not with samples: its dense Sylvester SVD holds about 3.3 MB per
-# sample at k=8, so a block of 32 adds about 0.1 GB there and little at k=1.
-_CONJ_BLOCK = 32
-# Bytes per orthogonal block; its Procrustes stack holds about 160 d^2 per sample.
-_ORTH_BLOCK_BYTES = 4 << 20
+# Bytes per stacked solver call; a block holds as many samples as fit.  Per
+# sample, the Procrustes stack holds about 160 d^2 bytes, and the conjugation
+# solver's dense Sylvester map and its SVD about 48 d^2 (1 + w^2), w = d - alpha.
+_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -229,11 +227,11 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     Samples are drawn in order.  Sample i uses the dedicated stream
     (seed, 1 + i) for both its middle draw and any solver restarts, so
     reports are reproducible.  Unitary cores are solved as one stack per block
-    (``geometry.dist_conjugacy_stack``, 32 cores; ``dist_double_coset_stack``,
-    a few MB), each lane exactly its per-sample estimate; symmetric samples go
-    one at a time.  A sample draws only the first k rows of its middle Haar
-    element, or the k active images of its middle permutation (O(k) for any
-    N), and is solved as its core (``cosets.sample_core``) of dimension
+    of about 4 MB (``geometry.dist_conjugacy_stack`` or
+    ``dist_double_coset_stack``), each lane exactly its per-sample estimate;
+    symmetric samples go one at a time.  A sample draws only the first k rows
+    of its middle Haar element, or the k active images of its middle
+    permutation (O(k) for any N), and is solved as its core (``cosets.sample_core``) of dimension
     alpha + 2mk against the product target at tail size k, so its cost does
     not grow with N.  The samples follow tau_tilde; the outer draws of
     tau_full leave the core unchanged, so that measure gives the same report.
@@ -250,7 +248,9 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     conj = cfg.family == "unitary_conjugation"
     # sample_core takes h, and the symmetric g, embedded at core size (fam0's spec)
     g_core, h_core = (embed(g_win, fam0.spec) if sym else g_win), embed(h_win, fam0.spec)
-    block = _CONJ_BLOCK if conj else max(1, _ORTH_BLOCK_BYTES // (160 * fam0.spec.dim ** 2))
+    d = fam0.spec.dim
+    lane_bytes = 48 * d * d * (1 + (d - cfg.alpha) ** 2) if conj else 160 * d * d
+    block = max(1, _BLOCK_BYTES // lane_bytes)
 
     def core_of(i, fam):
         gen = RandomStream(cfg.seed, 1 + i).generator()

@@ -3,14 +3,14 @@
 Unitary_orthogonal targets get an alternating two-sided Procrustes minimizer
 whose alignment steps respect the diagonal-copy block structure; symmetric
 targets get exact membership by forced propagation between the two subgroup
-factors; conjugation targets get a structured minimal-singular-vector
-initialization refined by a fixed-point iteration.  Both unitary solvers run
-on a stack of samples at once (``dist_double_coset_stack`` and
-``dist_conjugacy_stack``; the per-sample ``dist_double_coset`` and
-``dist_conjugacy`` are stacks of one), with numpy's stacked SVD, eig and
-matmul, and each lane's result is the one it would get alone.  Every estimate
-carries explicit witnesses, so the reported bound can be re-verified by
-direct evaluation.
+factors; conjugation targets get three starts (identity, spectral match,
+structured minimal singular vector), each refined on its own by a fixed-point
+iteration.  Both unitary solvers run on a stack of samples at once
+(``dist_double_coset_stack`` and ``dist_conjugacy_stack``; the per-sample
+``dist_double_coset`` and ``dist_conjugacy`` are stacks of one), with numpy's
+stacked SVD, eig and matmul, and each lane's result is the one it would get
+alone.  Every estimate carries explicit witnesses, so the reported bound can
+be re-verified by direct evaluation.
 
 scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
 """
@@ -261,7 +261,7 @@ def dist_double_coset(
 
 # A lane whose best bound falls below this is exact and leaves the stack.
 _CONJ_EXACT = 1e-11
-# Non-improving fixed-point steps after which a lane's phase ends, converged.
+# Non-improving fixed-point steps after which a lane leaves the stack, converged.
 _CONJ_STALL = 25
 
 
@@ -320,7 +320,7 @@ def _min_singular_init(x, r, alpha, spectral_guess):
     if w <= _DENSE_SYLVESTER_MAX:
         L = np.empty((lanes, dim * dim, n), dtype=complex)
         for j, Wj in enumerate(from_vec(np.eye(n, dtype=complex))):
-            L[:, :, j] = (x @ Wj - Wj @ r).reshape(lanes, -1)
+            L[:, :, j] = (x @ Wj - Wj @ r).reshape(L.shape[:2])
         _, _, vh = np.linalg.svd(L, full_matrices=False)
         p = vh[:, -1].conj()
         solved = np.ones(lanes, dtype=bool)
@@ -362,12 +362,14 @@ def dist_conjugacy_stack(
 ) -> list[DistanceEstimate]:
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
-    Each lane runs the same phases, with its own best conjugator, stall
-    counter and iteration count, and gets the estimate ``dist_conjugacy``
-    gives for it alone, bit for bit.  A lane leaves the stack when its phase
-    stalls or its bound drops below 1e-11 (which also skips its later
-    phases), so the stack shrinks as it runs.  Memory is O(S d^2 (1 + w^2))
-    for the dense Sylvester map, w = d - alpha: callers bound S.
+    Every sample gets one lane per start, so one fixed-point run covers up to
+    3S lanes.  Each lane has its own best conjugator, stall counter and
+    iteration count, and leaves the stack when it stalls or its bound drops
+    below 1e-11, so the stack shrinks as it runs.  A lane's result does not
+    depend on the rest of the stack: each sample gets the estimate
+    ``dist_conjugacy`` gives for it alone, bit for bit.  Memory is
+    O(S d^2 (1 + w^2)) for the dense Sylvester map, w = d - alpha: callers
+    bound S.
     """
     fam = target.family
     if fam.kind != "unitary_conjugation":
@@ -378,67 +380,47 @@ def dist_conjugacy_stack(
     x = np.asarray(xs)
     if x.ndim != 3 or x.shape[1:] != r.shape:
         raise ValueError("dimension mismatch between sample and target")
-    alpha = fam.spec.alpha
-    lanes_total, dim = x.shape[0], r.shape[0]
-    eye = np.broadcast_to(np.eye(dim, dtype=complex), x.shape)
-    best_op = np.full(lanes_total, np.inf)
-    best_W = eye.copy()
-    iters = np.zeros(lanes_total, dtype=int)
-    converged = np.zeros(lanes_total, dtype=bool)
+    alpha, samples = fam.spec.alpha, len(x)
+    spectral = _spectral_match_init(x, r, alpha)
+    sylvester, solved = _min_singular_init(x, r, alpha, spectral)
+    # lanes in start order: each sample's identity, its spectral match, its Sylvester vector
+    owner = np.concatenate([np.arange(samples), np.arange(samples), np.flatnonzero(solved)])
+    W = np.concatenate([np.broadcast_to(np.eye(len(r), dtype=complex), x.shape),
+                        spectral, sylvester])
+    lanes, xl = np.arange(len(owner)), x[owner]
+    xh = xl.conj().swapaxes(-1, -2)
 
     def op_of(xl, W):
-        a = xl - W @ r @ W.conj().swapaxes(-1, -2)
-        return np.linalg.svd(a, compute_uv=False)[:, 0]
+        return np.linalg.svd(xl - W @ r @ W.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
 
-    def run(lanes, W):
-        # one phase from the starts W: W <- blockified polar of x^H W r; the
-        # live lanes' x, best and stall counter shrink with them
+    best, best_W = op_of(xl, W), W.copy()
+    op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
+    converged, stall = np.zeros(len(lanes), dtype=bool), np.zeros(len(lanes), dtype=int)
+    for t in range(1, max_iters + 1):
         if not len(lanes):
-            return
-        xl = x[lanes]
-        xc = xl.conj()
-        best, best_w = best_op[lanes], best_W[lanes]
+            break
+        W = _blockify_unitary(xh @ W @ r, alpha)
         op = op_of(xl, W)
-        better = op < best
-        best[better], best_w[better] = op[better], W[better]
-        stall = np.zeros(len(lanes), dtype=int)
-        for t in range(1, max_iters + 1):
-            W = _blockify_unitary(xc.swapaxes(-1, -2) @ W @ r, alpha)
-            op = op_of(xl, W)
-            better = op < best - tol
-            stall += 1
-            if better.any():
-                best[better], best_w[better], stall[better] = op[better], W[better], 0
-            stop = (best < _CONJ_EXACT) | (stall >= _CONJ_STALL)
-            if stop.any():
-                done = lanes[stop]
-                best_op[done], best_W[done] = best[stop], best_w[stop]
-                iters[done] += t
-                converged[done] = True
-                go = ~stop
-                lanes, W, xl, xc = lanes[go], W[go], xl[go], xc[go]
-                best, best_w, stall = best[go], best_w[go], stall[go]
-                if not len(lanes):
-                    return
-        best_op[lanes], best_W[lanes] = best, best_w
-        iters[lanes] += max_iters
+        better = op < best - tol
+        best[better], best_W[better] = op[better], W[better]
+        stall = np.where(better, 0, stall + 1)
+        stop = (best < _CONJ_EXACT) | (stall >= _CONJ_STALL)
+        if stop.any():
+            done = lanes[stop]
+            op_out[done], W_out[done], iters[done], converged[done] = (
+                best[stop], best_W[stop], t, True)
+            lanes, W, xl, xh, best, best_W, stall = (
+                a[~stop] for a in (lanes, W, xl, xh, best, best_W, stall))
+    op_out[lanes], W_out[lanes] = best, best_W
 
-    lanes = np.arange(lanes_total)
-    run(lanes, eye)
-    lanes = lanes[best_op >= _CONJ_EXACT]
-    if len(lanes):
-        spectral = _spectral_match_init(x[lanes], r, alpha)
-        run(lanes, spectral)
-        open_ = best_op[lanes] >= _CONJ_EXACT
-        lanes, spectral = lanes[open_], spectral[open_]
-    if len(lanes):
-        sval, solved = _min_singular_init(x[lanes], r, alpha, spectral)
-        run(lanes[solved], sval)
-
-    return [DistanceEstimate(float(best_op[i]), int(iters[i]), bool(converged[i]),
-                             BlockMatrix(best_W[i], fam.spec),
-                             BlockMatrix(best_W[i].conj().T, fam.spec))
-            for i in range(lanes_total)]
+    # per sample, the first start with the least bound (lexsort is stable)
+    order = np.lexsort((op_out, owner))
+    win = order[np.searchsorted(owner[order], np.arange(samples))]
+    total = np.bincount(owner, iters, minlength=samples)
+    return [DistanceEstimate(float(op_out[j]), int(total[i]), bool(converged[j]),
+                             BlockMatrix(W_out[j], fam.spec),
+                             BlockMatrix(W_out[j].conj().T, fam.spec))
+            for i, j in enumerate(win)]
 
 
 def dist_conjugacy(
@@ -450,16 +432,18 @@ def dist_conjugacy(
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
     Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w) and
-    runs three phases from three starts: the identity, the spectral match of
-    eigenvalues around the circle, and the smallest singular vector of
-    the structured Sylvester map with its copy block projected to the nearest
-    unitary.  Each phase refines its start by the fixed-point iteration
-    W <- blockified polar of x^H W r (which increases Re tr(W^H x^H W r)),
-    tracking the best conjugator seen, until 25 steps bring no gain beyond
-    tol or max_iters steps have run.  A bound below 1e-11 ends the run.  The
-    Sylvester start is skipped when its ARPACK solve (non-corner size above 34)
-    does not converge.  This is ``dist_conjugacy_stack`` on a stack of one.
-    Raises ValueError when max_iters is below 1.
+    refines three starts independently: the identity, the spectral match of
+    eigenvalues around the circle, and the smallest singular vector of the
+    structured Sylvester map with its copy block projected to the nearest
+    unitary.  Each start runs the fixed-point iteration W <- blockified polar
+    of x^H W r (which increases Re tr(W^H x^H W r)) with its own best
+    conjugator, until 25 steps bring it no gain beyond tol, its bound falls
+    below 1e-11 or max_iters steps have run.  The first start with the least
+    bound wins; iterations sums all starts' steps, and converged says whether
+    the winner stopped before max_iters ran out.  The Sylvester start is
+    skipped when its ARPACK solve (non-corner size above 34) does not
+    converge.  This is ``dist_conjugacy_stack`` on a stack of one.  Raises
+    ValueError when max_iters is below 1.
     """
     return dist_conjugacy_stack(x.entries[None], target, max_iters=max_iters, tol=tol)[0]
 
@@ -611,7 +595,6 @@ def eigenvalue_matching_distance(a, b) -> float:
     """Min-max eigenvalue matching distance of two same-size unitaries (by Bhatia and
     Davis, the operator-norm distance between their unitary orbits); else ValueError."""
     ae, be = (np.asarray(getattr(m, "entries", m), dtype=complex) for m in (a, b))
-    square = ae.ndim == 2 and ae.shape == be.shape == ae.shape[::-1]
-    if not (square and is_unitary(ae) and is_unitary(be)):
+    if not (ae.shape == be.shape and is_unitary(ae) and is_unitary(be)):
         raise ValueError(f"need two unitaries of one size; got shapes {ae.shape} and {be.shape}")
     return float(_circle_match(np.linalg.eigvals(ae)[None], np.linalg.eigvals(be))[2][0])

@@ -363,3 +363,13 @@ class TestNorms:
         assert is_unitary(np.eye(3), 1e-10)
         assert not is_unitary(2 * np.eye(3), 1e-10)
         assert is_unitary(PermutationWord([2, 3, 1]).matrix(), 0.0)
+
+    @pytest.mark.parametrize("mat", [
+        np.eye(3)[:, :2],  # orthonormal columns: the column Gram is the identity
+        np.eye(3)[:2],
+        np.ones(3),
+        np.eye(2)[None],
+        1.0,
+    ], ids=["tall", "wide", "vector", "stack", "scalar"])
+    def test_is_unitary_false_for_non_square(self, mat):
+        assert is_unitary(mat) is False

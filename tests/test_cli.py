@@ -294,6 +294,21 @@ class TestExitCodes:
         assert code == 1
         assert "missing.json" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("concentration", "--family", "unitary_orthogonal", "--alpha", "1", "--k", "1",
+         "--m", "1", "--N", "8", "--epsilon", "0.4", "--samples", "20", "--seed", "1",
+         "--h", "identity"),
+        ("product", "--family", "unitary_conjugation", "--alpha", "1", "--k", "1", "--N", "8",
+         "--h", "identity"),
+    ], ids=["concentration", "product"])
+    def test_non_unitary_matrix_is_config_error(self, capsys, tmp_path, argv):
+        # a shear is not in the group, so no sample of it can concentrate
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps(BlockMatrix(np.array([[1.0, 1.0], [0.0, 1.0]])).to_json_dict()))
+        code, out, err = run_cli(capsys, *argv, "--g", str(path))
+        assert (code, out) == (1, "")
+        assert "unitary g and h" in err
+
     def test_zero_max_iters_is_config_error(self, capsys):
         code, _, err = run_cli(
             capsys, "concentration", "--family", "unitary_orthogonal", "--alpha", "1",

@@ -149,6 +149,15 @@ class TestCircN:
         with pytest.raises(ValueError):
             circ_N(BlockMatrix.identity(3), BlockMatrix.identity(3), fam)
 
+    @pytest.mark.parametrize("kind", ["unitary_orthogonal", "unitary_conjugation"])
+    @pytest.mark.parametrize("side", ["g", "h"])
+    def test_rejects_non_unitary_inputs(self, kind, side):
+        fam = GroupFamily(kind, BlockSpec(1, 1, 3, 1))
+        pair = {"g": BlockMatrix.identity(2), "h": BlockMatrix.identity(2)}
+        pair[side] = BlockMatrix(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="unitary g and h"):
+            circ_N(pair["g"], pair["h"], fam)
+
 
 def _k_subgroup_structure_ok(x, spec):
     e = x.entries

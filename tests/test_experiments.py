@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,11 +235,11 @@ class TestRunConcentration:
         assert 0.0 <= row.fraction <= 1.0
         assert row.median_dist >= 0.0
 
-    def test_conjugation_report_matches_per_sample_loop(self):
-        # more samples than one stacked block, so blocks are crossed
+    def test_conjugation_report_matches_per_sample_loop(self, monkeypatch):
+        # blocks of 7 samples at core dimension 3, so blocks are crossed
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * 48 * 9 * 5)
         cfg = _cfg(family="unitary_conjugation", N_list=(8, 24), epsilon_list=(0.2, 0.4),
-                   samples=experiments._CONJ_BLOCK + 6, seed=5, g_spec="random_unitary",
-                   h_spec="random_unitary")
+                   samples=38, seed=5, g_spec="random_unitary", h_spec="random_unitary")
         setup = RandomStream(cfg.seed, 0).generator()
         g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
         target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(1, 1, 1, 1)))
@@ -258,24 +259,41 @@ class TestRunConcentration:
                     mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
 
     def test_conjugation_stacks_stay_bounded(self, monkeypatch):
-        sizes = []
+        # blocks of _BLOCK_BYTES // (48 d^2 (1 + w^2)) samples, w = d - alpha:
+        # 1941 at d=3 (a whole sweep of 200), one at d=17
+        seen = []
         real = experiments.dist_conjugacy_stack
 
         def spy(xs, *args, **kwargs):
-            sizes.append(len(xs))
+            seen.append(len(xs))
             return real(xs, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "dist_conjugacy_stack", spy)
-        block = experiments._CONJ_BLOCK
-        cfg = _cfg(family="unitary_conjugation", N_list=(4,), epsilon_list=(0.4,),
-                   samples=2 * block + 3, seed=2, g_spec="random_unitary",
-                   h_spec="random_unitary", max_iters=2)
-        run_concentration(cfg)
-        assert sizes == [block, block, 3]
+        for k, samples, sizes in [(1, 2000, [1941, 59]), (8, 2, [1, 1])]:
+            seen.clear()
+            cfg = _cfg(family="unitary_conjugation", k=k, N_list=(k,), epsilon_list=(0.4,),
+                       samples=samples, seed=2, g_spec="random_unitary",
+                       h_spec="random_unitary", max_iters=2)
+            run_concentration(cfg)
+            assert seen == sizes, k
+
+    def test_conjugation_block_memory(self):
+        # the dense Sylvester map holds about 3.6 MB per sample at k=8; a block
+        # of 32 samples peaked at 112 MB
+        cfg = _cfg(family="unitary_conjugation", k=8, N_list=(8,), epsilon_list=(0.4,),
+                   samples=6, seed=2, g_spec="random_unitary", h_spec="random_unitary",
+                   max_iters=2)
+        tracemalloc.start()
+        try:
+            run_concentration(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("k,m,samples,sizes", [(1, 1, 100, [100]), (8, 2, 50, [24, 24, 2])])
     def test_orthogonal_stacks_sized_by_core_dimension(self, monkeypatch, k, m, samples, sizes):
-        # blocks of _ORTH_BLOCK_BYTES // (160 d^2) samples: d=3 fits a sweep, d=33 does not
+        # blocks of _BLOCK_BYTES // (160 d^2) samples: d=3 fits a sweep, d=33 does not
         seen = []
         real = experiments.dist_double_coset_stack
 
