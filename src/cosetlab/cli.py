@@ -12,7 +12,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .blockmat import BlockMatrix, BlockSpec, embed, load_source
+from .blockmat import BlockMatrix, BlockSpec, embed, is_unitary, load_source
 from .cosets import FAMILY_KINDS, CosetTarget, GroupFamily, circ_N, circ_infinite
 from .experiments import (
     ExperimentConfig,
@@ -57,6 +57,8 @@ def _cmd_product(args) -> int:
     if args.N is None:
         if args.m != 1:
             raise ConfigError("the size-stable product needs m=1; pass --N for the finite product")
+        if args.family != "symmetric" and not (is_unitary(g) and is_unitary(h)):
+            raise ConfigError(f"the {args.family} family needs unitary g and h")
         rep = circ_infinite(g, h, alpha=args.alpha)
         if args.family == "symmetric" and rep.exact_permutation is None:
             raise ConfigError("symmetric family requires exact permutation inputs")

@@ -37,6 +37,7 @@ __all__ = [
     "circ_N",
     "sample_tau_tilde",
     "sample_tau_full",
+    "core_images",
     "sample_core",
     "lift_core_witnesses",
 ]
@@ -170,6 +171,18 @@ def sample_tau_full(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rng) ->
     return k1 @ g @ k2 @ h @ k3
 
 
+def core_images(images, k: int) -> tuple:
+    """Active images of a symmetric sample's core, from those of its middle draw.
+
+    K permutes the tail points of every copy alike, so of an image above k
+    only its position matters: those images take the first tail slots k+1,
+    k+2, ... in order, and images at most k stay.  The result does not depend
+    on the tail size, and mapping it again leaves it as it is.
+    """
+    tail = iter(range(k + 1, 2 * k + 1))
+    return tuple(v if v <= k else next(tail) for v in images)
+
+
 def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> BlockMatrix:
     """Core of the sample whose middle draw x_w has first k rows ``rows``.
 
@@ -187,10 +200,10 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
 
     For the symmetric family ``rows`` holds u(1..k), the images of the middle
     permutation's active points: k distinct integers in 1..w, else ValueError.
-    K holds every tail permutation, so only they matter.  Images above k take
-    the first tail slots in order, the other points follow in ascending order,
-    and the core is the exact permutation embed(g).embed_k(u_core).embed(h) at
-    tail size k, for any w.  Here g, and in every family h, may also be given
+    K holds every tail permutation, so only they matter: ``core_images`` maps
+    them to the core's, the other points follow in ascending order, and the
+    core is the exact permutation embed(g).embed_k(u_core).embed(h) at tail
+    size k, for any w.  Here g, and in every family h, may also be given
     already embedded at core size, so a caller making many cores embeds once.
     """
     spec = family.spec
@@ -206,9 +219,8 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
                 or not all(1 <= v <= spec.copy_size for v in images)):
             raise ValueError(f"expected {k} distinct active images in 1..{spec.copy_size}, "
                              f"got {images}")
-        tail = iter(range(k + 1, 2 * k + 1))
-        head = [v if v <= k else next(tail) for v in images]
-        u_core = PermutationWord(head + sorted(set(range(1, 2 * k + 1)) - set(head)))
+        head = core_images(images, k)
+        u_core = PermutationWord([*head, *sorted(set(range(1, 2 * k + 1)) - set(head))])
         g, h = (b if b.dim == core_spec.dim else embed(b, core_spec) for b in (g, h))
         return g @ embed_k(u_core, core_spec) @ h
     if rows.shape != (k, spec.copy_size):

@@ -20,7 +20,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .blockmat import BlockMatrix, BlockSpec, embed, load_source, operator_norm
-from .cosets import GroupFamily, circ_N, sample_core
+from .cosets import GroupFamily, circ_N, core_images, sample_core
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import RandomStream, haar_columns, haar_unitary, top_block, uniform_permutation
 
@@ -43,8 +43,11 @@ CSV_COLUMNS = (
 )
 
 # Bytes per stacked solver call; a block holds as many samples as fit.  Per
-# sample, the Procrustes stack holds about 160 d^2 bytes, and the conjugation
-# solver's dense Sylvester map and its SVD about 48 d^2 (1 + w^2), w = d - alpha.
+# sample, the sweep holds about 2 KB for the stream and the core, and the
+# Procrustes stack about 160 d^2 bytes.  The conjugation solver holds first its
+# dense Sylvester map and SVD, about 48 d^2 w^2 bytes (w = d - alpha), and then
+# three fixed-point lanes, about 48 d^2 * 9 bytes; the two phases do not
+# overlap, so the larger one counts (tracemalloc, max_iters=2, d = 2..9).
 _BLOCK_BYTES = 4 << 20
 
 
@@ -226,17 +229,20 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
     Samples are drawn in order.  Sample i uses the dedicated stream
     (seed, 1 + i) for both its middle draw and any solver restarts, so
-    reports are reproducible.  Unitary cores are solved as one stack per block
-    of about 4 MB (``geometry.dist_conjugacy_stack`` or
-    ``dist_double_coset_stack``), each lane exactly its per-sample estimate;
-    symmetric samples go one at a time.  A sample draws only the first k rows
-    of its middle Haar element, or the k active images of its middle
-    permutation (O(k) for any N), and is solved as its core (``cosets.sample_core``) of dimension
-    alpha + 2mk against the product target at tail size k, so its cost does
-    not grow with N.  The samples follow tau_tilde; the outer draws of
-    tau_full leave the core unchanged, so that measure gives the same report.
-    Symmetric hits are exact membership verdicts recorded as 0/1 distances;
-    unitary distances are witnessed upper bounds for the sample.
+    reports are reproducible.  A sample draws only the first k rows of its
+    middle Haar element, or the k active images of its middle permutation
+    (O(k) for any N), and is solved as its core (``cosets.sample_core``) of
+    dimension alpha + 2mk against the product target at tail size k, so its
+    cost does not grow with N.  Unitary cores are solved as one stack per
+    block of about 4 MB (``geometry.dist_conjugacy_stack`` or
+    ``dist_double_coset_stack``), each lane exactly its per-sample estimate.
+    A symmetric core is fixed by its pattern, the active images mapped by
+    ``cosets.core_images``, whatever N is; each pattern's membership is
+    tested once per sweep, at its first sample, and reused for every later
+    sample and N with that pattern.  The samples follow tau_tilde; the outer
+    draws of tau_full leave the core unchanged, so that measure gives the same
+    report.  Symmetric hits are exact membership verdicts recorded as 0/1
+    distances; unitary distances are witnessed upper bounds for the sample.
     """
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
@@ -246,28 +252,30 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     eps_floor = min(cfg.epsilon_list)
     sym = cfg.family == "symmetric"
     conj = cfg.family == "unitary_conjugation"
-    # sample_core takes h, and the symmetric g, embedded at core size (fam0's spec)
-    g_core, h_core = (embed(g_win, fam0.spec) if sym else g_win), embed(h_win, fam0.spec)
+    h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
     d = fam0.spec.dim
-    lane_bytes = 48 * d * d * (1 + (d - cfg.alpha) ** 2) if conj else 160 * d * d
+    lane_bytes = 2048 + (48 * d * d * max((d - cfg.alpha) ** 2, 9) if conj else 160 * d * d)
     block = max(1, _BLOCK_BYTES // lane_bytes)
+    verdicts = {}  # symmetric hit verdict per core pattern, for every N
 
-    def core_of(i, fam):
+    def sym_distance(i, fam):
         gen = RandomStream(cfg.seed, 1 + i).generator()
-        if sym:
-            draw = gen.choice(fam.spec.copy_size, cfg.k, replace=False) + 1
-        else:
-            draw = haar_columns(fam.spec.copy_size, cfg.k, gen, unitary=conj).T
-        return sample_core(g_core, h_core, fam, draw), gen
+        key = core_images((gen.choice(fam.spec.copy_size, cfg.k, replace=False) + 1).tolist(),
+                          cfg.k)
+        if key not in verdicts:
+            verdicts[key] = sym_membership(sample_core(g_win, h_core, fam0, key), target)
+        return 0.0 if verdicts[key] else 1.0
 
     def unitary_block(lo, fam):
-        drawn = [core_of(i, fam) for i in range(lo, min(lo + block, cfg.samples))]
-        cores = np.stack([core.entries for core, _ in drawn])
+        gens = [RandomStream(cfg.seed, 1 + i).generator()
+                for i in range(lo, min(lo + block, cfg.samples))]
+        cores = np.stack([sample_core(g_win, h_core, fam, haar_columns(
+            fam.spec.copy_size, cfg.k, gen, unitary=conj).T).entries for gen in gens])
         if conj:
             ests = dist_conjugacy_stack(cores, target, max_iters=cfg.max_iters, tol=cfg.tol)
         else:
             ests = dist_double_coset_stack(
-                cores, target, [gen for _, gen in drawn], max_iters=cfg.max_iters,
+                cores, target, gens, max_iters=cfg.max_iters,
                 tol=cfg.tol, restarts=cfg.restarts, stop_below=eps_floor)
         return [est.upper_bound for est in ests]
 
@@ -276,8 +284,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
         fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
         start = time.perf_counter()
         if sym:
-            distances = [0.0 if sym_membership(core_of(i, fam)[0], target) else 1.0
-                         for i in range(cfg.samples)]
+            distances = [sym_distance(i, fam) for i in range(cfg.samples)]
         else:
             distances = [d for lo in range(0, cfg.samples, block)
                          for d in unitary_block(lo, fam)]

@@ -300,7 +300,9 @@ class TestExitCodes:
          "--h", "identity"),
         ("product", "--family", "unitary_conjugation", "--alpha", "1", "--k", "1", "--N", "8",
          "--h", "identity"),
-    ], ids=["concentration", "product"])
+        ("product", "--family", "unitary_orthogonal", "--alpha", "1", "--k", "1",
+         "--h", "identity"),
+    ], ids=["concentration", "product", "size_stable_product"])
     def test_non_unitary_matrix_is_config_error(self, capsys, tmp_path, argv):
         # a shear is not in the group, so no sample of it can concentrate
         path = tmp_path / "shear.json"

@@ -16,6 +16,7 @@ from cosetlab.cosets import (
     GroupFamily,
     circ_N,
     circ_infinite,
+    core_images,
     lift_core_witnesses,
     sample_core,
     sample_tau_full,
@@ -358,6 +359,24 @@ class TestSampleCore:
                 verdicts.add(full)
         # at alpha = 0 and m = 1, K is the whole group: every sample is a member
         assert verdicts == ({True} if alpha == 0 and m == 1 else {True, False})
+
+    def test_core_pattern_is_the_core_at_tail_size_k(self):
+        # images above k fill the first tail slots in their order, at any tail
+        # size, and the pattern builds the same core as the raw images
+        assert core_images([7, 1, 100], 3) == (4, 1, 5)
+        assert core_images([2, 9, 3], 3) == (2, 4, 3)
+        assert core_images([4, 3], 2) == (3, 4)
+        gen = RandomStream(9, 0).generator()
+        for alpha, k, m, N in [(1, 1, 2, 10**6), (0, 2, 1, 7), (2, 3, 2, 40)]:
+            fam = GroupFamily("symmetric", BlockSpec(alpha, k, N, m))
+            for _ in range(10):
+                g = BlockMatrix.from_permutation(uniform_permutation(fam.spec.window, gen))
+                h = BlockMatrix.from_permutation(uniform_permutation(fam.spec.window, gen))
+                rows = (gen.choice(fam.spec.copy_size, k, replace=False) + 1).tolist()
+                key = core_images(rows, k)
+                assert core_images(key, k) == key
+                assert (sample_core(g, h, fam.with_n_tail(k), key).exact_permutation
+                        == sample_core(g, h, fam, rows).exact_permutation)
 
     def test_symmetric_core_rejects_bad_images(self):
         fam = GroupFamily("symmetric", BlockSpec(1, 2, 5, 1))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cosetlab.experiments as experiments
-from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord
+from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord, load_source
 from cosetlab.cosets import GroupFamily, circ_N, sample_core
 from cosetlab.experiments import (
     CSV_COLUMNS,
@@ -19,8 +19,8 @@ from cosetlab.experiments import (
     wilson_interval,
     write_report,
 )
-from cosetlab.geometry import dist_conjugacy
-from cosetlab.haar import RandomStream, haar_columns, haar_unitary
+from cosetlab.geometry import dist_conjugacy, sym_membership
+from cosetlab.haar import RandomStream, haar_columns, haar_unitary, uniform_permutation
 from cosetlab.hypergroup_exact import concentration_exact
 
 
@@ -237,7 +237,7 @@ class TestRunConcentration:
 
     def test_conjugation_report_matches_per_sample_loop(self, monkeypatch):
         # blocks of 7 samples at core dimension 3, so blocks are crossed
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * 48 * 9 * 5)
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 48 * 9 * 9))
         cfg = _cfg(family="unitary_conjugation", N_list=(8, 24), epsilon_list=(0.2, 0.4),
                    samples=38, seed=5, g_spec="random_unitary", h_spec="random_unitary")
         setup = RandomStream(cfg.seed, 0).generator()
@@ -258,9 +258,61 @@ class TestRunConcentration:
                     ci_high=hi, median_dist=float(np.median(dists)),
                     mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
 
+    @pytest.mark.parametrize("alpha,k,m,N_list,g_spec,h_spec", [
+        (1, 1, 2, (1, 3, 10**6), "(1 2 3)", "(1 3)"),
+        (0, 2, 1, (2, 5, 10**6), "random_unitary", "random_unitary"),
+        (2, 1, 2, (1, 4, 128), "random_unitary", "(1 2)(3 4)"),
+        (1, 3, 1, (3, 7, 10**6), "random_unitary", "(1 4)(2 3)"),
+        (0, 1, 2, (1, 2, 10**6), "(1 2)", "random_unitary"),
+        (2, 2, 2, (2, 9, 10**6), "random_unitary", "random_unitary"),
+    ])
+    def test_symmetric_report_matches_per_sample_loop(self, alpha, k, m, N_list, g_spec,
+                                                      h_spec):
+        # every sample built at its own tail size and tested on its own
+        cfg = _cfg(alpha=alpha, k=k, m=m, N_list=N_list, epsilon_list=(0.4, 0.1), samples=300,
+                   seed=8, g_spec=g_spec, h_spec=h_spec)
+        window = alpha + m * k
+        setup = RandomStream(cfg.seed, 0).generator()
+        g, h = (BlockMatrix.from_permutation(uniform_permutation(window, setup))
+                if src == "random_unitary" else load_source(src, window)
+                for src in (g_spec, h_spec))
+        target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(alpha, k, k, m)))
+        rows = iter(run_concentration(cfg).with_zeroed_runtime().rows)
+        for N in cfg.N_list:
+            fam = GroupFamily(cfg.family, BlockSpec(alpha, k, N, m))
+            dists = [0.0 if sym_membership(sample_core(g, h, fam, RandomStream(
+                cfg.seed, 1 + i).generator().choice(k + N, k, replace=False) + 1), target)
+                else 1.0 for i in range(cfg.samples)]
+            for eps in cfg.epsilon_list:
+                hits = dists.count(0.0)
+                lo, hi = wilson_interval(hits, cfg.samples)
+                assert next(rows) == ReportRow(
+                    family=cfg.family, alpha=alpha, k=k, m=m, N=N, epsilon=eps,
+                    samples=cfg.samples, hits=hits, fraction=hits / cfg.samples, ci_low=lo,
+                    ci_high=hi, median_dist=float(np.median(dists)),
+                    mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
+
+    @pytest.mark.parametrize("k,samples,N_list", [
+        (1, 400, tuple(range(1, 11))), (2, 500, (2, 3, 5, 8, 10**6)), (3, 60, (3, 4, 10**6))])
+    def test_symmetric_sweep_tests_each_core_pattern_once(self, monkeypatch, k, samples, N_list):
+        # a core is fixed by which active images lie above k and where, so a
+        # sweep tests at most falling(2k, k) cores, however many N it has
+        calls = []
+        real = experiments.sym_membership
+
+        def counted(x, target):
+            calls.append(x)
+            return real(x, target)
+
+        monkeypatch.setattr(experiments, "sym_membership", counted)
+        cfg = _cfg(k=k, m=2, N_list=N_list, samples=samples, seed=4, g_spec="random_unitary",
+                   h_spec="random_unitary")
+        run_concentration(cfg)
+        assert 0 < len(calls) <= min(samples, math.perm(2 * k, k))
+
     def test_conjugation_stacks_stay_bounded(self, monkeypatch):
-        # blocks of _BLOCK_BYTES // (48 d^2 (1 + w^2)) samples, w = d - alpha:
-        # 1941 at d=3 (a whole sweep of 200), one at d=17
+        # blocks of _BLOCK_BYTES // (2048 + 48 d^2 max(w^2, 9)) samples, w = d - alpha:
+        # 706 at d=3 (a whole sweep of 200), one at d=17
         seen = []
         real = experiments.dist_conjugacy_stack
 
@@ -269,7 +321,7 @@ class TestRunConcentration:
             return real(xs, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "dist_conjugacy_stack", spy)
-        for k, samples, sizes in [(1, 2000, [1941, 59]), (8, 2, [1, 1])]:
+        for k, samples, sizes in [(1, 2000, [706, 706, 588]), (8, 2, [1, 1])]:
             seen.clear()
             cfg = _cfg(family="unitary_conjugation", k=k, N_list=(k,), epsilon_list=(0.4,),
                        samples=samples, seed=2, g_spec="random_unitary",
@@ -291,9 +343,29 @@ class TestRunConcentration:
             tracemalloc.stop()
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
-    @pytest.mark.parametrize("k,m,samples,sizes", [(1, 1, 100, [100]), (8, 2, 50, [24, 24, 2])])
+    @pytest.mark.parametrize("family,k,samples", [
+        ("unitary_conjugation", 1, 2000), ("unitary_conjugation", 2, 220),
+        ("unitary_orthogonal", 1, 3000)])
+    def test_full_block_stays_near_budget(self, family, k, samples):
+        # more samples than one block holds (706, 197 and 1202), so the first
+        # block is full; at k=1 the fixed-point lanes and each sample's stream
+        # outweigh the Sylvester map, and blocks of 1941 (conjugation) and 2912
+        # (orthogonal) samples peaked at 11.4 and 7.4 MB
+        cfg = _cfg(family=family, k=k, N_list=(8,), epsilon_list=(0.4,), samples=samples,
+                   seed=3, g_spec="random_unitary", h_spec="random_unitary", restarts=1,
+                   max_iters=2)
+        tracemalloc.start()
+        try:
+            run_concentration(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        budget = experiments._BLOCK_BYTES
+        assert 0.5 * budget < peak < 1.15 * budget, f"peak {peak / budget:.3f} budgets"
+
+    @pytest.mark.parametrize("k,m,samples,sizes", [(1, 1, 100, [100]), (8, 2, 50, [23, 23, 4])])
     def test_orthogonal_stacks_sized_by_core_dimension(self, monkeypatch, k, m, samples, sizes):
-        # blocks of _BLOCK_BYTES // (160 d^2) samples: d=3 fits a sweep, d=33 does not
+        # blocks of _BLOCK_BYTES // (2048 + 160 d^2) samples: d=3 fits a sweep, d=33 does not
         seen = []
         real = experiments.dist_double_coset_stack
 

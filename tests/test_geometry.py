@@ -425,7 +425,7 @@ class TestDistDoubleCosetStack:
         cfg = ExperimentConfig(family="unitary_orthogonal", alpha=1, k=1, m=1, N_list=(8, 64),
                                epsilon_list=(0.1, 0.4), samples=30, seed=9)
         stacked = run_concentration(cfg).with_zeroed_runtime()
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 160 * 9 * 7)
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", (2048 + 160 * 9) * 7)
         assert run_concentration(cfg).with_zeroed_runtime() == stacked
 
         def reference(xs, target, gens, **kwargs):
