@@ -7,8 +7,8 @@ finite-size product of g and h is the double coset (or conjugacy class) of
 g.J.h, where J swaps each copy's active block into its tail; samplers draw
 from the one-middle-draw and three-draw convolution measures.  In every family
 a sample also has a core of dimension alpha + 2mk, equivalent to it under K
-for every tail size, built from the first k rows of the middle draw (for
-permutations, its k active images) alone.
+for every tail size, built from the middle draw's leading k x k block A (for
+permutations, its k active images) alone, so nothing of size N enters it.
 """
 
 from __future__ import annotations
@@ -183,22 +183,34 @@ def core_images(images, k: int) -> tuple:
     return tuple(v if v <= k else next(tail) for v in images)
 
 
-def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> BlockMatrix:
-    """Core of the sample whose middle draw x_w has first k rows ``rows``.
+def _frame(a, k: int) -> np.ndarray:
+    """The frame [a, D], D = (I - aa^*)^(1/2) by eigh with eigenvalues clipped at
+    0: k orthonormal rows up to ||a|| = 1, real for real a, D = I at a = 0.
+    ValueError unless a is k x k with operator norm at most 1 + 1e-10."""
+    a = np.asarray(a)
+    if a.shape != (k, k):
+        raise ValueError(f"expected the {k}x{k} block A of the middle draw, got shape {a.shape}")
+    lam, vec = np.linalg.eigh(np.eye(k) - a @ a.conj().T)
+    if not lam[0] >= -2e-10:  # lam[0] = 1 - ||a||^2, so this is ||a|| <= 1 + 1e-10
+        raise ValueError(f"the block A has operator norm {np.sqrt(1 - lam[0]):.12g} > 1")
+    return np.hstack([a, (vec * np.sqrt(np.clip(lam, 0, None))) @ vec.conj().T])
 
-    g and h live on the window.  Split rows = [A, T] after k columns, take a
-    thin QR T^* = Q_t R_t and let q = I_k (+) the complete Householder factor
-    of Q_t, Q = embed_k(q), X = embed_k(x_w).  For the sample
-    x = embed(g).X.embed(h) (times X^* for the conjugation family), Q^*X^*.x.Q
-    (Q^*X^*.x.X.Q) is the identity outside the corner and the first 2k points
-    of each copy; the d x d matrix there, d = alpha + 2mk, is the core,
-    (I + Y^*(g - I)Y).embed(h) with Y = I_alpha (+) [A, R_t^*] per copy.  So
-    the core is K-equivalent (K-conjugate) to the sample, and the outer draws
-    of ``sample_tau_full`` do not change it.  Its target is
-    circ_N(g, h, family.with_n_tail(k)), the product target restricted to the
-    core.  Cost: O(w k^2) for the QR plus the d x d products, for any w.
 
-    For the symmetric family ``rows`` holds u(1..k), the images of the middle
+def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) -> BlockMatrix:
+    """Core of the sample whose middle draw has leading k x k block ``a``.
+
+    g and h live on the window.  A unitary middle draw with first k rows [a, T]
+    is w.x_a.v with embed_k(w), embed_k(v) in K and x_a = c (+) I, c the 2k x 2k
+    unitary whose first k rows are the frame [a, D], D = (I - aa^*)^(1/2).  So
+    the sample embed(g).X.embed(h) (times X^* for the conjugation family) is
+    K-equivalent (K-conjugate) to the one with middle draw X_a = embed_k(x_a),
+    which, framed by X_a, is the identity outside the corner and the first 2k
+    points of each copy.  The d x d matrix there, d = alpha + 2mk, is the core,
+    (I + Y^*(g - I)Y).embed(h) with Y = I_alpha (+) [a, D] per copy; its target
+    is circ_N(g, h, family.with_n_tail(k)).  Neither depends on N or on the
+    outer draws of ``sample_tau_full``; a core costs O(k^3) plus d x d products.
+
+    For the symmetric family ``a`` holds u(1..k), the images of the middle
     permutation's active points: k distinct integers in 1..w, else ValueError.
     K holds every tail permutation, so only they matter: ``core_images`` maps
     them to the core's, the other points follow in ascending order, and the
@@ -209,8 +221,8 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
     spec = family.spec
     alpha, k = spec.alpha, spec.k
     core_spec = family.with_n_tail(k).spec
-    rows = np.asarray(rows)
     if family.kind == "symmetric":
+        rows = np.asarray(a)
         if rows.shape != (k,):
             raise ValueError(f"expected the {k} active images of a {spec.copy_size}-point "
                              f"draw, got shape {rows.shape}")
@@ -223,40 +235,30 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, rows) -> Bl
         u_core = PermutationWord([*head, *sorted(set(range(1, 2 * k + 1)) - set(head))])
         g, h = (b if b.dim == core_spec.dim else embed(b, core_spec) for b in (g, h))
         return g @ embed_k(u_core, core_spec) @ h
-    if rows.shape != (k, spec.copy_size):
-        raise ValueError(f"expected the first {k} rows of a {spec.copy_size}-point draw, "
-                         f"got shape {rows.shape}")
-    r_t = np.linalg.qr(rows[:, k:].conj().T, mode="r")
-    frame = np.hstack([rows[:, :k], r_t.conj().T])
     y = np.zeros((spec.window, core_spec.dim), dtype=complex)
     y[:alpha, :alpha] = np.eye(alpha)
-    for c in range(spec.m):
-        y[alpha + c * k:alpha + (c + 1) * k, core_spec.copy_slice(c)] = frame
+    y[alpha:, alpha:] = np.kron(np.eye(spec.m), _frame(a, k))
     left = np.eye(core_spec.dim) + y.conj().T @ (g.entries - np.eye(spec.window)) @ y
     return BlockMatrix(left, core_spec) @ (h if h.dim == core_spec.dim else embed(h, core_spec))
 
 
-def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, x_w, family: GroupFamily):
+def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, a, family: GroupFamily):
     """Full-size witnesses (U, V) from core-size ones (u, v) of ``sample_core``.
 
-    x_w is the whole middle draw whose first k rows built the core.  With q as
-    in ``sample_core``, U = embed_k(x_w.q.(u (+) I)) and V = embed_k((v (+) I).q^*),
-    times x_w^* on the right for the conjugation family, so that
-    x - U.r.V is (core - u.r_core.v) (+) 0 and both have the same norm.  Builds
-    w x w matrices, so it serves checks at sizes where the sample fits in memory.
+    a is the k x k block that built the core.  The canonical middle draw is
+    x_a = c (+) I, where c^* is the complete QR factor of the frame's adjoint
+    with that adjoint written into its first k columns.  With u_2k, v_2k the
+    first copy blocks, U = embed_k(c.u_2k (+) I) and V = embed_k(v_2k (+) I)
+    (times embed_k(c^* (+) I) for conjugation), so that x_a - U.r.V is
+    (core - u.r_core.v) (+) 0 for the sample x_a with middle draw embed_k(x_a).
     """
-    spec = family.spec
-    k, w = spec.k, spec.copy_size
-    x_w = np.asarray(x_w)
-    q = np.eye(w, dtype=complex)
-    q[k:, k:] = np.linalg.qr(x_w[:k, k:].conj().T, mode="complete")[0]
+    spec, k = family.spec, family.spec.k
+    adj = _frame(a, k).conj().T
+    c_adj = np.linalg.qr(adj, mode="complete")[0]
+    c_adj[:, :k] = adj
     block = family.with_n_tail(k).spec.copy_slice(0)
-
-    def widen(b: BlockMatrix) -> np.ndarray:
-        return _place(b.entries[block, block], 2 * k, w, [0]).entries
-
-    left = x_w @ q @ widen(u)
-    right = widen(v) @ q.conj().T
+    left, right = c_adj.conj().T @ u.entries[block, block], v.entries[block, block]
     if family.kind == "unitary_conjugation":
-        right = right @ x_w.conj().T
-    return embed_k(left, spec), embed_k(right, spec)
+        right = right @ c_adj
+    return tuple(_place(x, 2 * k, spec.dim, range(spec.alpha, spec.dim, spec.copy_size), spec)
+                 for x in (left, right))

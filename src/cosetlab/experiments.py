@@ -229,11 +229,11 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
     Samples are drawn in order.  Sample i uses the dedicated stream
     (seed, 1 + i) for both its middle draw and any solver restarts, so
-    reports are reproducible.  A sample draws only the first k rows of its
-    middle Haar element, or the k active images of its middle permutation
-    (O(k) for any N), and is solved as its core (``cosets.sample_core``) of
-    dimension alpha + 2mk against the product target at tail size k, so its
-    cost does not grow with N.  Unitary cores are solved as one stack per
+    reports are reproducible.  A sample draws only the leading k x k block A
+    of its middle Haar element, or the k active images of its middle
+    permutation, and is solved as its core (``cosets.sample_core``), a
+    function of A or of the images alone, of dimension alpha + 2mk against the
+    product target at tail size k.  Unitary cores are solved as one stack per
     block of about 4 MB (``geometry.dist_conjugacy_stack`` or
     ``dist_double_coset_stack``), each lane exactly its per-sample estimate.
     A symmetric core is fixed by its pattern, the active images mapped by
@@ -269,8 +269,8 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     def unitary_block(lo, fam):
         gens = [RandomStream(cfg.seed, 1 + i).generator()
                 for i in range(lo, min(lo + block, cfg.samples))]
-        cores = np.stack([sample_core(g_win, h_core, fam, haar_columns(
-            fam.spec.copy_size, cfg.k, gen, unitary=conj).T).entries for gen in gens])
+        cores = np.stack([sample_core(g_win, h_core, fam, top_block(haar_columns(
+            fam.spec.copy_size, cfg.k, gen, unitary=conj), cfg.k).T).entries for gen in gens])
         if conj:
             ests = dist_conjugacy_stack(cores, target, max_iters=cfg.max_iters, tol=cfg.tol)
         else:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .blockmat import BlockMatrix, PermutationWord, as_word, embed_k
-from .cosets import CosetTarget, GroupFamily, circ_N, sample_core
+from .cosets import CosetTarget, GroupFamily, circ_N, core_images, sample_core
 from .geometry import sym_membership
 
 __all__ = [
@@ -115,12 +115,11 @@ def concentration_exact(g, h, family: GroupFamily, N_list) -> list[tuple[int, Fr
     product representative, at each requested tail size N >= k.
 
     g and h are window permutations (degree alpha + m*k).  The coset depends
-    only on the active images u(1..k) (``cosets.sample_core``), so each ordered
-    choice of k images among the core's 2k points is classified once, at tail
-    size k.  A choice with t tail images stands for falling(N, t) / falling(k, t)
-    of the falling(N+k, k) equally likely image tuples at tail size N.  These
-    falling factorials are math.perm products of at most k terms; nothing of
-    size N is built, so any N runs.
+    only on the core pattern (``cosets.core_images``) of the active images
+    u(1..k), so each pattern is classified once, at tail size k: 7 at k=2, 34
+    at k=3.  A pattern with t tail images stands for falling(N, t) of the
+    falling(N+k, k) equally likely image tuples at tail size N, math.perm
+    products of at most k terms; nothing of size N is built, so any N runs.
     """
     gw, hw = as_word(g), as_word(h)
     base = family.spec
@@ -133,9 +132,8 @@ def concentration_exact(g, h, family: GroupFamily, N_list) -> list[tuple[int, Fr
     core_fam = family.with_n_tail(k)
     gb, hb = BlockMatrix.from_permutation(gw), BlockMatrix.from_permutation(hw)
     target = circ_N(gb, hb, core_fam)
-    members = [0] * (k + 1)  # member choices by their number of tail images
-    for images in itertools.permutations(range(1, 2 * k + 1), k):
-        if sym_membership(sample_core(gb, hb, core_fam, images), target):
-            members[sum(v > k for v in images)] += 1
-    return [(N, sum((Fraction(c * math.perm(N, t), math.perm(k, t) * math.perm(N + k, k))
-                     for t, c in enumerate(members)), Fraction(0))) for N in Ns]
+    patterns = {core_images(p, k) for p in itertools.permutations(range(1, 2 * k + 1), k)}
+    tails = [sum(v > k for v in p) for p in patterns
+             if sym_membership(sample_core(gb, hb, core_fam, p), target)]
+    return [(N, sum((Fraction(math.perm(N, t), math.perm(N + k, k)) for t in tails), Fraction(0)))
+            for N in Ns]

@@ -268,49 +268,83 @@ def _core_case(kind, alpha, k, m, N, seed):
     gen = RandomStream(seed, 0).generator()
     g = BlockMatrix(haar_unitary(fam.spec.window, gen))
     h = BlockMatrix(haar_unitary(fam.spec.window, gen))
-    conj = kind == "unitary_conjugation"
-    x_w = (haar_unitary if conj else haar_orthogonal)(fam.spec.copy_size, gen)
-    X = embed_k(x_w, fam.spec)
+    x_w = (haar_unitary if kind == "unitary_conjugation" else haar_orthogonal)(
+        fam.spec.copy_size, gen)
+    x = _sample(fam, g, h, embed_k(x_w, fam.spec))
+    return fam, g, h, x_w, x, sample_core(g, h, fam, x_w[:k, :k])
+
+
+def _sample(fam, g, h, X):
+    """embed(g).X.embed(h), times X^* for the conjugation family."""
     x = embed(g, fam.spec) @ X @ embed(h, fam.spec)
-    if conj:
+    if fam.kind == "unitary_conjugation":
         x = BlockMatrix(x.entries @ X.entries.conj().T, fam.spec)
-    return fam, g, h, x_w, x, sample_core(g, h, fam, x_w[:k])
+    return x
+
+
+def _canonical_middle_draw(fam, a):
+    """embed_k(c (+) I): the lift of identity witnesses is the canonical middle draw."""
+    e = BlockMatrix.identity(fam.with_n_tail(fam.spec.k).spec.dim)
+    return lift_core_witnesses(e, e, a, fam)[0]
 
 
 class TestSampleCore:
     @pytest.mark.parametrize("kind", ["unitary_orthogonal", "unitary_conjugation"])
     @pytest.mark.parametrize("alpha,k,m,N", CORE_SHAPES)
     def test_core_is_the_sample_in_the_core_frame(self, kind, alpha, k, m, N):
-        # identity core witnesses lift to U = XQ and V = Q^* (Q^*X^* for the
-        # conjugation family), so U^* x V^* must be the core on the corner and
-        # the first 2k points of each copy and the identity elsewhere
+        # the whole draw is x_w = W.x_a.(I_k (+) V) with W = I_k (+) W', so the
+        # sample is k1.x_a.k2 (k1.x_a.k1^* for conjugation) with k1, k2 in K,
+        # where x_a is the canonical sample built from x_w's block A alone
         m = 1 if kind == "unitary_conjugation" else m
-        fam, _, _, x_w, x, core = _core_case(kind, alpha, k, m, N, seed=40 + N)
+        fam, g, h, x_w, x, core = _core_case(kind, alpha, k, m, N, seed=40 + N)
         core_spec = fam.with_n_tail(k).spec
         assert core.spec == core_spec
+        # identity core witnesses lift to U = X_a, the canonical middle draw,
+        # and V = I (X_a^* for conjugation), so U^* x_a V^* is the core on the
+        # corner and the first 2k points of each copy and the identity elsewhere
         e = BlockMatrix.identity(core_spec.dim, core_spec)
-        U, V = lift_core_witnesses(e, e, x_w, fam)
-        framed = U.entries.conj().T @ x.entries @ V.entries.conj().T
+        U, V = lift_core_witnesses(e, e, x_w[:k, :k], fam)
+        assert is_unitary(U, 1e-12) and is_unitary(V, 1e-12)
+        x_a = _sample(fam, g, h, U)
+        framed = U.entries.conj().T @ x_a.entries @ V.entries.conj().T
         padded = embed(core, BlockSpec(alpha, 2 * k, N - k, m)).entries
         assert np.abs(framed - padded).max() <= 1e-12
-        assert is_unitary(U, 1e-12) and is_unitary(V, 1e-12)
+        # T = P [S, 0] Q, so T.V^* = [D, 0] with D = P S P^* and V = (P (+) I).Q
+        p, _, q = np.linalg.svd(x_w[:k, k:])
+        v = np.eye(k + N, dtype=x_w.dtype)
+        v[k:, k:] = q
+        v[k:2 * k, k:] = p @ q[:k]
+        copy = fam.spec.copy_slice(0)
+        w = x_w @ v.conj().T @ U.entries[copy, copy].conj().T
+        assert np.abs(w[:k, :k] - np.eye(k)).max() <= 1e-12
+        assert np.abs(w[:k, k:]).max() <= 1e-12 and np.abs(w[k:, :k]).max() <= 1e-12
+        k1, k2 = embed_k(w, fam.spec), embed_k(v, fam.spec)
+        if kind == "unitary_conjugation":
+            k2 = BlockMatrix(k1.entries.conj().T)
+        else:
+            # real orthogonal copy blocks: k1 and k2 lie in K
+            assert np.abs(k1.entries.imag).max() == 0 and np.abs(k2.entries.imag).max() == 0
+        assert is_unitary(k1, 1e-12) and is_unitary(k2, 1e-12)
+        assert np.abs((k1 @ x_a @ k2).entries - x.entries).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", ["unitary_orthogonal", "unitary_conjugation"])
     @pytest.mark.parametrize("alpha,k,m,N", CORE_SHAPES)
     def test_lifted_witnesses_verify_at_full_size(self, kind, alpha, k, m, N):
         m = 1 if kind == "unitary_conjugation" else m
-        fam, g, h, x_w, x, core = _core_case(kind, alpha, k, m, N, seed=60 + N)
+        fam, g, h, x_w, _, core = _core_case(kind, alpha, k, m, N, seed=60 + N)
+        a = x_w[:k, :k]
         core_target = circ_N(g, h, fam.with_n_tail(k))
         if kind == "unitary_conjugation":
             est = dist_conjugacy(core, core_target)
         else:
             est = dist_double_coset(core, core_target, rng=RandomStream(61, N).generator())
-        U, V = lift_core_witnesses(est.witness_left, est.witness_right, x_w, fam)
+        U, V = lift_core_witnesses(est.witness_left, est.witness_right, a, fam)
         if kind == "unitary_orthogonal":
             # real orthogonal copy blocks: the lifted witnesses stay in K
             assert np.abs(U.entries.imag).max() == 0 and np.abs(V.entries.imag).max() == 0
         lifted = replace(est, witness_left=U, witness_right=V)
-        assert abs(verify_estimate(lifted, x, circ_N(g, h, fam)) - est.upper_bound) <= 1e-10
+        x_a = _sample(fam, g, h, _canonical_middle_draw(fam, a))
+        assert abs(verify_estimate(lifted, x_a, circ_N(g, h, fam)) - est.upper_bound) <= 1e-10
 
     @pytest.mark.parametrize("kind", ["unitary_orthogonal", "unitary_conjugation"])
     @pytest.mark.parametrize("alpha,k,m,N", CORE_SHAPES)
@@ -318,22 +352,70 @@ class TestSampleCore:
         m = 1 if kind == "unitary_conjugation" else m
         fam, g, h, x_w, _, core = _core_case(kind, alpha, k, m, N, seed=80 + N)
         h_core = embed(h, fam.with_n_tail(k).spec)
-        assert np.array_equal(sample_core(g, h_core, fam, x_w[:k]).entries, core.entries)
+        assert np.array_equal(sample_core(g, h_core, fam, x_w[:k, :k]).entries, core.entries)
 
-    def test_core_ignores_tail_size(self):
-        # the same first rows padded with zeros to a longer tail give the same core
-        fam, g, h, x_w, _, core = _core_case("unitary_orthogonal", 1, 2, 2, 3, seed=7)
-        longer = GroupFamily(fam.kind, BlockSpec(1, 2, 9, 2))
-        rows = np.hstack([x_w[:2], np.zeros((2, 6))])
-        np.testing.assert_allclose(sample_core(g, h, longer, rows).entries, core.entries,
-                                   atol=1e-14)
+    @pytest.mark.parametrize("kind,a", [
+        ("unitary_orthogonal", np.array([[0.0, 1.0], [1.0, 0.0]])),
+        ("unitary_conjugation", haar_unitary(2, RandomStream(5, 0))),
+    ])
+    def test_core_at_block_norm_one(self, kind, a):
+        # ||a|| = 1 to rounding: I - aa^* has eigenvalues at 0 of either sign,
+        # which a Cholesky factor rejects and the clipped root takes
+        fam = GroupFamily(kind, BlockSpec(1, 2, 6, 1))
+        gen = RandomStream(6, 0).generator()
+        g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
+        assert is_unitary(sample_core(g, h, fam, a), 1e-12)
+        e = BlockMatrix.identity(fam.with_n_tail(2).spec.dim)
+        assert all(is_unitary(w, 1e-12) for w in lift_core_witnesses(e, e, a, fam))
+
+    @pytest.mark.parametrize("kind,alpha,k,m", [
+        *(("unitary_orthogonal", *shape) for shape in [(1, 1, 1), (2, 2, 1), (1, 2, 2)]),
+        *(("unitary_conjugation", *shape) for shape in [(1, 1, 1), (2, 2, 1), (0, 2, 1)]),
+    ])
+    def test_core_at_a_zero_is_the_infinite_tail_product(self, kind, alpha, k, m):
+        # at a = 0 the frame is [0, I]: g acts on the first tail slots, so the
+        # core is J.r (J.r.J for conjugation) with r the product at tail size k
+        # and J in K; both solvers find the class at once.  No part of the core
+        # has size N, so N = 10^12 gives the same core.
+        fam = GroupFamily(kind, BlockSpec(alpha, k, 5, m))
+        gen = RandomStream(3, 0).generator()
+        g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
+        a = np.zeros((k, k))
+        core = sample_core(g, h, fam, a)
+        core_fam = fam.with_n_tail(k)
+        target = circ_N(g, h, core_fam)
+        J = build_JN(core_fam.spec)
+        swapped = J @ core @ J if kind == "unitary_conjugation" else J @ core
+        assert np.abs(swapped.entries - target.representative.entries).max() <= 1e-15
+        if kind == "unitary_conjugation":
+            est = dist_conjugacy(core, target)
+        else:
+            est = dist_double_coset(core, target, rng=gen)
+        assert est.upper_bound <= 1e-14
+        assert np.array_equal(sample_core(g, h, fam.with_n_tail(10**12), a).entries,
+                              core.entries)
+
+    def test_rejects_bad_block(self):
+        fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 2, 4, 1))
+        for a in (np.eye(2, 3), np.eye(1), np.eye(3), np.ones(2)):
+            with pytest.raises(ValueError, match="2x2 block A"):
+                sample_core(BlockMatrix.identity(3), BlockMatrix.identity(3), fam, a)
+        for a in (1.001 * np.eye(2), np.full((2, 2), 0.6), np.full((2, 2), np.nan)):
+            with pytest.raises(ValueError, match="operator norm"):
+                sample_core(BlockMatrix.identity(3), BlockMatrix.identity(3), fam, a)
+        e = BlockMatrix.identity(5)
+        with pytest.raises(ValueError, match="operator norm"):
+            lift_core_witnesses(e, e, 1.001 * np.eye(2), fam)
+        # within the 1e-10 slack the block is taken as a norm-one block
+        sample_core(BlockMatrix.identity(3), BlockMatrix.identity(3), fam,
+                    (1 + 1e-11) * np.eye(2))
 
     def test_rejects_symmetric_family_and_bad_rows(self):
         fam = GroupFamily("symmetric", BlockSpec(1, 1, 2, 1))
         with pytest.raises(ValueError):
             sample_core(SWAP, SWAP, fam, np.eye(1, 3))
         fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 1, 2, 1))
-        with pytest.raises(ValueError, match="first 1 rows"):
+        with pytest.raises(ValueError, match="1x1 block A"):
             sample_core(SWAP, SWAP, fam, np.eye(2, 3))
 
     @pytest.mark.parametrize("alpha", [0, 1, 2])

@@ -247,7 +247,7 @@ class TestRunConcentration:
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
             dists = [dist_conjugacy(sample_core(g, h, fam, haar_columns(
-                1 + N, 1, RandomStream(cfg.seed, 1 + i).generator(), unitary=True).T),
+                1 + N, 1, RandomStream(cfg.seed, 1 + i).generator(), unitary=True)[:1].T),
                 target).upper_bound for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)

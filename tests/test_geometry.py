@@ -210,7 +210,7 @@ class TestDistConjugacyStack:
         g = BlockMatrix(haar_unitary(fam.spec.window, setup))
         h = BlockMatrix(haar_unitary(fam.spec.window, setup))
         cores = [sample_core(g, h, fam, haar_columns(
-            k + N, k, RandomStream(seed, 1 + i).generator(), unitary=True).T)
+            k + N, k, RandomStream(seed, 1 + i).generator(), unitary=True)[:k].T)
             for i in range(samples)]
         return cores, circ_N(g, h, fam.with_n_tail(k))
 
@@ -366,7 +366,7 @@ class TestDistDoubleCosetStack:
         h = BlockMatrix(haar_unitary(fam.spec.window, setup))
         target = circ_N(g, h, fam.with_n_tail(k))
         cores = [sample_core(g, h, fam, haar_columns(
-            k + N, k, RandomStream(seed, 1 + i).generator()).T).entries
+            k + N, k, RandomStream(seed, 1 + i).generator())[:k].T).entries
             for i in range(samples)]
         # one lane on the target itself, which stops after two steps
         return np.stack(cores + [target.representative.entries]), target
@@ -454,7 +454,7 @@ class TestCoreAgainstFullSolver:
             x_w = (haar_unitary if conj else haar_orthogonal)(9, gen)
             X = embed_k(x_w, fam.spec)
             x = G @ X @ H
-            core = sample_core(g, h, fam, x_w[:1])
+            core = sample_core(g, h, fam, x_w[:1, :1])
             if conj:
                 x = BlockMatrix(x.entries @ X.entries.conj().T, fam.spec)
                 yield dist_conjugacy(x, full_target), dist_conjugacy(core, core_target)

@@ -8,6 +8,7 @@ from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord, embed
 from cosetlab.cosets import GroupFamily, circ_N
 from cosetlab.geometry import sym_membership
 from cosetlab.haar import RandomStream, uniform_permutation
+from cosetlab import hypergroup_exact
 from cosetlab.hypergroup_exact import (
     ENUMERATION_BUDGET,
     concentration_exact,
@@ -178,6 +179,21 @@ class TestConcentrationExact:
             dist = exact_convolution(embed(g, fam.spec), embed(h, fam.spec), fam)
             want = dist.prob_of_coset(circ_N(g, h, fam).representative)
             assert concentration_exact(g, h, fam, [N]) == [(N, want)], (N, g, h)
+
+    @pytest.mark.parametrize("k,calls", [(1, 2), (2, 7), (3, 34)])
+    def test_each_core_pattern_is_tested_once(self, monkeypatch, k, calls):
+        # falling(2k, k) ordered image choices fall into fewer core patterns
+        # (2, 7, 34 at k = 1, 2, 3), whatever N and however many N are asked
+        seen = []
+
+        def counting(x, target):
+            seen.append(x)
+            return sym_membership(x, target)
+
+        monkeypatch.setattr(hypergroup_exact, "sym_membership", counting)
+        e = PermutationWord.identity(1 + 2 * k)
+        concentration_exact(e, e, _family(k=k, N=k, m=2), [k, 10, 10**12])
+        assert len(seen) == calls
 
     def test_tail_below_k_rejected(self):
         fam = _family(alpha=0, k=2, N=2, m=2)
