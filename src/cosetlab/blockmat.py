@@ -48,8 +48,6 @@ class BlockSpec:
             raise ValueError("alpha and n_tail must be nonnegative")
         if self.k < 1 or self.m < 1:
             raise ValueError("k and m must be positive")
-        if self.dim < 1:
-            raise ValueError("total dimension must be >= 1")
 
     @property
     def copy_size(self) -> int:
@@ -191,21 +189,15 @@ class BlockMatrix:
 
     __slots__ = ("_entries", "spec", "exact_permutation")
 
-    def __init__(self, entries, spec: BlockSpec | None = None,
-                 exact_permutation: PermutationWord | None = None):
+    def __init__(self, entries, spec: BlockSpec | None = None):
         entries = np.ascontiguousarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
         if spec is not None and spec.dim != entries.shape[0]:
             raise ValueError(f"spec dimension {spec.dim} != matrix dimension {entries.shape[0]}")
-        if exact_permutation is not None:
-            if exact_permutation.degree != entries.shape[0]:
-                raise ValueError("permutation degree mismatch")
-            if np.abs(entries - exact_permutation.matrix()).max() != 0.0:
-                raise ValueError("entries do not match the claimed exact permutation")
         self._entries = entries
         self.spec = spec
-        self.exact_permutation = exact_permutation
+        self.exact_permutation = None
 
     @property
     def entries(self) -> np.ndarray:
@@ -242,11 +234,6 @@ class BlockMatrix:
                 self.exact_permutation * other.exact_permutation, spec)
         return BlockMatrix(self.entries @ other.entries, spec)
 
-    def inverse(self) -> "BlockMatrix":
-        if self.exact_permutation is not None:
-            return BlockMatrix.from_permutation(self.exact_permutation.inverse(), self.spec)
-        return BlockMatrix(np.linalg.inv(self.entries), self.spec)
-
     def to_json_dict(self) -> dict:
         """Matrix file format: {"perm": [...]} for exact permutations, else {"dim", "re", "im"}."""
         if self.exact_permutation is not None:
@@ -261,7 +248,10 @@ class BlockMatrix:
     def from_json_dict(cls, data: dict, spec: BlockSpec | None = None) -> "BlockMatrix":
         if "perm" in data:
             return cls.from_permutation(PermutationWord(data["perm"]), spec)
-        entries = np.asarray(data["re"], dtype=float) + 1j * np.asarray(data["im"], dtype=float)
+        re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise ValueError("matrix entries must be finite")
+        entries = re + 1j * im
         if entries.shape != (data["dim"], data["dim"]):
             raise ValueError("re/im shape does not match dim")
         return cls(entries, spec)

@@ -123,8 +123,6 @@ def _draw_k(family: GroupFamily, gen: np.random.Generator) -> BlockMatrix:
 
 
 def _conj_transpose(x: BlockMatrix) -> BlockMatrix:
-    if x.exact_permutation is not None:
-        return x.inverse()
     return BlockMatrix(x.entries.conj().T, x.spec)
 
 

@@ -43,11 +43,11 @@ CSV_COLUMNS = (
 )
 
 # Bytes per stacked solver call; a block holds as many samples as fit.  Per
-# sample, the sweep holds about 2 KB for the stream and the core, and the
-# Procrustes stack about 160 d^2 bytes.  The conjugation solver holds first its
-# dense Sylvester map and SVD, about 48 d^2 w^2 bytes (w = d - alpha), and then
-# three fixed-point lanes, about 48 d^2 * 9 bytes; the two phases do not
-# overlap, so the larger one counts (tracemalloc, max_iters=2, d = 2..9).
+# sample, the sweep holds about 2 KB for the stream and the core, the
+# Procrustes stack about 160 d^2 bytes and the conjugation solver's three
+# fixed-point lanes about 432 d^2 bytes (tracemalloc, max_iters=2, d = 2..9).
+# The conjugation solver builds its Sylvester starts one lane at a time, so
+# that map does not grow with the block.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -211,16 +211,11 @@ def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
 def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
     """Turn a g_spec/h_spec matrix source into a window-sized BlockMatrix."""
     window = family.spec.window
-    if source == "random_unitary":
-        if family.kind == "symmetric":
-            elem = BlockMatrix.from_permutation(uniform_permutation(window, gen))
-        else:
-            elem = BlockMatrix(haar_unitary(window, gen))
-    else:
-        elem = load_source(source, window)
-    if family.kind == "symmetric" and elem.exact_permutation is None:
-        raise ValueError("symmetric family needs exact permutation g/h")
-    return elem
+    if source != "random_unitary":
+        return load_source(source, window)
+    if family.kind == "symmetric":
+        return BlockMatrix.from_permutation(uniform_permutation(window, gen))
+    return BlockMatrix(haar_unitary(window, gen))
 
 
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
@@ -254,7 +249,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     conj = cfg.family == "unitary_conjugation"
     h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
     d = fam0.spec.dim
-    lane_bytes = 2048 + (48 * d * d * max((d - cfg.alpha) ** 2, 9) if conj else 160 * d * d)
+    lane_bytes = 2048 + (432 if conj else 160) * d * d
     block = max(1, _BLOCK_BYTES // lane_bytes)
     verdicts = {}  # symmetric hit verdict per core pattern, for every N
 

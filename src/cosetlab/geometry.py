@@ -305,9 +305,10 @@ _DENSE_SYLVESTER_MAX = 34
 def _min_singular_init(x, r, alpha, spectral_guess):
     """Per lane of x, the minimizer of ||xW - Wr||_F over W = diag(s.1_alpha, w):
     smallest singular vector of the restricted Sylvester map, then rescaled to
-    a unit corner.  Returns the solved lanes' starts and the mask of those
-    lanes; a lane whose ARPACK run does not converge has none."""
-    lanes, dim = x.shape[0], x.shape[-1]
+    a unit corner.  Lanes are solved one at a time, so memory holds one lane's
+    map.  Returns the solved lanes' starts and the mask of those lanes; a lane
+    whose ARPACK run does not converge has none."""
+    dim = x.shape[-1]
     w = dim - alpha
     n = 1 + w * w
 
@@ -317,37 +318,37 @@ def _min_singular_init(x, r, alpha, spectral_guess):
         W[..., alpha:, alpha:] = p[..., 1:].reshape(p.shape[:-1] + (w, w))
         return W
 
-    if w <= _DENSE_SYLVESTER_MAX:
-        L = np.empty((lanes, dim * dim, n), dtype=complex)
-        for j, Wj in enumerate(from_vec(np.eye(n, dtype=complex))):
-            L[:, :, j] = (x @ Wj - Wj @ r).reshape(L.shape[:2])
-        _, _, vh = np.linalg.svd(L, full_matrices=False)
-        p = vh[:, -1].conj()
-        solved = np.ones(lanes, dtype=bool)
+    dense = w <= _DENSE_SYLVESTER_MAX
+    if dense:
+        basis = from_vec(np.eye(n, dtype=complex))
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    found = []
+    for xe, guess in zip(x, spectral_guess):
+        if dense:
+            L = (xe @ basis - basis @ r).reshape(n, dim * dim).T
+            found.append(np.linalg.svd(L, full_matrices=False)[2][-1].conj())
+            continue
 
-        found = []
-        for xe, guess in zip(x, spectral_guess):
-            def matvec(p, xe=xe):
-                W = from_vec(np.asarray(p, dtype=complex))
-                R = xe @ W - W @ r
-                G = xe.conj().T @ R - R @ r.conj().T
-                out = np.empty(n, dtype=complex)
-                out[0] = np.trace(G[:alpha, :alpha])
-                out[1:] = G[alpha:, alpha:].ravel()
-                return out
+        def matvec(p, xe=xe):
+            W = from_vec(np.asarray(p, dtype=complex))
+            R = xe @ W - W @ r
+            G = xe.conj().T @ R - R @ r.conj().T
+            out = np.empty(n, dtype=complex)
+            out[0] = np.trace(G[:alpha, :alpha])
+            out[1:] = G[alpha:, alpha:].ravel()
+            return out
 
-            v0 = np.empty(n, dtype=complex)
-            v0[0] = 1.0
-            v0[1:] = guess[alpha:, alpha:].ravel()
-            op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-            try:
-                found.append(eigsh(op, k=1, which="SA", v0=v0, maxiter=60, tol=1e-4)[1][:, 0])
-            except ArpackNoConvergence:
-                found.append(None)
-        solved = np.array([f is not None for f in found], dtype=bool)
-        p = np.array([f for f in found if f is not None]).reshape(-1, n)
+        v0 = np.empty(n, dtype=complex)
+        v0[0] = 1.0
+        v0[1:] = guess[alpha:, alpha:].ravel()
+        op = LinearOperator((n, n), matvec=matvec, dtype=complex)
+        try:
+            found.append(eigsh(op, k=1, which="SA", v0=v0, maxiter=60, tol=1e-4)[1][:, 0])
+        except ArpackNoConvergence:
+            found.append(None)
+    solved = np.array([f is not None for f in found], dtype=bool)
+    p = np.array([f for f in found if f is not None]).reshape(-1, n)
     s = p[:, 0]
     scale = np.abs(s) > 1e-9
     p = np.where(scale[:, None], p / np.where(scale, s, 1.0)[:, None], p)
@@ -367,9 +368,9 @@ def dist_conjugacy_stack(
     iteration count, and leaves the stack when it stalls or its bound drops
     below 1e-11, so the stack shrinks as it runs.  A lane's result does not
     depend on the rest of the stack: each sample gets the estimate
-    ``dist_conjugacy`` gives for it alone, bit for bit.  Memory is
-    O(S d^2 (1 + w^2)) for the dense Sylvester map, w = d - alpha: callers
-    bound S.
+    ``dist_conjugacy`` gives for it alone, bit for bit.  Memory is O(S d^2)
+    for the lanes plus one sample's Sylvester map, O(d^2 (1 + w^2)) with
+    w = d - alpha: callers bound S.
     """
     fam = target.family
     if fam.kind != "unitary_conjugation":

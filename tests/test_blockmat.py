@@ -119,12 +119,6 @@ class TestPermutationWord:
 
 
 class TestBlockMatrix:
-    def test_exact_permutation_consistency(self):
-        word = PermutationWord([2, 1])
-        BlockMatrix(word.matrix(), exact_permutation=word)  # fine
-        with pytest.raises(ValueError):
-            BlockMatrix(np.eye(2), exact_permutation=word)
-
     def test_matmul_keeps_exactness(self):
         a = BlockMatrix.from_permutation(PermutationWord([2, 3, 1]))
         b = BlockMatrix.from_permutation(PermutationWord([1, 3, 2]))
@@ -200,6 +194,13 @@ class TestLoadSource:
         ("(1 4)", None, r"\(1 4\): dimension 4, expected 3"),
         ("1 2", None, "bad permutation '1 2'"),
         ("(1 x)", None, r"bad permutation '\(1 x\)'"),
+        ("(1 2", None, r"bad permutation '\(1 2'.*malformed cycle notation"),
+        ("shape.json", json.dumps({"dim": 3, "re": np.eye(2).tolist(), "im": np.eye(2).tolist()}),
+         "malformed matrix JSON in .*shape.json: re/im shape does not match dim"),
+        ("nan.json", '{"dim": 1, "re": [[NaN]], "im": [[0]]}',
+         "malformed matrix JSON in .*nan.json: matrix entries must be finite"),
+        ("inf.json", '{"dim": 1, "re": [[1]], "im": [[-Infinity]]}',
+         "malformed matrix JSON in .*inf.json: matrix entries must be finite"),
     ])
     def test_bad_source_names_it(self, tmp_path, source, text, match):
         if text is not None:

@@ -79,6 +79,13 @@ class TestProduct:
         assert (code, out) == (1, "")
         assert "k and m must be positive" in err
 
+    def test_size_stable_product_needs_one_copy(self, capsys):
+        code, out, err = run_cli(
+            capsys, "product", "--family", "symmetric", "--alpha", "1", "--k", "1", "--m", "2",
+            "--g", "(1 2)", "--h", "identity")
+        assert (code, out) == (1, "")
+        assert "needs m=1" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "rep.json"
         code, out, _ = run_cli(capsys, *FIXTURE_PRODUCT, "--out", str(path))
@@ -223,6 +230,13 @@ class TestConcentration:
         assert code == 1
         assert "missing.json" in err
 
+    def test_malformed_config_file(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": 1,')
+        code, _, err = run_cli(capsys, "concentration", "--config", str(path))
+        assert code == 1
+        assert f"malformed config JSON in {path}" in err
+
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '"abc"', "null"])
     def test_config_that_is_not_an_object(self, capsys, tmp_path, text):
         path = tmp_path / "cfg.json"
@@ -310,6 +324,21 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *argv, "--g", str(path))
         assert (code, out) == (1, "")
         assert "unitary g and h" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("product", "--family", "unitary_orthogonal", "--alpha", "1", "--k", "1", "--N", "2",
+         "--h", "identity"),
+        ("concentration", "--family", "unitary_conjugation", "--alpha", "1", "--k", "1",
+         "--m", "1", "--N", "8", "--epsilon", "0.4", "--samples", "2", "--seed", "1",
+         "--h", "identity"),
+    ], ids=["product", "concentration"])
+    def test_non_finite_matrix_names_source(self, capsys, tmp_path, argv):
+        # unchecked, NaN entries reach the solver, whose SVD fails without naming the file
+        path = tmp_path / "nan.json"
+        path.write_text('{"dim": 2, "re": [[NaN, 0], [0, 1]], "im": [[0, 0], [0, 0]]}')
+        code, out, err = run_cli(capsys, *argv, "--g", str(path))
+        assert (code, out) == (1, "")
+        assert f"malformed matrix JSON in {path}" in err
 
     def test_zero_max_iters_is_config_error(self, capsys):
         code, _, err = run_cli(

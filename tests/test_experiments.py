@@ -237,7 +237,7 @@ class TestRunConcentration:
 
     def test_conjugation_report_matches_per_sample_loop(self, monkeypatch):
         # blocks of 7 samples at core dimension 3, so blocks are crossed
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 48 * 9 * 9))
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 432 * 9))
         cfg = _cfg(family="unitary_conjugation", N_list=(8, 24), epsilon_list=(0.2, 0.4),
                    samples=38, seed=5, g_spec="random_unitary", h_spec="random_unitary")
         setup = RandomStream(cfg.seed, 0).generator()
@@ -311,8 +311,7 @@ class TestRunConcentration:
         assert 0 < len(calls) <= min(samples, math.perm(2 * k, k))
 
     def test_conjugation_stacks_stay_bounded(self, monkeypatch):
-        # blocks of _BLOCK_BYTES // (2048 + 48 d^2 max(w^2, 9)) samples, w = d - alpha:
-        # 706 at d=3 (a whole sweep of 200), one at d=17
+        # blocks of _BLOCK_BYTES // (2048 + 432 d^2) samples: 706 at d=3, 33 at d=17
         seen = []
         real = experiments.dist_conjugacy_stack
 
@@ -321,7 +320,7 @@ class TestRunConcentration:
             return real(xs, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "dist_conjugacy_stack", spy)
-        for k, samples, sizes in [(1, 2000, [706, 706, 588]), (8, 2, [1, 1])]:
+        for k, samples, sizes in [(1, 2000, [706, 706, 588]), (8, 2, [2])]:
             seen.clear()
             cfg = _cfg(family="unitary_conjugation", k=k, N_list=(k,), epsilon_list=(0.4,),
                        samples=samples, seed=2, g_spec="random_unitary",
@@ -330,8 +329,8 @@ class TestRunConcentration:
             assert seen == sizes, k
 
     def test_conjugation_block_memory(self):
-        # the dense Sylvester map holds about 3.6 MB per sample at k=8; a block
-        # of 32 samples peaked at 112 MB
+        # one block of six k=8 samples; each Sylvester map, about 3.6 MB, is
+        # built one sample at a time, so only one is held at once
         cfg = _cfg(family="unitary_conjugation", k=8, N_list=(8,), epsilon_list=(0.4,),
                    samples=6, seed=2, g_spec="random_unitary", h_spec="random_unitary",
                    max_iters=2)
@@ -344,13 +343,11 @@ class TestRunConcentration:
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("family,k,samples", [
-        ("unitary_conjugation", 1, 2000), ("unitary_conjugation", 2, 220),
+        ("unitary_conjugation", 1, 2000), ("unitary_conjugation", 2, 400),
         ("unitary_orthogonal", 1, 3000)])
     def test_full_block_stays_near_budget(self, family, k, samples):
-        # more samples than one block holds (706, 197 and 1202), so the first
-        # block is full; at k=1 the fixed-point lanes and each sample's stream
-        # outweigh the Sylvester map, and blocks of 1941 (conjugation) and 2912
-        # (orthogonal) samples peaked at 11.4 and 7.4 MB
+        # more samples than one block holds (706, 326 and 1202), so the first
+        # block is full
         cfg = _cfg(family=family, k=k, N_list=(8,), epsilon_list=(0.4,), samples=samples,
                    seed=3, g_spec="random_unitary", h_spec="random_unitary", restarts=1,
                    max_iters=2)
@@ -400,9 +397,10 @@ class TestRunConcentration:
 
 class TestReports:
     def test_csv_header_and_width(self):
+        header = ("family,alpha,k,m,N,epsilon,samples,hits,fraction,ci_low,ci_high,"
+                  "median_dist,mean_dist,seed,runtime_s\n")
         assert len(CSV_COLUMNS) == 15
-        text = ConcentrationReport().to_csv_text()
-        assert text == ",".join(CSV_COLUMNS) + "\n"
+        assert ConcentrationReport().to_csv_text() == ",".join(CSV_COLUMNS) + "\n" == header
 
     def test_csv_floats_survive_round_trip(self):
         row = ReportRow(
