@@ -8,6 +8,7 @@ Data goes to --out (default stdout); diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -126,7 +127,10 @@ def _cmd_concentration(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parsing leaves no state on the parser, and every
+    # parse_args call starts a fresh namespace, append lists included
     parser = _Parser(prog="cosetlab",
                      description="Double-coset products and concentration experiments.")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")

@@ -39,6 +39,7 @@ __all__ = [
     "sample_tau_full",
     "core_images",
     "sample_core",
+    "sample_core_stack",
     "lift_core_witnesses",
 ]
 
@@ -181,17 +182,50 @@ def core_images(images, k: int) -> tuple:
     return tuple(v if v <= k else next(tail) for v in images)
 
 
-def _frame(a, k: int) -> np.ndarray:
-    """The frame [a, D], D = (I - aa^*)^(1/2) by eigh with eigenvalues clipped at
-    0: k orthonormal rows up to ||a|| = 1, real for real a, D = I at a = 0.
-    ValueError unless a is k x k with operator norm at most 1 + 1e-10."""
+def _block_a(a, k: int) -> np.ndarray:
     a = np.asarray(a)
     if a.shape != (k, k):
         raise ValueError(f"expected the {k}x{k} block A of the middle draw, got shape {a.shape}")
-    lam, vec = np.linalg.eigh(np.eye(k) - a @ a.conj().T)
-    if not lam[0] >= -2e-10:  # lam[0] = 1 - ||a||^2, so this is ||a|| <= 1 + 1e-10
-        raise ValueError(f"the block A has operator norm {np.sqrt(1 - lam[0]):.12g} > 1")
-    return np.hstack([a, (vec * np.sqrt(np.clip(lam, 0, None))) @ vec.conj().T])
+    return a
+
+
+def _frame(a) -> np.ndarray:
+    """Per lane of an (S, k, k) stack a, the frame [a, D], D = (I - aa^*)^(1/2)
+    by eigh with eigenvalues clipped at 0: k orthonormal rows up to ||a|| = 1,
+    real for real a, D = I at a = 0.  ValueError unless every lane has
+    operator norm at most 1 + 1e-10."""
+    lam, vec = np.linalg.eigh(np.eye(a.shape[-1]) - a @ a.conj().swapaxes(-1, -2))
+    low = lam[:, 0]  # 1 - ||a||^2, so low >= -2e-10 is ||a|| <= 1 + 1e-10
+    bad = ~(low >= -2e-10)
+    if bad.any():
+        raise ValueError(f"the block A has operator norm {np.sqrt(1 - low[bad][0]):.12g} > 1")
+    root = (vec * np.sqrt(np.clip(lam, 0, None))[:, None, :]) @ vec.conj().swapaxes(-1, -2)
+    return np.concatenate([a, root], axis=-1)
+
+
+def sample_core_stack(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) -> np.ndarray:
+    """``sample_core`` for every lane of an (S, k, k) stack a of unitary middle
+    draw blocks, as the (S, d, d) stack of the cores' entries, bit for bit.
+
+    The frames, the products Y^*(g - I)Y and the products with h run as
+    stacks.  Raises ValueError for the symmetric family, for a stack of
+    another shape, and when any lane has operator norm above 1 + 1e-10.
+    """
+    spec = family.spec
+    alpha, k = spec.alpha, spec.k
+    if family.kind == "symmetric":
+        raise ValueError("stacked cores need a unitary family; symmetric cores are "
+                         "built one at a time by sample_core")
+    a = np.asarray(a)
+    if a.ndim != 3 or a.shape[1:] != (k, k):
+        raise ValueError(f"expected a stack of {k}x{k} blocks A, got shape {a.shape}")
+    core_spec = family.with_n_tail(k).spec
+    y = np.zeros((len(a), spec.window, core_spec.dim), dtype=complex)
+    y[:, :alpha, :alpha] = np.eye(alpha)
+    y[:, alpha:, alpha:] = np.kron(np.eye(spec.m), _frame(a))
+    left = np.eye(core_spec.dim) + y.conj().swapaxes(-1, -2) @ (
+        g.entries - np.eye(spec.window)) @ y
+    return left @ (h if h.dim == core_spec.dim else embed(h, core_spec)).entries
 
 
 def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) -> BlockMatrix:
@@ -207,6 +241,7 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) -> Block
     (I + Y^*(g - I)Y).embed(h) with Y = I_alpha (+) [a, D] per copy; its target
     is circ_N(g, h, family.with_n_tail(k)).  Neither depends on N or on the
     outer draws of ``sample_tau_full``; a core costs O(k^3) plus d x d products.
+    For the unitary families this is ``sample_core_stack`` on a stack of one.
 
     For the symmetric family ``a`` holds u(1..k), the images of the middle
     permutation's active points: k distinct integers in 1..w, else ValueError.
@@ -217,7 +252,7 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) -> Block
     already embedded at core size, so a caller making many cores embeds once.
     """
     spec = family.spec
-    alpha, k = spec.alpha, spec.k
+    k = spec.k
     core_spec = family.with_n_tail(k).spec
     if family.kind == "symmetric":
         rows = np.asarray(a)
@@ -233,11 +268,7 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) -> Block
         u_core = PermutationWord([*head, *sorted(set(range(1, 2 * k + 1)) - set(head))])
         g, h = (b if b.dim == core_spec.dim else embed(b, core_spec) for b in (g, h))
         return g @ embed_k(u_core, core_spec) @ h
-    y = np.zeros((spec.window, core_spec.dim), dtype=complex)
-    y[:alpha, :alpha] = np.eye(alpha)
-    y[alpha:, alpha:] = np.kron(np.eye(spec.m), _frame(a, k))
-    left = np.eye(core_spec.dim) + y.conj().T @ (g.entries - np.eye(spec.window)) @ y
-    return BlockMatrix(left, core_spec) @ (h if h.dim == core_spec.dim else embed(h, core_spec))
+    return BlockMatrix(sample_core_stack(g, h, family, _block_a(a, k)[None])[0], core_spec)
 
 
 def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, a, family: GroupFamily):
@@ -251,7 +282,7 @@ def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, a, family: GroupFamily):
     (core - u.r_core.v) (+) 0 for the sample x_a with middle draw embed_k(x_a).
     """
     spec, k = family.spec, family.spec.k
-    adj = _frame(a, k).conj().T
+    adj = _frame(_block_a(a, k)[None])[0].conj().T
     c_adj = np.linalg.qr(adj, mode="complete")[0]
     c_adj[:, :k] = adj
     block = family.with_n_tail(k).spec.copy_slice(0)

@@ -18,6 +18,7 @@ __all__ = [
     "haar_orthogonal",
     "haar_unitary",
     "haar_columns",
+    "haar_columns_stack",
     "uniform_permutation",
     "top_block",
 ]
@@ -49,6 +50,46 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RandomStream or numpy Generator, got {type(rng).__name__}")
 
 
+def haar_columns_stack(n: int, k: int, gens, unitary: bool = False, rows: int | None = None,
+                       block_bytes: int | None = None) -> np.ndarray:
+    """``haar_columns(n, k, gen, unitary)`` for each gen in gens, as one
+    (len(gens), rows, k) array holding each draw's leading rows (all n by
+    default), bit for bit.
+
+    Each generator draws its Gaussians as ``haar_columns`` does, in list
+    order, so a generator listed twice draws twice.  One stacked QR and sign
+    fix then runs per chunk of draws.  A chunk holds as many draws as fit in
+    block_bytes, and at least one; a draw takes four n x k arrays there (its
+    Gaussians and what the QR allocates, by tracemalloc).  None runs every
+    draw in one chunk.  With rows < n only the leading rows are kept, so for
+    a given budget memory does not grow with the number of draws.
+    """
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n; got k={k}, n={n}")
+    rows = n if rows is None else rows
+    if not 1 <= rows <= n:
+        raise ValueError(f"need 1 <= rows <= n; got rows={rows}, n={n}")
+    dtype = np.dtype(complex if unitary else float)
+    gens = [_as_generator(rng) for rng in gens]
+    out = np.empty((len(gens), rows, k), dtype=dtype)
+    per_draw = 4 * n * k * dtype.itemsize
+    chunk = max(1, len(gens) if block_bytes is None else block_bytes // per_draw)
+    for lo in range(0, len(gens), chunk):
+        part = gens[lo:lo + chunk]
+        z = np.empty((len(part), n, k), dtype=dtype)
+        for zi, gen in zip(z, part):
+            if unitary:
+                zi.real = gen.standard_normal((n, k))
+                zi.imag = gen.standard_normal((n, k))
+            else:
+                zi[...] = gen.standard_normal((n, k))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)[:, None, :]
+        out[lo:lo + len(part)] = q[:, :rows] * (d / np.abs(d) if unitary
+                                                else np.where(d >= 0, 1.0, -1.0))
+    return out
+
+
 def haar_columns(n: int, k: int, rng, unitary: bool = False) -> np.ndarray:
     """First k columns of a Haar-uniform element of O(n), or of U(n) when unitary.
 
@@ -56,19 +97,10 @@ def haar_columns(n: int, k: int, rng, unitary: bool = False) -> np.ndarray:
     Q multiplied by the sign (phase) of the matching diagonal entry of R; the
     correction removes the bias from QR's sign ambiguity (Mezzadri 2007).
     Gram-Schmidt of the first k Gaussian columns ignores the other n - k, so
-    the draw costs O(n k^2); k = n gives the whole matrix.
+    the draw costs O(n k^2); k = n gives the whole matrix.  This is
+    ``haar_columns_stack`` on a stack of one.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n; got k={k}, n={n}")
-    gen = _as_generator(rng)
-    z = gen.standard_normal((n, k))
-    if unitary:
-        z = z + 1j * gen.standard_normal((n, k))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    if unitary:
-        return q * (d / np.abs(d))
-    return q * np.where(d >= 0, 1.0, -1.0)
+    return haar_columns_stack(n, k, [rng], unitary)[0]
 
 
 def haar_orthogonal(n: int, rng) -> np.ndarray:

@@ -205,6 +205,20 @@ class TestBlockDecay:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    @pytest.mark.parametrize("flags,message", [
+        (("--k", "2", "--N", "20", "--N", "-3"), "every N must be >= 0; got N=-3"),
+        (("--k", "0", "--N", "20"), "k must be an integer >= 1; got 0"),
+    ])
+    def test_bad_size_fails_before_any_draw(self, capsys, monkeypatch, flags, message):
+        def draw(*args, **kwargs):
+            raise AssertionError("a draw ran before the sizes were checked")
+
+        monkeypatch.setattr("cosetlab.experiments.haar_columns_stack", draw)
+        code, out, err = run_cli(capsys, "block-decay", *flags, "--samples", "30", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestConcentration:
     ARGS = ("concentration", "--family", "symmetric", "--alpha", "1", "--k", "1",
@@ -430,6 +444,25 @@ class TestTopLevel:
         for line in lines:
             code, _, err = run_cli(capsys, *shlex.split(line)[1:])
             assert code == 0, (line, err)
+
+    def test_parser_is_built_once_and_keeps_no_state(self, capsys):
+        # the cached parser must not carry one call's append lists into the next
+        assert _build_parser() is _build_parser()
+        base = ("concentration", "--family", "symmetric", "--alpha", "1", "--k", "1",
+                "--m", "1", "--samples", "30", "--seed", "3", "--g", "(1 2)", "--h", "(1 2)")
+
+        def rows(*flags):
+            code, out, _ = run_cli(capsys, *base, *flags)
+            assert code == 0
+            return [line.split(",")[4:6] for line in out.splitlines()[1:]]
+
+        first = rows("--N", "3", "--N", "5", "--epsilon", "0.25")
+        assert first == [["3", "0.25"], ["5", "0.25"]]
+        assert rows("--N", "4", "--epsilon", "0.5", "--epsilon", "0.1") == [
+            ["4", "0.5"], ["4", "0.1"]]
+        code, _, _ = run_cli(capsys, *base, "--N", "7", "--epsilon", "0.3", "--N", "x")
+        assert code == 1
+        assert rows("--N", "3", "--N", "5", "--epsilon", "0.25") == first
 
     def test_no_subcommand_exits_one(self, capsys):
         code, _, err = run_cli(capsys)

@@ -19,6 +19,7 @@ from cosetlab.cosets import (
     core_images,
     lift_core_witnesses,
     sample_core,
+    sample_core_stack,
     sample_tau_full,
     sample_tau_tilde,
 )
@@ -29,7 +30,13 @@ from cosetlab.geometry import (
     sym_membership,
     verify_estimate,
 )
-from cosetlab.haar import RandomStream, haar_orthogonal, haar_unitary, uniform_permutation
+from cosetlab.haar import (
+    RandomStream,
+    haar_columns_stack,
+    haar_orthogonal,
+    haar_unitary,
+    uniform_permutation,
+)
 
 SWAP = BlockMatrix.from_permutation(PermutationWord([2, 1]))
 
@@ -394,6 +401,37 @@ class TestSampleCore:
         assert est.upper_bound <= 1e-14
         assert np.array_equal(sample_core(g, h, fam.with_n_tail(10**12), a).entries,
                               core.entries)
+
+    @pytest.mark.parametrize("kind,m", [("unitary_orthogonal", 1), ("unitary_orthogonal", 2),
+                                        ("unitary_conjugation", 1)])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stacked_cores_equal_per_sample_cores(self, kind, m, alpha, k):
+        # bit for bit, with h at window and at core size, as the sweep draws A
+        fam = GroupFamily(kind, BlockSpec(alpha, k, 5, m))
+        gen = RandomStream(9, 10 * alpha + k).generator()
+        g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
+        a = haar_columns_stack(k + 5, k, [RandomStream(9, i) for i in range(6)],
+                               unitary=kind == "unitary_conjugation", rows=k).swapaxes(-1, -2)
+        for h_in in (h, embed(h, fam.with_n_tail(k).spec)):
+            stack = sample_core_stack(g, h_in, fam, a)
+            cores = [sample_core(g, h_in, fam, lane) for lane in a]
+            assert all(core.spec == fam.with_n_tail(k).spec for core in cores)
+            np.testing.assert_array_equal(stack, np.array([core.entries for core in cores]))
+
+    def test_stack_rejects_a_lane_above_norm_one(self):
+        fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 2, 4, 1))
+        e = BlockMatrix.identity(3)
+        a = np.stack([0.5 * np.eye(2), np.eye(2), 1.001 * np.eye(2), 0.1 * np.eye(2)])
+        with pytest.raises(ValueError, match="operator norm 1.001 > 1"):
+            sample_core_stack(e, e, fam, a)
+        sample_core_stack(e, e, fam, a[[0, 1, 3]])
+        for bad in (np.eye(2), np.ones((3, 2, 3))):
+            with pytest.raises(ValueError, match="stack of 2x2 blocks A"):
+                sample_core_stack(e, e, fam, bad)
+        with pytest.raises(ValueError, match="unitary family"):
+            sample_core_stack(SWAP, SWAP, GroupFamily("symmetric", BlockSpec(1, 1, 2, 1)),
+                              np.zeros((1, 1, 1)))
 
     def test_rejects_bad_block(self):
         fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 2, 4, 1))

@@ -19,7 +19,7 @@ from cosetlab.experiments import (
     wilson_interval,
     write_report,
 )
-from cosetlab.geometry import dist_conjugacy, sym_membership
+from cosetlab.geometry import dist_conjugacy, dist_double_coset, sym_membership
 from cosetlab.haar import RandomStream, haar_columns, haar_unitary, uniform_permutation
 from cosetlab.hypergroup_exact import concentration_exact
 
@@ -258,6 +258,33 @@ class TestRunConcentration:
                     ci_high=hi, median_dist=float(np.median(dists)),
                     mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
 
+    def test_orthogonal_report_matches_per_sample_loop(self, monkeypatch):
+        # solver blocks of 7 samples at core dimension 3, and Haar draws in
+        # chunks of 2 at N=256, so blocks and chunks are crossed
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 160 * 9))
+        cfg = _cfg(family="unitary_orthogonal", N_list=(8, 256), epsilon_list=(0.2, 0.4),
+                   samples=38, seed=5, g_spec="random_unitary", h_spec="random_unitary")
+        setup = RandomStream(cfg.seed, 0).generator()
+        g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
+        target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(1, 1, 1, 1)))
+        rows = iter(run_concentration(cfg).with_zeroed_runtime().rows)
+        for N in cfg.N_list:
+            fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
+            dists = []
+            for i in range(cfg.samples):
+                gen = RandomStream(cfg.seed, 1 + i).generator()
+                core = sample_core(g, h, fam, haar_columns(1 + N, 1, gen)[:1].T)
+                dists.append(dist_double_coset(core, target, restarts=10, rng=gen,
+                                               stop_below=0.2).upper_bound)
+            for eps in cfg.epsilon_list:
+                hits = sum(d <= eps for d in dists)
+                lo, hi = wilson_interval(hits, cfg.samples)
+                assert next(rows) == ReportRow(
+                    family=cfg.family, alpha=1, k=1, m=1, N=N, epsilon=eps,
+                    samples=cfg.samples, hits=hits, fraction=hits / cfg.samples, ci_low=lo,
+                    ci_high=hi, median_dist=float(np.median(dists)),
+                    mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
+
     @pytest.mark.parametrize("alpha,k,m,N_list,g_spec,h_spec", [
         (1, 1, 2, (1, 3, 10**6), "(1 2 3)", "(1 3)"),
         (0, 2, 1, (2, 5, 10**6), "random_unitary", "random_unitary"),
@@ -359,6 +386,26 @@ class TestRunConcentration:
             tracemalloc.stop()
         budget = experiments._BLOCK_BYTES
         assert 0.5 * budget < peak < 1.15 * budget, f"peak {peak / budget:.3f} budgets"
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_concentration(_cfg(
+            family="unitary_orthogonal", N_list=(10**5,), epsilon_list=(0.4,), samples=64,
+            seed=3, g_spec="random_unitary", h_spec="random_unitary", restarts=1,
+            max_iters=2)),
+        lambda: run_block_decay(2, [10**5], 30, 4),
+    ], ids=["orthogonal_sweep", "block_decay"])
+    def test_long_tail_draws_stay_near_budget(self, run):
+        # one draw's Gaussians are 0.8 MB (k=1) or 1.6 MB (k=2) at N = 10^5, so
+        # 64 or 30 draws as one stack would hold about 50 MB of Gaussians alone
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        budget = experiments._BLOCK_BYTES
+        assert peak < 2 * budget, f"peak {peak / budget:.3f} budgets"
 
     @pytest.mark.parametrize("k,m,samples,sizes", [(1, 1, 100, [100]), (8, 2, 50, [23, 23, 4])])
     def test_orthogonal_stacks_sized_by_core_dimension(self, monkeypatch, k, m, samples, sizes):
@@ -470,6 +517,16 @@ class TestRunBlockDecay:
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):
             run_block_decay(1, [4], samples=10, seed=0)
+
+    @pytest.mark.parametrize("k,N_list,message", [
+        (0, [4], "k must be an integer >= 1; got 0"),
+        (1.5, [4], "k must be an integer >= 1; got 1.5"),
+        (1, [4, 2.5], r"every N must be an integer; got \[4, 2.5\]"),
+        (1, [4, -1], "every N must be >= 0; got N=-1"),
+    ])
+    def test_bad_sizes_rejected(self, k, N_list, message):
+        with pytest.raises(ValueError, match=message):
+            run_block_decay(k, N_list, 30, 0)
 
     def test_deterministic_in_seed(self):
         assert run_block_decay(1, [4], 30, 9) == run_block_decay(1, [4], 30, 9)

@@ -6,6 +6,7 @@ from cosetlab.blockmat import is_unitary, operator_norm
 from cosetlab.haar import (
     RandomStream,
     haar_columns,
+    haar_columns_stack,
     haar_orthogonal,
     haar_unitary,
     top_block,
@@ -120,6 +121,47 @@ class TestHaarColumns:
         full = [operator_norm(top_block(haar_orthogonal(k + N, gen), k)) for _ in range(200)]
         assert np.median(cols) == pytest.approx(np.median(full), rel=0.1)
         assert ks_2samp(cols, full).statistic < 1.628 * np.sqrt(2 / 200)
+
+
+def _reference_columns(n, k, gen, unitary):
+    # the draw written out once: Gaussians, QR, then the sign (phase) of R's diagonal
+    z = gen.standard_normal((n, k))
+    if unitary:
+        z = z + 1j * gen.standard_normal((n, k))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d) if unitary else np.where(d >= 0, 1.0, -1.0))
+
+
+class TestHaarColumnsStack:
+    @pytest.mark.parametrize("unitary", [False, True])
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (9, 1), (40, 3)])
+    @pytest.mark.parametrize("block_bytes", [None, 1, 2 * 4 * 40 * 3 * 16])
+    def test_equals_per_sample_draws(self, unitary, n, k, block_bytes):
+        # a tiny budget puts every draw in a chunk of its own; a generator
+        # listed twice draws twice, in list order
+        gens = [RandomStream(4, i).generator() for i in range(7)]
+        gens.insert(3, gens[1])
+        refs = [RandomStream(4, i).generator() for i in range(7)]
+        refs.insert(3, refs[1])
+        stack = haar_columns_stack(n, k, gens, unitary=unitary, block_bytes=block_bytes)
+        want = np.array([_reference_columns(n, k, gen, unitary) for gen in refs])
+        assert stack.dtype == want.dtype and stack.shape == (8, n, k)
+        np.testing.assert_array_equal(stack, want)
+        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
+        top = haar_columns_stack(n, k, [RandomStream(4, i) for i in range(7)], unitary=unitary,
+                                 rows=k, block_bytes=block_bytes)
+        np.testing.assert_array_equal(top, want[[0, 1, 2, 4, 5, 6, 7], :k])
+        np.testing.assert_array_equal(haar_columns(n, k, RandomStream(4, 0), unitary=unitary),
+                                      want[0])
+
+    def test_empty_stack(self):
+        assert haar_columns_stack(5, 2, [], unitary=True, rows=2).shape == (0, 2, 2)
+
+    @pytest.mark.parametrize("n,k,rows", [(3, 0, None), (3, 4, None), (3, 2, 0), (3, 2, 4)])
+    def test_bad_shape_rejected(self, n, k, rows):
+        with pytest.raises(ValueError):
+            haar_columns_stack(n, k, [RandomStream(0, 0)], rows=rows)
 
 
 class TestUniformPermutation:
