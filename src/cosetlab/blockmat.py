@@ -15,12 +15,14 @@ and ``build_JN`` is ``embed_k`` of the word swapping active and first k tail.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BlockSpec",
+    "tail_sizes",
     "BlockMatrix",
     "PermutationWord",
     "as_word",
@@ -81,6 +83,21 @@ class BlockSpec:
         if kind == "active":
             return slice(start, start + self.k)
         return slice(start + self.k, start + self.copy_size)
+
+
+def tail_sizes(N_list, k: int = 0) -> tuple:
+    """N_list as a tuple of ints, each an integral N >= k (bools and strings
+    are not integers).  Raises ValueError naming the list, or the first N
+    below k."""
+    Ns = list(N_list)
+    if not all(isinstance(n, numbers.Real) and not isinstance(n, bool)
+               and float(n).is_integer() for n in Ns):
+        raise ValueError(f"every N must be an integer; got {Ns}")
+    for n in Ns:
+        if n < k:
+            raise ValueError(f"every N must be >= k; got N={n} < k={k}" if k
+                             else f"every N must be >= 0; got N={n}")
+    return tuple(int(n) for n in Ns)
 
 
 class PermutationWord:

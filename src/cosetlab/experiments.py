@@ -19,10 +19,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .blockmat import BlockMatrix, BlockSpec, embed, load_source
+from .blockmat import BlockMatrix, BlockSpec, embed, load_source, tail_sizes
 from .cosets import GroupFamily, circ_N, core_images, sample_core, sample_core_stack
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
-from .haar import RandomStream, haar_columns_stack, haar_unitary, uniform_permutation
+from .haar import RandomStream, haar_block_stack, haar_unitary, uniform_permutation
 
 __all__ = [
     "ExperimentConfig",
@@ -47,10 +47,8 @@ CSV_COLUMNS = (
 # Procrustes stack about 160 d^2 bytes and the conjugation solver's three
 # fixed-point lanes about 432 d^2 bytes (tracemalloc, max_iters=2, d = 2..9).
 # The conjugation solver builds its Sylvester starts one lane at a time, so
-# that map does not grow with the block.  The same budget bounds the Haar
-# draws: a block's (k+N) x k draws, and those of one block-decay N, run in
-# chunks of as many as fit in it (``haar.haar_columns_stack``), at least one,
-# so a sweep or block-decay at N = 10^5 peaks below two budgets.
+# that map does not grow with the block.  Nothing here grows with N: a
+# sample's draw of A holds O(k^2) numbers (``haar.haar_block_stack``).
 _BLOCK_BYTES = 4 << 20
 
 
@@ -95,15 +93,10 @@ class ExperimentConfig:
             if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in value):
                 raise ValueError(f"{name} must be a list of numbers; got {list(value)!r}")
             object.__setattr__(self, name, value)
-        if not all(float(n).is_integer() for n in self.N_list):
-            raise ValueError(f"every N must be an integer; got {list(self.N_list)}")
-        object.__setattr__(self, "N_list", tuple(int(n) for n in self.N_list))
         object.__setattr__(self, "epsilon_list", tuple(float(e) for e in self.epsilon_list))
         # raises for a bad window shape, an unknown family or conjugation with m != 1
         GroupFamily(self.family, BlockSpec(self.alpha, self.k, 0, self.m))
-        for n in self.N_list:
-            if n < self.k:
-                raise ValueError(f"every N must be >= k; got N={n} < k={self.k}")
+        object.__setattr__(self, "N_list", tail_sizes(self.N_list, self.k))
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
         if not self.epsilon_list or not all(0 < e < math.inf for e in self.epsilon_list):
@@ -231,9 +224,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     of its middle Haar element, or the k active images of its middle
     permutation, and is solved as its core (``cosets.sample_core``), a
     function of A or of the images alone, of dimension alpha + 2mk against the
-    product target at tail size k.  Unitary samples run as one stack per
-    block of about 4 MB (``_BLOCK_BYTES``): the block's draws of A
-    (``haar.haar_columns_stack``, in chunks under the same budget), its cores
+    product target at tail size k.  A is drawn from its law at tail size N
+    (``haar.haar_block_stack``), at a cost that does not depend on N, so any
+    N runs.  Unitary samples run as one stack per block of about 4 MB
+    (``_BLOCK_BYTES``): the block's draws of A, its cores
     (``cosets.sample_core_stack``) and its solve
     (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``), each
     lane exactly its per-sample draw, core and estimate.
@@ -270,9 +264,8 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     def unitary_block(lo, fam):
         gens = [RandomStream(cfg.seed, 1 + i).generator()
                 for i in range(lo, min(lo + block, cfg.samples))]
-        a = haar_columns_stack(fam.spec.copy_size, cfg.k, gens, unitary=conj, rows=cfg.k,
-                               block_bytes=_BLOCK_BYTES)
-        cores = sample_core_stack(g_win, h_core, fam, a.swapaxes(-1, -2))
+        a = haar_block_stack(cfg.k, fam.spec.n_tail, gens, unitary=conj)
+        cores = sample_core_stack(g_win, h_core, fam, a)
         if conj:
             ests = dist_conjugacy_stack(cores, target, max_iters=cfg.max_iters, tol=cfg.tol)
         else:
@@ -311,30 +304,22 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
 def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport:
     """Median and mean operator norm of the leading k x k block of Haar
-    orthogonal (k+N) x (k+N) matrices, per N, each drawn as its first k
-    columns only.  The decay of this block is what makes the convolution
-    samples collapse onto the product coset.
+    orthogonal (k+N) x (k+N) matrices, per N.  The decay of this block is
+    what makes the convolution samples collapse onto the product coset.
 
-    Each N's samples are drawn as one stack (``haar.haar_columns_stack``, in
-    chunks of ``_BLOCK_BYTES``) and their norms come from one stacked SVD.
+    Each N's blocks are drawn as one stack (``haar.haar_block_stack``, whose
+    cost does not depend on N, so any N runs) and their norms come from one
+    stacked SVD.
     Raises ValueError, before any draw, for samples below 30, k not an
     integer >= 1, or an N that is not an integer >= 0."""
     if samples < 30:
         raise ValueError("need samples >= 30 for a stable median")
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1; got {k!r}")
-    N_list = list(N_list)
-    if not all(isinstance(n, numbers.Real) and not isinstance(n, bool)
-               and float(n).is_integer() for n in N_list):
-        raise ValueError(f"every N must be an integer; got {N_list}")
-    for n in N_list:
-        if n < 0:
-            raise ValueError(f"every N must be >= 0; got N={n}")
     out = []
-    for bi, N in enumerate(int(n) for n in N_list):
+    for bi, N in enumerate(tail_sizes(N_list)):
         gens = [RandomStream(seed, bi * samples + i).generator() for i in range(samples)]
-        blocks = haar_columns_stack(k + N, k, gens, rows=k, block_bytes=_BLOCK_BYTES)
-        norms = np.linalg.svd(blocks, compute_uv=False)[:, 0]
+        norms = np.linalg.svd(haar_block_stack(k, N, gens), compute_uv=False)[:, 0]
         out.append((N, float(np.median(norms)), float(np.mean(norms))))
     return BlockDecayReport(out)
 

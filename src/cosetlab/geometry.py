@@ -23,7 +23,7 @@ import numpy as np
 
 from .blockmat import BlockMatrix, as_word, embed_k, is_unitary, operator_norm
 from .cosets import CosetTarget
-from .haar import RandomStream, _as_generator, haar_columns_stack
+from .haar import RandomStream, _as_generator, haar_block_stack
 
 __all__ = [
     "DistanceEstimate",
@@ -175,7 +175,8 @@ def dist_double_coset_stack(
     each later round draws a start from gens[i] only for the lanes whose best
     bound is still above stop_below.  Without stop_below every lane needs every
     restart, so all S * restarts starts are drawn, lane by lane, and run as one
-    stack.  Each round's starts are one stacked draw (``haar_columns_stack``).
+    stack.  Each round's starts are one stacked draw (``haar_block_stack`` with no
+    tail); a round whose only start is the identity draws nothing.
     Each lane consumes its generator as the per-sample solver does and gets
     its estimate bit for bit (the first best restart wins), but a generator
     shared between lanes is consumed in round order.  Memory is
@@ -205,8 +206,8 @@ def dist_double_coset_stack(
         drawn = [t for t in trials if t]  # round 0 leads with the identity
         v0 = np.empty((len(lanes), n, w, w))
         v0[:, :n - len(drawn)] = np.eye(w)
-        v0[:, n - len(drawn):] = haar_columns_stack(
-            w, w, [gens[i] for i in lanes for _ in drawn]).reshape(len(lanes), -1, w, w)
+        v0[:, n - len(drawn):] = haar_block_stack(
+            w, 0, [gens[i] for i in lanes for _ in drawn]).reshape(len(lanes), -1, w, w)
         run = _alternate_stack(x[np.repeat(lanes, n)], r, layout, v0.reshape(-1, w, w),
                                max_iters, tol, rel_tol, stop_below)
         if best is None:  # round 0 starts every lane from the identity

@@ -1,5 +1,8 @@
-"""Reproducible Haar-distributed orthogonal/unitary matrices and uniform permutations.
+"""Reproducible Haar-distributed orthogonal/unitary matrices, their leading
+blocks, and uniform permutations.
 
+``haar_block_stack`` draws the leading k x k block of a Haar element of
+O(k+N) or U(k+N) at a cost that does not depend on N, so any tail size runs.
 Every sampler takes a RandomStream: a (seed, stream_index) pair mapped through
 numpy's SeedSequence spawn mechanism, so distinct stream indices give
 independent draws and the same pair is bit-for-bit reproducible.
@@ -17,8 +20,7 @@ __all__ = [
     "RandomStream",
     "haar_orthogonal",
     "haar_unitary",
-    "haar_columns",
-    "haar_columns_stack",
+    "haar_block_stack",
     "uniform_permutation",
     "top_block",
 ]
@@ -50,67 +52,56 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RandomStream or numpy Generator, got {type(rng).__name__}")
 
 
-def haar_columns_stack(n: int, k: int, gens, unitary: bool = False, rows: int | None = None,
-                       block_bytes: int | None = None) -> np.ndarray:
-    """``haar_columns(n, k, gen, unitary)`` for each gen in gens, as one
-    (len(gens), rows, k) array holding each draw's leading rows (all n by
-    default), bit for bit.
+def haar_block_stack(k: int, N: int, gens, unitary: bool = False) -> np.ndarray:
+    """Leading k x k blocks of Haar-uniform elements of O(k+N), or of U(k+N)
+    when unitary, one per gen in gens, as a (len(gens), k, k) array.
 
-    Each generator draws its Gaussians as ``haar_columns`` does, in list
-    order, so a generator listed twice draws twice.  One stacked QR and sign
-    fix then runs per chunk of draws.  A chunk holds as many draws as fit in
-    block_bytes, and at least one; a draw takes four n x k arrays there (its
-    Gaussians and what the QR allocates, by tracemalloc).  None runs every
-    draw in one chunk.  With rows < n only the leading rows are kept, so for
-    a given budget memory does not grow with the number of draws.
+    Each block is the top of Q from a QR of the Gaussian Z = [Z1; Z2]
+    (complex when unitary, with unit-normal real and imaginary parts), each
+    column of Q times the sign (phase) of R's matching diagonal entry, which
+    removes QR's sign bias (Mezzadri 2007).  That top is Z1 R^-1 with
+    R^* R = Z1^* Z1 + Z2^* Z2, so Z2 enters only through Z2^* Z2.  For N <= k,
+    Z2 is the N x k Gaussian itself; for N > k it is the k x k upper
+    triangular Bartlett factor of that Wishart matrix (Bartlett 1933), with
+    T_jj = sqrt(chi^2_{beta (N - j)}), beta = 1 (real) or 2 (complex), and
+    Gaussians above the diagonal.  So a draw costs O(k^3) at any N.
+
+    Each generator draws in list order: Gaussians for every entry of Z, row
+    by row, real parts first, then for N > k its k chi-square variates; a
+    generator listed twice draws twice.  One stacked QR serves the stack.
+    N = 0 gives whole Haar elements.
     """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n; got k={k}, n={n}")
-    rows = n if rows is None else rows
-    if not 1 <= rows <= n:
-        raise ValueError(f"need 1 <= rows <= n; got rows={rows}, n={n}")
-    dtype = np.dtype(complex if unitary else float)
+    if k < 1 or N < 0 or int(k) != k or int(N) != N:
+        raise ValueError(f"need integers k >= 1 and N >= 0; got k={k!r}, N={N!r}")
+    k, N = int(k), int(N)
     gens = [_as_generator(rng) for rng in gens]
-    out = np.empty((len(gens), rows, k), dtype=dtype)
-    per_draw = 4 * n * k * dtype.itemsize
-    chunk = max(1, len(gens) if block_bytes is None else block_bytes // per_draw)
-    for lo in range(0, len(gens), chunk):
-        part = gens[lo:lo + chunk]
-        z = np.empty((len(part), n, k), dtype=dtype)
-        for zi, gen in zip(z, part):
-            if unitary:
-                zi.real = gen.standard_normal((n, k))
-                zi.imag = gen.standard_normal((n, k))
-            else:
-                zi[...] = gen.standard_normal((n, k))
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r, axis1=-2, axis2=-1)[:, None, :]
-        out[lo:lo + len(part)] = q[:, :rows] * (d / np.abs(d) if unitary
-                                                else np.where(d >= 0, 1.0, -1.0))
-    return out
-
-
-def haar_columns(n: int, k: int, rng, unitary: bool = False) -> np.ndarray:
-    """First k columns of a Haar-uniform element of O(n), or of U(n) when unitary.
-
-    QR of an n x k (complex when unitary) Gaussian matrix, with each column of
-    Q multiplied by the sign (phase) of the matching diagonal entry of R; the
-    correction removes the bias from QR's sign ambiguity (Mezzadri 2007).
-    Gram-Schmidt of the first k Gaussian columns ignores the other n - k, so
-    the draw costs O(n k^2); k = n gives the whole matrix.  This is
-    ``haar_columns_stack`` on a stack of one.
-    """
-    return haar_columns_stack(n, k, [rng], unitary)[0]
+    if not gens:
+        return np.empty((0, k, k), complex if unitary else float)
+    normals = np.empty((len(gens), 2 if unitary else 1, k + min(N, k), k))
+    chi2 = np.empty((len(gens), k))
+    dof = [(2 if unitary else 1) * (N - j) for j in range(k)]  # scalar calls: an array costs 10x
+    for i, gen in enumerate(gens):
+        gen.standard_normal(out=normals[i])
+        if N > k:
+            chi2[i] = [gen.chisquare(df) for df in dof]
+    z = normals[:, 0] + 1j * normals[:, 1] if unitary else normals[:, 0]
+    if N > k:  # Z2 becomes T: zeros below the diagonal, chi roots on it
+        for j in range(k):
+            z[:, k + j, :j] = 0
+            z[:, k + j, j] = np.sqrt(chi2[:, j])
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)[:, None, :]
+    return q[:, :k] * (d / np.abs(d) if unitary else np.where(d >= 0, 1.0, -1.0))
 
 
 def haar_orthogonal(n: int, rng) -> np.ndarray:
-    """Haar-uniform element of O(n): ``haar_columns`` with all n columns."""
-    return haar_columns(n, n, rng)
+    """Haar-uniform element of O(n): ``haar_block_stack`` with no tail."""
+    return haar_block_stack(n, 0, [rng])[0]
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-uniform element of U(n): ``haar_columns`` with all n columns."""
-    return haar_columns(n, n, rng, unitary=True)
+    """Haar-uniform element of U(n): ``haar_block_stack`` with no tail."""
+    return haar_block_stack(n, 0, [rng], unitary=True)[0]
 
 
 def uniform_permutation(n: int, rng) -> PermutationWord:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockmat import BlockMatrix, PermutationWord, as_word, embed_k
+from .blockmat import BlockMatrix, PermutationWord, as_word, embed_k, tail_sizes
 from .cosets import CosetTarget, GroupFamily, circ_N, core_images, sample_core
 from .geometry import sym_membership
 
@@ -126,9 +126,7 @@ def concentration_exact(g, h, family: GroupFamily, N_list) -> list[tuple[int, Fr
     k = base.k
     if gw.degree != base.window or hw.degree != base.window:
         raise ValueError(f"g and h must be window permutations of degree {base.window}")
-    Ns = [int(N) for N in N_list]
-    if any(N < k for N in Ns):
-        raise ValueError(f"every N must be >= k={k}; got {Ns}")
+    Ns = tail_sizes(N_list, k)
     core_fam = family.with_n_tail(k)
     gb, hb = BlockMatrix.from_permutation(gw), BlockMatrix.from_permutation(hw)
     target = circ_N(gb, hb, core_fam)

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,14 @@ class TestBlockDecay:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_billion_tail_runs(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "block-decay", "--k", "2", "--N", "1000000000",
+                               "--samples", "30", "--seed", "1")
+        assert code == 0 and time.perf_counter() - start < 5
+        n, median, mean = out.splitlines()[1].split(",")
+        assert n == "1000000000" and 0 < float(median) < 1e-3 and 0 < float(mean) < 1e-3
+
     @pytest.mark.parametrize("flags,message", [
         (("--k", "2", "--N", "20", "--N", "-3"), "every N must be >= 0; got N=-3"),
         (("--k", "0", "--N", "20"), "k must be an integer >= 1; got 0"),
@@ -213,7 +222,7 @@ class TestBlockDecay:
         def draw(*args, **kwargs):
             raise AssertionError("a draw ran before the sizes were checked")
 
-        monkeypatch.setattr("cosetlab.experiments.haar_columns_stack", draw)
+        monkeypatch.setattr("cosetlab.experiments.haar_block_stack", draw)
         code, out, err = run_cli(capsys, "block-decay", *flags, "--samples", "30", "--seed", "1")
         assert code == 1
         assert out == ""
@@ -237,6 +246,17 @@ class TestConcentration:
         assert strip_runtime(first) == strip_runtime(second)
         header = first.splitlines()[0].split(",")
         assert len(header) == 15
+
+    @pytest.mark.parametrize("family", ["unitary_orthogonal", "unitary_conjugation"])
+    def test_billion_tail_runs(self, capsys, family):
+        # a draw of A holds nothing of size N
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "concentration", "--family", family, "--alpha", "1",
+                               "--k", "1", "--m", "1", "--N", "1000000000", "--epsilon", "0.4",
+                               "--samples", "20", "--seed", "3")
+        assert code == 0 and time.perf_counter() - start < 5
+        row = out.splitlines()[1].split(",")
+        assert row[4] == "1000000000" and row[7] == "20"
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "concentration", "--config",

@@ -29,7 +29,7 @@ from cosetlab.geometry import (
     sym_membership,
     verify_estimate,
 )
-from cosetlab.haar import RandomStream, haar_columns, haar_orthogonal, haar_unitary
+from cosetlab.haar import RandomStream, haar_block_stack, haar_orthogonal, haar_unitary
 
 SWAP = BlockMatrix.from_permutation(PermutationWord([2, 1]))
 
@@ -209,8 +209,8 @@ class TestDistConjugacyStack:
         setup = RandomStream(seed, 0).generator()
         g = BlockMatrix(haar_unitary(fam.spec.window, setup))
         h = BlockMatrix(haar_unitary(fam.spec.window, setup))
-        cores = [sample_core(g, h, fam, haar_columns(
-            k + N, k, RandomStream(seed, 1 + i).generator(), unitary=True)[:k].T)
+        cores = [sample_core(g, h, fam, haar_block_stack(
+            k, N, [RandomStream(seed, 1 + i)], unitary=True)[0].T)
             for i in range(samples)]
         return cores, circ_N(g, h, fam.with_n_tail(k))
 
@@ -365,8 +365,8 @@ class TestDistDoubleCosetStack:
         g = BlockMatrix(haar_unitary(fam.spec.window, setup))
         h = BlockMatrix(haar_unitary(fam.spec.window, setup))
         target = circ_N(g, h, fam.with_n_tail(k))
-        cores = [sample_core(g, h, fam, haar_columns(
-            k + N, k, RandomStream(seed, 1 + i).generator())[:k].T).entries
+        cores = [sample_core(g, h, fam, haar_block_stack(
+            k, N, [RandomStream(seed, 1 + i)])[0].T).entries
             for i in range(samples)]
         # one lane on the target itself, which stops after two steps
         return np.stack(cores + [target.representative.entries]), target

@@ -5,8 +5,7 @@ from scipy.stats import ks_2samp
 from cosetlab.blockmat import is_unitary, operator_norm
 from cosetlab.haar import (
     RandomStream,
-    haar_columns,
-    haar_columns_stack,
+    haar_block_stack,
     haar_orthogonal,
     haar_unitary,
     top_block,
@@ -89,79 +88,75 @@ class TestHaarUnitary:
         assert np.mean(vals) == pytest.approx(1 / n, rel=0.2)
 
 
-class TestHaarColumns:
-    @pytest.mark.parametrize("unitary", [False, True])
-    def test_orthonormal_columns(self, unitary):
-        for n, k in ((1, 1), (5, 2), (40, 3), (1000, 2)):
-            q = haar_columns(n, k, RandomStream(8, n), unitary=unitary)
-            assert q.shape == (n, k)
-            assert q.dtype.kind == ("c" if unitary else "f")
-            assert np.abs(q.conj().T @ q - np.eye(k)).max() <= 1e-12
-
-    def test_all_columns_are_the_full_draw(self):
-        # k = n consumes the same Gaussians as the full draw, bit for bit
-        np.testing.assert_array_equal(haar_columns(6, 6, RandomStream(3, 1)),
-                                      haar_orthogonal(6, RandomStream(3, 1)))
-        np.testing.assert_array_equal(haar_columns(6, 6, RandomStream(3, 2), unitary=True),
-                                      haar_unitary(6, RandomStream(3, 2)))
-
-    @pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 0)])
-    def test_bad_shape_rejected(self, n, k):
-        with pytest.raises(ValueError):
-            haar_columns(n, k, RandomStream(0, 0))
-
-    @pytest.mark.parametrize("N", [20, 200])
-    def test_top_block_law_matches_full_draw(self, N):
-        # the leading k x k block of the first k columns has the law of the
-        # leading block of a whole Haar draw: medians within 10% (about three
-        # standard errors at 200 draws) and the KS statistic below its 1% value
-        k = 2
-        gen = RandomStream(17, N).generator()
-        cols = [operator_norm(top_block(haar_columns(k + N, k, gen), k)) for _ in range(200)]
-        full = [operator_norm(top_block(haar_orthogonal(k + N, gen), k)) for _ in range(200)]
-        assert np.median(cols) == pytest.approx(np.median(full), rel=0.1)
-        assert ks_2samp(cols, full).statistic < 1.628 * np.sqrt(2 / 200)
-
-
-def _reference_columns(n, k, gen, unitary):
-    # the draw written out once: Gaussians, QR, then the sign (phase) of R's diagonal
-    z = gen.standard_normal((n, k))
+def _reference_block(k, N, gen, unitary):
+    # the draw written out once for N <= k: Gaussians, QR, the sign (phase)
+    # of R's diagonal, then the leading k rows
+    z = gen.standard_normal((k + N, k))
     if unitary:
-        z = z + 1j * gen.standard_normal((n, k))
+        z = z + 1j * gen.standard_normal((k + N, k))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
-    return q * (d / np.abs(d) if unitary else np.where(d >= 0, 1.0, -1.0))
+    return (q * (d / np.abs(d) if unitary else np.where(d >= 0, 1.0, -1.0)))[:k]
 
 
-class TestHaarColumnsStack:
+class TestHaarBlockStack:
     @pytest.mark.parametrize("unitary", [False, True])
-    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (9, 1), (40, 3)])
-    @pytest.mark.parametrize("block_bytes", [None, 1, 2 * 4 * 40 * 3 * 16])
-    def test_equals_per_sample_draws(self, unitary, n, k, block_bytes):
-        # a tiny budget puts every draw in a chunk of its own; a generator
-        # listed twice draws twice, in list order
+    @pytest.mark.parametrize("k,N", [(1, 0), (1, 1), (3, 0), (2, 1), (3, 3)])
+    def test_short_tail_equals_written_out_qr(self, unitary, k, N):
+        # N <= k keeps the raw Gaussian tail; a generator listed twice draws
+        # twice, in list order
         gens = [RandomStream(4, i).generator() for i in range(7)]
         gens.insert(3, gens[1])
         refs = [RandomStream(4, i).generator() for i in range(7)]
         refs.insert(3, refs[1])
-        stack = haar_columns_stack(n, k, gens, unitary=unitary, block_bytes=block_bytes)
-        want = np.array([_reference_columns(n, k, gen, unitary) for gen in refs])
-        assert stack.dtype == want.dtype and stack.shape == (8, n, k)
+        stack = haar_block_stack(k, N, gens, unitary=unitary)
+        want = np.array([_reference_block(k, N, gen, unitary) for gen in refs])
+        assert stack.dtype == want.dtype and stack.shape == (8, k, k)
         np.testing.assert_array_equal(stack, want)
         assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
-        top = haar_columns_stack(n, k, [RandomStream(4, i) for i in range(7)], unitary=unitary,
-                                 rows=k, block_bytes=block_bytes)
-        np.testing.assert_array_equal(top, want[[0, 1, 2, 4, 5, 6, 7], :k])
-        np.testing.assert_array_equal(haar_columns(n, k, RandomStream(4, 0), unitary=unitary),
-                                      want[0])
 
-    def test_empty_stack(self):
-        assert haar_columns_stack(5, 2, [], unitary=True, rows=2).shape == (0, 2, 2)
+    def test_no_tail_is_the_full_draw(self):
+        np.testing.assert_array_equal(haar_block_stack(6, 0, [RandomStream(3, 1)])[0],
+                                      haar_orthogonal(6, RandomStream(3, 1)))
+        np.testing.assert_array_equal(haar_block_stack(6, 0, [RandomStream(3, 2)], True)[0],
+                                      haar_unitary(6, RandomStream(3, 2)))
 
-    @pytest.mark.parametrize("n,k,rows", [(3, 0, None), (3, 4, None), (3, 2, 0), (3, 2, 4)])
-    def test_bad_shape_rejected(self, n, k, rows):
-        with pytest.raises(ValueError):
-            haar_columns_stack(n, k, [RandomStream(0, 0)], rows=rows)
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_empty_stack(self, unitary):
+        for N in (0, 5):
+            out = haar_block_stack(2, N, [], unitary=unitary)
+            assert out.shape == (0, 2, 2) and out.dtype.kind == ("c" if unitary else "f")
+
+    @pytest.mark.parametrize("k,N,unitary", [(1, 20, False), (2, 20, False), (3, 5, False),
+                                             (2, 200, True)])
+    def test_norm_law_matches_full_draw(self, k, N, unitary):
+        # the operator norm of the block against the top block of a whole Haar
+        # draw of size k+N (two-sample KS)
+        gens = [RandomStream(17, i) for i in range(2000)]
+        block = np.linalg.norm(haar_block_stack(k, N, gens, unitary=unitary), 2, axis=(1, 2))
+        whole = haar_unitary if unitary else haar_orthogonal
+        gen = RandomStream(18, k + N).generator()
+        full = [operator_norm(top_block(whole(k + N, gen), k)) for _ in range(150)]
+        assert ks_2samp(block, full).pvalue > 0.01
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    @pytest.mark.parametrize("N", [3, 50, 10**9])
+    def test_scalar_second_moment(self, unitary, N):
+        # at k = 1, E|a|^2 = 1/(N+1) in both fields
+        a2 = np.abs(haar_block_stack(1, N, [RandomStream(6, i) for i in range(4000)],
+                                     unitary=unitary)[:, 0, 0]) ** 2
+        se = a2.std() / np.sqrt(len(a2))
+        assert abs(a2.mean() - 1 / (N + 1)) < 4 * se
+
+    def test_huge_tail_is_cheap_and_inside_the_unit_ball(self):
+        a = haar_block_stack(3, 10**12, [RandomStream(2, i) for i in range(50)], unitary=True)
+        norms = np.linalg.norm(a, 2, axis=(1, 2))
+        assert a.shape == (50, 3, 3) and 0 < norms.min() and norms.max() < 1e-5
+
+    @pytest.mark.parametrize("k,N", [(0, 3), (-1, 3), (1, -1), (1.5, 3), (2, 2.5)])
+    def test_bad_size_rejected(self, k, N):
+        with pytest.raises(ValueError, match="k >= 1 and N >= 0"):
+            haar_block_stack(k, N, [RandomStream(0, 0)])
 
 
 class TestUniformPermutation:

@@ -203,6 +203,13 @@ class TestConcentrationExact:
         with pytest.raises(ValueError, match="N must be >= k"):
             concentration_exact(e, e, fam, [-10**12])
 
+    @pytest.mark.parametrize("N_list", [[8.7], [True, 2], ["5"], [4, 2.5]])
+    def test_non_integer_tail_rejected(self, N_list):
+        # the tail-size check ExperimentConfig and run_block_decay share
+        e = PermutationWord.identity(4)
+        with pytest.raises(ValueError, match="every N must be an integer"):
+            concentration_exact(e, e, _family(alpha=0, k=2, N=2, m=2), N_list)
+
     def test_trillion_tail_is_exact_and_fast(self):
         # the bench fixture's closed form N/(N+1) and a k=2 pair at N = 10^12
         g = PermutationWord.parse("(1 2 3)", degree=3)
