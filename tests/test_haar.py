@@ -159,6 +159,50 @@ class TestHaarBlockStack:
             haar_block_stack(k, N, [RandomStream(0, 0)])
 
 
+class TestHaarColumns:
+    # the k x k block is the top of k orthonormal columns of size n = k + N
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_orthonormal_columns(self, unitary):
+        for n, k in ((1, 1), (5, 2), (40, 3), (1000, 2)):
+            a = haar_block_stack(k, n - k, [RandomStream(8, n)], unitary=unitary)[0]
+            assert a.shape == (k, k)
+            assert a.dtype.kind == ("c" if unitary else "f")
+            if n == k:
+                assert np.abs(a.conj().T @ a - np.eye(k)).max() <= 1e-12
+            else:
+                assert np.linalg.eigvalsh(np.eye(k) - a.conj().T @ a).min() >= -1e-12
+
+    @pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 0)])
+    def test_bad_shape_rejected(self, n, k):
+        with pytest.raises(ValueError):
+            haar_block_stack(k, n - k, [RandomStream(0, 0)])
+
+
+class TestHaarColumnsStack:
+    # the stack of top blocks of the first k columns of Haar elements of size
+    # n, drawn whole or split by a byte budget as the sweep splits its samples
+    @pytest.mark.parametrize("unitary", [False, True])
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (9, 1), (40, 3)])
+    @pytest.mark.parametrize("block_bytes", [None, 1, 2 * 4 * 40 * 3 * 16])
+    def test_equals_per_sample_draws(self, unitary, n, k, block_bytes):
+        # a tiny budget puts every draw in a chunk of its own; a generator
+        # listed twice draws twice, in list order
+        gens = [RandomStream(4, i).generator() for i in range(7)]
+        gens.insert(3, gens[1])
+        refs = [RandomStream(4, i).generator() for i in range(7)]
+        refs.insert(3, refs[1])
+        per = len(gens) if block_bytes is None else max(1, block_bytes // (16 * k * k))
+        stack = np.concatenate([haar_block_stack(k, n - k, gens[lo:lo + per], unitary=unitary)
+                                for lo in range(0, len(gens), per)])
+        want = np.array([haar_block_stack(k, n - k, [gen], unitary=unitary)[0] for gen in refs])
+        assert stack.dtype == want.dtype and stack.shape == (8, k, k)
+        np.testing.assert_array_equal(stack, want)
+        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
+        if n == k:
+            whole = haar_unitary if unitary else haar_orthogonal
+            np.testing.assert_array_equal(whole(n, RandomStream(4, 0)), want[0])
+
+
 class TestUniformPermutation:
     def test_n1(self):
         assert uniform_permutation(1, RandomStream(0, 0)).images == (1,)
