@@ -40,6 +40,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cmd_sample(args) -> int:
+    if args.dim < 1:
+        raise ConfigError(f"--dim must be a positive integer; got {args.dim}")
     rng = RandomStream(args.seed, args.stream)
     if args.kind == "orthogonal":
         mat = BlockMatrix(haar_orthogonal(args.dim, rng))

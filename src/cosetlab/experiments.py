@@ -45,7 +45,8 @@ CSV_COLUMNS = (
 # Bytes per stacked solver call; a block holds as many samples as fit.  Per
 # sample, the sweep holds about 2 KB for the stream and the core, the
 # Procrustes stack about 160 d^2 bytes and the conjugation solver's three
-# fixed-point lanes about 432 d^2 bytes (tracemalloc, max_iters=2, d = 2..9).
+# fixed-point lanes about 480 d^2 bytes, 48 d^2 of them the W r each lane
+# keeps between steps (tracemalloc, max_iters=2, d = 3..9: 370-490 d^2).
 # The conjugation solver builds its Sylvester starts one lane at a time, so
 # that map does not grow with the block.  Nothing here grows with N: a
 # sample's draw of A holds O(k^2) numbers (``haar.haar_block_stack``).
@@ -249,7 +250,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     conj = cfg.family == "unitary_conjugation"
     h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
     d = fam0.spec.dim
-    lane_bytes = 2048 + (432 if conj else 160) * d * d
+    lane_bytes = 2048 + (480 if conj else 160) * d * d
     block = max(1, _BLOCK_BYTES // lane_bytes)
     verdicts = {}  # symmetric hit verdict per core pattern, for every N
 

@@ -8,9 +8,13 @@ structured minimal singular vector), each refined on its own by a fixed-point
 iteration.  Both unitary solvers run on a stack of samples at once
 (``dist_double_coset_stack`` and ``dist_conjugacy_stack``; the per-sample
 ``dist_double_coset`` and ``dist_conjugacy`` are stacks of one), with numpy's
-stacked SVD, eig and matmul, and each lane's result is the one it would get
-alone.  Every estimate carries explicit witnesses, so the reported bound can
-be re-verified by direct evaluation.
+stacked linalg and matmul, and each lane's result is the one it would get
+alone.  The Procrustes steps take SVD polar factors and an SVD norm; the
+conjugation fixed-point steps take their norm from one stacked Hermitian
+eigensolve and, on a k = 1 core, a closed-form 2 x 2 polar factor, so they
+make no SVD there.  Every estimate
+carries explicit witnesses, so the reported bound can be re-verified by
+direct evaluation.
 
 scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
 """
@@ -270,11 +274,46 @@ _CONJ_EXACT = 1e-11
 _CONJ_STALL = 25
 
 
+# Entry signs that turn M[..., ::-1, ::-1].conj() into adj(M)^H for 2 x 2 M.
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _block_polar(M: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of each square matrix of a stack.
+
+    A 2 x 2 block (every k = 1 conjugation core) takes a closed form: for
+    M = UP, adj(P) = tr(P) I - P gives M + e adj(M)^H = tr(P) U with
+    e = det M / |det M|, and tr(P)^2 = ||M||_F^2 + 2 |det M|.  At det M = 0,
+    e = 1 still gives a polar factor; at M = 0 the result is I, as the SVD's
+    is.  M is scaled by its largest entry first, so no square under- or
+    overflows.  Larger blocks take the SVD (``_polar``).
+    """
+    if M.shape[-1] != 2:
+        return _polar(M)
+    s = np.abs(M).max(axis=(-2, -1))
+    M = M / np.where(s > 0, s, 1.0)[..., None, None]
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    mag = np.abs(det)
+    e = np.where(mag > 0, det / np.where(mag > 0, mag, 1.0), 1.0)
+    U = M + e[..., None, None] * (M[..., ::-1, ::-1].conj() * _ADJ_SIGNS)
+    tr = np.sqrt((M.real ** 2 + M.imag ** 2).sum(axis=(-2, -1)) + 2.0 * mag)
+    U /= np.where(s > 0, tr, 1.0)[..., None, None]
+    U[s == 0] = np.eye(2)
+    return U
+
+
+def _op_norm(A: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix of a stack, sqrt(lambda_max(A^H A)), by one
+    stacked Hermitian eigensolve."""
+    top = np.linalg.eigvalsh(A.conj().swapaxes(-1, -2) @ A)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
 def _blockify_unitary(M: np.ndarray, alpha: int) -> np.ndarray:
     """Nearest corner-fixing structured unitary: identity corner, polar of the rest."""
     W = np.zeros_like(M, dtype=complex)
     W[..., :alpha, :alpha] = np.eye(alpha)
-    W[..., alpha:, alpha:] = _polar(M[..., alpha:, alpha:])
+    W[..., alpha:, alpha:] = _block_polar(M[..., alpha:, alpha:])
     return W
 
 
@@ -395,18 +434,19 @@ def dist_conjugacy_stack(
                         spectral, sylvester])
     lanes, xl = np.arange(len(owner)), x[owner]
     xh = xl.conj().swapaxes(-1, -2)
-
-    def op_of(xl, W):
-        return np.linalg.svd(xl - W @ r @ W.conj().swapaxes(-1, -2), compute_uv=False)[:, 0]
-
-    best, best_W = op_of(xl, W), W.copy()
+    # ||x - W r W^H|| = ||xW - Wr|| for unitary W; W r also gives the next step
+    Wr = W @ r
+    best, best_W = _op_norm(xl @ W - Wr), W.copy()
     op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
     converged, stall = np.zeros(len(lanes), dtype=bool), np.zeros(len(lanes), dtype=int)
     for t in range(1, max_iters + 1):
         if not len(lanes):
             break
-        W = _blockify_unitary(xh @ W @ r, alpha)
-        op = op_of(xl, W)
+        # W keeps its identity corner and zero off-corner blocks, so the step
+        # rewrites only its non-corner block
+        W[..., alpha:, alpha:] = _block_polar((xh @ Wr)[..., alpha:, alpha:])
+        Wr = W @ r
+        op = _op_norm(xl @ W - Wr)
         better = op < best - tol
         best[better], best_W[better] = op[better], W[better]
         stall = np.where(better, 0, stall + 1)
@@ -415,8 +455,8 @@ def dist_conjugacy_stack(
             done = lanes[stop]
             op_out[done], W_out[done], iters[done], converged[done] = (
                 best[stop], best_W[stop], t, True)
-            lanes, W, xl, xh, best, best_W, stall = (
-                a[~stop] for a in (lanes, W, xl, xh, best, best_W, stall))
+            lanes, W, Wr, xl, xh, best, best_W, stall = (
+                a[~stop] for a in (lanes, W, Wr, xl, xh, best, best_W, stall))
     op_out[lanes], W_out[lanes] = best, best_W
 
     # per sample, the first start with the least bound (lexsort is stable)
@@ -444,9 +484,13 @@ def dist_conjugacy(
     unitary.  Each start runs the fixed-point iteration W <- blockified polar
     of x^H W r (which increases Re tr(W^H x^H W r)) with its own best
     conjugator, until 25 steps bring it no gain beyond tol, its bound falls
-    below 1e-11 or max_iters steps have run.  The first start with the least
-    bound wins; iterations sums all starts' steps, and converged says whether
-    the winner stopped before max_iters ran out.  The Sylvester start is
+    below 1e-11 or max_iters steps have run.  A step forms W r once, for its
+    bound ||xW - Wr||, the root of the top eigenvalue of that matrix's Gram
+    matrix (one Hermitian eigensolve), and for the next step's x^H (W r); a
+    2 x 2 non-corner block (a k = 1 core) takes its polar factor in closed
+    form, a larger one the SVD.  The first start with the least bound wins;
+    iterations sums all starts' steps, and converged says whether the winner
+    stopped before max_iters ran out.  The Sylvester start is
     skipped when its ARPACK solve (non-corner size above 34) does not
     converge.  This is ``dist_conjugacy_stack`` on a stack of one.  Raises
     ValueError when max_iters is below 1.
@@ -603,4 +647,6 @@ def eigenvalue_matching_distance(a, b) -> float:
     ae, be = (np.asarray(getattr(m, "entries", m), dtype=complex) for m in (a, b))
     if not (ae.shape == be.shape and is_unitary(ae) and is_unitary(be)):
         raise ValueError(f"need two unitaries of one size; got shapes {ae.shape} and {be.shape}")
+    if not ae.size:  # two 0 x 0 unitaries have no eigenvalues to match
+        return 0.0
     return float(_circle_match(np.linalg.eigvals(ae)[None], np.linalg.eigvals(be))[2][0])

@@ -173,6 +173,13 @@ class TestSample:
         assert code == 1
         assert "--seed" in err
 
+    @pytest.mark.parametrize("kind", ["orthogonal", "unitary", "permutation"])
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_dim_below_one_names_dim(self, capsys, kind, dim):
+        code, out, err = run_cli(capsys, "sample", "--kind", kind, "--dim", dim, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == f"error: --dim must be a positive integer; got {dim}\n"
+
 
 class TestExactSym:
     def test_fixture_atoms(self, capsys):

@@ -237,7 +237,7 @@ class TestRunConcentration:
 
     def test_conjugation_report_matches_per_sample_loop(self, monkeypatch):
         # blocks of 7 samples at core dimension 3, so blocks are crossed
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 432 * 9))
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 480 * 9))
         cfg = _cfg(family="unitary_conjugation", N_list=(8, 24), epsilon_list=(0.2, 0.4),
                    samples=38, seed=5, g_spec="random_unitary", h_spec="random_unitary")
         setup = RandomStream(cfg.seed, 0).generator()
@@ -337,7 +337,7 @@ class TestRunConcentration:
         assert 0 < len(calls) <= min(samples, math.perm(2 * k, k))
 
     def test_conjugation_stacks_stay_bounded(self, monkeypatch):
-        # blocks of _BLOCK_BYTES // (2048 + 432 d^2) samples: 706 at d=3, 33 at d=17
+        # blocks of _BLOCK_BYTES // (2048 + 480 d^2) samples: 658 at d=3, 29 at d=17
         seen = []
         real = experiments.dist_conjugacy_stack
 
@@ -346,7 +346,7 @@ class TestRunConcentration:
             return real(xs, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "dist_conjugacy_stack", spy)
-        for k, samples, sizes in [(1, 2000, [706, 706, 588]), (8, 2, [2])]:
+        for k, samples, sizes in [(1, 2000, [658, 658, 658, 26]), (8, 2, [2])]:
             seen.clear()
             cfg = _cfg(family="unitary_conjugation", k=k, N_list=(k,), epsilon_list=(0.4,),
                        samples=samples, seed=2, g_spec="random_unitary",
@@ -372,7 +372,7 @@ class TestRunConcentration:
         ("unitary_conjugation", 1, 2000), ("unitary_conjugation", 2, 400),
         ("unitary_orthogonal", 1, 3000)])
     def test_full_block_stays_near_budget(self, family, k, samples):
-        # more samples than one block holds (706, 326 and 1202), so the first
+        # more samples than one block holds (658, 298 and 1202), so the first
         # block is full
         cfg = _cfg(family=family, k=k, N_list=(8,), epsilon_list=(0.4,), samples=samples,
                    seed=3, g_spec="random_unitary", h_spec="random_unitary", restarts=1,

@@ -16,7 +16,14 @@ from cosetlab.blockmat import (
     embed_k,
     operator_norm,
 )
-from cosetlab.cosets import CosetTarget, GroupFamily, circ_N, sample_core, sample_tau_full
+from cosetlab.cosets import (
+    CosetTarget,
+    GroupFamily,
+    circ_N,
+    sample_core,
+    sample_core_stack,
+    sample_tau_full,
+)
 from cosetlab.experiments import ExperimentConfig, run_concentration
 from cosetlab.geometry import (
     colligation_char_function,
@@ -160,14 +167,19 @@ class TestDistConjugacy:
 
 def _reference_run(x, r, alpha, W, max_iters=200, tol=1e-12):
     """The per-sample fixed-point loop from one start, with its own best and
-    stall counter: (best bound, iterations, converged, best conjugator)."""
-    def op_of(W):
-        return operator_norm(x - W @ r @ W.conj().T)
+    stall counter: (best bound, iterations, converged, best conjugator).  It
+    follows the solver's arithmetic: ||x - W r W^H|| as ||xW - Wr||, from the
+    top eigenvalue of its Gram matrix, and the next step from x^H (Wr)."""
+    def op_of(W, Wr):
+        A = x @ W - Wr
+        return np.sqrt(max(np.linalg.eigvalsh(A.conj().T @ A)[-1], 0.0))
 
-    best_op, best_W, stall = op_of(W), W, 0
+    Wr = W @ r
+    best_op, best_W, stall = op_of(W, Wr), W, 0
     for t in range(1, max_iters + 1):
-        W = geometry._blockify_unitary(x.conj().T @ W @ r, alpha)
-        op = op_of(W)
+        W = geometry._blockify_unitary(x.conj().T @ Wr, alpha)
+        Wr = W @ r
+        op = op_of(W, Wr)
         if op < best_op - tol:
             best_op, best_W, stall = op, W, 0
         else:
@@ -311,6 +323,106 @@ class TestDistConjugacyStack:
             dist_conjugacy_stack(cores[0].entries, target)
         with pytest.raises(ValueError, match="max_iters"):
             dist_conjugacy_stack(np.stack([c.entries for c in cores]), target, max_iters=0)
+
+    def test_sweep_block_total_steps_pinned(self):
+        # the benchmark's conj_small block: g and h from seed 42, 70 samples of
+        # seed 3 at N=8; the solver before the closed-form polar and the
+        # eigensolve norm took the same 7543 steps
+        setup = RandomStream(42, 0).generator()
+        g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
+        fam = GroupFamily("unitary_conjugation", BlockSpec(1, 1, 8, 1))
+        a = haar_block_stack(1, 8, [RandomStream(3, 1 + i) for i in range(70)], unitary=True)
+        cores = sample_core_stack(g, embed(h, fam.with_n_tail(1).spec), fam, a)
+        ests = dist_conjugacy_stack(cores, circ_N(g, h, fam.with_n_tail(1)))
+        assert sum(est.iterations for est in ests) == 7543
+
+
+def _random_stack(rng, shape, real):
+    z = rng.standard_normal(shape)
+    return z if real else z + 1j * rng.standard_normal(shape)
+
+
+def _svd_polar(M):
+    u, _, vt = np.linalg.svd(M)
+    return u @ vt
+
+
+def _unitarity_gap(U):
+    eye = np.eye(U.shape[-1])
+    return np.abs(U.conj().swapaxes(-1, -2) @ U - eye).max()
+
+
+class TestConjugationKernels:
+    """The fixed-point step's closed-form 2 x 2 polar factor and eigensolve
+    norm against SVD oracles."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+    def test_polar_2x2_equals_svd_factor(self, real, scale):
+        # invertible M has one polar factor, so both must give it
+        M = scale * _random_stack(np.random.default_rng(1), (500, 2, 2), real)
+        U = geometry._block_polar(M)
+        assert U.dtype == M.dtype
+        assert _unitarity_gap(U) <= 1e-14
+        np.testing.assert_allclose(U, _svd_polar(M), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_polar_2x2_keeps_negative_determinant(self, real):
+        M = np.array([[[0.3, 2.0], [1.0, -0.5]], [[-1.0, 0.0], [0.0, 4.0]]])
+        M = M if real else M.astype(complex)
+        U = geometry._block_polar(M)
+        assert _unitarity_gap(U) <= 1e-14
+        np.testing.assert_allclose(np.linalg.det(U), [-1.0, -1.0], atol=1e-14)
+        np.testing.assert_allclose(U, _svd_polar(M), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_polar_2x2_rank_one(self, real):
+        # the factor is not unique; it must be unitary with U^H M Hermitian PSD
+        rng = np.random.default_rng(2)
+        u, v = _random_stack(rng, (200, 2, 1), real), _random_stack(rng, (200, 2, 1), real)
+        M = u @ v.conj().swapaxes(-1, -2)
+        U = geometry._block_polar(M)
+        assert _unitarity_gap(U) <= 1e-14
+        P = U.conj().swapaxes(-1, -2) @ M
+        np.testing.assert_allclose(P, P.conj().swapaxes(-1, -2), rtol=0, atol=1e-13)
+        assert np.linalg.eigvalsh(P).min() >= -1e-13
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_polar_2x2_of_zero_is_identity(self, real):
+        M = np.zeros((3, 2, 2)) if real else np.zeros((3, 2, 2), dtype=complex)
+        M[1] = [[1.0, 2.0], [0.5, 3.0]]
+        U = geometry._block_polar(M)
+        assert np.array_equal(U[[0, 2]], np.broadcast_to(np.eye(2), (2, 2, 2)))
+        assert np.array_equal(_svd_polar(M[[0, 2]]), U[[0, 2]])
+        np.testing.assert_allclose(U[1], _svd_polar(M[1]), rtol=0, atol=1e-14)
+
+    def test_larger_blocks_take_the_svd(self):
+        M = _random_stack(np.random.default_rng(3), (4, 3, 3), False)
+        assert np.array_equal(geometry._block_polar(M), geometry._polar(M))
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+    def test_norm_equals_operator_norm(self, real, d):
+        rng = np.random.default_rng(10 + d)
+        A = _random_stack(rng, (100, d, d), real) * np.logspace(-12, 3, 100)[:, None, None]
+        got = geometry._op_norm(A)
+        want = np.array([operator_norm(a) for a in A])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("ratio", [0.99, 1 - 1e-3, 1 + 1e-3, 1.01])
+    def test_norm_keeps_side_of_exact_threshold(self, ratio):
+        # lanes a distance ratio * 1e-11 from the class (forming x rounds that
+        # distance by about 1e-5 of itself): a norm read off
+        # 2I - 2 Herm(x^H W r W^H) reads these lanes as about 1e-6
+        gen = RandomStream(12, 0).generator()
+        r, W = haar_unitary(3, gen), haar_unitary(3, gen)
+        E = _random_stack(np.random.default_rng(4), (20, 3, 3), False)
+        E *= ratio * geometry._CONJ_EXACT / np.array([operator_norm(e) for e in E])[:, None, None]
+        x = W @ r @ W.conj().T + E
+        got = geometry._op_norm(x @ W - W @ r)
+        want = np.array([operator_norm(e) for e in x - W @ r @ W.conj().T])
+        assert np.array_equal(got < geometry._CONJ_EXACT, want < geometry._CONJ_EXACT)
+        assert np.array_equal(got < geometry._CONJ_EXACT, np.full(20, ratio < 1))
 
 
 def _reference_double_coset(x, target, gen, max_iters=200, tol=1e-12, restarts=5,
@@ -671,6 +783,12 @@ class TestEigenvalueMatchingDistance:
         gen = RandomStream(92, 0).generator()
         u = haar_unitary(5, gen)
         assert eigenvalue_matching_distance(u, u) == pytest.approx(0.0, abs=1e-12)
+
+    def test_zero_for_two_empty_unitaries(self):
+        # 0 x 0 matrices pass is_unitary and have no eigenvalues to match
+        assert eigenvalue_matching_distance(np.zeros((0, 0)), np.zeros((0, 0))) == 0.0
+        with pytest.raises(ValueError, match="two unitaries of one size"):
+            eigenvalue_matching_distance(np.zeros((0, 0)), np.eye(1))
 
     def test_known_rotation(self):
         assert eigenvalue_matching_distance(np.eye(3), 1j * np.eye(3)) == pytest.approx(
