@@ -268,10 +268,13 @@ def dist_double_coset(
 # linalg and matmul solve each lane with the same LAPACK/BLAS call as a lone
 # matrix, so a lane's result does not depend on the rest of its stack.
 
-# A lane whose best bound falls below this is exact and leaves the stack.
+# A lane whose best bound is within this of its sample's lower bound (the
+# Bhatia-Davis eigenvalue matching gap) has closed its bracket and leaves the stack.
 _CONJ_EXACT = 1e-11
-# Non-improving fixed-point steps after which a lane leaves the stack, converged.
-_CONJ_STALL = 25
+# Flat fixed-point steps after which a lane leaves the stack, converged: on a
+# 2 x 2 non-corner block (k = 1) no later step lowered a bound in sweep scans;
+# larger blocks keep 25, as a stall of 20 lost a late gain of 0.038 at k = 3.
+_CONJ_STALL, _CONJ_STALL_WIDE = 5, 25
 
 
 # Entry signs that turn M[..., ::-1, ::-1].conj() into adj(M)^H for 2 x 2 M.
@@ -329,15 +332,15 @@ def _circle_match(lx: np.ndarray, lr: np.ndarray):
     return ix, ir[cols], gaps.min(axis=-1)
 
 
-def _spectral_match_init(x: np.ndarray, r: np.ndarray, alpha: int) -> np.ndarray:
+def _spectral_match_init(x: np.ndarray, r: np.ndarray, alpha: int):
     """Per lane of x, the unitary mapping r's eigenbasis to x's, eigenvalues
-    matched around the circle."""
+    matched around the circle, and the matching's largest gap (a lower bound)."""
     lx, P = np.linalg.eig(x)
     lr, Q = np.linalg.eig(r)
-    ix, jr, _ = _circle_match(lx, lr)
+    ix, jr, gap = _circle_match(lx, lr)
     P = np.take_along_axis(P, ix[:, None, :], axis=-1)
     Q = np.moveaxis(Q[:, jr], 1, 0)
-    return _blockify_unitary(P @ Q.conj().swapaxes(-1, -2), alpha)
+    return _blockify_unitary(P @ Q.conj().swapaxes(-1, -2), alpha), gap
 
 
 # Largest non-corner size w = dim - alpha whose (1 + w^2)-column Sylvester map
@@ -409,12 +412,13 @@ def dist_conjugacy_stack(
 
     Every sample gets one lane per start, so one fixed-point run covers up to
     3S lanes.  Each lane has its own best conjugator, stall counter and
-    iteration count, and leaves the stack when it stalls or its bound drops
-    below 1e-11, so the stack shrinks as it runs.  A lane's result does not
-    depend on the rest of the stack: each sample gets the estimate
-    ``dist_conjugacy`` gives for it alone, bit for bit.  Memory is O(S d^2)
-    for the lanes plus one sample's Sylvester map, O(d^2 (1 + w^2)) with
-    w = d - alpha: callers bound S.
+    iteration count, and leaves the stack when it stalls or its bound comes
+    within 1e-11 of its sample's lower bound, so the stack shrinks as it runs;
+    a sample whose least start bound is already that close takes no step.  A
+    sample's result does not depend on the rest of the stack: each sample gets
+    the estimate ``dist_conjugacy`` gives for it alone, bit for bit.  Memory
+    is O(S d^2) for the lanes plus one sample's Sylvester map,
+    O(d^2 (1 + w^2)) with w = d - alpha: callers bound S.
     """
     fam = target.family
     if fam.kind != "unitary_conjugation":
@@ -426,37 +430,43 @@ def dist_conjugacy_stack(
     if x.ndim != 3 or x.shape[1:] != r.shape:
         raise ValueError("dimension mismatch between sample and target")
     alpha, samples = fam.spec.alpha, len(x)
-    spectral = _spectral_match_init(x, r, alpha)
+    spectral, gap = _spectral_match_init(x, r, alpha)
     sylvester, solved = _min_singular_init(x, r, alpha, spectral)
     # lanes in start order: each sample's identity, its spectral match, its Sylvester vector
     owner = np.concatenate([np.arange(samples), np.arange(samples), np.flatnonzero(solved)])
     W = np.concatenate([np.broadcast_to(np.eye(len(r), dtype=complex), x.shape),
                         spectral, sylvester])
-    lanes, xl = np.arange(len(owner)), x[owner]
+    lanes, xl, lower = np.arange(len(owner)), x[owner], gap[owner]
     xh = xl.conj().swapaxes(-1, -2)
+    stall_len = _CONJ_STALL if len(r) - alpha == 2 else _CONJ_STALL_WIDE
     # ||x - W r W^H|| = ||xW - Wr|| for unitary W; W r also gives the next step
     Wr = W @ r
     best, best_W = _op_norm(xl @ W - Wr), W.copy()
     op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
     converged, stall = np.zeros(len(lanes), dtype=bool), np.zeros(len(lanes), dtype=int)
-    for t in range(1, max_iters + 1):
-        if not len(lanes):
-            break
-        # W keeps its identity corner and zero off-corner blocks, so the step
-        # rewrites only its non-corner block
-        W[..., alpha:, alpha:] = _block_polar((xh @ Wr)[..., alpha:, alpha:])
-        Wr = W @ r
-        op = _op_norm(xl @ W - Wr)
-        better = op < best - tol
-        best[better], best_W[better] = op[better], W[better]
-        stall = np.where(better, 0, stall + 1)
-        stop = (best < _CONJ_EXACT) | (stall >= _CONJ_STALL)
+    # before step 1, a sample whose least start bound closes its bracket retires every lane
+    least = np.full(samples, np.inf)
+    np.minimum.at(least, owner, best)
+    stop = (least - gap < _CONJ_EXACT)[owner]
+    for t in range(max_iters + 1):
+        if t:
+            # W keeps its identity corner and zero off-corner blocks, so the step
+            # rewrites only its non-corner block
+            W[..., alpha:, alpha:] = _block_polar((xh @ Wr)[..., alpha:, alpha:])
+            Wr = W @ r
+            op = _op_norm(xl @ W - Wr)
+            better = op < best - tol
+            best[better], best_W[better] = op[better], W[better]
+            stall = np.where(better, 0, stall + 1)
+            stop = (best - lower < _CONJ_EXACT) | (stall >= stall_len)
         if stop.any():
             done = lanes[stop]
             op_out[done], W_out[done], iters[done], converged[done] = (
                 best[stop], best_W[stop], t, True)
-            lanes, W, Wr, xl, xh, best, best_W, stall = (
-                a[~stop] for a in (lanes, W, Wr, xl, xh, best, best_W, stall))
+            lanes, W, Wr, xl, xh, lower, best, best_W, stall = (
+                a[~stop] for a in (lanes, W, Wr, xl, xh, lower, best, best_W, stall))
+        if not len(lanes):
+            break
     op_out[lanes], W_out[lanes] = best, best_W
 
     # per sample, the first start with the least bound (lexsort is stable)
@@ -481,13 +491,17 @@ def dist_conjugacy(
     refines three starts independently: the identity, the spectral match of
     eigenvalues around the circle, and the smallest singular vector of the
     structured Sylvester map with its copy block projected to the nearest
-    unitary.  Each start runs the fixed-point iteration W <- blockified polar
-    of x^H W r (which increases Re tr(W^H x^H W r)) with its own best
-    conjugator, until 25 steps bring it no gain beyond tol, its bound falls
-    below 1e-11 or max_iters steps have run.  A step forms W r once, for its
+    unitary.  The matching's largest eigenvalue gap, by Bhatia and Davis the
+    distance to r's unitary orbit, bounds the distance below (exactly at
+    alpha = 0).  Unless the least start bound is already within 1e-11 of it,
+    each start runs the fixed-point iteration W <- blockified polar of
+    x^H W r (which increases Re tr(W^H x^H W r)) with its own best
+    conjugator, until 5 steps (2 x 2 non-corner block: k = 1) or 25 bring it
+    no gain beyond tol, its bound comes within 1e-11 of the lower bound or
+    max_iters steps have run.  A step forms W r once, for its
     bound ||xW - Wr||, the root of the top eigenvalue of that matrix's Gram
     matrix (one Hermitian eigensolve), and for the next step's x^H (W r); a
-    2 x 2 non-corner block (a k = 1 core) takes its polar factor in closed
+    2 x 2 non-corner block takes its polar factor in closed
     form, a larger one the SVD.  The first start with the least bound wins;
     iterations sums all starts' steps, and converged says whether the winner
     stopped before max_iters ran out.  The Sylvester start is

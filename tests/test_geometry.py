@@ -165,42 +165,53 @@ class TestDistConjugacy:
             dist_conjugacy(target.representative, target, max_iters=max_iters)
 
 
-def _reference_run(x, r, alpha, W, max_iters=200, tol=1e-12):
+def _reference_bound(x, W, Wr):
+    """||x - W r W^H|| as the solver forms it: ||xW - Wr||, from the top
+    eigenvalue of its Gram matrix."""
+    A = x @ W - Wr
+    return np.sqrt(max(np.linalg.eigvalsh(A.conj().T @ A)[-1], 0.0))
+
+
+def _reference_run(x, r, alpha, W, max_iters=200, tol=1e-12, lower=0.0):
     """The per-sample fixed-point loop from one start, with its own best and
     stall counter: (best bound, iterations, converged, best conjugator).  It
-    follows the solver's arithmetic: ||x - W r W^H|| as ||xW - Wr||, from the
-    top eigenvalue of its Gram matrix, and the next step from x^H (Wr)."""
-    def op_of(W, Wr):
-        A = x @ W - Wr
-        return np.sqrt(max(np.linalg.eigvalsh(A.conj().T @ A)[-1], 0.0))
-
+    follows the solver's arithmetic (the next step from x^H (Wr)) and stop
+    rule: 5 flat steps on a 2 x 2 non-corner block, 25 on a larger one, or a
+    best bound within 1e-11 of the sample's lower bound."""
+    stall_len = 5 if len(x) - alpha == 2 else 25
     Wr = W @ r
-    best_op, best_W, stall = op_of(W, Wr), W, 0
+    best_op, best_W, stall = _reference_bound(x, W, Wr), W, 0
     for t in range(1, max_iters + 1):
         W = geometry._blockify_unitary(x.conj().T @ Wr, alpha)
         Wr = W @ r
-        op = op_of(W, Wr)
+        op = _reference_bound(x, W, Wr)
         if op < best_op - tol:
             best_op, best_W, stall = op, W, 0
         else:
             stall += 1
-        if best_op < 1e-11 or stall >= 25:
+        if best_op - lower < 1e-11 or stall >= stall_len:
             return best_op, t, True, best_W
     return best_op, max_iters, False, best_W
 
 
 def _reference_conjugacy(x, r, alpha, inits, max_iters=200, tol=1e-12):
-    """Each start run on its own and the first with the least bound, with the
-    iterations of all runs: the reference the stacked solver must match bit
-    for bit."""
-    runs = [_reference_run(x, r, alpha, W, max_iters, tol) for W in inits]
+    """Each start run on its own against the sample's Bhatia-Davis lower bound
+    and the first with the least bound, with the iterations of all runs: the
+    reference the stacked solver must match bit for bit.  When the least start
+    bound already meets the lower bound, no start takes a step."""
+    lower = eigenvalue_matching_distance(x, r)
+    starts = [_reference_bound(x, W, W @ r) for W in inits]
+    if min(starts) - lower < 1e-11:
+        runs = [(op, 0, True, W) for op, W in zip(starts, inits)]
+    else:
+        runs = [_reference_run(x, r, alpha, W, max_iters, tol, lower) for W in inits]
     op, _, converged, W = min(runs, key=lambda run: run[0])
     return op, sum(run[1] for run in runs), converged, W
 
 
 def _conjugacy_starts(x, r, alpha):
     """The identity, spectral and Sylvester starts of one core."""
-    spectral = geometry._spectral_match_init(x[None], r, alpha)
+    spectral, _ = geometry._spectral_match_init(x[None], r, alpha)
     sylvester, solved = geometry._min_singular_init(x[None], r, alpha, spectral)
     assert solved.all()
     return [np.eye(len(x), dtype=complex), spectral[0], sylvester[0]]
@@ -260,8 +271,8 @@ class TestDistConjugacyStack:
             assert est.upper_bound <= _reference_run(x, r, alpha, W)[0]
 
     def test_mixed_lanes(self, monkeypatch):
-        # every lane runs all three starts; on the exact lanes each start stops
-        # after one step below 1e-11
+        # every sample gets all three starts; on the exact samples the identity
+        # start's bound meets the lower bound, so no start takes a step
         cores, target = self._cores(8, 6, seed=11)
         r = target.representative.entries
         xs = np.stack([c.entries if i % 2 else r for i, c in enumerate(cores)])
@@ -285,9 +296,34 @@ class TestDistConjugacyStack:
                                                       target))
             if i % 2 == 0:
                 assert est.upper_bound < 1e-11
-                assert (est.iterations, est.converged) == (3, True)
+                assert (est.iterations, est.converged) == (0, True)
             else:
                 assert est.upper_bound > 1e-3 and est.iterations > 3
+
+    @pytest.mark.parametrize("alpha,N,seed", [(1, 8, 42), (2, 8, 3), (1, 24, 9)])
+    def test_short_stall_keeps_k1_bounds(self, monkeypatch, alpha, N, seed):
+        # on k = 1 sweep cores no step after the fifth flat one lowers a bound,
+        # so the 5-step stall reads the 25-step stall's bounds and hits
+        cores, target = self._cores(N, 60, seed=seed, alpha=alpha)
+        xs = np.stack([c.entries for c in cores])
+        short = np.array([est.upper_bound for est in dist_conjugacy_stack(xs, target)])
+        monkeypatch.setattr(geometry, "_CONJ_STALL", 25)
+        full = np.array([est.upper_bound for est in dist_conjugacy_stack(xs, target)])
+        np.testing.assert_allclose(short, full, rtol=0, atol=1e-12)
+        for eps in (0.2, 0.4):
+            assert np.array_equal(short <= eps, full <= eps)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_alpha_zero_closes_before_step_one(self, k):
+        # at alpha = 0 K is the whole unitary group, so the spectral start is
+        # exact and meets the Bhatia-Davis lower bound before any step
+        cores, target = self._cores(8, 40, seed=5, alpha=0, k=k)
+        r = target.representative.entries
+        ests = dist_conjugacy_stack(np.stack([c.entries for c in cores]), target)
+        for core, est in zip(cores, ests):
+            assert (est.iterations, est.converged) == (0, True)
+            assert abs(est.upper_bound - eigenvalue_matching_distance(core, r)) <= 1e-12
+            assert abs(verify_estimate(est, core, target) - est.upper_bound) <= 1e-9
 
     def test_arpack_failure_skips_sylvester_phase(self, monkeypatch):
         # copy size 35 > 34 takes the ARPACK branch; lane 0's solve fails
@@ -310,7 +346,7 @@ class TestDistConjugacyStack:
         assert calls == [0, 1]
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real_eigsh)
         eye = np.eye(fam.spec.dim, dtype=complex)
-        spectral = geometry._spectral_match_init(xs[:1], r, 1)[0]
+        spectral = geometry._spectral_match_init(xs[:1], r, 1)[0][0]
         op, iters, converged, W = _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)
         assert (failed.upper_bound, failed.iterations, failed.converged) == (op, iters, converged)
         assert np.array_equal(failed.witness_left.entries, W)
@@ -326,15 +362,14 @@ class TestDistConjugacyStack:
 
     def test_sweep_block_total_steps_pinned(self):
         # the benchmark's conj_small block: g and h from seed 42, 70 samples of
-        # seed 3 at N=8; the solver before the closed-form polar and the
-        # eigensolve norm took the same 7543 steps
+        # seed 3 at N=8; with a 25-step stall at k = 1 the solver took 7543
         setup = RandomStream(42, 0).generator()
         g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
         fam = GroupFamily("unitary_conjugation", BlockSpec(1, 1, 8, 1))
         a = haar_block_stack(1, 8, [RandomStream(3, 1 + i) for i in range(70)], unitary=True)
         cores = sample_core_stack(g, embed(h, fam.with_n_tail(1).spec), fam, a)
         ests = dist_conjugacy_stack(cores, circ_N(g, h, fam.with_n_tail(1)))
-        assert sum(est.iterations for est in ests) == 7543
+        assert sum(est.iterations for est in ests) == 3335
 
 
 def _random_stack(rng, shape, real):
