@@ -5,7 +5,6 @@ from .blockmat import (
     BlockMatrix,
     BlockSpec,
     PermutationWord,
-    block,
     build_JN,
     embed,
     embed_k,
@@ -45,7 +44,6 @@ from .haar import (
     RandomStream,
     haar_orthogonal,
     haar_unitary,
-    top_block,
     uniform_permutation,
 )
 from .hypergroup_exact import (
@@ -57,8 +55,8 @@ from .hypergroup_exact import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockMatrix", "BlockSpec", "PermutationWord", "block", "build_JN", "embed",
-    "embed_k", "is_unitary", "operator_norm",
+    "BlockMatrix", "BlockSpec", "PermutationWord", "build_JN", "embed", "embed_k",
+    "is_unitary", "operator_norm",
     "CosetTarget", "GroupFamily", "circ_N", "circ_infinite",
     "sample_tau_full", "sample_tau_tilde",
     "BlockDecayReport", "ConcentrationReport", "ExperimentConfig", "run_block_decay",
@@ -67,8 +65,7 @@ __all__ = [
     "dist_conjugacy_stack", "dist_double_coset", "dist_double_coset_stack",
     "eigenvalue_matching_distance",
     "sym_corner_invariant", "sym_membership", "verify_estimate",
-    "RandomStream", "haar_orthogonal", "haar_unitary", "top_block",
-    "uniform_permutation",
+    "RandomStream", "haar_orthogonal", "haar_unitary", "uniform_permutation",
     "ExactDistribution", "concentration_exact", "exact_convolution",
     "__version__",
 ]

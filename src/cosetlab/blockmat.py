@@ -27,7 +27,6 @@ __all__ = [
     "PermutationWord",
     "as_word",
     "load_source",
-    "block",
     "embed",
     "embed_k",
     "build_JN",
@@ -68,21 +67,6 @@ class BlockSpec:
         # c is 0-based; whole copy (active + tail)
         start = self.alpha + c * self.copy_size
         return slice(start, start + self.copy_size)
-
-    def block_slice(self, name: str) -> slice:
-        """Index range of a named block: 'corner', 'active_i' or 'tail_i' (i is 1-based)."""
-        if name == "corner":
-            return slice(0, self.alpha)
-        kind, _, idx = name.partition("_")
-        if kind not in ("active", "tail") or not idx.isdigit():
-            raise KeyError(f"unknown block name: {name!r}")
-        c = int(idx)
-        if not 1 <= c <= self.m:
-            raise KeyError(f"block copy index out of range: {name!r}")
-        start = self.alpha + (c - 1) * self.copy_size
-        if kind == "active":
-            return slice(start, start + self.k)
-        return slice(start + self.k, start + self.copy_size)
 
 
 def tail_sizes(N_list, k: int = 0) -> tuple:
@@ -321,13 +305,6 @@ def load_source(source: str, degrees) -> BlockMatrix:
         raise ValueError(f"{source}: dimension {mat.dim}, expected "
                          + " or ".join(str(d) for d in degrees))
     return mat
-
-
-def block(mat: BlockMatrix, row_block: str, col_block: str) -> np.ndarray:
-    """Copy of the sub-matrix addressed by named row/column blocks."""
-    if mat.spec is None:
-        raise ValueError("matrix has no block spec")
-    return mat.entries[mat.spec.block_slice(row_block), mat.spec.block_slice(col_block)].copy()
 
 
 def _place(u, size: int, n: int, blocks, spec: BlockSpec | None = None) -> BlockMatrix:

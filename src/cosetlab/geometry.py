@@ -344,8 +344,8 @@ def _spectral_match_init(x: np.ndarray, r: np.ndarray, alpha: int):
 
 
 # Largest non-corner size w = dim - alpha whose (1 + w^2)-column Sylvester map
-# gets a dense SVD; above it ARPACK runs.  Dense takes 3 ms at w=9, 0.09 s at
-# w=20 and 2.0 s at w=35, against 0.01-0.02 s for ARPACK at w=35-49.
+# gets a dense SVD; above it ARPACK runs.  Per alpha = 1 sweep core: dense 6 ms
+# at w=10, 0.13 s at w=20, 2.2 s at w=34; ARPACK 9 ms, 0.02 s and 0.1 s there.
 _DENSE_SYLVESTER_MAX = 34
 
 
@@ -353,8 +353,8 @@ def _min_singular_init(x, r, alpha, spectral_guess):
     """Per lane of x, the minimizer of ||xW - Wr||_F over W = diag(s.1_alpha, w):
     smallest singular vector of the restricted Sylvester map, then rescaled to
     a unit corner.  Lanes are solved one at a time, so memory holds one lane's
-    map.  Returns the solved lanes' starts and the mask of those lanes; a lane
-    whose ARPACK run does not converge has none."""
+    map.  A lane whose ARPACK run does not converge keeps its start vector,
+    the spectral guess."""
     dim = x.shape[-1]
     w = dim - alpha
     n = 1 + w * w
@@ -393,13 +393,12 @@ def _min_singular_init(x, r, alpha, spectral_guess):
         try:
             found.append(eigsh(op, k=1, which="SA", v0=v0, maxiter=60, tol=1e-4)[1][:, 0])
         except ArpackNoConvergence:
-            found.append(None)
-    solved = np.array([f is not None for f in found], dtype=bool)
-    p = np.array([f for f in found if f is not None]).reshape(-1, n)
+            found.append(v0)
+    p = np.array(found).reshape(-1, n)
     s = p[:, 0]
     scale = np.abs(s) > 1e-9
     p = np.where(scale[:, None], p / np.where(scale, s, 1.0)[:, None], p)
-    return _blockify_unitary(from_vec(p), alpha), solved
+    return _blockify_unitary(from_vec(p), alpha)
 
 
 def dist_conjugacy_stack(
@@ -410,8 +409,8 @@ def dist_conjugacy_stack(
 ) -> list[DistanceEstimate]:
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
-    Every sample gets one lane per start, so one fixed-point run covers up to
-    3S lanes.  Each lane has its own best conjugator, stall counter and
+    Every sample gets one lane per start, so one fixed-point run covers 3S
+    lanes.  Each lane has its own best conjugator, stall counter and
     iteration count, and leaves the stack when it stalls or its bound comes
     within 1e-11 of its sample's lower bound, so the stack shrinks as it runs;
     a sample whose least start bound is already that close takes no step.  A
@@ -431,11 +430,10 @@ def dist_conjugacy_stack(
         raise ValueError("dimension mismatch between sample and target")
     alpha, samples = fam.spec.alpha, len(x)
     spectral, gap = _spectral_match_init(x, r, alpha)
-    sylvester, solved = _min_singular_init(x, r, alpha, spectral)
-    # lanes in start order: each sample's identity, its spectral match, its Sylvester vector
-    owner = np.concatenate([np.arange(samples), np.arange(samples), np.flatnonzero(solved)])
+    # lanes in (3, S) start order: each sample's identity, spectral match, Sylvester vector
+    owner = np.tile(np.arange(samples), 3)
     W = np.concatenate([np.broadcast_to(np.eye(len(r), dtype=complex), x.shape),
-                        spectral, sylvester])
+                        spectral, _min_singular_init(x, r, alpha, spectral)])
     lanes, xl, lower = np.arange(len(owner)), x[owner], gap[owner]
     xh = xl.conj().swapaxes(-1, -2)
     stall_len = _CONJ_STALL if len(r) - alpha == 2 else _CONJ_STALL_WIDE
@@ -445,9 +443,7 @@ def dist_conjugacy_stack(
     op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
     converged, stall = np.zeros(len(lanes), dtype=bool), np.zeros(len(lanes), dtype=int)
     # before step 1, a sample whose least start bound closes its bracket retires every lane
-    least = np.full(samples, np.inf)
-    np.minimum.at(least, owner, best)
-    stop = (least - gap < _CONJ_EXACT)[owner]
+    stop = (best.reshape(3, samples).min(axis=0) - gap < _CONJ_EXACT)[owner]
     for t in range(max_iters + 1):
         if t:
             # W keeps its identity corner and zero off-corner blocks, so the step
@@ -469,10 +465,9 @@ def dist_conjugacy_stack(
             break
     op_out[lanes], W_out[lanes] = best, best_W
 
-    # per sample, the first start with the least bound (lexsort is stable)
-    order = np.lexsort((op_out, owner))
-    win = order[np.searchsorted(owner[order], np.arange(samples))]
-    total = np.bincount(owner, iters, minlength=samples)
+    # per sample, the first start with the least bound
+    win = op_out.reshape(3, samples).argmin(axis=0) * samples + np.arange(samples)
+    total = iters.reshape(3, samples).sum(axis=0)
     return [DistanceEstimate(float(op_out[j]), int(total[i]), bool(converged[j]),
                              BlockMatrix(W_out[j], fam.spec),
                              BlockMatrix(W_out[j].conj().T, fam.spec))
@@ -504,10 +499,10 @@ def dist_conjugacy(
     2 x 2 non-corner block takes its polar factor in closed
     form, a larger one the SVD.  The first start with the least bound wins;
     iterations sums all starts' steps, and converged says whether the winner
-    stopped before max_iters ran out.  The Sylvester start is
-    skipped when its ARPACK solve (non-corner size above 34) does not
-    converge.  This is ``dist_conjugacy_stack`` on a stack of one.  Raises
-    ValueError when max_iters is below 1.
+    stopped before max_iters ran out.  When the Sylvester start's ARPACK
+    solve (non-corner size above 34) does not converge, that lane starts from
+    the spectral guess.  This is ``dist_conjugacy_stack`` on a stack of one.
+    Raises ValueError when max_iters is below 1.
     """
     return dist_conjugacy_stack(x.entries[None], target, max_iters=max_iters, tol=tol)[0]
 

@@ -22,7 +22,6 @@ __all__ = [
     "haar_unitary",
     "haar_block_stack",
     "uniform_permutation",
-    "top_block",
 ]
 
 
@@ -111,10 +110,3 @@ def uniform_permutation(n: int, rng) -> PermutationWord:
     gen = _as_generator(rng)
     return PermutationWord(gen.permutation(n) + 1)
 
-
-def top_block(u_full: np.ndarray, k: int) -> np.ndarray:
-    """Leading principal k x k sub-block."""
-    u_full = np.asarray(u_full)
-    if k > u_full.shape[0]:
-        raise ValueError(f"k={k} exceeds dimension {u_full.shape[0]}")
-    return u_full[:k, :k].copy()

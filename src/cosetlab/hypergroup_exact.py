@@ -36,17 +36,6 @@ class ExactDistribution:
     atoms: tuple  # of (PermutationWord representative, Fraction probability)
     family: GroupFamily
 
-    def total(self) -> Fraction:
-        return sum((p for _, p in self.atoms), Fraction(0))
-
-    def prob_of_coset(self, rep) -> Fraction:
-        """Probability of the atom whose coset contains rep (0 if none does)."""
-        for atom_rep, p in self.atoms:
-            if sym_membership(rep, CosetTarget(
-                    BlockMatrix.from_permutation(atom_rep, self.family.spec), self.family)):
-                return p
-        return Fraction(0)
-
     def max_atom(self):
         """(representative, probability) of the most likely atom."""
         return max(self.atoms, key=lambda a: a[1])

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import shlex
 import shutil
 import subprocess
@@ -507,6 +509,16 @@ class TestTopLevel:
             main([sub, "--help"])
         assert exc.value.code == 0
         assert "example: cosetlab " + sub in capsys.readouterr().out
+
+    def test_public_names_resolve(self):
+        # every exported name, of the package and of each module, is an
+        # attribute, so a deleted helper cannot leave a dangling export
+        assert len(set(cosetlab.__all__)) == len(cosetlab.__all__)
+        modules = [cosetlab] + [importlib.import_module(f"cosetlab.{info.name}")
+                                for info in pkgutil.iter_modules(cosetlab.__path__)]
+        for module in modules:
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert missing == [], module.__name__
 
     def test_console_script_installed(self):
         exe = shutil.which("cosetlab")

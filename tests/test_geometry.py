@@ -212,8 +212,7 @@ def _reference_conjugacy(x, r, alpha, inits, max_iters=200, tol=1e-12):
 def _conjugacy_starts(x, r, alpha):
     """The identity, spectral and Sylvester starts of one core."""
     spectral, _ = geometry._spectral_match_init(x[None], r, alpha)
-    sylvester, solved = geometry._min_singular_init(x[None], r, alpha, spectral)
-    assert solved.all()
+    sylvester = geometry._min_singular_init(x[None], r, alpha, spectral)
     return [np.eye(len(x), dtype=complex), spectral[0], sylvester[0]]
 
 
@@ -325,8 +324,9 @@ class TestDistConjugacyStack:
             assert abs(est.upper_bound - eigenvalue_matching_distance(core, r)) <= 1e-12
             assert abs(verify_estimate(est, core, target) - est.upper_bound) <= 1e-9
 
-    def test_arpack_failure_skips_sylvester_phase(self, monkeypatch):
-        # copy size 35 > 34 takes the ARPACK branch; lane 0's solve fails
+    def test_arpack_failure_starts_from_the_guess(self, monkeypatch):
+        # copy size 35 > 34 takes the ARPACK branch; lane 0's solve fails, so
+        # its Sylvester lane starts from ARPACK's start vector, the spectral guess
         fam = GroupFamily("unitary_conjugation", BlockSpec(1, 1, 34, 1))
         setup = RandomStream(5, 0).generator()
         target = circ_N(BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup)),
@@ -347,9 +347,11 @@ class TestDistConjugacyStack:
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real_eigsh)
         eye = np.eye(fam.spec.dim, dtype=complex)
         spectral = geometry._spectral_match_init(xs[:1], r, 1)[0][0]
-        op, iters, converged, W = _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)
+        guess = geometry._blockify_unitary(spectral, 1)
+        op, iters, converged, W = _reference_conjugacy(xs[0], r, 1, [eye, spectral, guess], 40)
         assert (failed.upper_bound, failed.iterations, failed.converged) == (op, iters, converged)
         assert np.array_equal(failed.witness_left.entries, W)
+        assert op <= _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)[0]
         assert _same_estimate(solved, dist_conjugacy(BlockMatrix(xs[1], fam.spec), target,
                                                      max_iters=40))
 

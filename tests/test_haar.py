@@ -8,7 +8,6 @@ from cosetlab.haar import (
     haar_block_stack,
     haar_orthogonal,
     haar_unitary,
-    top_block,
     uniform_permutation,
 )
 
@@ -136,7 +135,7 @@ class TestHaarBlockStack:
         block = np.linalg.norm(haar_block_stack(k, N, gens, unitary=unitary), 2, axis=(1, 2))
         whole = haar_unitary if unitary else haar_orthogonal
         gen = RandomStream(18, k + N).generator()
-        full = [operator_norm(top_block(whole(k + N, gen), k)) for _ in range(150)]
+        full = [operator_norm(whole(k + N, gen)[:k, :k]) for _ in range(150)]
         assert ks_2samp(block, full).pvalue > 0.01
 
     @pytest.mark.parametrize("unitary", [False, True])
@@ -224,17 +223,6 @@ class TestUniformPermutation:
 
 
 class TestTopBlock:
-    def test_identity(self):
-        np.testing.assert_array_equal(top_block(np.eye(5), 2), np.eye(2))
-
-    def test_full_dimension(self):
-        q = haar_orthogonal(4, RandomStream(2, 0))
-        assert operator_norm(top_block(q, 4)) == pytest.approx(1.0, abs=1e-10)
-
-    def test_too_large(self):
-        with pytest.raises(ValueError):
-            top_block(np.eye(3), 4)
-
     def test_norm_decay(self):
         # medians over 200 draws: the k x k corner of a Haar orthogonal matrix
         # shrinks like sqrt(k/N) as the ambient size grows
@@ -242,8 +230,7 @@ class TestTopBlock:
         meds = {}
         for N in (20, 200):
             gen = RandomStream(17, N).generator()
-            norms = [operator_norm(top_block(haar_orthogonal(k + N, gen), k))
-                     for _ in range(200)]
+            norms = [operator_norm(haar_orthogonal(k + N, gen)[:k, :k]) for _ in range(200)]
             meds[N] = np.median(norms)
         assert meds[200] < meds[20] / 2
         assert meds[200] <= 3 * np.sqrt(k / 200)
