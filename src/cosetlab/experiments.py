@@ -22,7 +22,13 @@ import numpy as np
 from .blockmat import BlockMatrix, BlockSpec, embed, load_source, tail_sizes
 from .cosets import GroupFamily, circ_N, core_images, sample_core, sample_core_stack
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
-from .haar import RandomStream, haar_block_stack, haar_unitary, uniform_permutation
+from .haar import (
+    RandomStream,
+    _stream_generators,
+    haar_block_stack,
+    haar_unitary,
+    uniform_permutation,
+)
 
 __all__ = [
     "ExperimentConfig",
@@ -221,9 +227,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
     Samples are drawn in order.  Sample i uses the dedicated stream
     (seed, 1 + i) for both its middle draw and any solver restarts, so
-    reports are reproducible.  A sample draws only the leading k x k block A
-    of its middle Haar element, or the k active images of its middle
-    permutation, and is solved as its core (``cosets.sample_core``), a
+    reports are reproducible; the streams are built in bulk
+    (``haar._stream_generators``), bit for bit ``RandomStream(seed, 1 + i)``.
+    A sample draws only the leading k x k block A of its middle Haar
+    element, or the k active images of its middle permutation, and is solved as its core (``cosets.sample_core``), a
     function of A or of the images alone, of dimension alpha + 2mk against the
     product target at tail size k.  A is drawn from its law at tail size N
     (``haar.haar_block_stack``), at a cost that does not depend on N, so any
@@ -254,8 +261,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     block = max(1, _BLOCK_BYTES // lane_bytes)
     verdicts = {}  # symmetric hit verdict per core pattern, for every N
 
-    def sym_distance(i, fam):
-        gen = RandomStream(cfg.seed, 1 + i).generator()
+    def sym_distance(gen, fam):
         key = core_images((gen.choice(fam.spec.copy_size, cfg.k, replace=False) + 1).tolist(),
                           cfg.k)
         if key not in verdicts:
@@ -263,8 +269,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
         return 0.0 if verdicts[key] else 1.0
 
     def unitary_block(lo, fam):
-        gens = [RandomStream(cfg.seed, 1 + i).generator()
-                for i in range(lo, min(lo + block, cfg.samples))]
+        gens = list(_stream_generators(cfg.seed, range(1 + lo, 1 + min(lo + block, cfg.samples))))
         a = haar_block_stack(cfg.k, fam.spec.n_tail, gens, unitary=conj)
         cores = sample_core_stack(g_win, h_core, fam, a)
         if conj:
@@ -280,7 +285,8 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
         fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
         start = time.perf_counter()
         if sym:
-            distances = [sym_distance(i, fam) for i in range(cfg.samples)]
+            distances = [sym_distance(gen, fam)
+                         for gen in _stream_generators(cfg.seed, range(1, 1 + cfg.samples))]
         else:
             distances = [d for lo in range(0, cfg.samples, block)
                          for d in unitary_block(lo, fam)]
@@ -311,15 +317,15 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
     Each N's blocks are drawn as one stack (``haar.haar_block_stack``, whose
     cost does not depend on N, so any N runs) and their norms come from one
     stacked SVD.
-    Raises ValueError, before any draw, for samples below 30, k not an
-    integer >= 1, or an N that is not an integer >= 0."""
-    if samples < 30:
-        raise ValueError("need samples >= 30 for a stable median")
+    Raises ValueError, before any draw, for samples not an integer >= 30,
+    k not an integer >= 1, or an N that is not an integer >= 0."""
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 30:
+        raise ValueError(f"need an integer samples >= 30 for a stable median; got {samples!r}")
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1; got {k!r}")
     out = []
     for bi, N in enumerate(tail_sizes(N_list)):
-        gens = [RandomStream(seed, bi * samples + i).generator() for i in range(samples)]
+        gens = list(_stream_generators(seed, range(bi * samples, (bi + 1) * samples)))
         norms = np.linalg.svd(haar_block_stack(k, N, gens), compute_uv=False)[:, 0]
         out.append((N, float(np.median(norms)), float(np.mean(norms))))
     return BlockDecayReport(out)

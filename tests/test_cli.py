@@ -554,3 +554,12 @@ class TestTopLevel:
                               env=_child_env())
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == []
+
+    def test_import_loads_no_numpy_random(self):
+        # the sweeps' bulk streams define their numpy.random class on first use
+        script = ("import sys, cosetlab, cosetlab.cli; "
+                  "print([n for n in sys.modules if n.startswith('numpy.random')])")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=_child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

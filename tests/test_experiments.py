@@ -517,6 +517,11 @@ class TestRunBlockDecay:
         with pytest.raises(ValueError):
             run_block_decay(1, [4], samples=10, seed=0)
 
+    @pytest.mark.parametrize("samples", [30.5, "40", True, 40.0])
+    def test_non_integer_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="integer samples >= 30"):
+            run_block_decay(2, [20], samples, 1)
+
     @pytest.mark.parametrize("k,N_list,message", [
         (0, [4], "k must be an integer >= 1; got 0"),
         (1.5, [4], "k must be an integer >= 1; got 1.5"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -5,6 +7,7 @@ from scipy.stats import ks_2samp
 from cosetlab.blockmat import is_unitary, operator_norm
 from cosetlab.haar import (
     RandomStream,
+    _stream_generators,
     haar_block_stack,
     haar_orthogonal,
     haar_unitary,
@@ -36,6 +39,37 @@ class TestRandomStream:
         haar_orthogonal(3, gen)
         with pytest.raises(TypeError):
             haar_orthogonal(3, "not-a-stream")
+
+
+class TestStreamGenerators:
+    # the sweeps' bulk streams against numpy's own spawned SeedSequence;
+    # 255..257 cross a chunk edge, 2^32 and 2^128 fall back to RandomStream
+    SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128]
+    INDICES = [0, 1, 255, 256, 257, 2**32 - 1, 2**32]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("indices", [INDICES, range(250, 520), []])
+    def test_equals_numpy_spawned_streams(self, seed, indices):
+        gens = list(_stream_generators(seed, indices))
+        want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+                for i in indices]
+        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in want]
+        assert [g.random() for g in gens] == [g.random() for g in want]
+
+    def test_built_lazily_by_chunk(self):
+        # the bad index in the second chunk is not reached until the first is used up
+        gens = _stream_generators(3, [7] * 256 + [-1])
+        first = list(itertools.islice(gens, 256))
+        assert first[-1].bit_generator.state == RandomStream(3, 7).generator().bit_generator.state
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(gens)
+
+    @pytest.mark.parametrize("seed,indices", [
+        (-1, [0]), (-1, []), (0, [-1]), (0, [5, -2]), (2**128, [-1]),
+    ])
+    def test_negative_rejected(self, seed, indices):
+        with pytest.raises(ValueError, match="nonnegative"):
+            list(_stream_generators(seed, indices))
 
 
 class TestHaarOrthogonal:
