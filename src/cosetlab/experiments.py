@@ -24,6 +24,7 @@ from .cosets import GroupFamily, circ_N, core_images, sample_core, sample_core_s
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import (
     RandomStream,
+    _stream_choices,
     _stream_generators,
     haar_block_stack,
     haar_unitary,
@@ -57,6 +58,10 @@ CSV_COLUMNS = (
 # that map does not grow with the block.  Nothing here grows with N: a
 # sample's draw of A holds O(k^2) numbers (``haar.haar_block_stack``).
 _BLOCK_BYTES = 4 << 20
+# Symmetric samples drawn per ``haar._stream_choices`` call.  A chunk holds
+# 0.2-0.5 KB per sample while drawn (k <= 3), so memory stays flat in the
+# sample count.
+_SYM_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -230,15 +235,22 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     reports are reproducible; the streams are built in bulk
     (``haar._stream_generators``), bit for bit ``RandomStream(seed, 1 + i)``.
     A sample draws only the leading k x k block A of its middle Haar
-    element, or the k active images of its middle permutation, and is solved as its core (``cosets.sample_core``), a
-    function of A or of the images alone, of dimension alpha + 2mk against the
-    product target at tail size k.  A is drawn from its law at tail size N
-    (``haar.haar_block_stack``), at a cost that does not depend on N, so any
-    N runs.  Unitary samples run as one stack per block of about 4 MB
-    (``_BLOCK_BYTES``): the block's draws of A, its cores
-    (``cosets.sample_core_stack``) and its solve
+    element, or the k active images of its middle permutation, and is solved
+    as its core (``cosets.sample_core``), a function of A or of the images
+    alone, of dimension alpha + 2mk against the product target at tail size
+    k.  A is drawn from its law at tail size N (``haar.haar_block_stack``),
+    at a cost that does not depend on N, so any N runs.  Unitary samples run
+    as one stack per block of about 4 MB (``_BLOCK_BYTES``): the block's
+    draws of A, its cores (``cosets.sample_core_stack``) and its solve
     (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``), each
     lane exactly its per-sample draw, core and estimate.
+    A symmetric sample i's images are
+    ``RandomStream(seed, 1 + i).generator().choice(k + N, k, replace=False)``
+    plus 1, drawn ``_SYM_CHUNK`` samples at a time with no generator per
+    sample (``haar._stream_choices``); a sample whose draw numpy would reject
+    and redraw, seeds of 2^128 and up, and numpy's tail-shuffle regime
+    (k + N > 10000 and k > (k + N) // 50) take ``choice`` on the sample's own
+    generator.  Each distinct row of images in a chunk is classified once.
     A symmetric core is fixed by its pattern, the active images mapped by
     ``cosets.core_images``, whatever N is; each pattern's membership is
     tested once per sweep, at its first sample, and reused for every later
@@ -261,12 +273,21 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     block = max(1, _BLOCK_BYTES // lane_bytes)
     verdicts = {}  # symmetric hit verdict per core pattern, for every N
 
-    def sym_distance(gen, fam):
-        key = core_images((gen.choice(fam.spec.copy_size, cfg.k, replace=False) + 1).tolist(),
-                          cfg.k)
-        if key not in verdicts:
-            verdicts[key] = sym_membership(sample_core(g_win, h_core, fam0, key), target)
-        return 0.0 if verdicts[key] else 1.0
+    def sym_distances(fam):
+        out = []
+        for lo in range(1, 1 + cfg.samples, _SYM_CHUNK):
+            rows = _stream_choices(cfg.seed, range(lo, min(lo + _SYM_CHUNK, 1 + cfg.samples)),
+                                   fam.spec.copy_size, cfg.k)
+            dist = {}  # per distinct row of images in the chunk
+            for row in map(tuple, (rows + 1).tolist()):
+                if row not in dist:
+                    key = core_images(row, cfg.k)
+                    if key not in verdicts:
+                        verdicts[key] = sym_membership(sample_core(g_win, h_core, fam0, key),
+                                                       target)
+                    dist[row] = 0.0 if verdicts[key] else 1.0
+                out.append(dist[row])
+        return out
 
     def unitary_block(lo, fam):
         gens = list(_stream_generators(cfg.seed, range(1 + lo, 1 + min(lo + block, cfg.samples))))
@@ -285,8 +306,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
         fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
         start = time.perf_counter()
         if sym:
-            distances = [sym_distance(gen, fam)
-                         for gen in _stream_generators(cfg.seed, range(1, 1 + cfg.samples))]
+            distances = sym_distances(fam)
         else:
             distances = [d for lo in range(0, cfg.samples, block)
                          for d in unitary_block(lo, fam)]

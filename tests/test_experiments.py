@@ -291,12 +291,25 @@ class TestRunConcentration:
         (1, 3, 1, (3, 7, 10**6), "random_unitary", "(1 4)(2 3)"),
         (0, 1, 2, (1, 2, 10**6), "(1 2)", "random_unitary"),
         (2, 2, 2, (2, 9, 10**6), "random_unitary", "random_unitary"),
+        # 64-bit Floyd draws followed by 32-bit shuffle draws
+        (1, 3, 1, (3, 10**12), "random_unitary", "random_unitary"),
     ])
-    def test_symmetric_report_matches_per_sample_loop(self, alpha, k, m, N_list, g_spec,
-                                                      h_spec):
-        # every sample built at its own tail size and tested on its own
+    def test_symmetric_report_matches_per_sample_loop(self, monkeypatch, alpha, k, m, N_list,
+                                                      g_spec, h_spec):
+        self._symmetric_against_loop(monkeypatch, alpha, k, m, N_list, g_spec, h_spec, seed=8)
+
+    def test_symmetric_report_matches_per_sample_loop_at_fallback_seed(self, monkeypatch):
+        # seeds of 2^128 and up draw each sample through its own Generator
+        self._symmetric_against_loop(monkeypatch, 1, 2, 2, (2, 10**6), "random_unitary",
+                                     "(1 2)", seed=2**128)
+
+    @staticmethod
+    def _symmetric_against_loop(monkeypatch, alpha, k, m, N_list, g_spec, h_spec, seed):
+        # every sample built at its own tail size and tested on its own; draws
+        # in chunks of 64, so the 300 samples cross chunk edges
+        monkeypatch.setattr(experiments, "_SYM_CHUNK", 64)
         cfg = _cfg(alpha=alpha, k=k, m=m, N_list=N_list, epsilon_list=(0.4, 0.1), samples=300,
-                   seed=8, g_spec=g_spec, h_spec=h_spec)
+                   seed=seed, g_spec=g_spec, h_spec=h_spec)
         window = alpha + m * k
         setup = RandomStream(cfg.seed, 0).generator()
         g, h = (BlockMatrix.from_permutation(uniform_permutation(window, setup))
@@ -353,6 +366,22 @@ class TestRunConcentration:
                        h_spec="random_unitary", max_iters=2)
             run_concentration(cfg)
             assert seen == sizes, k
+
+    def test_symmetric_sweep_memory_per_sample(self):
+        # the images are drawn in chunks of _SYM_CHUNK samples, so a sweep holds
+        # its distances and little else per sample (drawn unchunked, this
+        # sweep peaked at about 52 MB)
+        samples = 200_000
+        cfg = _cfg(k=1, m=2, N_list=(3,), epsilon_list=(0.4,), samples=samples, seed=3,
+                   g_spec="(1 2 3)", h_spec="(1 3)")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_concentration(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * samples + 2e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_conjugation_block_memory(self):
         # one block of six k=8 samples; each Sylvester map, about 3.6 MB, is

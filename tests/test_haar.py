@@ -7,6 +7,7 @@ from scipy.stats import ks_2samp
 from cosetlab.blockmat import is_unitary, operator_norm
 from cosetlab.haar import (
     RandomStream,
+    _stream_choices,
     _stream_generators,
     haar_block_stack,
     haar_orthogonal,
@@ -70,6 +71,35 @@ class TestStreamGenerators:
     def test_negative_rejected(self, seed, indices):
         with pytest.raises(ValueError, match="nonnegative"):
             list(_stream_generators(seed, indices))
+
+
+class TestStreamChoices:
+    # the bulk draw of the symmetric sweeps against numpy's own choice on each
+    # spawned stream; 2^31 + 7 rejects on about half the lanes, 2^32 draws at
+    # j = 2^32 - 1, 2^32 + 3 and 10^12 + 1 mix 64-bit Floyd and 32-bit shuffle
+    # draws, and (10300, 300) is numpy's tail-shuffle regime; index 2^32 sends
+    # its whole list to the generators, so the list is also run without it
+    SEEDS = [0, 1, 42, 2**32 - 1, 2**64 + 5, 2**128 - 1, 2**128]
+    SHAPES = [(2, 1), (4, 1), (2, 2), (10, 3), (7, 5), (2**31 + 7, 3), (2**32, 1),
+              (2**32 + 3, 3), (10**12 + 1, 4), (2**63 - 1, 2), (10300, 300)]
+
+    @pytest.mark.parametrize("n,k", SHAPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("indices", [TestStreamGenerators.INDICES,
+                                         TestStreamGenerators.INDICES[:-1], range(250, 520), []])
+    def test_equals_numpy_choice(self, seed, indices, n, k):
+        rows = _stream_choices(seed, indices, n, k)
+        want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+                .choice(n, k, replace=False) for i in indices]
+        assert rows.dtype == np.int64 and rows.shape == (len(indices), k)
+        assert rows.tolist() == [row.tolist() for row in want]
+
+    @pytest.mark.parametrize("seed,indices", [
+        (-1, [0]), (-1, []), (0, [-1]), (0, [5, -2]), (2**128, [-1]),
+    ])
+    def test_negative_rejected(self, seed, indices):
+        with pytest.raises(ValueError, match="nonnegative"):
+            _stream_choices(seed, indices, 10, 2)
 
 
 class TestHaarOrthogonal:
