@@ -50,12 +50,12 @@ CSV_COLUMNS = (
 )
 
 # Bytes per stacked solver call; a block holds as many samples as fit.  Per
-# sample, the sweep holds about 2 KB for the stream and the core, the
-# Procrustes stack about 160 d^2 bytes and the conjugation solver's three
-# fixed-point lanes about 480 d^2 bytes, 48 d^2 of them the W r each lane
-# keeps between steps (tracemalloc, max_iters=2, d = 3..9: 370-490 d^2).
-# The conjugation solver builds its Sylvester starts one lane at a time, so
-# that map does not grow with the block.  Nothing here grows with N: a
+# sample, the sweep holds about 2 KB for the stream and the core, the Procrustes
+# solver, one start at a time, about 160 d^2 bytes (at most 185 d^2, d = 3..18),
+# and the conjugation solver's three fixed-point lanes about 480 d^2 bytes, 48 d^2
+# of them the W r each lane keeps between steps (tracemalloc, max_iters=2, d = 3..9:
+# 370-490 d^2).  The conjugation solver builds its Sylvester starts one lane at a
+# time, so that map does not grow with the block.  Nothing here grows with N: a
 # sample's draw of A holds O(k^2) numbers (``haar.haar_block_stack``).
 _BLOCK_BYTES = 4 << 20
 # Symmetric samples drawn per ``haar._stream_choices`` call.  A chunk holds
@@ -84,7 +84,6 @@ class ExperimentConfig:
     seed: int
     g_spec: str = "random_unitary"
     h_spec: str = "random_unitary"
-    restarts: int = 10
     max_iters: int = 200
     tol: float = 1e-12
 
@@ -92,7 +91,7 @@ class ExperimentConfig:
         for name in ("g_spec", "h_spec"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a matrix source; got {getattr(self, name)!r}")
-        for name in ("alpha", "k", "m", "samples", "seed", "restarts", "max_iters"):
+        for name in ("alpha", "k", "m", "samples", "seed", "max_iters"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer; got {value!r}")
@@ -115,8 +114,6 @@ class ExperimentConfig:
             raise ValueError("epsilon_list must be nonempty, positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1; got {self.restarts}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
         if self.seed < 0:
@@ -231,7 +228,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     report per-(N, epsilon) hit fractions.
 
     Samples are drawn in order.  Sample i uses the dedicated stream
-    (seed, 1 + i) for both its middle draw and any solver restarts, so
+    (seed, 1 + i) for its middle draw, and the solvers read no stream, so
     reports are reproducible; the streams are built in bulk
     (``haar._stream_generators``), bit for bit ``RandomStream(seed, 1 + i)``.
     A sample draws only the leading k x k block A of its middle Haar
@@ -296,9 +293,8 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
         if conj:
             ests = dist_conjugacy_stack(cores, target, max_iters=cfg.max_iters, tol=cfg.tol)
         else:
-            ests = dist_double_coset_stack(
-                cores, target, gens, max_iters=cfg.max_iters,
-                tol=cfg.tol, restarts=cfg.restarts, stop_below=eps_floor)
+            ests = dist_double_coset_stack(cores, target, max_iters=cfg.max_iters,
+                                           tol=cfg.tol, stop_below=eps_floor)
         return [est.upper_bound for est in ests]
 
     rows = []

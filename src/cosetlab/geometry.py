@@ -27,7 +27,6 @@ import numpy as np
 
 from .blockmat import BlockMatrix, as_word, embed_k, is_unitary, operator_norm
 from .cosets import CosetTarget
-from .haar import RandomStream, _as_generator, haar_block_stack
 
 __all__ = [
     "DistanceEstimate",
@@ -162,30 +161,64 @@ def _alternate_stack(x, r, layout, v0, max_iters, tol, rel_tol, stop_below):
     return np.linalg.svd(a, compute_uv=False)[:, 0], u_out, v_out, iters, converged
 
 
+def _gram_basis(x, layout):
+    """Eigenbasis of each copy-summed column Gram sum_c Re(x_c)^T Re(x_c), signed so
+    that K moves it with x: by the corner rows' copy sum, or at alpha = 0 (up to a
+    global sign, harmless there) by the first row of sum_c sym(Re x_c^T Im x_c)."""
+    cols = [x.real[..., sl] for sl in layout.slices]
+    basis = np.linalg.eigh(sum(c.swapaxes(-1, -2) @ c for c in cols))[1]
+    if layout.alpha:
+        ref = sum(c[..., :layout.alpha, :].sum(axis=-2) for c in cols)[..., None, :] @ basis
+    else:
+        B = sum(c.swapaxes(-1, -2) @ x.imag[..., sl] for c, sl in zip(cols, layout.slices))
+        ref = basis[..., :1].swapaxes(-1, -2) @ (B + B.swapaxes(-1, -2)) @ basis
+    return basis * np.where(ref < 0, -1.0, 1.0)
+
+
+def _gram_start(x, r, layout):
+    """Each lane's v-side start v = Q_r S Q_x^T: on the coset x = U r V the Grams
+    obey M_x = v^T M_r v, so S = I gives v back.  Two passes of single sign flips
+    follow, each kept when Re tr(x^H U r V) rises at the second U-step (U, V, U);
+    read at the first, it kept the wrong component of O(2) on some k = 1 cores."""
+    basis_x, basis_r = _gram_basis(x, layout).swapaxes(-1, -2), _gram_basis(r, layout)
+    xc = x[..., :layout.alpha, :].conj()
+
+    def score(signs):
+        # the corner rows' part plus the U-step target's nuclear norm
+        v = (basis_r * signs[:, None, :]) @ basis_x
+        u = _polar(layout.row_gram(x, layout.apply_right(r, v)))
+        rV = layout.apply_right(r, _polar(layout.col_gram(layout.apply_left(r, u), x)))
+        corner = (xc * rV[..., :layout.alpha, :]).reshape(len(x), -1).sum(axis=-1).real
+        return corner + np.linalg.svd(layout.row_gram(x, rV), compute_uv=False).sum(axis=-1)
+
+    signs = np.ones((len(x), layout.w))
+    f = score(signs)
+    for j in 2 * list(range(layout.w)):
+        signs[:, j] *= -1.0
+        f_flip = score(signs)
+        signs[~(f_flip > f), j] *= -1.0
+        f = np.where(f_flip > f, f_flip, f)
+    return (basis_r * signs[:, None, :]) @ basis_x
+
+
+def _gram_starts(x, r, layout):
+    """Each lane's v-side and u-side Gram starts (the transpose's v side, then a V-step)."""
+    u = _gram_start(x.swapaxes(-1, -2), r.T, layout).swapaxes(-1, -2)
+    return [_gram_start(x, r, layout), _polar(layout.col_gram(layout.apply_left(r, u), x))]
+
+
 def dist_double_coset_stack(
     xs,
     target: CosetTarget,
-    gens,
     max_iters: int = 200,
     tol: float = 1e-12,
-    restarts: int = 5,
     rel_tol: float = 1e-3,
     stop_below: float | None = None,
 ) -> list[DistanceEstimate]:
-    """``dist_double_coset`` for every matrix of an (S, d, d) stack of
-    unitary_orthogonal samples, in one run; gens[i] is lane i's generator.
-
-    Restarts run in rounds: round 0 starts every lane from the identity, and
-    each later round draws a start from gens[i] only for the lanes whose best
-    bound is still above stop_below.  Without stop_below every lane needs every
-    restart, so all S * restarts starts are drawn, lane by lane, and run as one
-    stack.  Each round's starts are one stacked draw (``haar_block_stack`` with no
-    tail); a round whose only start is the identity draws nothing.
-    Each lane consumes its generator as the per-sample solver does and gets
-    its estimate bit for bit (the first best restart wins), but a generator
-    shared between lanes is consumed in round order.  Memory is
-    O(S d^2), times restarts without stop_below: callers bound S.
-    """
+    """``dist_double_coset`` for each of an (S, d, d) stack of unitary_orthogonal
+    samples, bit for bit: all lanes run from the identity, then those above
+    stop_below (all, without it) from each Gram start, one stack per start.
+    Memory is O(S d^2): callers bound S."""
     fam = target.family
     if fam.kind != "unitary_orthogonal":
         raise ValueError(f"two-sided coset distance needs the unitary_orthogonal family, "
@@ -194,39 +227,21 @@ def dist_double_coset_stack(
     x = np.asarray(xs)
     if x.ndim != 3 or x.shape[1:] != r.shape:
         raise ValueError("dimension mismatch between sample and target")
-    if len(gens) != len(x):
-        raise ValueError(f"need one generator per sample; got {len(gens)} for {len(x)}")
-    if restarts < 1 or max_iters < 1:
-        raise ValueError(f"restarts and max_iters must be >= 1; got {restarts} and {max_iters}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1; got {max_iters}")
     if not len(x):
         return []
     layout = _CopyLayout(fam.spec)
-    w, lanes_total = layout.w, len(x)
-    # each lane's best run so far: (bound, u, v, iterations, converged)
-    best, lanes, first = None, np.arange(lanes_total), 0
-    while first < restarts and len(lanes):
-        trials = range(first, restarts if stop_below is None else first + 1)
-        n = len(trials)
-        drawn = [t for t in trials if t]  # round 0 leads with the identity
-        v0 = np.empty((len(lanes), n, w, w))
-        v0[:, :n - len(drawn)] = np.eye(w)
-        v0[:, n - len(drawn):] = haar_block_stack(
-            w, 0, [gens[i] for i in lanes for _ in drawn]).reshape(len(lanes), -1, w, w)
-        run = _alternate_stack(x[np.repeat(lanes, n)], r, layout, v0.reshape(-1, w, w),
-                               max_iters, tol, rel_tol, stop_below)
-        if best is None:  # round 0 starts every lane from the identity
-            best = [part[::n].copy() for part in run]
-        for j in range(n):
-            better = run[0][j::n] < best[0][lanes]
-            for kept, part in zip(best, run):
-                kept[lanes[better]] = part[j::n][better]
-        first = trials.stop
-        if stop_below is not None:
-            lanes = lanes[best[0][lanes] > stop_below]
-    op, u, v, iters, conv = best
-    return [DistanceEstimate(float(op[i]), int(iters[i]), bool(conv[i]),
-                             embed_k(u[i], fam.spec), embed_k(v[i], fam.spec))
-            for i in range(lanes_total)]
+    args = (max_iters, tol, rel_tol, stop_below)
+    best = _alternate_stack(x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), *args)
+    above = np.arange(len(x)) if stop_below is None else np.flatnonzero(best[0] > stop_below)
+    for start in _gram_starts(x[above], r, layout) if len(above) else []:
+        run = _alternate_stack(x[above], r, layout, start, *args)
+        wins = run[0] < best[0][above]  # the first least bound wins
+        for kept, part in zip(best, run):
+            kept[above[wins]] = part[wins]
+    return [DistanceEstimate(float(op), int(iters), bool(conv), embed_k(u, fam.spec),
+                             embed_k(v, fam.spec)) for op, u, v, iters, conv in zip(*best)]
 
 
 def dist_double_coset(
@@ -234,8 +249,6 @@ def dist_double_coset(
     target: CosetTarget,
     max_iters: int = 200,
     tol: float = 1e-12,
-    restarts: int = 5,
-    rng=None,
     rel_tol: float = 1e-3,
     stop_below: float | None = None,
 ) -> DistanceEstimate:
@@ -245,20 +258,18 @@ def dist_double_coset(
     Alternates block-constrained Procrustes steps: with V fixed, the optimal
     shared copy block u maximizes tr(u^T M) for the stacked real part M of the
     row cross-Gram, solved by the orthogonal polar factor; symmetrically for
-    V.  Runs from the identity plus ``restarts - 1`` random starts and keeps
-    the best.  This is ``dist_double_coset_stack`` on a stack of one.
+    V.  Runs from the identity and from two Gram starts (``_gram_starts``) that
+    move with x under K and give the coset's (u, v) on it; the first run with the
+    least bound wins.  This is ``dist_double_coset_stack`` on a stack of one.
 
     tol/rel_tol stop a run once the Frobenius residual's absolute/relative
-    improvement falls below them.  stop_below, when given, skips the remaining
-    restarts as soon as a run's bound is already that small; the returned
-    bound stays a witnessed upper bound in every case.  Raises ValueError for
-    any other family (the symmetric family's view is exact membership,
-    ``sym_membership``) and when restarts or max_iters is below 1.
+    improvement falls below them, stop_below once its bound is that small (then
+    the Gram starts run only if the identity's bound is above it).  Raises
+    ValueError for any other family (the symmetric family's view is exact
+    membership, ``sym_membership``) and when max_iters is below 1.
     """
-    gen = _as_generator(rng) if rng is not None else RandomStream(0, 0).generator()
-    return dist_double_coset_stack(x.entries[None], target, [gen], max_iters=max_iters,
-                                   tol=tol, restarts=restarts, rel_tol=rel_tol,
-                                   stop_below=stop_below)[0]
+    return dist_double_coset_stack(x.entries[None], target, max_iters=max_iters, tol=tol,
+                                   rel_tol=rel_tol, stop_below=stop_below)[0]
 
 
 # ---------------------------------------------------------------------------

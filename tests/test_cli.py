@@ -288,11 +288,23 @@ class TestConcentration:
         assert code == 1
         assert "cfg.json" in err and "JSON object" in err
 
-    @pytest.mark.parametrize("flag", [("--threads", "2"), ("--measure", "tau_full")])
+    @pytest.mark.parametrize("flag", [("--threads", "2"), ("--measure", "tau_full"),
+                                      ("--restarts", "5")])
     def test_removed_flags_are_unknown(self, capsys, flag):
         code, _, err = run_cli(capsys, *self.ARGS, "--seed", "6", *flag)
         assert code == 1
         assert "unrecognized arguments" in err
+
+    def test_config_with_removed_restarts_field(self, capsys, tmp_path):
+        # the orthogonal solver's starts are computed from the sample, so a
+        # config that still sets a restart count is stale
+        data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],
+                "epsilon_list": [0.4], "samples": 2, "seed": 1, "restarts": 10}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "concentration", "--config", str(path))
+        assert code == 1 and not out
+        assert "unknown config fields: ['restarts']" in err
 
     def test_flags_are_the_config_fields(self):
         # apart from where the config comes from and where the report goes,

@@ -344,7 +344,7 @@ class TestSampleCore:
         if kind == "unitary_conjugation":
             est = dist_conjugacy(core, core_target)
         else:
-            est = dist_double_coset(core, core_target, rng=RandomStream(61, N).generator())
+            est = dist_double_coset(core, core_target)
         U, V = lift_core_witnesses(est.witness_left, est.witness_right, a, fam)
         if kind == "unitary_orthogonal":
             # real orthogonal copy blocks: the lifted witnesses stay in K
@@ -397,7 +397,7 @@ class TestSampleCore:
         if kind == "unitary_conjugation":
             est = dist_conjugacy(core, target)
         else:
-            est = dist_double_coset(core, target, rng=gen)
+            est = dist_double_coset(core, target)
         assert est.upper_bound <= 1e-14
         assert np.array_equal(sample_core(g, h, fam.with_n_tail(10**12), a).entries,
                               core.entries)

@@ -129,14 +129,11 @@ class TestExperimentConfig:
         dict(epsilon_list=()),
         dict(samples=0),
         dict(k=0),
-        dict(restarts=0),
-        dict(restarts=-3),
         dict(max_iters=0),
         dict(tol=-1e-9),
         dict(tol=float("nan")),
         dict(tol=float("inf")),
         dict(samples=2.5),
-        dict(restarts=2.5),
         dict(alpha=1.5),
         dict(k=True),
         dict(seed="abc"),
@@ -273,8 +270,7 @@ class TestRunConcentration:
             for i in range(cfg.samples):
                 gen = RandomStream(cfg.seed, 1 + i).generator()
                 core = sample_core(g, h, fam, haar_block_stack(1, N, [gen])[0])
-                dists.append(dist_double_coset(core, target, restarts=10, rng=gen,
-                                               stop_below=0.2).upper_bound)
+                dists.append(dist_double_coset(core, target, stop_below=0.2).upper_bound)
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
                 lo, hi = wilson_interval(hits, cfg.samples)
@@ -404,7 +400,7 @@ class TestRunConcentration:
         # more samples than one block holds (658, 298 and 1202), so the first
         # block is full
         cfg = _cfg(family=family, k=k, N_list=(8,), epsilon_list=(0.4,), samples=samples,
-                   seed=3, g_spec="random_unitary", h_spec="random_unitary", restarts=1,
+                   seed=3, g_spec="random_unitary", h_spec="random_unitary",
                    max_iters=2)
         tracemalloc.start()
         try:
@@ -418,7 +414,7 @@ class TestRunConcentration:
     @pytest.mark.parametrize("run", [
         lambda: run_concentration(_cfg(
             family="unitary_orthogonal", N_list=(10**5,), epsilon_list=(0.4,), samples=64,
-            seed=3, g_spec="random_unitary", h_spec="random_unitary", restarts=1,
+            seed=3, g_spec="random_unitary", h_spec="random_unitary",
             max_iters=2)),
         lambda: run_block_decay(2, [10**5], 30, 4),
     ], ids=["orthogonal_sweep", "block_decay"])
@@ -448,7 +444,7 @@ class TestRunConcentration:
         monkeypatch.setattr(experiments, "dist_double_coset_stack", spy)
         cfg = _cfg(family="unitary_orthogonal", k=k, m=m, N_list=(k,), epsilon_list=(0.4,),
                    samples=samples, seed=2, g_spec="random_unitary", h_spec="random_unitary",
-                   restarts=1, max_iters=2)
+                   max_iters=2)
         run_concentration(cfg)
         assert seen == sizes
 

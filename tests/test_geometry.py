@@ -69,7 +69,7 @@ class TestDistDoubleCoset:
         u = embed_k(haar_orthogonal(9, gen), fam.spec)
         v = embed_k(haar_orthogonal(9, gen), fam.spec)
         x = u @ target.representative @ v
-        est = dist_double_coset(x, target, rng=np.random.default_rng(1))
+        est = dist_double_coset(x, target)
         assert est.upper_bound <= 1e-6
 
     def test_orbit_element_two_copies(self):
@@ -80,8 +80,7 @@ class TestDistDoubleCoset:
         target = circ_N(g, h, fam)
         u = embed_k(haar_orthogonal(5, gen), fam.spec)
         v = embed_k(haar_orthogonal(5, gen), fam.spec)
-        est = dist_double_coset(u @ target.representative @ v, target,
-                                rng=np.random.default_rng(2))
+        est = dist_double_coset(u @ target.representative @ v, target)
         assert est.upper_bound <= 1e-6
 
     def test_witnesses_reproduce_bound(self):
@@ -91,19 +90,8 @@ class TestDistDoubleCoset:
         h = BlockMatrix(haar_unitary(2, gen))
         target = circ_N(g, h, fam)
         x = BlockMatrix(haar_unitary(fam.spec.dim, gen))
-        est = dist_double_coset(x, target, rng=np.random.default_rng(3))
+        est = dist_double_coset(x, target)
         assert abs(verify_estimate(est, x, target) - est.upper_bound) <= 1e-10
-
-    def test_more_restarts_never_worse(self):
-        fam = _unitary_family(N=4)
-        gen = RandomStream(35, 0).generator()
-        g = BlockMatrix(haar_unitary(2, gen))
-        h = BlockMatrix(haar_unitary(2, gen))
-        target = circ_N(g, h, fam)
-        x = BlockMatrix(haar_unitary(fam.spec.dim, gen))
-        d1 = dist_double_coset(x, target, restarts=1, rng=np.random.default_rng(7))
-        d5 = dist_double_coset(x, target, restarts=5, rng=np.random.default_rng(7))
-        assert d5.upper_bound <= d1.upper_bound + 1e-12
 
     def test_symmetric_family_rejected(self):
         # the symmetric family's geometric view is exact membership
@@ -111,12 +99,11 @@ class TestDistDoubleCoset:
         with pytest.raises(ValueError, match="unitary_orthogonal"):
             dist_double_coset(target.representative, target)
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -3}, {"max_iters": 0}])
-    def test_iteration_counts_below_one_rejected(self, kwargs):
+    def test_iteration_count_below_one_rejected(self):
         fam = _unitary_family()
         target = circ_N(SWAP, SWAP, fam)
-        with pytest.raises(ValueError, match=next(iter(kwargs))):
-            dist_double_coset(target.representative, target, **kwargs)
+        with pytest.raises(ValueError, match="max_iters"):
+            dist_double_coset(target.representative, target, max_iters=0)
 
 
 class TestDistConjugacy:
@@ -462,45 +449,50 @@ class TestConjugationKernels:
         assert np.array_equal(got < geometry._CONJ_EXACT, np.full(20, ratio < 1))
 
 
-def _reference_double_coset(x, target, gen, max_iters=200, tol=1e-12, restarts=5,
-                            rel_tol=1e-3, stop_below=None):
-    """The per-sample alternation, one restart after another: the reference
-    the stacked Procrustes solver must match bit for bit."""
+def _reference_procrustes_run(x, target, v, max_iters=200, tol=1e-12, rel_tol=1e-3,
+                              stop_below=None):
+    """One per-sample run of the alternation from the start v: (bound, u, v,
+    iterations, converged)."""
+    layout = geometry._CopyLayout(target.family.spec)
+    r = target.representative.entries
+    dim, alpha = len(x), layout.alpha
+    f_prev, iters, converged = None, 0, False
+    for t in range(max_iters):
+        iters = t + 1
+        rV = layout.apply_right(r, v)
+        u = geometry._polar(layout.row_gram(x, rV))
+        Ur = layout.apply_left(r, u)
+        Mv = layout.col_gram(Ur, x)
+        v = geometry._polar(Mv)
+        corner = (x[:, :alpha].conj() * Ur[:, :alpha]).sum().real
+        inner = corner + float((Mv * v).sum())
+        f = float(np.sqrt(max(2.0 * dim - 2.0 * inner, 0.0)))
+        if stop_below is not None and f <= stop_below:
+            break
+        if f_prev is not None:
+            gain = f_prev - f
+            if gain < tol or gain < rel_tol * max(f, 1e-300):
+                converged = True
+                break
+        f_prev = f
+    op = operator_norm(x - layout.apply_right(layout.apply_left(r, u), v))
+    return op, u, v, iters, converged
+
+
+def _reference_double_coset(x, target, stop_below=None, **kwargs):
+    """The per-sample solver, one start after another: the identity, then the
+    two Gram starts unless the identity's bound is at most stop_below; the
+    first least bound wins.  The reference the stacked Procrustes solver must
+    match bit for bit."""
     spec = target.family.spec
     layout = geometry._CopyLayout(spec)
-    r = target.representative.entries
-    dim, alpha, w = len(x), layout.alpha, layout.w
-
-    def run(v):
-        f_prev, iters, converged = None, 0, False
-        for t in range(max_iters):
-            iters = t + 1
-            rV = layout.apply_right(r, v)
-            u = geometry._polar(layout.row_gram(x, rV))
-            Ur = layout.apply_left(r, u)
-            Mv = layout.col_gram(Ur, x)
-            v = geometry._polar(Mv)
-            corner = (x[:, :alpha].conj() * Ur[:, :alpha]).sum().real
-            inner = corner + float((Mv * v).sum())
-            f = float(np.sqrt(max(2.0 * dim - 2.0 * inner, 0.0)))
-            if stop_below is not None and f <= stop_below:
-                break
-            if f_prev is not None:
-                gain = f_prev - f
-                if gain < tol or gain < rel_tol * max(f, 1e-300):
-                    converged = True
-                    break
-            f_prev = f
-        op = operator_norm(x - layout.apply_right(layout.apply_left(r, u), v))
-        return op, u, v, iters, converged
-
-    best = None
-    for trial in range(restarts):
-        result = run(np.eye(w) if trial == 0 else haar_orthogonal(w, gen))
-        if best is None or result[0] < best[0]:
-            best = result
-        if stop_below is not None and best[0] <= stop_below:
-            break
+    best = _reference_procrustes_run(x, target, np.eye(layout.w), stop_below=stop_below,
+                                     **kwargs)
+    if stop_below is None or best[0] > stop_below:
+        for v in geometry._gram_starts(x[None], target.representative.entries, layout):
+            result = _reference_procrustes_run(x, target, v[0], stop_below=stop_below, **kwargs)
+            if result[0] < best[0]:
+                best = result
     op, u, v, iters, converged = best
     return geometry.DistanceEstimate(op, iters, converged, embed_k(u, spec), embed_k(v, spec))
 
@@ -521,52 +513,53 @@ class TestDistDoubleCosetStack:
         return np.stack(cores + [target.representative.entries]), target
 
     @pytest.mark.parametrize("alpha,k,m", [(1, 1, 1), (1, 2, 2), (0, 2, 1)])
-    @pytest.mark.parametrize("restarts", [1, 5, 10])
     @pytest.mark.parametrize("stop", [False, True], ids=["no_stop", "stop_below"])
-    def test_lanes_equal_reference_loop(self, alpha, k, m, restarts, stop):
+    def test_lanes_equal_reference_loop(self, alpha, k, m, stop):
         xs, target = self._cores(alpha, k, m)
-        # the median identity-start bound: some lanes stop in round 0, others go on
-        stop_below = float(np.median([_reference_double_coset(
-            x, target, None, restarts=1).upper_bound for x in xs])) if stop else None
-        gens = [RandomStream(3, i).generator() for i in range(len(xs))]
-        stacked = dist_double_coset_stack(xs, target, gens, restarts=restarts,
-                                          stop_below=stop_below)
+        # the median identity-start bound: some lanes stop there, others run the Gram starts
+        eye = np.eye(target.family.spec.copy_size)
+        stop_below = float(np.median([_reference_procrustes_run(x, target, eye)[0]
+                                      for x in xs])) if stop else None
+        stacked = dist_double_coset_stack(xs, target, stop_below=stop_below)
         assert len(stacked) == len(xs)
-        for i, (x, est) in enumerate(zip(xs, stacked)):
-            ref_gen = RandomStream(3, i).generator()
-            ref = _reference_double_coset(x, target, ref_gen, restarts=restarts,
-                                          stop_below=stop_below)
-            assert _same_estimate(est, ref)
-            assert gens[i].bit_generator.state == ref_gen.bit_generator.state
+        for x, est in zip(xs, stacked):
+            assert _same_estimate(est, _reference_double_coset(x, target, stop_below=stop_below))
             core = BlockMatrix(x, target.family.spec)
             assert abs(verify_estimate(est, core, target) - est.upper_bound) <= 1e-9
 
     def test_direct_call_is_a_stack_of_one(self):
         xs, target = self._cores(1, 1, 1, samples=4)
-        for i, x in enumerate(xs):
-            est = dist_double_coset(BlockMatrix(x, target.family.spec), target, restarts=10,
-                                    rng=RandomStream(4, i), stop_below=0.3)
-            ref = _reference_double_coset(x, target, RandomStream(4, i).generator(),
-                                          restarts=10, stop_below=0.3)
-            assert _same_estimate(est, ref)
+        for x in xs:
+            est = dist_double_coset(BlockMatrix(x, target.family.spec), target, stop_below=0.3)
+            assert _same_estimate(est, _reference_double_coset(x, target, stop_below=0.3))
+
+    @pytest.mark.parametrize("alpha,k,m", [(1, 1, 2), (0, 2, 1), (2, 2, 1)])
+    @pytest.mark.parametrize("stop_below", [None, 0.3])
+    def test_deterministic_and_each_lane_its_lone_call(self, alpha, k, m, stop_below):
+        # the solver reads no random stream: a second call gives the same
+        # bits, and so does each lane's lone call
+        xs, target = self._cores(alpha, k, m, samples=12)
+        first = dist_double_coset_stack(xs, target, stop_below=stop_below)
+        second = dist_double_coset_stack(xs, target, stop_below=stop_below)
+        for x, est, again in zip(xs, first, second):
+            assert _same_estimate(est, again)
+            alone = dist_double_coset(BlockMatrix(x, target.family.spec), target,
+                                      stop_below=stop_below)
+            assert _same_estimate(est, alone)
 
     def test_input_checks(self):
         xs, target = self._cores(1, 1, 1, samples=2)
-        gens = [np.random.default_rng(i) for i in range(len(xs))]
-        assert dist_double_coset_stack(xs[:0], target, []) == []
+        assert dist_double_coset_stack(xs[:0], target) == []
         for kind in ("symmetric", "unitary_conjugation"):
             other = CosetTarget(target.representative, replace(target.family, kind=kind))
             with pytest.raises(ValueError, match="unitary_orthogonal"):
-                dist_double_coset_stack(xs, other, gens)
+                dist_double_coset_stack(xs, other)
         with pytest.raises(ValueError, match="dimension"):
-            dist_double_coset_stack(xs[0], target, gens[:1])
+            dist_double_coset_stack(xs[0], target)
         with pytest.raises(ValueError, match="dimension"):
-            dist_double_coset_stack(xs[:, :2, :2], target, gens)
-        with pytest.raises(ValueError, match="one generator per sample"):
-            dist_double_coset_stack(xs, target, gens[:1])
-        for kwargs in ({"restarts": 0}, {"max_iters": 0}):
-            with pytest.raises(ValueError, match=next(iter(kwargs))):
-                dist_double_coset_stack(xs, target, gens, **kwargs)
+            dist_double_coset_stack(xs[:, :2, :2], target)
+        with pytest.raises(ValueError, match="max_iters"):
+            dist_double_coset_stack(xs, target, max_iters=0)
 
     def test_run_concentration_matches_reference(self, monkeypatch):
         # the sweep's report, in its own blocks and in blocks of 7, against one
@@ -577,11 +570,47 @@ class TestDistDoubleCosetStack:
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", (2048 + 160 * 9) * 7)
         assert run_concentration(cfg).with_zeroed_runtime() == stacked
 
-        def reference(xs, target, gens, **kwargs):
-            return [_reference_double_coset(x, target, gen, **kwargs) for x, gen in zip(xs, gens)]
+        def reference(xs, target, **kwargs):
+            return [_reference_double_coset(x, target, **kwargs) for x in xs]
 
         monkeypatch.setattr(experiments, "dist_double_coset_stack", reference)
         assert run_concentration(cfg).with_zeroed_runtime() == stacked
+
+
+class TestGramStartsMoveWithK:
+    """300 sweep cores at N=8, k=1, each multiplied on both sides by a random
+    element of K: the Gram starts move with the core, so their bounds agree
+    and no verdict changes."""
+
+    # at seed 1, alpha = m = 1, a sign search scored at the first U-step
+    # leaves 58 hits to the identity start alone
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("alpha,m", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_verdicts_and_gram_bounds_unchanged(self, alpha, m, seed):
+        fam = GroupFamily("unitary_orthogonal", BlockSpec(alpha, 1, 8, m))
+        core_spec = fam.with_n_tail(1).spec
+        setup = RandomStream(seed, 0).generator()
+        g = BlockMatrix(haar_unitary(fam.spec.window, setup))
+        h = BlockMatrix(haar_unitary(fam.spec.window, setup))
+        target = circ_N(g, h, fam.with_n_tail(1))
+        xs = sample_core_stack(g, h, fam, haar_block_stack(
+            1, 8, [RandomStream(seed, 1 + i) for i in range(300)]))
+        r, layout = target.representative.entries, geometry._CopyLayout(core_spec)
+        u, v = haar_block_stack(2, 0, [RandomStream(seed, 10**6).generator()] * 600).reshape(
+            2, 300, 2, 2)
+        eye = np.eye(core_spec.dim)
+        ys = layout.apply_left(eye, u) @ xs @ layout.apply_right(eye, v)
+        for eps in (0.2, 0.4):
+            verdicts = [[est.upper_bound <= eps
+                         for est in dist_double_coset_stack(z, target, stop_below=eps)]
+                        for z in (xs, ys)]
+            assert verdicts[0] == verdicts[1], eps
+        for start_x, start_y in zip(geometry._gram_starts(xs, r, layout),
+                                    geometry._gram_starts(ys, r, layout)):
+            bound_x, bound_y = (geometry._alternate_stack(z, r, layout, start, 200, 1e-12,
+                                                          1e-3, None)[0]
+                                for z, start in ((xs, start_x), (ys, start_y)))
+            assert np.abs(bound_x - bound_y).max() <= 1e-12
 
 
 class TestCoreAgainstFullSolver:
@@ -608,19 +637,16 @@ class TestCoreAgainstFullSolver:
                 x = BlockMatrix(x.entries @ X.entries.conj().T, fam.spec)
                 yield dist_conjugacy(x, full_target), dist_conjugacy(core, core_target)
             else:
-                full = dist_double_coset(x, full_target, restarts=5, rng=gen,
-                                         stop_below=self.EPS)
-                yield full, dist_double_coset(
-                    core, core_target, restarts=ExperimentConfig.restarts,
-                    rng=RandomStream(seed + 1, 1 + i).generator(), stop_below=self.EPS)
+                yield (dist_double_coset(x, full_target, stop_below=self.EPS),
+                       dist_double_coset(core, core_target, stop_below=self.EPS))
 
     def test_conjugation_core_never_worse(self):
         for full, core in self._pairs("unitary_conjugation", 5, 60):
             assert core.upper_bound <= full.upper_bound + 1e-9
 
     def test_orthogonal_core_keeps_the_hits(self):
-        # the full solver with the former default of 5 restarts against the
-        # core with the default; at these seeds the core loses no hit
+        # the full solver against the core, each from its identity and Gram
+        # starts; at these seeds the core loses no hit
         pairs = list(self._pairs("unitary_orthogonal", 5, 200))
         full_hits = [full.upper_bound <= self.EPS for full, _ in pairs]
         core_hits = [core.upper_bound <= self.EPS for _, core in pairs]
