@@ -1,11 +1,12 @@
 """Exact convolution structure constants for the symmetric family.
 
 Within ``ENUMERATION_BUDGET``, the product measure of two coset measures is
-computed exactly: every middle draw u is enumerated, the products g.diag(u).h
-are sorted into cosets by the exact membership test, and the atom
-probabilities come out as exact rationals.  ``concentration_exact`` gives the
-product coset's own probability at any tail size, from the cores of u's
-active images.
+computed exactly: every middle draw u is enumerated and keyed by what the
+coset of g.diag(u).h can depend on (u outside the labels h fixes, with the
+labels g fixes merged), the first product of each key is sorted into cosets
+by the exact membership test, and the atom probabilities come out as exact
+rationals.  ``concentration_exact`` gives the product coset's own probability
+at any tail size, from the cores of u's active images.
 """
 
 from __future__ import annotations
@@ -62,13 +63,26 @@ def _check_budget(spec, budget):
             f"> {budget}; shrink k + n_tail or raise the budget")
 
 
+def _fixed_labels(word: PermutationWord, spec) -> set:
+    """Labels j in 1..copy_size whose point word fixes in every copy."""
+    w = spec.copy_size
+    return {j for j in range(1, w + 1)
+            if all(word(p) == p for p in range(spec.alpha + j, spec.dim + 1, w))}
+
+
 def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGET) -> ExactDistribution:
     """Exact distribution of the coset of g.diag(u).h over uniform u.
 
-    g and h are full-degree permutations.  Classification assigns each product
-    to the first previously discovered representative whose coset contains it,
-    so the atom list is deterministic (enumeration is in lexicographic u
-    order) and needs no canonical coset form.
+    g and h are full-degree permutations.  Let F_g (F_h) be the labels whose
+    point g (h) fixes in every copy.  For a in Sym(F_g), b in Sym(F_h),
+    g.diag(a.u.b).h = diag(a).(g.diag(u).h).diag(b) lies in the coset of
+    g.diag(u).h, so a draw u is keyed by its values at the labels outside F_h,
+    each value in F_g read as one symbol; equal keys are exactly such a.u.b.
+    Only the first draw of a key (in lexicographic u order) is classified: its
+    product joins the first earlier representative whose coset contains it,
+    or becomes one.  The atoms, their order and probabilities are those of a
+    scan of every draw; the cost is w! key builds plus one membership scan per
+    key (2 keys for embedded window inputs at alpha=k=1, any N).
     """
     if family.kind != "symmetric":
         raise ValueError(f"exact convolution needs the symmetric family, got {family.kind!r}")
@@ -78,23 +92,27 @@ def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGE
     if gw.degree != spec.dim or hw.degree != spec.dim:
         raise ValueError(f"g and h must have degree {spec.dim}")
     w = spec.copy_size
+    fixed_g, fixed_h = _fixed_labels(gw, spec), _fixed_labels(hw, spec)
+    keyed = [j for j in range(w) if j + 1 not in fixed_h]
 
     reps: list[PermutationWord] = []
     targets: list[CosetTarget] = []
     counts: list[int] = []
+    atom_of: dict[tuple, int] = {}
     total = 0
     for images in itertools.permutations(range(1, w + 1)):
-        u = PermutationWord(images)
-        x = gw * embed_k(u, spec).exact_permutation * hw
         total += 1
-        for i, tgt in enumerate(targets):
-            if sym_membership(x, tgt):
-                counts[i] += 1
-                break
-        else:
-            reps.append(x)
-            targets.append(CosetTarget(BlockMatrix.from_permutation(x, spec), family))
-            counts.append(1)
+        key = tuple(0 if images[j] in fixed_g else images[j] for j in keyed)
+        i = atom_of.get(key)
+        if i is None:
+            x = gw * embed_k(PermutationWord(images), spec).exact_permutation * hw
+            i = next((t for t, tgt in enumerate(targets) if sym_membership(x, tgt)), len(reps))
+            if i == len(reps):
+                reps.append(x)
+                targets.append(CosetTarget(BlockMatrix.from_permutation(x, spec), family))
+                counts.append(0)
+            atom_of[key] = i
+        counts[i] += 1
     atoms = tuple((rep, Fraction(cnt, total)) for rep, cnt in zip(reps, counts))
     return ExactDistribution(atoms, family)
 

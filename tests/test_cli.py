@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,17 @@ class TestExactSym:
         assert code == 1
         assert "budget" in err
 
+
+    @pytest.mark.parametrize("shape", [("2", "1", "6", "3"), ("1", "2", "5", "2")])
+    def test_budget_edge_window_pair(self, capsys, shape):
+        # copy size 7 = the budget's 7! draws; window inputs fix every tail
+        # label, so the draws fall into few keys and the call is quick
+        alpha, k, N, m = shape
+        code, out, _ = run_cli(capsys, "exact-sym", "--alpha", alpha, "--k", k, "--N", N,
+                               "--m", m, "--g", "(1 3 5)", "--h", "(2 4)")
+        assert code == 0
+        atoms = json.loads(out)["atoms"]
+        assert sum(Fraction(a["prob"]) for a in atoms) == 1
 
 class TestBlockDecay:
     def test_csv_output(self, capsys):

@@ -1,16 +1,18 @@
+import itertools
 import math
 import time
 from fractions import Fraction
 
 import pytest
 
-from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord, embed
+from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord, embed, embed_k
 from cosetlab.cosets import CosetTarget, GroupFamily, circ_N
 from cosetlab.geometry import sym_membership
 from cosetlab.haar import RandomStream, uniform_permutation
 from cosetlab import hypergroup_exact
 from cosetlab.hypergroup_exact import (
     ENUMERATION_BUDGET,
+    ExactDistribution,
     concentration_exact,
     exact_convolution,
 )
@@ -33,6 +35,27 @@ def _prob_of_coset(dist, rep):
                 BlockMatrix.from_permutation(atom_rep, dist.family.spec), dist.family)):
             return p
     return Fraction(0)
+
+
+def _brute_convolution(g, h, family):
+    """Reference: classify every middle draw u with a scan of the atoms found
+    so far, in lexicographic u order; returns the JSON dict."""
+    spec = family.spec
+    gw, hw = g.exact_permutation, h.exact_permutation
+    reps, targets, counts = [], [], []
+    draws = list(itertools.permutations(range(1, spec.copy_size + 1)))
+    for images in draws:
+        x = gw * embed_k(PermutationWord(images), spec).exact_permutation * hw
+        for i, tgt in enumerate(targets):
+            if sym_membership(x, tgt):
+                counts[i] += 1
+                break
+        else:
+            reps.append(x)
+            targets.append(CosetTarget(BlockMatrix.from_permutation(x, spec), family))
+            counts.append(1)
+    atoms = tuple((rep, Fraction(c, len(draws))) for rep, c in zip(reps, counts))
+    return ExactDistribution(atoms, family).to_json_dict()
 
 
 class TestExactConvolution:
@@ -99,8 +122,6 @@ class TestExactConvolution:
     def test_unique_maximal_atom(self):
         # convolutions of coset measures have a unique heaviest coset once the
         # copy size reaches 4; sweep every window pair
-        import itertools
-
         fam = _family(N=3)
         for gi in itertools.permutations([1, 2]):
             for hi in itertools.permutations([1, 2]):
@@ -112,8 +133,6 @@ class TestExactConvolution:
                     assert probs[0] > probs[1]
 
     def test_unique_maximal_atom_two_copies(self):
-        import itertools
-
         fam = _family(N=3, m=2)
         ties = 0
         for gi in itertools.permutations([1, 2, 3]):
@@ -160,6 +179,37 @@ class TestExactConvolution:
         se = (p_exact * (1 - p_exact) / n) ** 0.5
         assert abs(hits / n - p_exact) <= max(3 * se, 0.02)
 
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_brute_force(self, alpha, k, m):
+        # keyed classification gives the same atoms, representatives, order
+        # and probabilities as a scan of every draw, at every copy size up to 6:
+        # embedded window pairs (most labels fixed), random full-degree pairs
+        # (few or none fixed; copy size 6 is left out for time) and a window
+        # pair whose h also swaps two tail points of one copy only
+        gen = RandomStream(900 + 9 * alpha + 3 * k + m, 0).generator()
+        for N in range(7 - k):
+            spec = BlockSpec(alpha, k, N, m)
+            fam = GroupFamily("symmetric", spec)
+
+            def window():
+                return _embedded(uniform_permutation(spec.window, gen), spec)
+
+            pairs = [(window(), window())]
+            if spec.copy_size < 6:
+                pairs.append(tuple(BlockMatrix.from_permutation(
+                    uniform_permutation(spec.dim, gen), spec) for _ in range(2)))
+            if N >= 2:
+                start = alpha + int(gen.integers(m)) * spec.copy_size + k
+                a, b = (int(p) + start + 1 for p in gen.choice(N, 2, replace=False))
+                swap = PermutationWord.from_cycles(spec.dim, [(a, b)])
+                pairs.append((window(), BlockMatrix.from_permutation(
+                    window().exact_permutation * swap, spec)))
+            for g, h in pairs:
+                assert exact_convolution(g, h, fam).to_json_dict() == \
+                    _brute_convolution(g, h, fam), (N, g, h)
+
     def test_json_shape(self):
         fam = _family(N=3)
         g = _embedded(SWAP, fam.spec)
@@ -203,6 +253,28 @@ class TestConcentrationExact:
         e = PermutationWord.identity(1 + 2 * k)
         concentration_exact(e, e, _family(k=k, N=k, m=2), [k, 10, 10**12])
         assert len(seen) == calls
+
+    def test_convolution_tests_each_key_once(self, monkeypatch):
+        # embedded (1 2 3), (1 3) fix every tail label in every copy, so a draw
+        # is keyed by whether u(1) = 1 alone: the same membership calls at
+        # every N, against about 1.4 per draw when every draw was tested
+        calls = []
+
+        def counting(x, target):
+            calls.append(x)
+            return sym_membership(x, target)
+
+        monkeypatch.setattr(hypergroup_exact, "sym_membership", counting)
+        g = BlockMatrix.from_permutation(PermutationWord.parse("(1 2 3)", degree=3))
+        h = BlockMatrix.from_permutation(PermutationWord.parse("(1 3)", degree=3))
+        seen = set()
+        for N in range(2, 7):
+            fam = _family(m=2, N=N)
+            calls.clear()
+            dist = exact_convolution(embed(g, fam.spec), embed(h, fam.spec), fam)
+            assert len(calls) <= 2 * len(dist.atoms)
+            seen.add(len(calls))
+        assert len(seen) == 1
 
     def test_tail_below_k_rejected(self):
         fam = _family(alpha=0, k=2, N=2, m=2)
