@@ -24,9 +24,10 @@ from .cosets import GroupFamily, circ_N, core_images, sample_core, sample_core_s
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import (
     RandomStream,
-    _stream_choices,
-    _stream_generators,
-    haar_block_stack,
+    _block_normals,
+    _choice_stack,
+    _sample_rows,
+    _top_blocks,
     haar_unitary,
     uniform_permutation,
 )
@@ -50,7 +51,7 @@ CSV_COLUMNS = (
 )
 
 # Bytes per stacked solver call; a block holds as many samples as fit.  Per
-# sample, the sweep holds about 2 KB for the stream and the core, the Procrustes
+# sample, the sweep holds about 2 KB for the draw and the core, the Procrustes
 # solver, one start at a time, about 160 d^2 bytes (at most 185 d^2, d = 3..18),
 # and the conjugation solver's three fixed-point lanes about 480 d^2 bytes, 48 d^2
 # of them the W r each lane keeps between steps (tracemalloc, max_iters=2, d = 3..9:
@@ -58,10 +59,6 @@ CSV_COLUMNS = (
 # time, so that map does not grow with the block.  Nothing here grows with N: a
 # sample's draw of A holds O(k^2) numbers (``haar.haar_block_stack``).
 _BLOCK_BYTES = 4 << 20
-# Symmetric samples drawn per ``haar._stream_choices`` call.  A chunk holds
-# 0.2-0.5 KB per sample while drawn (k <= 3), so memory stays flat in the
-# sample count.
-_SYM_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -110,6 +107,9 @@ class ExperimentConfig:
         object.__setattr__(self, "N_list", tail_sizes(self.N_list, self.k))
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
+        if self.family == "symmetric" and self.k + max(self.N_list) >= 1 << 63:  # int64 images
+            raise ValueError(f"symmetric copy size k + N must be <= 2^63 - 1 = {(1 << 63) - 1};"
+                             f" got k + N = {self.k + max(self.N_list)}")
         if not self.epsilon_list or not all(0 < e < math.inf for e in self.epsilon_list):
             raise ValueError("epsilon_list must be nonempty, positive and finite")
         if self.samples < 1:
@@ -227,27 +227,25 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     """Run the sweep: for each N draw samples, reduce each to its core and
     report per-(N, epsilon) hit fractions.
 
-    Samples are drawn in order.  Sample i uses the dedicated stream
-    (seed, 1 + i) for its middle draw, and the solvers read no stream, so
-    reports are reproducible; the streams are built in bulk
-    (``haar._stream_generators``), bit for bit ``RandomStream(seed, 1 + i)``.
-    A sample draws only the leading k x k block A of its middle Haar
-    element, or the k active images of its middle permutation, and is solved
-    as its core (``cosets.sample_core``), a function of A or of the images
-    alone, of dimension alpha + 2mk against the product target at tail size
-    k.  A is drawn from its law at tail size N (``haar.haar_block_stack``),
-    at a cost that does not depend on N, so any N runs.  Unitary samples run
-    as one stack per block of about 4 MB (``_BLOCK_BYTES``): the block's
-    draws of A, its cores (``cosets.sample_core_stack``) and its solve
+    Sample i's middle draw is row i mod 256 of one draw of 256 from stream
+    (seed, 1 + i // 256) (``haar._sample_rows``), and the solvers read no
+    stream, so sample i's distance depends only on the seed, i and N, and
+    reports are reproducible.  Every N reuses the same streams.  A sample
+    draws only the leading k x k block A of its middle Haar element, or the k
+    active images of its middle permutation, and is solved as its core
+    (``cosets.sample_core``), a function of A or of the images alone, of
+    dimension alpha + 2mk against the product target at tail size k.  A is
+    drawn from its law at tail size N (``haar.haar_block_stack``), at a cost
+    that does not depend on N, so any N runs.  Unitary samples run as one
+    stack per block of about 4 MB (``_BLOCK_BYTES``): the QR that turns the
+    block's rows of Gaussians into A (``haar._top_blocks``), its cores
+    (``cosets.sample_core_stack``) and its solve
     (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``), each
     lane exactly its per-sample draw, core and estimate.
-    A symmetric sample i's images are
-    ``RandomStream(seed, 1 + i).generator().choice(k + N, k, replace=False)``
-    plus 1, drawn ``_SYM_CHUNK`` samples at a time with no generator per
-    sample (``haar._stream_choices``); a sample whose draw numpy would reject
-    and redraw, seeds of 2^128 and up, and numpy's tail-shuffle regime
-    (k + N > 10000 and k > (k + N) // 50) take ``choice`` on the sample's own
-    generator.  Each distinct row of images in a chunk is classified once.
+    A symmetric sample's images are k distinct values of 1 .. k + N in
+    uniform random order, drawn a chunk at a time (``haar._choice_stack``:
+    Floyd's sampling, then a shuffle); each distinct row of images in a chunk
+    is classified once.
     A symmetric core is fixed by its pattern, the active images mapped by
     ``cosets.core_images``, whatever N is; each pattern's membership is
     tested once per sweep, at its first sample, and reused for every later
@@ -256,62 +254,12 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     report.  Symmetric hits are exact membership verdicts recorded as 0/1
     distances; unitary distances are witnessed upper bounds for the sample.
     """
-    setup_gen = RandomStream(cfg.seed, 0).generator()
-    fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
-    g_win = _resolve_window_element(cfg.g_spec, fam0, setup_gen)
-    h_win = _resolve_window_element(cfg.h_spec, fam0, setup_gen)
-    target = circ_N(g_win, h_win, fam0)
-    eps_floor = min(cfg.epsilon_list)
-    sym = cfg.family == "symmetric"
-    conj = cfg.family == "unitary_conjugation"
-    h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
-    d = fam0.spec.dim
-    lane_bytes = 2048 + (480 if conj else 160) * d * d
-    block = max(1, _BLOCK_BYTES // lane_bytes)
-    verdicts = {}  # symmetric hit verdict per core pattern, for every N
-
-    def sym_distances(fam):
-        out = []
-        for lo in range(1, 1 + cfg.samples, _SYM_CHUNK):
-            rows = _stream_choices(cfg.seed, range(lo, min(lo + _SYM_CHUNK, 1 + cfg.samples)),
-                                   fam.spec.copy_size, cfg.k)
-            dist = {}  # per distinct row of images in the chunk
-            for row in map(tuple, (rows + 1).tolist()):
-                if row not in dist:
-                    key = core_images(row, cfg.k)
-                    if key not in verdicts:
-                        verdicts[key] = sym_membership(sample_core(g_win, h_core, fam0, key),
-                                                       target)
-                    dist[row] = 0.0 if verdicts[key] else 1.0
-                out.append(dist[row])
-        return out
-
-    def unitary_block(lo, fam):
-        gens = list(_stream_generators(cfg.seed, range(1 + lo, 1 + min(lo + block, cfg.samples))))
-        a = haar_block_stack(cfg.k, fam.spec.n_tail, gens, unitary=conj)
-        cores = sample_core_stack(g_win, h_core, fam, a)
-        if conj:
-            ests = dist_conjugacy_stack(cores, target, max_iters=cfg.max_iters, tol=cfg.tol)
-        else:
-            ests = dist_double_coset_stack(cores, target, max_iters=cfg.max_iters,
-                                           tol=cfg.tol, stop_below=eps_floor)
-        return [est.upper_bound for est in ests]
-
     rows = []
-    for N in cfg.N_list:
-        fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
-        start = time.perf_counter()
-        if sym:
-            distances = sym_distances(fam)
-        else:
-            distances = [d for lo in range(0, cfg.samples, block)
-                         for d in unitary_block(lo, fam)]
-        elapsed = time.perf_counter() - start
-
+    for N, distances, elapsed in _sweep_distances(cfg):
         med = float(np.median(distances))
         mean = float(np.mean(distances))
         for eps in cfg.epsilon_list:
-            if sym:
+            if cfg.family == "symmetric":
                 hits = sum(1 for d in distances if d == 0.0)
             else:
                 hits = sum(1 for d in distances if d <= eps)
@@ -325,14 +273,66 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     return ConcentrationReport(tuple(rows))
 
 
+def _sweep_distances(cfg: ExperimentConfig):
+    """Yield (N, the samples' distances in order, seconds) for each N of the sweep."""
+    setup_gen = RandomStream(cfg.seed, 0).generator()
+    fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
+    g_win = _resolve_window_element(cfg.g_spec, fam0, setup_gen)
+    h_win = _resolve_window_element(cfg.h_spec, fam0, setup_gen)
+    target = circ_N(g_win, h_win, fam0)
+    eps_floor = min(cfg.epsilon_list)
+    conj = cfg.family == "unitary_conjugation"
+    h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
+    d = fam0.spec.dim
+    lane_bytes = 2048 + (480 if conj else 160) * d * d
+    block = max(1, _BLOCK_BYTES // lane_bytes)
+    verdicts = {}  # symmetric hit verdict per core pattern, for every N
+
+    def sym_distances(fam):
+        out, n = [], fam.spec.copy_size
+        for rows in _sample_rows(cfg.seed, cfg.samples,
+                                 lambda gen, count: _choice_stack(n, cfg.k, gen, count)):
+            dist = {}  # per distinct row of images in the chunk
+            for row in map(tuple, (rows + 1).tolist()):
+                if row not in dist:
+                    key = core_images(row, cfg.k)
+                    if key not in verdicts:
+                        verdicts[key] = sym_membership(sample_core(g_win, h_core, fam0, key),
+                                                       target)
+                    dist[row] = 0.0 if verdicts[key] else 1.0
+                out.append(dist[row])
+        return out
+
+    def unitary_distances(fam):
+        out = []
+        for z in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _block_normals(
+                cfg.k, fam.spec.n_tail, [gen], conj, count), block):
+            cores = sample_core_stack(g_win, h_core, fam, _top_blocks(z, conj))
+            if conj:
+                ests = dist_conjugacy_stack(cores, target, max_iters=cfg.max_iters, tol=cfg.tol)
+            else:
+                ests = dist_double_coset_stack(cores, target, max_iters=cfg.max_iters,
+                                               tol=cfg.tol, stop_below=eps_floor)
+            out += [est.upper_bound for est in ests]
+        return out
+
+    for N in cfg.N_list:
+        fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
+        start = time.perf_counter()
+        distances = sym_distances(fam) if cfg.family == "symmetric" else unitary_distances(fam)
+        yield N, distances, time.perf_counter() - start
+
+
 def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport:
     """Median and mean operator norm of the leading k x k block of Haar
     orthogonal (k+N) x (k+N) matrices, per N.  The decay of this block is
     what makes the convolution samples collapse onto the product coset.
 
-    Each N's blocks are drawn as one stack (``haar.haar_block_stack``, whose
-    cost does not depend on N, so any N runs) and their norms come from one
-    stacked SVD.
+    Sample i's block is row i mod 256 of one draw of 256 from stream
+    (seed, 1 + i // 256), as in ``run_concentration``, and every N reuses the
+    same streams.  The draw (``haar.haar_block_stack``, split into the
+    chunk's Gaussians and the QR of the samples' rows) costs the same at any
+    N, so any N runs; each N's norms come from one stacked SVD.
     Raises ValueError, before any draw, for samples not an integer >= 30,
     k not an integer >= 1, or an N that is not an integer >= 0."""
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 30:
@@ -340,9 +340,10 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
         raise ValueError(f"k must be an integer >= 1; got {k!r}")
     out = []
-    for bi, N in enumerate(tail_sizes(N_list)):
-        gens = list(_stream_generators(seed, range(bi * samples, (bi + 1) * samples)))
-        norms = np.linalg.svd(haar_block_stack(k, N, gens), compute_uv=False)[:, 0]
+    for N in tail_sizes(N_list):
+        z = np.concatenate(list(_sample_rows(
+            seed, samples, lambda gen, count: _block_normals(k, N, [gen], count=count))))
+        norms = np.linalg.svd(_top_blocks(z), compute_uv=False)[:, 0]
         out.append((N, float(np.median(norms)), float(np.mean(norms))))
     return BlockDecayReport(out)
 

@@ -243,7 +243,7 @@ class TestBlockDecay:
         def draw(*args, **kwargs):
             raise AssertionError("a draw ran before the sizes were checked")
 
-        monkeypatch.setattr("cosetlab.experiments.haar_block_stack", draw)
+        monkeypatch.setattr("cosetlab.experiments._block_normals", draw)
         code, out, err = run_cli(capsys, "block-decay", *flags, "--samples", "30", "--seed", "1")
         assert code == 1
         assert out == ""
@@ -278,6 +278,21 @@ class TestConcentration:
         assert code == 0 and time.perf_counter() - start < 5
         row = out.splitlines()[1].split(",")
         assert row[4] == "1000000000" and row[7] == "20"
+
+    @pytest.mark.parametrize("N,code", [(2**63 - 2, 0), (2**63 - 1, 1)])
+    def test_symmetric_copy_size_bound(self, capsys, N, code):
+        # the images are drawn as int64, so k + N = 2^63 - 1 is the last copy
+        # size that runs; beyond it the config is refused before any draw
+        out_code, out, err = run_cli(capsys, "concentration", "--family", "symmetric",
+                                     "--alpha", "1", "--k", "1", "--m", "2", "--N", str(N),
+                                     "--epsilon", "0.4", "--samples", "3", "--seed", "1")
+        assert out_code == code
+        if code == 0:
+            assert out.splitlines()[1].split(",")[4] == str(N)
+        else:
+            assert out == ""
+            assert err == ("error: symmetric copy size k + N must be <= 2^63 - 1 = "
+                           f"{2**63 - 1}; got k + N = {N + 1}\n")
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "concentration", "--config",
@@ -580,7 +595,8 @@ class TestTopLevel:
         assert json.loads(proc.stdout) == []
 
     def test_import_loads_no_numpy_random(self):
-        # the sweeps' bulk streams define their numpy.random class on first use
+        # numpy loads numpy.random on first use, and cosetlab first uses it
+        # when a RandomStream builds its generator
         script = ("import sys, cosetlab, cosetlab.cli; "
                   "print([n for n in sys.modules if n.startswith('numpy.random')])")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,

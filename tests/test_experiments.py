@@ -20,7 +20,14 @@ from cosetlab.experiments import (
     write_report,
 )
 from cosetlab.geometry import dist_conjugacy, dist_double_coset, sym_membership
-from cosetlab.haar import RandomStream, haar_block_stack, haar_unitary, uniform_permutation
+from cosetlab.haar import (
+    RandomStream,
+    _block_normals,
+    _choice_stack,
+    _top_blocks,
+    haar_unitary,
+    uniform_permutation,
+)
 from cosetlab.hypergroup_exact import concentration_exact
 
 
@@ -30,6 +37,18 @@ def _cfg(**overrides):
         samples=50, seed=7, g_spec="(1 2)", h_spec="(1 2)")
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _sample_row(seed, i, draw):
+    # sample i's row in the sweeps' layout: row i mod 256 of one draw of 256
+    # from stream 1 + i // 256
+    return draw(RandomStream(seed, 1 + i // 256).generator(), 256)[i % 256]
+
+
+def _sample_block(seed, i, N, unitary):
+    # sample i's A at k=1: the QR of its row of its chunk's Gaussians
+    z = _sample_row(seed, i, lambda gen, count: _block_normals(1, N, [gen], unitary, count))
+    return _top_blocks(z[None], unitary)[0]
 
 
 class TestWilsonInterval:
@@ -160,6 +179,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             _cfg(**overrides)
 
+    @pytest.mark.parametrize("k,g_spec", [(1, "(1 2)"), (2, "(1 3)")])
+    def test_symmetric_copy_size_bound(self, k, g_spec):
+        # the images are drawn as int64: k + N <= 2^63 - 1
+        last = 2**63 - 1 - k
+        assert _cfg(k=k, g_spec=g_spec, N_list=(3, last)).N_list == (3, last)
+        with pytest.raises(ValueError, match=r"k \+ N must be <= 2\^63 - 1"):
+            _cfg(k=k, g_spec=g_spec, N_list=(3, last + 1))
+        # the unitary draw takes N as a chi-square degree of freedom
+        assert _cfg(family="unitary_orthogonal", k=k, N_list=(2**70,)).N_list == (2**70,)
+
     def test_tol_is_stored_as_float(self):
         cfg = _cfg(tol=1)
         assert type(cfg.tol) is float
@@ -233,19 +262,21 @@ class TestRunConcentration:
         assert row.median_dist >= 0.0
 
     def test_conjugation_report_matches_per_sample_loop(self, monkeypatch):
-        # blocks of 7 samples at core dimension 3, so blocks are crossed
+        # blocks of 7 samples at core dimension 3, and 260 samples, so blocks
+        # and a chunk edge are crossed; 20 steps keep the loop short
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 480 * 9))
         cfg = _cfg(family="unitary_conjugation", N_list=(8, 24), epsilon_list=(0.2, 0.4),
-                   samples=38, seed=5, g_spec="random_unitary", h_spec="random_unitary")
+                   samples=260, seed=5, g_spec="random_unitary", h_spec="random_unitary",
+                   max_iters=20)
         setup = RandomStream(cfg.seed, 0).generator()
         g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
         target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(1, 1, 1, 1)))
         rows = iter(run_concentration(cfg).with_zeroed_runtime().rows)
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
-            dists = [dist_conjugacy(sample_core(g, h, fam, haar_block_stack(
-                1, N, [RandomStream(cfg.seed, 1 + i)], unitary=True)[0]),
-                target).upper_bound for i in range(cfg.samples)]
+            dists = [dist_conjugacy(sample_core(g, h, fam, _sample_block(cfg.seed, i, N, True)),
+                                    target, max_iters=cfg.max_iters).upper_bound
+                     for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
                 lo, hi = wilson_interval(hits, cfg.samples)
@@ -256,10 +287,11 @@ class TestRunConcentration:
                     mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
 
     def test_orthogonal_report_matches_per_sample_loop(self, monkeypatch):
-        # solver blocks of 7 samples at core dimension 3, so blocks are crossed
+        # solver blocks of 7 samples at core dimension 3, and 260 samples, so
+        # blocks and a chunk edge are crossed
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 160 * 9))
         cfg = _cfg(family="unitary_orthogonal", N_list=(8, 256), epsilon_list=(0.2, 0.4),
-                   samples=38, seed=5, g_spec="random_unitary", h_spec="random_unitary")
+                   samples=260, seed=5, g_spec="random_unitary", h_spec="random_unitary")
         setup = RandomStream(cfg.seed, 0).generator()
         g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
         target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(1, 1, 1, 1)))
@@ -268,8 +300,7 @@ class TestRunConcentration:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
             dists = []
             for i in range(cfg.samples):
-                gen = RandomStream(cfg.seed, 1 + i).generator()
-                core = sample_core(g, h, fam, haar_block_stack(1, N, [gen])[0])
+                core = sample_core(g, h, fam, _sample_block(cfg.seed, i, N, False))
                 dists.append(dist_double_coset(core, target, stop_below=0.2).upper_bound)
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
@@ -287,23 +318,20 @@ class TestRunConcentration:
         (1, 3, 1, (3, 7, 10**6), "random_unitary", "(1 4)(2 3)"),
         (0, 1, 2, (1, 2, 10**6), "(1 2)", "random_unitary"),
         (2, 2, 2, (2, 9, 10**6), "random_unitary", "random_unitary"),
-        # 64-bit Floyd draws followed by 32-bit shuffle draws
         (1, 3, 1, (3, 10**12), "random_unitary", "random_unitary"),
+        # copy sizes just above 2^31 and at the int64 bound
+        (1, 3, 1, (2**31 + 5, 2**63 - 4), "random_unitary", "random_unitary"),
     ])
-    def test_symmetric_report_matches_per_sample_loop(self, monkeypatch, alpha, k, m, N_list,
-                                                      g_spec, h_spec):
-        self._symmetric_against_loop(monkeypatch, alpha, k, m, N_list, g_spec, h_spec, seed=8)
+    def test_symmetric_report_matches_per_sample_loop(self, alpha, k, m, N_list, g_spec, h_spec):
+        self._symmetric_against_loop(alpha, k, m, N_list, g_spec, h_spec, seed=8)
 
-    def test_symmetric_report_matches_per_sample_loop_at_fallback_seed(self, monkeypatch):
-        # seeds of 2^128 and up draw each sample through its own Generator
-        self._symmetric_against_loop(monkeypatch, 1, 2, 2, (2, 10**6), "random_unitary",
-                                     "(1 2)", seed=2**128)
+    def test_symmetric_report_matches_per_sample_loop_at_seed_2_128(self):
+        self._symmetric_against_loop(1, 2, 2, (2, 10**6), "random_unitary", "(1 2)", seed=2**128)
 
     @staticmethod
-    def _symmetric_against_loop(monkeypatch, alpha, k, m, N_list, g_spec, h_spec, seed):
-        # every sample built at its own tail size and tested on its own; draws
-        # in chunks of 64, so the 300 samples cross chunk edges
-        monkeypatch.setattr(experiments, "_SYM_CHUNK", 64)
+    def _symmetric_against_loop(alpha, k, m, N_list, g_spec, h_spec, seed):
+        # every sample built at its own tail size and tested on its own; the
+        # 300 samples cross a chunk edge
         cfg = _cfg(alpha=alpha, k=k, m=m, N_list=N_list, epsilon_list=(0.4, 0.1), samples=300,
                    seed=seed, g_spec=g_spec, h_spec=h_spec)
         window = alpha + m * k
@@ -315,8 +343,8 @@ class TestRunConcentration:
         rows = iter(run_concentration(cfg).with_zeroed_runtime().rows)
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(alpha, k, N, m))
-            dists = [0.0 if sym_membership(sample_core(g, h, fam, RandomStream(
-                cfg.seed, 1 + i).generator().choice(k + N, k, replace=False) + 1), target)
+            dists = [0.0 if sym_membership(sample_core(g, h, fam, _sample_row(
+                cfg.seed, i, lambda gen, count: _choice_stack(k + N, k, gen, count)) + 1), target)
                 else 1.0 for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = dists.count(0.0)
@@ -326,6 +354,39 @@ class TestRunConcentration:
                     samples=cfg.samples, hits=hits, fraction=hits / cfg.samples, ci_low=lo,
                     ci_high=hi, median_dist=float(np.median(dists)),
                     mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
+
+    LAYOUT_CASES = [
+        dict(family="symmetric", k=2, m=2, N_list=(2, 10**12), g_spec="random_unitary",
+             h_spec="random_unitary"),
+        dict(family="unitary_orthogonal", k=1, N_list=(8, 10**9), g_spec="random_unitary",
+             h_spec="random_unitary", max_iters=20),
+        dict(family="unitary_conjugation", k=1, N_list=(8,), g_spec="random_unitary",
+             h_spec="random_unitary", max_iters=5),
+    ]
+
+    @pytest.mark.parametrize("case", LAYOUT_CASES, ids=lambda c: c["family"])
+    def test_sample_distances_do_not_depend_on_sample_count(self, case):
+        # sample i's distance depends only on (seed, i, N): shorter sweeps,
+        # inside the first chunk and across its edge, are prefixes of one
+        # that crosses two chunk edges
+        def distances(samples):
+            cfg = _cfg(**case, epsilon_list=(0.4,), samples=samples, seed=13)
+            return {N: dists for N, dists, _ in experiments._sweep_distances(cfg)}
+
+        longest = distances(600)
+        for samples in (1, 100, 300):
+            assert distances(samples) == {N: d[:samples] for N, d in longest.items()}
+
+    @pytest.mark.parametrize("case", LAYOUT_CASES[1:], ids=lambda c: c["family"])
+    def test_report_does_not_depend_on_block_budget(self, monkeypatch, case):
+        # solver blocks of 1 sample, of 100 (crossing chunk edges) and the
+        # default 658 or 1202
+        cfg = _cfg(**case, epsilon_list=(0.4,), samples=300, seed=13)
+        want = run_concentration(cfg).with_zeroed_runtime()
+        lane_bytes = 2048 + (480 if case["family"] == "unitary_conjugation" else 160) * 9
+        for per in (1, 100):
+            monkeypatch.setattr(experiments, "_BLOCK_BYTES", per * lane_bytes)
+            assert run_concentration(cfg).with_zeroed_runtime() == want
 
     @pytest.mark.parametrize("k,samples,N_list", [
         (1, 400, tuple(range(1, 11))), (2, 500, (2, 3, 5, 8, 10**6)), (3, 60, (3, 4, 10**6))])
@@ -364,9 +425,9 @@ class TestRunConcentration:
             assert seen == sizes, k
 
     def test_symmetric_sweep_memory_per_sample(self):
-        # the images are drawn in chunks of _SYM_CHUNK samples, so a sweep holds
-        # its distances and little else per sample (drawn unchunked, this
-        # sweep peaked at about 52 MB)
+        # the images are drawn a chunk of 256 samples at a time, so a sweep
+        # holds its distances and little else per sample (drawn unchunked,
+        # this sweep peaked at about 52 MB)
         samples = 200_000
         cfg = _cfg(k=1, m=2, N_list=(3,), epsilon_list=(0.4,), samples=samples, seed=3,
                    g_spec="(1 2 3)", h_spec="(1 3)")
@@ -512,8 +573,8 @@ class TestReports:
         # seed up to rounding
         rows = run_block_decay(2, [0, 8], samples=30, seed=3)
         _, md, mn = rows[1]
-        assert md == pytest.approx(0.5538858259949597, rel=1e-12)
-        assert mn == pytest.approx(0.563100570368034, rel=1e-12)
+        assert md == pytest.approx(0.5543664067475917, rel=1e-12)
+        assert mn == pytest.approx(0.5594329429632107, rel=1e-12)
         write_report(rows, tmp_path / "d.csv")
         write_report(rows, tmp_path / "d.json", format="json")
         assert (tmp_path / "d.csv").read_text() == (

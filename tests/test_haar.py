@@ -2,13 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chisquare, ks_2samp
 
 from cosetlab.blockmat import is_unitary, operator_norm
 from cosetlab.haar import (
     RandomStream,
-    _stream_choices,
-    _stream_generators,
+    _block_normals,
+    _choice_stack,
+    _sample_rows,
+    _top_blocks,
     haar_block_stack,
     haar_orthogonal,
     haar_unitary,
@@ -40,66 +42,6 @@ class TestRandomStream:
         haar_orthogonal(3, gen)
         with pytest.raises(TypeError):
             haar_orthogonal(3, "not-a-stream")
-
-
-class TestStreamGenerators:
-    # the sweeps' bulk streams against numpy's own spawned SeedSequence;
-    # 255..257 cross a chunk edge, 2^32 and 2^128 fall back to RandomStream
-    SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128]
-    INDICES = [0, 1, 255, 256, 257, 2**32 - 1, 2**32]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("indices", [INDICES, range(250, 520), []])
-    def test_equals_numpy_spawned_streams(self, seed, indices):
-        gens = list(_stream_generators(seed, indices))
-        want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-                for i in indices]
-        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in want]
-        assert [g.random() for g in gens] == [g.random() for g in want]
-
-    def test_built_lazily_by_chunk(self):
-        # the bad index in the second chunk is not reached until the first is used up
-        gens = _stream_generators(3, [7] * 256 + [-1])
-        first = list(itertools.islice(gens, 256))
-        assert first[-1].bit_generator.state == RandomStream(3, 7).generator().bit_generator.state
-        with pytest.raises(ValueError, match="nonnegative"):
-            next(gens)
-
-    @pytest.mark.parametrize("seed,indices", [
-        (-1, [0]), (-1, []), (0, [-1]), (0, [5, -2]), (2**128, [-1]),
-    ])
-    def test_negative_rejected(self, seed, indices):
-        with pytest.raises(ValueError, match="nonnegative"):
-            list(_stream_generators(seed, indices))
-
-
-class TestStreamChoices:
-    # the bulk draw of the symmetric sweeps against numpy's own choice on each
-    # spawned stream; 2^31 + 7 rejects on about half the lanes, 2^32 draws at
-    # j = 2^32 - 1, 2^32 + 3 and 10^12 + 1 mix 64-bit Floyd and 32-bit shuffle
-    # draws, and (10300, 300) is numpy's tail-shuffle regime; index 2^32 sends
-    # its whole list to the generators, so the list is also run without it
-    SEEDS = [0, 1, 42, 2**32 - 1, 2**64 + 5, 2**128 - 1, 2**128]
-    SHAPES = [(2, 1), (4, 1), (2, 2), (10, 3), (7, 5), (2**31 + 7, 3), (2**32, 1),
-              (2**32 + 3, 3), (10**12 + 1, 4), (2**63 - 1, 2), (10300, 300)]
-
-    @pytest.mark.parametrize("n,k", SHAPES)
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("indices", [TestStreamGenerators.INDICES,
-                                         TestStreamGenerators.INDICES[:-1], range(250, 520), []])
-    def test_equals_numpy_choice(self, seed, indices, n, k):
-        rows = _stream_choices(seed, indices, n, k)
-        want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
-                .choice(n, k, replace=False) for i in indices]
-        assert rows.dtype == np.int64 and rows.shape == (len(indices), k)
-        assert rows.tolist() == [row.tolist() for row in want]
-
-    @pytest.mark.parametrize("seed,indices", [
-        (-1, [0]), (-1, []), (0, [-1]), (0, [5, -2]), (2**128, [-1]),
-    ])
-    def test_negative_rejected(self, seed, indices):
-        with pytest.raises(ValueError, match="nonnegative"):
-            _stream_choices(seed, indices, 10, 2)
 
 
 class TestHaarOrthogonal:
@@ -177,6 +119,50 @@ class TestHaarBlockStack:
         assert stack.dtype == want.dtype and stack.shape == (8, k, k)
         np.testing.assert_array_equal(stack, want)
         assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    @pytest.mark.parametrize("k,N", [(1, 0), (2, 1), (3, 3)])
+    def test_count_equals_a_generator_listed_count_times_for_short_tails(self, unitary, k, N):
+        # with no chi-square variates, count draws read the Gaussians in the
+        # order count single draws do
+        gens = [RandomStream(4, i).generator() for i in range(3)]
+        refs = [RandomStream(4, i).generator() for i in range(3)]
+        z = _block_normals(k, N, gens, unitary=unitary, count=5)
+        want = _block_normals(k, N, [gen for gen in refs for _ in range(5)], unitary=unitary)
+        assert z.shape == (15, k + N, k)
+        np.testing.assert_array_equal(z, want)
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_count_draws_gaussians_then_chi_squares(self, unitary):
+        # N > k: every Gaussian of the count draws, then count variates per j
+        k, N, count = 2, 7, 4
+        z = _block_normals(k, N, [RandomStream(9, 1)], unitary=unitary, count=count)
+        gen = RandomStream(9, 1).generator()
+        beta = 2 if unitary else 1
+        normals = gen.standard_normal((count, beta, 2 * k, k))
+        want = normals[:, 0] + 1j * normals[:, 1] if unitary else normals[:, 0]
+        want[:, k:] = np.triu(want[:, k:])
+        for j in range(k):
+            want[:, k + j, j] = np.sqrt(gen.chisquare(beta * (N - j), size=count))
+        np.testing.assert_array_equal(z, want)
+
+    def test_count_one_is_the_block_draw(self):
+        for k, N, unitary in [(1, 0, False), (2, 9, False), (3, 40, True)]:
+            np.testing.assert_array_equal(
+                _top_blocks(_block_normals(k, N, [RandomStream(5, 2)], unitary), unitary),
+                haar_block_stack(k, N, [RandomStream(5, 2)], unitary))
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    @pytest.mark.parametrize("N", [1, 2, 8, 10**6])
+    def test_frobenius_second_moment_in_the_sweep_layout(self, unitary, N):
+        # every entry of a Haar element of size n has E|u|^2 = 1/n, so at
+        # k = 2 the block has E||A||_F^2 = k^2 / (k + N)
+        k = 2
+        z = np.concatenate(list(_sample_rows(
+            21, 4096, lambda gen, count: _block_normals(k, N, [gen], unitary, count))))
+        f2 = (np.abs(_top_blocks(z, unitary)) ** 2).sum(axis=(1, 2))
+        se = f2.std() / np.sqrt(len(f2))
+        assert abs(f2.mean() - k * k / (k + N)) < 5 * se
 
     def test_no_tail_is_the_full_draw(self):
         np.testing.assert_array_equal(haar_block_stack(6, 0, [RandomStream(3, 1)])[0],
@@ -264,6 +250,64 @@ class TestHaarColumnsStack:
         if n == k:
             whole = haar_unitary if unitary else haar_orthogonal
             np.testing.assert_array_equal(whole(n, RandomStream(4, 0)), want[0])
+
+
+class TestSampleRows:
+    @staticmethod
+    def _draw(gen, count):
+        return gen.integers(1 << 40, size=(count, 2))
+
+    @pytest.mark.parametrize("samples", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("per", [1, 7, 256, 300, 1000])
+    def test_rows_depend_only_on_seed_and_index(self, samples, per):
+        # sample i is row i % 256 of a draw of 256 from stream 1 + i // 256,
+        # whatever the sample count and the block size
+        want = np.concatenate([self._draw(RandomStream(5, 1 + c).generator(), 256)
+                               for c in range(3)])[:samples]
+        blocks = list(_sample_rows(5, samples, self._draw, per))
+        assert [len(b) for b in blocks[:-1]] == [per] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1]) <= per
+        np.testing.assert_array_equal(np.concatenate(blocks), want)
+
+    def test_no_samples_no_rows(self):
+        assert list(_sample_rows(5, 0, self._draw)) == []
+
+
+class TestChoiceStack:
+    @pytest.mark.parametrize("n,k", [(5, 2), (4, 3)])
+    def test_ordered_tuples_uniform(self, n, k):
+        # chi-square goodness of fit over all falling(n, k) ordered k-tuples
+        rows = np.concatenate(list(_sample_rows(
+            3, 24_000, lambda gen, count: _choice_stack(n, k, gen, count))))
+        tuples = list(itertools.permutations(range(n), k))
+        counts = {t: 0 for t in tuples}
+        for row in map(tuple, rows.tolist()):
+            counts[row] += 1
+        assert sum(counts.values()) == len(rows)
+        assert chisquare(list(counts.values())).pvalue > 1e-3
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_first_image_uniform_above_2_to_31(self, k):
+        # each image is uniform on range(n); 20 equal bins of the first
+        n = 2**31 + 8
+        rows = _choice_stack(n, k, RandomStream(4, 1).generator(), 20_000)
+        counts = np.bincount(rows[:, 0] * 20 // n, minlength=20)
+        assert chisquare(counts).pvalue > 1e-3
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (10, 4), (2**31 + 8, 3), (10**12 + 3, 3),
+                                     (2**63 - 1, 2)])
+    def test_distinct_images_in_range(self, n, k):
+        rows = _choice_stack(n, k, RandomStream(2, 1).generator(), 500)
+        assert rows.dtype == np.int64 and rows.shape == (500, k)
+        assert rows.min() >= 0 and rows.max() < n
+        assert all(len(set(row)) == k for row in rows.tolist())
+        if n == k:
+            assert {tuple(r) for r in rows.tolist()} <= set(itertools.permutations(range(n)))
+
+    def test_reproducible(self):
+        a = _choice_stack(100, 3, RandomStream(8, 1).generator(), 256)
+        b = _choice_stack(100, 3, RandomStream(8, 1).generator(), 256)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestUniformPermutation:
