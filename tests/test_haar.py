@@ -272,6 +272,43 @@ class TestSampleRows:
     def test_no_samples_no_rows(self):
         assert list(_sample_rows(5, 0, self._draw)) == []
 
+    # seeds across the 32-, 64- and 128-bit word edges of SeedSequence's entropy
+    SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("samples", [1, 257, 520])
+    def test_chunk_streams_are_numpy_spawned_streams(self, seed, samples):
+        # chunk c draws from numpy's own SeedSequence spawn (seed, 1 + c)
+        states = []
+
+        def draw(gen, count):
+            states.append(gen.bit_generator.state)
+            return self._draw(gen, count)
+
+        list(_sample_rows(seed, samples, draw))
+        want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1 + c,))))
+                .bit_generator.state for c in range(-(-samples // 256))]
+        assert states == want
+
+    def test_built_lazily_by_chunk(self):
+        # the second chunk is not drawn until the first is used up
+        calls = []
+
+        def draw(gen, count):
+            calls.append(count)
+            return self._draw(gen, count)
+
+        blocks = _sample_rows(3, 600, draw, per=256)
+        first = next(blocks)
+        assert calls == [256]
+        np.testing.assert_array_equal(first, self._draw(RandomStream(3, 1).generator(), 256))
+        assert len(next(blocks)) == 256 and calls == [256, 256]
+
+    @pytest.mark.parametrize("seed", [-1, -2**32, -2**64, -2**128, -2**200])
+    def test_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(_sample_rows(seed, 1, self._draw))
+
 
 class TestChoiceStack:
     @pytest.mark.parametrize("n,k", [(5, 2), (4, 3)])
@@ -308,6 +345,27 @@ class TestChoiceStack:
         a = _choice_stack(100, 3, RandomStream(8, 1).generator(), 256)
         b = _choice_stack(100, 3, RandomStream(8, 1).generator(), 256)
         np.testing.assert_array_equal(a, b)
+
+    SEEDS = [0, 1, 42, 2**32 - 1, 2**64 + 5, 2**128 - 1, 2**128]
+    # copy sizes at the 31-, 32- and 63-bit edges of gen.integers, long rows,
+    # and rows that use every value
+    SHAPES = [(2, 1), (4, 1), (2, 2), (10, 3), (7, 5), (2**31 + 7, 3), (2**32, 1),
+              (2**32 + 3, 3), (10**12 + 1, 4), (2**63 - 1, 2), (10300, 300)]
+
+    @pytest.mark.parametrize("n,k", SHAPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("samples", [1, 255, 257, 520])
+    def test_sweep_rows_are_chunk_rows(self, samples, seed, n, k):
+        # the symmetric sweep's images: sample i is row i % 256 of the chunk
+        # drawn from stream 1 + i // 256, k distinct values of range(n)
+        rows = np.concatenate(list(_sample_rows(
+            seed, samples, lambda gen, count: _choice_stack(n, k, gen, count))))
+        assert rows.dtype == np.int64 and rows.shape == (samples, k)
+        assert rows.min() >= 0 and rows.max() < n
+        assert all(len(set(row)) == k for row in rows.tolist())
+        want = np.concatenate([_choice_stack(n, k, RandomStream(seed, 1 + c).generator(), 256)
+                               for c in range(-(-samples // 256))])[:samples]
+        np.testing.assert_array_equal(rows, want)
 
 
 class TestUniformPermutation:
