@@ -248,6 +248,8 @@ class BlockMatrix:
     @classmethod
     def from_json_dict(cls, data: dict, spec: BlockSpec | None = None) -> "BlockMatrix":
         if "perm" in data:
+            if not isinstance(data["perm"], list) or any(type(i) is not int for i in data["perm"]):
+                raise ValueError(f"perm must be a list of integers; got {data['perm']!r}")
             return cls.from_permutation(PermutationWord(data["perm"]), spec)
         re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
         if not (np.isfinite(re).all() and np.isfinite(im).all()):

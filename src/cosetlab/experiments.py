@@ -51,13 +51,12 @@ CSV_COLUMNS = (
 )
 
 # Bytes per stacked solver call; a block holds as many samples as fit.  Per
-# sample, the sweep holds about 2 KB for the draw and the core, the Procrustes
-# solver, one start at a time, about 160 d^2 bytes (at most 185 d^2, d = 3..18),
-# and the conjugation solver's three fixed-point lanes about 480 d^2 bytes, 48 d^2
-# of them the W r each lane keeps between steps (tracemalloc, max_iters=2, d = 3..9:
-# 370-490 d^2).  The conjugation solver builds its Sylvester starts one lane at a
-# time, so that map does not grow with the block.  Nothing here grows with N: a
-# sample's draw of A holds O(k^2) numbers (``haar.haar_block_stack``).
+# sample of core dimension d, tracemalloc (max_iters=2) reads 97-210 d^2 bytes
+# for the Procrustes solver, draw and core included (d = 3..17; the low end when
+# most lanes stop at the identity start), counted as 175 d^2, and 370-490 d^2
+# for the conjugation solver's three lanes (d = 3..9), counted as 2 KB + 480 d^2.
+# Sylvester maps are built one lane at a time and A holds O(k^2) numbers
+# (``haar._block_normals``), so nothing here grows with the block or with N.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -235,13 +234,15 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     active images of its middle permutation, and is solved as its core
     (``cosets.sample_core``), a function of A or of the images alone, of
     dimension alpha + 2mk against the product target at tail size k.  A is
-    drawn from its law at tail size N (``haar.haar_block_stack``), at a cost
+    drawn from its law at tail size N (``haar._block_normals``), at a cost
     that does not depend on N, so any N runs.  Unitary samples run as one
-    stack per block of about 4 MB (``_BLOCK_BYTES``): the QR that turns the
-    block's rows of Gaussians into A (``haar._top_blocks``), its cores
-    (``cosets.sample_core_stack``) and its solve
-    (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``), each
-    lane exactly its per-sample draw, core and estimate.
+    stack per block of about 4 MB (``_BLOCK_BYTES``: about 175 d^2 bytes per
+    orthogonal and 2 KB plus 480 d^2 per conjugation sample of core dimension
+    d): the QR that turns the block's rows of Gaussians into A
+    (``haar._top_blocks``), its cores (``cosets.sample_core_stack``) and its
+    solve (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``),
+    each lane's core and estimate exactly the per-sample ``sample_core`` and
+    ``dist_conjugacy`` or ``dist_double_coset`` call's on that sample's A.
     A symmetric sample's images are k distinct values of 1 .. k + N in
     uniform random order, drawn a chunk at a time (``haar._choice_stack``:
     Floyd's sampling, then a shuffle); each distinct row of images in a chunk
@@ -255,14 +256,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     distances; unitary distances are witnessed upper bounds for the sample.
     """
     rows = []
-    for N, distances, elapsed in _sweep_distances(cfg):
-        med = float(np.median(distances))
-        mean = float(np.mean(distances))
+    for N, dists, elapsed in _sweep_distances(cfg):
+        med, mean = float(np.median(dists)), float(np.mean(dists))
         for eps in cfg.epsilon_list:
-            if cfg.family == "symmetric":
-                hits = sum(1 for d in distances if d == 0.0)
-            else:
-                hits = sum(1 for d in distances if d <= eps)
+            hits = int(np.count_nonzero(dists == 0.0 if cfg.family == "symmetric" else dists <= eps))
             lo, hi = wilson_interval(hits, cfg.samples)
             rows.append(ReportRow(
                 family=cfg.family, alpha=cfg.alpha, k=cfg.k, m=cfg.m, N=N,
@@ -274,18 +271,18 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
 
 def _sweep_distances(cfg: ExperimentConfig):
-    """Yield (N, the samples' distances in order, seconds) for each N of the sweep."""
+    """Yield (N, the samples' distances in order as an array, seconds) for each N."""
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
     g_win = _resolve_window_element(cfg.g_spec, fam0, setup_gen)
     h_win = _resolve_window_element(cfg.h_spec, fam0, setup_gen)
     target = circ_N(g_win, h_win, fam0)
-    eps_floor = min(cfg.epsilon_list)
     conj = cfg.family == "unitary_conjugation"
     h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
     d = fam0.spec.dim
-    lane_bytes = 2048 + (480 if conj else 160) * d * d
-    block = max(1, _BLOCK_BYTES // lane_bytes)
+    block = max(1, _BLOCK_BYTES // (2048 + 480 * d * d if conj else 175 * d * d))
+    solve = dist_conjugacy_stack if conj else dist_double_coset_stack
+    stop = {} if conj else {"stop_below": min(cfg.epsilon_list)}
     verdicts = {}  # symmetric hit verdict per core pattern, for every N
 
     def sym_distances(fam):
@@ -306,21 +303,16 @@ def _sweep_distances(cfg: ExperimentConfig):
     def unitary_distances(fam):
         out = []
         for z in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _block_normals(
-                cfg.k, fam.spec.n_tail, [gen], conj, count), block):
+                cfg.k, fam.spec.n_tail, gen, conj, count), block):
             cores = sample_core_stack(g_win, h_core, fam, _top_blocks(z, conj))
-            if conj:
-                ests = dist_conjugacy_stack(cores, target, max_iters=cfg.max_iters, tol=cfg.tol)
-            else:
-                ests = dist_double_coset_stack(cores, target, max_iters=cfg.max_iters,
-                                               tol=cfg.tol, stop_below=eps_floor)
-            out += [est.upper_bound for est in ests]
-        return out
+            out.append(solve(cores, target, max_iters=cfg.max_iters, tol=cfg.tol, **stop)[0])
+        return np.concatenate(out)
 
     for N in cfg.N_list:
         fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
         start = time.perf_counter()
         distances = sym_distances(fam) if cfg.family == "symmetric" else unitary_distances(fam)
-        yield N, distances, time.perf_counter() - start
+        yield N, np.asarray(distances), time.perf_counter() - start
 
 
 def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport:
@@ -330,9 +322,10 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
 
     Sample i's block is row i mod 256 of one draw of 256 from stream
     (seed, 1 + i // 256), as in ``run_concentration``, and every N reuses the
-    same streams.  The draw (``haar.haar_block_stack``, split into the
-    chunk's Gaussians and the QR of the samples' rows) costs the same at any
-    N, so any N runs; each N's norms come from one stacked SVD.
+    same streams.  A draw (``haar._block_normals``) costs the same at any N,
+    so any N runs.  Each chunk's blocks (one stacked QR) and their norms (one
+    stacked SVD) are taken as the chunk is drawn, and only the norms are
+    kept, so memory holds one chunk's draws and the norms.
     Raises ValueError, before any draw, for samples not an integer >= 30,
     k not an integer >= 1, or an N that is not an integer >= 0."""
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 30:
@@ -341,9 +334,9 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
         raise ValueError(f"k must be an integer >= 1; got {k!r}")
     out = []
     for N in tail_sizes(N_list):
-        z = np.concatenate(list(_sample_rows(
-            seed, samples, lambda gen, count: _block_normals(k, N, [gen], count=count))))
-        norms = np.linalg.svd(_top_blocks(z), compute_uv=False)[:, 0]
+        norms = np.concatenate([np.linalg.norm(_top_blocks(z), 2, axis=(1, 2))
+                                for z in _sample_rows(seed, samples, lambda gen, count:
+                                                      _block_normals(k, N, gen, count=count))])
         out.append((N, float(np.median(norms)), float(np.mean(norms))))
     return BlockDecayReport(out)
 

@@ -6,15 +6,15 @@ targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (identity, spectral match,
 structured minimal singular vector), each refined on its own by a fixed-point
 iteration.  Both unitary solvers run on a stack of samples at once
-(``dist_double_coset_stack`` and ``dist_conjugacy_stack``; the per-sample
-``dist_double_coset`` and ``dist_conjugacy`` are stacks of one), with numpy's
-stacked linalg and matmul, and each lane's result is the one it would get
-alone.  The Procrustes steps take SVD polar factors and an SVD norm; the
-conjugation fixed-point steps take their norm from one stacked Hermitian
-eigensolve and, on a k = 1 core, a closed-form 2 x 2 polar factor, so they
-make no SVD there.  Every estimate
-carries explicit witnesses, so the reported bound can be re-verified by
-direct evaluation.
+(``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which return one
+array per estimate field; the per-sample ``dist_double_coset`` and
+``dist_conjugacy`` are stacks of one), with numpy's stacked linalg and matmul,
+and each lane's result is the one it would get alone.  The Procrustes steps
+take SVD polar factors and an SVD norm; the conjugation fixed-point steps take
+their norm from one stacked Hermitian eigensolve and, on a k = 1 core, a
+closed-form 2 x 2 polar factor, so they make no SVD there.  Every estimate
+carries explicit witnesses, so the reported bound can be re-verified by direct
+evaluation.
 
 scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockMatrix, as_word, embed_k, is_unitary, operator_norm
+from .blockmat import BlockMatrix, as_word, is_unitary, operator_norm
 from .cosets import CosetTarget
 
 __all__ = [
@@ -158,7 +158,7 @@ def _alternate_stack(x, r, layout, v0, max_iters, tol, rel_tol, stop_below):
     else:
         u_out[lanes], v_out[lanes] = u, v
     a = x - layout.apply_right(layout.apply_left(r, u_out), v_out)
-    return np.linalg.svd(a, compute_uv=False)[:, 0], u_out, v_out, iters, converged
+    return np.linalg.norm(a, 2, axis=(1, 2)), u_out, v_out, iters, converged
 
 
 def _gram_basis(x, layout):
@@ -214,10 +214,14 @@ def dist_double_coset_stack(
     tol: float = 1e-12,
     rel_tol: float = 1e-3,
     stop_below: float | None = None,
-) -> list[DistanceEstimate]:
+) -> tuple:
     """``dist_double_coset`` for each of an (S, d, d) stack of unitary_orthogonal
     samples, bit for bit: all lanes run from the identity, then those above
     stop_below (all, without it) from each Gram start, one stack per start.
+
+    Returns the lanes' estimates as arrays in ``DistanceEstimate`` field
+    order: bounds (S,) float, iterations (S,) int, converged (S,) bool and the
+    real witness stacks L, R (S, d, d), with bound i = ||x_i - L_i r R_i||.
     Memory is O(S d^2): callers bound S."""
     fam = target.family
     if fam.kind != "unitary_orthogonal":
@@ -230,7 +234,7 @@ def dist_double_coset_stack(
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1; got {max_iters}")
     if not len(x):
-        return []
+        return (np.zeros(0), np.zeros(0, int), np.zeros(0, bool), *np.zeros((2,) + x.shape))
     layout = _CopyLayout(fam.spec)
     args = (max_iters, tol, rel_tol, stop_below)
     best = _alternate_stack(x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), *args)
@@ -240,8 +244,17 @@ def dist_double_coset_stack(
         wins = run[0] < best[0][above]  # the first least bound wins
         for kept, part in zip(best, run):
             kept[above[wins]] = part[wins]
-    return [DistanceEstimate(float(op), int(iters), bool(conv), embed_k(u, fam.spec),
-                             embed_k(v, fam.spec)) for op, u, v, iters, conv in zip(*best)]
+        del run  # free its lanes before the next start runs
+    bound, u, v, iters, converged = best
+    eye = np.eye(len(r))  # the witnesses are u and v acting on the identity
+    return bound, iters, converged, layout.apply_left(eye, u), layout.apply_right(eye, v)
+
+
+def _lone(solve, x: BlockMatrix, target: CosetTarget, **kwargs) -> DistanceEstimate:
+    """The stacked solver solve on x alone, as a DistanceEstimate."""
+    bound, iters, converged, *witnesses = (a[0] for a in solve(x.entries[None], target, **kwargs))
+    return DistanceEstimate(float(bound), int(iters), bool(converged),
+                            *(BlockMatrix(w, target.family.spec) for w in witnesses))
 
 
 def dist_double_coset(
@@ -268,8 +281,8 @@ def dist_double_coset(
     ValueError for any other family (the symmetric family's view is exact
     membership, ``sym_membership``) and when max_iters is below 1.
     """
-    return dist_double_coset_stack(x.entries[None], target, max_iters=max_iters, tol=tol,
-                                   rel_tol=rel_tol, stop_below=stop_below)[0]
+    return _lone(dist_double_coset_stack, x, target, max_iters=max_iters, tol=tol,
+                 rel_tol=rel_tol, stop_below=stop_below)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +430,7 @@ def dist_conjugacy_stack(
     target: CosetTarget,
     max_iters: int = 200,
     tol: float = 1e-12,
-) -> list[DistanceEstimate]:
+) -> tuple:
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
     Every sample gets one lane per start, so one fixed-point run covers 3S
@@ -426,8 +439,9 @@ def dist_conjugacy_stack(
     within 1e-11 of its sample's lower bound, so the stack shrinks as it runs;
     a sample whose least start bound is already that close takes no step.  A
     sample's result does not depend on the rest of the stack: each sample gets
-    the estimate ``dist_conjugacy`` gives for it alone, bit for bit.  Memory
-    is O(S d^2) for the lanes plus one sample's Sylvester map,
+    the estimate ``dist_conjugacy`` gives for it alone, bit for bit, in the
+    arrays of ``dist_double_coset_stack`` with complex witnesses W, W^H.
+    Memory is O(S d^2) for the lanes plus one sample's Sylvester map,
     O(d^2 (1 + w^2)) with w = d - alpha: callers bound S.
     """
     fam = target.family
@@ -478,11 +492,9 @@ def dist_conjugacy_stack(
 
     # per sample, the first start with the least bound
     win = op_out.reshape(3, samples).argmin(axis=0) * samples + np.arange(samples)
-    total = iters.reshape(3, samples).sum(axis=0)
-    return [DistanceEstimate(float(op_out[j]), int(total[i]), bool(converged[j]),
-                             BlockMatrix(W_out[j], fam.spec),
-                             BlockMatrix(W_out[j].conj().T, fam.spec))
-            for i, j in enumerate(win)]
+    W = W_out[win]
+    return (op_out[win], iters.reshape(3, samples).sum(axis=0), converged[win], W,
+            W.conj().swapaxes(-1, -2))
 
 
 def dist_conjugacy(
@@ -515,7 +527,7 @@ def dist_conjugacy(
     the spectral guess.  This is ``dist_conjugacy_stack`` on a stack of one.
     Raises ValueError when max_iters is below 1.
     """
-    return dist_conjugacy_stack(x.entries[None], target, max_iters=max_iters, tol=tol)[0]
+    return _lone(dist_conjugacy_stack, x, target, max_iters=max_iters, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Reproducible Haar-distributed orthogonal/unitary matrices, their leading
 blocks, and uniform permutations.
 
-``haar_block_stack`` draws the leading k x k block of a Haar element of
-O(k+N) or U(k+N) at a cost that does not depend on N, so any tail size runs.
-Every sampler takes a RandomStream: a (seed, stream_index) pair mapped through
-numpy's SeedSequence spawn mechanism, so distinct stream indices give
-independent draws and the same pair is bit-for-bit reproducible.
+``_block_normals`` and ``_top_blocks`` draw the leading k x k blocks of Haar
+elements of O(k+N) or U(k+N) at a cost that does not depend on N, so any tail
+size runs.  Every sampler takes a RandomStream: a (seed, stream_index) pair
+mapped through numpy's SeedSequence spawn mechanism, so distinct stream
+indices give independent draws and the same pair is bit-for-bit reproducible.
 
 The sweeps lay their samples out in chunks of ``_CHUNK`` = 256
 (``_sample_rows``): sample i is row i mod 256 of one draw of 256 from stream
@@ -26,7 +26,6 @@ __all__ = [
     "RandomStream",
     "haar_orthogonal",
     "haar_unitary",
-    "haar_block_stack",
     "uniform_permutation",
 ]
 
@@ -73,9 +72,10 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RandomStream or numpy Generator, got {type(rng).__name__}")
 
 
-def haar_block_stack(k: int, N: int, gens, unitary: bool = False) -> np.ndarray:
-    """Leading k x k blocks of Haar-uniform elements of O(k+N), or of U(k+N)
-    when unitary, one per gen in gens, as a (len(gens), k, k) array.
+def _block_normals(k: int, N: int, gen, unitary: bool = False, count: int = 1) -> np.ndarray:
+    """The Gaussians of count leading k x k blocks of Haar-uniform elements of
+    O(k+N), or of U(k+N) when unitary, as a (count, k + min(N, k), k) array z;
+    ``_top_blocks(z, unitary)`` turns it into the blocks.
 
     Each block is the top of Q from a QR of the Gaussian Z = [Z1; Z2]
     (complex when unitary, with unit-normal real and imaginary parts), each
@@ -87,35 +87,19 @@ def haar_block_stack(k: int, N: int, gens, unitary: bool = False) -> np.ndarray:
     T_jj = sqrt(chi^2_{beta (N - j)}), beta = 1 (real) or 2 (complex), and
     Gaussians above the diagonal.  So a draw costs O(k^3) at any N.
 
-    Each generator draws in list order (``_block_normals``); a generator
-    listed twice draws twice.  One stacked QR serves the stack
-    (``_top_blocks``).  N = 0 gives whole Haar elements.
+    gen draws the Gaussians of the count Z's, draw by draw and row by row,
+    real parts first, then for N > k count chi-square variates for each j.
+    N = 0 gives whole Haar elements.
     """
-    return _top_blocks(_block_normals(k, N, gens, unitary), unitary)
-
-
-def _block_normals(k: int, N: int, gens, unitary: bool = False, count: int = 1) -> np.ndarray:
-    """The Z = [Z1; Z2] of ``haar_block_stack``, count per gen in gens in list
-    order, as a (len(gens) * count, k + min(N, k), k) array.  Each generator
-    draws the Gaussians of its count Z's, draw by draw and row by row, real
-    parts first, then for N > k count chi-square variates for each j; so
-    count = 1 draws as one ``haar_block_stack`` draw does."""
     if k < 1 or N < 0 or int(k) != k or int(N) != N:
         raise ValueError(f"need integers k >= 1 and N >= 0; got k={k!r}, N={N!r}")
-    k, N = int(k), int(N)
-    gens = [_as_generator(rng) for rng in gens]
-    normals = np.empty((len(gens), count, 2 if unitary else 1, k + min(N, k), k))
-    chi2 = np.empty((len(gens), k, count))
-    dof = [(2 if unitary else 1) * (N - j) for j in range(k)]
-    for i, gen in enumerate(gens):
-        gen.standard_normal(out=normals[i])
-        if N > k:
-            chi2[i] = [gen.chisquare(df, size=count) for df in dof]
-    normals = normals.reshape(-1, *normals.shape[2:])
+    k, N, gen = int(k), int(N), _as_generator(gen)
+    normals = gen.standard_normal((count, 2 if unitary else 1, k + min(N, k), k))
     z = normals[:, 0] + 1j * normals[:, 1] if unitary else normals[:, 0]
     if N > k:  # Z2 becomes T: zeros below the diagonal, chi roots on it
+        chi2 = [gen.chisquare((2 if unitary else 1) * (N - j), size=count) for j in range(k)]
         z[:, k:] = np.triu(z[:, k:])
-        z[:, k + np.arange(k), np.arange(k)] = np.sqrt(chi2.transpose(0, 2, 1).reshape(-1, k))
+        z[:, k + np.arange(k), np.arange(k)] = np.sqrt(chi2).T
     return z
 
 
@@ -127,13 +111,13 @@ def _top_blocks(z: np.ndarray, unitary: bool = False) -> np.ndarray:
 
 
 def haar_orthogonal(n: int, rng) -> np.ndarray:
-    """Haar-uniform element of O(n): ``haar_block_stack`` with no tail."""
-    return haar_block_stack(n, 0, [rng])[0]
+    """Haar-uniform element of O(n): one ``_block_normals`` draw with no tail."""
+    return _top_blocks(_block_normals(n, 0, rng))[0]
 
 
 def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-uniform element of U(n): ``haar_block_stack`` with no tail."""
-    return haar_block_stack(n, 0, [rng], unitary=True)[0]
+    """Haar-uniform element of U(n): one ``_block_normals`` draw with no tail."""
+    return _top_blocks(_block_normals(n, 0, rng, True), True)[0]
 
 
 def uniform_permutation(n: int, rng) -> PermutationWord:

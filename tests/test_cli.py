@@ -422,6 +422,16 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert f"malformed matrix JSON in {path}" in err
 
+    @pytest.mark.parametrize("perm", [[2.7, 1.2, 3], [True, 3, 2]], ids=["float", "bool"])
+    def test_non_integer_perm_entries_are_config_error(self, capsys, tmp_path, perm):
+        # int() would read these as (2 1 3) and (1 3 2), and the first as a member
+        path = tmp_path / "perm.json"
+        path.write_text(json.dumps({"perm": perm}))
+        code, out, err = run_cli(capsys, "membership", "--alpha", "1", "--k", "1", "--N", "1",
+                                 "--x", str(path), "--target", "(1 2)")
+        assert (code, out) == (1, "")
+        assert f"malformed matrix JSON in {path}" in err
+
     def test_zero_max_iters_is_config_error(self, capsys):
         code, _, err = run_cli(
             capsys, "concentration", "--family", "unitary_orthogonal", "--alpha", "1",

@@ -32,7 +32,8 @@ from cosetlab.geometry import (
 )
 from cosetlab.haar import (
     RandomStream,
-    haar_block_stack,
+    _block_normals,
+    _top_blocks,
     haar_orthogonal,
     haar_unitary,
     uniform_permutation,
@@ -411,8 +412,8 @@ class TestSampleCore:
         fam = GroupFamily(kind, BlockSpec(alpha, k, 5, m))
         gen = RandomStream(9, 10 * alpha + k).generator()
         g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
-        a = haar_block_stack(k, 5, [RandomStream(9, i) for i in range(6)],
-                             unitary=kind == "unitary_conjugation")
+        unitary = kind == "unitary_conjugation"
+        a = _top_blocks(_block_normals(k, 5, RandomStream(9, 1), unitary, count=6), unitary)
         for h_in in (h, embed(h, fam.with_n_tail(k).spec)):
             stack = sample_core_stack(g, h_in, fam, a)
             cores = [sample_core(g, h_in, fam, lane) for lane in a]

@@ -47,7 +47,7 @@ def _sample_row(seed, i, draw):
 
 def _sample_block(seed, i, N, unitary):
     # sample i's A at k=1: the QR of its row of its chunk's Gaussians
-    z = _sample_row(seed, i, lambda gen, count: _block_normals(1, N, [gen], unitary, count))
+    z = _sample_row(seed, i, lambda gen, count: _block_normals(1, N, gen, unitary, count))
     return _top_blocks(z[None], unitary)[0]
 
 
@@ -289,7 +289,7 @@ class TestRunConcentration:
     def test_orthogonal_report_matches_per_sample_loop(self, monkeypatch):
         # solver blocks of 7 samples at core dimension 3, and 260 samples, so
         # blocks and a chunk edge are crossed
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 160 * 9))
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * 175 * 9)
         cfg = _cfg(family="unitary_orthogonal", N_list=(8, 256), epsilon_list=(0.2, 0.4),
                    samples=260, seed=5, g_spec="random_unitary", h_spec="random_unitary")
         setup = RandomStream(cfg.seed, 0).generator()
@@ -371,7 +371,7 @@ class TestRunConcentration:
         # that crosses two chunk edges
         def distances(samples):
             cfg = _cfg(**case, epsilon_list=(0.4,), samples=samples, seed=13)
-            return {N: dists for N, dists, _ in experiments._sweep_distances(cfg)}
+            return {N: dists.tolist() for N, dists, _ in experiments._sweep_distances(cfg)}
 
         longest = distances(600)
         for samples in (1, 100, 300):
@@ -380,10 +380,10 @@ class TestRunConcentration:
     @pytest.mark.parametrize("case", LAYOUT_CASES[1:], ids=lambda c: c["family"])
     def test_report_does_not_depend_on_block_budget(self, monkeypatch, case):
         # solver blocks of 1 sample, of 100 (crossing chunk edges) and the
-        # default 658 or 1202
+        # default 658 or 2663
         cfg = _cfg(**case, epsilon_list=(0.4,), samples=300, seed=13)
         want = run_concentration(cfg).with_zeroed_runtime()
-        lane_bytes = 2048 + (480 if case["family"] == "unitary_conjugation" else 160) * 9
+        lane_bytes = 2048 + 480 * 9 if case["family"] == "unitary_conjugation" else 175 * 9
         for per in (1, 100):
             monkeypatch.setattr(experiments, "_BLOCK_BYTES", per * lane_bytes)
             assert run_concentration(cfg).with_zeroed_runtime() == want
@@ -456,16 +456,20 @@ class TestRunConcentration:
 
     @pytest.mark.parametrize("family,k,samples", [
         ("unitary_conjugation", 1, 2000), ("unitary_conjugation", 2, 400),
-        ("unitary_orthogonal", 1, 3000)])
+        ("unitary_orthogonal", 1, 3000), ("unitary_orthogonal", 2, 1200),
+        ("unitary_orthogonal", 4, 600)])
     def test_full_block_stays_near_budget(self, family, k, samples):
-        # more samples than one block holds (658, 298 and 1202), so the first
-        # block is full
-        cfg = _cfg(family=family, k=k, N_list=(8,), epsilon_list=(0.4,), samples=samples,
-                   seed=3, g_spec="random_unitary", h_spec="random_unitary",
-                   max_iters=2)
+        # more samples than one block holds (658 and 298; 2663, 958 and 295),
+        # so the first block is full
+        kwargs = dict(family=family, k=k, N_list=(8,), epsilon_list=(0.4,), seed=3,
+                      g_spec="random_unitary", h_spec="random_unitary", max_iters=2)
+        # a first sweep pays numpy's lazy imports (np.median loads numpy.ma,
+        # about 1.7 MB) outside the trace, so the peak is the block's whichever
+        # test runs first
+        run_concentration(_cfg(**kwargs, samples=1))
         tracemalloc.start()
         try:
-            run_concentration(cfg)
+            run_concentration(_cfg(**kwargs, samples=samples))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -492,9 +496,23 @@ class TestRunConcentration:
         budget = experiments._BLOCK_BYTES
         assert peak < 2 * budget, f"peak {peak / budget:.3f} budgets"
 
-    @pytest.mark.parametrize("k,m,samples,sizes", [(1, 1, 100, [100]), (8, 2, 50, [23, 23, 4])])
+    def test_block_decay_memory_per_sample(self):
+        # each chunk's blocks are reduced to their norms as it is drawn, so the
+        # run holds one chunk's draws and the norms (drawn as one stack, this
+        # run peaked at about 42 MB, 2100 bytes per sample)
+        samples = 20_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_block_decay(6, [10**9], samples, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * samples + 4e6, f"peak {peak / 1e6:.1f} MB"
+
+    @pytest.mark.parametrize("k,m,samples,sizes", [(1, 1, 100, [100]), (8, 2, 50, [22, 22, 6])])
     def test_orthogonal_stacks_sized_by_core_dimension(self, monkeypatch, k, m, samples, sizes):
-        # blocks of _BLOCK_BYTES // (2048 + 160 d^2) samples: d=3 fits a sweep, d=33 does not
+        # blocks of _BLOCK_BYTES // (175 d^2) samples: d=3 fits a sweep, d=33 does not
         seen = []
         real = experiments.dist_double_coset_stack
 

@@ -36,7 +36,7 @@ from cosetlab.geometry import (
     sym_membership,
     verify_estimate,
 )
-from cosetlab.haar import RandomStream, haar_block_stack, haar_orthogonal, haar_unitary
+from cosetlab.haar import RandomStream, _block_normals, _top_blocks, haar_orthogonal, haar_unitary
 
 SWAP = BlockMatrix.from_permutation(PermutationWord([2, 1]))
 
@@ -210,6 +210,36 @@ def _same_estimate(a, b):
             and np.array_equal(a.witness_right.entries, b.witness_right.entries))
 
 
+def _as_lanes(ests):
+    """Per-sample DistanceEstimates as a stacked solver's arrays."""
+    return (np.array([e.upper_bound for e in ests]), np.array([e.iterations for e in ests]),
+            np.array([e.converged for e in ests]),
+            np.array([e.witness_left.entries for e in ests]),
+            np.array([e.witness_right.entries for e in ests]))
+
+
+def _same_lanes(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def _check_lane_arrays(lanes, xs, target):
+    """Dtypes and shapes of a stacked solver's arrays, and each lane's bound
+    re-evaluated as ||x_i - L_i r R_i|| from its witnesses."""
+    bound, iters, converged, left, right = lanes
+    assert bound.shape == iters.shape == converged.shape == (len(xs),)
+    assert (bound.dtype.kind, iters.dtype.kind, converged.dtype.kind) == ("f", "i", "b")
+    assert left.shape == right.shape == xs.shape
+    if len(xs):
+        aligned = left @ target.representative.entries @ right
+        np.testing.assert_allclose(np.linalg.norm(xs - aligned, 2, axis=(1, 2)), bound,
+                                   rtol=0, atol=1e-9)
+
+
+def _block(k, N, rng, unitary=False):
+    # one leading k x k block of a Haar element of size k + N
+    return _top_blocks(_block_normals(k, N, rng, unitary), unitary)[0]
+
+
 class TestDistConjugacyStack:
     """The stacked solver against per-sample calls and the reference loop."""
 
@@ -218,31 +248,37 @@ class TestDistConjugacyStack:
         setup = RandomStream(seed, 0).generator()
         g = BlockMatrix(haar_unitary(fam.spec.window, setup))
         h = BlockMatrix(haar_unitary(fam.spec.window, setup))
-        cores = [sample_core(g, h, fam, haar_block_stack(
-            k, N, [RandomStream(seed, 1 + i)], unitary=True)[0].T)
-            for i in range(samples)]
+        cores = [sample_core(g, h, fam, _block(k, N, RandomStream(seed, 1 + i), True).T)
+                 for i in range(samples)]
         return cores, circ_N(g, h, fam.with_n_tail(k))
 
     @pytest.mark.parametrize("N", [8, 24, 64])
     def test_stack_equals_per_sample_calls(self, N):
         cores, target = self._cores(N, 24, seed=7 + N)
-        stacked = dist_conjugacy_stack(np.stack([c.entries for c in cores]), target)
-        assert len(stacked) == len(cores)
-        for core, est in zip(cores, stacked):
-            assert _same_estimate(est, dist_conjugacy(core, target))
-            assert abs(verify_estimate(est, core, target) - est.upper_bound) <= 1e-9
+        xs = np.stack([c.entries for c in cores])
+        stacked = dist_conjugacy_stack(xs, target)
+        _check_lane_arrays(stacked, xs, target)
+        assert stacked[3].dtype.kind == "c"
+        assert _same_lanes(stacked, _as_lanes([dist_conjugacy(core, target) for core in cores]))
+
+    def test_empty_stack(self):
+        cores, target = self._cores(8, 1)
+        xs = np.stack([c.entries for c in cores])[:0]
+        stacked = dist_conjugacy_stack(xs, target)
+        _check_lane_arrays(stacked, xs, target)
+        assert stacked[3].dtype == stacked[4].dtype == complex
 
     @pytest.mark.parametrize("alpha,k", [(1, 1), (2, 2), (0, 2)])
     def test_stack_equals_reference_loop(self, alpha, k):
         cores, target = self._cores(6, 8, seed=3, alpha=alpha, k=k)
         r = target.representative.entries
-        stacked = dist_conjugacy_stack(np.stack([c.entries for c in cores]), target)
-        for core, est in zip(cores, stacked):
+        bound, iters, converged, left, _ = dist_conjugacy_stack(
+            np.stack([c.entries for c in cores]), target)
+        for i, core in enumerate(cores):
             x = core.entries
-            op, iters, converged, W = _reference_conjugacy(x, r, alpha,
-                                                           _conjugacy_starts(x, r, alpha))
-            assert (est.upper_bound, est.iterations, est.converged) == (op, iters, converged)
-            assert np.array_equal(est.witness_left.entries, W)
+            want = _reference_conjugacy(x, r, alpha, _conjugacy_starts(x, r, alpha))
+            assert (bound[i], iters[i], converged[i]) == want[:3]
+            assert np.array_equal(left[i], want[3])
 
     @pytest.mark.parametrize("alpha,k,N,seed,lane", [
         (1, 1, 1, 7, 8), (1, 2, 2, 1, 167), (1, 2, 2, 7, 134)])
@@ -252,9 +288,9 @@ class TestDistConjugacyStack:
         # starts shared one best bound (they lost 0.0057, 0.011 and 0.071)
         cores, target = self._cores(N, lane + 1, seed=seed, alpha=alpha, k=k)
         x, r = cores[lane].entries, target.representative.entries
-        (est,) = dist_conjugacy_stack(x[None], target)
+        (bound,) = dist_conjugacy_stack(x[None], target)[0]
         for W in _conjugacy_starts(x, r, alpha):
-            assert est.upper_bound <= _reference_run(x, r, alpha, W)[0]
+            assert bound <= _reference_run(x, r, alpha, W)[0]
 
     def test_mixed_lanes(self, monkeypatch):
         # every sample gets all three starts; on the exact samples the identity
@@ -277,14 +313,11 @@ class TestDistConjugacyStack:
         stacked = dist_conjugacy_stack(xs, target)
         for name in ("_spectral_match_init", "_min_singular_init"):
             assert np.array_equal(seen[name], xs)
-        for i, est in enumerate(stacked):
-            assert _same_estimate(est, dist_conjugacy(BlockMatrix(xs[i], target.family.spec),
-                                                      target))
-            if i % 2 == 0:
-                assert est.upper_bound < 1e-11
-                assert (est.iterations, est.converged) == (0, True)
-            else:
-                assert est.upper_bound > 1e-3 and est.iterations > 3
+        assert _same_lanes(stacked, _as_lanes([
+            dist_conjugacy(BlockMatrix(x, target.family.spec), target) for x in xs]))
+        bound, iters, converged = stacked[:3]
+        assert (bound[::2] < 1e-11).all() and (iters[::2] == 0).all() and converged[::2].all()
+        assert (bound[1::2] > 1e-3).all() and (iters[1::2] > 3).all()
 
     @pytest.mark.parametrize("alpha,N,seed", [(1, 8, 42), (2, 8, 3), (1, 24, 9)])
     def test_short_stall_keeps_k1_bounds(self, monkeypatch, alpha, N, seed):
@@ -292,9 +325,9 @@ class TestDistConjugacyStack:
         # so the 5-step stall reads the 25-step stall's bounds and hits
         cores, target = self._cores(N, 60, seed=seed, alpha=alpha)
         xs = np.stack([c.entries for c in cores])
-        short = np.array([est.upper_bound for est in dist_conjugacy_stack(xs, target)])
+        short = dist_conjugacy_stack(xs, target)[0]
         monkeypatch.setattr(geometry, "_CONJ_STALL", 25)
-        full = np.array([est.upper_bound for est in dist_conjugacy_stack(xs, target)])
+        full = dist_conjugacy_stack(xs, target)[0]
         np.testing.assert_allclose(short, full, rtol=0, atol=1e-12)
         for eps in (0.2, 0.4):
             assert np.array_equal(short <= eps, full <= eps)
@@ -305,11 +338,13 @@ class TestDistConjugacyStack:
         # exact and meets the Bhatia-Davis lower bound before any step
         cores, target = self._cores(8, 40, seed=5, alpha=0, k=k)
         r = target.representative.entries
-        ests = dist_conjugacy_stack(np.stack([c.entries for c in cores]), target)
-        for core, est in zip(cores, ests):
-            assert (est.iterations, est.converged) == (0, True)
-            assert abs(est.upper_bound - eigenvalue_matching_distance(core, r)) <= 1e-12
-            assert abs(verify_estimate(est, core, target) - est.upper_bound) <= 1e-9
+        xs = np.stack([c.entries for c in cores])
+        stacked = dist_conjugacy_stack(xs, target)
+        _check_lane_arrays(stacked, xs, target)
+        bound, iters, converged = stacked[:3]
+        assert (iters == 0).all() and converged.all()
+        for core, b in zip(cores, bound):
+            assert abs(b - eigenvalue_matching_distance(core, r)) <= 1e-12
 
     def test_arpack_failure_starts_from_the_guess(self, monkeypatch):
         # copy size 35 > 34 takes the ARPACK branch; lane 0's solve fails, so
@@ -329,18 +364,18 @@ class TestDistConjugacyStack:
             return real_eigsh(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flaky)
-        failed, solved = dist_conjugacy_stack(xs, target, max_iters=40)
+        bound, iters, converged, left, right = dist_conjugacy_stack(xs, target, max_iters=40)
         assert calls == [0, 1]
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real_eigsh)
         eye = np.eye(fam.spec.dim, dtype=complex)
         spectral = geometry._spectral_match_init(xs[:1], r, 1)[0][0]
         guess = geometry._blockify_unitary(spectral, 1)
-        op, iters, converged, W = _reference_conjugacy(xs[0], r, 1, [eye, spectral, guess], 40)
-        assert (failed.upper_bound, failed.iterations, failed.converged) == (op, iters, converged)
-        assert np.array_equal(failed.witness_left.entries, W)
+        op, it, conv, W = _reference_conjugacy(xs[0], r, 1, [eye, spectral, guess], 40)
+        assert (bound[0], iters[0], converged[0]) == (op, it, conv)
+        assert np.array_equal(left[0], W)
         assert op <= _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)[0]
-        assert _same_estimate(solved, dist_conjugacy(BlockMatrix(xs[1], fam.spec), target,
-                                                     max_iters=40))
+        assert _same_lanes((bound[1:], iters[1:], converged[1:], left[1:], right[1:]), _as_lanes(
+            [dist_conjugacy(BlockMatrix(xs[1], fam.spec), target, max_iters=40)]))
 
     def test_rejects_bad_stacks(self):
         cores, target = self._cores(8, 2)
@@ -355,10 +390,9 @@ class TestDistConjugacyStack:
         setup = RandomStream(42, 0).generator()
         g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
         fam = GroupFamily("unitary_conjugation", BlockSpec(1, 1, 8, 1))
-        a = haar_block_stack(1, 8, [RandomStream(3, 1 + i) for i in range(70)], unitary=True)
+        a = np.array([_block(1, 8, RandomStream(3, 1 + i), True) for i in range(70)])
         cores = sample_core_stack(g, embed(h, fam.with_n_tail(1).spec), fam, a)
-        ests = dist_conjugacy_stack(cores, circ_N(g, h, fam.with_n_tail(1)))
-        assert sum(est.iterations for est in ests) == 3335
+        assert dist_conjugacy_stack(cores, circ_N(g, h, fam.with_n_tail(1)))[1].sum() == 3335
 
 
 def _random_stack(rng, shape, real):
@@ -506,9 +540,8 @@ class TestDistDoubleCosetStack:
         g = BlockMatrix(haar_unitary(fam.spec.window, setup))
         h = BlockMatrix(haar_unitary(fam.spec.window, setup))
         target = circ_N(g, h, fam.with_n_tail(k))
-        cores = [sample_core(g, h, fam, haar_block_stack(
-            k, N, [RandomStream(seed, 1 + i)])[0].T).entries
-            for i in range(samples)]
+        cores = [sample_core(g, h, fam, _block(k, N, RandomStream(seed, 1 + i)).T).entries
+                 for i in range(samples)]
         # one lane on the target itself, which stops after two steps
         return np.stack(cores + [target.representative.entries]), target
 
@@ -521,11 +554,9 @@ class TestDistDoubleCosetStack:
         stop_below = float(np.median([_reference_procrustes_run(x, target, eye)[0]
                                       for x in xs])) if stop else None
         stacked = dist_double_coset_stack(xs, target, stop_below=stop_below)
-        assert len(stacked) == len(xs)
-        for x, est in zip(xs, stacked):
-            assert _same_estimate(est, _reference_double_coset(x, target, stop_below=stop_below))
-            core = BlockMatrix(x, target.family.spec)
-            assert abs(verify_estimate(est, core, target) - est.upper_bound) <= 1e-9
+        _check_lane_arrays(stacked, xs, target)
+        assert _same_lanes(stacked, _as_lanes(
+            [_reference_double_coset(x, target, stop_below=stop_below) for x in xs]))
 
     def test_direct_call_is_a_stack_of_one(self):
         xs, target = self._cores(1, 1, 1, samples=4)
@@ -540,16 +571,18 @@ class TestDistDoubleCosetStack:
         # bits, and so does each lane's lone call
         xs, target = self._cores(alpha, k, m, samples=12)
         first = dist_double_coset_stack(xs, target, stop_below=stop_below)
-        second = dist_double_coset_stack(xs, target, stop_below=stop_below)
-        for x, est, again in zip(xs, first, second):
-            assert _same_estimate(est, again)
-            alone = dist_double_coset(BlockMatrix(x, target.family.spec), target,
-                                      stop_below=stop_below)
-            assert _same_estimate(est, alone)
+        assert _same_lanes(first, dist_double_coset_stack(xs, target, stop_below=stop_below))
+        assert _same_lanes(first, _as_lanes([dist_double_coset(
+            BlockMatrix(x, target.family.spec), target, stop_below=stop_below) for x in xs]))
+
+    def test_empty_stack(self):
+        xs, target = self._cores(1, 1, 1, samples=2)
+        stacked = dist_double_coset_stack(xs[:0], target)
+        _check_lane_arrays(stacked, xs[:0], target)
+        assert stacked[3].dtype == stacked[4].dtype == float
 
     def test_input_checks(self):
         xs, target = self._cores(1, 1, 1, samples=2)
-        assert dist_double_coset_stack(xs[:0], target) == []
         for kind in ("symmetric", "unitary_conjugation"):
             other = CosetTarget(target.representative, replace(target.family, kind=kind))
             with pytest.raises(ValueError, match="unitary_orthogonal"):
@@ -567,11 +600,11 @@ class TestDistDoubleCosetStack:
         cfg = ExperimentConfig(family="unitary_orthogonal", alpha=1, k=1, m=1, N_list=(8, 64),
                                epsilon_list=(0.1, 0.4), samples=30, seed=9)
         stacked = run_concentration(cfg).with_zeroed_runtime()
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", (2048 + 160 * 9) * 7)
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 175 * 9 * 7)
         assert run_concentration(cfg).with_zeroed_runtime() == stacked
 
         def reference(xs, target, **kwargs):
-            return [_reference_double_coset(x, target, **kwargs) for x in xs]
+            return _as_lanes([_reference_double_coset(x, target, **kwargs) for x in xs])
 
         monkeypatch.setattr(experiments, "dist_double_coset_stack", reference)
         assert run_concentration(cfg).with_zeroed_runtime() == stacked
@@ -593,18 +626,17 @@ class TestGramStartsMoveWithK:
         g = BlockMatrix(haar_unitary(fam.spec.window, setup))
         h = BlockMatrix(haar_unitary(fam.spec.window, setup))
         target = circ_N(g, h, fam.with_n_tail(1))
-        xs = sample_core_stack(g, h, fam, haar_block_stack(
-            1, 8, [RandomStream(seed, 1 + i) for i in range(300)]))
+        xs = sample_core_stack(g, h, fam, np.array(
+            [_block(1, 8, RandomStream(seed, 1 + i)) for i in range(300)]))
         r, layout = target.representative.entries, geometry._CopyLayout(core_spec)
-        u, v = haar_block_stack(2, 0, [RandomStream(seed, 10**6).generator()] * 600).reshape(
+        u, v = _top_blocks(_block_normals(2, 0, RandomStream(seed, 10**6), count=600)).reshape(
             2, 300, 2, 2)
         eye = np.eye(core_spec.dim)
         ys = layout.apply_left(eye, u) @ xs @ layout.apply_right(eye, v)
         for eps in (0.2, 0.4):
-            verdicts = [[est.upper_bound <= eps
-                         for est in dist_double_coset_stack(z, target, stop_below=eps)]
+            verdicts = [dist_double_coset_stack(z, target, stop_below=eps)[0] <= eps
                         for z in (xs, ys)]
-            assert verdicts[0] == verdicts[1], eps
+            assert np.array_equal(verdicts[0], verdicts[1]), eps
         for start_x, start_y in zip(geometry._gram_starts(xs, r, layout),
                                     geometry._gram_starts(ys, r, layout)):
             bound_x, bound_y = (geometry._alternate_stack(z, r, layout, start, 200, 1e-12,

@@ -11,7 +11,6 @@ from cosetlab.haar import (
     _choice_stack,
     _sample_rows,
     _top_blocks,
-    haar_block_stack,
     haar_orthogonal,
     haar_unitary,
     uniform_permutation,
@@ -104,39 +103,29 @@ def _reference_block(k, N, gen, unitary):
     return (q * (d / np.abs(d) if unitary else np.where(d >= 0, 1.0, -1.0)))[:k]
 
 
+def _blocks(k, N, rng, unitary=False, count=1):
+    # count leading k x k blocks drawn by one generator
+    return _top_blocks(_block_normals(k, N, rng, unitary, count), unitary)
+
+
 class TestHaarBlockStack:
     @pytest.mark.parametrize("unitary", [False, True])
     @pytest.mark.parametrize("k,N", [(1, 0), (1, 1), (3, 0), (2, 1), (3, 3)])
     def test_short_tail_equals_written_out_qr(self, unitary, k, N):
-        # N <= k keeps the raw Gaussian tail; a generator listed twice draws
-        # twice, in list order
-        gens = [RandomStream(4, i).generator() for i in range(7)]
-        gens.insert(3, gens[1])
-        refs = [RandomStream(4, i).generator() for i in range(7)]
-        refs.insert(3, refs[1])
-        stack = haar_block_stack(k, N, gens, unitary=unitary)
-        want = np.array([_reference_block(k, N, gen, unitary) for gen in refs])
-        assert stack.dtype == want.dtype and stack.shape == (8, k, k)
+        # N <= k keeps the raw Gaussian tail, so count draws read the
+        # Gaussians in the order count written-out draws do
+        gen, ref = RandomStream(4, 1).generator(), RandomStream(4, 1).generator()
+        stack = _blocks(k, N, gen, unitary, count=7)
+        want = np.array([_reference_block(k, N, ref, unitary) for _ in range(7)])
+        assert stack.dtype == want.dtype and stack.shape == (7, k, k)
         np.testing.assert_array_equal(stack, want)
-        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
-
-    @pytest.mark.parametrize("unitary", [False, True])
-    @pytest.mark.parametrize("k,N", [(1, 0), (2, 1), (3, 3)])
-    def test_count_equals_a_generator_listed_count_times_for_short_tails(self, unitary, k, N):
-        # with no chi-square variates, count draws read the Gaussians in the
-        # order count single draws do
-        gens = [RandomStream(4, i).generator() for i in range(3)]
-        refs = [RandomStream(4, i).generator() for i in range(3)]
-        z = _block_normals(k, N, gens, unitary=unitary, count=5)
-        want = _block_normals(k, N, [gen for gen in refs for _ in range(5)], unitary=unitary)
-        assert z.shape == (15, k + N, k)
-        np.testing.assert_array_equal(z, want)
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("unitary", [False, True])
     def test_count_draws_gaussians_then_chi_squares(self, unitary):
         # N > k: every Gaussian of the count draws, then count variates per j
         k, N, count = 2, 7, 4
-        z = _block_normals(k, N, [RandomStream(9, 1)], unitary=unitary, count=count)
+        z = _block_normals(k, N, RandomStream(9, 1), unitary=unitary, count=count)
         gen = RandomStream(9, 1).generator()
         beta = 2 if unitary else 1
         normals = gen.standard_normal((count, beta, 2 * k, k))
@@ -146,12 +135,6 @@ class TestHaarBlockStack:
             want[:, k + j, j] = np.sqrt(gen.chisquare(beta * (N - j), size=count))
         np.testing.assert_array_equal(z, want)
 
-    def test_count_one_is_the_block_draw(self):
-        for k, N, unitary in [(1, 0, False), (2, 9, False), (3, 40, True)]:
-            np.testing.assert_array_equal(
-                _top_blocks(_block_normals(k, N, [RandomStream(5, 2)], unitary), unitary),
-                haar_block_stack(k, N, [RandomStream(5, 2)], unitary))
-
     @pytest.mark.parametrize("unitary", [False, True])
     @pytest.mark.parametrize("N", [1, 2, 8, 10**6])
     def test_frobenius_second_moment_in_the_sweep_layout(self, unitary, N):
@@ -159,21 +142,22 @@ class TestHaarBlockStack:
         # k = 2 the block has E||A||_F^2 = k^2 / (k + N)
         k = 2
         z = np.concatenate(list(_sample_rows(
-            21, 4096, lambda gen, count: _block_normals(k, N, [gen], unitary, count))))
+            21, 4096, lambda gen, count: _block_normals(k, N, gen, unitary, count))))
         f2 = (np.abs(_top_blocks(z, unitary)) ** 2).sum(axis=(1, 2))
         se = f2.std() / np.sqrt(len(f2))
         assert abs(f2.mean() - k * k / (k + N)) < 5 * se
 
     def test_no_tail_is_the_full_draw(self):
-        np.testing.assert_array_equal(haar_block_stack(6, 0, [RandomStream(3, 1)])[0],
-                                      haar_orthogonal(6, RandomStream(3, 1)))
-        np.testing.assert_array_equal(haar_block_stack(6, 0, [RandomStream(3, 2)], True)[0],
-                                      haar_unitary(6, RandomStream(3, 2)))
+        # haar_orthogonal and haar_unitary are the written-out QR of one draw
+        for unitary, whole in ((False, haar_orthogonal), (True, haar_unitary)):
+            np.testing.assert_array_equal(
+                whole(6, RandomStream(3, 1)),
+                _reference_block(6, 0, RandomStream(3, 1).generator(), unitary))
 
     @pytest.mark.parametrize("unitary", [False, True])
     def test_empty_stack(self, unitary):
         for N in (0, 5):
-            out = haar_block_stack(2, N, [], unitary=unitary)
+            out = _blocks(2, N, RandomStream(0, 1), unitary, count=0)
             assert out.shape == (0, 2, 2) and out.dtype.kind == ("c" if unitary else "f")
 
     @pytest.mark.parametrize("k,N,unitary", [(1, 20, False), (2, 20, False), (3, 5, False),
@@ -181,8 +165,8 @@ class TestHaarBlockStack:
     def test_norm_law_matches_full_draw(self, k, N, unitary):
         # the operator norm of the block against the top block of a whole Haar
         # draw of size k+N (two-sample KS)
-        gens = [RandomStream(17, i) for i in range(2000)]
-        block = np.linalg.norm(haar_block_stack(k, N, gens, unitary=unitary), 2, axis=(1, 2))
+        block = np.linalg.norm(_blocks(k, N, RandomStream(17, 1), unitary, count=2000), 2,
+                               axis=(1, 2))
         whole = haar_unitary if unitary else haar_orthogonal
         gen = RandomStream(18, k + N).generator()
         full = [operator_norm(whole(k + N, gen)[:k, :k]) for _ in range(150)]
@@ -192,20 +176,19 @@ class TestHaarBlockStack:
     @pytest.mark.parametrize("N", [3, 50, 10**9])
     def test_scalar_second_moment(self, unitary, N):
         # at k = 1, E|a|^2 = 1/(N+1) in both fields
-        a2 = np.abs(haar_block_stack(1, N, [RandomStream(6, i) for i in range(4000)],
-                                     unitary=unitary)[:, 0, 0]) ** 2
+        a2 = np.abs(_blocks(1, N, RandomStream(6, 1), unitary, count=4000)[:, 0, 0]) ** 2
         se = a2.std() / np.sqrt(len(a2))
         assert abs(a2.mean() - 1 / (N + 1)) < 4 * se
 
     def test_huge_tail_is_cheap_and_inside_the_unit_ball(self):
-        a = haar_block_stack(3, 10**12, [RandomStream(2, i) for i in range(50)], unitary=True)
+        a = _blocks(3, 10**12, RandomStream(2, 1), unitary=True, count=50)
         norms = np.linalg.norm(a, 2, axis=(1, 2))
         assert a.shape == (50, 3, 3) and 0 < norms.min() and norms.max() < 1e-5
 
     @pytest.mark.parametrize("k,N", [(0, 3), (-1, 3), (1, -1), (1.5, 3), (2, 2.5)])
     def test_bad_size_rejected(self, k, N):
         with pytest.raises(ValueError, match="k >= 1 and N >= 0"):
-            haar_block_stack(k, N, [RandomStream(0, 0)])
+            _block_normals(k, N, RandomStream(0, 0))
 
 
 class TestHaarColumns:
@@ -213,7 +196,7 @@ class TestHaarColumns:
     @pytest.mark.parametrize("unitary", [False, True])
     def test_orthonormal_columns(self, unitary):
         for n, k in ((1, 1), (5, 2), (40, 3), (1000, 2)):
-            a = haar_block_stack(k, n - k, [RandomStream(8, n)], unitary=unitary)[0]
+            a = _blocks(k, n - k, RandomStream(8, n), unitary)[0]
             assert a.shape == (k, k)
             assert a.dtype.kind == ("c" if unitary else "f")
             if n == k:
@@ -224,32 +207,22 @@ class TestHaarColumns:
     @pytest.mark.parametrize("n,k", [(3, 0), (3, 4), (0, 0)])
     def test_bad_shape_rejected(self, n, k):
         with pytest.raises(ValueError):
-            haar_block_stack(k, n - k, [RandomStream(0, 0)])
+            _block_normals(k, n - k, RandomStream(0, 0))
 
 
 class TestHaarColumnsStack:
-    # the stack of top blocks of the first k columns of Haar elements of size
-    # n, drawn whole or split by a byte budget as the sweep splits its samples
+    # the sweep splits its rows of Gaussians into solver blocks, so the QR of
+    # any split of a stack must give each row's lone QR
     @pytest.mark.parametrize("unitary", [False, True])
     @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (9, 1), (40, 3)])
-    @pytest.mark.parametrize("block_bytes", [None, 1, 2 * 4 * 40 * 3 * 16])
-    def test_equals_per_sample_draws(self, unitary, n, k, block_bytes):
-        # a tiny budget puts every draw in a chunk of its own; a generator
-        # listed twice draws twice, in list order
-        gens = [RandomStream(4, i).generator() for i in range(7)]
-        gens.insert(3, gens[1])
-        refs = [RandomStream(4, i).generator() for i in range(7)]
-        refs.insert(3, refs[1])
-        per = len(gens) if block_bytes is None else max(1, block_bytes // (16 * k * k))
-        stack = np.concatenate([haar_block_stack(k, n - k, gens[lo:lo + per], unitary=unitary)
-                                for lo in range(0, len(gens), per)])
-        want = np.array([haar_block_stack(k, n - k, [gen], unitary=unitary)[0] for gen in refs])
+    @pytest.mark.parametrize("per", [1, 3, 8])
+    def test_equals_per_sample_draws(self, unitary, n, k, per):
+        z = _block_normals(k, n - k, RandomStream(4, 1), unitary, count=8)
+        stack = np.concatenate([_top_blocks(z[lo:lo + per], unitary)
+                                for lo in range(0, len(z), per)])
+        want = np.array([_top_blocks(row[None], unitary)[0] for row in z])
         assert stack.dtype == want.dtype and stack.shape == (8, k, k)
         np.testing.assert_array_equal(stack, want)
-        assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in refs]
-        if n == k:
-            whole = haar_unitary if unitary else haar_orthogonal
-            np.testing.assert_array_equal(whole(n, RandomStream(4, 0)), want[0])
 
 
 class TestSampleRows:
