@@ -55,7 +55,8 @@ CSV_COLUMNS = (
 # for the Procrustes solver, draw and core included (d = 3..17; the low end when
 # most lanes stop at the identity start), counted as 175 d^2, and 370-490 d^2
 # for the conjugation solver's three lanes (d = 3..9), counted as 2 KB + 480 d^2.
-# Sylvester maps are built one lane at a time and A holds O(k^2) numbers
+# Dense Sylvester maps are built a chunk of at most 512 KiB (or one lane) at a
+# time (``geometry._SYLVESTER_BYTES``) and A holds O(k^2) numbers
 # (``haar._block_normals``), so nothing here grows with the block or with N.
 _BLOCK_BYTES = 4 << 20
 

@@ -9,12 +9,12 @@ iteration.  Both unitary solvers run on a stack of samples at once
 (``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which return one
 array per estimate field; the per-sample ``dist_double_coset`` and
 ``dist_conjugacy`` are stacks of one), with numpy's stacked linalg and matmul,
-and each lane's result is the one it would get alone.  The Procrustes steps
-take SVD polar factors and an SVD norm; the conjugation fixed-point steps take
-their norm from one stacked Hermitian eigensolve and, on a k = 1 core, a
-closed-form 2 x 2 polar factor, so they make no SVD there.  Every estimate
-carries explicit witnesses, so the reported bound can be re-verified by direct
-evaluation.
+and each lane's result is the one it would get alone.  Both solvers take a
+2 x 2 polar factor (every k = 1 core's Procrustes step, Gram start or
+conjugation step) in closed form, a larger one by SVD; the conjugation steps
+take their norm from one stacked Hermitian eigensolve, so at k = 1 they make
+no SVD.  Every estimate carries explicit witnesses, so the reported bound can
+be re-verified by direct evaluation.
 
 scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
 """
@@ -69,10 +69,50 @@ def verify_estimate(est: DistanceEstimate, x: BlockMatrix, target: CosetTarget) 
 # alternating minimization for two-sided cosets
 
 
+# Entry signs that turn M[..., ::-1, ::-1].conj() into adj(M)^H for 2 x 2 M.
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Entry and tr(P) range in which det M's products neither overflow nor fall to subnormals.
+_POLAR_RANGE = (1e-150, 1e150)
+
+
+def _polar_2x2(M):
+    """M + e adj(M)^H and the norm of its first row."""
+    adj = M[..., ::-1, ::-1] * _ADJ_SIGNS  # adj(M)^T
+    ad_bc = M * adj
+    det = ad_bc[..., 0, 0] + ad_bc[..., 0, 1]
+    if M.dtype.kind == "c":
+        mag = np.abs(det)
+        e = np.divide(det, mag, out=np.ones_like(det), where=mag != 0)
+        U = M + e[..., None, None] * adj.conj()
+        return U, np.hypot(np.abs(U[..., 0, 0]), np.abs(U[..., 0, 1]))
+    U = M + np.copysign(1.0, det)[..., None, None] * adj
+    return U, np.hypot(U[..., 0, 0], U[..., 0, 1])
+
+
 def _polar(M: np.ndarray) -> np.ndarray:
-    """Unitary (orthogonal, for real M) polar factor of a square matrix, by SVD."""
-    u, _, vt = np.linalg.svd(M)
-    return u @ vt
+    """Unitary (orthogonal, for real M) polar factor of each square matrix of a stack.
+
+    A 2 x 2 M = UP takes a closed form: adj(P) = tr(P) I - P gives
+    M + e adj(M)^H = tr(P) U with e = det M / |det M| (e = 1 at det M = 0), so
+    tr(P) is that matrix's first row norm.  A lane with an entry or a tr(P)
+    outside ``_POLAR_RANGE`` is redone from M over its largest entry (M = 0
+    gives I, as the SVD does), so no lane depends on its stack and no numpy
+    warning fires.  Larger M take the SVD.
+    """
+    if M.shape[-1] != 2:
+        u, _, vt = np.linalg.svd(M)
+        return u @ vt
+    # a lane with an entry of 1e150 or more, or nan, runs as 0, so its tr = 0 sends it to the redo
+    small = np.abs(M) < _POLAR_RANGE[1]
+    all_small = np.count_nonzero(small) == small.size
+    U, tr = _polar_2x2(M if all_small else np.where(small.all(axis=(-2, -1), keepdims=True), M, 0))
+    bad = tr <= _POLAR_RANGE[0]
+    if np.count_nonzero(bad):
+        s = np.abs(M[bad]).max(axis=(-2, -1), keepdims=True)
+        Mb = M[bad] / np.where(s == 0, 1.0, s)
+        U[bad], tr[bad] = _polar_2x2(np.where(s == 0, np.eye(2), Mb))  # I's form is I exactly
+    U /= tr[..., None, None]
+    return U
 
 
 class _CopyLayout:
@@ -301,34 +341,6 @@ _CONJ_EXACT = 1e-11
 _CONJ_STALL, _CONJ_STALL_WIDE = 5, 25
 
 
-# Entry signs that turn M[..., ::-1, ::-1].conj() into adj(M)^H for 2 x 2 M.
-_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-def _block_polar(M: np.ndarray) -> np.ndarray:
-    """Unitary polar factor of each square matrix of a stack.
-
-    A 2 x 2 block (every k = 1 conjugation core) takes a closed form: for
-    M = UP, adj(P) = tr(P) I - P gives M + e adj(M)^H = tr(P) U with
-    e = det M / |det M|, and tr(P)^2 = ||M||_F^2 + 2 |det M|.  At det M = 0,
-    e = 1 still gives a polar factor; at M = 0 the result is I, as the SVD's
-    is.  M is scaled by its largest entry first, so no square under- or
-    overflows.  Larger blocks take the SVD (``_polar``).
-    """
-    if M.shape[-1] != 2:
-        return _polar(M)
-    s = np.abs(M).max(axis=(-2, -1))
-    M = M / np.where(s > 0, s, 1.0)[..., None, None]
-    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
-    mag = np.abs(det)
-    e = np.where(mag > 0, det / np.where(mag > 0, mag, 1.0), 1.0)
-    U = M + e[..., None, None] * (M[..., ::-1, ::-1].conj() * _ADJ_SIGNS)
-    tr = np.sqrt((M.real ** 2 + M.imag ** 2).sum(axis=(-2, -1)) + 2.0 * mag)
-    U /= np.where(s > 0, tr, 1.0)[..., None, None]
-    U[s == 0] = np.eye(2)
-    return U
-
-
 def _op_norm(A: np.ndarray) -> np.ndarray:
     """Operator norm of each matrix of a stack, sqrt(lambda_max(A^H A)), by one
     stacked Hermitian eigensolve."""
@@ -340,7 +352,7 @@ def _blockify_unitary(M: np.ndarray, alpha: int) -> np.ndarray:
     """Nearest corner-fixing structured unitary: identity corner, polar of the rest."""
     W = np.zeros_like(M, dtype=complex)
     W[..., :alpha, :alpha] = np.eye(alpha)
-    W[..., alpha:, alpha:] = _block_polar(M[..., alpha:, alpha:])
+    W[..., alpha:, alpha:] = _polar(M[..., alpha:, alpha:])
     return W
 
 
@@ -371,14 +383,17 @@ def _spectral_match_init(x: np.ndarray, r: np.ndarray, alpha: int):
 # gets a dense SVD; above it ARPACK runs.  Per alpha = 1 sweep core: dense 6 ms
 # at w=10, 0.13 s at w=20, 2.2 s at w=34; ARPACK 9 ms, 0.02 s and 0.1 s there.
 _DENSE_SYLVESTER_MAX = 34
+# Bytes of dense Sylvester maps per stacked SVD: 728 maps at alpha = 1, k = 1; 77 at k = 2.
+_SYLVESTER_BYTES = 512 << 10
 
 
 def _min_singular_init(x, r, alpha, spectral_guess):
     """Per lane of x, the minimizer of ||xW - Wr||_F over W = diag(s.1_alpha, w):
     smallest singular vector of the restricted Sylvester map, then rescaled to
-    a unit corner.  Lanes are solved one at a time, so memory holds one lane's
-    map.  A lane whose ARPACK run does not converge keeps its start vector,
-    the spectral guess."""
+    a unit corner.  Dense maps take one stacked SVD per chunk of lanes whose
+    maps fit in ``_SYLVESTER_BYTES`` (or of one lane), so memory holds a basis,
+    its product with r and a few chunks.  ARPACK runs a lane at a time; a lane
+    whose run does not converge keeps its start vector, the spectral guess."""
     dim = x.shape[-1]
     w = dim - alpha
     n = 1 + w * w
@@ -389,36 +404,35 @@ def _min_singular_init(x, r, alpha, spectral_guess):
         W[..., alpha:, alpha:] = p[..., 1:].reshape(p.shape[:-1] + (w, w))
         return W
 
-    dense = w <= _DENSE_SYLVESTER_MAX
-    if dense:
-        basis = from_vec(np.eye(n, dtype=complex))
+    p = np.empty((len(x), n), dtype=complex)
+    if w <= _DENSE_SYLVESTER_MAX:
+        basis = from_vec(np.eye(n, dtype=complex))  # map column j: x basis_j - basis_j r
+        basis_r = basis @ r
+        step = max(1, _SYLVESTER_BYTES // (16 * n * dim * dim))
+        for i in range(0, len(x), step):
+            L = (x[i:i + step, None] @ basis - basis_r).reshape(-1, n, dim * dim)
+            p[i:i + step] = np.linalg.svd(L.swapaxes(-1, -2), full_matrices=False)[2][:, -1].conj()
     else:
         from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-    found = []
-    for xe, guess in zip(x, spectral_guess):
-        if dense:
-            L = (xe @ basis - basis @ r).reshape(n, dim * dim).T
-            found.append(np.linalg.svd(L, full_matrices=False)[2][-1].conj())
-            continue
+        for i, (xe, guess) in enumerate(zip(x, spectral_guess)):
 
-        def matvec(p, xe=xe):
-            W = from_vec(np.asarray(p, dtype=complex))
-            R = xe @ W - W @ r
-            G = xe.conj().T @ R - R @ r.conj().T
-            out = np.empty(n, dtype=complex)
-            out[0] = np.trace(G[:alpha, :alpha])
-            out[1:] = G[alpha:, alpha:].ravel()
-            return out
+            def matvec(p, xe=xe):
+                W = from_vec(np.asarray(p, dtype=complex))
+                R = xe @ W - W @ r
+                G = xe.conj().T @ R - R @ r.conj().T
+                out = np.empty(n, dtype=complex)
+                out[0] = np.trace(G[:alpha, :alpha])
+                out[1:] = G[alpha:, alpha:].ravel()
+                return out
 
-        v0 = np.empty(n, dtype=complex)
-        v0[0] = 1.0
-        v0[1:] = guess[alpha:, alpha:].ravel()
-        op = LinearOperator((n, n), matvec=matvec, dtype=complex)
-        try:
-            found.append(eigsh(op, k=1, which="SA", v0=v0, maxiter=60, tol=1e-4)[1][:, 0])
-        except ArpackNoConvergence:
-            found.append(v0)
-    p = np.array(found).reshape(-1, n)
+            v0 = np.empty(n, dtype=complex)
+            v0[0] = 1.0
+            v0[1:] = guess[alpha:, alpha:].ravel()
+            op = LinearOperator((n, n), matvec=matvec, dtype=complex)
+            try:
+                p[i] = eigsh(op, k=1, which="SA", v0=v0, maxiter=60, tol=1e-4)[1][:, 0]
+            except ArpackNoConvergence:
+                p[i] = v0
     s = p[:, 0]
     scale = np.abs(s) > 1e-9
     p = np.where(scale[:, None], p / np.where(scale, s, 1.0)[:, None], p)
@@ -441,8 +455,8 @@ def dist_conjugacy_stack(
     sample's result does not depend on the rest of the stack: each sample gets
     the estimate ``dist_conjugacy`` gives for it alone, bit for bit, in the
     arrays of ``dist_double_coset_stack`` with complex witnesses W, W^H.
-    Memory is O(S d^2) for the lanes plus one sample's Sylvester map,
-    O(d^2 (1 + w^2)) with w = d - alpha: callers bound S.
+    Memory is O(S d^2) for the lanes plus a few Sylvester maps, O(d^2 (1 + w^2))
+    each with w = d - alpha, or 512 KiB chunks of them: callers bound S.
     """
     fam = target.family
     if fam.kind != "unitary_conjugation":
@@ -473,12 +487,12 @@ def dist_conjugacy_stack(
         if t:
             # W keeps its identity corner and zero off-corner blocks, so the step
             # rewrites only its non-corner block
-            W[..., alpha:, alpha:] = _block_polar((xh @ Wr)[..., alpha:, alpha:])
+            W[..., alpha:, alpha:] = _polar((xh @ Wr)[..., alpha:, alpha:])
             Wr = W @ r
             op = _op_norm(xl @ W - Wr)
             better = op < best - tol
-            best[better], best_W[better] = op[better], W[better]
-            stall = np.where(better, 0, stall + 1)
+            best, stall = np.where(better, op, best), np.where(better, 0, stall + 1)
+            np.copyto(best_W, W, where=better[:, None, None])
             stop = (best - lower < _CONJ_EXACT) | (stall >= stall_len)
         if stop.any():
             done = lanes[stop]

@@ -410,16 +410,33 @@ def _unitarity_gap(U):
     return np.abs(U.conj().swapaxes(-1, -2) @ U - eye).max()
 
 
+def _reference_sylvester_start(x, r, alpha):
+    """One lane's dense Sylvester start on its own: the smallest right singular
+    vector of its map p -> xW - Wr, W = diag(p_0 1_alpha, p_1..), made a unit
+    corner, with the non-corner block's polar factor."""
+    dim, w = len(x), len(x) - alpha
+    basis = np.zeros((1 + w * w, dim, dim), dtype=complex)
+    basis[0, :alpha, :alpha] = np.eye(alpha)
+    basis[1:, alpha:, alpha:] = np.eye(w * w).reshape(w * w, w, w)
+    L = (x @ basis - basis @ r).reshape(len(basis), dim * dim).T
+    p = np.linalg.svd(L, full_matrices=False)[2][-1].conj()
+    if abs(p[0]) > 1e-9:
+        p = p / p[0]
+    W = np.zeros((1, dim, dim), dtype=complex)
+    W[0, alpha:, alpha:] = p[1:].reshape(w, w)
+    return geometry._blockify_unitary(W, alpha)[0]
+
+
 class TestConjugationKernels:
-    """The fixed-point step's closed-form 2 x 2 polar factor and eigensolve
-    norm against SVD oracles."""
+    """The solvers' closed-form 2 x 2 polar factor and the conjugation step's
+    eigensolve norm against SVD oracles."""
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
     def test_polar_2x2_equals_svd_factor(self, real, scale):
         # invertible M has one polar factor, so both must give it
         M = scale * _random_stack(np.random.default_rng(1), (500, 2, 2), real)
-        U = geometry._block_polar(M)
+        U = geometry._polar(M)
         assert U.dtype == M.dtype
         assert _unitarity_gap(U) <= 1e-14
         np.testing.assert_allclose(U, _svd_polar(M), rtol=0, atol=1e-13)
@@ -428,7 +445,7 @@ class TestConjugationKernels:
     def test_polar_2x2_keeps_negative_determinant(self, real):
         M = np.array([[[0.3, 2.0], [1.0, -0.5]], [[-1.0, 0.0], [0.0, 4.0]]])
         M = M if real else M.astype(complex)
-        U = geometry._block_polar(M)
+        U = geometry._polar(M)
         assert _unitarity_gap(U) <= 1e-14
         np.testing.assert_allclose(np.linalg.det(U), [-1.0, -1.0], atol=1e-14)
         np.testing.assert_allclose(U, _svd_polar(M), rtol=0, atol=1e-14)
@@ -439,7 +456,7 @@ class TestConjugationKernels:
         rng = np.random.default_rng(2)
         u, v = _random_stack(rng, (200, 2, 1), real), _random_stack(rng, (200, 2, 1), real)
         M = u @ v.conj().swapaxes(-1, -2)
-        U = geometry._block_polar(M)
+        U = geometry._polar(M)
         assert _unitarity_gap(U) <= 1e-14
         P = U.conj().swapaxes(-1, -2) @ M
         np.testing.assert_allclose(P, P.conj().swapaxes(-1, -2), rtol=0, atol=1e-13)
@@ -449,14 +466,52 @@ class TestConjugationKernels:
     def test_polar_2x2_of_zero_is_identity(self, real):
         M = np.zeros((3, 2, 2)) if real else np.zeros((3, 2, 2), dtype=complex)
         M[1] = [[1.0, 2.0], [0.5, 3.0]]
-        U = geometry._block_polar(M)
+        U = geometry._polar(M)
         assert np.array_equal(U[[0, 2]], np.broadcast_to(np.eye(2), (2, 2, 2)))
         assert np.array_equal(_svd_polar(M[[0, 2]]), U[[0, 2]])
         np.testing.assert_allclose(U[1], _svd_polar(M[1]), rtol=0, atol=1e-14)
 
     def test_larger_blocks_take_the_svd(self):
         M = _random_stack(np.random.default_rng(3), (4, 3, 3), False)
-        assert np.array_equal(geometry._block_polar(M), geometry._polar(M))
+        assert np.array_equal(geometry._polar(M), _svd_polar(M))
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_polar_lane_does_not_depend_on_its_stack(self, real):
+        # ordinary blocks mixed with blocks the closed form redoes at unit
+        # scale (zero, 1e+-300-scaled, rank one at 1e-300) and plain rank-one
+        # ones: each lane must be the factor it gets alone
+        rng = np.random.default_rng(5)
+        M = _random_stack(rng, (12, 2, 2), real)
+        u, v = _random_stack(rng, (2, 2, 1), real), _random_stack(rng, (2, 2, 1), real)
+        rank_one = u @ v.conj().swapaxes(-1, -2)
+        M[1] = 0.0
+        M[3], M[8] = rank_one[0], 1e-300 * rank_one[1]
+        M[4] *= 1e300
+        M[6] *= 1e-300
+        M[10] = 1e300 * np.array([[2.0, 1.0], [1.0, 1.0]])  # a d and b c overflow alike
+        U = geometry._polar(M)
+        for i in range(len(M)):
+            assert np.array_equal(U[i:i + 1], geometry._polar(M[i:i + 1]))
+        unique = [0, 1, 2, 4, 5, 6, 7, 9, 10, 11]  # not rank one: the SVD's factor, I at M = 0
+        np.testing.assert_allclose(U[unique], _svd_polar(M[unique]), rtol=0, atol=1e-13)
+        assert _unitarity_gap(U) <= 1e-14
+        P = U[[3, 8]].conj().swapaxes(-1, -2) @ M[[3, 8]]
+        P /= np.abs(M[[3, 8]]).max(axis=(-2, -1), keepdims=True)
+        np.testing.assert_allclose(P, P.conj().swapaxes(-1, -2), rtol=0, atol=1e-13)
+        assert np.linalg.eigvalsh(P).min() >= -1e-13
+
+    @pytest.mark.parametrize("alpha,k", [(0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (1, 4)])
+    def test_stacked_sylvester_start_equals_lane_loop(self, alpha, k):
+        # two full chunks of lanes and a partial third, against each lane's own
+        # map and SVD; the dense branch reads no spectral guess
+        dim = alpha + 2 * k
+        n = 1 + (2 * k) ** 2
+        step = geometry._SYLVESTER_BYTES // (16 * n * dim * dim)
+        rng = np.random.default_rng(20 + dim)
+        x = _random_stack(rng, (2 * step + 3, dim, dim), False)
+        r = _random_stack(rng, (dim, dim), False)
+        got = geometry._min_singular_init(x, r, alpha, None)
+        assert np.array_equal(got, [_reference_sylvester_start(e, r, alpha) for e in x])
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
