@@ -20,12 +20,12 @@ from statistics import NormalDist
 import numpy as np
 
 from .blockmat import BlockMatrix, BlockSpec, embed, load_source, tail_sizes
-from .cosets import GroupFamily, circ_N, core_images, sample_core, sample_core_stack
+from .cosets import GroupFamily, circ_N, sample_core, sample_core_stack
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import (
     RandomStream,
     _block_normals,
-    _choice_stack,
+    _core_patterns,
     _sample_rows,
     _top_blocks,
     haar_unitary,
@@ -107,9 +107,6 @@ class ExperimentConfig:
         object.__setattr__(self, "N_list", tail_sizes(self.N_list, self.k))
         if not self.N_list:
             raise ValueError("N_list must be nonempty")
-        if self.family == "symmetric" and self.k + max(self.N_list) >= 1 << 63:  # int64 images
-            raise ValueError(f"symmetric copy size k + N must be <= 2^63 - 1 = {(1 << 63) - 1};"
-                             f" got k + N = {self.k + max(self.N_list)}")
         if not self.epsilon_list or not all(0 < e < math.inf for e in self.epsilon_list):
             raise ValueError("epsilon_list must be nonempty, positive and finite")
         if self.samples < 1:
@@ -231,27 +228,24 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     (seed, 1 + i // 256) (``haar._sample_rows``), and the solvers read no
     stream, so sample i's distance depends only on the seed, i and N, and
     reports are reproducible.  Every N reuses the same streams.  A sample
-    draws only the leading k x k block A of its middle Haar element, or the k
-    active images of its middle permutation, and is solved as its core
-    (``cosets.sample_core``), a function of A or of the images alone, of
-    dimension alpha + 2mk against the product target at tail size k.  A is
-    drawn from its law at tail size N (``haar._block_normals``), at a cost
-    that does not depend on N, so any N runs.  Unitary samples run as one
-    stack per block of about 4 MB (``_BLOCK_BYTES``: about 175 d^2 bytes per
-    orthogonal and 2 KB plus 480 d^2 per conjugation sample of core dimension
-    d): the QR that turns the block's rows of Gaussians into A
-    (``haar._top_blocks``), its cores (``cosets.sample_core_stack``) and its
+    draws only the leading k x k block A of its middle Haar element, or the
+    core pattern of its middle permutation, and is solved as its core
+    (``cosets.sample_core``), a function of A or of the pattern alone, of
+    dimension alpha + 2mk against the product target at tail size k.  A
+    (``haar._block_normals``) and the pattern are drawn from their laws at
+    tail size N, at a cost that does not depend on N, so any N runs.  Unitary
+    samples run as one stack per block of about 4 MB (``_BLOCK_BYTES``: about
+    175 d^2 bytes per orthogonal and 2 KB plus 480 d^2 per conjugation sample
+    of core dimension d): the QR that turns the block's rows of Gaussians
+    into A (``haar._top_blocks``), its cores (``cosets.sample_core_stack``) and its
     solve (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``),
     each lane's core and estimate exactly the per-sample ``sample_core`` and
     ``dist_conjugacy`` or ``dist_double_coset`` call's on that sample's A.
-    A symmetric sample's images are k distinct values of 1 .. k + N in
-    uniform random order, drawn a chunk at a time (``haar._choice_stack``:
-    Floyd's sampling, then a shuffle); each distinct row of images in a chunk
-    is classified once.
-    A symmetric core is fixed by its pattern, the active images mapped by
-    ``cosets.core_images``, whatever N is; each pattern's membership is
-    tested once per sweep, at its first sample, and reused for every later
-    sample and N with that pattern.  The samples follow tau_tilde; the outer
+    A symmetric sample's pattern, ``cosets.core_images`` of its middle
+    permutation's k active images, is drawn directly from its law
+    (``haar._core_patterns``); each pattern's membership is tested once per
+    sweep, at its first sample, and reused for every later sample and N
+    with that pattern.  The samples follow tau_tilde; the outer
     draws of tau_full leave the core unchanged, so that measure gives the same
     report.  Symmetric hits are exact membership verdicts recorded as 0/1
     distances; unitary distances are witnessed upper bounds for the sample.
@@ -284,21 +278,17 @@ def _sweep_distances(cfg: ExperimentConfig):
     block = max(1, _BLOCK_BYTES // (2048 + 480 * d * d if conj else 175 * d * d))
     solve = dist_conjugacy_stack if conj else dist_double_coset_stack
     stop = {} if conj else {"stop_below": min(cfg.epsilon_list)}
-    verdicts = {}  # symmetric hit verdict per core pattern, for every N
+    verdicts = {}  # distance per symmetric core pattern (0 for a hit), for every N
 
     def sym_distances(fam):
-        out, n = [], fam.spec.copy_size
-        for rows in _sample_rows(cfg.seed, cfg.samples,
-                                 lambda gen, count: _choice_stack(n, cfg.k, gen, count)):
-            dist = {}  # per distinct row of images in the chunk
-            for row in map(tuple, (rows + 1).tolist()):
-                if row not in dist:
-                    key = core_images(row, cfg.k)
-                    if key not in verdicts:
-                        verdicts[key] = sym_membership(sample_core(g_win, h_core, fam0, key),
-                                                       target)
-                    dist[row] = 0.0 if verdicts[key] else 1.0
-                out.append(dist[row])
+        out = []
+        for rows in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _core_patterns(
+                cfg.k, fam.spec.n_tail, gen, count)):
+            keys = list(map(tuple, rows.tolist()))
+            for key in set(keys).difference(verdicts):
+                verdicts[key] = 0.0 if sym_membership(sample_core(g_win, h_core, fam0, key),
+                                                      target) else 1.0
+            out += map(verdicts.__getitem__, keys)
         return out
 
     def unitary_distances(fam):

@@ -527,18 +527,19 @@ def dist_conjugacy(
     distance to r's unitary orbit, bounds the distance below (exactly at
     alpha = 0).  Unless the least start bound is already within 1e-11 of it,
     each start runs the fixed-point iteration W <- blockified polar of
-    x^H W r (which increases Re tr(W^H x^H W r)) with its own best
-    conjugator, until 5 steps (2 x 2 non-corner block: k = 1) or 25 bring it
-    no gain beyond tol, its bound comes within 1e-11 of the lower bound or
-    max_iters steps have run.  A step forms W r once, for its
-    bound ||xW - Wr||, the root of the top eigenvalue of that matrix's Gram
-    matrix (one Hermitian eigensolve), and for the next step's x^H (W r); a
-    2 x 2 non-corner block takes its polar factor in closed
-    form, a larger one the SVD.  The first start with the least bound wins;
-    iterations sums all starts' steps, and converged says whether the winner
-    stopped before max_iters ran out.  When the Sylvester start's ARPACK
-    solve (non-corner size above 34) does not converge, that lane starts from
-    the spectral guess.  This is ``dist_conjugacy_stack`` on a stack of one.
+    x^H W r, which is not monotone (its bound can rise from one step to the
+    next), so each start keeps its own best conjugator, until 5 steps (2 x 2
+    non-corner block: k = 1) or 25 bring it no gain beyond tol, its bound
+    comes within 1e-11 of the lower bound or max_iters steps have run.  A step
+    forms W r once, for its bound ||xW - Wr||, the root of the top eigenvalue
+    of that matrix's Gram matrix (one Hermitian eigensolve), and for the next
+    step's x^H (W r); a 2 x 2 non-corner block takes its polar factor in
+    closed form, a larger one the SVD.  The first start with the least bound
+    wins; iterations sums all starts' steps, and converged says whether the
+    winner stopped before max_iters ran out.  When the Sylvester start's
+    ARPACK solve (non-corner size above 34) does not converge, that lane
+    starts from the spectral guess.  This is ``dist_conjugacy_stack`` on a
+    stack of one.
     Raises ValueError when max_iters is below 1.
     """
     return _lone(dist_conjugacy_stack, x, target, max_iters=max_iters, tol=tol)

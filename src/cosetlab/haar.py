@@ -1,10 +1,11 @@
 """Reproducible Haar-distributed orthogonal/unitary matrices, their leading
-blocks, and uniform permutations.
+blocks, uniform permutations and their core patterns.
 
 ``_block_normals`` and ``_top_blocks`` draw the leading k x k blocks of Haar
-elements of O(k+N) or U(k+N) at a cost that does not depend on N, so any tail
-size runs.  Every sampler takes a RandomStream: a (seed, stream_index) pair
-mapped through numpy's SeedSequence spawn mechanism, so distinct stream
+elements of O(k+N) or U(k+N), and ``_core_patterns`` the core patterns of
+uniform permutations of 1..k+N, at a cost that does not depend on N, so any
+tail size runs.  Every sampler takes a RandomStream: a (seed, stream_index)
+pair mapped through numpy's SeedSequence spawn mechanism, so distinct stream
 indices give independent draws and the same pair is bit-for-bit reproducible.
 
 The sweeps lay their samples out in chunks of ``_CHUNK`` = 256
@@ -128,17 +129,21 @@ def uniform_permutation(n: int, rng) -> PermutationWord:
     return PermutationWord(gen.permutation(n) + 1)
 
 
-def _choice_stack(n: int, k: int, gen: np.random.Generator, count: int) -> np.ndarray:
-    """count uniform draws of k distinct values of range(n) in uniform random
-    order, as a (count, k) int64 array; 1 <= k <= n <= 2^63 - 1.
+def _core_patterns(k: int, N: int, gen: np.random.Generator, count: int) -> np.ndarray:
+    """count symmetric core patterns at tail size N as a (count, k) int64
+    array: in law, ``cosets.core_images`` of k distinct images of 1..k+N in
+    uniform random order, up to the 2^-53 grid of the uniforms, for any N a
+    double holds.
 
-    Floyd's sampling picks each set (Bentley and Floyd, CACM 1987), with one
-    ``gen.integers`` call per step for all count draws: step j = n-k .. n-1
-    draws v uniform on [0, j] and takes v, or j when v is taken already.
-    ``gen.permuted`` then shuffles each row (Fisher-Yates)."""
-    rows = np.empty((count, k), dtype=np.int64)
-    for t, j in enumerate(range(n - k, n)):
-        value = gen.integers(j + 1, size=count)
-        rows[:, t] = np.where((rows[:, :t] == value[:, None]).any(axis=1), j, value)
-    return gen.permuted(rows, axis=1)
-
+    A row reads 2k uniforms u.  Position j, after t tail images, takes the
+    next tail slot k+1+t when u_j.(N+k-j) >= k-j+t, so an image at most k
+    with probability (k-j+t)/(N+k-j), as a uniform image not yet taken would;
+    else its own entry of the row's uniform order argsort(u_k..u_2k-1) + 1."""
+    u = gen.random((count, 2 * k))
+    order = np.argsort(u[:, k:], axis=1) + 1
+    rows, t = np.empty((count, k), dtype=np.int64), np.zeros(count, dtype=np.int64)
+    for j in range(k):
+        tail = u[:, j] * float(N + k - j) >= k - j + t
+        rows[:, j] = np.where(tail, k + 1 + t, order[:, j])
+        t += tail
+    return rows

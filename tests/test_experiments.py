@@ -23,7 +23,7 @@ from cosetlab.geometry import dist_conjugacy, dist_double_coset, sym_membership
 from cosetlab.haar import (
     RandomStream,
     _block_normals,
-    _choice_stack,
+    _core_patterns,
     _top_blocks,
     haar_unitary,
     uniform_permutation,
@@ -180,12 +180,14 @@ class TestExperimentConfig:
             _cfg(**overrides)
 
     @pytest.mark.parametrize("k,g_spec", [(1, "(1 2)"), (2, "(1 3)")])
-    def test_symmetric_copy_size_bound(self, k, g_spec):
-        # the images are drawn as int64: k + N <= 2^63 - 1
-        last = 2**63 - 1 - k
-        assert _cfg(k=k, g_spec=g_spec, N_list=(3, last)).N_list == (3, last)
-        with pytest.raises(ValueError, match=r"k \+ N must be <= 2\^63 - 1"):
-            _cfg(k=k, g_spec=g_spec, N_list=(3, last + 1))
+    def test_symmetric_any_copy_size(self, k, g_spec):
+        # a symmetric sample draws its core pattern, which holds nothing of
+        # size N, so tail sizes beyond 64 bits run
+        for N in (2**63 - 1, 10**30):
+            cfg = _cfg(k=k, g_spec=g_spec, N_list=(3, N), samples=300)
+            assert cfg.N_list == (3, N)
+            rows = run_concentration(cfg).rows
+            assert [r.N for r in rows] == [3, N] and all(r.samples == 300 for r in rows)
         # the unitary draw takes N as a chi-square degree of freedom
         assert _cfg(family="unitary_orthogonal", k=k, N_list=(2**70,)).N_list == (2**70,)
 
@@ -319,8 +321,10 @@ class TestRunConcentration:
         (0, 1, 2, (1, 2, 10**6), "(1 2)", "random_unitary"),
         (2, 2, 2, (2, 9, 10**6), "random_unitary", "random_unitary"),
         (1, 3, 1, (3, 10**12), "random_unitary", "random_unitary"),
-        # copy sizes just above 2^31 and at the int64 bound
-        (1, 3, 1, (2**31 + 5, 2**63 - 4), "random_unitary", "random_unitary"),
+        # tail sizes at the int64 bound and beyond 64 bits
+        (1, 3, 1, (2**63 - 4, 10**30), "random_unitary", "random_unitary"),
+        # patterns whose digits base 2k + 1 would not fit in 64 bits
+        (1, 16, 1, (16, 40), "random_unitary", "random_unitary"),
     ])
     def test_symmetric_report_matches_per_sample_loop(self, alpha, k, m, N_list, g_spec, h_spec):
         self._symmetric_against_loop(alpha, k, m, N_list, g_spec, h_spec, seed=8)
@@ -344,7 +348,7 @@ class TestRunConcentration:
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(alpha, k, N, m))
             dists = [0.0 if sym_membership(sample_core(g, h, fam, _sample_row(
-                cfg.seed, i, lambda gen, count: _choice_stack(k + N, k, gen, count)) + 1), target)
+                cfg.seed, i, lambda gen, count: _core_patterns(k, N, gen, count))), target)
                 else 1.0 for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = dists.count(0.0)
@@ -425,7 +429,7 @@ class TestRunConcentration:
             assert seen == sizes, k
 
     def test_symmetric_sweep_memory_per_sample(self):
-        # the images are drawn a chunk of 256 samples at a time, so a sweep
+        # the patterns are drawn a chunk of 256 samples at a time, so a sweep
         # holds its distances and little else per sample (drawn unchunked,
         # this sweep peaked at about 52 MB)
         samples = 200_000

@@ -1,14 +1,18 @@
 import itertools
+import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.stats import chisquare, ks_2samp
 
 from cosetlab.blockmat import is_unitary, operator_norm
+from cosetlab.cosets import core_images
 from cosetlab.haar import (
     RandomStream,
     _block_normals,
-    _choice_stack,
+    _core_patterns,
     _sample_rows,
     _top_blocks,
     haar_orthogonal,
@@ -283,60 +287,84 @@ class TestSampleRows:
             next(_sample_rows(seed, 1, self._draw))
 
 
-class TestChoiceStack:
-    @pytest.mark.parametrize("n,k", [(5, 2), (4, 3)])
-    def test_ordered_tuples_uniform(self, n, k):
-        # chi-square goodness of fit over all falling(n, k) ordered k-tuples
-        rows = np.concatenate(list(_sample_rows(
-            3, 24_000, lambda gen, count: _choice_stack(n, k, gen, count))))
-        tuples = list(itertools.permutations(range(n), k))
-        counts = {t: 0 for t in tuples}
-        for row in map(tuple, rows.tolist()):
-            counts[row] += 1
-        assert sum(counts.values()) == len(rows)
-        assert chisquare(list(counts.values())).pvalue > 1e-3
+def _pattern_law(k, N):
+    """Every core pattern at tail size N with its exact probability
+    falling(N, t) / falling(N + k, k), t its number of tail images."""
+    law = {}
+    for t in range(min(k, N) + 1):
+        p = Fraction(math.perm(N, t), math.perm(N + k, k))
+        for tails in itertools.combinations(range(k), t):
+            for small in itertools.permutations(range(1, k + 1), k - t):
+                slots, rest = iter(range(k + 1, 2 * k + 1)), iter(small)
+                law[tuple(next(slots) if j in tails else next(rest) for j in range(k))] = p
+    return law
 
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_first_image_uniform_above_2_to_31(self, k):
-        # each image is uniform on range(n); 20 equal bins of the first
-        n = 2**31 + 8
-        rows = _choice_stack(n, k, RandomStream(4, 1).generator(), 20_000)
-        counts = np.bincount(rows[:, 0] * 20 // n, minlength=20)
-        assert chisquare(counts).pvalue > 1e-3
 
-    @pytest.mark.parametrize("n,k", [(1, 1), (3, 3), (10, 4), (2**31 + 8, 3), (10**12 + 3, 3),
-                                     (2**63 - 1, 2)])
-    def test_distinct_images_in_range(self, n, k):
-        rows = _choice_stack(n, k, RandomStream(2, 1).generator(), 500)
+class TestCorePatterns:
+    @pytest.mark.parametrize("k,N", [(1, 1), (1, 3), (2, 2), (2, 5), (3, 3), (3, 4)])
+    def test_law_is_core_images_of_uniform_images(self, k, N):
+        # the enumerated law is that of core_images of k distinct images of
+        # 1..k+N in uniform random order, each ordered k-tuple equally likely
+        tuples = list(itertools.permutations(range(1, k + N + 1), k))
+        want = Counter(core_images(images, k) for images in tuples)
+        law = _pattern_law(k, N)
+        assert sum(law.values()) == 1
+        assert law == {key: Fraction(c, len(tuples)) for key, c in want.items()}
+
+    @pytest.mark.parametrize("k,N,draws", [
+        (1, 1, 200_000), (1, 3, 200_000), (2, 2, 200_000), (2, 5, 200_000),
+        (3, 3, 200_000), (3, 7, 200_000), (4, 6, 200_000),
+        # about 18 draws expected with an image at most k
+        (3, 10**6, 2_000_000)])
+    def test_chi_square_against_exact_law(self, k, N, draws):
+        # rows are counted by their digits base 2k + 1 (k <= 4 here); bins
+        # whose expected count is under 5 are pooled into one
+        gen, base = RandomStream(11, 1).generator(), (2 * k + 1) ** np.arange(k)
+        counts = sum(np.bincount(_core_patterns(k, N, gen, min(250_000, draws - lo)) @ base,
+                                 minlength=(2 * k + 1) ** k) for lo in range(0, draws, 250_000))
+        law = _pattern_law(k, N)
+        obs = counts[[int(np.dot(key, base)) for key in law]]
+        assert obs.sum() == counts.sum() == draws
+        exp = draws * np.array([float(p) for p in law.values()])
+        small = exp < 5
+        if small.any():
+            obs, exp = (np.append(v[~small], v[small].sum()) for v in (obs, exp))
+        assert exp.min() >= 5 and len(exp) >= 2
+        assert chisquare(obs, exp).pvalue > 1e-3
+
+    # tail sizes from N = k, where a row can use every value, to the 31-,
+    # 32- and 63-bit edges and beyond 64 bits, and rows of 300
+    SHAPES = [(1, 1), (1, 3), (2, 2), (3, 7), (5, 5), (3, 2**31 + 5), (1, 2**32),
+              (4, 10**12 + 1), (2, 2**63 - 1), (3, 10**30), (300, 10_000)]
+
+    @pytest.mark.parametrize("k,N", SHAPES)
+    def test_rows_are_core_patterns(self, k, N):
+        # each row maps to itself under core_images: distinct values in
+        # 1..2k, the tail images taking the slots k+1, k+2, ... in order
+        rows = _core_patterns(k, N, RandomStream(2, 1).generator(), 500)
         assert rows.dtype == np.int64 and rows.shape == (500, k)
-        assert rows.min() >= 0 and rows.max() < n
-        assert all(len(set(row)) == k for row in rows.tolist())
-        if n == k:
-            assert {tuple(r) for r in rows.tolist()} <= set(itertools.permutations(range(n)))
+        assert rows.min() >= 1 and rows.max() <= 2 * k
+        for row in map(tuple, rows.tolist()):
+            assert len(set(row)) == k and core_images(row, k) == row
 
     def test_reproducible(self):
-        a = _choice_stack(100, 3, RandomStream(8, 1).generator(), 256)
-        b = _choice_stack(100, 3, RandomStream(8, 1).generator(), 256)
+        a = _core_patterns(3, 100, RandomStream(8, 1).generator(), 256)
+        b = _core_patterns(3, 100, RandomStream(8, 1).generator(), 256)
         np.testing.assert_array_equal(a, b)
 
     SEEDS = [0, 1, 42, 2**32 - 1, 2**64 + 5, 2**128 - 1, 2**128]
-    # copy sizes at the 31-, 32- and 63-bit edges of gen.integers, long rows,
-    # and rows that use every value
-    SHAPES = [(2, 1), (4, 1), (2, 2), (10, 3), (7, 5), (2**31 + 7, 3), (2**32, 1),
-              (2**32 + 3, 3), (10**12 + 1, 4), (2**63 - 1, 2), (10300, 300)]
 
-    @pytest.mark.parametrize("n,k", SHAPES)
+    @pytest.mark.parametrize("k,N", SHAPES)
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("samples", [1, 255, 257, 520])
-    def test_sweep_rows_are_chunk_rows(self, samples, seed, n, k):
-        # the symmetric sweep's images: sample i is row i % 256 of the chunk
-        # drawn from stream 1 + i // 256, k distinct values of range(n)
+    def test_sweep_rows_are_chunk_rows(self, samples, seed, k, N):
+        # the symmetric sweep's patterns: sample i is row i % 256 of the
+        # chunk drawn from stream 1 + i // 256
         rows = np.concatenate(list(_sample_rows(
-            seed, samples, lambda gen, count: _choice_stack(n, k, gen, count))))
+            seed, samples, lambda gen, count: _core_patterns(k, N, gen, count))))
         assert rows.dtype == np.int64 and rows.shape == (samples, k)
-        assert rows.min() >= 0 and rows.max() < n
-        assert all(len(set(row)) == k for row in rows.tolist())
-        want = np.concatenate([_choice_stack(n, k, RandomStream(seed, 1 + c).generator(), 256)
+        assert rows.min() >= 1 and rows.max() <= 2 * k
+        want = np.concatenate([_core_patterns(k, N, RandomStream(seed, 1 + c).generator(), 256)
                                for c in range(-(-samples // 256))])[:samples]
         np.testing.assert_array_equal(rows, want)
 
