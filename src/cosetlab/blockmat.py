@@ -1,13 +1,13 @@
-"""Block-partitioned dense matrices, exact permutations, embeddings and norms.
+"""Block partitions, dense matrices, exact permutations, embeddings and norms.
 
-A square matrix of size alpha + m*(k + n_tail) is sliced into a distinguished
-``corner`` of size alpha followed by m copies, each split into an ``active``
-leading k-block and a ``tail`` of size n_tail.  A permutation matrix is held
-as its image word, so symmetric-group arithmetic stays exact; its dense
-entries are built only when something reads them.
+A family's ``BlockSpec`` slices {1..alpha + m*(k + n_tail)} into a ``corner``
+of size alpha followed by m copies, each split into an ``active`` leading
+k-block and a ``tail`` of size n_tail.  A ``BlockMatrix`` holds its entries
+or, for a permutation matrix, its image word alone, so symmetric-group
+arithmetic stays exact; the entries are built only when something reads them.
 
 Every embedding is one placement: an identity with a small block on the rows
-and columns of given position sets, a word staying a word.  ``embed`` places
+and columns of given position lists, a word staying a word.  ``embed`` places
 the window on the corner and active points, ``embed_k`` a block on each copy,
 and ``build_JN`` is ``embed_k`` of the word swapping active and first k tail.
 """
@@ -70,17 +70,20 @@ class BlockSpec:
 
 
 def tail_sizes(N_list, k: int = 0) -> tuple:
-    """N_list as a tuple of ints, each an integral N >= k (bools and strings
-    are not integers).  Raises ValueError naming the list, or the first N
-    below k."""
+    """N_list as a tuple of ints, each an integral N with k <= N < 2^1023 - 2^969
+    (bools and strings are not integers), the bound under which 2N, the complex
+    draw's largest chi-square degrees of freedom, rounds to a finite double.
+    Raises ValueError naming the list, or the first N out of range."""
     Ns = list(N_list)
     if not all(isinstance(n, numbers.Real) and not isinstance(n, bool)
-               and float(n).is_integer() for n in Ns):
+               and (isinstance(n, numbers.Integral) or float(n).is_integer()) for n in Ns):
         raise ValueError(f"every N must be an integer; got {Ns}")
     for n in Ns:
         if n < k:
             raise ValueError(f"every N must be >= k; got N={n} < k={k}" if k
                              else f"every N must be >= 0; got N={n}")
+        if n >= 2 ** 1023 - 2 ** 969:
+            raise ValueError(f"every N must be < 2^1023 - 2^969; got N={n}")
     return tuple(int(n) for n in Ns)
 
 
@@ -185,19 +188,17 @@ class PermutationWord:
 
 
 class BlockMatrix:
-    """Dense complex square matrix, optionally block-partitioned and/or an exact
-    permutation; ``from_permutation`` stores only the word until ``entries`` is read."""
+    """Dense complex square matrix or exact permutation; ``from_permutation``
+    stores only the word until ``entries`` is read.  The block partition is
+    the family's, not the matrix's."""
 
-    __slots__ = ("_entries", "spec", "exact_permutation")
+    __slots__ = ("_entries", "exact_permutation")
 
-    def __init__(self, entries, spec: BlockSpec | None = None):
+    def __init__(self, entries):
         entries = np.ascontiguousarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if spec is not None and spec.dim != entries.shape[0]:
-            raise ValueError(f"spec dimension {spec.dim} != matrix dimension {entries.shape[0]}")
         self._entries = entries
-        self.spec = spec
         self.exact_permutation = None
 
     @property
@@ -213,27 +214,22 @@ class BlockMatrix:
         return self._entries.shape[0]
 
     @classmethod
-    def identity(cls, dim: int, spec: BlockSpec | None = None) -> "BlockMatrix":
-        return cls.from_permutation(PermutationWord.identity(dim), spec)
+    def identity(cls, dim: int) -> "BlockMatrix":
+        return cls.from_permutation(PermutationWord.identity(dim))
 
     @classmethod
-    def from_permutation(cls, word: PermutationWord, spec: BlockSpec | None = None) -> "BlockMatrix":
-        if spec is not None and spec.dim != word.degree:
-            raise ValueError(f"spec dimension {spec.dim} != permutation degree {word.degree}")
+    def from_permutation(cls, word: PermutationWord) -> "BlockMatrix":
         mat = cls.__new__(cls)
         mat._entries = None
-        mat.spec = spec
         mat.exact_permutation = word
         return mat
 
     def __matmul__(self, other: "BlockMatrix") -> "BlockMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        spec = self.spec or other.spec
         if self.exact_permutation is not None and other.exact_permutation is not None:
-            return BlockMatrix.from_permutation(
-                self.exact_permutation * other.exact_permutation, spec)
-        return BlockMatrix(self.entries @ other.entries, spec)
+            return BlockMatrix.from_permutation(self.exact_permutation * other.exact_permutation)
+        return BlockMatrix(self.entries @ other.entries)
 
     def to_json_dict(self) -> dict:
         """Matrix file format: {"perm": [...]} for exact permutations, else {"dim", "re", "im"}."""
@@ -246,18 +242,18 @@ class BlockMatrix:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, spec: BlockSpec | None = None) -> "BlockMatrix":
+    def from_json_dict(cls, data: dict) -> "BlockMatrix":
         if "perm" in data:
             if not isinstance(data["perm"], list) or any(type(i) is not int for i in data["perm"]):
                 raise ValueError(f"perm must be a list of integers; got {data['perm']!r}")
-            return cls.from_permutation(PermutationWord(data["perm"]), spec)
+            return cls.from_permutation(PermutationWord(data["perm"]))
         re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
         if not (np.isfinite(re).all() and np.isfinite(im).all()):
             raise ValueError("matrix entries must be finite")
         entries = re + 1j * im
         if entries.shape != (data["dim"], data["dim"]):
             raise ValueError("re/im shape does not match dim")
-        return cls(entries, spec)
+        return cls(entries)
 
     def __repr__(self):
         tag = " perm" if self.exact_permutation is not None else ""
@@ -309,10 +305,9 @@ def load_source(source: str, degrees) -> BlockMatrix:
     return mat
 
 
-def _place(u, size: int, n: int, blocks, spec: BlockSpec | None = None) -> BlockMatrix:
+def _place(u, size: int, n: int, blocks) -> BlockMatrix:
     """The identity of size n with the size x size block u on the rows and
-    columns of each position set in ``blocks``: an int s for the run
-    s..s+size-1 (placed by slice assignment), or a list of 0-based positions.
+    columns of each list of size 0-based positions in ``blocks``, in order.
     A PermutationWord u, or an exact-permutation BlockMatrix, stays exact."""
     if isinstance(u, BlockMatrix):
         u = u.exact_permutation if u.exact_permutation is not None else u.entries
@@ -321,23 +316,17 @@ def _place(u, size: int, n: int, blocks, spec: BlockSpec | None = None) -> Block
             raise ValueError(f"expected degree {size}, got {u.degree}")
         im = list(range(1, n + 1))
         for pos in blocks:
-            if isinstance(pos, int):
-                for j, target in enumerate(u.images):
-                    im[pos + j] = pos + target
-            else:
-                for i, target in zip(pos, u.images):
-                    im[i] = pos[target - 1] + 1
-        return BlockMatrix.from_permutation(PermutationWord(im), spec)
+            for i, target in zip(pos, u.images):
+                im[i] = pos[target - 1] + 1
+        return BlockMatrix.from_permutation(PermutationWord(im))
     u = np.asarray(u)
     if u.shape != (size, size):
         raise ValueError(f"expected a {size}x{size} matrix, got {u.shape}")
     out = np.eye(n, dtype=complex)
-    for pos in blocks:
-        if isinstance(pos, int):
-            out[pos:pos + size, pos:pos + size] = u
-        else:
-            out[np.ix_(pos, pos)] = u
-    return BlockMatrix(out, spec)
+    for pos in blocks:  # a unit-step range is sliced, about 5x faster than np.ix_
+        run = isinstance(pos, range) and pos.step == 1
+        out[(slice(pos.start, pos.stop),) * 2 if run else np.ix_(pos, pos)] = u
+    return BlockMatrix(out)
 
 
 def embed(g: BlockMatrix, spec: BlockSpec) -> BlockMatrix:
@@ -349,13 +338,13 @@ def embed(g: BlockMatrix, spec: BlockSpec) -> BlockMatrix:
     window = list(range(spec.alpha))
     for start in range(spec.alpha, spec.dim, spec.copy_size):
         window.extend(range(start, start + spec.k))
-    return _place(g, spec.window, spec.dim, [window], spec)
+    return _place(g, spec.window, spec.dim, [window])
 
 
 def embed_k(u, spec: BlockSpec) -> BlockMatrix:
     """Place m identical diagonal copies of u (size k + n_tail) after an identity corner."""
     w, n = spec.copy_size, spec.dim
-    return _place(u, w, n, range(spec.alpha, n, w), spec)
+    return _place(u, w, n, [range(s, s + w) for s in range(spec.alpha, n, w)])
 
 
 def build_JN(spec: BlockSpec) -> BlockMatrix:

@@ -71,7 +71,7 @@ class CosetTarget:
     family: GroupFamily
 
 
-def circ_infinite(g: BlockMatrix, h: BlockMatrix, alpha: int | None = None) -> BlockMatrix:
+def circ_infinite(g: BlockMatrix, h: BlockMatrix, alpha: int) -> BlockMatrix:
     """Size-stable product of corner groups: (alpha+k1) x (alpha+k2) -> alpha+k1+k2.
 
     g placed on the first alpha+k1 points times h placed on the corner and the
@@ -80,16 +80,13 @@ def circ_infinite(g: BlockMatrix, h: BlockMatrix, alpha: int | None = None) -> B
     give an exact permutation, unitary inputs a unitary.  The active sizes may
     differ.  The conjugation family uses the same product; only the ambient
     equivalence differs, being conjugacy by the corner-fixing subgroup rather
-    than two-sided cosets.  alpha defaults to the spec of g, else of h.
+    than two-sided cosets.  Raises ValueError unless 0 <= alpha <= both sizes.
     """
-    specs = [b.spec for b in (g, h) if b.spec is not None]
-    if alpha is None and not specs:
-        raise ValueError("alpha not given and neither input carries a spec")
-    alpha = int(specs[0].alpha if alpha is None else alpha)
     if not 0 <= alpha <= min(g.dim, h.dim):
         raise ValueError(f"alpha={alpha} must lie in 0..{min(g.dim, h.dim)}")
     n = g.dim + h.dim - alpha
-    return _place(g, g.dim, n, [0]) @ _place(h, h.dim, n, [[*range(alpha), *range(g.dim, n)]])
+    return (_place(g, g.dim, n, [range(g.dim)])
+            @ _place(h, h.dim, n, [[*range(alpha), *range(g.dim, n)]]))
 
 
 def circ_N(g: BlockMatrix, h: BlockMatrix, family: GroupFamily) -> CosetTarget:
@@ -124,7 +121,7 @@ def _draw_k(family: GroupFamily, gen: np.random.Generator) -> BlockMatrix:
 
 
 def _conj_transpose(x: BlockMatrix) -> BlockMatrix:
-    return BlockMatrix(x.entries.conj().T, x.spec)
+    return BlockMatrix(x.entries.conj().T)
 
 
 def _check_embedded(name: str, g: BlockMatrix, family: GroupFamily) -> None:
@@ -268,7 +265,7 @@ def sample_core(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) -> Block
         u_core = PermutationWord([*head, *sorted(set(range(1, 2 * k + 1)) - set(head))])
         g, h = (b if b.dim == core_spec.dim else embed(b, core_spec) for b in (g, h))
         return g @ embed_k(u_core, core_spec) @ h
-    return BlockMatrix(sample_core_stack(g, h, family, _block_a(a, k)[None])[0], core_spec)
+    return BlockMatrix(sample_core_stack(g, h, family, _block_a(a, k)[None])[0])
 
 
 def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, a, family: GroupFamily):
@@ -289,5 +286,5 @@ def lift_core_witnesses(u: BlockMatrix, v: BlockMatrix, a, family: GroupFamily):
     left, right = c_adj.conj().T @ u.entries[block, block], v.entries[block, block]
     if family.kind == "unitary_conjugation":
         right = right @ c_adj
-    return tuple(_place(x, 2 * k, spec.dim, range(spec.alpha, spec.dim, spec.copy_size), spec)
-                 for x in (left, right))
+    copies = [range(s, s + 2 * k) for s in range(spec.alpha, spec.dim, spec.copy_size)]
+    return tuple(_place(x, 2 * k, spec.dim, copies) for x in (left, right))

@@ -294,7 +294,7 @@ def _lone(solve, x: BlockMatrix, target: CosetTarget, **kwargs) -> DistanceEstim
     """The stacked solver solve on x alone, as a DistanceEstimate."""
     bound, iters, converged, *witnesses = (a[0] for a in solve(x.entries[None], target, **kwargs))
     return DistanceEstimate(float(bound), int(iters), bool(converged),
-                            *(BlockMatrix(w, target.family.spec) for w in witnesses))
+                            *(BlockMatrix(w) for w in witnesses))
 
 
 def dist_double_coset(
@@ -664,15 +664,15 @@ def sym_corner_invariant(x, alpha: int) -> np.ndarray:
 # diagnostics
 
 
-def colligation_char_function(g: BlockMatrix, z_grid) -> list[np.ndarray]:
-    """theta(z) = a + b (zI - d)^{-1} c per grid point, for the corner split of g.
+def colligation_char_function(g: BlockMatrix, alpha: int, z_grid) -> list[np.ndarray]:
+    """theta(z) = a + b (zI - d)^{-1} c per grid point, g split after its first alpha points.
 
-    Exactly invariant under conjugation by corner-fixing unitaries.  Grid
-    points within 1e-8 of d's spectrum are rejected.
+    Exactly invariant under conjugation by corner-fixing unitaries.  Raises
+    ValueError unless 0 <= alpha <= g.dim, or for a grid point within 1e-8
+    of d's spectrum.
     """
-    if g.spec is None:
-        raise ValueError("matrix has no block spec")
-    alpha = g.spec.alpha
+    if not 0 <= alpha <= g.dim:
+        raise ValueError(f"alpha={alpha} must lie in 0..{g.dim}")
     a = g.entries[:alpha, :alpha]
     b = g.entries[:alpha, alpha:]
     c = g.entries[alpha:, :alpha]

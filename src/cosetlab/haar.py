@@ -132,8 +132,8 @@ def uniform_permutation(n: int, rng) -> PermutationWord:
 def _core_patterns(k: int, N: int, gen: np.random.Generator, count: int) -> np.ndarray:
     """count symmetric core patterns at tail size N as a (count, k) int64
     array: in law, ``cosets.core_images`` of k distinct images of 1..k+N in
-    uniform random order, up to the 2^-53 grid of the uniforms, for any N a
-    double holds.
+    uniform random order, up to the 2^-53 grid of the uniforms, for any N
+    below 2^1023 - 2^969 (``blockmat.tail_sizes``).
 
     A row reads 2k uniforms u.  Position j, after t tail images, takes the
     next tail slot k+1+t when u_j.(N+k-j) >= k-j+t, so an image at most k

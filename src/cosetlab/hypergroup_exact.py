@@ -109,7 +109,7 @@ def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGE
             i = next((t for t, tgt in enumerate(targets) if sym_membership(x, tgt)), len(reps))
             if i == len(reps):
                 reps.append(x)
-                targets.append(CosetTarget(BlockMatrix.from_permutation(x, spec), family))
+                targets.append(CosetTarget(BlockMatrix.from_permutation(x), family))
                 counts.append(0)
             atom_of[key] = i
         counts[i] += 1
@@ -126,7 +126,8 @@ def concentration_exact(g, h, family: GroupFamily, N_list) -> list[tuple[int, Fr
     u(1..k), so each pattern is classified once, at tail size k: 7 at k=2, 34
     at k=3.  A pattern with t tail images stands for falling(N, t) of the
     falling(N+k, k) equally likely image tuples at tail size N, math.perm
-    products of at most k terms; nothing of size N is built, so any N runs.
+    products of at most k terms; nothing of size N is built.  N must still be
+    below 2^1023 - 2^969, the sweeps' bound (``blockmat.tail_sizes``).
     """
     gw, hw = as_word(g), as_word(h)
     base = family.spec

@@ -131,14 +131,14 @@ def test_criterion_6_conjugation_family():
         h = embed(BlockMatrix(haar_unitary(2, setup)), fam.spec)
         for i in range(cfg.samples):
             gen = RandomStream(cfg.seed, 1 + i).generator()
-            x = BlockMatrix(sample_tau_tilde(g, h, fam, gen).entries, spec=fam.spec)
+            x = sample_tau_tilde(g, h, fam, gen)
             from cosetlab.blockmat import embed_k
 
             z = embed_k(haar_unitary(fam.spec.copy_size, gen), fam.spec)
-            y = BlockMatrix(z.entries @ x.entries @ z.entries.conj().T, spec=fam.spec)
+            y = BlockMatrix(z.entries @ x.entries @ z.entries.conj().T)
             worst_eig = max(worst_eig, eigenvalue_matching_distance(x, y))
-            for a, b in zip(colligation_char_function(x, grid),
-                            colligation_char_function(y, grid)):
+            for a, b in zip(colligation_char_function(x, 1, grid),
+                            colligation_char_function(y, 1, grid)):
                 worst_char = max(worst_char, float(np.abs(a - b).max()))
     elapsed = time.perf_counter() - start
     ok = (fr[64] >= fr[8] - 0.05 and worst_eig <= 1e-9 and worst_char <= 1e-9

@@ -16,6 +16,7 @@ from cosetlab.blockmat import (
     is_unitary,
     load_source,
     operator_norm,
+    tail_sizes,
 )
 from cosetlab.cosets import GroupFamily
 from cosetlab.experiments import ExperimentConfig, run_concentration
@@ -36,6 +37,27 @@ class TestBlockSpec:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             BlockSpec(*bad)
+
+
+class TestTailSizes:
+    @pytest.mark.parametrize("N", [2**1023, 10**400, 2**1023 - 1, 2**1023 - 2**969],
+                             ids=["2^1023", "10^400", "2^1023-1", "2^1023-2^969"])
+    def test_rejects_N_beyond_the_double_range(self, N):
+        with pytest.raises(ValueError, match=rf"< 2\^1023 - 2\^969; got N={N}$"):
+            tail_sizes([3, N], 1)
+
+    def test_accepts_the_largest_double_below_the_bound(self):
+        N = 2**1023 - 2**970
+        assert tail_sizes([N]) == (N,) and float(N) == N
+        assert tail_sizes([float(N)]) == (N,)
+
+    def test_accepts_the_largest_int_below_the_bound(self):
+        # 2N is then just below the midpoint between the largest double and
+        # 2^1024, so it rounds to a finite double; one more and it overflows
+        N = 2**1023 - 2**969 - 1
+        assert tail_sizes([N]) == (N,) and float(2 * N) < float("inf")
+        with pytest.raises(OverflowError):
+            float(2 * (N + 1))
 
 
 class TestPermutationWord:

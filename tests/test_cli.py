@@ -365,6 +365,11 @@ class TestConcentration:
 
 class TestExitCodes:
     SYM = ("--alpha", "1", "--k", "1", "--N", "3")
+    TAIL_SIZE_COMMANDS = [
+        *(("concentration", "--family", family, "--alpha", "1", "--k", "1", "--m", "1",
+           "--epsilon", "0.4", "--samples", "3", "--seed", "1") for family in FAMILY_KINDS),
+        ("block-decay", "--k", "1", "--samples", "30", "--seed", "1"),
+    ]
     CONC = ("concentration", "--family", "symmetric", "--alpha", "1", "--k", "1", "--m", "2",
             "--epsilon", "0.4", "--seed", "1", "--h", "(1 3)")
 
@@ -486,6 +491,23 @@ class TestExitCodes:
                                "--samples", "30", "--seed", "1")
         assert code == 0
         assert out.splitlines()[1].startswith("100000,")
+
+    @pytest.mark.parametrize("N", [2**1023, 10**400, 2**1023 - 1, 2**1023 - 2**969],
+                             ids=["2^1023", "10^400", "2^1023-1", "2^1023-2^969"])
+    @pytest.mark.parametrize("argv", TAIL_SIZE_COMMANDS, ids=[*FAMILY_KINDS, "block-decay"])
+    def test_tail_beyond_the_double_range_is_config_error(self, capsys, argv, N):
+        # 2N chi-square degrees of freedom overflow a double from N = 2^1023 - 2^969
+        code, out, err = run_cli(capsys, *argv, "--N", str(N))
+        assert code == 1 and out == ""
+        assert err == f"error: every N must be < 2^1023 - 2^969; got N={N}\n"
+
+    @pytest.mark.parametrize("N", [2**1023 - 2**970, 2**1023 - 2**969 - 1],
+                             ids=["largest-double", "largest-int"])
+    @pytest.mark.parametrize("argv", TAIL_SIZE_COMMANDS, ids=[*FAMILY_KINDS, "block-decay"])
+    def test_runs_up_to_the_bound(self, capsys, argv, N):
+        code, out, err = run_cli(capsys, *argv, "--N", str(N))
+        assert code == 0 and err == ""
+        assert str(N) in out.splitlines()[1].split(",")
 
     @pytest.mark.parametrize("argv", [
         ("sample", "--kind", "permutation", "--dim", "3", "--seed", "1"),

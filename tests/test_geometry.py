@@ -314,7 +314,7 @@ class TestDistConjugacyStack:
         for name in ("_spectral_match_init", "_min_singular_init"):
             assert np.array_equal(seen[name], xs)
         assert _same_lanes(stacked, _as_lanes([
-            dist_conjugacy(BlockMatrix(x, target.family.spec), target) for x in xs]))
+            dist_conjugacy(BlockMatrix(x), target) for x in xs]))
         bound, iters, converged = stacked[:3]
         assert (bound[::2] < 1e-11).all() and (iters[::2] == 0).all() and converged[::2].all()
         assert (bound[1::2] > 1e-3).all() and (iters[1::2] > 3).all()
@@ -375,7 +375,7 @@ class TestDistConjugacyStack:
         assert np.array_equal(left[0], W)
         assert op <= _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)[0]
         assert _same_lanes((bound[1:], iters[1:], converged[1:], left[1:], right[1:]), _as_lanes(
-            [dist_conjugacy(BlockMatrix(xs[1], fam.spec), target, max_iters=40)]))
+            [dist_conjugacy(BlockMatrix(xs[1]), target, max_iters=40)]))
 
     def test_rejects_bad_stacks(self):
         cores, target = self._cores(8, 2)
@@ -616,7 +616,7 @@ class TestDistDoubleCosetStack:
     def test_direct_call_is_a_stack_of_one(self):
         xs, target = self._cores(1, 1, 1, samples=4)
         for x in xs:
-            est = dist_double_coset(BlockMatrix(x, target.family.spec), target, stop_below=0.3)
+            est = dist_double_coset(BlockMatrix(x), target, stop_below=0.3)
             assert _same_estimate(est, _reference_double_coset(x, target, stop_below=0.3))
 
     @pytest.mark.parametrize("alpha,k,m", [(1, 1, 2), (0, 2, 1), (2, 2, 1)])
@@ -628,7 +628,7 @@ class TestDistDoubleCosetStack:
         first = dist_double_coset_stack(xs, target, stop_below=stop_below)
         assert _same_lanes(first, dist_double_coset_stack(xs, target, stop_below=stop_below))
         assert _same_lanes(first, _as_lanes([dist_double_coset(
-            BlockMatrix(x, target.family.spec), target, stop_below=stop_below) for x in xs]))
+            BlockMatrix(x), target, stop_below=stop_below) for x in xs]))
 
     def test_empty_stack(self):
         xs, target = self._cores(1, 1, 1, samples=2)
@@ -721,7 +721,7 @@ class TestCoreAgainstFullSolver:
             x = G @ X @ H
             core = sample_core(g, h, fam, x_w[:1, :1])
             if conj:
-                x = BlockMatrix(x.entries @ X.entries.conj().T, fam.spec)
+                x = BlockMatrix(x.entries @ X.entries.conj().T)
                 yield dist_conjugacy(x, full_target), dist_conjugacy(core, core_target)
             else:
                 yield (dist_double_coset(x, full_target, stop_below=self.EPS),
@@ -896,36 +896,37 @@ class TestSymCornerInvariant:
 
 class TestColligationCharFunction:
     def test_identity_is_constant_one(self):
-        g = BlockMatrix(np.eye(3), spec=BlockSpec(1, 2, 0, 1))
-        vals = colligation_char_function(g, [2.0, 2j, -3.0])
+        g = BlockMatrix(np.eye(3))
+        vals = colligation_char_function(g, 1, [2.0, 2j, -3.0])
         for v in vals:
             assert v.shape == (1, 1)
             np.testing.assert_allclose(v, [[1.0]], atol=1e-12)
 
     def test_swap_half_value(self):
-        g = BlockMatrix(SWAP.entries.astype(complex), spec=BlockSpec(1, 1, 0, 1))
-        (val,) = colligation_char_function(g, [2.0])
+        g = BlockMatrix(SWAP.entries.astype(complex))
+        (val,) = colligation_char_function(g, 1, [2.0])
         np.testing.assert_allclose(val, [[0.5]], atol=1e-14)
 
     def test_conjugation_invariance_on_circle(self):
         spec = BlockSpec(1, 1, 8, 1)
         gen = RandomStream(91, 0).generator()
-        x = BlockMatrix(haar_unitary(spec.dim, gen), spec=spec)
+        x = BlockMatrix(haar_unitary(spec.dim, gen))
         u = embed_k(haar_unitary(9, gen), spec)
-        y = BlockMatrix(u.entries @ x.entries @ u.entries.conj().T, spec=spec)
+        y = BlockMatrix(u.entries @ x.entries @ u.entries.conj().T)
         grid = [2 * np.exp(2j * np.pi * t / 16) for t in range(16)]
-        for a, b in zip(colligation_char_function(x, grid),
-                        colligation_char_function(y, grid)):
+        for a, b in zip(colligation_char_function(x, spec.alpha, grid),
+                        colligation_char_function(y, spec.alpha, grid)):
             np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_pole_rejected(self):
-        g = BlockMatrix(np.eye(3), spec=BlockSpec(1, 2, 0, 1))
+        g = BlockMatrix(np.eye(3))
         with pytest.raises(ValueError):
-            colligation_char_function(g, [1.0])
+            colligation_char_function(g, 1, [1.0])
 
-    def test_spec_required(self):
-        with pytest.raises(ValueError):
-            colligation_char_function(BlockMatrix(np.eye(3)), [2.0])
+    def test_alpha_out_of_range(self):
+        for alpha in (-1, 4):
+            with pytest.raises(ValueError, match="alpha"):
+                colligation_char_function(BlockMatrix(np.eye(3)), alpha, [2.0])
 
 
 class TestEigenvalueMatchingDistance:

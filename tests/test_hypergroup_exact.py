@@ -32,7 +32,7 @@ def _prob_of_coset(dist, rep):
     """Probability of the atom of dist whose coset contains rep (0 if none does)."""
     for atom_rep, p in dist.atoms:
         if sym_membership(rep, CosetTarget(
-                BlockMatrix.from_permutation(atom_rep, dist.family.spec), dist.family)):
+                BlockMatrix.from_permutation(atom_rep), dist.family)):
             return p
     return Fraction(0)
 
@@ -52,7 +52,7 @@ def _brute_convolution(g, h, family):
                 break
         else:
             reps.append(x)
-            targets.append(CosetTarget(BlockMatrix.from_permutation(x, spec), family))
+            targets.append(CosetTarget(BlockMatrix.from_permutation(x), family))
             counts.append(1)
     atoms = tuple((rep, Fraction(c, len(draws))) for rep, c in zip(reps, counts))
     return ExactDistribution(atoms, family).to_json_dict()
@@ -199,13 +199,13 @@ class TestExactConvolution:
             pairs = [(window(), window())]
             if spec.copy_size < 6:
                 pairs.append(tuple(BlockMatrix.from_permutation(
-                    uniform_permutation(spec.dim, gen), spec) for _ in range(2)))
+                    uniform_permutation(spec.dim, gen)) for _ in range(2)))
             if N >= 2:
                 start = alpha + int(gen.integers(m)) * spec.copy_size + k
                 a, b = (int(p) + start + 1 for p in gen.choice(N, 2, replace=False))
                 swap = PermutationWord.from_cycles(spec.dim, [(a, b)])
                 pairs.append((window(), BlockMatrix.from_permutation(
-                    window().exact_permutation * swap, spec)))
+                    window().exact_permutation * swap)))
             for g, h in pairs:
                 assert exact_convolution(g, h, fam).to_json_dict() == \
                     _brute_convolution(g, h, fam), (N, g, h)
