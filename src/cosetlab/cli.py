@@ -24,7 +24,7 @@ from .experiments import (
 )
 from .geometry import sym_membership
 from .haar import RandomStream, haar_orthogonal, haar_unitary, uniform_permutation
-from .hypergroup_exact import ENUMERATION_BUDGET, exact_convolution
+from .hypergroup_exact import ENUMERATION_BUDGET, _check_budget, exact_convolution
 
 __all__ = ["main"]
 
@@ -85,6 +85,7 @@ def _cmd_membership(args) -> int:
 def _cmd_exact_sym(args) -> int:
     spec = BlockSpec(args.alpha, args.k, args.N, args.m)
     fam = GroupFamily("symmetric", spec)
+    _check_budget(spec, args.budget)  # before g and h are built at full size
 
     def load(src):
         elem = load_source(src, (spec.window, spec.dim))

@@ -4,12 +4,13 @@ Unitary_orthogonal targets get an alternating two-sided Procrustes minimizer
 whose alignment steps respect the diagonal-copy block structure; symmetric
 targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (identity, spectral match,
-structured minimal singular vector), each refined on its own by a fixed-point
-iteration.  Both unitary solvers run on a stack of samples at once
+structured minimal singular vector), refined in lockstep by a fixed-point
+iteration until each stalls or trails its sample's leader too far to catch
+it.  Both unitary solvers run on a stack of samples at once
 (``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which return one
 array per estimate field; the per-sample ``dist_double_coset`` and
 ``dist_conjugacy`` are stacks of one), with numpy's stacked linalg and matmul,
-and each lane's result is the one it would get alone.  Both solvers take a
+and each sample's result is the one it would get alone.  Both solvers take a
 2 x 2 polar factor (every k = 1 core's Procrustes step, Gram start or
 conjugation step) in closed form, a larger one by SVD; the conjugation steps
 take their norm from one stacked Hermitian eigensolve, so at k = 1 they make
@@ -330,7 +331,7 @@ def dist_double_coset(
 #
 # These functions take stacks of cores (leading axis: lanes).  numpy's stacked
 # linalg and matmul solve each lane with the same LAPACK/BLAS call as a lone
-# matrix, so a lane's result does not depend on the rest of its stack.
+# matrix, so a sample's lanes do not depend on other samples' lanes.
 
 # A lane whose best bound is within this of its sample's lower bound (the
 # Bhatia-Davis eigenvalue matching gap) has closed its bracket and leaves the stack.
@@ -338,6 +339,9 @@ _CONJ_EXACT = 1e-11
 # Flat fixed-point steps after which a lane leaves the stack, converged: on a
 # 2 x 2 non-corner block (k = 1) no later step lowered a bound in sweep scans;
 # larger blocks keep 25, as a stall of 20 lost a late gain of 0.038 at k = 3.
+# The same length L is the window of the pace rule: from step L on, a lane
+# retires when, at its mean gain over its last L steps, it would need more
+# than max_iters steps to reach its sample's leader bound.
 _CONJ_STALL, _CONJ_STALL_WIDE = 5, 25
 
 
@@ -449,12 +453,15 @@ def dist_conjugacy_stack(
 
     Every sample gets one lane per start, so one fixed-point run covers 3S
     lanes.  Each lane has its own best conjugator, stall counter and
-    iteration count, and leaves the stack when it stalls or its bound comes
-    within 1e-11 of its sample's lower bound, so the stack shrinks as it runs;
-    a sample whose least start bound is already that close takes no step.  A
-    sample's result does not depend on the rest of the stack: each sample gets
-    the estimate ``dist_conjugacy`` gives for it alone, bit for bit, in the
-    arrays of ``dist_double_coset_stack`` with complex witnesses W, W^H.
+    iteration count, and leaves the stack when it stalls, when its bound
+    comes within 1e-11 of its sample's lower bound, or when it trails its
+    sample's leader bound (the least best bound of the sample's lanes so far)
+    by more than max_iters steps at its mean gain over the last stall-length
+    steps, so the stack shrinks as it runs; a sample whose least start bound
+    is already within 1e-11 takes no step.  A sample's lanes thus depend on
+    each other, but not on the rest of the stack: each sample gets the
+    estimate ``dist_conjugacy`` gives for it alone, bit for bit, in the arrays
+    of ``dist_double_coset_stack`` with complex witnesses W, W^H.
     Memory is O(S d^2) for the lanes plus a few Sylvester maps, O(d^2 (1 + w^2))
     each with w = d - alpha, or 512 KiB chunks of them: callers bound S.
     """
@@ -473,7 +480,7 @@ def dist_conjugacy_stack(
     owner = np.tile(np.arange(samples), 3)
     W = np.concatenate([np.broadcast_to(np.eye(len(r), dtype=complex), x.shape),
                         spectral, _min_singular_init(x, r, alpha, spectral)])
-    lanes, xl, lower = np.arange(len(owner)), x[owner], gap[owner]
+    lanes, own, xl, lower = np.arange(len(owner)), owner, x[owner], gap[owner]
     xh = xl.conj().swapaxes(-1, -2)
     stall_len = _CONJ_STALL if len(r) - alpha == 2 else _CONJ_STALL_WIDE
     # ||x - W r W^H|| = ||xW - Wr|| for unitary W; W r also gives the next step
@@ -481,8 +488,13 @@ def dist_conjugacy_stack(
     best, best_W = _op_norm(xl @ W - Wr), W.copy()
     op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
     converged, stall = np.zeros(len(lanes), dtype=bool), np.zeros(len(lanes), dtype=int)
+    # each sample's leader bound, and each lane's best bound of the last stall_len
+    # steps (slot t % stall_len holds step t's; inf before step 0 retires no lane)
+    lead = best.reshape(3, samples).min(axis=0)
+    past = np.full((stall_len, len(lanes)), np.inf)
+    past[0] = best
     # before step 1, a sample whose least start bound closes its bracket retires every lane
-    stop = (best.reshape(3, samples).min(axis=0) - gap < _CONJ_EXACT)[owner]
+    stop = (lead - gap < _CONJ_EXACT)[owner]
     for t in range(max_iters + 1):
         if t:
             # W keeps its identity corner and zero off-corner blocks, so the step
@@ -493,13 +505,18 @@ def dist_conjugacy_stack(
             better = op < best - tol
             best, stall = np.where(better, op, best), np.where(better, 0, stall + 1)
             np.copyto(best_W, W, where=better[:, None, None])
-            stop = (best - lower < _CONJ_EXACT) | (stall >= stall_len)
+            np.minimum.at(lead, own, best)
+            pace = max_iters * (past[t % stall_len] - best) / stall_len
+            past[t % stall_len] = best
+            stop = ((best - lower < _CONJ_EXACT) | (stall >= stall_len)
+                    | (best - lead[own] > pace))
         if stop.any():
             done = lanes[stop]
             op_out[done], W_out[done], iters[done], converged[done] = (
                 best[stop], best_W[stop], t, True)
-            lanes, W, Wr, xl, xh, lower, best, best_W, stall = (
-                a[~stop] for a in (lanes, W, Wr, xl, xh, lower, best, best_W, stall))
+            lanes, own, W, Wr, xl, xh, lower, best, best_W, stall = (
+                a[~stop] for a in (lanes, own, W, Wr, xl, xh, lower, best, best_W, stall))
+            past = past[:, ~stop]
         if not len(lanes):
             break
     op_out[lanes], W_out[lanes] = best, best_W
@@ -520,7 +537,7 @@ def dist_conjugacy(
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
     Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w) and
-    refines three starts independently: the identity, the spectral match of
+    refines three starts in lockstep: the identity, the spectral match of
     eigenvalues around the circle, and the smallest singular vector of the
     structured Sylvester map with its copy block projected to the nearest
     unitary.  The matching's largest eigenvalue gap, by Bhatia and Davis the
@@ -528,9 +545,13 @@ def dist_conjugacy(
     alpha = 0).  Unless the least start bound is already within 1e-11 of it,
     each start runs the fixed-point iteration W <- blockified polar of
     x^H W r, which is not monotone (its bound can rise from one step to the
-    next), so each start keeps its own best conjugator, until 5 steps (2 x 2
-    non-corner block: k = 1) or 25 bring it no gain beyond tol, its bound
-    comes within 1e-11 of the lower bound or max_iters steps have run.  A step
+    next), so each start keeps its own best conjugator, until L = 5 steps
+    (2 x 2 non-corner block: k = 1) or L = 25 bring it no gain beyond tol,
+    its bound comes within 1e-11 of the lower bound or max_iters steps have
+    run.  From step L on, a start whose best bound b trails the least best
+    bound l of the three starts so far also stops, converged, when
+    b - l > max_iters (b_{t-L} - b) / L: at its mean gain over its last L
+    steps it would need more than max_iters steps to reach l.  A step
     forms W r once, for its bound ||xW - Wr||, the root of the top eigenvalue
     of that matrix's Gram matrix (one Hermitian eigensolve), and for the next
     step's x^H (W r); a 2 x 2 non-corner block takes its polar factor in

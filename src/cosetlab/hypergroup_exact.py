@@ -56,11 +56,16 @@ class ExactDistribution:
 
 
 def _check_budget(spec, budget):
-    w = spec.copy_size
-    if math.factorial(w) > budget:
-        raise ValueError(
-            f"enumeration budget exceeded: (k + n_tail)! = {w}! = {math.factorial(w)} "
-            f"> {budget}; shrink k + n_tail or raise the budget")
+    """ValueError unless (k + n_tail)! <= budget; the product stops once past
+    the budget, so a huge tail costs no more than a small one."""
+    w, draws = spec.copy_size, 1
+    for j in range(2, w + 1):
+        draws *= j
+        if draws > budget:
+            shown = f" = {draws}" if j == w else ""
+            raise ValueError(
+                f"enumeration budget exceeded: (k + n_tail)! = {w}!{shown} "
+                f"> {budget}; shrink k + n_tail or raise the budget")
 
 
 def _fixed_labels(word: PermutationWord, spec) -> set:

@@ -200,6 +200,20 @@ class TestExactSym:
         assert code == 1
         assert "budget" in err
 
+    @pytest.mark.parametrize("N,factorial", [
+        (7, "8! = 40320"), (10**6, "1000001!"), (10**20, "100000000000000000001!")])
+    def test_large_tail_is_budget_error(self, capsys, N, factorial):
+        # the budget is checked before g and h are built at full size, by a
+        # product that stops once past it, so w! is printed only when the
+        # product reached it (10^20 overflowed ssize_t, and 10^6 built words
+        # of size 2.10^6, then failed to print (10^6 + 1)!)
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "exact-sym", "--alpha", "1", "--k", "1",
+                                 "--N", str(N), "--g", "identity", "--h", "identity")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (1, "")
+        assert err == (f"error: enumeration budget exceeded: (k + n_tail)! = {factorial} > 5040; "
+                       "shrink k + n_tail or raise the budget\n")
 
     @pytest.mark.parametrize("shape", [("2", "1", "6", "3"), ("1", "2", "5", "2")])
     def test_budget_edge_window_pair(self, capsys, shape):
