@@ -206,7 +206,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--g", dest="g_spec", metavar="G", help="matrix source for g")
     p.add_argument("--h", dest="h_spec", metavar="H")
     p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--tol", type=float)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
@@ -222,8 +221,9 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError and bad inputs found while running
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # runtime failures: I/O, numerical, interrupts
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # runtime failures: I/O, memory, numerical
+        # MemoryError() and some others carry no text: name the type instead
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -82,7 +82,6 @@ class ExperimentConfig:
     g_spec: str = "random_unitary"
     h_spec: str = "random_unitary"
     max_iters: int = 200
-    tol: float = 1e-12
 
     def __post_init__(self):
         for name in ("g_spec", "h_spec"):
@@ -115,11 +114,6 @@ class ExperimentConfig:
             raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0; got {self.seed}")
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise ValueError(f"tol must be a number; got {self.tol!r}")
-        object.__setattr__(self, "tol", float(self.tol))
-        if not (math.isfinite(self.tol) and self.tol >= 0):
-            raise ValueError(f"tol must be finite and >= 0; got {self.tol}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
@@ -296,7 +290,7 @@ def _sweep_distances(cfg: ExperimentConfig):
         for z in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _block_normals(
                 cfg.k, fam.spec.n_tail, gen, conj, count), block):
             cores = sample_core_stack(g_win, h_core, fam, _top_blocks(z, conj))
-            out.append(solve(cores, target, max_iters=cfg.max_iters, tol=cfg.tol, **stop)[0])
+            out.append(solve(cores, target, max_iters=cfg.max_iters, **stop)[0])
         return np.concatenate(out)
 
     for N in cfg.N_list:

@@ -66,10 +66,34 @@ def verify_estimate(est: DistanceEstimate, x: BlockMatrix, target: CosetTarget) 
     return operator_norm(x.entries - aligned)
 
 
+# A solver step that gains less than this gains nothing: an orthogonal run
+# stops at such a step (of its Frobenius residual), and a conjugation step must
+# gain more than this to beat its lane's best bound.
+_NO_GAIN = 1e-12
+
+
+def _check_stack(xs, target: CosetTarget, kind: str, max_iters: int):
+    """The (S, d, d) sample stack xs and target's d x d representative, as arrays;
+    raises ValueError unless target's family is kind, xs fits the representative
+    and max_iters is at least 1."""
+    if target.family.kind != kind:
+        raise ValueError(f"this distance needs the {kind} family, got {target.family.kind!r}")
+    r = target.representative.entries
+    x = np.asarray(xs)
+    if x.ndim != 3 or x.shape[1:] != r.shape:
+        raise ValueError("dimension mismatch between sample and target")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1; got {max_iters}")
+    return x, r
+
+
 # ---------------------------------------------------------------------------
 # alternating minimization for two-sided cosets
 
 
+# An orthogonal run also stops once a step lowers its Frobenius residual f by
+# less than this fraction of f.
+_REL_GAIN = 1e-3
 # Entry signs that turn M[..., ::-1, ::-1].conj() into adj(M)^H for 2 x 2 M.
 _ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # Entry and tr(P) range in which det M's products neither overflow nor fall to subnormals.
@@ -154,7 +178,7 @@ class _CopyLayout:
         return M
 
 
-def _alternate_stack(x, r, layout, v0, max_iters, tol, rel_tol, stop_below):
+def _alternate_stack(x, r, layout, v0, max_iters, stop_below):
     """One run of the alternating Frobenius descent over real orthogonal (u, v)
     per lane of x, from the lane's start v0.
 
@@ -185,7 +209,7 @@ def _alternate_stack(x, r, layout, v0, max_iters, tol, rel_tol, stop_below):
         stop = below
         if f_prev is not None:
             gain = f_prev - f
-            stop = below | (gain < tol) | (gain < rel_tol * np.maximum(f, 1e-300))
+            stop = below | (gain < _NO_GAIN) | (gain < _REL_GAIN * np.maximum(f, 1e-300))
         n_stop = np.count_nonzero(stop)
         if n_stop:
             done = lanes[stop]
@@ -252,8 +276,6 @@ def dist_double_coset_stack(
     xs,
     target: CosetTarget,
     max_iters: int = 200,
-    tol: float = 1e-12,
-    rel_tol: float = 1e-3,
     stop_below: float | None = None,
 ) -> tuple:
     """``dist_double_coset`` for each of an (S, d, d) stack of unitary_orthogonal
@@ -264,20 +286,11 @@ def dist_double_coset_stack(
     order: bounds (S,) float, iterations (S,) int, converged (S,) bool and the
     real witness stacks L, R (S, d, d), with bound i = ||x_i - L_i r R_i||.
     Memory is O(S d^2): callers bound S."""
-    fam = target.family
-    if fam.kind != "unitary_orthogonal":
-        raise ValueError(f"two-sided coset distance needs the unitary_orthogonal family, "
-                         f"got {fam.kind!r}")
-    r = target.representative.entries
-    x = np.asarray(xs)
-    if x.ndim != 3 or x.shape[1:] != r.shape:
-        raise ValueError("dimension mismatch between sample and target")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1; got {max_iters}")
+    x, r = _check_stack(xs, target, "unitary_orthogonal", max_iters)
     if not len(x):
         return (np.zeros(0), np.zeros(0, int), np.zeros(0, bool), *np.zeros((2,) + x.shape))
-    layout = _CopyLayout(fam.spec)
-    args = (max_iters, tol, rel_tol, stop_below)
+    layout = _CopyLayout(target.family.spec)
+    args = (max_iters, stop_below)
     best = _alternate_stack(x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), *args)
     above = np.arange(len(x)) if stop_below is None else np.flatnonzero(best[0] > stop_below)
     for start in _gram_starts(x[above], r, layout) if len(above) else []:
@@ -302,8 +315,6 @@ def dist_double_coset(
     x: BlockMatrix,
     target: CosetTarget,
     max_iters: int = 200,
-    tol: float = 1e-12,
-    rel_tol: float = 1e-3,
     stop_below: float | None = None,
 ) -> DistanceEstimate:
     """Witnessed upper bound on the operator-norm distance from x to K.r.K,
@@ -316,14 +327,14 @@ def dist_double_coset(
     move with x under K and give the coset's (u, v) on it; the first run with the
     least bound wins.  This is ``dist_double_coset_stack`` on a stack of one.
 
-    tol/rel_tol stop a run once the Frobenius residual's absolute/relative
-    improvement falls below them, stop_below once its bound is that small (then
-    the Gram starts run only if the identity's bound is above it).  Raises
+    A run stops once a step lowers its Frobenius residual by less than
+    ``_NO_GAIN`` (1e-12) or than ``_REL_GAIN`` (1e-3) of it, or, with
+    stop_below, once its bound is that small (then the Gram starts run only if
+    the identity's bound is above it).  Raises
     ValueError for any other family (the symmetric family's view is exact
     membership, ``sym_membership``) and when max_iters is below 1.
     """
-    return _lone(dist_double_coset_stack, x, target, max_iters=max_iters, tol=tol,
-                 rel_tol=rel_tol, stop_below=stop_below)
+    return _lone(dist_double_coset_stack, x, target, max_iters=max_iters, stop_below=stop_below)
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +458,6 @@ def dist_conjugacy_stack(
     xs,
     target: CosetTarget,
     max_iters: int = 200,
-    tol: float = 1e-12,
 ) -> tuple:
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
@@ -465,16 +475,8 @@ def dist_conjugacy_stack(
     Memory is O(S d^2) for the lanes plus a few Sylvester maps, O(d^2 (1 + w^2))
     each with w = d - alpha, or 512 KiB chunks of them: callers bound S.
     """
-    fam = target.family
-    if fam.kind != "unitary_conjugation":
-        raise ValueError(f"conjugation distance needs the conjugation family, got {fam.kind!r}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1; got {max_iters}")
-    r = target.representative.entries
-    x = np.asarray(xs)
-    if x.ndim != 3 or x.shape[1:] != r.shape:
-        raise ValueError("dimension mismatch between sample and target")
-    alpha, samples = fam.spec.alpha, len(x)
+    x, r = _check_stack(xs, target, "unitary_conjugation", max_iters)
+    alpha, samples = target.family.spec.alpha, len(x)
     spectral, gap = _spectral_match_init(x, r, alpha)
     # lanes in (3, S) start order: each sample's identity, spectral match, Sylvester vector
     owner = np.tile(np.arange(samples), 3)
@@ -502,7 +504,7 @@ def dist_conjugacy_stack(
             W[..., alpha:, alpha:] = _polar((xh @ Wr)[..., alpha:, alpha:])
             Wr = W @ r
             op = _op_norm(xl @ W - Wr)
-            better = op < best - tol
+            better = op < best - _NO_GAIN
             best, stall = np.where(better, op, best), np.where(better, 0, stall + 1)
             np.copyto(best_W, W, where=better[:, None, None])
             np.minimum.at(lead, own, best)
@@ -532,7 +534,6 @@ def dist_conjugacy(
     x: BlockMatrix,
     target: CosetTarget,
     max_iters: int = 200,
-    tol: float = 1e-12,
 ) -> DistanceEstimate:
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
@@ -546,7 +547,7 @@ def dist_conjugacy(
     each start runs the fixed-point iteration W <- blockified polar of
     x^H W r, which is not monotone (its bound can rise from one step to the
     next), so each start keeps its own best conjugator, until L = 5 steps
-    (2 x 2 non-corner block: k = 1) or L = 25 bring it no gain beyond tol,
+    (2 x 2 non-corner block: k = 1) or L = 25 gain it at most ``_NO_GAIN``,
     its bound comes within 1e-11 of the lower bound or max_iters steps have
     run.  From step L on, a start whose best bound b trails the least best
     bound l of the three starts so far also stops, converged, when
@@ -561,9 +562,9 @@ def dist_conjugacy(
     ARPACK solve (non-corner size above 34) does not converge, that lane
     starts from the spectral guess.  This is ``dist_conjugacy_stack`` on a
     stack of one.
-    Raises ValueError when max_iters is below 1.
+    Raises ValueError for any other family and when max_iters is below 1.
     """
-    return _lone(dist_conjugacy_stack, x, target, max_iters=max_iters, tol=tol)
+    return _lone(dist_conjugacy_stack, x, target, max_iters=max_iters)
 
 
 # ---------------------------------------------------------------------------

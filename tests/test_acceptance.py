@@ -193,8 +193,7 @@ def test_criterion_7_algebraic_identities():
                     if not sym_membership(A, CosetTarget(B, fam2)):
                         sym_assoc_ok = False
                 else:
-                    est = dist_double_coset(A, CosetTarget(B, fam2), rel_tol=0.0,
-                                            max_iters=4000, tol=1e-15)
+                    est = dist_double_coset(A, CosetTarget(B, fam2), max_iters=4000)
                     worst_assoc = max(worst_assoc, est.upper_bound)
     ok = unitary_ok and corner_ok and sym_assoc_ok and worst_assoc <= 1e-6
     _verdict(7, "product unitarity, corner multiplicativity, and coset-level associativity",

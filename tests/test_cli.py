@@ -325,22 +325,24 @@ class TestConcentration:
         assert "cfg.json" in err and "JSON object" in err
 
     @pytest.mark.parametrize("flag", [("--threads", "2"), ("--measure", "tau_full"),
-                                      ("--restarts", "5")])
+                                      ("--restarts", "5"), ("--tol", "1e-12")])
     def test_removed_flags_are_unknown(self, capsys, flag):
         code, _, err = run_cli(capsys, *self.ARGS, "--seed", "6", *flag)
         assert code == 1
         assert "unrecognized arguments" in err
 
-    def test_config_with_removed_restarts_field(self, capsys, tmp_path):
-        # the orthogonal solver's starts are computed from the sample, so a
-        # config that still sets a restart count is stale
+    @pytest.mark.parametrize("field,value", [("restarts", 10), ("tol", 1e-12)])
+    def test_config_with_removed_field(self, capsys, tmp_path, field, value):
+        # the orthogonal solver's starts are computed from the sample and its
+        # stop thresholds are constants, so a config that still sets a restart
+        # count or a tolerance is stale
         data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],
-                "epsilon_list": [0.4], "samples": 2, "seed": 1, "restarts": 10}
+                "epsilon_list": [0.4], "samples": 2, "seed": 1, field: value}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
         code, out, err = run_cli(capsys, "concentration", "--config", str(path))
         assert code == 1 and not out
-        assert "unknown config fields: ['restarts']" in err
+        assert f"unknown config fields: ['{field}']" in err
 
     def test_flags_are_the_config_fields(self):
         # apart from where the config comes from and where the report goes,
@@ -459,7 +461,6 @@ class TestExitCodes:
         ({"N_list": "64"}, ()),
         ({}, ("--epsilon", "nan")),
         ({"g_spec": 5}, ()),
-        ({"tol": True}, ()),
     ])
     def test_wrongly_typed_config_value_is_config_error(self, capsys, tmp_path, config, flags):
         data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],
@@ -533,6 +534,16 @@ class TestExitCodes:
         assert code == 2
         assert f"cannot write to {path}" in err
 
+    def test_runtime_error_without_text_names_its_type(self, capsys, monkeypatch):
+        # MemoryError() has no message; "error: " alone would say nothing
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr("cosetlab.cli.sym_membership", out_of_memory)
+        code, out, err = run_cli(capsys, "membership", "--alpha", "1", "--k", "1", "--N", "3",
+                                 "--x", "(1 4)", "--target", "(1 3)")
+        assert (code, out, err) == (2, "", "error: MemoryError\n")
+
     def test_exact_sym_window_matrix_file(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(json.dumps({"perm": [2, 1]}))
@@ -553,6 +564,11 @@ class TestTopLevel:
         for line in lines:
             code, _, err = run_cli(capsys, *shlex.split(line)[1:])
             assert code == 0, (line, err)
+
+    def test_readme_config_fields_are_the_config_fields(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        listed = readme.split("the inline flags (`", 1)[1].split("`)", 1)[0]
+        assert listed.replace(",", " ").split() == list(ExperimentConfig.__dataclass_fields__)
 
     def test_parser_is_built_once_and_keeps_no_state(self, capsys):
         # the cached parser must not carry one call's append lists into the next

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 from dataclasses import replace
 
@@ -158,6 +159,27 @@ class TestDistConjugacy:
         with pytest.raises(ValueError, match="max_iters"):
             dist_conjugacy(target.representative, target, max_iters=max_iters)
 
+    @pytest.mark.parametrize("kind", ["unitary_orthogonal", "symmetric"])
+    def test_other_family_rejected(self, kind):
+        target, _ = self._target()
+        other = CosetTarget(target.representative, replace(target.family, kind=kind))
+        named = f"unitary_conjugation family, got '{kind}'"
+        with pytest.raises(ValueError, match=named):
+            dist_conjugacy(target.representative, other)
+        with pytest.raises(ValueError, match=named):
+            dist_conjugacy_stack(target.representative.entries[None], other)
+
+
+@pytest.mark.parametrize("solver,keywords", [
+    (dist_double_coset, ["max_iters", "stop_below"]),
+    (dist_double_coset_stack, ["max_iters", "stop_below"]),
+    (dist_conjugacy, ["max_iters"]),
+    (dist_conjugacy_stack, ["max_iters"]),
+])
+def test_solver_keywords(solver, keywords):
+    # the stop thresholds are module constants, not options
+    assert list(inspect.signature(solver).parameters)[2:] == keywords
+
 
 def _reference_bound(x, W, Wr):
     """||x - W r W^H|| as the solver forms it: ||xW - Wr||, from the top
@@ -171,8 +193,8 @@ class _ReferenceLane:
     bound, best conjugator, stall counter and best bound after each step.  It
     follows the solver's arithmetic: the next step from x^H (Wr)."""
 
-    def __init__(self, x, r, alpha, W, tol):
-        self.x, self.r, self.alpha, self.tol = x, r, alpha, tol
+    def __init__(self, x, r, alpha, W):
+        self.x, self.r, self.alpha = x, r, alpha
         self.Wr = W @ r
         self.best, self.best_W, self.stall = _reference_bound(x, W, self.Wr), W, 0
         self.history = [self.best]
@@ -181,7 +203,7 @@ class _ReferenceLane:
         W = geometry._blockify_unitary(self.x.conj().T @ self.Wr, self.alpha)
         self.Wr = W @ self.r
         op = _reference_bound(self.x, W, self.Wr)
-        if op < self.best - self.tol:
+        if op < self.best - 1e-12:
             self.best, self.best_W, self.stall = op, W, 0
         else:
             self.stall += 1
@@ -192,12 +214,12 @@ def _stall_len(x, alpha):
     return 5 if len(x) - alpha == 2 else 25
 
 
-def _reference_run(x, r, alpha, W, max_iters=200, tol=1e-12):
+def _reference_run(x, r, alpha, W, max_iters=200):
     """One start run alone, with no sibling to trail and no lower bound:
     (best bound, iterations, converged, best conjugator).  It stops after 5
     flat steps on a 2 x 2 non-corner block, 25 on a larger one, or at a best
     bound below 1e-11."""
-    lane = _ReferenceLane(x, r, alpha, W, tol)
+    lane = _ReferenceLane(x, r, alpha, W)
     for t in range(1, max_iters + 1):
         lane.step()
         if lane.best < 1e-11 or lane.stall >= _stall_len(x, alpha):
@@ -205,7 +227,7 @@ def _reference_run(x, r, alpha, W, max_iters=200, tol=1e-12):
     return lane.best, max_iters, False, lane.best_W
 
 
-def _reference_conjugacy(x, r, alpha, inits, max_iters=200, tol=1e-12):
+def _reference_conjugacy(x, r, alpha, inits, max_iters=200):
     """A sample's starts run in lockstep and the first with the least bound,
     with the iterations of all runs: the reference the stacked solver must
     match bit for bit.  When the least start bound already meets the sample's
@@ -216,7 +238,7 @@ def _reference_conjugacy(x, r, alpha, inits, max_iters=200, tol=1e-12):
     leader bound (the least best bound of its lanes so far) by more than
     max_iters times its mean gain per step since step t - L."""
     lower, stall_len = eigenvalue_matching_distance(x, r), _stall_len(x, alpha)
-    lanes = [_ReferenceLane(x, r, alpha, W, tol) for W in inits]
+    lanes = [_ReferenceLane(x, r, alpha, W) for W in inits]
     lead = min(lane.best for lane in lanes)
     if lead - lower < 1e-11:
         runs = [(lane.best, 0, True, W) for lane, W in zip(lanes, inits)]
@@ -440,6 +462,8 @@ class TestDistConjugacyStack:
         cores, target = self._cores(8, 2)
         with pytest.raises(ValueError, match="dimension"):
             dist_conjugacy_stack(cores[0].entries, target)
+        with pytest.raises(ValueError, match="dimension"):
+            dist_conjugacy_stack(np.stack([c.entries[:2, :2] for c in cores]), target)
         with pytest.raises(ValueError, match="max_iters"):
             dist_conjugacy_stack(np.stack([c.entries for c in cores]), target, max_iters=0)
 
@@ -598,8 +622,7 @@ class TestConjugationKernels:
         assert np.array_equal(got < geometry._CONJ_EXACT, np.full(20, ratio < 1))
 
 
-def _reference_procrustes_run(x, target, v, max_iters=200, tol=1e-12, rel_tol=1e-3,
-                              stop_below=None):
+def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
     """One per-sample run of the alternation from the start v: (bound, u, v,
     iterations, converged)."""
     layout = geometry._CopyLayout(target.family.spec)
@@ -620,7 +643,7 @@ def _reference_procrustes_run(x, target, v, max_iters=200, tol=1e-12, rel_tol=1e
             break
         if f_prev is not None:
             gain = f_prev - f
-            if gain < tol or gain < rel_tol * max(f, 1e-300):
+            if gain < 1e-12 or gain < 1e-3 * max(f, 1e-300):
                 converged = True
                 break
         f_prev = f
@@ -754,8 +777,7 @@ class TestGramStartsMoveWithK:
             assert np.array_equal(verdicts[0], verdicts[1]), eps
         for start_x, start_y in zip(geometry._gram_starts(xs, r, layout),
                                     geometry._gram_starts(ys, r, layout)):
-            bound_x, bound_y = (geometry._alternate_stack(z, r, layout, start, 200, 1e-12,
-                                                          1e-3, None)[0]
+            bound_x, bound_y = (geometry._alternate_stack(z, r, layout, start, 200, None)[0]
                                 for z, start in ((xs, start_x), (ys, start_y)))
             assert np.abs(bound_x - bound_y).max() <= 1e-12
 
