@@ -51,7 +51,7 @@ CSV_COLUMNS = (
 )
 
 # Bytes per stacked solver call; a block holds as many samples as fit.  Per
-# sample of core dimension d, tracemalloc (max_iters=2) reads 97-210 d^2 bytes
+# sample of core dimension d, tracemalloc (max_iters=2) reads 93-165 d^2 bytes
 # for the Procrustes solver, draw and core included (d = 3..17; the low end when
 # most lanes stop at the identity start), counted as 175 d^2, and 370-490 d^2
 # for the conjugation solver's three lanes (d = 3..9), counted as 2 KB + 480 d^2.

@@ -12,10 +12,11 @@ array per estimate field; the per-sample ``dist_double_coset`` and
 ``dist_conjugacy`` are stacks of one), with numpy's stacked linalg and matmul,
 and each sample's result is the one it would get alone.  Both solvers take a
 2 x 2 polar factor (every k = 1 core's Procrustes step, Gram start or
-conjugation step) in closed form, a larger one by SVD; the conjugation steps
-take their norm from one stacked Hermitian eigensolve, so at k = 1 they make
-no SVD.  Every estimate carries explicit witnesses, so the reported bound can
-be re-verified by direct evaluation.
+conjugation step) in closed form, a larger one by SVD; both take their
+operator norms from one stacked Hermitian eigensolve, and the Gram starts'
+sign search takes a 2 x 2 nuclear norm in closed form, so at k = 1 neither
+solver makes an SVD.  Every estimate carries explicit witnesses, so the
+reported bound can be re-verified by direct evaluation.
 
 scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
 """
@@ -140,9 +141,26 @@ def _polar(M: np.ndarray) -> np.ndarray:
     return U
 
 
+def _op_norm(A: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix of a stack, sqrt(lambda_max(A^H A)), by one
+    stacked Hermitian eigensolve."""
+    top = np.linalg.eigvalsh(A.conj().swapaxes(-1, -2) @ A)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+def _nuclear_norm(M: np.ndarray) -> np.ndarray:
+    """Sum of the singular values of each square matrix of a stack.  A 2 x 2 M
+    takes sqrt(||M||_F^2 + 2 |det M|), as (s1 + s2)^2 = s1^2 + s2^2 + 2 s1 s2;
+    the form is exactly the same for M and -M.  Larger M take the SVD."""
+    if M.shape[-1] != 2:
+        return np.linalg.svd(M, compute_uv=False).sum(axis=-1)
+    det = M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
+    return np.sqrt((M * M).sum(axis=(-2, -1)) + 2.0 * np.abs(det))
+
+
 class _CopyLayout:
     """Slices and stacked products for the m diagonal copies of one spec; each
-    method also takes stacks (leading axes) of x, u and v against one r."""
+    method also takes stacks (leading axes) of x, u, v and r."""
 
     def __init__(self, spec):
         self.alpha = spec.alpha
@@ -184,8 +202,9 @@ def _alternate_stack(x, r, layout, v0, max_iters, stop_below):
 
     The Frobenius residual is tracked through the trace identity
     ||x - UrV||_F^2 = 2 dim - 2 Re tr(x^H U r V), which is free given the
-    V-step target matrix; the operator norm is evaluated once at the end.  A
-    lane leaves the stack when it stops, so the stack shrinks as it runs.
+    V-step target matrix; the operator norm is evaluated once at the end, by
+    one stacked Hermitian eigensolve (``_op_norm``).  A lane leaves the stack
+    when it stops, so the stack shrinks as it runs.
     Returns per-lane (operator norm, u, v, iterations, converged).
     """
     lanes_total, dim = x.shape[0], x.shape[-1]
@@ -223,7 +242,7 @@ def _alternate_stack(x, r, layout, v0, max_iters, stop_below):
     else:
         u_out[lanes], v_out[lanes] = u, v
     a = x - layout.apply_right(layout.apply_left(r, u_out), v_out)
-    return np.linalg.norm(a, 2, axis=(1, 2)), u_out, v_out, iters, converged
+    return _op_norm(a), u_out, v_out, iters, converged
 
 
 def _gram_basis(x, layout):
@@ -241,10 +260,11 @@ def _gram_basis(x, layout):
 
 
 def _gram_start(x, r, layout):
-    """Each lane's v-side start v = Q_r S Q_x^T: on the coset x = U r V the Grams
-    obey M_x = v^T M_r v, so S = I gives v back.  Two passes of single sign flips
-    follow, each kept when Re tr(x^H U r V) rises at the second U-step (U, V, U);
-    read at the first, it kept the wrong component of O(2) on some k = 1 cores."""
+    """Each lane's v-side start v = Q_r S Q_x^T against the lane's r (one per
+    lane, stacked like x): on the coset x = U r V the Grams obey M_x = v^T M_r v,
+    so S = I gives v back.  Two passes of single sign flips follow, each kept
+    when Re tr(x^H U r V) rises at the second U-step (U, V, U); read at the
+    first, it kept the wrong component of O(2) on some k = 1 cores."""
     basis_x, basis_r = _gram_basis(x, layout).swapaxes(-1, -2), _gram_basis(r, layout)
     xc = x[..., :layout.alpha, :].conj()
 
@@ -254,7 +274,7 @@ def _gram_start(x, r, layout):
         u = _polar(layout.row_gram(x, layout.apply_right(r, v)))
         rV = layout.apply_right(r, _polar(layout.col_gram(layout.apply_left(r, u), x)))
         corner = (xc * rV[..., :layout.alpha, :]).reshape(len(x), -1).sum(axis=-1).real
-        return corner + np.linalg.svd(layout.row_gram(x, rV), compute_uv=False).sum(axis=-1)
+        return corner + _nuclear_norm(layout.row_gram(x, rV))
 
     signs = np.ones((len(x), layout.w))
     f = score(signs)
@@ -267,9 +287,14 @@ def _gram_start(x, r, layout):
 
 
 def _gram_starts(x, r, layout):
-    """Each lane's v-side and u-side Gram starts (the transpose's v side, then a V-step)."""
-    u = _gram_start(x.swapaxes(-1, -2), r.T, layout).swapaxes(-1, -2)
-    return [_gram_start(x, r, layout), _polar(layout.col_gram(layout.apply_left(r, u), x))]
+    """Each lane's v-side and u-side Gram starts, searched as one stack of 2n
+    lanes: the v side of (x, r), then of (x^T, r^T), whose start is the lane's
+    u, turned into a v start by a V-step."""
+    n = len(x)
+    v = _gram_start(np.concatenate([x, x.swapaxes(-1, -2)]),
+                    np.repeat(np.stack([r, r.T]), n, axis=0), layout)
+    u = v[n:].swapaxes(-1, -2)
+    return [v[:n], _polar(layout.col_gram(layout.apply_left(r, u), x))]
 
 
 def dist_double_coset_stack(
@@ -280,7 +305,10 @@ def dist_double_coset_stack(
 ) -> tuple:
     """``dist_double_coset`` for each of an (S, d, d) stack of unitary_orthogonal
     samples, bit for bit: all lanes run from the identity, then those above
-    stop_below (all, without it) from each Gram start, one stack per start.
+    stop_below (all, without it) from both Gram starts, searched and refined
+    as one stack of two lanes per sample, over chunks of at most ceil(S/3)
+    samples, so from S = 2 on the pair never runs more lanes than the
+    identity run.
 
     Returns the lanes' estimates as arrays in ``DistanceEstimate`` field
     order: bounds (S,) float, iterations (S,) int, converged (S,) bool and the
@@ -293,12 +321,17 @@ def dist_double_coset_stack(
     args = (max_iters, stop_below)
     best = _alternate_stack(x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), *args)
     above = np.arange(len(x)) if stop_below is None else np.flatnonzero(best[0] > stop_below)
-    for start in _gram_starts(x[above], r, layout) if len(above) else []:
-        run = _alternate_stack(x[above], r, layout, start, *args)
-        wins = run[0] < best[0][above]  # the first least bound wins
-        for kept, part in zip(best, run):
-            kept[above[wins]] = part[wins]
-        del run  # free its lanes before the next start runs
+    chunk = -(-len(x) // 3)
+    for i in range(0, len(above), chunk):
+        lanes = above[i:i + chunk]
+        xl = x[lanes]
+        run = _alternate_stack(np.concatenate([xl, xl]), r, layout,
+                               np.concatenate(_gram_starts(xl, r, layout)), *args)
+        # the v-side start's wins before the u-side's: the first least bound wins
+        for start in (slice(None, len(lanes)), slice(len(lanes), None)):
+            wins = run[0][start] < best[0][lanes]
+            for kept, part in zip(best, run):
+                kept[lanes[wins]] = part[start][wins]
     bound, u, v, iters, converged = best
     eye = np.eye(len(r))  # the witnesses are u and v acting on the identity
     return bound, iters, converged, layout.apply_left(eye, u), layout.apply_right(eye, v)
@@ -324,8 +357,11 @@ def dist_double_coset(
     shared copy block u maximizes tr(u^T M) for the stacked real part M of the
     row cross-Gram, solved by the orthogonal polar factor; symmetrically for
     V.  Runs from the identity and from two Gram starts (``_gram_starts``) that
-    move with x under K and give the coset's (u, v) on it; the first run with the
-    least bound wins.  This is ``dist_double_coset_stack`` on a stack of one.
+    move with x under K and give the coset's (u, v) on it, the two starts
+    searched and refined as one stack; the first run with the least bound
+    wins (identity, then v-side, then u-side start).  A run's bound is the
+    root of the top eigenvalue of its residual's Gram matrix.  This is
+    ``dist_double_coset_stack`` on a stack of one.
 
     A run stops once a step lowers its Frobenius residual by less than
     ``_NO_GAIN`` (1e-12) or than ``_REL_GAIN`` (1e-3) of it, or, with
@@ -354,13 +390,6 @@ _CONJ_EXACT = 1e-11
 # retires when, at its mean gain over its last L steps, it would need more
 # than max_iters steps to reach its sample's leader bound.
 _CONJ_STALL, _CONJ_STALL_WIDE = 5, 25
-
-
-def _op_norm(A: np.ndarray) -> np.ndarray:
-    """Operator norm of each matrix of a stack, sqrt(lambda_max(A^H A)), by one
-    stacked Hermitian eigensolve."""
-    top = np.linalg.eigvalsh(A.conj().swapaxes(-1, -2) @ A)[..., -1]
-    return np.sqrt(np.maximum(top, 0.0))
 
 
 def _blockify_unitary(M: np.ndarray, alpha: int) -> np.ndarray:

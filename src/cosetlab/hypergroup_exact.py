@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .blockmat import BlockMatrix, PermutationWord, as_word, embed_k, tail_sizes
+from .blockmat import BlockMatrix, PermutationWord, as_word, tail_sizes
 from .cosets import CosetTarget, GroupFamily, circ_N, core_images, sample_core
 from .geometry import sym_membership
 
@@ -96,9 +96,15 @@ def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGE
     gw, hw = as_word(g), as_word(h)
     if gw.degree != spec.dim or hw.degree != spec.dim:
         raise ValueError(f"g and h must have degree {spec.dim}")
-    w = spec.copy_size
+    w, alpha = spec.copy_size, spec.alpha
     fixed_g, fixed_h = _fixed_labels(gw, spec), _fixed_labels(hw, spec)
     keyed = [j for j in range(w) if j + 1 not in fixed_h]
+    # x = g.diag(u).h on images: x(p) = g(diag(u)(h(p))), and diag(u) fixes the
+    # corner and sends point base + 1 + j of a copy to point base + u(j + 1);
+    # h(p) is kept as (base, j), or as (h(p), None) in the corner
+    gi = gw.images
+    h_at = [(q, None) if q <= alpha else (q - 1 - (q - alpha - 1) % w, (q - alpha - 1) % w)
+            for q in hw.images]
 
     reps: list[PermutationWord] = []
     targets: list[CosetTarget] = []
@@ -110,7 +116,8 @@ def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGE
         key = tuple(0 if images[j] in fixed_g else images[j] for j in keyed)
         i = atom_of.get(key)
         if i is None:
-            x = gw * embed_k(PermutationWord(images), spec).exact_permutation * hw
+            x = PermutationWord([gi[b - 1] if j is None else gi[b + images[j] - 1]
+                                 for b, j in h_at])
             i = next((t for t, tgt in enumerate(targets) if sym_membership(x, tgt)), len(reps))
             if i == len(reps):
                 reps.append(x)

@@ -449,14 +449,16 @@ class TestRunConcentration:
             tracemalloc.stop()
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
-    @pytest.mark.parametrize("family,k,samples", [
-        ("unitary_conjugation", 1, 2000), ("unitary_conjugation", 2, 400),
-        ("unitary_orthogonal", 1, 3000), ("unitary_orthogonal", 2, 1200),
-        ("unitary_orthogonal", 4, 600)])
-    def test_full_block_stays_near_budget(self, family, k, samples):
-        # more samples than one block holds (658 and 298; 2663, 958 and 295),
-        # so the first block is full
-        kwargs = dict(family=family, k=k, N_list=(8,), epsilon_list=(0.4,), seed=3,
+    @pytest.mark.parametrize("family,k,samples,eps", [
+        ("unitary_conjugation", 1, 2000, 0.4), ("unitary_conjugation", 2, 400, 0.4),
+        ("unitary_orthogonal", 1, 3000, 0.4), ("unitary_orthogonal", 2, 1200, 0.4),
+        ("unitary_orthogonal", 4, 600, 0.4),
+        # every lane, or (k=8) nearly every lane, runs the Gram starts
+        ("unitary_orthogonal", 1, 3000, 1e-9), ("unitary_orthogonal", 8, 200, 0.4)])
+    def test_full_block_stays_near_budget(self, family, k, samples, eps):
+        # more samples than one block holds (658 and 298; 2663, 958, 295 and
+        # 82), so the first block is full
+        kwargs = dict(family=family, k=k, N_list=(8,), epsilon_list=(eps,), seed=3,
                       g_spec="random_unitary", h_spec="random_unitary", max_iters=2)
         # a first sweep pays numpy's lazy imports (np.median loads numpy.ma,
         # about 1.7 MB) outside the trace, so the peak is the block's whichever

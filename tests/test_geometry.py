@@ -512,8 +512,8 @@ def _reference_sylvester_start(x, r, alpha):
 
 
 class TestConjugationKernels:
-    """The solvers' closed-form 2 x 2 polar factor and the conjugation step's
-    eigensolve norm against SVD oracles."""
+    """The solvers' closed-form 2 x 2 polar factor and nuclear norm, and their
+    eigensolve norm, against SVD oracles."""
 
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
@@ -621,6 +621,35 @@ class TestConjugationKernels:
         assert np.array_equal(got < geometry._CONJ_EXACT, want < geometry._CONJ_EXACT)
         assert np.array_equal(got < geometry._CONJ_EXACT, np.full(20, ratio < 1))
 
+    @pytest.mark.parametrize("alpha,k,m", [(1, 1, 1), (0, 1, 2), (2, 2, 1), (1, 3, 2)])
+    def test_norm_equals_operator_norm_on_residuals(self, alpha, k, m):
+        # the orthogonal solver's residuals x - U r V, a lane on the target
+        # (a residual of about 1e-15) among them
+        xs, target = TestDistDoubleCosetStack()._cores(alpha, k, m, samples=30)
+        _, _, _, left, right = dist_double_coset_stack(xs, target)
+        A = xs - left @ target.representative.entries @ right
+        np.testing.assert_allclose(geometry._op_norm(A), [operator_norm(a) for a in A],
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("kind", ["random", "rank_one", "zero"])
+    def test_nuclear_norm_2x2_equals_svd_sum(self, kind):
+        rng = np.random.default_rng(30)
+        M = rng.standard_normal((2000, 2, 2)) * np.logspace(-8, 8, 2000)[:, None, None]
+        if kind == "rank_one":
+            M = M[..., :1] * rng.standard_normal((2000, 1, 2))
+        elif kind == "zero":
+            M = np.zeros((3, 2, 2))
+        got = geometry._nuclear_norm(M)
+        np.testing.assert_allclose(
+            got, np.linalg.svd(M, compute_uv=False).sum(axis=-1), rtol=1e-15, atol=0)
+        # the same bits for M and -M, so a sign tie scores as a tie
+        assert np.array_equal(geometry._nuclear_norm(-M), got)
+
+    def test_larger_nuclear_norms_take_the_svd(self):
+        M = np.random.default_rng(31).standard_normal((50, 3, 3))
+        assert np.array_equal(geometry._nuclear_norm(M),
+                              np.linalg.svd(M, compute_uv=False).sum(axis=-1))
+
 
 def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
     """One per-sample run of the alternation from the start v: (bound, u, v,
@@ -647,7 +676,7 @@ def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
                 converged = True
                 break
         f_prev = f
-    op = operator_norm(x - layout.apply_right(layout.apply_left(r, u), v))
+    op = geometry._op_norm(x - layout.apply_right(layout.apply_left(r, u), v))
     return op, u, v, iters, converged
 
 
@@ -732,6 +761,48 @@ class TestDistDoubleCosetStack:
         with pytest.raises(ValueError, match="max_iters"):
             dist_double_coset_stack(xs, target, max_iters=0)
 
+    @pytest.mark.parametrize("alpha,k,m", [(1, 1, 1), (0, 2, 2), (2, 3, 1)])
+    @pytest.mark.parametrize("stop", [False, True], ids=["no_stop", "stop_below"])
+    def test_chunked_gram_phase_equals_lone_calls(self, alpha, k, m, stop, monkeypatch):
+        # 13 samples: the Gram phase runs in chunks of at most ceil(13/3) = 5
+        # samples, two lanes each, and every lane is its lone call; with the
+        # median identity bound as stop_below, 6 or 7 samples run it
+        xs, target = self._cores(alpha, k, m, samples=12)
+        eye = np.eye(target.family.spec.copy_size)
+        stop_below = float(np.median([_reference_procrustes_run(x, target, eye)[0]
+                                      for x in xs])) if stop else None
+        runs, alternate = [], geometry._alternate_stack
+
+        def alternate_stack(x, *args):
+            runs.append(len(x))
+            return alternate(x, *args)
+
+        monkeypatch.setattr(geometry, "_alternate_stack", alternate_stack)
+        stacked = dist_double_coset_stack(xs, target, stop_below=stop_below)
+        assert runs[0] == 13 and len(runs) >= 3 and max(runs[1:]) <= 10
+        monkeypatch.setattr(geometry, "_alternate_stack", alternate)
+        assert _same_lanes(stacked, _as_lanes([dist_double_coset(
+            BlockMatrix(x), target, stop_below=stop_below) for x in xs]))
+
+    def test_tied_starts_keep_the_first(self, monkeypatch):
+        # at alpha = 0, k = 1 the starts v and -v run to (-u, -v) and (u, v),
+        # the same bounds bit for bit; the stacked pair keeps the first, as
+        # the reference's one-start-after-another loop does
+        xs, target = self._cores(0, 1, 1, samples=12)
+        gram_starts = geometry._gram_starts
+
+        def tied(x, r, layout):
+            v = gram_starts(x, r, layout)[0]
+            return [v, -v]
+
+        monkeypatch.setattr(geometry, "_gram_starts", tied)
+        stacked = dist_double_coset_stack(xs, target)
+        reference = _as_lanes([_reference_double_coset(x, target) for x in xs])
+        assert _same_lanes(stacked, reference)
+        eye = np.eye(target.family.spec.copy_size)
+        identity = [_reference_procrustes_run(x, target, eye)[0] for x in xs]
+        assert np.count_nonzero(stacked[0] < identity) >= 3
+
     def test_run_concentration_matches_reference(self, monkeypatch):
         # the sweep's report, in its own blocks and in blocks of 7, against one
         # whose samples are each solved by the reference loop
@@ -746,6 +817,26 @@ class TestDistDoubleCosetStack:
 
         monkeypatch.setattr(experiments, "dist_double_coset_stack", reference)
         assert run_concentration(cfg).with_zeroed_runtime() == stacked
+
+
+class TestGramStartsStack:
+    """The v-side and u-side sign searches, run as one stack of 2n lanes,
+    against two separate searches of n lanes each."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_stacked_search_equals_two_searches(self, alpha, k, m):
+        xs, target = TestDistDoubleCosetStack()._cores(alpha, k, m, samples=8)
+        r, n = target.representative.entries, len(xs)
+        layout = geometry._CopyLayout(target.family.spec)
+        v = geometry._gram_start(xs, np.repeat(r[None], n, axis=0), layout)
+        u = geometry._gram_start(np.ascontiguousarray(xs.swapaxes(-1, -2)),
+                                 np.repeat(r.T[None], n, axis=0), layout).swapaxes(-1, -2)
+        want = [v, geometry._polar(layout.col_gram(layout.apply_left(r, u), xs))]
+        got = geometry._gram_starts(xs, r, layout)
+        assert len(got) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 class TestGramStartsMoveWithK:
