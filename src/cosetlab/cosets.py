@@ -205,8 +205,9 @@ def sample_core_stack(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) ->
     draw blocks, as the (S, d, d) stack of the cores' entries, bit for bit.
 
     The frames, the products Y^*(g - I)Y and the products with h run as
-    stacks.  Raises ValueError for the symmetric family, for a stack of
-    another shape, and when any lane has operator norm above 1 + 1e-10.
+    stacks; each copy's frame is written into Y by slice.  Raises ValueError
+    for the symmetric family, for a stack of another shape, and when any lane
+    has operator norm above 1 + 1e-10.
     """
     spec = family.spec
     alpha, k = spec.alpha, spec.k
@@ -219,7 +220,10 @@ def sample_core_stack(g: BlockMatrix, h: BlockMatrix, family: GroupFamily, a) ->
     core_spec = family.with_n_tail(k).spec
     y = np.zeros((len(a), spec.window, core_spec.dim), dtype=complex)
     y[:, :alpha, :alpha] = np.eye(alpha)
-    y[:, alpha:, alpha:] = np.kron(np.eye(spec.m), _frame(a))
+    frame = _frame(a)
+    for i in range(spec.m):  # copy i's k rows and 2k columns hold the frame
+        row, col = alpha + i * k, alpha + 2 * i * k
+        y[:, row:row + k, col:col + 2 * k] = frame
     left = np.eye(core_spec.dim) + y.conj().swapaxes(-1, -2) @ (
         g.entries - np.eye(spec.window)) @ y
     return left @ (h if h.dim == core_spec.dim else embed(h, core_spec)).entries

@@ -53,8 +53,9 @@ CSV_COLUMNS = (
 # Bytes per stacked solver call; a block holds as many samples as fit.  Per
 # sample of core dimension d, tracemalloc (max_iters=2) reads 93-165 d^2 bytes
 # for the Procrustes solver, draw and core included (d = 3..17; the low end when
-# most lanes stop at the identity start), counted as 175 d^2, and 370-490 d^2
-# for the conjugation solver's three lanes (d = 3..9), counted as 2 KB + 480 d^2.
+# most lanes stop at the identity start), counted as 175 d^2, and 2 KB plus
+# 235-419 d^2 for the conjugation solver's three lanes (d = 3..9; a full block
+# peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2.
 # Dense Sylvester maps are built a chunk of at most 512 KiB (or one lane) at a
 # time (``geometry._SYLVESTER_BYTES``) and A holds O(k^2) numbers
 # (``haar._block_normals``), so nothing here grows with the block or with N.

@@ -500,9 +500,11 @@ def dist_conjugacy_stack(
     is already within 1e-11 takes no step.  A sample's lanes thus depend on
     each other, but not on the rest of the stack: each sample gets the
     estimate ``dist_conjugacy`` gives for it alone, bit for bit, in the arrays
-    of ``dist_double_coset_stack`` with complex witnesses W, W^H.
-    Memory is O(S d^2) for the lanes plus a few Sylvester maps, O(d^2 (1 + w^2))
-    each with w = d - alpha, or 512 KiB chunks of them: callers bound S.
+    of ``dist_double_coset_stack`` with complex witnesses W, W^H.  W r is
+    one product over all lanes; each lane's rows of it are those of its own
+    W r.  Memory is O(S d^2) for the lanes (each holds W, Z = x^H (W r), x^H
+    and its best W) plus a few Sylvester maps, O(d^2 (1 + w^2)) each with
+    w = d - alpha, or 512 KiB chunks of them: callers bound S.
     """
     x, r = _check_stack(xs, target, "unitary_conjugation", max_iters)
     alpha, samples = target.family.spec.alpha, len(x)
@@ -511,12 +513,18 @@ def dist_conjugacy_stack(
     owner = np.tile(np.arange(samples), 3)
     W = np.concatenate([np.broadcast_to(np.eye(len(r), dtype=complex), x.shape),
                         spectral, _min_singular_init(x, r, alpha, spectral)])
-    lanes, own, xl, lower = np.arange(len(owner)), owner, x[owner], gap[owner]
-    xh = xl.conj().swapaxes(-1, -2)
+    lanes, own, lower = np.arange(len(owner)), owner, gap[owner]
+    xh = x[owner].conj().swapaxes(-1, -2)
     stall_len = _CONJ_STALL if len(r) - alpha == 2 else _CONJ_STALL_WIDE
-    # ||x - W r W^H|| = ||xW - Wr|| for unitary W; W r also gives the next step
-    Wr = W @ r
-    best, best_W = _op_norm(xl @ W - Wr), W.copy()
+
+    def aligned(W):
+        # Z = x^H (W r), with W r as one product over the whole stack: for
+        # unitary x and W, ||x - W r W^H|| = ||xW - Wr|| = ||W - Z||, and Z's
+        # non-corner block is the next step's polar input
+        return xh @ (W.reshape(-1, len(r)) @ r).reshape(W.shape)
+
+    Z = aligned(W)
+    best, best_W = _op_norm(W - Z), W.copy()
     op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
     converged, stall = np.zeros(len(lanes), dtype=bool), np.zeros(len(lanes), dtype=int)
     # each sample's leader bound, and each lane's best bound of the last stall_len
@@ -530,9 +538,9 @@ def dist_conjugacy_stack(
         if t:
             # W keeps its identity corner and zero off-corner blocks, so the step
             # rewrites only its non-corner block
-            W[..., alpha:, alpha:] = _polar((xh @ Wr)[..., alpha:, alpha:])
-            Wr = W @ r
-            op = _op_norm(xl @ W - Wr)
+            W[..., alpha:, alpha:] = _polar(Z[..., alpha:, alpha:])
+            Z = aligned(W)
+            op = _op_norm(W - Z)
             better = op < best - _NO_GAIN
             best, stall = np.where(better, op, best), np.where(better, 0, stall + 1)
             np.copyto(best_W, W, where=better[:, None, None])
@@ -542,12 +550,13 @@ def dist_conjugacy_stack(
             stop = ((best - lower < _CONJ_EXACT) | (stall >= stall_len)
                     | (best - lead[own] > pace))
         if stop.any():
-            done = lanes[stop]
+            done, keep = lanes[stop], np.flatnonzero(~stop)
             op_out[done], W_out[done], iters[done], converged[done] = (
                 best[stop], best_W[stop], t, True)
-            lanes, own, W, Wr, xl, xh, lower, best, best_W, stall = (
-                a[~stop] for a in (lanes, own, W, Wr, xl, xh, lower, best, best_W, stall))
-            past = past[:, ~stop]
+            # one index array for every take: half the cost of a mask per array
+            lanes, own, W, Z, xh, lower, best, best_W, stall = (
+                a.take(keep, axis=0) for a in (lanes, own, W, Z, xh, lower, best, best_W, stall))
+            past = past.take(keep, axis=1)
         if not len(lanes):
             break
     op_out[lanes], W_out[lanes] = best, best_W
@@ -582,15 +591,15 @@ def dist_conjugacy(
     bound l of the three starts so far also stops, converged, when
     b - l > max_iters (b_{t-L} - b) / L: at its mean gain over its last L
     steps it would need more than max_iters steps to reach l.  A step
-    forms W r once, for its bound ||xW - Wr||, the root of the top eigenvalue
-    of that matrix's Gram matrix (one Hermitian eigensolve), and for the next
-    step's x^H (W r); a 2 x 2 non-corner block takes its polar factor in
-    closed form, a larger one the SVD.  The first start with the least bound
-    wins; iterations sums all starts' steps, and converged says whether the
-    winner stopped before max_iters ran out.  When the Sylvester start's
-    ARPACK solve (non-corner size above 34) does not converge, that lane
-    starts from the spectral guess.  This is ``dist_conjugacy_stack`` on a
-    stack of one.
+    forms Z = x^H (W r) once: its bound ||W - Z||, equal to ||xW - Wr|| for
+    unitary x, is the root of the top eigenvalue of that matrix's Gram matrix
+    (one Hermitian eigensolve), and the next step takes the polar factor of
+    Z's non-corner block, in closed form for a 2 x 2 block, else by the SVD.
+    The first start with the least bound wins; iterations sums all starts'
+    steps, and converged says whether the winner stopped before max_iters
+    ran out.  When the Sylvester start's ARPACK solve (non-corner size above
+    34) does not converge, that lane starts from the spectral guess.  This is
+    ``dist_conjugacy_stack`` on a stack of one.
     Raises ValueError for any other family and when max_iters is below 1.
     """
     return _lone(dist_conjugacy_stack, x, target, max_iters=max_iters)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import cosetlab.cosets as cosets
 from cosetlab.blockmat import (
     BlockMatrix,
     BlockSpec,
@@ -415,6 +416,26 @@ class TestSampleCore:
             cores = [sample_core(g, h_in, fam, lane) for lane in a]
             assert all(core.dim == fam.with_n_tail(k).spec.dim for core in cores)
             np.testing.assert_array_equal(stack, np.array([core.entries for core in cores]))
+
+    @pytest.mark.parametrize("kind,m", [("unitary_orthogonal", 1), ("unitary_orthogonal", 2),
+                                        ("unitary_orthogonal", 3), ("unitary_conjugation", 1)])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stacked_cores_equal_kronecker_frames(self, kind, m, alpha, k):
+        # bit for bit against Y = I_alpha (+) (I_m kron [a, D]) as np.kron builds it
+        fam = GroupFamily(kind, BlockSpec(alpha, k, 5, m))
+        spec, core_spec = fam.spec, fam.with_n_tail(k).spec
+        gen = RandomStream(4, 10 * alpha + k).generator()
+        g, h = (BlockMatrix(haar_unitary(spec.window, gen)) for _ in range(2))
+        unitary = kind == "unitary_conjugation"
+        a = _top_blocks(_block_normals(k, 5, RandomStream(4, 1), unitary, count=5), unitary)
+        y = np.zeros((len(a), spec.window, core_spec.dim), dtype=complex)
+        y[:, :alpha, :alpha] = np.eye(alpha)
+        y[:, alpha:, alpha:] = np.kron(np.eye(m), cosets._frame(a))
+        left = np.eye(core_spec.dim) + y.conj().swapaxes(-1, -2) @ (
+            g.entries - np.eye(spec.window)) @ y
+        np.testing.assert_array_equal(sample_core_stack(g, h, fam, a),
+                                      left @ embed(h, core_spec).entries)
 
     def test_stack_rejects_a_lane_above_norm_one(self):
         fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 2, 4, 1))

@@ -254,6 +254,16 @@ class TestRunConcentration:
         assert 0.0 <= row.fraction <= 1.0
         assert row.median_dist >= 0.0
 
+    def test_conjugation_scale_holds_at_large_tail_sizes(self):
+        # the distance to the class of r shrinks as N^(-1/2): sqrt(N) times the
+        # median sample distance holds to 1e-4 from N = 10^8 to 10^20, so the
+        # solver's rounding does not grow as the cores approach r
+        N_list = (10**8, 10**12, 10**16, 10**20)
+        cfg = _cfg(family="unitary_conjugation", N_list=N_list, epsilon_list=(0.4,),
+                   samples=300, seed=3, g_spec="random_unitary", h_spec="random_unitary")
+        scaled = [np.sqrt(float(row.N)) * row.median_dist for row in run_concentration(cfg).rows]
+        assert max(scaled) - min(scaled) <= 1e-4 * min(scaled), scaled
+
     def test_conjugation_report_matches_per_sample_loop(self, monkeypatch):
         # blocks of 7 samples at core dimension 3, and 260 samples, so blocks
         # and a chunk edge are crossed; 20 steps keep the loop short

@@ -181,28 +181,28 @@ def test_solver_keywords(solver, keywords):
     assert list(inspect.signature(solver).parameters)[2:] == keywords
 
 
-def _reference_bound(x, W, Wr):
-    """||x - W r W^H|| as the solver forms it: ||xW - Wr||, from the top
-    eigenvalue of its Gram matrix."""
-    A = x @ W - Wr
-    return np.sqrt(max(np.linalg.eigvalsh(A.conj().T @ A)[-1], 0.0))
+def _reference_bound(x, W, r):
+    """||x - W r W^H|| as the solver forms it: ||W - Z|| with Z = x^H (W r),
+    from the top eigenvalue of its Gram matrix; and Z, the next step's input."""
+    Z = x.conj().T @ (W @ r)
+    A = W - Z
+    return np.sqrt(max(np.linalg.eigvalsh(A.conj().T @ A)[-1], 0.0)), Z
 
 
 class _ReferenceLane:
     """One start's fixed-point loop, a step at a time, with its own best
     bound, best conjugator, stall counter and best bound after each step.  It
-    follows the solver's arithmetic: the next step from x^H (Wr)."""
+    follows the solver's arithmetic: the next step from Z = x^H (W r)."""
 
     def __init__(self, x, r, alpha, W):
         self.x, self.r, self.alpha = x, r, alpha
-        self.Wr = W @ r
-        self.best, self.best_W, self.stall = _reference_bound(x, W, self.Wr), W, 0
+        self.best, self.Z = _reference_bound(x, W, r)
+        self.best_W, self.stall = W, 0
         self.history = [self.best]
 
     def step(self):
-        W = geometry._blockify_unitary(self.x.conj().T @ self.Wr, self.alpha)
-        self.Wr = W @ self.r
-        op = _reference_bound(self.x, W, self.Wr)
+        W = geometry._blockify_unitary(self.Z, self.alpha)
+        op, self.Z = _reference_bound(self.x, W, self.r)
         if op < self.best - 1e-12:
             self.best, self.best_W, self.stall = op, W, 0
         else:
@@ -324,6 +324,15 @@ class TestDistConjugacyStack:
         stacked = dist_conjugacy_stack(xs, target)
         _check_lane_arrays(stacked, xs, target)
         assert stacked[3].dtype.kind == "c"
+        assert _same_lanes(stacked, _as_lanes([dist_conjugacy(core, target) for core in cores]))
+
+    @pytest.mark.parametrize("alpha,k", [(1, 1), (2, 1), (1, 2)])
+    def test_long_stack_equals_per_sample_calls(self, alpha, k):
+        # 300 samples: W r is one product over up to 900 lanes, and each lane's
+        # rows of it equal its lone call's, bit for bit
+        cores, target = self._cores(24, 300, seed=5, alpha=alpha, k=k)
+        xs = np.stack([c.entries for c in cores])
+        stacked = dist_conjugacy_stack(xs, target)
         assert _same_lanes(stacked, _as_lanes([dist_conjugacy(core, target) for core in cores]))
 
     def test_empty_stack(self):
