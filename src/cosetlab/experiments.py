@@ -50,15 +50,18 @@ CSV_COLUMNS = (
     "ci_low", "ci_high", "median_dist", "mean_dist", "seed", "runtime_s",
 )
 
-# Bytes per stacked solver call; a block holds as many samples as fit.  Per
+# Bytes per stacked solver call; a block holds as many samples as fit, filled
+# in N order, then sample order, so it may hold samples of several N.  Per
 # sample of core dimension d, tracemalloc (max_iters=2) reads 93-165 d^2 bytes
 # for the Procrustes solver, draw and core included (d = 3..17; the low end when
 # most lanes stop at the identity start), counted as 175 d^2, and 2 KB plus
 # 235-419 d^2 for the conjugation solver's three lanes (d = 3..9; a full block
 # peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2.
 # Dense Sylvester maps are built a chunk of at most 512 KiB (or one lane) at a
-# time (``geometry._SYLVESTER_BYTES``) and A holds O(k^2) numbers
-# (``haar._block_normals``), so nothing here grows with the block or with N.
+# time (``geometry._SYLVESTER_BYTES``), the k = 1 Gram sign table is scored
+# in stacks of at most 512 KiB of inputs (``geometry._SIGN_TABLE_BYTES``) and
+# A holds O(k^2) numbers (``haar._block_normals``), so nothing here grows with
+# the block or with N.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -229,13 +232,19 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     dimension alpha + 2mk against the product target at tail size k.  A
     (``haar._block_normals``) and the pattern are drawn from their laws at
     tail size N, at a cost that does not depend on N, so any N runs.  Unitary
-    samples run as one stack per block of about 4 MB (``_BLOCK_BYTES``: about
+    samples run as stacks in blocks of about 4 MB (``_BLOCK_BYTES``: about
     175 d^2 bytes per orthogonal and 2 KB plus 480 d^2 per conjugation sample
-    of core dimension d): the QR that turns the block's rows of Gaussians
-    into A (``haar._top_blocks``), its cores (``cosets.sample_core_stack``) and its
-    solve (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``),
-    each lane's core and estimate exactly the per-sample ``sample_core`` and
-    ``dist_conjugacy`` or ``dist_double_coset`` call's on that sample's A.
+    of core dimension d), filled in N order, then sample order, so a block may
+    hold the end of one N and the start of the next.  The QR that turns rows
+    of Gaussians into A (``haar._top_blocks``) runs on at most a block's rows
+    of one N; each block's cores (``cosets.sample_core_stack``) and solve
+    (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``) run as
+    one stack, each lane's core and estimate exactly the per-sample
+    ``sample_core`` and ``dist_conjugacy`` or ``dist_double_coset`` call's on
+    that sample's A, so each N's rows are those of a sweep over that N alone.
+    A row's runtime_s is its N's own draw and QR time plus, for each block
+    holding its samples, the block's core and solve time times the N's share
+    of the block's samples.
     A symmetric sample's pattern, ``cosets.core_images`` of its middle
     permutation's k active images, is drawn directly from its law
     (``haar._core_patterns``); each pattern's membership is tested once per
@@ -261,7 +270,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
 
 def _sweep_distances(cfg: ExperimentConfig):
-    """Yield (N, the samples' distances in order as an array, seconds) for each N."""
+    """(N, the samples' distances in order as an array, seconds) for each N, in order."""
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
     g_win = _resolve_window_element(cfg.g_spec, fam0, setup_gen)
@@ -269,36 +278,63 @@ def _sweep_distances(cfg: ExperimentConfig):
     target = circ_N(g_win, h_win, fam0)
     conj = cfg.family == "unitary_conjugation"
     h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
-    d = fam0.spec.dim
-    block = max(1, _BLOCK_BYTES // (2048 + 480 * d * d if conj else 175 * d * d))
-    solve = dist_conjugacy_stack if conj else dist_double_coset_stack
-    stop = {} if conj else {"stop_below": min(cfg.epsilon_list)}
-    verdicts = {}  # distance per symmetric core pattern (0 for a hit), for every N
+    seconds = [0.0] * len(cfg.N_list)
 
-    def sym_distances(fam):
-        out = []
-        for rows in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _core_patterns(
-                cfg.k, fam.spec.n_tail, gen, count)):
-            keys = list(map(tuple, rows.tolist()))
-            for key in set(keys).difference(verdicts):
-                verdicts[key] = 0.0 if sym_membership(sample_core(g_win, h_core, fam0, key),
-                                                      target) else 1.0
-            out += map(verdicts.__getitem__, keys)
+    def sym_distances():
+        verdicts, out = {}, []  # distance per core pattern (0 for a hit), for every N
+        for i, N in enumerate(cfg.N_list):
+            start, dists = time.perf_counter(), []
+            for rows in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _core_patterns(
+                    cfg.k, N, gen, count)):
+                keys = list(map(tuple, rows.tolist()))
+                for key in set(keys).difference(verdicts):
+                    verdicts[key] = 0.0 if sym_membership(sample_core(g_win, h_core, fam0, key),
+                                                          target) else 1.0
+                dists += map(verdicts.__getitem__, keys)
+            out.append(np.asarray(dists))
+            seconds[i] = time.perf_counter() - start
         return out
 
-    def unitary_distances(fam):
-        out = []
-        for z in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _block_normals(
-                cfg.k, fam.spec.n_tail, gen, conj, count), block):
-            cores = sample_core_stack(g_win, h_core, fam, _top_blocks(z, conj))
-            out.append(solve(cores, target, max_iters=cfg.max_iters, **stop)[0])
-        return np.concatenate(out)
+    def unitary_distances():
+        # blocks fill in N order, then sample order, so one may hold the end of
+        # one N and the start of the next; pending holds the filling block's
+        # (N index, stack of A) pieces
+        d = fam0.spec.dim
+        block = max(1, _BLOCK_BYTES // (2048 + 480 * d * d if conj else 175 * d * d))
+        solve = dist_conjugacy_stack if conj else dist_double_coset_stack
+        stop = {} if conj else {"stop_below": min(cfg.epsilon_list)}
+        out, pending, lanes = [[] for _ in cfg.N_list], [], 0
 
-    for N in cfg.N_list:
-        fam = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, N, cfg.m))
-        start = time.perf_counter()
-        distances = sym_distances(fam) if cfg.family == "symmetric" else unitary_distances(fam)
-        yield N, np.asarray(distances), time.perf_counter() - start
+        def solve_pending():
+            start = time.perf_counter()
+            cores = sample_core_stack(g_win, h_core, fam0, np.concatenate([a for _, a in pending]))
+            dists = solve(cores, target, max_iters=cfg.max_iters, **stop)[0]
+            share = (time.perf_counter() - start) / len(dists)
+            for i, a in pending:
+                out[i].append(dists[:len(a)])
+                dists = dists[len(a):]
+                seconds[i] += share * len(a)
+            pending.clear()
+
+        for i, N in enumerate(cfg.N_list):
+            start = time.perf_counter()
+            for z in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _block_normals(
+                    cfg.k, N, gen, conj, count), block):
+                a = _top_blocks(z, conj)
+                while len(a):
+                    pending.append((i, a[:block - lanes]))
+                    lanes, a = lanes + len(pending[-1][1]), a[block - lanes:]
+                    if lanes == block:
+                        seconds[i] += time.perf_counter() - start
+                        solve_pending()
+                        lanes, start = 0, time.perf_counter()
+            seconds[i] += time.perf_counter() - start
+        if pending:
+            solve_pending()
+        return [np.concatenate(parts) for parts in out]
+
+    distances = sym_distances() if cfg.family == "symmetric" else unitary_distances()
+    return list(zip(cfg.N_list, distances, seconds))
 
 
 def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport:

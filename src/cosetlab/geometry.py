@@ -264,26 +264,50 @@ def _gram_start(x, r, layout):
     lane, stacked like x): on the coset x = U r V the Grams obey M_x = v^T M_r v,
     so S = I gives v back.  Two passes of single sign flips follow, each kept
     when Re tr(x^H U r V) rises at the second U-step (U, V, U); read at the
-    first, it kept the wrong component of O(2) on some k = 1 cores."""
-    basis_x, basis_r = _gram_basis(x, layout).swapaxes(-1, -2), _gram_basis(r, layout)
-    xc = x[..., :layout.alpha, :].conj()
+    first, it kept the wrong component of O(2) on some k = 1 cores.
 
-    def score(signs):
+    At copy size 2 (every k = 1 core) the four sign patterns cost fewer scores
+    than the passes' five, so each lane's four are scored as one stack, in
+    pieces of at most ``_SIGN_TABLE_BYTES`` of inputs, and the passes' strict
+    comparisons are replayed on that table: each lane keeps the passes' own
+    pattern.  Larger copies run the passes."""
+    args = (x, x[..., :layout.alpha, :].conj(), r, _gram_basis(x, layout), _gram_basis(r, layout))
+
+    def score(x, xc, r, basis_x, basis_r, signs):
         # the corner rows' part plus the U-step target's nuclear norm
-        v = (basis_r * signs[:, None, :]) @ basis_x
+        v = (basis_r * signs[:, None, :]) @ basis_x.swapaxes(-1, -2)
         u = _polar(layout.row_gram(x, layout.apply_right(r, v)))
         rV = layout.apply_right(r, _polar(layout.col_gram(layout.apply_left(r, u), x)))
         corner = (xc * rV[..., :layout.alpha, :]).reshape(len(x), -1).sum(axis=-1).real
         return corner + _nuclear_norm(layout.row_gram(x, rV))
 
-    signs = np.ones((len(x), layout.w))
-    f = score(signs)
-    for j in 2 * list(range(layout.w)):
-        signs[:, j] *= -1.0
-        f_flip = score(signs)
-        signs[~(f_flip > f), j] *= -1.0
-        f = np.where(f_flip > f, f_flip, f)
-    return (basis_r * signs[:, None, :]) @ basis_x
+    if layout.w == 2:
+        # pattern p flips sign j where bit j of p is set
+        patterns = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        table = np.empty((len(x), 4))
+        piece = max(1, _SIGN_TABLE_BYTES // (4 * sum(a[0].nbytes for a in args)))
+        for lo in range(0, len(x), piece):
+            part = [np.concatenate(4 * [a[lo:lo + piece]]) for a in args]
+            n = len(part[0]) // 4
+            table[lo:lo + n] = score(*part, np.repeat(patterns, n, axis=0)).reshape(4, n).T
+        lanes = np.arange(len(x))
+        p = np.zeros(len(x), dtype=int)
+        f = table[:, 0]
+        for j in (0, 1, 0, 1):
+            f_flip = table[lanes, p ^ (1 << j)]
+            p = np.where(f_flip > f, p ^ (1 << j), p)
+            f = np.where(f_flip > f, f_flip, f)
+        signs = patterns[p]
+    else:
+        signs = np.ones((len(x), layout.w))
+        f = score(*args, signs)
+        for j in 2 * list(range(layout.w)):
+            signs[:, j] *= -1.0
+            f_flip = score(*args, signs)
+            signs[~(f_flip > f), j] *= -1.0
+            f = np.where(f_flip > f, f_flip, f)
+    basis_x, basis_r = args[3:]
+    return (basis_r * signs[:, None, :]) @ basis_x.swapaxes(-1, -2)
 
 
 def _gram_starts(x, r, layout):
@@ -308,7 +332,9 @@ def dist_double_coset_stack(
     stop_below (all, without it) from both Gram starts, searched and refined
     as one stack of two lanes per sample, over chunks of at most ceil(S/3)
     samples, so from S = 2 on the pair never runs more lanes than the
-    identity run.
+    identity run.  At copy size 2 each chunk's sign search scores its four
+    sign patterns per lane in stacks of at most ``_SIGN_TABLE_BYTES`` of
+    inputs (``_gram_start``).
 
     Returns the lanes' estimates as arrays in ``DistanceEstimate`` field
     order: bounds (S,) float, iterations (S,) int, converged (S,) bool and the
@@ -429,6 +455,12 @@ def _spectral_match_init(x: np.ndarray, r: np.ndarray, alpha: int):
 _DENSE_SYLVESTER_MAX = 34
 # Bytes of dense Sylvester maps per stacked SVD: 728 maps at alpha = 1, k = 1; 77 at k = 2.
 _SYLVESTER_BYTES = 512 << 10
+# Bytes of inputs per stack of the copy-size-2 sign table (``_gram_start``):
+# x, its corner rows, r and both Gram bases, four copies per lane (327 lanes
+# at alpha = 1, k = m = 1).  Scored whole, a Gram pair chunk of a full k = 1
+# sweep block peaked near 1.9 sweep budgets (``experiments._BLOCK_BYTES``);
+# in these pieces it peaks at 0.77, as the two passes did.
+_SIGN_TABLE_BYTES = 512 << 10
 
 
 def _min_singular_init(x, r, alpha, spectral_guess):

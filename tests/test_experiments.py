@@ -393,6 +393,31 @@ class TestRunConcentration:
             monkeypatch.setattr(experiments, "_BLOCK_BYTES", per * lane_bytes)
             assert run_concentration(cfg).with_zeroed_runtime() == want
 
+    @pytest.mark.parametrize("family,samples,sizes", [
+        ("unitary_orthogonal", 1000, [2663, 337]), ("unitary_conjugation", 300, [658, 242])])
+    def test_multi_N_sweep_equals_single_N_sweeps(self, monkeypatch, family, samples, sizes):
+        # solver blocks fill in N order, so the first block holds every sample
+        # of N=8 and N=64 and the first of N=10^6; each N's rows still equal
+        # its own sweep's, as every N reuses the same streams
+        seen = []
+        name = {"unitary_orthogonal": "dist_double_coset_stack",
+                "unitary_conjugation": "dist_conjugacy_stack"}[family]
+        real = getattr(experiments, name)
+
+        def spy(xs, *args, **kwargs):
+            seen.append(len(xs))
+            return real(xs, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, spy)
+        kwargs = dict(family=family, epsilon_list=(0.2, 0.4), samples=samples, seed=11,
+                      g_spec="random_unitary", h_spec="random_unitary", max_iters=20)
+        def rows(N_list):
+            return run_concentration(_cfg(**kwargs, N_list=N_list)).with_zeroed_runtime().rows
+
+        swept = rows((8, 64, 10**6))
+        assert seen == sizes
+        assert swept == rows((8,)) + rows((64,)) + rows((10**6,))
+
     @pytest.mark.parametrize("k,samples,N_list", [
         (1, 400, tuple(range(1, 11))), (2, 500, (2, 3, 5, 8, 10**6)), (3, 60, (3, 4, 10**6))])
     def test_symmetric_sweep_tests_each_core_pattern_once(self, monkeypatch, k, samples, N_list):
@@ -459,16 +484,18 @@ class TestRunConcentration:
             tracemalloc.stop()
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
-    @pytest.mark.parametrize("family,k,samples,eps", [
-        ("unitary_conjugation", 1, 2000, 0.4), ("unitary_conjugation", 2, 400, 0.4),
-        ("unitary_orthogonal", 1, 3000, 0.4), ("unitary_orthogonal", 2, 1200, 0.4),
-        ("unitary_orthogonal", 4, 600, 0.4),
+    @pytest.mark.parametrize("family,k,samples,eps,N_list", [
+        ("unitary_conjugation", 1, 2000, 0.4, (8,)), ("unitary_conjugation", 2, 400, 0.4, (8,)),
+        ("unitary_orthogonal", 1, 3000, 0.4, (8,)), ("unitary_orthogonal", 2, 1200, 0.4, (8,)),
+        ("unitary_orthogonal", 4, 600, 0.4, (8,)),
         # every lane, or (k=8) nearly every lane, runs the Gram starts
-        ("unitary_orthogonal", 1, 3000, 1e-9), ("unitary_orthogonal", 8, 200, 0.4)])
-    def test_full_block_stays_near_budget(self, family, k, samples, eps):
+        ("unitary_orthogonal", 1, 3000, 1e-9, (8,)), ("unitary_orthogonal", 8, 200, 0.4, (8,)),
+        # the first block holds 2000 samples at N=8 and 663 at N=64
+        ("unitary_orthogonal", 1, 2000, 1e-9, (8, 64))])
+    def test_full_block_stays_near_budget(self, family, k, samples, eps, N_list):
         # more samples than one block holds (658 and 298; 2663, 958, 295 and
         # 82), so the first block is full
-        kwargs = dict(family=family, k=k, N_list=(8,), epsilon_list=(eps,), seed=3,
+        kwargs = dict(family=family, k=k, N_list=N_list, epsilon_list=(eps,), seed=3,
                       g_spec="random_unitary", h_spec="random_unitary", max_iters=2)
         # a first sweep pays numpy's lazy imports (np.median loads numpy.ma,
         # about 1.7 MB) outside the trace, so the peak is the block's whichever
@@ -517,8 +544,12 @@ class TestRunConcentration:
             tracemalloc.stop()
         assert peak < 64 * samples + 4e6, f"peak {peak / 1e6:.1f} MB"
 
-    @pytest.mark.parametrize("k,m,samples,sizes", [(1, 1, 100, [100]), (8, 2, 50, [22, 22, 6])])
-    def test_orthogonal_stacks_sized_by_core_dimension(self, monkeypatch, k, m, samples, sizes):
+    @pytest.mark.parametrize("k,m,samples,N_list,sizes", [
+        (1, 1, 100, (1,), [100]), (8, 2, 50, (8,), [22, 22, 6]),
+        # blocks fill across tail sizes: the third holds 6 samples of N=8 and 16 of N=9
+        (8, 2, 50, (8, 9), [22, 22, 22, 22, 12])])
+    def test_orthogonal_stacks_sized_by_core_dimension(self, monkeypatch, k, m, samples, N_list,
+                                                        sizes):
         # blocks of _BLOCK_BYTES // (175 d^2) samples: d=3 fits a sweep, d=33 does not
         seen = []
         real = experiments.dist_double_coset_stack
@@ -528,7 +559,7 @@ class TestRunConcentration:
             return real(xs, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "dist_double_coset_stack", spy)
-        cfg = _cfg(family="unitary_orthogonal", k=k, m=m, N_list=(k,), epsilon_list=(0.4,),
+        cfg = _cfg(family="unitary_orthogonal", k=k, m=m, N_list=N_list, epsilon_list=(0.4,),
                    samples=samples, seed=2, g_spec="random_unitary", h_spec="random_unitary",
                    max_iters=2)
         run_concentration(cfg)

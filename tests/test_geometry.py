@@ -848,6 +848,54 @@ class TestGramStartsStack:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    def test_sign_table_equals_two_passes(self, alpha, m):
+        # k = 1 (copy size 2): the four sign patterns scored as one table must
+        # pick the two-pass search's pattern, ties included, over a stack of
+        # both sides as _gram_starts passes it, x and r alone filling more
+        # than one _SIGN_TABLE_BYTES piece
+        fam = GroupFamily("unitary_orthogonal", BlockSpec(alpha, 1, 8, m))
+        setup = RandomStream(alpha + 3 * m, 0).generator()
+        g, h = (BlockMatrix(haar_unitary(fam.spec.window, setup)) for _ in range(2))
+        r = circ_N(g, h, fam.with_n_tail(1)).representative.entries
+        a = _top_blocks(_block_normals(1, 8, RandomStream(alpha + 3 * m, 1), count=550))
+        xs = sample_core_stack(g, h, fam, a)
+        x = np.concatenate([xs, xs.swapaxes(-1, -2)])
+        rs = np.repeat(np.stack([r, r.T]), len(xs), axis=0)
+        assert 4 * (x.nbytes + rs.nbytes) > geometry._SIGN_TABLE_BYTES
+        layout = geometry._CopyLayout(fam.with_n_tail(1).spec)
+        want, ties = _reference_gram_start(x, rs, layout)
+        assert np.array_equal(geometry._gram_start(x, rs, layout), want)
+        if alpha == 0:  # S and -S give (-u, -v) and (u, v): the same score
+            assert ties > 0
+
+
+def _reference_gram_start(x, r, layout):
+    """The two passes of single sign flips of ``geometry._gram_start`` at any
+    copy size: the v-side starts and the number of flips that scored a tie."""
+    basis_x = geometry._gram_basis(x, layout).swapaxes(-1, -2)
+    basis_r = geometry._gram_basis(r, layout)
+    xc = x[..., :layout.alpha, :].conj()
+
+    def score(signs):
+        v = (basis_r * signs[:, None, :]) @ basis_x
+        u = geometry._polar(layout.row_gram(x, layout.apply_right(r, v)))
+        rV = layout.apply_right(r, geometry._polar(layout.col_gram(layout.apply_left(r, u), x)))
+        corner = (xc * rV[..., :layout.alpha, :]).reshape(len(x), -1).sum(axis=-1).real
+        return corner + geometry._nuclear_norm(layout.row_gram(x, rV))
+
+    signs, ties = np.ones((len(x), layout.w)), 0
+    f = score(signs)
+    for j in 2 * list(range(layout.w)):
+        signs[:, j] *= -1.0
+        f_flip = score(signs)
+        ties += np.count_nonzero(f_flip == f)
+        signs[~(f_flip > f), j] *= -1.0
+        f = np.where(f_flip > f, f_flip, f)
+    return (basis_r * signs[:, None, :]) @ basis_x, ties
+
+
 class TestGramStartsMoveWithK:
     """300 sweep cores at N=8, k=1, each multiplied on both sides by a random
     element of K: the Gram starts move with the core, so their bounds agree
