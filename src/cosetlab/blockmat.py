@@ -366,9 +366,12 @@ def operator_norm(mat) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
-def is_unitary(mat, tol: float = 1e-10) -> bool:
-    """Whether mat is a square matrix with ||mat^H mat - I|| <= tol; False for any other shape."""
+_UNITARY_TOL = 1e-10  # the largest ||mat^H mat - I|| that is_unitary accepts
+
+
+def is_unitary(mat) -> bool:
+    """Whether mat is a square matrix with ||mat^H mat - I|| <= _UNITARY_TOL; False otherwise."""
     a = mat.entries if isinstance(mat, BlockMatrix) else np.asarray(mat, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
-    return operator_norm(a.conj().T @ a - np.eye(len(a))) <= tol
+    return operator_norm(a.conj().T @ a - np.eye(len(a))) <= _UNITARY_TOL

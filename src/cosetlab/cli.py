@@ -42,7 +42,7 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_sample(args) -> int:
     if args.dim < 1:
         raise ConfigError(f"--dim must be a positive integer; got {args.dim}")
-    rng = RandomStream(args.seed, args.stream)
+    rng = RandomStream(args.seed)
     if args.kind == "orthogonal":
         mat = BlockMatrix(haar_orthogonal(args.dim, rng))
     elif args.kind == "unitary":
@@ -150,7 +150,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", choices=("orthogonal", "unitary", "permutation"), required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--seed", type=int, required=True, help="required: reproducibility by default")
-    p.add_argument("--stream", type=int, default=0)
 
     p = add("product", _cmd_product, "emit a product representative",
             'cosetlab product --family symmetric --alpha 1 --k 1 --N 3 --g "(1 2)" --h "(1 2)"')

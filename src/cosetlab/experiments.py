@@ -57,11 +57,10 @@ CSV_COLUMNS = (
 # most lanes stop at the identity start), counted as 175 d^2, and 2 KB plus
 # 235-419 d^2 for the conjugation solver's three lanes (d = 3..9; a full block
 # peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2.
-# Dense Sylvester maps are built a chunk of at most 512 KiB (or one lane) at a
-# time (``geometry._SYLVESTER_BYTES``), the k = 1 Gram sign table is scored
-# in stacks of at most 512 KiB of inputs (``geometry._SIGN_TABLE_BYTES``) and
-# A holds O(k^2) numbers (``haar._block_normals``), so nothing here grows with
-# the block or with N.
+# Dense Sylvester maps are built, and the k = 1 Gram sign table is scored, in
+# stacks of at most 512 KiB (``geometry._SCRATCH_BYTES``; a Sylvester chunk may
+# be one lane) and A holds O(k^2) numbers (``haar._block_normals``), so nothing
+# here grows with the block or with N.
 _BLOCK_BYTES = 4 << 20
 
 
@@ -236,7 +235,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     175 d^2 bytes per orthogonal and 2 KB plus 480 d^2 per conjugation sample
     of core dimension d), filled in N order, then sample order, so a block may
     hold the end of one N and the start of the next.  The QR that turns rows
-    of Gaussians into A (``haar._top_blocks``) runs on at most a block's rows
+    of Gaussians into A (``haar._top_blocks``) runs on one 256-sample chunk
     of one N; each block's cores (``cosets.sample_core_stack``) and solve
     (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``) run as
     one stack, each lane's core and estimate exactly the per-sample
@@ -319,7 +318,7 @@ def _sweep_distances(cfg: ExperimentConfig):
         for i, N in enumerate(cfg.N_list):
             start = time.perf_counter()
             for z in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _block_normals(
-                    cfg.k, N, gen, conj, count), block):
+                    cfg.k, N, gen, conj, count)):
                 a = _top_blocks(z, conj)
                 while len(a):
                     pending.append((i, a[:block - lanes]))

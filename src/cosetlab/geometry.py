@@ -5,18 +5,19 @@ whose alignment steps respect the diagonal-copy block structure; symmetric
 targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (identity, spectral match,
 structured minimal singular vector), refined in lockstep by a fixed-point
-iteration until each stalls or trails its sample's leader too far to catch
-it.  Both unitary solvers run on a stack of samples at once
-(``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which return one
-array per estimate field; the per-sample ``dist_double_coset`` and
-``dist_conjugacy`` are stacks of one), with numpy's stacked linalg and matmul,
-and each sample's result is the one it would get alone.  Both solvers take a
-2 x 2 polar factor (every k = 1 core's Procrustes step, Gram start or
-conjugation step) in closed form, a larger one by SVD; both take their
-operator norms from one stacked Hermitian eigensolve, and the Gram starts'
-sign search takes a 2 x 2 nuclear norm in closed form, so at k = 1 neither
-solver makes an SVD.  Every estimate carries explicit witnesses, so the
-reported bound can be re-verified by direct evaluation.
+iteration until each trails its sample's leader too far to catch it at its
+recent pace, as a lane that no longer gains always does.  Both unitary
+solvers run on a stack of samples at once (``dist_double_coset_stack`` and
+``dist_conjugacy_stack``, which return one array per estimate field; the
+per-sample ``dist_double_coset`` and ``dist_conjugacy`` are stacks of one),
+with numpy's stacked linalg and matmul, and each sample's result is the one
+it would get alone.  Both solvers take a 2 x 2 polar factor (every k = 1
+core's Procrustes step, Gram start or conjugation step) in closed form, a
+larger one by SVD; both take their operator norms from one stacked Hermitian
+eigensolve, and the Gram starts' sign search takes a 2 x 2 nuclear norm in
+closed form, so at k = 1 neither solver makes an SVD.  Every estimate
+carries explicit witnesses, so the reported bound can be re-verified by
+direct evaluation.
 
 scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
 """
@@ -65,6 +66,16 @@ def verify_estimate(est: DistanceEstimate, x: BlockMatrix, target: CosetTarget) 
     r = target.representative.entries
     aligned = est.witness_left.entries @ r @ est.witness_right.entries
     return operator_norm(x.entries - aligned)
+
+
+# Bytes of one scratch stack inside a single solver call, so scratch does not
+# grow with the stack: the dense Sylvester maps of a stacked SVD
+# (``_min_singular_init``: 728 maps at alpha = 1, k = 1; 77 at k = 2) and the
+# inputs of the copy-size-2 sign table (``_gram_start``: x, its corner rows, r
+# and both Gram bases, four copies per lane; 327 lanes at alpha = 1, k = m = 1).
+# Scored whole, a Gram pair chunk of a full k = 1 sweep block peaked near 1.9
+# sweep budgets (``experiments._BLOCK_BYTES``); in these pieces it peaks at 0.77.
+_SCRATCH_BYTES = 512 << 10
 
 
 # A solver step that gains less than this gains nothing: an orthogonal run
@@ -268,7 +279,7 @@ def _gram_start(x, r, layout):
 
     At copy size 2 (every k = 1 core) the four sign patterns cost fewer scores
     than the passes' five, so each lane's four are scored as one stack, in
-    pieces of at most ``_SIGN_TABLE_BYTES`` of inputs, and the passes' strict
+    pieces of at most ``_SCRATCH_BYTES`` of inputs, and the passes' strict
     comparisons are replayed on that table: each lane keeps the passes' own
     pattern.  Larger copies run the passes."""
     args = (x, x[..., :layout.alpha, :].conj(), r, _gram_basis(x, layout), _gram_basis(r, layout))
@@ -285,7 +296,7 @@ def _gram_start(x, r, layout):
         # pattern p flips sign j where bit j of p is set
         patterns = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
         table = np.empty((len(x), 4))
-        piece = max(1, _SIGN_TABLE_BYTES // (4 * sum(a[0].nbytes for a in args)))
+        piece = max(1, _SCRATCH_BYTES // (4 * sum(a[0].nbytes for a in args)))
         for lo in range(0, len(x), piece):
             part = [np.concatenate(4 * [a[lo:lo + piece]]) for a in args]
             n = len(part[0]) // 4
@@ -333,7 +344,7 @@ def dist_double_coset_stack(
     as one stack of two lanes per sample, over chunks of at most ceil(S/3)
     samples, so from S = 2 on the pair never runs more lanes than the
     identity run.  At copy size 2 each chunk's sign search scores its four
-    sign patterns per lane in stacks of at most ``_SIGN_TABLE_BYTES`` of
+    sign patterns per lane in stacks of at most ``_SCRATCH_BYTES`` of
     inputs (``_gram_start``).
 
     Returns the lanes' estimates as arrays in ``DistanceEstimate`` field
@@ -409,12 +420,12 @@ def dist_double_coset(
 # A lane whose best bound is within this of its sample's lower bound (the
 # Bhatia-Davis eigenvalue matching gap) has closed its bracket and leaves the stack.
 _CONJ_EXACT = 1e-11
-# Flat fixed-point steps after which a lane leaves the stack, converged: on a
-# 2 x 2 non-corner block (k = 1) no later step lowered a bound in sweep scans;
-# larger blocks keep 25, as a stall of 20 lost a late gain of 0.038 at k = 3.
-# The same length L is the window of the pace rule: from step L on, a lane
-# retires when, at its mean gain over its last L steps, it would need more
-# than max_iters steps to reach its sample's leader bound.
+# The window L of the retirement rule: from step L on, a lane retires when, at
+# its mean gain over its last L steps, it would need at least max_iters steps
+# to reach its sample's leader bound, so one with no gain in them retires, the
+# leader too.  On a 2 x 2 non-corner block (k = 1) no step after 5 flat ones
+# lowered a bound in sweep scans; larger blocks keep 25, as 20 lost a late
+# gain of 0.038 at k = 3.
 _CONJ_STALL, _CONJ_STALL_WIDE = 5, 25
 
 
@@ -453,21 +464,13 @@ def _spectral_match_init(x: np.ndarray, r: np.ndarray, alpha: int):
 # gets a dense SVD; above it ARPACK runs.  Per alpha = 1 sweep core: dense 6 ms
 # at w=10, 0.13 s at w=20, 2.2 s at w=34; ARPACK 9 ms, 0.02 s and 0.1 s there.
 _DENSE_SYLVESTER_MAX = 34
-# Bytes of dense Sylvester maps per stacked SVD: 728 maps at alpha = 1, k = 1; 77 at k = 2.
-_SYLVESTER_BYTES = 512 << 10
-# Bytes of inputs per stack of the copy-size-2 sign table (``_gram_start``):
-# x, its corner rows, r and both Gram bases, four copies per lane (327 lanes
-# at alpha = 1, k = m = 1).  Scored whole, a Gram pair chunk of a full k = 1
-# sweep block peaked near 1.9 sweep budgets (``experiments._BLOCK_BYTES``);
-# in these pieces it peaks at 0.77, as the two passes did.
-_SIGN_TABLE_BYTES = 512 << 10
 
 
 def _min_singular_init(x, r, alpha, spectral_guess):
     """Per lane of x, the minimizer of ||xW - Wr||_F over W = diag(s.1_alpha, w):
     smallest singular vector of the restricted Sylvester map, then rescaled to
     a unit corner.  Dense maps take one stacked SVD per chunk of lanes whose
-    maps fit in ``_SYLVESTER_BYTES`` (or of one lane), so memory holds a basis,
+    maps fit in ``_SCRATCH_BYTES`` (or of one lane), so memory holds a basis,
     its product with r and a few chunks.  ARPACK runs a lane at a time; a lane
     whose run does not converge keeps its start vector, the spectral guess."""
     dim = x.shape[-1]
@@ -484,7 +487,7 @@ def _min_singular_init(x, r, alpha, spectral_guess):
     if w <= _DENSE_SYLVESTER_MAX:
         basis = from_vec(np.eye(n, dtype=complex))  # map column j: x basis_j - basis_j r
         basis_r = basis @ r
-        step = max(1, _SYLVESTER_BYTES // (16 * n * dim * dim))
+        step = max(1, _SCRATCH_BYTES // (16 * n * dim * dim))
         for i in range(0, len(x), step):
             L = (x[i:i + step, None] @ basis - basis_r).reshape(-1, n, dim * dim)
             p[i:i + step] = np.linalg.svd(L.swapaxes(-1, -2), full_matrices=False)[2][:, -1].conj()
@@ -523,20 +526,21 @@ def dist_conjugacy_stack(
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
     Every sample gets one lane per start, so one fixed-point run covers 3S
-    lanes.  Each lane has its own best conjugator, stall counter and
-    iteration count, and leaves the stack when it stalls, when its bound
-    comes within 1e-11 of its sample's lower bound, or when it trails its
-    sample's leader bound (the least best bound of the sample's lanes so far)
-    by more than max_iters steps at its mean gain over the last stall-length
-    steps, so the stack shrinks as it runs; a sample whose least start bound
-    is already within 1e-11 takes no step.  A sample's lanes thus depend on
-    each other, but not on the rest of the stack: each sample gets the
-    estimate ``dist_conjugacy`` gives for it alone, bit for bit, in the arrays
-    of ``dist_double_coset_stack`` with complex witnesses W, W^H.  W r is
-    one product over all lanes; each lane's rows of it are those of its own
-    W r.  Memory is O(S d^2) for the lanes (each holds W, Z = x^H (W r), x^H
-    and its best W) plus a few Sylvester maps, O(d^2 (1 + w^2)) each with
-    w = d - alpha, or 512 KiB chunks of them: callers bound S.
+    lanes.  Each lane has its own best conjugator and iteration count, and
+    leaves the stack when its bound comes within 1e-11 of its sample's lower
+    bound, or when it trails its sample's leader bound (the least best bound
+    of the sample's lanes so far) by at least max_iters steps at its mean gain
+    over the last L steps (``_CONJ_STALL``), which a lane that gained nothing
+    in them always does; so the stack shrinks as it runs, and a sample whose
+    least start bound is already within 1e-11 takes no step.  A sample's
+    lanes thus depend on each other, but not on the rest of the stack: each
+    sample gets the estimate ``dist_conjugacy`` gives for it alone, bit for
+    bit, in the arrays of ``dist_double_coset_stack`` with complex witnesses
+    W, W^H.  W r is one product over all lanes; each lane's rows of it are
+    those of its own W r.  Memory is O(S d^2) for the lanes (each holds W,
+    Z = x^H (W r), x^H and its best W) plus a few Sylvester maps,
+    O(d^2 (1 + w^2)) each with w = d - alpha, or 512 KiB chunks of them:
+    callers bound S.
     """
     x, r = _check_stack(xs, target, "unitary_conjugation", max_iters)
     alpha, samples = target.family.spec.alpha, len(x)
@@ -558,7 +562,7 @@ def dist_conjugacy_stack(
     Z = aligned(W)
     best, best_W = _op_norm(W - Z), W.copy()
     op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
-    converged, stall = np.zeros(len(lanes), dtype=bool), np.zeros(len(lanes), dtype=int)
+    converged = np.zeros(len(lanes), dtype=bool)
     # each sample's leader bound, and each lane's best bound of the last stall_len
     # steps (slot t % stall_len holds step t's; inf before step 0 retires no lane)
     lead = best.reshape(3, samples).min(axis=0)
@@ -574,20 +578,19 @@ def dist_conjugacy_stack(
             Z = aligned(W)
             op = _op_norm(W - Z)
             better = op < best - _NO_GAIN
-            best, stall = np.where(better, op, best), np.where(better, 0, stall + 1)
+            best = np.where(better, op, best)
             np.copyto(best_W, W, where=better[:, None, None])
             np.minimum.at(lead, own, best)
             pace = max_iters * (past[t % stall_len] - best) / stall_len
             past[t % stall_len] = best
-            stop = ((best - lower < _CONJ_EXACT) | (stall >= stall_len)
-                    | (best - lead[own] > pace))
+            stop = (best - lower < _CONJ_EXACT) | (best - lead[own] >= pace)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)
             op_out[done], W_out[done], iters[done], converged[done] = (
                 best[stop], best_W[stop], t, True)
             # one index array for every take: half the cost of a mask per array
-            lanes, own, W, Z, xh, lower, best, best_W, stall = (
-                a.take(keep, axis=0) for a in (lanes, own, W, Z, xh, lower, best, best_W, stall))
+            lanes, own, W, Z, xh, lower, best, best_W = (
+                a.take(keep, axis=0) for a in (lanes, own, W, Z, xh, lower, best, best_W))
             past = past.take(keep, axis=1)
         if not len(lanes):
             break
@@ -616,13 +619,14 @@ def dist_conjugacy(
     alpha = 0).  Unless the least start bound is already within 1e-11 of it,
     each start runs the fixed-point iteration W <- blockified polar of
     x^H W r, which is not monotone (its bound can rise from one step to the
-    next), so each start keeps its own best conjugator, until L = 5 steps
-    (2 x 2 non-corner block: k = 1) or L = 25 gain it at most ``_NO_GAIN``,
-    its bound comes within 1e-11 of the lower bound or max_iters steps have
-    run.  From step L on, a start whose best bound b trails the least best
-    bound l of the three starts so far also stops, converged, when
-    b - l > max_iters (b_{t-L} - b) / L: at its mean gain over its last L
-    steps it would need more than max_iters steps to reach l.  A step
+    next), so each start keeps its own best conjugator, which a step replaces
+    only when it gains more than ``_NO_GAIN``.  A start runs until its bound
+    comes within 1e-11 of the lower bound, max_iters steps have run, or, from
+    step L on (L = 5 on a 2 x 2 non-corner block: k = 1, else 25), its best
+    bound b and the least best bound l of the three starts so far meet
+    b - l >= max_iters (b_{t-L} - b) / L: at its mean gain over its last L
+    steps it would need at least max_iters steps to reach l.  A start that
+    gained nothing in those L steps so stops, whether it leads or not.  A step
     forms Z = x^H (W r) once: its bound ||W - Z||, equal to ||xW - Wr|| for
     unitary x, is the root of the top eigenvalue of that matrix's Gram matrix
     (one Hermitian eigensolve), and the next step takes the polar factor of

@@ -52,17 +52,12 @@ class RandomStream:
 _CHUNK = 256  # samples per stream in the sweeps' layout
 
 
-def _sample_rows(seed: int, samples: int, draw, per: int = _CHUNK):
-    """Yield the rows of samples 0 .. samples-1 in order, per rows at a time
-    (fewer in the last): sample i's row is row i % _CHUNK of
+def _sample_rows(seed: int, samples: int, draw):
+    """Yield the rows of samples 0 .. samples-1 in order, one whole chunk at a
+    time (the last cut to the samples left): sample i's row is row i % _CHUNK of
     ``draw(RandomStream(seed, 1 + i // _CHUNK).generator(), _CHUNK)``."""
-    rows = None
     for lo in range(0, samples, _CHUNK):
-        chunk = draw(RandomStream(seed, 1 + lo // _CHUNK).generator(), _CHUNK)[:samples - lo]
-        rows = chunk if rows is None else np.concatenate([rows, chunk])
-        while len(rows) >= per or (lo + _CHUNK >= samples and len(rows)):
-            yield rows[:per]
-            rows = rows[per:]
+        yield draw(RandomStream(seed, 1 + lo // _CHUNK).generator(), _CHUNK)[:samples - lo]
 
 
 def _as_generator(rng) -> np.random.Generator:

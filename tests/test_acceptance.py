@@ -155,7 +155,7 @@ def test_criterion_7_algebraic_identities():
         n = int(gen.integers(2, 5))
         g = BlockMatrix(haar_unitary(n, gen))
         h = BlockMatrix(haar_unitary(n, gen))
-        if not is_unitary(circ_infinite(g, h, alpha=1), 1e-10):
+        if not is_unitary(circ_infinite(g, h, alpha=1)):
             unitary_ok = False
 
     corner_ok = True

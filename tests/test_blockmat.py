@@ -263,7 +263,7 @@ class TestEmbed:
     def test_unitarity_preserved(self):
         spec = BlockSpec(2, 1, 4, 1)
         g = BlockMatrix(haar_unitary(spec.window, RandomStream(6, 0)))
-        assert is_unitary(embed(g, spec), 1e-10)
+        assert is_unitary(embed(g, spec))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -353,9 +353,13 @@ class TestNorms:
             assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-9
 
     def test_is_unitary(self):
-        assert is_unitary(np.eye(3), 1e-10)
-        assert not is_unitary(2 * np.eye(3), 1e-10)
-        assert is_unitary(PermutationWord([2, 3, 1]).matrix(), 0.0)
+        assert is_unitary(np.eye(3))
+        assert not is_unitary(2 * np.eye(3))
+        # the tolerance is 1e-10 on ||mat^H mat - I||
+        assert is_unitary((1 + 1e-11) * np.eye(3))
+        assert not is_unitary((1 + 1e-10) * np.eye(3))
+        perm = PermutationWord([2, 3, 1]).matrix()
+        assert is_unitary(perm) and np.array_equal(perm.T @ perm, np.eye(3))
 
     @pytest.mark.parametrize("mat", [
         np.eye(3)[:, :2],  # orthonormal columns: the column Gram is the identity

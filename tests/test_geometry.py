@@ -342,15 +342,19 @@ class TestDistConjugacyStack:
         _check_lane_arrays(stacked, xs, target)
         assert stacked[3].dtype == stacked[4].dtype == complex
 
-    @pytest.mark.parametrize("alpha,k", [(1, 1), (2, 2), (0, 2)])
-    def test_stack_equals_reference_loop(self, alpha, k):
+    @pytest.mark.parametrize("alpha,k,max_iters", [
+        pytest.param(1, 1, 200, id="1-1"), pytest.param(2, 2, 200, id="2-2"),
+        pytest.param(0, 2, 200, id="0-2"), pytest.param(2, 2, 40, id="2-2-40")])
+    def test_stack_equals_reference_loop(self, alpha, k, max_iters):
+        # at max_iters=40 the pace term max_iters (b_{t-L} - b) / L is smaller,
+        # so lanes retire on it earlier
         cores, target = self._cores(6, 8, seed=3, alpha=alpha, k=k)
         r = target.representative.entries
         bound, iters, converged, left, _ = dist_conjugacy_stack(
-            np.stack([c.entries for c in cores]), target)
+            np.stack([c.entries for c in cores]), target, max_iters=max_iters)
         for i, core in enumerate(cores):
             x = core.entries
-            want = _reference_conjugacy(x, r, alpha, _conjugacy_starts(x, r, alpha))
+            want = _reference_conjugacy(x, r, alpha, _conjugacy_starts(x, r, alpha), max_iters)
             assert (bound[i], iters[i], converged[i]) == want[:3]
             assert np.array_equal(left[i], want[3])
 
@@ -599,7 +603,7 @@ class TestConjugationKernels:
         # map and SVD; the dense branch reads no spectral guess
         dim = alpha + 2 * k
         n = 1 + (2 * k) ** 2
-        step = geometry._SYLVESTER_BYTES // (16 * n * dim * dim)
+        step = geometry._SCRATCH_BYTES // (16 * n * dim * dim)
         rng = np.random.default_rng(20 + dim)
         x = _random_stack(rng, (2 * step + 3, dim, dim), False)
         r = _random_stack(rng, (dim, dim), False)
@@ -854,7 +858,7 @@ class TestGramStartsStack:
         # k = 1 (copy size 2): the four sign patterns scored as one table must
         # pick the two-pass search's pattern, ties included, over a stack of
         # both sides as _gram_starts passes it, x and r alone filling more
-        # than one _SIGN_TABLE_BYTES piece
+        # than one _SCRATCH_BYTES piece
         fam = GroupFamily("unitary_orthogonal", BlockSpec(alpha, 1, 8, m))
         setup = RandomStream(alpha + 3 * m, 0).generator()
         g, h = (BlockMatrix(haar_unitary(fam.spec.window, setup)) for _ in range(2))
@@ -863,7 +867,7 @@ class TestGramStartsStack:
         xs = sample_core_stack(g, h, fam, a)
         x = np.concatenate([xs, xs.swapaxes(-1, -2)])
         rs = np.repeat(np.stack([r, r.T]), len(xs), axis=0)
-        assert 4 * (x.nbytes + rs.nbytes) > geometry._SIGN_TABLE_BYTES
+        assert 4 * (x.nbytes + rs.nbytes) > geometry._SCRATCH_BYTES
         layout = geometry._CopyLayout(fam.with_n_tail(1).spec)
         want, ties = _reference_gram_start(x, rs, layout)
         assert np.array_equal(geometry._gram_start(x, rs, layout), want)
