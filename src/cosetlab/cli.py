@@ -204,7 +204,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--g", dest="g_spec", metavar="G", help="matrix source for g")
     p.add_argument("--h", dest="h_spec", metavar="H")
-    p.add_argument("--max-iters", dest="max_iters", type=int)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 

@@ -45,18 +45,13 @@ __all__ = [
     "CSV_COLUMNS",
 ]
 
-CSV_COLUMNS = (
-    "family", "alpha", "k", "m", "N", "epsilon", "samples", "hits", "fraction",
-    "ci_low", "ci_high", "median_dist", "mean_dist", "seed", "runtime_s",
-)
-
 # Bytes per stacked solver call; a block holds as many samples as fit, filled
 # in N order, then sample order, so it may hold samples of several N.  Per
-# sample of core dimension d, tracemalloc (max_iters=2) reads 93-165 d^2 bytes
-# for the Procrustes solver, draw and core included (d = 3..17; the low end when
-# most lanes stop at the identity start), counted as 175 d^2, and 2 KB plus
-# 235-419 d^2 for the conjugation solver's three lanes (d = 3..9; a full block
-# peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2.
+# sample of core dimension d, tracemalloc (solvers capped at 2 steps) reads
+# 93-165 d^2 bytes for the Procrustes solver, draw and core included (d = 3..17;
+# the low end when most lanes stop at the identity start), counted as 175 d^2,
+# and 2 KB plus 235-419 d^2 for the conjugation solver's three lanes (d = 3..9;
+# a full block peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2.
 # Dense Sylvester maps are built, and the k = 1 Gram sign table is scored, in
 # stacks of at most 512 KiB (``geometry._SCRATCH_BYTES``; a Sylvester chunk may
 # be one lane) and A holds O(k^2) numbers (``haar._block_normals``), so nothing
@@ -71,7 +66,8 @@ class ExperimentConfig:
     g_spec / h_spec are matrix-source strings: "random_unitary" (one Haar
     window draw per experiment, from the seed's stream 0, g before h; a uniform
     window permutation for the symmetric family) or any window-size source
-    that ``blockmat.load_source`` reads.
+    that ``blockmat.load_source`` reads.  The unitary solvers run at their
+    default cap of 200 steps per start.
     """
 
     family: str
@@ -84,13 +80,12 @@ class ExperimentConfig:
     seed: int
     g_spec: str = "random_unitary"
     h_spec: str = "random_unitary"
-    max_iters: int = 200
 
     def __post_init__(self):
         for name in ("g_spec", "h_spec"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a matrix source; got {getattr(self, name)!r}")
-        for name in ("alpha", "k", "m", "samples", "seed", "max_iters"):
+        for name in ("alpha", "k", "m", "samples", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer; got {value!r}")
@@ -113,8 +108,6 @@ class ExperimentConfig:
             raise ValueError("epsilon_list must be nonempty, positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1; got {self.max_iters}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0; got {self.seed}")
 
@@ -150,6 +143,9 @@ class ReportRow:
     mean_dist: float
     seed: int
     runtime_s: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 @dataclass(frozen=True)
@@ -307,7 +303,7 @@ def _sweep_distances(cfg: ExperimentConfig):
         def solve_pending():
             start = time.perf_counter()
             cores = sample_core_stack(g_win, h_core, fam0, np.concatenate([a for _, a in pending]))
-            dists = solve(cores, target, max_iters=cfg.max_iters, **stop)[0]
+            dists = solve(cores, target, **stop)[0]
             share = (time.perf_counter() - start) / len(dists)
             for i, a in pending:
                 out[i].append(dists[:len(a)])

@@ -86,14 +86,16 @@ _NO_GAIN = 1e-12
 
 def _check_stack(xs, target: CosetTarget, kind: str, max_iters: int):
     """The (S, d, d) sample stack xs and target's d x d representative, as arrays;
-    raises ValueError unless target's family is kind, xs fits the representative
-    and max_iters is at least 1."""
+    raises ValueError unless target's family is kind, xs fits the representative,
+    both are finite and max_iters is at least 1."""
     if target.family.kind != kind:
         raise ValueError(f"this distance needs the {kind} family, got {target.family.kind!r}")
     r = target.representative.entries
     x = np.asarray(xs)
     if x.ndim != 3 or x.shape[1:] != r.shape:
         raise ValueError("dimension mismatch between sample and target")
+    if not (np.isfinite(x).all() and np.isfinite(r).all()):
+        raise ValueError("sample and target entries must be finite")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1; got {max_iters}")
     return x, r
@@ -214,18 +216,18 @@ def _alternate_stack(x, r, layout, v0, max_iters, stop_below):
     The Frobenius residual is tracked through the trace identity
     ||x - UrV||_F^2 = 2 dim - 2 Re tr(x^H U r V), which is free given the
     V-step target matrix; the operator norm is evaluated once at the end, by
-    one stacked Hermitian eigensolve (``_op_norm``).  A lane leaves the stack
-    when it stops, so the stack shrinks as it runs.
+    one stacked Hermitian eigensolve (``_op_norm``).  A lane stops and leaves
+    the stack once f <= stop_below or, converged, f_prev - f < max(_REL_GAIN f, _NO_GAIN);
+    lanes still running after max_iters steps are written out unconverged.
     Returns per-lane (operator norm, u, v, iterations, converged).
     """
     lanes_total, dim = x.shape[0], x.shape[-1]
     alpha = layout.alpha
     u_out, v_out = np.empty_like(v0), np.empty_like(v0)
-    iters = np.full(lanes_total, max_iters)
-    converged = np.zeros(lanes_total, dtype=bool)
+    iters, converged = np.full(lanes_total, max_iters), np.zeros(lanes_total, dtype=bool)
     lanes, xl, v = np.arange(lanes_total), x, v0
     xc = x[..., :alpha].conj()
-    f_prev = None
+    f_prev, floor = np.inf, -np.inf if stop_below is None else stop_below
     for t in range(max_iters):
         rV = layout.apply_right(r, v)
         u = _polar(layout.row_gram(xl, rV))
@@ -235,23 +237,17 @@ def _alternate_stack(x, r, layout, v0, max_iters, stop_below):
         corner = (xc * Ur[..., :alpha]).reshape(len(lanes), -1).sum(axis=-1).real
         inner = corner + (Mv * v).reshape(len(lanes), -1).sum(axis=-1)
         f = np.sqrt(np.maximum(2.0 * dim - 2.0 * inner, 0.0))
-        below = np.zeros(len(lanes), dtype=bool) if stop_below is None else f <= stop_below
-        stop = below
-        if f_prev is not None:
-            gain = f_prev - f
-            stop = below | (gain < _NO_GAIN) | (gain < _REL_GAIN * np.maximum(f, 1e-300))
-        n_stop = np.count_nonzero(stop)
-        if n_stop:
-            done = lanes[stop]
+        below = f <= floor
+        stop = below | (f_prev - f < np.maximum(_REL_GAIN * f, _NO_GAIN))
+        if np.count_nonzero(stop):
+            done, go = lanes[stop], ~stop
             u_out[done], v_out[done], iters[done] = u[stop], v[stop], t + 1
             converged[done] = ~below[stop]
-            if n_stop == len(lanes):
-                break
-            go = ~stop
             lanes, xl, xc, u, v, f = lanes[go], xl[go], xc[go], u[go], v[go], f[go]
+            if not len(lanes):
+                break
         f_prev = f
-    else:
-        u_out[lanes], v_out[lanes] = u, v
+    u_out[lanes], v_out[lanes] = u, v
     a = x - layout.apply_right(layout.apply_left(r, u_out), v_out)
     return _op_norm(a), u_out, v_out, iters, converged
 
@@ -278,10 +274,9 @@ def _gram_start(x, r, layout):
     first, it kept the wrong component of O(2) on some k = 1 cores.
 
     At copy size 2 (every k = 1 core) the four sign patterns cost fewer scores
-    than the passes' five, so each lane's four are scored as one stack, in
-    pieces of at most ``_SCRATCH_BYTES`` of inputs, and the passes' strict
-    comparisons are replayed on that table: each lane keeps the passes' own
-    pattern.  Larger copies run the passes."""
+    than the passes' five, so each lane's four are scored first as one stack,
+    in pieces of at most ``_SCRATCH_BYTES`` of inputs, and the passes read
+    their scores from that table."""
     args = (x, x[..., :layout.alpha, :].conj(), r, _gram_basis(x, layout), _gram_basis(r, layout))
 
     def score(x, xc, r, basis_x, basis_r, signs):
@@ -293,7 +288,7 @@ def _gram_start(x, r, layout):
         return corner + _nuclear_norm(layout.row_gram(x, rV))
 
     if layout.w == 2:
-        # pattern p flips sign j where bit j of p is set
+        # pattern p flips sign j where bit j of p is set: signs s read column (s < 0) @ (1, 2)
         patterns = np.array([[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
         table = np.empty((len(x), 4))
         piece = max(1, _SCRATCH_BYTES // (4 * sum(a[0].nbytes for a in args)))
@@ -301,22 +296,19 @@ def _gram_start(x, r, layout):
             part = [np.concatenate(4 * [a[lo:lo + piece]]) for a in args]
             n = len(part[0]) // 4
             table[lo:lo + n] = score(*part, np.repeat(patterns, n, axis=0)).reshape(4, n).T
-        lanes = np.arange(len(x))
-        p = np.zeros(len(x), dtype=int)
-        f = table[:, 0]
-        for j in (0, 1, 0, 1):
-            f_flip = table[lanes, p ^ (1 << j)]
-            p = np.where(f_flip > f, p ^ (1 << j), p)
-            f = np.where(f_flip > f, f_flip, f)
-        signs = patterns[p]
-    else:
-        signs = np.ones((len(x), layout.w))
-        f = score(*args, signs)
-        for j in 2 * list(range(layout.w)):
-            signs[:, j] *= -1.0
-            f_flip = score(*args, signs)
-            signs[~(f_flip > f), j] *= -1.0
-            f = np.where(f_flip > f, f_flip, f)
+
+    def scored(signs):
+        if layout.w == 2:
+            return table[np.arange(len(signs)), (signs < 0) @ (1, 2)]
+        return score(*args, signs)
+
+    signs = np.ones((len(x), layout.w))
+    f = scored(signs)
+    for j in 2 * list(range(layout.w)):
+        signs[:, j] *= -1.0
+        f_flip = scored(signs)
+        signs[~(f_flip > f), j] *= -1.0
+        f = np.where(f_flip > f, f_flip, f)
     basis_x, basis_r = args[3:]
     return (basis_r * signs[:, None, :]) @ basis_x.swapaxes(-1, -2)
 
@@ -400,12 +392,12 @@ def dist_double_coset(
     root of the top eigenvalue of its residual's Gram matrix.  This is
     ``dist_double_coset_stack`` on a stack of one.
 
-    A run stops once a step lowers its Frobenius residual by less than
-    ``_NO_GAIN`` (1e-12) or than ``_REL_GAIN`` (1e-3) of it, or, with
-    stop_below, once its bound is that small (then the Gram starts run only if
-    the identity's bound is above it).  Raises
-    ValueError for any other family (the symmetric family's view is exact
-    membership, ``sym_membership``) and when max_iters is below 1.
+    A run stops once its Frobenius residual f is at most stop_below, or, as
+    converged, once a step gains less than max(1e-3 f, 1e-12) (``_REL_GAIN``,
+    ``_NO_GAIN``); with stop_below the Gram starts run only if the identity's
+    bound is above it.  Raises ValueError for any other family (the symmetric
+    family's view is exact membership, ``sym_membership``), for non-finite
+    entries and when max_iters is below 1.
     """
     return _lone(dist_double_coset_stack, x, target, max_iters=max_iters, stop_below=stop_below)
 
@@ -426,7 +418,7 @@ _CONJ_EXACT = 1e-11
 # leader too.  On a 2 x 2 non-corner block (k = 1) no step after 5 flat ones
 # lowered a bound in sweep scans; larger blocks keep 25, as 20 lost a late
 # gain of 0.038 at k = 3.
-_CONJ_STALL, _CONJ_STALL_WIDE = 5, 25
+_CONJ_WINDOW, _CONJ_WINDOW_WIDE = 5, 25
 
 
 def _blockify_unitary(M: np.ndarray, alpha: int) -> np.ndarray:
@@ -530,7 +522,7 @@ def dist_conjugacy_stack(
     leaves the stack when its bound comes within 1e-11 of its sample's lower
     bound, or when it trails its sample's leader bound (the least best bound
     of the sample's lanes so far) by at least max_iters steps at its mean gain
-    over the last L steps (``_CONJ_STALL``), which a lane that gained nothing
+    over the last L steps (``_CONJ_WINDOW``), which a lane that gained nothing
     in them always does; so the stack shrinks as it runs, and a sample whose
     least start bound is already within 1e-11 takes no step.  A sample's
     lanes thus depend on each other, but not on the rest of the stack: each
@@ -551,7 +543,7 @@ def dist_conjugacy_stack(
                         spectral, _min_singular_init(x, r, alpha, spectral)])
     lanes, own, lower = np.arange(len(owner)), owner, gap[owner]
     xh = x[owner].conj().swapaxes(-1, -2)
-    stall_len = _CONJ_STALL if len(r) - alpha == 2 else _CONJ_STALL_WIDE
+    window = _CONJ_WINDOW if len(r) - alpha == 2 else _CONJ_WINDOW_WIDE
 
     def aligned(W):
         # Z = x^H (W r), with W r as one product over the whole stack: for
@@ -563,10 +555,10 @@ def dist_conjugacy_stack(
     best, best_W = _op_norm(W - Z), W.copy()
     op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
     converged = np.zeros(len(lanes), dtype=bool)
-    # each sample's leader bound, and each lane's best bound of the last stall_len
-    # steps (slot t % stall_len holds step t's; inf before step 0 retires no lane)
+    # each sample's leader bound, and each lane's best bound of the last window
+    # steps (slot t % window holds step t's; inf before step 0 retires no lane)
     lead = best.reshape(3, samples).min(axis=0)
-    past = np.full((stall_len, len(lanes)), np.inf)
+    past = np.full((window, len(lanes)), np.inf)
     past[0] = best
     # before step 1, a sample whose least start bound closes its bracket retires every lane
     stop = (lead - gap < _CONJ_EXACT)[owner]
@@ -581,8 +573,8 @@ def dist_conjugacy_stack(
             best = np.where(better, op, best)
             np.copyto(best_W, W, where=better[:, None, None])
             np.minimum.at(lead, own, best)
-            pace = max_iters * (past[t % stall_len] - best) / stall_len
-            past[t % stall_len] = best
+            pace = max_iters * (past[t % window] - best) / window
+            past[t % window] = best
             stop = (best - lower < _CONJ_EXACT) | (best - lead[own] >= pace)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)
@@ -636,7 +628,7 @@ def dist_conjugacy(
     ran out.  When the Sylvester start's ARPACK solve (non-corner size above
     34) does not converge, that lane starts from the spectral guess.  This is
     ``dist_conjugacy_stack`` on a stack of one.
-    Raises ValueError for any other family and when max_iters is below 1.
+    Raises ValueError for any other family, non-finite entries or max_iters < 1.
     """
     return _lone(dist_conjugacy_stack, x, target, max_iters=max_iters)
 

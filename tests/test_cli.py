@@ -325,17 +325,20 @@ class TestConcentration:
         assert "cfg.json" in err and "JSON object" in err
 
     @pytest.mark.parametrize("flag", [("--threads", "2"), ("--measure", "tau_full"),
-                                      ("--restarts", "5"), ("--tol", "1e-12")])
+                                      ("--restarts", "5"), ("--tol", "1e-12"),
+                                      ("--max-iters", "200")])
     def test_removed_flags_are_unknown(self, capsys, flag):
         code, _, err = run_cli(capsys, *self.ARGS, "--seed", "6", *flag)
         assert code == 1
         assert "unrecognized arguments" in err
 
-    @pytest.mark.parametrize("field,value", [("restarts", 10), ("tol", 1e-12)])
+    @pytest.mark.parametrize("field,value", [("restarts", 10), ("tol", 1e-12),
+                                             ("max_iters", 200)])
     def test_config_with_removed_field(self, capsys, tmp_path, field, value):
-        # the orthogonal solver's starts are computed from the sample and its
-        # stop thresholds are constants, so a config that still sets a restart
-        # count or a tolerance is stale
+        # the orthogonal solver's starts are computed from the sample, its
+        # stop thresholds are constants and the sweep runs the solvers at
+        # their default step cap, so a config that still sets a restart
+        # count, a tolerance or a step cap is stale
         data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],
                 "epsilon_list": [0.4], "samples": 2, "seed": 1, field: value}
         path = tmp_path / "cfg.json"
@@ -447,14 +450,6 @@ class TestExitCodes:
                                  "--x", str(path), "--target", "(1 2)")
         assert (code, out) == (1, "")
         assert f"malformed matrix JSON in {path}" in err
-
-    def test_zero_max_iters_is_config_error(self, capsys):
-        code, _, err = run_cli(
-            capsys, "concentration", "--family", "unitary_orthogonal", "--alpha", "1",
-            "--k", "1", "--m", "1", "--N", "3", "--epsilon", "0.4", "--samples", "2",
-            "--seed", "1", "--max-iters", "0")
-        assert code == 1
-        assert "max_iters" in err
 
     @pytest.mark.parametrize("config,flags", [
         ({"samples": 2.5}, ()),

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import threading
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import cosetlab.experiments as experiments
+import cosetlab.geometry as geometry
 from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord, load_source
 from cosetlab.cosets import GroupFamily, circ_N, sample_core
 from cosetlab.experiments import (
@@ -37,6 +39,14 @@ def _cfg(**overrides):
         samples=50, seed=7, g_spec="(1 2)", h_spec="(1 2)")
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _cap_steps(monkeypatch, max_iters):
+    # the sweep runs its unitary solvers at their default step cap; a short
+    # cap keeps a test that needs no converged bound fast
+    for name in ("dist_double_coset_stack", "dist_conjugacy_stack"):
+        monkeypatch.setattr(experiments, name,
+                            functools.partial(getattr(geometry, name), max_iters=max_iters))
 
 
 def _sample_row(seed, i, draw):
@@ -123,10 +133,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config fields"):
             ExperimentConfig.from_json_dict(data)
 
-    @pytest.mark.parametrize("field,value", [("measure", "tau_full"), ("tol", 1e-12)])
+    @pytest.mark.parametrize("field,value", [("measure", "tau_full"), ("tol", 1e-12),
+                                             ("max_iters", 200)])
     def test_removed_field_rejected(self, field, value):
         # tau_tilde and tau_full give the same report, so a config names no
-        # measure; the solvers' stop thresholds are constants, not options
+        # measure; the solvers' stop thresholds are constants, not options, and
+        # the sweep runs them at their default step cap
         data = _cfg().to_json_dict()
         data[field] = value
         with pytest.raises(ValueError, match=f"unknown config fields: \\['{field}'\\]"):
@@ -150,13 +162,13 @@ class TestExperimentConfig:
         dict(epsilon_list=()),
         dict(samples=0),
         dict(k=0),
-        dict(max_iters=0),
+        dict(m=0),
         dict(samples=2.5),
         dict(alpha=1.5),
         dict(k=True),
         dict(seed="abc"),
         dict(m=1.0),
-        dict(max_iters=2.5),
+        dict(seed=2.5),
         dict(N_list="64"),
         dict(N_list=64),
         dict(N_list=(8.7,)),
@@ -268,9 +280,9 @@ class TestRunConcentration:
         # blocks of 7 samples at core dimension 3, and 260 samples, so blocks
         # and a chunk edge are crossed; 20 steps keep the loop short
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 480 * 9))
+        _cap_steps(monkeypatch, 20)
         cfg = _cfg(family="unitary_conjugation", N_list=(8, 24), epsilon_list=(0.2, 0.4),
-                   samples=260, seed=5, g_spec="random_unitary", h_spec="random_unitary",
-                   max_iters=20)
+                   samples=260, seed=5, g_spec="random_unitary", h_spec="random_unitary")
         setup = RandomStream(cfg.seed, 0).generator()
         g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
         target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(1, 1, 1, 1)))
@@ -278,7 +290,7 @@ class TestRunConcentration:
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
             dists = [dist_conjugacy(sample_core(g, h, fam, _sample_block(cfg.seed, i, N, True)),
-                                    target, max_iters=cfg.max_iters).upper_bound
+                                    target, max_iters=20).upper_bound
                      for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
@@ -360,20 +372,25 @@ class TestRunConcentration:
                     ci_high=hi, median_dist=float(np.median(dists)),
                     mean_dist=float(np.mean(dists)), seed=cfg.seed, runtime_s=0.0)
 
+    # each case with the solvers' step cap (the symmetric sweep runs no solver)
     LAYOUT_CASES = [
-        dict(family="symmetric", k=2, m=2, N_list=(2, 10**12), g_spec="random_unitary",
-             h_spec="random_unitary"),
-        dict(family="unitary_orthogonal", k=1, N_list=(8, 10**9), g_spec="random_unitary",
-             h_spec="random_unitary", max_iters=20),
-        dict(family="unitary_conjugation", k=1, N_list=(8,), g_spec="random_unitary",
-             h_spec="random_unitary", max_iters=5),
+        pytest.param(dict(family="symmetric", k=2, m=2, N_list=(2, 10**12),
+                          g_spec="random_unitary", h_spec="random_unitary"), 200, id="symmetric"),
+        pytest.param(dict(family="unitary_orthogonal", k=1, N_list=(8, 10**9),
+                          g_spec="random_unitary", h_spec="random_unitary"), 20,
+                     id="unitary_orthogonal"),
+        pytest.param(dict(family="unitary_conjugation", k=1, N_list=(8,),
+                          g_spec="random_unitary", h_spec="random_unitary"), 5,
+                     id="unitary_conjugation"),
     ]
 
-    @pytest.mark.parametrize("case", LAYOUT_CASES, ids=lambda c: c["family"])
-    def test_sample_distances_do_not_depend_on_sample_count(self, case):
+    @pytest.mark.parametrize("case,steps", LAYOUT_CASES)
+    def test_sample_distances_do_not_depend_on_sample_count(self, monkeypatch, case, steps):
         # sample i's distance depends only on (seed, i, N): shorter sweeps,
         # inside the first chunk and across its edge, are prefixes of one
         # that crosses two chunk edges
+        _cap_steps(monkeypatch, steps)
+
         def distances(samples):
             cfg = _cfg(**case, epsilon_list=(0.4,), samples=samples, seed=13)
             return {N: dists.tolist() for N, dists, _ in experiments._sweep_distances(cfg)}
@@ -382,10 +399,11 @@ class TestRunConcentration:
         for samples in (1, 100, 300):
             assert distances(samples) == {N: d[:samples] for N, d in longest.items()}
 
-    @pytest.mark.parametrize("case", LAYOUT_CASES[1:], ids=lambda c: c["family"])
-    def test_report_does_not_depend_on_block_budget(self, monkeypatch, case):
+    @pytest.mark.parametrize("case,steps", LAYOUT_CASES[1:])
+    def test_report_does_not_depend_on_block_budget(self, monkeypatch, case, steps):
         # solver blocks of 1 sample, of 100 (crossing chunk edges) and the
         # default 658 or 2663
+        _cap_steps(monkeypatch, steps)
         cfg = _cfg(**case, epsilon_list=(0.4,), samples=300, seed=13)
         want = run_concentration(cfg).with_zeroed_runtime()
         lane_bytes = 2048 + 480 * 9 if case["family"] == "unitary_conjugation" else 175 * 9
@@ -402,6 +420,7 @@ class TestRunConcentration:
         seen = []
         name = {"unitary_orthogonal": "dist_double_coset_stack",
                 "unitary_conjugation": "dist_conjugacy_stack"}[family]
+        _cap_steps(monkeypatch, 20)
         real = getattr(experiments, name)
 
         def spy(xs, *args, **kwargs):
@@ -410,7 +429,7 @@ class TestRunConcentration:
 
         monkeypatch.setattr(experiments, name, spy)
         kwargs = dict(family=family, epsilon_list=(0.2, 0.4), samples=samples, seed=11,
-                      g_spec="random_unitary", h_spec="random_unitary", max_iters=20)
+                      g_spec="random_unitary", h_spec="random_unitary")
         def rows(N_list):
             return run_concentration(_cfg(**kwargs, N_list=N_list)).with_zeroed_runtime().rows
 
@@ -439,6 +458,7 @@ class TestRunConcentration:
     def test_conjugation_stacks_stay_bounded(self, monkeypatch):
         # blocks of _BLOCK_BYTES // (2048 + 480 d^2) samples: 658 at d=3, 29 at d=17
         seen = []
+        _cap_steps(monkeypatch, 2)
         real = experiments.dist_conjugacy_stack
 
         def spy(xs, *args, **kwargs):
@@ -450,7 +470,7 @@ class TestRunConcentration:
             seen.clear()
             cfg = _cfg(family="unitary_conjugation", k=k, N_list=(k,), epsilon_list=(0.4,),
                        samples=samples, seed=2, g_spec="random_unitary",
-                       h_spec="random_unitary", max_iters=2)
+                       h_spec="random_unitary")
             run_concentration(cfg)
             assert seen == sizes, k
 
@@ -470,12 +490,12 @@ class TestRunConcentration:
             tracemalloc.stop()
         assert peak < 48 * samples + 2e6, f"peak {peak / 1e6:.1f} MB"
 
-    def test_conjugation_block_memory(self):
+    def test_conjugation_block_memory(self, monkeypatch):
         # one block of six k=8 samples; each Sylvester map, about 3.6 MB, is
         # built one sample at a time, so only one is held at once
+        _cap_steps(monkeypatch, 2)
         cfg = _cfg(family="unitary_conjugation", k=8, N_list=(8,), epsilon_list=(0.4,),
-                   samples=6, seed=2, g_spec="random_unitary", h_spec="random_unitary",
-                   max_iters=2)
+                   samples=6, seed=2, g_spec="random_unitary", h_spec="random_unitary")
         tracemalloc.start()
         try:
             run_concentration(cfg)
@@ -492,11 +512,12 @@ class TestRunConcentration:
         ("unitary_orthogonal", 1, 3000, 1e-9, (8,)), ("unitary_orthogonal", 8, 200, 0.4, (8,)),
         # the first block holds 2000 samples at N=8 and 663 at N=64
         ("unitary_orthogonal", 1, 2000, 1e-9, (8, 64))])
-    def test_full_block_stays_near_budget(self, family, k, samples, eps, N_list):
+    def test_full_block_stays_near_budget(self, monkeypatch, family, k, samples, eps, N_list):
         # more samples than one block holds (658 and 298; 2663, 958, 295 and
         # 82), so the first block is full
+        _cap_steps(monkeypatch, 2)
         kwargs = dict(family=family, k=k, N_list=N_list, epsilon_list=(eps,), seed=3,
-                      g_spec="random_unitary", h_spec="random_unitary", max_iters=2)
+                      g_spec="random_unitary", h_spec="random_unitary")
         # a first sweep pays numpy's lazy imports (np.median loads numpy.ma,
         # about 1.7 MB) outside the trace, so the peak is the block's whichever
         # test runs first
@@ -513,13 +534,13 @@ class TestRunConcentration:
     @pytest.mark.parametrize("run", [
         lambda: run_concentration(_cfg(
             family="unitary_orthogonal", N_list=(10**5,), epsilon_list=(0.4,), samples=64,
-            seed=3, g_spec="random_unitary", h_spec="random_unitary",
-            max_iters=2)),
+            seed=3, g_spec="random_unitary", h_spec="random_unitary")),
         lambda: run_block_decay(2, [10**5], 30, 4),
     ], ids=["orthogonal_sweep", "block_decay"])
-    def test_long_tail_draws_stay_near_budget(self, run):
+    def test_long_tail_draws_stay_near_budget(self, monkeypatch, run):
         # one draw's Gaussians are 0.8 MB (k=1) or 1.6 MB (k=2) at N = 10^5, so
         # 64 or 30 draws as one stack would hold about 50 MB of Gaussians alone
+        _cap_steps(monkeypatch, 2)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -552,6 +573,7 @@ class TestRunConcentration:
                                                         sizes):
         # blocks of _BLOCK_BYTES // (175 d^2) samples: d=3 fits a sweep, d=33 does not
         seen = []
+        _cap_steps(monkeypatch, 2)
         real = experiments.dist_double_coset_stack
 
         def spy(xs, *args, **kwargs):
@@ -560,8 +582,7 @@ class TestRunConcentration:
 
         monkeypatch.setattr(experiments, "dist_double_coset_stack", spy)
         cfg = _cfg(family="unitary_orthogonal", k=k, m=m, N_list=N_list, epsilon_list=(0.4,),
-                   samples=samples, seed=2, g_spec="random_unitary", h_spec="random_unitary",
-                   max_iters=2)
+                   samples=samples, seed=2, g_spec="random_unitary", h_spec="random_unitary")
         run_concentration(cfg)
         assert seen == sizes
 

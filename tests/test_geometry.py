@@ -181,6 +181,28 @@ def test_solver_keywords(solver, keywords):
     assert list(inspect.signature(solver).parameters)[2:] == keywords
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("where", ["sample", "representative"])
+@pytest.mark.parametrize("solver", [dist_double_coset, dist_double_coset_stack, dist_conjugacy,
+                                    dist_conjugacy_stack])
+def test_non_finite_entry_rejected(solver, where, bad):
+    # one bad entry in one lane would fail the whole stack in LAPACK or warn
+    # in a product, so the solvers refuse it up front
+    kind = "unitary_conjugation" if "conjugacy" in solver.__name__ else "unitary_orthogonal"
+    gen = RandomStream(8, 0).generator()
+    g, h = BlockMatrix(haar_unitary(2, gen)), BlockMatrix(haar_unitary(2, gen))
+    target = circ_N(g, h, GroupFamily(kind, BlockSpec(1, 1, 2, 1)))
+    xs = np.stack([haar_unitary(4, gen) for _ in range(3)])
+    if where == "sample":
+        xs[1, 2, 3] = bad
+    else:
+        r = target.representative.entries.copy()
+        r[0, 1] = bad
+        target = CosetTarget(BlockMatrix(r), target.family)
+    with pytest.raises(ValueError, match="finite"):
+        solver(xs if solver.__name__.endswith("_stack") else BlockMatrix(xs[1]), target)
+
+
 def _reference_bound(x, W, r):
     """||x - W r W^H|| as the solver forms it: ||W - Z|| with Z = x^H (W r),
     from the top eigenvalue of its Gram matrix; and Z, the next step's input."""
@@ -416,11 +438,11 @@ class TestDistConjugacyStack:
     @pytest.mark.parametrize("alpha,N,seed", [(1, 8, 42), (2, 8, 3), (1, 24, 9)])
     def test_short_stall_keeps_k1_bounds(self, monkeypatch, alpha, N, seed):
         # on k = 1 sweep cores no step after the fifth flat one lowers a bound,
-        # so the 5-step stall reads the 25-step stall's bounds and hits
+        # so the 5-step window reads the 25-step window's bounds and hits
         cores, target = self._cores(N, 60, seed=seed, alpha=alpha)
         xs = np.stack([c.entries for c in cores])
         short = dist_conjugacy_stack(xs, target)[0]
-        monkeypatch.setattr(geometry, "_CONJ_STALL", 25)
+        monkeypatch.setattr(geometry, "_CONJ_WINDOW", 25)
         full = dist_conjugacy_stack(xs, target)[0]
         np.testing.assert_allclose(short, full, rtol=0, atol=1e-12)
         for eps in (0.2, 0.4):
@@ -737,6 +759,17 @@ class TestDistDoubleCosetStack:
         _check_lane_arrays(stacked, xs, target)
         assert _same_lanes(stacked, _as_lanes(
             [_reference_double_coset(x, target, stop_below=stop_below) for x in xs]))
+
+    @pytest.mark.parametrize("max_iters", [1, 3])
+    def test_capped_lanes_equal_reference_loop(self, max_iters):
+        # lanes still running at the step cap are written out after the loop,
+        # unconverged; at 3 steps some lanes have stopped
+        xs, target = self._cores(1, 2, 2)
+        stacked = dist_double_coset_stack(xs, target, max_iters=max_iters)
+        _check_lane_arrays(stacked, xs, target)
+        assert not stacked[2].all()
+        assert _same_lanes(stacked, _as_lanes(
+            [_reference_double_coset(x, target, max_iters=max_iters) for x in xs]))
 
     def test_direct_call_is_a_stack_of_one(self):
         xs, target = self._cores(1, 1, 1, samples=4)
