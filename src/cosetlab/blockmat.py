@@ -198,6 +198,8 @@ class BlockMatrix:
         entries = np.ascontiguousarray(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
+        if not np.isfinite(entries).all():
+            raise ValueError("matrix entries must be finite")
         self._entries = entries
         self.exact_permutation = None
 
@@ -247,10 +249,8 @@ class BlockMatrix:
             if not isinstance(data["perm"], list) or any(type(i) is not int for i in data["perm"]):
                 raise ValueError(f"perm must be a list of integers; got {data['perm']!r}")
             return cls.from_permutation(PermutationWord(data["perm"]))
-        re, im = np.asarray(data["re"], dtype=float), np.asarray(data["im"], dtype=float)
-        if not (np.isfinite(re).all() and np.isfinite(im).all()):
-            raise ValueError("matrix entries must be finite")
-        entries = re + 1j * im
+        entries = np.asarray(data["re"], dtype=float).astype(complex)
+        entries.imag = data["im"]  # no product: 1j * inf would warn and make nan
         if entries.shape != (data["dim"], data["dim"]):
             raise ValueError("re/im shape does not match dim")
         return cls(entries)

@@ -24,7 +24,7 @@ from .experiments import (
 )
 from .geometry import sym_membership
 from .haar import RandomStream, haar_orthogonal, haar_unitary, uniform_permutation
-from .hypergroup_exact import ENUMERATION_BUDGET, _check_budget, exact_convolution
+from .hypergroup_exact import _check_budget, exact_convolution
 
 __all__ = ["main"]
 
@@ -85,7 +85,7 @@ def _cmd_membership(args) -> int:
 def _cmd_exact_sym(args) -> int:
     spec = BlockSpec(args.alpha, args.k, args.N, args.m)
     fam = GroupFamily("symmetric", spec)
-    _check_budget(spec, args.budget)  # before g and h are built at full size
+    _check_budget(spec)  # before g and h are built at full size
 
     def load(src):
         elem = load_source(src, (spec.window, spec.dim))
@@ -93,7 +93,7 @@ def _cmd_exact_sym(args) -> int:
 
     g = load(args.g)
     h = load(args.h)
-    dist = exact_convolution(g, h, fam, budget=args.budget)
+    dist = exact_convolution(g, h, fam)
     write_text(json.dumps(dist.to_json_dict(), indent=2) + "\n", args.out)
     return 0
 
@@ -121,11 +121,7 @@ def _cmd_concentration(args) -> int:
     data.update({key: val for key, val in overrides.items() if val is not None})
     if data.get("seed") is None:
         raise ConfigError("concentration needs an explicit --seed (or a seed in the config)")
-    try:
-        cfg = ExperimentConfig.from_json_dict(data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    report = run_concentration(cfg)
+    report = run_concentration(ExperimentConfig.from_json_dict(data))
     write_report(report, args.out, args.format)
     return 0
 
@@ -179,7 +175,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--g", required=True, help="window- or full-size matrix source")
     p.add_argument("--h", required=True)
-    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
 
     p = add("block-decay", _cmd_block_decay, "corner-block norm decay of Haar orthogonal matrices",
             "cosetlab block-decay --k 2 --N 20 --N 200 --samples 200 --seed 3")

@@ -66,8 +66,8 @@ class ExperimentConfig:
     g_spec / h_spec are matrix-source strings: "random_unitary" (one Haar
     window draw per experiment, from the seed's stream 0, g before h; a uniform
     window permutation for the symmetric family) or any window-size source
-    that ``blockmat.load_source`` reads.  The unitary solvers run at their
-    default cap of 200 steps per start.
+    that ``blockmat.load_source`` reads.  The unitary solvers run at most 200
+    steps per start (``geometry._MAX_ITERS``).
     """
 
     family: str

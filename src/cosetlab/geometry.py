@@ -82,22 +82,23 @@ _SCRATCH_BYTES = 512 << 10
 # stops at such a step (of its Frobenius residual), and a conjugation step must
 # gain more than this to beat its lane's best bound.
 _NO_GAIN = 1e-12
+# Step cap of an orthogonal run and of a conjugation start, read at each call:
+# a lane still running after this many steps is written out unconverged.
+_MAX_ITERS = 200
 
 
-def _check_stack(xs, target: CosetTarget, kind: str, max_iters: int):
+def _check_stack(xs, target: CosetTarget, kind: str):
     """The (S, d, d) sample stack xs and target's d x d representative, as arrays;
-    raises ValueError unless target's family is kind, xs fits the representative,
-    both are finite and max_iters is at least 1."""
+    raises ValueError unless target's family is kind, xs fits the representative
+    and its entries are finite (a BlockMatrix representative's always are)."""
     if target.family.kind != kind:
         raise ValueError(f"this distance needs the {kind} family, got {target.family.kind!r}")
     r = target.representative.entries
     x = np.asarray(xs)
     if x.ndim != 3 or x.shape[1:] != r.shape:
         raise ValueError("dimension mismatch between sample and target")
-    if not (np.isfinite(x).all() and np.isfinite(r).all()):
-        raise ValueError("sample and target entries must be finite")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1; got {max_iters}")
+    if not np.isfinite(x).all():
+        raise ValueError("sample entries must be finite")
     return x, r
 
 
@@ -209,7 +210,7 @@ class _CopyLayout:
         return M
 
 
-def _alternate_stack(x, r, layout, v0, max_iters, stop_below):
+def _alternate_stack(x, r, layout, v0, stop_below):
     """One run of the alternating Frobenius descent over real orthogonal (u, v)
     per lane of x, from the lane's start v0.
 
@@ -218,17 +219,17 @@ def _alternate_stack(x, r, layout, v0, max_iters, stop_below):
     V-step target matrix; the operator norm is evaluated once at the end, by
     one stacked Hermitian eigensolve (``_op_norm``).  A lane stops and leaves
     the stack once f <= stop_below or, converged, f_prev - f < max(_REL_GAIN f, _NO_GAIN);
-    lanes still running after max_iters steps are written out unconverged.
+    lanes still running after ``_MAX_ITERS`` steps are written out unconverged.
     Returns per-lane (operator norm, u, v, iterations, converged).
     """
     lanes_total, dim = x.shape[0], x.shape[-1]
     alpha = layout.alpha
     u_out, v_out = np.empty_like(v0), np.empty_like(v0)
-    iters, converged = np.full(lanes_total, max_iters), np.zeros(lanes_total, dtype=bool)
+    iters, converged = np.full(lanes_total, _MAX_ITERS), np.zeros(lanes_total, dtype=bool)
     lanes, xl, v = np.arange(lanes_total), x, v0
     xc = x[..., :alpha].conj()
     f_prev, floor = np.inf, -np.inf if stop_below is None else stop_below
-    for t in range(max_iters):
+    for t in range(_MAX_ITERS):
         rV = layout.apply_right(r, v)
         u = _polar(layout.row_gram(xl, rV))
         Ur = layout.apply_left(r, u)
@@ -327,7 +328,6 @@ def _gram_starts(x, r, layout):
 def dist_double_coset_stack(
     xs,
     target: CosetTarget,
-    max_iters: int = 200,
     stop_below: float | None = None,
 ) -> tuple:
     """``dist_double_coset`` for each of an (S, d, d) stack of unitary_orthogonal
@@ -343,19 +343,18 @@ def dist_double_coset_stack(
     order: bounds (S,) float, iterations (S,) int, converged (S,) bool and the
     real witness stacks L, R (S, d, d), with bound i = ||x_i - L_i r R_i||.
     Memory is O(S d^2): callers bound S."""
-    x, r = _check_stack(xs, target, "unitary_orthogonal", max_iters)
+    x, r = _check_stack(xs, target, "unitary_orthogonal")
     if not len(x):
         return (np.zeros(0), np.zeros(0, int), np.zeros(0, bool), *np.zeros((2,) + x.shape))
     layout = _CopyLayout(target.family.spec)
-    args = (max_iters, stop_below)
-    best = _alternate_stack(x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), *args)
+    best = _alternate_stack(x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), stop_below)
     above = np.arange(len(x)) if stop_below is None else np.flatnonzero(best[0] > stop_below)
     chunk = -(-len(x) // 3)
     for i in range(0, len(above), chunk):
         lanes = above[i:i + chunk]
         xl = x[lanes]
         run = _alternate_stack(np.concatenate([xl, xl]), r, layout,
-                               np.concatenate(_gram_starts(xl, r, layout)), *args)
+                               np.concatenate(_gram_starts(xl, r, layout)), stop_below)
         # the v-side start's wins before the u-side's: the first least bound wins
         for start in (slice(None, len(lanes)), slice(len(lanes), None)):
             wins = run[0][start] < best[0][lanes]
@@ -376,7 +375,6 @@ def _lone(solve, x: BlockMatrix, target: CosetTarget, **kwargs) -> DistanceEstim
 def dist_double_coset(
     x: BlockMatrix,
     target: CosetTarget,
-    max_iters: int = 200,
     stop_below: float | None = None,
 ) -> DistanceEstimate:
     """Witnessed upper bound on the operator-norm distance from x to K.r.K,
@@ -394,12 +392,12 @@ def dist_double_coset(
 
     A run stops once its Frobenius residual f is at most stop_below, or, as
     converged, once a step gains less than max(1e-3 f, 1e-12) (``_REL_GAIN``,
-    ``_NO_GAIN``); with stop_below the Gram starts run only if the identity's
-    bound is above it.  Raises ValueError for any other family (the symmetric
-    family's view is exact membership, ``sym_membership``), for non-finite
-    entries and when max_iters is below 1.
+    ``_NO_GAIN``), and unconverged after 200 steps (``_MAX_ITERS``); with
+    stop_below the Gram starts run only if the identity's bound is above it.
+    Raises ValueError for any other family (the symmetric family's view is
+    exact membership, ``sym_membership``) and for non-finite entries.
     """
-    return _lone(dist_double_coset_stack, x, target, max_iters=max_iters, stop_below=stop_below)
+    return _lone(dist_double_coset_stack, x, target, stop_below=stop_below)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +411,7 @@ def dist_double_coset(
 # Bhatia-Davis eigenvalue matching gap) has closed its bracket and leaves the stack.
 _CONJ_EXACT = 1e-11
 # The window L of the retirement rule: from step L on, a lane retires when, at
-# its mean gain over its last L steps, it would need at least max_iters steps
+# its mean gain over its last L steps, it would need at least _MAX_ITERS steps
 # to reach its sample's leader bound, so one with no gain in them retires, the
 # leader too.  On a 2 x 2 non-corner block (k = 1) no step after 5 flat ones
 # lowered a bound in sweep scans; larger blocks keep 25, as 20 lost a late
@@ -513,7 +511,6 @@ def _min_singular_init(x, r, alpha, spectral_guess):
 def dist_conjugacy_stack(
     xs,
     target: CosetTarget,
-    max_iters: int = 200,
 ) -> tuple:
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
@@ -521,9 +518,9 @@ def dist_conjugacy_stack(
     lanes.  Each lane has its own best conjugator and iteration count, and
     leaves the stack when its bound comes within 1e-11 of its sample's lower
     bound, or when it trails its sample's leader bound (the least best bound
-    of the sample's lanes so far) by at least max_iters steps at its mean gain
-    over the last L steps (``_CONJ_WINDOW``), which a lane that gained nothing
-    in them always does; so the stack shrinks as it runs, and a sample whose
+    of the sample's lanes so far) by at least ``_MAX_ITERS`` steps at its mean
+    gain over the last L steps (``_CONJ_WINDOW``), which a lane that gained
+    nothing in them always does; so the stack shrinks as it runs, and a sample whose
     least start bound is already within 1e-11 takes no step.  A sample's
     lanes thus depend on each other, but not on the rest of the stack: each
     sample gets the estimate ``dist_conjugacy`` gives for it alone, bit for
@@ -534,7 +531,7 @@ def dist_conjugacy_stack(
     O(d^2 (1 + w^2)) each with w = d - alpha, or 512 KiB chunks of them:
     callers bound S.
     """
-    x, r = _check_stack(xs, target, "unitary_conjugation", max_iters)
+    x, r = _check_stack(xs, target, "unitary_conjugation")
     alpha, samples = target.family.spec.alpha, len(x)
     spectral, gap = _spectral_match_init(x, r, alpha)
     # lanes in (3, S) start order: each sample's identity, spectral match, Sylvester vector
@@ -553,7 +550,7 @@ def dist_conjugacy_stack(
 
     Z = aligned(W)
     best, best_W = _op_norm(W - Z), W.copy()
-    op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), max_iters)
+    op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), _MAX_ITERS)
     converged = np.zeros(len(lanes), dtype=bool)
     # each sample's leader bound, and each lane's best bound of the last window
     # steps (slot t % window holds step t's; inf before step 0 retires no lane)
@@ -562,7 +559,7 @@ def dist_conjugacy_stack(
     past[0] = best
     # before step 1, a sample whose least start bound closes its bracket retires every lane
     stop = (lead - gap < _CONJ_EXACT)[owner]
-    for t in range(max_iters + 1):
+    for t in range(_MAX_ITERS + 1):
         if t:
             # W keeps its identity corner and zero off-corner blocks, so the step
             # rewrites only its non-corner block
@@ -573,7 +570,7 @@ def dist_conjugacy_stack(
             best = np.where(better, op, best)
             np.copyto(best_W, W, where=better[:, None, None])
             np.minimum.at(lead, own, best)
-            pace = max_iters * (past[t % window] - best) / window
+            pace = _MAX_ITERS * (past[t % window] - best) / window
             past[t % window] = best
             stop = (best - lower < _CONJ_EXACT) | (best - lead[own] >= pace)
         if stop.any():
@@ -598,7 +595,6 @@ def dist_conjugacy_stack(
 def dist_conjugacy(
     x: BlockMatrix,
     target: CosetTarget,
-    max_iters: int = 200,
 ) -> DistanceEstimate:
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
@@ -613,24 +609,24 @@ def dist_conjugacy(
     x^H W r, which is not monotone (its bound can rise from one step to the
     next), so each start keeps its own best conjugator, which a step replaces
     only when it gains more than ``_NO_GAIN``.  A start runs until its bound
-    comes within 1e-11 of the lower bound, max_iters steps have run, or, from
-    step L on (L = 5 on a 2 x 2 non-corner block: k = 1, else 25), its best
-    bound b and the least best bound l of the three starts so far meet
-    b - l >= max_iters (b_{t-L} - b) / L: at its mean gain over its last L
-    steps it would need at least max_iters steps to reach l.  A start that
+    comes within 1e-11 of the lower bound, 200 steps (``_MAX_ITERS``) have
+    run, or, from step L on (L = 5 on a 2 x 2 non-corner block: k = 1, else
+    25), its best bound b and the least best bound l of the three starts so
+    far meet b - l >= 200 (b_{t-L} - b) / L: at its mean gain over its last L
+    steps it would need at least 200 steps to reach l.  A start that
     gained nothing in those L steps so stops, whether it leads or not.  A step
     forms Z = x^H (W r) once: its bound ||W - Z||, equal to ||xW - Wr|| for
     unitary x, is the root of the top eigenvalue of that matrix's Gram matrix
     (one Hermitian eigensolve), and the next step takes the polar factor of
     Z's non-corner block, in closed form for a 2 x 2 block, else by the SVD.
     The first start with the least bound wins; iterations sums all starts'
-    steps, and converged says whether the winner stopped before max_iters
+    steps, and converged says whether the winner stopped before its 200 steps
     ran out.  When the Sylvester start's ARPACK solve (non-corner size above
     34) does not converge, that lane starts from the spectral guess.  This is
     ``dist_conjugacy_stack`` on a stack of one.
-    Raises ValueError for any other family, non-finite entries or max_iters < 1.
+    Raises ValueError for any other family or non-finite entries.
     """
-    return _lone(dist_conjugacy_stack, x, target, max_iters=max_iters)
+    return _lone(dist_conjugacy_stack, x, target)
 
 
 # ---------------------------------------------------------------------------

@@ -55,17 +55,17 @@ class ExactDistribution:
         }
 
 
-def _check_budget(spec, budget):
-    """ValueError unless (k + n_tail)! <= budget; the product stops once past
-    the budget, so a huge tail costs no more than a small one."""
+def _check_budget(spec):
+    """ValueError unless (k + n_tail)! <= ``ENUMERATION_BUDGET``; the product
+    stops once past it, so a huge tail costs no more than a small one."""
     w, draws = spec.copy_size, 1
     for j in range(2, w + 1):
         draws *= j
-        if draws > budget:
+        if draws > ENUMERATION_BUDGET:
             shown = f" = {draws}" if j == w else ""
             raise ValueError(
                 f"enumeration budget exceeded: (k + n_tail)! = {w}!{shown} "
-                f"> {budget}; shrink k + n_tail or raise the budget")
+                f"> {ENUMERATION_BUDGET}; shrink k + n_tail")
 
 
 def _fixed_labels(word: PermutationWord, spec) -> set:
@@ -75,7 +75,7 @@ def _fixed_labels(word: PermutationWord, spec) -> set:
             if all(word(p) == p for p in range(spec.alpha + j, spec.dim + 1, w))}
 
 
-def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGET) -> ExactDistribution:
+def exact_convolution(g, h, family: GroupFamily) -> ExactDistribution:
     """Exact distribution of the coset of g.diag(u).h over uniform u.
 
     g and h are full-degree permutations.  Let F_g (F_h) be the labels whose
@@ -92,7 +92,7 @@ def exact_convolution(g, h, family: GroupFamily, budget: int = ENUMERATION_BUDGE
     if family.kind != "symmetric":
         raise ValueError(f"exact convolution needs the symmetric family, got {family.kind!r}")
     spec = family.spec
-    _check_budget(spec, budget)
+    _check_budget(spec)
     gw, hw = as_word(g), as_word(h)
     if gw.degree != spec.dim or hw.degree != spec.dim:
         raise ValueError(f"g and h must have degree {spec.dim}")

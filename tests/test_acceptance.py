@@ -100,8 +100,7 @@ def test_criterion_5_two_copy_unique_maximal_atom():
         for N in (2, 3):
             fam = GroupFamily("symmetric", BlockSpec(1, 1, N, 2))
             target = circ_N(g, h, fam)
-            dist = exact_convolution(
-                embed(g, fam.spec), embed(h, fam.spec), fam, budget=24)
+            dist = exact_convolution(embed(g, fam.spec), embed(h, fam.spec), fam)
             probs = sorted((p for _, p in dist.atoms), reverse=True)
             rep, p_max = dist.max_atom()
             if len(probs) > 1 and probs[0] == probs[1]:
@@ -193,7 +192,7 @@ def test_criterion_7_algebraic_identities():
                     if not sym_membership(A, CosetTarget(B, fam2)):
                         sym_assoc_ok = False
                 else:
-                    est = dist_double_coset(A, CosetTarget(B, fam2), max_iters=4000)
+                    est = dist_double_coset(A, CosetTarget(B, fam2))
                     worst_assoc = max(worst_assoc, est.upper_bound)
     ok = unitary_ok and corner_ok and sym_assoc_ok and worst_assoc <= 1e-6
     _verdict(7, "product unitarity, corner multiplicativity, and coset-level associativity",

@@ -140,6 +140,18 @@ class TestBlockMatrix:
         back = BlockMatrix.from_json_dict(data)
         np.testing.assert_allclose(back.entries, m.entries, atol=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf)],
+                             ids=["nan", "inf", "-inf", "inf-imag"])
+    def test_non_finite_entries_rejected(self, bad):
+        # every consumer of a BlockMatrix (products, solvers, verify_estimate)
+        # may then take its entries as finite
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            BlockMatrix(np.full((3, 3), bad))
+        entries = np.eye(3, dtype=complex)
+        entries[1, 2] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            BlockMatrix(entries)
+
     def test_json_round_trip_perm(self):
         m = BlockMatrix.from_permutation(PermutationWord([3, 1, 2]))
         back = BlockMatrix.from_json_dict(json.loads(json.dumps(m.to_json_dict())))

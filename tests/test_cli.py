@@ -194,11 +194,20 @@ class TestExactSym:
         assert {a["prob"] for a in data["atoms"]} == {"1/4", "3/4"}
 
     def test_budget_exceeded_is_config_error(self, capsys):
-        code, _, err = run_cli(
+        # copy size k + N = 8 at m = 2: 8! = 40320 draws > 5040
+        code, out, err = run_cli(
+            capsys, "exact-sym", "--alpha", "1", "--k", "2", "--N", "6", "--m", "2",
+            "--g", "identity", "--h", "identity")
+        assert (code, out) == (1, "")
+        assert "enumeration budget exceeded" in err
+
+    def test_budget_flag_is_unknown(self, capsys):
+        # the enumeration budget is a constant, ENUMERATION_BUDGET
+        code, out, err = run_cli(
             capsys, "exact-sym", "--alpha", "1", "--k", "1", "--N", "3",
             "--g", "identity", "--h", "identity", "--budget", "5")
-        assert code == 1
-        assert "budget" in err
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --budget 5" in err
 
     @pytest.mark.parametrize("N,factorial", [
         (7, "8! = 40320"), (10**6, "1000001!"), (10**20, "100000000000000000001!")])
@@ -213,7 +222,7 @@ class TestExactSym:
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (1, "")
         assert err == (f"error: enumeration budget exceeded: (k + n_tail)! = {factorial} > 5040; "
-                       "shrink k + n_tail or raise the budget\n")
+                       "shrink k + n_tail\n")
 
     @pytest.mark.parametrize("shape", [("2", "1", "6", "3"), ("1", "2", "5", "2")])
     def test_budget_edge_window_pair(self, capsys, shape):
@@ -335,10 +344,9 @@ class TestConcentration:
     @pytest.mark.parametrize("field,value", [("restarts", 10), ("tol", 1e-12),
                                              ("max_iters", 200)])
     def test_config_with_removed_field(self, capsys, tmp_path, field, value):
-        # the orthogonal solver's starts are computed from the sample, its
-        # stop thresholds are constants and the sweep runs the solvers at
-        # their default step cap, so a config that still sets a restart
-        # count, a tolerance or a step cap is stale
+        # the orthogonal solver's starts are computed from the sample and
+        # its stop thresholds and step cap are constants, so a config that
+        # still sets a restart count, a tolerance or a step cap is stale
         data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],
                 "epsilon_list": [0.4], "samples": 2, "seed": 1, field: value}
         path = tmp_path / "cfg.json"
@@ -456,16 +464,27 @@ class TestExitCodes:
         ({"N_list": "64"}, ()),
         ({}, ("--epsilon", "nan")),
         ({"g_spec": 5}, ()),
-    ])
+    ] + [
+        # every field with wrongly typed JSON values: the config's own checks
+        # refuse each as a ValueError, so none reaches the sweep or exits 2
+        pytest.param({field: json.loads(text)}, (), id=f"{field}={text}")
+        for fields, texts in [
+            (["family", "g_spec", "h_spec"], ["null", "5", "true", '["(1 2)"]']),
+            (["alpha", "k", "m", "samples", "seed"],
+             ["null", "true", "1.5", '"1"', "[1]", "{}", "1e400"]),
+            (["N_list"], ["null", "8", '"8"', "{}", "[null]", "[[8]]", "[1e400]"]),
+            (["epsilon_list"], ["null", "0.4", '"0.4"', "{}", "[null]", '["0.4"]', "[true]"]),
+        ]
+        for field in fields for text in texts])
     def test_wrongly_typed_config_value_is_config_error(self, capsys, tmp_path, config, flags):
         data = {"family": "unitary_orthogonal", "alpha": 1, "k": 1, "m": 1, "N_list": [8],
                 "epsilon_list": [0.4], "samples": 2, "seed": 1}
         data.update(config)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))
-        code, _, err = run_cli(capsys, "concentration", "--config", str(path), *flags)
-        assert code == 1
-        assert err.startswith("error: ")
+        code, out, err = run_cli(capsys, "concentration", "--config", str(path), *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("sample", "--kind", "unitary", "--dim", "3", "--seed", "-5"),

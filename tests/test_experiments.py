@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import threading
@@ -39,14 +38,6 @@ def _cfg(**overrides):
         samples=50, seed=7, g_spec="(1 2)", h_spec="(1 2)")
     base.update(overrides)
     return ExperimentConfig(**base)
-
-
-def _cap_steps(monkeypatch, max_iters):
-    # the sweep runs its unitary solvers at their default step cap; a short
-    # cap keeps a test that needs no converged bound fast
-    for name in ("dist_double_coset_stack", "dist_conjugacy_stack"):
-        monkeypatch.setattr(experiments, name,
-                            functools.partial(getattr(geometry, name), max_iters=max_iters))
 
 
 def _sample_row(seed, i, draw):
@@ -137,8 +128,8 @@ class TestExperimentConfig:
                                              ("max_iters", 200)])
     def test_removed_field_rejected(self, field, value):
         # tau_tilde and tau_full give the same report, so a config names no
-        # measure; the solvers' stop thresholds are constants, not options, and
-        # the sweep runs them at their default step cap
+        # measure; the solvers' stop thresholds and step cap are constants,
+        # not options
         data = _cfg().to_json_dict()
         data[field] = value
         with pytest.raises(ValueError, match=f"unknown config fields: \\['{field}'\\]"):
@@ -276,11 +267,36 @@ class TestRunConcentration:
         scaled = [np.sqrt(float(row.N)) * row.median_dist for row in run_concentration(cfg).rows]
         assert max(scaled) - min(scaled) <= 1e-4 * min(scaled), scaled
 
+    @pytest.mark.parametrize("family,starts", [("unitary_orthogonal", 1),
+                                               ("unitary_conjugation", 3)])
+    def test_step_cap_reaches_the_sweep_solvers(self, monkeypatch, family, starts):
+        # the solvers read geometry._MAX_ITERS at each call, so a patched cap
+        # holds in the sweep too; a conjugation sample's iterations sum its
+        # three starts' steps
+        name = {"unitary_orthogonal": "dist_double_coset_stack",
+                "unitary_conjugation": "dist_conjugacy_stack"}[family]
+        real, iters = getattr(experiments, name), []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            iters.extend(out[1])
+            return out
+
+        monkeypatch.setattr(experiments, name, spy)
+        cfg = _cfg(family=family, N_list=(8,), epsilon_list=(1e-9,), samples=20, seed=2,
+                   g_spec="random_unitary", h_spec="random_unitary")
+        for cap in (200, 1):
+            monkeypatch.setattr(geometry, "_MAX_ITERS", cap)
+            iters.clear()
+            run_concentration(cfg)
+            assert len(iters) == 20
+            assert (max(iters) <= starts) == (cap == 1)
+
     def test_conjugation_report_matches_per_sample_loop(self, monkeypatch):
         # blocks of 7 samples at core dimension 3, and 260 samples, so blocks
         # and a chunk edge are crossed; 20 steps keep the loop short
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", 7 * (2048 + 480 * 9))
-        _cap_steps(monkeypatch, 20)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 20)
         cfg = _cfg(family="unitary_conjugation", N_list=(8, 24), epsilon_list=(0.2, 0.4),
                    samples=260, seed=5, g_spec="random_unitary", h_spec="random_unitary")
         setup = RandomStream(cfg.seed, 0).generator()
@@ -290,7 +306,7 @@ class TestRunConcentration:
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
             dists = [dist_conjugacy(sample_core(g, h, fam, _sample_block(cfg.seed, i, N, True)),
-                                    target, max_iters=20).upper_bound
+                                    target).upper_bound
                      for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
@@ -389,7 +405,7 @@ class TestRunConcentration:
         # sample i's distance depends only on (seed, i, N): shorter sweeps,
         # inside the first chunk and across its edge, are prefixes of one
         # that crosses two chunk edges
-        _cap_steps(monkeypatch, steps)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", steps)
 
         def distances(samples):
             cfg = _cfg(**case, epsilon_list=(0.4,), samples=samples, seed=13)
@@ -403,7 +419,7 @@ class TestRunConcentration:
     def test_report_does_not_depend_on_block_budget(self, monkeypatch, case, steps):
         # solver blocks of 1 sample, of 100 (crossing chunk edges) and the
         # default 658 or 2663
-        _cap_steps(monkeypatch, steps)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", steps)
         cfg = _cfg(**case, epsilon_list=(0.4,), samples=300, seed=13)
         want = run_concentration(cfg).with_zeroed_runtime()
         lane_bytes = 2048 + 480 * 9 if case["family"] == "unitary_conjugation" else 175 * 9
@@ -420,7 +436,7 @@ class TestRunConcentration:
         seen = []
         name = {"unitary_orthogonal": "dist_double_coset_stack",
                 "unitary_conjugation": "dist_conjugacy_stack"}[family]
-        _cap_steps(monkeypatch, 20)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 20)
         real = getattr(experiments, name)
 
         def spy(xs, *args, **kwargs):
@@ -458,7 +474,7 @@ class TestRunConcentration:
     def test_conjugation_stacks_stay_bounded(self, monkeypatch):
         # blocks of _BLOCK_BYTES // (2048 + 480 d^2) samples: 658 at d=3, 29 at d=17
         seen = []
-        _cap_steps(monkeypatch, 2)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 2)
         real = experiments.dist_conjugacy_stack
 
         def spy(xs, *args, **kwargs):
@@ -493,7 +509,7 @@ class TestRunConcentration:
     def test_conjugation_block_memory(self, monkeypatch):
         # one block of six k=8 samples; each Sylvester map, about 3.6 MB, is
         # built one sample at a time, so only one is held at once
-        _cap_steps(monkeypatch, 2)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 2)
         cfg = _cfg(family="unitary_conjugation", k=8, N_list=(8,), epsilon_list=(0.4,),
                    samples=6, seed=2, g_spec="random_unitary", h_spec="random_unitary")
         tracemalloc.start()
@@ -515,7 +531,7 @@ class TestRunConcentration:
     def test_full_block_stays_near_budget(self, monkeypatch, family, k, samples, eps, N_list):
         # more samples than one block holds (658 and 298; 2663, 958, 295 and
         # 82), so the first block is full
-        _cap_steps(monkeypatch, 2)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 2)
         kwargs = dict(family=family, k=k, N_list=N_list, epsilon_list=(eps,), seed=3,
                       g_spec="random_unitary", h_spec="random_unitary")
         # a first sweep pays numpy's lazy imports (np.median loads numpy.ma,
@@ -540,7 +556,7 @@ class TestRunConcentration:
     def test_long_tail_draws_stay_near_budget(self, monkeypatch, run):
         # one draw's Gaussians are 0.8 MB (k=1) or 1.6 MB (k=2) at N = 10^5, so
         # 64 or 30 draws as one stack would hold about 50 MB of Gaussians alone
-        _cap_steps(monkeypatch, 2)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 2)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -573,7 +589,7 @@ class TestRunConcentration:
                                                         sizes):
         # blocks of _BLOCK_BYTES // (175 d^2) samples: d=3 fits a sweep, d=33 does not
         seen = []
-        _cap_steps(monkeypatch, 2)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 2)
         real = experiments.dist_double_coset_stack
 
         def spy(xs, *args, **kwargs):

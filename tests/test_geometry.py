@@ -107,12 +107,6 @@ class TestDistDoubleCoset:
         with pytest.raises(ValueError, match="unitary_orthogonal"):
             dist_double_coset(target.representative, target)
 
-    def test_iteration_count_below_one_rejected(self):
-        fam = _unitary_family()
-        target = circ_N(SWAP, SWAP, fam)
-        with pytest.raises(ValueError, match="max_iters"):
-            dist_double_coset(target.representative, target, max_iters=0)
-
 
 class TestDistConjugacy:
     def _target(self, seed=41, N=8):
@@ -153,12 +147,6 @@ class TestDistConjugacy:
         est = dist_conjugacy(x, target)
         assert est.upper_bound >= 0.3
 
-    @pytest.mark.parametrize("max_iters", [0, -3])
-    def test_iteration_count_below_one_rejected(self, max_iters):
-        target, _ = self._target()
-        with pytest.raises(ValueError, match="max_iters"):
-            dist_conjugacy(target.representative, target, max_iters=max_iters)
-
     @pytest.mark.parametrize("kind", ["unitary_orthogonal", "symmetric"])
     def test_other_family_rejected(self, kind):
         target, _ = self._target()
@@ -171,13 +159,13 @@ class TestDistConjugacy:
 
 
 @pytest.mark.parametrize("solver,keywords", [
-    (dist_double_coset, ["max_iters", "stop_below"]),
-    (dist_double_coset_stack, ["max_iters", "stop_below"]),
-    (dist_conjugacy, ["max_iters"]),
-    (dist_conjugacy_stack, ["max_iters"]),
+    (dist_double_coset, ["stop_below"]),
+    (dist_double_coset_stack, ["stop_below"]),
+    (dist_conjugacy, []),
+    (dist_conjugacy_stack, []),
 ])
 def test_solver_keywords(solver, keywords):
-    # the stop thresholds are module constants, not options
+    # the stop thresholds and the step cap are module constants, not options
     assert list(inspect.signature(solver).parameters)[2:] == keywords
 
 
@@ -187,19 +175,20 @@ def test_solver_keywords(solver, keywords):
                                     dist_conjugacy_stack])
 def test_non_finite_entry_rejected(solver, where, bad):
     # one bad entry in one lane would fail the whole stack in LAPACK or warn
-    # in a product, so the solvers refuse it up front
+    # in a product, so the solvers refuse a bad sample stack up front; a bad
+    # representative (or lone sample) is refused when its BlockMatrix is built
     kind = "unitary_conjugation" if "conjugacy" in solver.__name__ else "unitary_orthogonal"
     gen = RandomStream(8, 0).generator()
     g, h = BlockMatrix(haar_unitary(2, gen)), BlockMatrix(haar_unitary(2, gen))
     target = circ_N(g, h, GroupFamily(kind, BlockSpec(1, 1, 2, 1)))
     xs = np.stack([haar_unitary(4, gen) for _ in range(3)])
+    r = target.representative.entries.copy()
     if where == "sample":
         xs[1, 2, 3] = bad
     else:
-        r = target.representative.entries.copy()
         r[0, 1] = bad
-        target = CosetTarget(BlockMatrix(r), target.family)
     with pytest.raises(ValueError, match="finite"):
+        target = CosetTarget(BlockMatrix(r), target.family)
         solver(xs if solver.__name__.endswith("_stack") else BlockMatrix(xs[1]), target)
 
 
@@ -367,13 +356,14 @@ class TestDistConjugacyStack:
     @pytest.mark.parametrize("alpha,k,max_iters", [
         pytest.param(1, 1, 200, id="1-1"), pytest.param(2, 2, 200, id="2-2"),
         pytest.param(0, 2, 200, id="0-2"), pytest.param(2, 2, 40, id="2-2-40")])
-    def test_stack_equals_reference_loop(self, alpha, k, max_iters):
-        # at max_iters=40 the pace term max_iters (b_{t-L} - b) / L is smaller,
-        # so lanes retire on it earlier
+    def test_stack_equals_reference_loop(self, monkeypatch, alpha, k, max_iters):
+        # at a step cap of 40 the pace term max_iters (b_{t-L} - b) / L is
+        # smaller, so lanes retire on it earlier
+        monkeypatch.setattr(geometry, "_MAX_ITERS", max_iters)
         cores, target = self._cores(6, 8, seed=3, alpha=alpha, k=k)
         r = target.representative.entries
         bound, iters, converged, left, _ = dist_conjugacy_stack(
-            np.stack([c.entries for c in cores]), target, max_iters=max_iters)
+            np.stack([c.entries for c in cores]), target)
         for i, core in enumerate(cores):
             x = core.entries
             want = _reference_conjugacy(x, r, alpha, _conjugacy_starts(x, r, alpha), max_iters)
@@ -480,7 +470,8 @@ class TestDistConjugacyStack:
             return real_eigsh(*args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", flaky)
-        bound, iters, converged, left, right = dist_conjugacy_stack(xs, target, max_iters=40)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 40)
+        bound, iters, converged, left, right = dist_conjugacy_stack(xs, target)
         assert calls == [0, 1]
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", real_eigsh)
         eye = np.eye(fam.spec.dim, dtype=complex)
@@ -491,7 +482,7 @@ class TestDistConjugacyStack:
         assert np.array_equal(left[0], W)
         assert op <= _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)[0]
         assert _same_lanes((bound[1:], iters[1:], converged[1:], left[1:], right[1:]), _as_lanes(
-            [dist_conjugacy(BlockMatrix(xs[1]), target, max_iters=40)]))
+            [dist_conjugacy(BlockMatrix(xs[1]), target)]))
 
     def test_rejects_bad_stacks(self):
         cores, target = self._cores(8, 2)
@@ -499,8 +490,6 @@ class TestDistConjugacyStack:
             dist_conjugacy_stack(cores[0].entries, target)
         with pytest.raises(ValueError, match="dimension"):
             dist_conjugacy_stack(np.stack([c.entries[:2, :2] for c in cores]), target)
-        with pytest.raises(ValueError, match="max_iters"):
-            dist_conjugacy_stack(np.stack([c.entries for c in cores]), target, max_iters=0)
 
     def test_sweep_block_total_steps_pinned(self):
         # the benchmark's conj_small block: g and h from seed 42, 70 samples of
@@ -761,11 +750,12 @@ class TestDistDoubleCosetStack:
             [_reference_double_coset(x, target, stop_below=stop_below) for x in xs]))
 
     @pytest.mark.parametrize("max_iters", [1, 3])
-    def test_capped_lanes_equal_reference_loop(self, max_iters):
+    def test_capped_lanes_equal_reference_loop(self, monkeypatch, max_iters):
         # lanes still running at the step cap are written out after the loop,
         # unconverged; at 3 steps some lanes have stopped
+        monkeypatch.setattr(geometry, "_MAX_ITERS", max_iters)
         xs, target = self._cores(1, 2, 2)
-        stacked = dist_double_coset_stack(xs, target, max_iters=max_iters)
+        stacked = dist_double_coset_stack(xs, target)
         _check_lane_arrays(stacked, xs, target)
         assert not stacked[2].all()
         assert _same_lanes(stacked, _as_lanes(
@@ -804,8 +794,6 @@ class TestDistDoubleCosetStack:
             dist_double_coset_stack(xs[0], target)
         with pytest.raises(ValueError, match="dimension"):
             dist_double_coset_stack(xs[:, :2, :2], target)
-        with pytest.raises(ValueError, match="max_iters"):
-            dist_double_coset_stack(xs, target, max_iters=0)
 
     @pytest.mark.parametrize("alpha,k,m", [(1, 1, 1), (0, 2, 2), (2, 3, 1)])
     @pytest.mark.parametrize("stop", [False, True], ids=["no_stop", "stop_below"])
@@ -962,7 +950,7 @@ class TestGramStartsMoveWithK:
             assert np.array_equal(verdicts[0], verdicts[1]), eps
         for start_x, start_y in zip(geometry._gram_starts(xs, r, layout),
                                     geometry._gram_starts(ys, r, layout)):
-            bound_x, bound_y = (geometry._alternate_stack(z, r, layout, start, 200, None)[0]
+            bound_x, bound_y = (geometry._alternate_stack(z, r, layout, start, None)[0]
                                 for z, start in ((xs, start_x), (ys, start_y)))
             assert np.abs(bound_x - bound_y).max() <= 1e-12
 

@@ -95,13 +95,14 @@ class TestExactConvolution:
     def test_budget_guard(self):
         fam = _family(N=7)  # 8! products
         e = PermutationWord.identity(fam.spec.dim)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError, match=r"= 8! = 40320 > 5040; shrink k \+ n_tail$"):
             exact_convolution(e, e, fam)
-        with pytest.raises(ValueError, match="budget"):
-            exact_convolution(
-                PermutationWord.identity(5), PermutationWord.identity(5),
-                _family(N=3), budget=10)
         assert ENUMERATION_BUDGET == 5040
+
+    def test_budget_is_a_constant(self):
+        e = PermutationWord.identity(5)
+        with pytest.raises(TypeError, match="budget"):
+            exact_convolution(e, e, _family(N=3), budget=10)
 
     def test_wrong_family_rejected(self):
         fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 1, 2, 1))
