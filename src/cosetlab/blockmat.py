@@ -190,23 +190,28 @@ class PermutationWord:
 class BlockMatrix:
     """Dense complex square matrix or exact permutation; ``from_permutation``
     stores only the word until ``entries`` is read.  The block partition is
-    the family's, not the matrix's."""
+    the family's, not the matrix's.  ``entries`` is a read-only array of the
+    matrix's own, so neither its caller nor its readers can change it after
+    the finiteness check."""
 
     __slots__ = ("_entries", "exact_permutation")
 
     def __init__(self, entries):
-        entries = np.ascontiguousarray(entries, dtype=complex)
+        entries = np.array(entries, dtype=complex, order="C")  # a copy, never the caller's array
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValueError("entries must be a square matrix")
         if not np.isfinite(entries).all():
             raise ValueError("matrix entries must be finite")
+        entries.flags.writeable = False
         self._entries = entries
         self.exact_permutation = None
 
     @property
     def entries(self) -> np.ndarray:
         if self._entries is None:
-            self._entries = np.ascontiguousarray(self.exact_permutation.matrix(), dtype=complex)
+            entries = np.ascontiguousarray(self.exact_permutation.matrix(), dtype=complex)
+            entries.flags.writeable = False
+            self._entries = entries
         return self._entries
 
     @property
@@ -249,10 +254,11 @@ class BlockMatrix:
             if not isinstance(data["perm"], list) or any(type(i) is not int for i in data["perm"]):
                 raise ValueError(f"perm must be a list of integers; got {data['perm']!r}")
             return cls.from_permutation(PermutationWord(data["perm"]))
-        entries = np.asarray(data["re"], dtype=float).astype(complex)
-        entries.imag = data["im"]  # no product: 1j * inf would warn and make nan
-        if entries.shape != (data["dim"], data["dim"]):
+        re, im = (np.asarray(data[part], dtype=float) for part in ("re", "im"))
+        if re.shape != (data["dim"], data["dim"]) or im.shape != re.shape:
             raise ValueError("re/im shape does not match dim")
+        entries = re.astype(complex)
+        entries.imag = im  # no product: 1j * inf would warn and make nan
         return cls(entries)
 
     def __repr__(self):

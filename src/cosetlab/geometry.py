@@ -6,7 +6,8 @@ targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (identity, spectral match,
 structured minimal singular vector), refined in lockstep by a fixed-point
 iteration until each trails its sample's leader too far to catch it at its
-recent pace, as a lane that no longer gains always does.  Both unitary
+recent pace, as a lane that no longer gains always does, or the leader's
+bound is at most the caller's stop_below.  Both unitary
 solvers run on a stack of samples at once (``dist_double_coset_stack`` and
 ``dist_conjugacy_stack``, which return one array per estimate field; the
 per-sample ``dist_double_coset`` and ``dist_conjugacy`` are stacks of one),
@@ -511,6 +512,7 @@ def _min_singular_init(x, r, alpha, spectral_guess):
 def dist_conjugacy_stack(
     xs,
     target: CosetTarget,
+    stop_below: float | None = None,
 ) -> tuple:
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
@@ -520,8 +522,10 @@ def dist_conjugacy_stack(
     bound, or when it trails its sample's leader bound (the least best bound
     of the sample's lanes so far) by at least ``_MAX_ITERS`` steps at its mean
     gain over the last L steps (``_CONJ_WINDOW``), which a lane that gained
-    nothing in them always does; so the stack shrinks as it runs, and a sample whose
-    least start bound is already within 1e-11 takes no step.  A sample's
+    nothing in them always does.  Every lane of a sample leaves once its
+    leader bound is at most stop_below.  So the stack shrinks as it runs, and
+    a sample whose least start bound is already within 1e-11 of its lower
+    bound, or at most stop_below, takes no step.  A sample's
     lanes thus depend on each other, but not on the rest of the stack: each
     sample gets the estimate ``dist_conjugacy`` gives for it alone, bit for
     bit, in the arrays of ``dist_double_coset_stack`` with complex witnesses
@@ -557,8 +561,10 @@ def dist_conjugacy_stack(
     lead = best.reshape(3, samples).min(axis=0)
     past = np.full((window, len(lanes)), np.inf)
     past[0] = best
-    # before step 1, a sample whose least start bound closes its bracket retires every lane
-    stop = (lead - gap < _CONJ_EXACT)[owner]
+    # a sample whose leader bound closes its bracket, before step 1, or is at
+    # most stop_below, at any step, retires every lane
+    floor = -np.inf if stop_below is None else stop_below
+    stop = ((lead - gap < _CONJ_EXACT) | (lead <= floor))[owner]
     for t in range(_MAX_ITERS + 1):
         if t:
             # W keeps its identity corner and zero off-corner blocks, so the step
@@ -572,7 +578,8 @@ def dist_conjugacy_stack(
             np.minimum.at(lead, own, best)
             pace = _MAX_ITERS * (past[t % window] - best) / window
             past[t % window] = best
-            stop = (best - lower < _CONJ_EXACT) | (best - lead[own] >= pace)
+            leader = lead[own]
+            stop = (best - lower < _CONJ_EXACT) | (best - leader >= pace) | (leader <= floor)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)
             op_out[done], W_out[done], iters[done], converged[done] = (
@@ -595,6 +602,7 @@ def dist_conjugacy_stack(
 def dist_conjugacy(
     x: BlockMatrix,
     target: CosetTarget,
+    stop_below: float | None = None,
 ) -> DistanceEstimate:
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
@@ -621,12 +629,15 @@ def dist_conjugacy(
     Z's non-corner block, in closed form for a 2 x 2 block, else by the SVD.
     The first start with the least bound wins; iterations sums all starts'
     steps, and converged says whether the winner stopped before its 200 steps
-    ran out.  When the Sylvester start's ARPACK solve (non-corner size above
-    34) does not converge, that lane starts from the spectral guess.  This is
+    ran out.  All three starts also stop, as converged, once l is at most
+    stop_below, before step 1 or at any step, so the first witnessed bound at
+    most stop_below is reported; without it (None) no start stops on it.
+    When the Sylvester start's ARPACK solve (non-corner size above 34) does
+    not converge, that lane starts from the spectral guess.  This is
     ``dist_conjugacy_stack`` on a stack of one.
     Raises ValueError for any other family or non-finite entries.
     """
-    return _lone(dist_conjugacy_stack, x, target)
+    return _lone(dist_conjugacy_stack, x, target, stop_below=stop_below)
 
 
 # ---------------------------------------------------------------------------

@@ -152,6 +152,17 @@ class TestBlockMatrix:
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             BlockMatrix(entries)
 
+    def test_entries_are_the_matrix_own(self):
+        # a later write to the caller's array leaves the matrix as checked, and
+        # the entries, dense or built from a word, refuse writes
+        a = np.eye(3, dtype=complex)
+        b = BlockMatrix(a)
+        a[0, 0] = np.nan
+        assert np.isfinite(b.entries).all()
+        for m in (b, BlockMatrix.from_permutation(PermutationWord([3, 1, 2]))):
+            with pytest.raises(ValueError, match="read-only"):
+                m.entries[0, 0] = np.nan
+
     def test_json_round_trip_perm(self):
         m = BlockMatrix.from_permutation(PermutationWord([3, 1, 2]))
         back = BlockMatrix.from_json_dict(json.loads(json.dumps(m.to_json_dict())))
@@ -218,6 +229,8 @@ class TestLoadSource:
         ("(1 2", None, r"bad permutation '\(1 2'.*malformed cycle notation"),
         ("shape.json", json.dumps({"dim": 3, "re": np.eye(2).tolist(), "im": np.eye(2).tolist()}),
          "malformed matrix JSON in .*shape.json: re/im shape does not match dim"),
+        ("im.json", json.dumps({"dim": 3, "re": np.eye(3).tolist(), "im": [[5]]}),
+         "malformed matrix JSON in .*im.json: re/im shape does not match dim"),
         ("nan.json", '{"dim": 1, "re": [[NaN]], "im": [[0]]}',
          "malformed matrix JSON in .*nan.json: matrix entries must be finite"),
         ("inf.json", '{"dim": 1, "re": [[1]], "im": [[-Infinity]]}',

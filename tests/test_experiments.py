@@ -306,7 +306,7 @@ class TestRunConcentration:
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
             dists = [dist_conjugacy(sample_core(g, h, fam, _sample_block(cfg.seed, i, N, True)),
-                                    target).upper_bound
+                                    target, stop_below=min(cfg.epsilon_list)).upper_bound
                      for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)

@@ -161,8 +161,8 @@ class TestDistConjugacy:
 @pytest.mark.parametrize("solver,keywords", [
     (dist_double_coset, ["stop_below"]),
     (dist_double_coset_stack, ["stop_below"]),
-    (dist_conjugacy, []),
-    (dist_conjugacy_stack, []),
+    (dist_conjugacy, ["stop_below"]),
+    (dist_conjugacy_stack, ["stop_below"]),
 ])
 def test_solver_keywords(solver, keywords):
     # the stop thresholds and the step cap are module constants, not options
@@ -501,6 +501,49 @@ class TestDistConjugacyStack:
         a = np.array([_block(1, 8, RandomStream(3, 1 + i), True) for i in range(70)])
         cores = sample_core_stack(g, embed(h, fam.with_n_tail(1).spec), fam, a)
         assert dist_conjugacy_stack(cores, circ_N(g, h, fam.with_n_tail(1)))[1].sum() == 1728
+
+    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("alpha,k", [(0, 1), (1, 1), (2, 1), (1, 2), (1, 3)])
+    def test_stop_below_stack_equals_full_run_on_misses(self, alpha, k, N):
+        # floors at the full run's quartiles, so each has samples on both sides:
+        # a sample whose bound stays above the floor runs as without it, bit for
+        # bit, and one that reaches it stops with a witnessed bound at most the
+        # floor, where the full run's bound also lies, so no hit moves
+        cores, target = self._cores(N, 24, seed=N + k, alpha=alpha, k=k)
+        xs = np.stack([c.entries for c in cores])
+        full = dist_conjugacy_stack(xs, target)
+        for floor in np.quantile(full[0], [0.25, 0.75]):
+            stopped = dist_conjugacy_stack(xs, target, stop_below=floor)
+            _check_lane_arrays(stopped, xs, target)
+            for eps in (0.05, 0.1, 0.2, 0.4):
+                if eps >= floor:
+                    assert np.array_equal(stopped[0] <= eps, full[0] <= eps)
+            miss = stopped[0] > floor
+            assert 0 < np.count_nonzero(miss) < len(xs)
+            assert _same_lanes([a[miss] for a in stopped], [a[miss] for a in full])
+            assert (full[0][~miss] <= floor).all() and (stopped[1] <= full[1]).all()
+            for i in np.flatnonzero(~miss):
+                est = geometry.DistanceEstimate(stopped[0][i], stopped[1][i], stopped[2][i],
+                                                BlockMatrix(stopped[3][i]),
+                                                BlockMatrix(stopped[4][i]))
+                assert abs(verify_estimate(est, cores[i], target) - est.upper_bound) <= 1e-12
+
+    @pytest.mark.parametrize("cap", [0, 3])
+    def test_stop_below_stops_by_the_step_that_reaches_it(self, monkeypatch, cap):
+        # a run capped at cap steps reports its sample's leader bound there; with
+        # that bound as stop_below, the uncapped run stops, converged, by that
+        # step with that bound: at cap 0, a best start at stop_below takes no step
+        cores, target = self._cores(8, 12, seed=4)
+        xs = np.stack([c.entries for c in cores])
+        full = dist_conjugacy_stack(xs, target)
+        monkeypatch.setattr(geometry, "_MAX_ITERS", cap)
+        capped = dist_conjugacy_stack(xs, target)
+        monkeypatch.undo()
+        assert (full[1] > capped[1]).all()
+        for core, bound, steps in zip(cores, capped[0], capped[1]):
+            est = dist_conjugacy(core, target, stop_below=bound)
+            assert (est.upper_bound, est.converged) == (bound, True)
+            assert est.iterations <= steps
 
 
 def _random_stack(rng, shape, real):
