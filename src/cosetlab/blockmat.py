@@ -274,6 +274,20 @@ def as_word(x) -> PermutationWord:
     return word
 
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at path; a ValueError naming the file (as a
+    what file) when it is missing, unreadable, not UTF-8 or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError as exc:
+        raise ValueError(f"{what} file not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed {what} JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"unreadable {what} file {path}: {exc}") from exc
+
+
 def load_source(source: str, degrees) -> BlockMatrix:
     """Parse a matrix source at one of the allowed degrees (an int or a tuple).
 
@@ -298,13 +312,11 @@ def load_source(source: str, degrees) -> BlockMatrix:
         except ValueError as exc:
             raise ValueError(f"bad permutation {source!r}: {exc}") from exc
     else:
+        data = _read_json(text, "matrix")
         try:
-            with open(text) as fh:
-                mat = BlockMatrix.from_json_dict(json.load(fh))
-        except FileNotFoundError as exc:
-            raise ValueError(f"matrix file not found: {source}") from exc
+            mat = BlockMatrix.from_json_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed matrix JSON in {source}: {exc}") from exc
+            raise ValueError(f"malformed matrix JSON in {text}: {exc}") from exc
     if mat.dim not in degrees:
         raise ValueError(f"{source}: dimension {mat.dim}, expected "
                          + " or ".join(str(d) for d in degrees))

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import fields
 
-from .blockmat import BlockMatrix, BlockSpec, embed, is_unitary, load_source
+from .blockmat import BlockSpec, _read_json, embed, is_unitary, load_source
 from .cosets import FAMILY_KINDS, CosetTarget, GroupFamily, circ_N, circ_infinite
 from .experiments import (
     ExperimentConfig,
@@ -23,7 +23,7 @@ from .experiments import (
     write_text,
 )
 from .geometry import sym_membership
-from .haar import RandomStream, haar_orthogonal, haar_unitary, uniform_permutation
+from .haar import RandomStream, _draw
 from .hypergroup_exact import _check_budget, exact_convolution
 
 __all__ = ["main"]
@@ -42,13 +42,7 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_sample(args) -> int:
     if args.dim < 1:
         raise ConfigError(f"--dim must be a positive integer; got {args.dim}")
-    rng = RandomStream(args.seed)
-    if args.kind == "orthogonal":
-        mat = BlockMatrix(haar_orthogonal(args.dim, rng))
-    elif args.kind == "unitary":
-        mat = BlockMatrix(haar_unitary(args.dim, rng))
-    else:
-        mat = BlockMatrix.from_permutation(uniform_permutation(args.dim, rng))
+    mat = _draw(args.kind, args.dim, RandomStream(args.seed))
     write_text(json.dumps(mat.to_json_dict()) + "\n", args.out)
     return 0
 
@@ -107,13 +101,7 @@ def _cmd_block_decay(args) -> int:
 def _cmd_concentration(args) -> int:
     data = {}
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {args.config}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config JSON in {args.config}: {exc}") from exc
+        data = _read_json(args.config, "config")
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object; "
                               f"got {type(data).__name__}")

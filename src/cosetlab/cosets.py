@@ -27,7 +27,7 @@ from .blockmat import (
     embed_k,
     is_unitary,
 )
-from .haar import _as_generator, haar_orthogonal, haar_unitary, uniform_permutation
+from .haar import _as_generator, _draw
 
 __all__ = [
     "FAMILY_KINDS",
@@ -111,13 +111,12 @@ def circ_N(g: BlockMatrix, h: BlockMatrix, family: GroupFamily) -> CosetTarget:
     return CosetTarget(rep, family)
 
 
+_DRAW_KIND = {"symmetric": "permutation", "unitary_conjugation": "unitary",
+              "unitary_orthogonal": "orthogonal"}
+
+
 def _draw_k(family: GroupFamily, gen: np.random.Generator) -> BlockMatrix:
-    w = family.spec.copy_size
-    if family.kind == "symmetric":
-        return embed_k(uniform_permutation(w, gen), family.spec)
-    if family.kind == "unitary_conjugation":
-        return embed_k(haar_unitary(w, gen), family.spec)
-    return embed_k(haar_orthogonal(w, gen), family.spec)
+    return embed_k(_draw(_DRAW_KIND[family.kind], family.spec.copy_size, gen), family.spec)
 
 
 def _conj_transpose(x: BlockMatrix) -> BlockMatrix:

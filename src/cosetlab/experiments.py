@@ -26,10 +26,9 @@ from .haar import (
     RandomStream,
     _block_normals,
     _core_patterns,
+    _draw,
     _sample_rows,
     _top_blocks,
-    haar_unitary,
-    uniform_permutation,
 )
 
 __all__ = [
@@ -208,9 +207,7 @@ def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
     window = family.spec.window
     if source != "random_unitary":
         return load_source(source, window)
-    if family.kind == "symmetric":
-        return BlockMatrix.from_permutation(uniform_permutation(window, gen))
-    return BlockMatrix(haar_unitary(window, gen))
+    return _draw("permutation" if family.kind == "symmetric" else "unitary", window, gen)
 
 
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:

@@ -5,20 +5,21 @@ whose alignment steps respect the diagonal-copy block structure; symmetric
 targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (identity, spectral match,
 structured minimal singular vector), refined in lockstep by a fixed-point
-iteration until each trails its sample's leader too far to catch it at its
-recent pace, as a lane that no longer gains always does, or the leader's
-bound is at most the caller's stop_below.  Both unitary
-solvers run on a stack of samples at once (``dist_double_coset_stack`` and
-``dist_conjugacy_stack``, which return one array per estimate field; the
-per-sample ``dist_double_coset`` and ``dist_conjugacy`` are stacks of one),
-with numpy's stacked linalg and matmul, and each sample's result is the one
-it would get alone.  Both solvers take a 2 x 2 polar factor (every k = 1
-core's Procrustes step, Gram start or conjugation step) in closed form, a
-larger one by SVD; both take their operator norms from one stacked Hermitian
-eigensolve, and the Gram starts' sign search takes a 2 x 2 nuclear norm in
-closed form, so at k = 1 neither solver makes an SVD.  Every estimate
-carries explicit witnesses, so the reported bound can be re-verified by
-direct evaluation.
+iteration until the sample's leader bound closes its Bhatia-Davis bracket or
+is at most the caller's stop_below, or the start trails that leader too far
+to catch it at its recent pace, as one that no longer gains always does.
+Both unitary solvers run on a stack of samples at once
+(``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which return one
+array per estimate field and state the solver's stop rules and the meaning
+of converged and iterations; the per-sample ``dist_double_coset`` and
+``dist_conjugacy`` are stacks of one), with numpy's stacked linalg and
+matmul, and each sample's result is the one it would get alone.  Both
+solvers take a 2 x 2 polar factor (every k = 1 core's Procrustes step, Gram
+start or conjugation step) in closed form, a larger one by SVD; both take
+their operator norms from one stacked Hermitian eigensolve, and the Gram
+starts' sign search takes a 2 x 2 nuclear norm in closed form, so at k = 1
+neither solver makes an SVD.  Every estimate carries explicit witnesses, so
+the reported bound can be re-verified by direct evaluation.
 
 scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
 """
@@ -211,15 +212,15 @@ class _CopyLayout:
         return M
 
 
-def _alternate_stack(x, r, layout, v0, stop_below):
+def _alternate_stack(x, r, layout, v0, floor):
     """One run of the alternating Frobenius descent over real orthogonal (u, v)
     per lane of x, from the lane's start v0.
 
     The Frobenius residual is tracked through the trace identity
     ||x - UrV||_F^2 = 2 dim - 2 Re tr(x^H U r V), which is free given the
     V-step target matrix; the operator norm is evaluated once at the end, by
-    one stacked Hermitian eigensolve (``_op_norm``).  A lane stops and leaves
-    the stack once f <= stop_below or, converged, f_prev - f < max(_REL_GAIN f, _NO_GAIN);
+    one stacked Hermitian eigensolve (``_op_norm``).  A lane stops, converged,
+    and leaves the stack once f <= floor or f_prev - f < max(_REL_GAIN f, _NO_GAIN);
     lanes still running after ``_MAX_ITERS`` steps are written out unconverged.
     Returns per-lane (operator norm, u, v, iterations, converged).
     """
@@ -229,7 +230,7 @@ def _alternate_stack(x, r, layout, v0, stop_below):
     iters, converged = np.full(lanes_total, _MAX_ITERS), np.zeros(lanes_total, dtype=bool)
     lanes, xl, v = np.arange(lanes_total), x, v0
     xc = x[..., :alpha].conj()
-    f_prev, floor = np.inf, -np.inf if stop_below is None else stop_below
+    f_prev = np.inf
     for t in range(_MAX_ITERS):
         rV = layout.apply_right(r, v)
         u = _polar(layout.row_gram(xl, rV))
@@ -239,12 +240,10 @@ def _alternate_stack(x, r, layout, v0, stop_below):
         corner = (xc * Ur[..., :alpha]).reshape(len(lanes), -1).sum(axis=-1).real
         inner = corner + (Mv * v).reshape(len(lanes), -1).sum(axis=-1)
         f = np.sqrt(np.maximum(2.0 * dim - 2.0 * inner, 0.0))
-        below = f <= floor
-        stop = below | (f_prev - f < np.maximum(_REL_GAIN * f, _NO_GAIN))
+        stop = (f <= floor) | (f_prev - f < np.maximum(_REL_GAIN * f, _NO_GAIN))
         if np.count_nonzero(stop):
             done, go = lanes[stop], ~stop
-            u_out[done], v_out[done], iters[done] = u[stop], v[stop], t + 1
-            converged[done] = ~below[stop]
+            u_out[done], v_out[done], iters[done], converged[done] = u[stop], v[stop], t + 1, True
             lanes, xl, xc, u, v, f = lanes[go], xl[go], xc[go], u[go], v[go], f[go]
             if not len(lanes):
                 break
@@ -332,13 +331,20 @@ def dist_double_coset_stack(
     stop_below: float | None = None,
 ) -> tuple:
     """``dist_double_coset`` for each of an (S, d, d) stack of unitary_orthogonal
-    samples, bit for bit: all lanes run from the identity, then those above
-    stop_below (all, without it) from both Gram starts, searched and refined
-    as one stack of two lanes per sample, over chunks of at most ceil(S/3)
-    samples, so from S = 2 on the pair never runs more lanes than the
-    identity run.  At copy size 2 each chunk's sign search scores its four
-    sign patterns per lane in stacks of at most ``_SCRATCH_BYTES`` of
-    inputs (``_gram_start``).
+    samples, bit for bit.
+
+    Every sample runs from the identity and then, unless that run's bound is
+    at most stop_below, from both Gram starts, searched and refined as one
+    stack of two lanes per sample over chunks of at most ceil(S/3) samples,
+    so from S = 2 on the pair never runs more lanes than the identity run.
+    A run stops, converged, once its Frobenius residual f is at most
+    stop_below or a step gains less than max(1e-3 f, 1e-12) (``_REL_GAIN``,
+    ``_NO_GAIN``), and is cut, unconverged, after 200 steps (``_MAX_ITERS``).
+    The first run with the least bound wins (identity, v-side, then u-side
+    start): converged is the winner's, and iterations sums the steps of all
+    the sample's runs, its cost.  At copy size 2 each chunk's sign search
+    scores its four sign patterns per lane in stacks of at most
+    ``_SCRATCH_BYTES`` of inputs (``_gram_start``).
 
     Returns the lanes' estimates as arrays in ``DistanceEstimate`` field
     order: bounds (S,) float, iterations (S,) int, converged (S,) bool and the
@@ -348,20 +354,22 @@ def dist_double_coset_stack(
     if not len(x):
         return (np.zeros(0), np.zeros(0, int), np.zeros(0, bool), *np.zeros((2,) + x.shape))
     layout = _CopyLayout(target.family.spec)
-    best = _alternate_stack(x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), stop_below)
-    above = np.arange(len(x)) if stop_below is None else np.flatnonzero(best[0] > stop_below)
+    floor = -np.inf if stop_below is None else stop_below
+    bound, u, v, iters, converged = _alternate_stack(
+        x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), floor)
+    above = np.flatnonzero(bound > floor)
     chunk = -(-len(x) // 3)
     for i in range(0, len(above), chunk):
         lanes = above[i:i + chunk]
         xl = x[lanes]
-        run = _alternate_stack(np.concatenate([xl, xl]), r, layout,
-                               np.concatenate(_gram_starts(xl, r, layout)), stop_below)
+        run = list(_alternate_stack(np.concatenate([xl, xl]), r, layout,
+                                    np.concatenate(_gram_starts(xl, r, layout)), floor))
+        iters[lanes] += run.pop(3).reshape(2, -1).sum(axis=0)
         # the v-side start's wins before the u-side's: the first least bound wins
         for start in (slice(None, len(lanes)), slice(len(lanes), None)):
-            wins = run[0][start] < best[0][lanes]
-            for kept, part in zip(best, run):
+            wins = run[0][start] < bound[lanes]
+            for kept, part in zip((bound, u, v, converged), run):
                 kept[lanes[wins]] = part[start][wins]
-    bound, u, v, iters, converged = best
     eye = np.eye(len(r))  # the witnesses are u and v acting on the identity
     return bound, iters, converged, layout.apply_left(eye, u), layout.apply_right(eye, v)
 
@@ -385,16 +393,10 @@ def dist_double_coset(
     shared copy block u maximizes tr(u^T M) for the stacked real part M of the
     row cross-Gram, solved by the orthogonal polar factor; symmetrically for
     V.  Runs from the identity and from two Gram starts (``_gram_starts``) that
-    move with x under K and give the coset's (u, v) on it, the two starts
-    searched and refined as one stack; the first run with the least bound
-    wins (identity, then v-side, then u-side start).  A run's bound is the
-    root of the top eigenvalue of its residual's Gram matrix.  This is
-    ``dist_double_coset_stack`` on a stack of one.
-
-    A run stops once its Frobenius residual f is at most stop_below, or, as
-    converged, once a step gains less than max(1e-3 f, 1e-12) (``_REL_GAIN``,
-    ``_NO_GAIN``), and unconverged after 200 steps (``_MAX_ITERS``); with
-    stop_below the Gram starts run only if the identity's bound is above it.
+    move with x under K and give the coset's (u, v) on it.  A run's bound is
+    the root of the top eigenvalue of its residual's Gram matrix.  This is
+    ``dist_double_coset_stack`` on a stack of one, whose docstring states what
+    stops a run and what converged and iterations mean.
     Raises ValueError for any other family (the symmetric family's view is
     exact membership, ``sym_membership``) and for non-finite entries.
     """
@@ -408,8 +410,8 @@ def dist_double_coset(
 # linalg and matmul solve each lane with the same LAPACK/BLAS call as a lone
 # matrix, so a sample's lanes do not depend on other samples' lanes.
 
-# A lane whose best bound is within this of its sample's lower bound (the
-# Bhatia-Davis eigenvalue matching gap) has closed its bracket and leaves the stack.
+# A sample whose leader bound is within this of its lower bound (the
+# Bhatia-Davis eigenvalue matching gap) has closed its bracket: its lanes leave the stack.
 _CONJ_EXACT = 1e-11
 # The window L of the retirement rule: from step L on, a lane retires when, at
 # its mean gain over its last L steps, it would need at least _MAX_ITERS steps
@@ -517,21 +519,27 @@ def dist_conjugacy_stack(
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
     Every sample gets one lane per start, so one fixed-point run covers 3S
-    lanes.  Each lane has its own best conjugator and iteration count, and
-    leaves the stack when its bound comes within 1e-11 of its sample's lower
-    bound, or when it trails its sample's leader bound (the least best bound
-    of the sample's lanes so far) by at least ``_MAX_ITERS`` steps at its mean
-    gain over the last L steps (``_CONJ_WINDOW``), which a lane that gained
-    nothing in them always does.  Every lane of a sample leaves once its
-    leader bound is at most stop_below.  So the stack shrinks as it runs, and
-    a sample whose least start bound is already within 1e-11 of its lower
-    bound, or at most stop_below, takes no step.  A sample's
-    lanes thus depend on each other, but not on the rest of the stack: each
-    sample gets the estimate ``dist_conjugacy`` gives for it alone, bit for
-    bit, in the arrays of ``dist_double_coset_stack`` with complex witnesses
-    W, W^H.  W r is one product over all lanes; each lane's rows of it are
-    those of its own W r.  Memory is O(S d^2) for the lanes (each holds W,
-    Z = x^H (W r), x^H and its best W) plus a few Sylvester maps,
+    lanes, each with its own best conjugator and step count.  Two rules stop
+    them, tested before step 1 and after every step:
+    - the sample rule: once a sample's leader bound (the least best bound of
+      its lanes so far) is within 1e-11 (``_CONJ_EXACT``) of its Bhatia-Davis
+      lower bound, or at most stop_below, all its lanes leave the stack;
+    - the lane rule: from step L on (L = 5 on a 2 x 2 non-corner block, k = 1,
+      else 25: ``_CONJ_WINDOW``) a lane leaves once it trails its sample's
+      leader bound by at least ``_MAX_ITERS`` steps at its mean gain over its
+      last L steps, as one that gained nothing in them, the leader too,
+      always does.
+    A lane still running after 200 steps (``_MAX_ITERS``) is cut.  The first
+    start with the least bound wins: converged says whether the winner
+    stopped on a rule before the cap, and iterations sums the steps of all
+    the sample's lanes, its cost, as in ``dist_double_coset_stack``.  So a
+    sample whose least start bound already meets a sample rule takes no step.
+    A sample's lanes depend on each other, but not on the rest of the stack:
+    each sample gets the estimate ``dist_conjugacy`` gives for it alone, bit
+    for bit, in the arrays of ``dist_double_coset_stack`` with complex
+    witnesses W, W^H.  W r is one product over all lanes; each lane's rows of
+    it are those of its own W r.  Memory is O(S d^2) for the lanes (each
+    holds W, Z = x^H (W r), x^H and its best W) plus a few Sylvester maps,
     O(d^2 (1 + w^2)) each with w = d - alpha, or 512 KiB chunks of them:
     callers bound S.
     """
@@ -542,7 +550,7 @@ def dist_conjugacy_stack(
     owner = np.tile(np.arange(samples), 3)
     W = np.concatenate([np.broadcast_to(np.eye(len(r), dtype=complex), x.shape),
                         spectral, _min_singular_init(x, r, alpha, spectral)])
-    lanes, own, lower = np.arange(len(owner)), owner, gap[owner]
+    lanes, own = np.arange(len(owner)), owner
     xh = x[owner].conj().swapaxes(-1, -2)
     window = _CONJ_WINDOW if len(r) - alpha == 2 else _CONJ_WINDOW_WIDE
 
@@ -561,10 +569,8 @@ def dist_conjugacy_stack(
     lead = best.reshape(3, samples).min(axis=0)
     past = np.full((window, len(lanes)), np.inf)
     past[0] = best
-    # a sample whose leader bound closes its bracket, before step 1, or is at
-    # most stop_below, at any step, retires every lane
     floor = -np.inf if stop_below is None else stop_below
-    stop = ((lead - gap < _CONJ_EXACT) | (lead <= floor))[owner]
+    pace = np.inf  # no lane retires on pace before step 1
     for t in range(_MAX_ITERS + 1):
         if t:
             # W keeps its identity corner and zero off-corner blocks, so the step
@@ -578,15 +584,16 @@ def dist_conjugacy_stack(
             np.minimum.at(lead, own, best)
             pace = _MAX_ITERS * (past[t % window] - best) / window
             past[t % window] = best
-            leader = lead[own]
-            stop = (best - lower < _CONJ_EXACT) | (best - leader >= pace) | (leader <= floor)
+        # the sample rule, then the lane rule
+        leader = lead[own]
+        stop = ((lead - gap < _CONJ_EXACT) | (lead <= floor))[own] | (best - leader >= pace)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)
             op_out[done], W_out[done], iters[done], converged[done] = (
                 best[stop], best_W[stop], t, True)
             # one index array for every take: half the cost of a mask per array
-            lanes, own, W, Z, xh, lower, best, best_W = (
-                a.take(keep, axis=0) for a in (lanes, own, W, Z, xh, lower, best, best_W))
+            lanes, own, W, Z, xh, best, best_W = (
+                a.take(keep, axis=0) for a in (lanes, own, W, Z, xh, best, best_W))
             past = past.take(keep, axis=1)
         if not len(lanes):
             break
@@ -612,29 +619,18 @@ def dist_conjugacy(
     structured Sylvester map with its copy block projected to the nearest
     unitary.  The matching's largest eigenvalue gap, by Bhatia and Davis the
     distance to r's unitary orbit, bounds the distance below (exactly at
-    alpha = 0).  Unless the least start bound is already within 1e-11 of it,
-    each start runs the fixed-point iteration W <- blockified polar of
-    x^H W r, which is not monotone (its bound can rise from one step to the
-    next), so each start keeps its own best conjugator, which a step replaces
-    only when it gains more than ``_NO_GAIN``.  A start runs until its bound
-    comes within 1e-11 of the lower bound, 200 steps (``_MAX_ITERS``) have
-    run, or, from step L on (L = 5 on a 2 x 2 non-corner block: k = 1, else
-    25), its best bound b and the least best bound l of the three starts so
-    far meet b - l >= 200 (b_{t-L} - b) / L: at its mean gain over its last L
-    steps it would need at least 200 steps to reach l.  A start that
-    gained nothing in those L steps so stops, whether it leads or not.  A step
-    forms Z = x^H (W r) once: its bound ||W - Z||, equal to ||xW - Wr|| for
-    unitary x, is the root of the top eigenvalue of that matrix's Gram matrix
-    (one Hermitian eigensolve), and the next step takes the polar factor of
-    Z's non-corner block, in closed form for a 2 x 2 block, else by the SVD.
-    The first start with the least bound wins; iterations sums all starts'
-    steps, and converged says whether the winner stopped before its 200 steps
-    ran out.  All three starts also stop, as converged, once l is at most
-    stop_below, before step 1 or at any step, so the first witnessed bound at
-    most stop_below is reported; without it (None) no start stops on it.
+    alpha = 0).  Each start runs the fixed-point iteration W <- blockified
+    polar of x^H W r, which is not monotone (its bound can rise from one step
+    to the next), so each start keeps its own best conjugator, which a step
+    replaces only when it gains more than ``_NO_GAIN``.  A step forms
+    Z = x^H (W r) once: its bound ||W - Z||, equal to ||xW - Wr|| for unitary
+    x, is the root of the top eigenvalue of that matrix's Gram matrix (one
+    Hermitian eigensolve), and the next step takes the polar factor of Z's
+    non-corner block, in closed form for a 2 x 2 block, else by the SVD.
     When the Sylvester start's ARPACK solve (non-corner size above 34) does
     not converge, that lane starts from the spectral guess.  This is
-    ``dist_conjugacy_stack`` on a stack of one.
+    ``dist_conjugacy_stack`` on a stack of one, whose docstring states what
+    stops a start and what converged and iterations mean.
     Raises ValueError for any other family or non-finite entries.
     """
     return _lone(dist_conjugacy_stack, x, target, stop_below=stop_below)
@@ -673,14 +669,11 @@ def sym_membership(x, target: CosetTarget) -> bool:
     alpha, w = spec.alpha, spec.copy_size
     xs, rs = list(xw.images), list(rw.images)
     # u fixes the corner, so on each corner point x and r agree or go into one
-    # copy; most non-members fail here, before x^-1 is built (r keeps its inverse)
+    # copy; most non-members fail here, before x^-1 is built (each word keeps its inverse)
     for t, s in zip(xs[:alpha], rs[:alpha]):
         if t != s and (t <= alpha or s <= alpha or (t - alpha - 1) // w != (s - alpha - 1) // w):
             return False
-    xi = [0] * len(xs)
-    for p, q in enumerate(xs, 1):
-        xi[q - 1] = p
-    ri = list(rw.inverse().images)
+    xi, ri = list(xw.inverse().images), list(rw.inverse().images)
     # side 0 binds u and reads (x, r); side 1 binds v^-1 and reads (x^-1, r^-1).
     # image[side][a] is the label of r's copies that x's label a goes to (0-based,
     # -1 = free); taken[side][b] says whether r's label b has been used

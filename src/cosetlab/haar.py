@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import PermutationWord
+from .blockmat import BlockMatrix, PermutationWord
 
 __all__ = [
     "RandomStream",
@@ -122,6 +122,14 @@ def uniform_permutation(n: int, rng) -> PermutationWord:
         raise ValueError("n must be positive")
     gen = _as_generator(rng)
     return PermutationWord(gen.permutation(n) + 1)
+
+
+def _draw(kind: str, n: int, rng) -> BlockMatrix:
+    """One random element of degree n: Haar on O(n) for kind "orthogonal", on
+    U(n) for "unitary", uniform on S(n) (kept exact) for "permutation"."""
+    if kind == "permutation":
+        return BlockMatrix.from_permutation(uniform_permutation(n, rng))
+    return BlockMatrix((haar_unitary if kind == "unitary" else haar_orthogonal)(n, rng))
 
 
 def _core_patterns(k: int, N: int, gen: np.random.Generator, count: int) -> np.ndarray:

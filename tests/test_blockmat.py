@@ -235,9 +235,16 @@ class TestLoadSource:
          "malformed matrix JSON in .*nan.json: matrix entries must be finite"),
         ("inf.json", '{"dim": 1, "re": [[1]], "im": [[-Infinity]]}',
          "malformed matrix JSON in .*inf.json: matrix entries must be finite"),
+        ("dir.json", "<dir>", "unreadable matrix file .*dir.json: .*Is a directory"),
+        ("latin.json", b'{"perm": [2, 1, 3], "name": "\xe9"}',
+         "unreadable matrix file .*latin.json: 'utf-8' codec can't decode"),
     ])
     def test_bad_source_names_it(self, tmp_path, source, text, match):
-        if text is not None:
+        if text == "<dir>":
+            (tmp_path / source).mkdir()
+        elif isinstance(text, bytes):
+            (tmp_path / source).write_bytes(text)
+        elif text is not None:
             (tmp_path / source).write_text(text)
         if source.endswith(".json"):
             source = str(tmp_path / source)

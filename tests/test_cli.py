@@ -19,7 +19,7 @@ from cosetlab.blockmat import BlockMatrix, BlockSpec, PermutationWord, embed
 from cosetlab.cli import _build_parser, main
 from cosetlab.cosets import FAMILY_KINDS, GroupFamily, sample_tau_full
 from cosetlab.experiments import ExperimentConfig
-from cosetlab.haar import RandomStream
+from cosetlab.haar import RandomStream, haar_orthogonal, haar_unitary, uniform_permutation
 
 FIXTURE_PRODUCT = ["product", "--family", "symmetric", "--alpha", "1", "--k", "1",
                    "--N", "3", "--g", "(1 2)", "--h", "(1 2)"]
@@ -165,6 +165,15 @@ class TestSample:
                                "--dim", "5", "--seed", "3")
         assert code == 0
         assert sorted(json.loads(out)["perm"]) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("kind,draw", [
+        ("orthogonal", lambda n, rng: BlockMatrix(haar_orthogonal(n, rng))),
+        ("unitary", lambda n, rng: BlockMatrix(haar_unitary(n, rng))),
+        ("permutation", lambda n, rng: BlockMatrix.from_permutation(uniform_permutation(n, rng)))])
+    def test_each_kind_is_its_sampler(self, capsys, kind, draw):
+        code, out, _ = run_cli(capsys, "sample", "--kind", kind, "--dim", "4", "--seed", "11")
+        assert code == 0
+        assert json.loads(out) == draw(4, RandomStream(11)).to_json_dict()
 
     def test_deterministic(self, capsys):
         _, first, _ = run_cli(capsys, "sample", "--kind", "unitary", "--dim", "3", "--seed", "9")
@@ -324,6 +333,21 @@ class TestConcentration:
         code, _, err = run_cli(capsys, "concentration", "--config", str(path))
         assert code == 1
         assert f"malformed config JSON in {path}" in err
+
+    def test_unreadable_config_file(self, capsys, tmp_path):
+        # a directory and a file that is not UTF-8 are config errors naming the file
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b'{"seed": 1, "family": "\xe9"}')
+        for path in (tmp_path, bad):
+            code, _, err = run_cli(capsys, "concentration", "--config", str(path), "--seed", "1")
+            assert code == 1
+            assert f"unreadable config file {path}: " in err
+
+    def test_directory_matrix_source_is_config_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "product", "--family", "symmetric", "--alpha", "1",
+                               "--k", "1", "--N", "3", "--g", str(tmp_path), "--h", "identity")
+        assert code == 1
+        assert f"unreadable matrix file {tmp_path}: " in err
 
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '"abc"', "null"])
     def test_config_that_is_not_an_object(self, capsys, tmp_path, text):

@@ -169,6 +169,21 @@ def test_solver_keywords(solver, keywords):
     assert list(inspect.signature(solver).parameters)[2:] == keywords
 
 
+@pytest.mark.parametrize("solver,steps", [(dist_double_coset, 1), (dist_conjugacy, 0)])
+def test_floor_stop_is_converged(solver, steps):
+    # a stop_below above every bound stops each sample at its first test: the
+    # identity run's first step, or before step 1; both solvers count a stop
+    # on a rule as converged
+    kind = "unitary_conjugation" if solver is dist_conjugacy else "unitary_orthogonal"
+    gen = RandomStream(8, 0).generator()
+    g, h = BlockMatrix(haar_unitary(2, gen)), BlockMatrix(haar_unitary(2, gen))
+    target = circ_N(g, h, GroupFamily(kind, BlockSpec(1, 1, 1, 1)))
+    for _ in range(5):
+        est = solver(BlockMatrix(haar_unitary(3, gen)), target, stop_below=10.0)
+        assert (est.iterations, est.converged) == (steps, True)
+        assert est.upper_bound <= 10.0
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("where", ["sample", "representative"])
 @pytest.mark.parametrize("solver", [dist_double_coset, dist_double_coset_stack, dist_conjugacy,
@@ -238,36 +253,37 @@ def _reference_run(x, r, alpha, W, max_iters=200):
     return lane.best, max_iters, False, lane.best_W
 
 
-def _reference_conjugacy(x, r, alpha, inits, max_iters=200):
+def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=None):
     """A sample's starts run in lockstep and the first with the least bound,
     with the iterations of all runs: the reference the stacked solver must
-    match bit for bit.  When the least start bound already meets the sample's
-    Bhatia-Davis lower bound, no start takes a step.  Otherwise, after each
-    step, a lane stops when its best bound comes within 1e-11 of the lower
-    bound, after 5 (2 x 2 non-corner block) or 25 flat steps, or, from step L
-    on (L that stall length), when its best bound b trails the sample's
-    leader bound (the least best bound of its lanes so far) by more than
+    match bit for bit.  Before step 1 and after each step, every running
+    start stops once the sample's leader bound (the least best bound of its
+    starts so far) is within 1e-11 of its Bhatia-Davis lower bound or at most
+    stop_below.  Otherwise, after each step, a start stops after 5 (2 x 2
+    non-corner block) or 25 flat steps, or, from step L on (L that stall
+    length), when its best bound b trails the leader bound by more than
     max_iters times its mean gain per step since step t - L."""
     lower, stall_len = eigenvalue_matching_distance(x, r), _stall_len(x, alpha)
+    floor = -np.inf if stop_below is None else stop_below
     lanes = [_ReferenceLane(x, r, alpha, W) for W in inits]
+    runs = [None] * len(lanes)
     lead = min(lane.best for lane in lanes)
-    if lead - lower < 1e-11:
-        runs = [(lane.best, 0, True, W) for lane, W in zip(lanes, inits)]
-    else:
-        runs = [None] * len(lanes)
-        for t in range(1, max_iters + 1):
-            running = [i for i, run in enumerate(runs) if run is None]
+    for t in range(max_iters + 1):
+        running = [i for i, run in enumerate(runs) if run is None]
+        if t:
             for i in running:
                 lanes[i].step()
             lead = min([lead] + [lanes[i].best for i in running])
-            for i in running:
-                b = lanes[i].best
-                past = lanes[i].history[t - stall_len] if t >= stall_len else np.inf
-                if (b - lower < 1e-11 or lanes[i].stall >= stall_len
-                        or b - lead > max_iters * (past - b) / stall_len):
-                    runs[i] = (b, t, True, lanes[i].best_W)
-        runs = [run or (lane.best, max_iters, False, lane.best_W)
-                for run, lane in zip(runs, lanes)]
+        closed = lead - lower < 1e-11 or lead <= floor
+        for i in running:
+            b = lanes[i].best
+            past = lanes[i].history[t - stall_len] if t >= stall_len else np.inf
+            if closed or (t and (lanes[i].stall >= stall_len
+                                 or b - lead > max_iters * (past - b) / stall_len)):
+                runs[i] = (b, t, True, lanes[i].best_W)
+        if all(runs):
+            break
+    runs = [run or (lane.best, max_iters, False, lane.best_W) for run, lane in zip(runs, lanes)]
     op, _, converged, W = min(runs, key=lambda run: run[0])
     return op, sum(run[1] for run in runs), converged, W
 
@@ -356,17 +372,20 @@ class TestDistConjugacyStack:
     @pytest.mark.parametrize("alpha,k,max_iters", [
         pytest.param(1, 1, 200, id="1-1"), pytest.param(2, 2, 200, id="2-2"),
         pytest.param(0, 2, 200, id="0-2"), pytest.param(2, 2, 40, id="2-2-40")])
-    def test_stack_equals_reference_loop(self, monkeypatch, alpha, k, max_iters):
+    @pytest.mark.parametrize("stop", [False, True], ids=["no_stop", "stop_below"])
+    def test_stack_equals_reference_loop(self, monkeypatch, alpha, k, max_iters, stop):
         # at a step cap of 40 the pace term max_iters (b_{t-L} - b) / L is
-        # smaller, so lanes retire on it earlier
+        # smaller, so lanes retire on it earlier; with the full run's median
+        # bound as stop_below, about half the samples stop on it
         monkeypatch.setattr(geometry, "_MAX_ITERS", max_iters)
         cores, target = self._cores(6, 8, seed=3, alpha=alpha, k=k)
-        r = target.representative.entries
-        bound, iters, converged, left, _ = dist_conjugacy_stack(
-            np.stack([c.entries for c in cores]), target)
+        r, xs = target.representative.entries, np.stack([c.entries for c in cores])
+        stop_below = float(np.median(dist_conjugacy_stack(xs, target)[0])) if stop else None
+        bound, iters, converged, left, _ = dist_conjugacy_stack(xs, target, stop_below)
         for i, core in enumerate(cores):
             x = core.entries
-            want = _reference_conjugacy(x, r, alpha, _conjugacy_starts(x, r, alpha), max_iters)
+            want = _reference_conjugacy(x, r, alpha, _conjugacy_starts(x, r, alpha), max_iters,
+                                        stop_below)
             assert (bound[i], iters[i], converged[i]) == want[:3]
             assert np.array_equal(left[i], want[3])
 
@@ -736,6 +755,7 @@ def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
         inner = corner + float((Mv * v).sum())
         f = float(np.sqrt(max(2.0 * dim - 2.0 * inner, 0.0)))
         if stop_below is not None and f <= stop_below:
+            converged = True
             break
         if f_prev is not None:
             gain = f_prev - f
@@ -750,19 +770,21 @@ def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
 def _reference_double_coset(x, target, stop_below=None, **kwargs):
     """The per-sample solver, one start after another: the identity, then the
     two Gram starts unless the identity's bound is at most stop_below; the
-    first least bound wins.  The reference the stacked Procrustes solver must
-    match bit for bit."""
+    first least bound wins, with the iterations of all runs.  The reference
+    the stacked Procrustes solver must match bit for bit."""
     spec = target.family.spec
     layout = geometry._CopyLayout(spec)
     best = _reference_procrustes_run(x, target, np.eye(layout.w), stop_below=stop_below,
                                      **kwargs)
+    steps = best[3]
     if stop_below is None or best[0] > stop_below:
         for v in geometry._gram_starts(x[None], target.representative.entries, layout):
             result = _reference_procrustes_run(x, target, v[0], stop_below=stop_below, **kwargs)
+            steps += result[3]
             if result[0] < best[0]:
                 best = result
-    op, u, v, iters, converged = best
-    return geometry.DistanceEstimate(op, iters, converged, embed_k(u, spec), embed_k(v, spec))
+    op, u, v, _, converged = best
+    return geometry.DistanceEstimate(op, steps, converged, embed_k(u, spec), embed_k(v, spec))
 
 
 class TestDistDoubleCosetStack:
@@ -993,7 +1015,7 @@ class TestGramStartsMoveWithK:
             assert np.array_equal(verdicts[0], verdicts[1]), eps
         for start_x, start_y in zip(geometry._gram_starts(xs, r, layout),
                                     geometry._gram_starts(ys, r, layout)):
-            bound_x, bound_y = (geometry._alternate_stack(z, r, layout, start, None)[0]
+            bound_x, bound_y = (geometry._alternate_stack(z, r, layout, start, -np.inf)[0]
                                 for z, start in ((xs, start_x), (ys, start_y)))
             assert np.abs(bound_x - bound_y).max() <= 1e-12
 
