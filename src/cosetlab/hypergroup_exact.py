@@ -27,7 +27,8 @@ __all__ = [
     "concentration_exact",
 ]
 
-ENUMERATION_BUDGET = 5040  # largest (k + n_tail)! we agree to enumerate
+_MAX_COPY_SIZE = 7  # largest k + n_tail whose draws we agree to enumerate
+ENUMERATION_BUDGET = math.factorial(_MAX_COPY_SIZE)  # their number, 5040
 
 
 @dataclass(frozen=True)
@@ -56,16 +57,12 @@ class ExactDistribution:
 
 
 def _check_budget(spec):
-    """ValueError unless (k + n_tail)! <= ``ENUMERATION_BUDGET``; the product
-    stops once past it, so a huge tail costs no more than a small one."""
-    w, draws = spec.copy_size, 1
-    for j in range(2, w + 1):
-        draws *= j
-        if draws > ENUMERATION_BUDGET:
-            shown = f" = {draws}" if j == w else ""
-            raise ValueError(
-                f"enumeration budget exceeded: (k + n_tail)! = {w}!{shown} "
-                f"> {ENUMERATION_BUDGET}; shrink k + n_tail")
+    """ValueError unless the (k + n_tail)! draws fit ``ENUMERATION_BUDGET``,
+    that is, unless k + n_tail <= ``_MAX_COPY_SIZE``: one comparison, so a
+    huge tail costs no more than a small one."""
+    if spec.copy_size > _MAX_COPY_SIZE:
+        raise ValueError(f"enumeration budget exceeded: (k + n_tail)! = {spec.copy_size}! "
+                         f"> {ENUMERATION_BUDGET}; shrink k + n_tail")
 
 
 def _fixed_labels(word: PermutationWord, spec) -> set:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cosetlab.blockmat import (
     BlockMatrix,
     BlockSpec,
     PermutationWord,
+    as_word,
     build_JN,
     embed,
     embed_k,
@@ -22,6 +24,36 @@ from cosetlab.cosets import GroupFamily
 from cosetlab.experiments import ExperimentConfig, run_concentration
 from cosetlab.haar import RandomStream, haar_unitary, uniform_permutation
 from cosetlab.hypergroup_exact import exact_convolution
+
+# texts in the permutation grammar at one degree, with the word each reads
+# to, or None for a text that parse and load_source both reject
+PERMUTATION_TEXTS = [
+    ("(1 2)", 3, [2, 1, 3]),
+    (" (1 3) ", 3, [3, 2, 1]),
+    ("(1,2) (3 4)", 4, [2, 1, 4, 3]),
+    ("(1 2 3)(4)", 4, [2, 3, 1, 4]),
+    ("()", 3, [1, 2, 3]),
+    ("2,1,3", 3, [2, 1, 3]),
+    ("3 1 2", 3, [3, 1, 2]),
+    ("2,,1", 2, [2, 1]),
+    (" 1, 2 ,3 ", 3, [1, 2, 3]),
+    ("(+1 2)", 3, None),
+    ("(1 1_0)", 10, None),
+    ("(\uff11 \uff12)", 3, None),
+    ("\uff12,\uff11", 2, None),
+    ("+2,1", 2, None),
+    ("2,-1", 2, None),
+    ("(1 2", 3, None),
+    ("(1 2))", 3, None),
+    ("(1 2),(3 4)", 4, None),
+    ("(1 4)", 3, None),
+    ("(0 1)", 3, None),
+    ("(1 2)(2 3)", 3, None),
+    ("2,1", 3, None),
+    ("1 1 3", 3, None),
+    ("(1 30000000)", 3, None),
+    ("(1 99999999999999999999)", 3, None),
+]
 
 
 class TestBlockSpec:
@@ -66,6 +98,8 @@ class TestPermutationWord:
             PermutationWord([1, 1, 3])
         with pytest.raises(ValueError):
             PermutationWord([0, 1])
+        with pytest.raises(ValueError, match="^degree mismatch$"):
+            PermutationWord([2, 1]) * PermutationWord([1, 2, 3])
 
     def test_compose_matches_matrix_product(self):
         a = PermutationWord([2, 3, 1])
@@ -88,8 +122,8 @@ class TestPermutationWord:
             PermutationWord.from_cycles(n, cycles)
 
     @pytest.mark.parametrize("text,degree,point", [
-        ("(1 2)(1 2)", None, 1),
-        ("(1 2)(2 3)", None, 2),
+        ("(1 2)(1 2)", 2, 1),
+        ("(1 2)(2 3)", 3, 2),
         ("(1 5)", 3, 5),
     ])
     def test_parse_rejects_bad_cycles(self, text, degree, point):
@@ -103,13 +137,20 @@ class TestPermutationWord:
         ("3 1 2", [3, 1, 2]),
     ])
     def test_parse(self, text, images):
-        assert PermutationWord.parse(text) == PermutationWord(images)
+        assert PermutationWord.parse(text, len(images)) == PermutationWord(images)
 
     def test_parse_identity_and_degree(self):
-        assert PermutationWord.parse("identity", degree=4) == PermutationWord.identity(4)
+        # "identity" is a whole-source keyword of load_source, not a
+        # permutation; the degree is always the caller's
+        with pytest.raises(ValueError, match="^points must be unsigned decimal integers: .identity.$"):
+            PermutationWord.parse("identity", 4)
         assert PermutationWord.parse("(1 2)", degree=5).degree == 5
-        with pytest.raises(ValueError):
-            PermutationWord.parse("identity")
+        with pytest.raises(TypeError):
+            PermutationWord.parse("(1 2)")
+        with pytest.raises(ValueError, match="^expected degree 3, got 2$"):
+            PermutationWord.parse("2,1", 3)
+        with pytest.raises(ValueError, match=r"^malformed cycle notation: '\(1 2'$"):
+            PermutationWord.parse("(1 2", 3)
 
     @given(st.permutations(list(range(1, 8))))
     def test_matrix_round_trip(self, images):
@@ -151,6 +192,14 @@ class TestBlockMatrix:
         entries[1, 2] = bad
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             BlockMatrix(entries)
+
+    def test_shape_and_kind_rejected(self):
+        with pytest.raises(ValueError, match="^entries must be a square matrix$"):
+            BlockMatrix(np.eye(3)[:2])
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            BlockMatrix.identity(2) @ BlockMatrix(np.eye(3))
+        with pytest.raises(ValueError, match="^expected an exact permutation, got <BlockMatrix dim=2>$"):
+            as_word(BlockMatrix(np.eye(2)))
 
     def test_entries_are_the_matrix_own(self):
         # a later write to the caller's array leaves the matrix as checked, and
@@ -205,6 +254,39 @@ class TestLoadSource:
     def test_permutations_take_smallest_degree(self, source, degrees, images):
         assert load_source(source, degrees).exact_permutation == PermutationWord(images)
 
+    @pytest.mark.parametrize("text,degree,images", PERMUTATION_TEXTS)
+    def test_reads_what_parse_reads(self, tmp_path, monkeypatch, text, degree, images):
+        # the router and the parser share one token rule: load_source reads a
+        # text as a permutation exactly when parse accepts it, to the same
+        # word; its error names the source (a text read as a path names no file)
+        monkeypatch.chdir(tmp_path)
+        if images is not None:
+            assert PermutationWord.parse(text, degree) == PermutationWord(images)
+            assert load_source(text, degree).exact_permutation == PermutationWord(images)
+            return
+        with pytest.raises(ValueError):
+            PermutationWord.parse(text, degree)
+        with pytest.raises(ValueError, match=re.escape(text.strip())):
+            load_source(text, degree)
+
+    @pytest.mark.parametrize("source", ["(1 30000000)", "(1 99999999999999999999)"])
+    @pytest.mark.parametrize("degrees", [3, (3, 5)])
+    def test_huge_point_builds_no_word_of_its_size(self, monkeypatch, source, degrees):
+        # a word is built at an allowed degree or not at all: the point 3e7
+        # once built a 3e7-point word (MemoryError under a 2 GB limit), and
+        # the point 1e20 raised OverflowError
+        sizes, real = [], PermutationWord.from_cycles.__func__
+
+        def spy(cls, n, cycles):
+            sizes.append(n)
+            return real(cls, n, cycles)
+
+        monkeypatch.setattr(PermutationWord, "from_cycles", classmethod(spy))
+        with pytest.raises(ValueError, match=f"^bad permutation {re.escape(repr(source))}: "
+                                             "cycle point"):
+            load_source(source, degrees)
+        assert max(sizes) <= 5
+
     def test_matrix_file_named_with_a_leading_digit(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "2g.json").write_text(json.dumps({"perm": [2, 1, 3]}))
@@ -223,7 +305,7 @@ class TestLoadSource:
         ("bad.json", "{not json", "malformed matrix JSON in .*bad.json"),
         ("list.json", "[1, 2]", "malformed matrix JSON in .*list.json"),
         ("big.json", json.dumps({"perm": [2, 1, 3, 4]}), "big.json: dimension 4, expected 3"),
-        ("(1 4)", None, r"\(1 4\): dimension 4, expected 3"),
+        ("(1 4)", None, r"bad permutation '\(1 4\)': cycle point 4 repeats or lies outside 1\.\.3$"),
         ("1 2", None, "bad permutation '1 2'"),
         ("(1 x)", None, r"bad permutation '\(1 x\)'"),
         ("(1 2", None, r"bad permutation '\(1 2'.*malformed cycle notation"),

@@ -219,12 +219,12 @@ class TestExactSym:
         assert "unrecognized arguments: --budget 5" in err
 
     @pytest.mark.parametrize("N,factorial", [
-        (7, "8! = 40320"), (10**6, "1000001!"), (10**20, "100000000000000000001!")])
+        (7, "8!"), (10**6, "1000001!"), (10**20, "100000000000000000001!")])
     def test_large_tail_is_budget_error(self, capsys, N, factorial):
-        # the budget is checked before g and h are built at full size, by a
-        # product that stops once past it, so w! is printed only when the
-        # product reached it (10^20 overflowed ssize_t, and 10^6 built words
-        # of size 2.10^6, then failed to print (10^6 + 1)!)
+        # the budget is checked before g and h are built at full size, by one
+        # comparison of the copy size w with 7, so w! is named, never computed
+        # (10^20 overflowed ssize_t, and 10^6 built words of size 2.10^6, then
+        # failed to print (10^6 + 1)!)
         start = time.perf_counter()
         code, out, err = run_cli(capsys, "exact-sym", "--alpha", "1", "--k", "1",
                                  "--N", str(N), "--g", "identity", "--h", "identity")
@@ -434,6 +434,24 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert "empty matrix source" in err
+
+    @pytest.mark.parametrize("point", ["30000000", "99999999999999999999"])
+    @pytest.mark.parametrize("command", ["product", "membership", "exact-sym", "concentration"])
+    def test_huge_cycle_point_is_config_error(self, capsys, command, point):
+        # read at the allowed sizes only: the point 3e7 once built a 3e7-point
+        # word (MemoryError, exit 2, under a 2 GB limit) and 1e20 raised
+        # OverflowError (exit 2)
+        source = f"(1 {point})"
+        argv = {"product": ("product", "--family", "symmetric", *self.SYM,
+                            "--g", source, "--h", "identity"),
+                "membership": ("membership", *self.SYM, "--x", source, "--target", "identity"),
+                "exact-sym": ("exact-sym", *self.SYM, "--g", source, "--h", "identity"),
+                "concentration": (*self.CONC, "--N", "3", "--samples", "2", "--g", source)}
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv[command])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: bad permutation '{source}': cycle point {point} ")
 
     def test_missing_concentration_source_names_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, *self.CONC, "--N", "3", "--samples", "2",

@@ -269,6 +269,10 @@ class TestSamplers:
         fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 1, 3, 1))
         with pytest.raises(ValueError):
             sample_tau_tilde(SWAP, SWAP, fam, RandomStream(0, 0))
+        sym = GroupFamily("symmetric", BlockSpec(1, 1, 3, 1))
+        e, dense = BlockMatrix.identity(5), BlockMatrix(np.eye(5))
+        with pytest.raises(ValueError, match="^h must be an exact permutation for the symmetric family$"):
+            sample_tau_full(e, dense, sym, RandomStream(0, 0))
 
 
 CORE_SHAPES = [(2, 2, 2, 5), (0, 1, 2, 1), (1, 2, 1, 2), (0, 2, 3, 4), (2, 1, 1, 1)]

@@ -1067,6 +1067,14 @@ class TestSymMembership:
         target = circ_N(SWAP, SWAP, fam)
         assert not sym_membership(PermutationWord.identity(5), target)
 
+    def test_other_family_and_degree_rejected(self):
+        target = circ_N(SWAP, SWAP, _sym_family())
+        other = CosetTarget(target.representative, replace(target.family, kind="unitary_orthogonal"))
+        with pytest.raises(ValueError, match="^membership needs the symmetric family, got 'unitary_orthogonal'$"):
+            sym_membership(target.representative, other)
+        with pytest.raises(ValueError, match="^degree mismatch$"):
+            sym_membership(PermutationWord.identity(4), target)
+
     def test_corner_mismatch_rejected_before_inverting(self):
         # x keeps the corner point where r sends it into the tail
         target = circ_N(SWAP, SWAP, _sym_family())

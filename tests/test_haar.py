@@ -376,6 +376,10 @@ class TestUniformPermutation:
     def test_n1(self):
         assert uniform_permutation(1, RandomStream(0, 0)).images == (1,)
 
+    def test_empty_degree_rejected(self):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            uniform_permutation(0, RandomStream(0, 0))
+
     def test_uniform_on_s3(self):
         gen = RandomStream(9, 0).generator()
         counts = {}

@@ -95,7 +95,8 @@ class TestExactConvolution:
     def test_budget_guard(self):
         fam = _family(N=7)  # 8! products
         e = PermutationWord.identity(fam.spec.dim)
-        with pytest.raises(ValueError, match=r"= 8! = 40320 > 5040; shrink k \+ n_tail$"):
+        with pytest.raises(ValueError, match=r"^enumeration budget exceeded: \(k \+ n_tail\)! = 8! > 5040; "
+                                             r"shrink k \+ n_tail$"):
             exact_convolution(e, e, fam)
         assert ENUMERATION_BUDGET == 5040
 
@@ -108,6 +109,9 @@ class TestExactConvolution:
         fam = GroupFamily("unitary_orthogonal", BlockSpec(1, 1, 2, 1))
         with pytest.raises(ValueError):
             exact_convolution(PermutationWord.identity(4), PermutationWord.identity(4), fam)
+        # window-size inputs need embedding first
+        with pytest.raises(ValueError, match="^g and h must have degree 5$"):
+            exact_convolution(SWAP, SWAP, _family())
 
     @pytest.mark.parametrize("alpha,k,N,m,seed", [
         (1, 1, 2, 1, 0), (0, 1, 3, 1, 1), (2, 1, 2, 1, 2), (1, 2, 2, 1, 3), (1, 1, 2, 2, 4),
@@ -276,6 +280,11 @@ class TestConcentrationExact:
             assert len(calls) <= 2 * len(dist.atoms)
             seen.add(len(calls))
         assert len(seen) == 1
+
+    def test_full_degree_input_rejected(self):
+        e = PermutationWord.identity(4)
+        with pytest.raises(ValueError, match="^g and h must be window permutations of degree 4$"):
+            concentration_exact(e, PermutationWord.identity(8), _family(alpha=0, k=2, N=2, m=2), [2])
 
     def test_tail_below_k_rejected(self):
         fam = _family(alpha=0, k=2, N=2, m=2)
