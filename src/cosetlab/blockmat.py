@@ -283,16 +283,18 @@ def _read_json(path: str, what: str):
         raise ValueError(f"unreadable {what} file {path}: {exc}") from exc
 
 
-def load_source(source: str, degrees) -> BlockMatrix:
+def load_source(source: str, degrees, draw=None) -> BlockMatrix:
     """Read a matrix source at one of the allowed degrees (an int or a tuple).
 
     The whole source "identity" is the identity at the smallest allowed
-    degree.  A permutation, cycle notation "(1 2)" or an image list "2,1"
-    (nothing but points, ``_POINTS``), is read by ``PermutationWord.parse``
-    at the smallest allowed degree that holds it, so no word above the
-    largest is built.  Any other text is the path of a matrix JSON file as
-    written by ``to_json_dict``.  Raises ValueError naming the source when it
-    is empty, malformed, unreadable or of no allowed degree.
+    degree, and "random_unitary" is draw(that degree), or a ValueError when
+    no draw is given (only the concentration command draws).  A permutation,
+    cycle notation "(1 2)" or an image list "2,1" (nothing but points,
+    ``_POINTS``), is read by ``PermutationWord.parse`` at the smallest
+    allowed degree that holds it, so no word above the largest is built.
+    Any other text is the path of a matrix JSON file as written by
+    ``to_json_dict``.  Raises ValueError naming the source when it is
+    empty, malformed, unreadable or of no allowed degree.
     """
     degrees = (degrees,) if isinstance(degrees, int) else tuple(sorted(degrees))
     text = source.strip()
@@ -300,6 +302,10 @@ def load_source(source: str, degrees) -> BlockMatrix:
         raise ValueError(f"empty matrix source {source!r}")
     if text == "identity":
         return BlockMatrix.identity(degrees[0])
+    if text == "random_unitary":
+        if draw is None:
+            raise ValueError(f"{source!r}: only concentration draws a random source")
+        return draw(degrees[0])
     if text.startswith("(") or _POINTS.fullmatch(text):
         for degree in degrees:
             try:

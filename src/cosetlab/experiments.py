@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .blockmat import BlockMatrix, BlockSpec, embed, load_source, tail_sizes
+from .blockmat import BlockSpec, embed, load_source, tail_sizes
 from .cosets import GroupFamily, circ_N, sample_core, sample_core_stack
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import (
@@ -202,14 +202,6 @@ def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
     return lo, hi
 
 
-def _resolve_window_element(source, family: GroupFamily, gen) -> BlockMatrix:
-    """Turn a g_spec/h_spec matrix source into a window-sized BlockMatrix."""
-    window = family.spec.window
-    if source != "random_unitary":
-        return load_source(source, window)
-    return _draw("permutation" if family.kind == "symmetric" else "unitary", window, gen)
-
-
 def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     """Run the sweep: for each N draw samples, reduce each to its core and
     report per-(N, epsilon) hit fractions.
@@ -245,10 +237,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     draws of tau_full leave the core unchanged, so that measure gives the same
     report.  Symmetric hits are exact membership verdicts recorded as 0/1
     distances; unitary distances are witnessed upper bounds for the sample.
-    Both unitary solvers take the smallest epsilon as ``stop_below``, so a
-    sample stops once its bound is at most min(epsilon_list): every hit count
-    is the full run's, but median_dist and mean_dist summarize bounds cut off
-    there.
+    The solvers take min(epsilon_list) as ``stop_below`` and max(epsilon_list)
+    as ``stop_above``: a sample stops at a bound at most the first or a lower
+    bound above the second, so every hit count is the full run's, but
+    median_dist and mean_dist summarize bounds cut off there.
     """
     rows = []
     for N, dists, elapsed in _sweep_distances(cfg):
@@ -269,8 +261,9 @@ def _sweep_distances(cfg: ExperimentConfig):
     """(N, the samples' distances in order as an array, seconds) for each N, in order."""
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
-    g_win = _resolve_window_element(cfg.g_spec, fam0, setup_gen)
-    h_win = _resolve_window_element(cfg.h_spec, fam0, setup_gen)
+    kind = "permutation" if cfg.family == "symmetric" else "unitary"
+    g_win, h_win = (load_source(src, fam0.spec.window, lambda n: _draw(kind, n, setup_gen))
+                    for src in (cfg.g_spec, cfg.h_spec))
     target = circ_N(g_win, h_win, fam0)
     conj = cfg.family == "unitary_conjugation"
     h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
@@ -303,7 +296,8 @@ def _sweep_distances(cfg: ExperimentConfig):
         def solve_pending():
             start = time.perf_counter()
             cores = sample_core_stack(g_win, h_core, fam0, np.concatenate([a for _, a in pending]))
-            dists = solve(cores, target, stop_below=min(cfg.epsilon_list))[0]
+            dists = solve(cores, target, stop_below=min(cfg.epsilon_list),
+                          stop_above=max(cfg.epsilon_list))[0]
             share = (time.perf_counter() - start) / len(dists)
             for i, a in pending:
                 out[i].append(dists[:len(a)])

@@ -6,8 +6,9 @@ targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (identity, spectral match,
 structured minimal singular vector), refined in lockstep by a fixed-point
 iteration until the sample's leader bound closes its Bhatia-Davis bracket or
-is at most the caller's stop_below, or the start trails that leader too far
-to catch it at its recent pace, as one that no longer gains always does.
+is at most the caller's stop_below (a sample whose lower bound is above
+stop_above takes no step), or the start trails that leader too far to catch
+it at its recent pace, as one that no longer gains always does.
 Both unitary solvers run on a stack of samples at once
 (``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which return one
 array per estimate field and state the solver's stop rules and the meaning
@@ -84,6 +85,9 @@ _SCRATCH_BYTES = 512 << 10
 # stops at such a step (of its Frobenius residual), and a conjugation step must
 # gain more than this to beat its lane's best bound.
 _NO_GAIN = 1e-12
+# A conjugation sample within this of its lower bound has closed its bracket, and
+# a sample whose lower bound exceeds stop_above by more than this is a certified miss.
+_CONJ_EXACT = 1e-11
 # Step cap of an orthogonal run and of a conjugation start, read at each call:
 # a lane still running after this many steps is written out unconverged.
 _MAX_ITERS = 200
@@ -329,14 +333,17 @@ def dist_double_coset_stack(
     xs,
     target: CosetTarget,
     stop_below: float | None = None,
+    stop_above: float | None = None,
 ) -> tuple:
     """``dist_double_coset`` for each of an (S, d, d) stack of unitary_orthogonal
     samples, bit for bit.
 
     Every sample runs from the identity and then, unless that run's bound is
-    at most stop_below, from both Gram starts, searched and refined as one
-    stack of two lanes per sample over chunks of at most ceil(S/3) samples,
-    so from S = 2 on the pair never runs more lanes than the identity run.
+    at most stop_below or the corner bound ||x_aa - r_aa|| (0 at alpha = 0; a
+    lower bound, as K fixes the corner) exceeds stop_above by more than 1e-11
+    (``_CONJ_EXACT``), from both Gram starts, searched and refined as one stack
+    of two lanes per sample over chunks of at most ceil(S/3) samples, so from
+    S = 2 on the pair never runs more lanes than the identity run.
     A run stops, converged, once its Frobenius residual f is at most
     stop_below or a step gains less than max(1e-3 f, 1e-12) (``_REL_GAIN``,
     ``_NO_GAIN``), and is cut, unconverged, after 200 steps (``_MAX_ITERS``).
@@ -355,9 +362,12 @@ def dist_double_coset_stack(
         return (np.zeros(0), np.zeros(0, int), np.zeros(0, bool), *np.zeros((2,) + x.shape))
     layout = _CopyLayout(target.family.spec)
     floor = -np.inf if stop_below is None else stop_below
+    ceiling = np.inf if stop_above is None else stop_above
     bound, u, v, iters, converged = _alternate_stack(
         x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), floor)
-    above = np.flatnonzero(bound > floor)
+    a = layout.alpha
+    corner = _op_norm(x[:, :a, :a] - r[:a, :a]) if a else np.zeros(len(x))
+    above = np.flatnonzero((bound > floor) & (corner - ceiling <= _CONJ_EXACT))
     chunk = -(-len(x) // 3)
     for i in range(0, len(above), chunk):
         lanes = above[i:i + chunk]
@@ -385,6 +395,7 @@ def dist_double_coset(
     x: BlockMatrix,
     target: CosetTarget,
     stop_below: float | None = None,
+    stop_above: float | None = None,
 ) -> DistanceEstimate:
     """Witnessed upper bound on the operator-norm distance from x to K.r.K,
     for a unitary_orthogonal target.
@@ -400,7 +411,7 @@ def dist_double_coset(
     Raises ValueError for any other family (the symmetric family's view is
     exact membership, ``sym_membership``) and for non-finite entries.
     """
-    return _lone(dist_double_coset_stack, x, target, stop_below=stop_below)
+    return _lone(dist_double_coset_stack, x, target, stop_below=stop_below, stop_above=stop_above)
 
 
 # ---------------------------------------------------------------------------
@@ -410,9 +421,6 @@ def dist_double_coset(
 # linalg and matmul solve each lane with the same LAPACK/BLAS call as a lone
 # matrix, so a sample's lanes do not depend on other samples' lanes.
 
-# A sample whose leader bound is within this of its lower bound (the
-# Bhatia-Davis eigenvalue matching gap) has closed its bracket: its lanes leave the stack.
-_CONJ_EXACT = 1e-11
 # The window L of the retirement rule: from step L on, a lane retires when, at
 # its mean gain over its last L steps, it would need at least _MAX_ITERS steps
 # to reach its sample's leader bound, so one with no gain in them retires, the
@@ -515,6 +523,7 @@ def dist_conjugacy_stack(
     xs,
     target: CosetTarget,
     stop_below: float | None = None,
+    stop_above: float | None = None,
 ) -> tuple:
     """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
 
@@ -523,7 +532,8 @@ def dist_conjugacy_stack(
     them, tested before step 1 and after every step:
     - the sample rule: once a sample's leader bound (the least best bound of
       its lanes so far) is within 1e-11 (``_CONJ_EXACT``) of its Bhatia-Davis
-      lower bound, or at most stop_below, all its lanes leave the stack;
+      lower bound, or at most stop_below, or that lower bound exceeds
+      stop_above by more than 1e-11, all its lanes leave the stack;
     - the lane rule: from step L on (L = 5 on a 2 x 2 non-corner block, k = 1,
       else 25: ``_CONJ_WINDOW``) a lane leaves once it trails its sample's
       leader bound by at least ``_MAX_ITERS`` steps at its mean gain over its
@@ -533,7 +543,7 @@ def dist_conjugacy_stack(
     start with the least bound wins: converged says whether the winner
     stopped on a rule before the cap, and iterations sums the steps of all
     the sample's lanes, its cost, as in ``dist_double_coset_stack``.  So a
-    sample whose least start bound already meets a sample rule takes no step.
+    sample that meets a sample rule before step 1, as a certified miss does, takes no step.
     A sample's lanes depend on each other, but not on the rest of the stack:
     each sample gets the estimate ``dist_conjugacy`` gives for it alone, bit
     for bit, in the arrays of ``dist_double_coset_stack`` with complex
@@ -570,6 +580,7 @@ def dist_conjugacy_stack(
     past = np.full((window, len(lanes)), np.inf)
     past[0] = best
     floor = -np.inf if stop_below is None else stop_below
+    certified = gap - (np.inf if stop_above is None else stop_above) > _CONJ_EXACT
     pace = np.inf  # no lane retires on pace before step 1
     for t in range(_MAX_ITERS + 1):
         if t:
@@ -586,7 +597,8 @@ def dist_conjugacy_stack(
             past[t % window] = best
         # the sample rule, then the lane rule
         leader = lead[own]
-        stop = ((lead - gap < _CONJ_EXACT) | (lead <= floor))[own] | (best - leader >= pace)
+        closed = (lead - gap < _CONJ_EXACT) | (lead <= floor) | certified
+        stop = closed[own] | (best - leader >= pace)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)
             op_out[done], W_out[done], iters[done], converged[done] = (
@@ -610,6 +622,7 @@ def dist_conjugacy(
     x: BlockMatrix,
     target: CosetTarget,
     stop_below: float | None = None,
+    stop_above: float | None = None,
 ) -> DistanceEstimate:
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
@@ -633,7 +646,7 @@ def dist_conjugacy(
     stops a start and what converged and iterations mean.
     Raises ValueError for any other family or non-finite entries.
     """
-    return _lone(dist_conjugacy_stack, x, target, stop_below=stop_below)
+    return _lone(dist_conjugacy_stack, x, target, stop_below=stop_below, stop_above=stop_above)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,19 @@ class TestLoadSource:
             load_source(source, degrees)
         assert max(sizes) <= 5
 
+    @pytest.mark.parametrize("degrees", [3, (5, 3)])
+    def test_random_unitary_is_a_draw_at_the_smallest_degree(self, degrees):
+        drawn = BlockMatrix(np.eye(3))
+        assert load_source(" random_unitary ", degrees, draw=lambda n: (n, drawn)) == (3, drawn)
+
+    def test_random_unitary_without_a_draw_names_its_one_reader(self, tmp_path, monkeypatch):
+        # a file of that name is not read: the keyword is the whole source
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "random_unitary").write_text(json.dumps({"perm": [2, 1, 3]}))
+        with pytest.raises(ValueError, match="^'random_unitary': only concentration draws a "
+                                             "random source$"):
+            load_source("random_unitary", 3)
+
     def test_matrix_file_named_with_a_leading_digit(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "2g.json").write_text(json.dumps({"perm": [2, 1, 3]}))

@@ -453,6 +453,20 @@ class TestExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: bad permutation '{source}': cycle point {point} ")
 
+    @pytest.mark.parametrize("argv", [
+        ("product", "--family", "unitary_orthogonal", *SYM, "--g", "random_unitary",
+         "--h", "identity"),
+        ("product", "--family", "symmetric", "--alpha", "1", "--k", "1", "--g", "identity",
+         "--h", "random_unitary"),
+        ("membership", *SYM, "--x", "random_unitary", "--target", "identity"),
+        ("exact-sym", *SYM, "--g", "random_unitary", "--h", "identity"),
+    ], ids=["product", "size_stable_product", "membership", "exact-sym"])
+    def test_random_source_outside_concentration_is_config_error(self, capsys, argv):
+        # the keyword was read as a path: "matrix file not found: random_unitary"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: 'random_unitary': only concentration draws a random source\n"
+
     def test_missing_concentration_source_names_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, *self.CONC, "--N", "3", "--samples", "2",
                                "--g", str(tmp_path / "missing.json"))

@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -271,7 +272,8 @@ class TestRunConcentration:
     def test_step_cap_reaches_the_sweep_solvers(self, monkeypatch, family):
         # the solvers read geometry._MAX_ITERS at each call, so a patched cap
         # holds in the sweep too; in both, a sample's iterations sum its three
-        # starts' steps (at eps = 1e-9 every orthogonal sample runs its Gram starts)
+        # starts' steps (at eps = 1e-9 every orthogonal sample runs its Gram starts,
+        # and at eps = 2, above any unitary distance, no sample is a certified miss)
         name = {"unitary_orthogonal": "dist_double_coset_stack",
                 "unitary_conjugation": "dist_conjugacy_stack"}[family]
         real, iters = getattr(experiments, name), []
@@ -282,7 +284,7 @@ class TestRunConcentration:
             return out
 
         monkeypatch.setattr(experiments, name, spy)
-        cfg = _cfg(family=family, N_list=(8,), epsilon_list=(1e-9,), samples=20, seed=2,
+        cfg = _cfg(family=family, N_list=(8,), epsilon_list=(1e-9, 2), samples=20, seed=2,
                    g_spec="random_unitary", h_spec="random_unitary")
         for cap in (200, 1):
             monkeypatch.setattr(geometry, "_MAX_ITERS", cap)
@@ -290,6 +292,35 @@ class TestRunConcentration:
             run_concentration(cfg)
             assert len(iters) == 20
             assert (max(iters) <= 3) == (cap == 1)
+
+    @pytest.mark.parametrize("family", ["unitary_conjugation", "unitary_orthogonal"])
+    # the (alpha, k) shapes of the 15-config comparison
+    @pytest.mark.parametrize("alpha,k", [(1, 1), (0, 1), (2, 1), (1, 2), (0, 2)])
+    def test_certified_misses_move_no_hit(self, monkeypatch, family, alpha, k):
+        # the sweep passes max(epsilon) as stop_above: a sample whose lower
+        # bound exceeds it is a miss at every epsilon, so each row's hits equal
+        # those of a sweep whose solver never hears of stop_above; only
+        # median_dist and mean_dist may move
+        name = {"unitary_orthogonal": "dist_double_coset_stack",
+                "unitary_conjugation": "dist_conjugacy_stack"}[family]
+        real, ceilings = getattr(experiments, name), []
+
+        def spy(xs, target, **kwargs):
+            ceilings.append(kwargs["stop_above"])
+            return real(xs, target, **kwargs)
+
+        def without(xs, target, stop_below, stop_above):
+            return real(xs, target, stop_below=stop_below)
+
+        cfg = _cfg(family=family, alpha=alpha, k=k, N_list=(8, 64), epsilon_list=(0.2, 0.4),
+                   samples=60, seed=9, g_spec="random_unitary", h_spec="random_unitary")
+        monkeypatch.setattr(experiments, name, spy)
+        cut = run_concentration(cfg).rows
+        assert ceilings == [0.4]
+        monkeypatch.setattr(experiments, name, without)
+        full = run_concentration(cfg).rows
+        assert [replace(r, median_dist=0.0, mean_dist=0.0, runtime_s=0.0) for r in cut] == [
+            replace(r, median_dist=0.0, mean_dist=0.0, runtime_s=0.0) for r in full]
 
     def test_conjugation_report_matches_per_sample_loop(self, monkeypatch):
         # blocks of 7 samples at core dimension 3, and 260 samples, so blocks
@@ -305,7 +336,8 @@ class TestRunConcentration:
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
             dists = [dist_conjugacy(sample_core(g, h, fam, _sample_block(cfg.seed, i, N, True)),
-                                    target, stop_below=min(cfg.epsilon_list)).upper_bound
+                                    target, stop_below=min(cfg.epsilon_list),
+                                    stop_above=max(cfg.epsilon_list)).upper_bound
                      for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
@@ -331,7 +363,8 @@ class TestRunConcentration:
             dists = []
             for i in range(cfg.samples):
                 core = sample_core(g, h, fam, _sample_block(cfg.seed, i, N, False))
-                dists.append(dist_double_coset(core, target, stop_below=0.2).upper_bound)
+                dists.append(dist_double_coset(core, target, stop_below=0.2,
+                                               stop_above=0.4).upper_bound)
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
                 lo, hi = wilson_interval(hits, cfg.samples)
@@ -529,9 +562,11 @@ class TestRunConcentration:
         ("unitary_orthogonal", 1, 2000, 1e-9, (8, 64))])
     def test_full_block_stays_near_budget(self, monkeypatch, family, k, samples, eps, N_list):
         # more samples than one block holds (658 and 298; 2663, 958, 295 and
-        # 82), so the first block is full
+        # 82), so the first block is full; epsilon 2, above every unitary
+        # distance, makes stop_above certify no miss, so every sample does
+        # the work a block is sized for
         monkeypatch.setattr(geometry, "_MAX_ITERS", 2)
-        kwargs = dict(family=family, k=k, N_list=N_list, epsilon_list=(eps,), seed=3,
+        kwargs = dict(family=family, k=k, N_list=N_list, epsilon_list=(eps, 2), seed=3,
                       g_spec="random_unitary", h_spec="random_unitary")
         # a first sweep pays numpy's lazy imports (np.median loads numpy.ma,
         # about 1.7 MB) outside the trace, so the peak is the block's whichever

@@ -159,10 +159,10 @@ class TestDistConjugacy:
 
 
 @pytest.mark.parametrize("solver,keywords", [
-    (dist_double_coset, ["stop_below"]),
-    (dist_double_coset_stack, ["stop_below"]),
-    (dist_conjugacy, ["stop_below"]),
-    (dist_conjugacy_stack, ["stop_below"]),
+    (dist_double_coset, ["stop_below", "stop_above"]),
+    (dist_double_coset_stack, ["stop_below", "stop_above"]),
+    (dist_conjugacy, ["stop_below", "stop_above"]),
+    (dist_conjugacy_stack, ["stop_below", "stop_above"]),
 ])
 def test_solver_keywords(solver, keywords):
     # the stop thresholds and the step cap are module constants, not options
@@ -253,13 +253,14 @@ def _reference_run(x, r, alpha, W, max_iters=200):
     return lane.best, max_iters, False, lane.best_W
 
 
-def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=None):
+def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=None, stop_above=None):
     """A sample's starts run in lockstep and the first with the least bound,
     with the iterations of all runs: the reference the stacked solver must
     match bit for bit.  Before step 1 and after each step, every running
     start stops once the sample's leader bound (the least best bound of its
     starts so far) is within 1e-11 of its Bhatia-Davis lower bound or at most
-    stop_below.  Otherwise, after each step, a start stops after 5 (2 x 2
+    stop_below, or that lower bound exceeds stop_above by more than 1e-11.
+    Otherwise, after each step, a start stops after 5 (2 x 2
     non-corner block) or 25 flat steps, or, from step L on (L that stall
     length), when its best bound b trails the leader bound by more than
     max_iters times its mean gain per step since step t - L."""
@@ -274,7 +275,8 @@ def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=None):
             for i in running:
                 lanes[i].step()
             lead = min([lead] + [lanes[i].best for i in running])
-        closed = lead - lower < 1e-11 or lead <= floor
+        closed = (lead - lower < 1e-11 or lead <= floor
+                  or (stop_above is not None and lower - stop_above > 1e-11))
         for i in running:
             b = lanes[i].best
             past = lanes[i].history[t - stall_len] if t >= stall_len else np.inf
@@ -767,17 +769,21 @@ def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
     return op, u, v, iters, converged
 
 
-def _reference_double_coset(x, target, stop_below=None, **kwargs):
+def _reference_double_coset(x, target, stop_below=None, stop_above=None, **kwargs):
     """The per-sample solver, one start after another: the identity, then the
-    two Gram starts unless the identity's bound is at most stop_below; the
+    two Gram starts unless the identity's bound is at most stop_below or the
+    corner bound ||x_aa - r_aa|| exceeds stop_above by more than 1e-11; the
     first least bound wins, with the iterations of all runs.  The reference
     the stacked Procrustes solver must match bit for bit."""
     spec = target.family.spec
     layout = geometry._CopyLayout(spec)
+    a, r = spec.alpha, target.representative.entries
+    corner = np.linalg.norm(x[:a, :a] - r[:a, :a], 2) if a else 0.0
     best = _reference_procrustes_run(x, target, np.eye(layout.w), stop_below=stop_below,
                                      **kwargs)
     steps = best[3]
-    if stop_below is None or best[0] > stop_below:
+    if ((stop_below is None or best[0] > stop_below)
+            and (stop_above is None or corner - stop_above <= 1e-11)):
         for v in geometry._gram_starts(x[None], target.representative.entries, layout):
             result = _reference_procrustes_run(x, target, v[0], stop_below=stop_below, **kwargs)
             steps += result[3]
@@ -916,6 +922,107 @@ class TestDistDoubleCosetStack:
 
         monkeypatch.setattr(experiments, "dist_double_coset_stack", reference)
         assert run_concentration(cfg).with_zeroed_runtime() == stacked
+
+
+def _lower_bounds(xs, target):
+    """Each sample's K-invariant lower bound, as its solver forms it: the
+    Bhatia-Davis gap (conjugation) or the corner bound ||x_aa - r_aa||
+    (orthogonal; 0 at alpha = 0)."""
+    r, a = target.representative.entries, target.family.spec.alpha
+    if target.family.kind == "unitary_conjugation":
+        return geometry._spectral_match_init(xs, r, a)[1]
+    return geometry._op_norm(xs[:, :a, :a] - r[:a, :a]) if a else np.zeros(len(xs))
+
+
+def _stop_above_stack(kind, alpha, k, N, samples, seed):
+    if kind == "unitary_conjugation":
+        cores, target = TestDistConjugacyStack()._cores(N, samples, seed=seed, alpha=alpha, k=k)
+        return np.stack([c.entries for c in cores]), target
+    return TestDistDoubleCosetStack()._cores(alpha, k, 1, N=N, samples=samples, seed=seed)
+
+
+class TestStopAbove:
+    """stop_above: a sample whose lower bound exceeds it by more than 1e-11
+    (``_CONJ_EXACT``) is a miss at every epsilon up to it, and stops: a
+    conjugation sample before step 1, an orthogonal one before its Gram
+    starts.  Every other sample runs as without it, bit for bit."""
+
+    SOLVERS = {"unitary_conjugation": dist_conjugacy_stack,
+               "unitary_orthogonal": dist_double_coset_stack}
+
+    @pytest.mark.parametrize("kind", ["unitary_conjugation", "unitary_orthogonal"])
+    # the (alpha, k) shapes of the 15-config comparison
+    @pytest.mark.parametrize("alpha,k", [(1, 1), (0, 1), (2, 1), (1, 2), (0, 2)])
+    @pytest.mark.parametrize("N,eps", [(8, (0.2, 0.4)), (64, (0.05, 0.1))])
+    def test_hits_kept_and_certified_misses_stop(self, kind, alpha, k, N, eps):
+        # at seed 9 every shape with a corner has certified misses
+        xs, target = _stop_above_stack(kind, alpha, k, N, 40, seed=9)
+        solve = self.SOLVERS[kind]
+        full = solve(xs, target, stop_below=min(eps))
+        cut = solve(xs, target, stop_below=min(eps), stop_above=max(eps))
+        _check_lane_arrays(cut, xs, target)
+        for e in eps:
+            assert np.array_equal(cut[0] <= e, full[0] <= e), e
+        certified = _lower_bounds(xs, target) - max(eps) > geometry._CONJ_EXACT
+        if alpha:
+            assert certified.any()
+        elif kind == "unitary_orthogonal":
+            assert not certified.any()
+        assert _same_lanes([a[~certified] for a in cut], [a[~certified] for a in full])
+        assert (cut[0][certified] > max(eps)).all() and cut[2][certified].all()
+        if kind == "unitary_conjugation":
+            assert (cut[1][certified] == 0).all()
+        elif certified.any():
+            # no Gram start ran: the identity run alone, bit for bit, steps included
+            eye = np.eye(target.family.spec.copy_size)
+            layout = geometry._CopyLayout(target.family.spec)
+            identity = geometry._alternate_stack(
+                xs[certified], target.representative.entries, layout,
+                np.tile(eye, (np.count_nonzero(certified), 1, 1)), min(eps))
+            assert np.array_equal(cut[0][certified], identity[0])
+            assert np.array_equal(cut[1][certified], identity[3])
+        for i in np.flatnonzero(certified):
+            est = geometry.DistanceEstimate(cut[0][i], cut[1][i], cut[2][i],
+                                            BlockMatrix(cut[3][i]), BlockMatrix(cut[4][i]))
+            assert abs(verify_estimate(est, BlockMatrix(xs[i]), target) - est.upper_bound) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["unitary_conjugation", "unitary_orthogonal"])
+    @pytest.mark.parametrize("stop_below", [None, 0.2])
+    def test_ceiling_two_runs_as_without(self, kind, stop_below):
+        # no unitary distance, so no lower bound, exceeds 2
+        xs, target = _stop_above_stack(kind, 1, 1, 8, 60, seed=4)
+        solve = self.SOLVERS[kind]
+        assert _same_lanes(solve(xs, target, stop_below=stop_below, stop_above=2.0),
+                           solve(xs, target, stop_below=stop_below))
+
+    @pytest.mark.parametrize("kind", ["unitary_conjugation", "unitary_orthogonal"])
+    def test_certified_only_beyond_the_margin(self, monkeypatch, kind):
+        # a lower bound exactly the margin above stop_above, or less, certifies
+        # nothing; with a power-of-two margin the difference is exact, so a
+        # test of >= in place of > certifies there, and with no margin half
+        # of 1e-11 certifies
+        xs, target = _stop_above_stack(kind, 1, 1, 8, 30, seed=6)
+        lone = dist_conjugacy if kind == "unitary_conjugation" else dist_double_coset
+        lower = _lower_bounds(xs, target)
+        checked = 0
+        for margin in (geometry._CONJ_EXACT, 2.0 ** -10):
+            monkeypatch.setattr(geometry, "_CONJ_EXACT", margin)
+            for x, low in zip(xs, lower):
+                est = lone(BlockMatrix(x), target)
+                if low < 0.01 or not est.iterations:
+                    continue
+                cases = [(low, False), (low - margin / 2, False), (low - 2 * margin, True)]
+                if margin == 2.0 ** -10:
+                    assert low - (low - margin) == margin
+                    cases.append((low - margin, False))
+                for ceiling, certified in cases:
+                    got = lone(BlockMatrix(x), target, stop_above=ceiling)
+                    assert got.upper_bound >= est.upper_bound
+                    assert (got.iterations < est.iterations) == certified, (margin, ceiling)
+                    if not certified:
+                        assert _same_estimate(got, est)
+                checked += 1
+        assert checked >= 20
 
 
 class TestGramStartsStack:
