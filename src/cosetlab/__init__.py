@@ -16,8 +16,6 @@ from .cosets import (
     GroupFamily,
     circ_N,
     circ_infinite,
-    sample_tau_full,
-    sample_tau_tilde,
 )
 from .experiments import (
     BlockDecayReport,
@@ -58,7 +56,6 @@ __all__ = [
     "BlockMatrix", "BlockSpec", "PermutationWord", "build_JN", "embed", "embed_k",
     "is_unitary", "operator_norm",
     "CosetTarget", "GroupFamily", "circ_N", "circ_infinite",
-    "sample_tau_full", "sample_tau_tilde",
     "BlockDecayReport", "ConcentrationReport", "ExperimentConfig", "run_block_decay",
     "run_concentration", "wilson_interval", "write_report",
     "DistanceEstimate", "colligation_char_function", "dist_conjugacy",

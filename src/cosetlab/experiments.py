@@ -13,7 +13,7 @@ import numbers
 import sys
 import time
 from collections.abc import Iterable
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from io import StringIO
 from statistics import NormalDist
 
@@ -163,12 +163,6 @@ class ConcentrationReport:
         payload = {"rows": [{c: getattr(row, c) for c in CSV_COLUMNS} for row in self.rows]}
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
-    def with_zeroed_runtime(self) -> "ConcentrationReport":
-        """Copy with runtime_s = 0.0 everywhere: the only non-deterministic column."""
-        return ConcentrationReport(tuple(replace(r, runtime_s=0.0) for r in self.rows))
-
-    def fractions_by_N(self, epsilon: float) -> dict:
-        return {r.N: r.fraction for r in self.rows if r.epsilon == epsilon}
 
 
 class BlockDecayReport(tuple):
@@ -223,9 +217,9 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     of Gaussians into A (``haar._top_blocks``) runs on one 256-sample chunk
     of one N; each block's cores (``cosets.sample_core_stack``) and solve
     (``geometry.dist_conjugacy_stack`` or ``dist_double_coset_stack``) run as
-    one stack, each lane's core and estimate exactly the per-sample
-    ``sample_core`` and ``dist_conjugacy`` or ``dist_double_coset`` call's on
-    that sample's A, so each N's rows are those of a sweep over that N alone.
+    one stack, each lane's core and estimate exactly those of a stack of one
+    with the sweep's stops on that sample's A, so each N's rows are those of
+    a sweep over that N alone.
     A row's runtime_s is its N's own draw and QR time plus, for each block
     holding its samples, the block's core and solve time times the N's share
     of the block's samples.

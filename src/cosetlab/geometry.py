@@ -5,21 +5,21 @@ whose alignment steps respect the diagonal-copy block structure; symmetric
 targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (identity, spectral match,
 structured minimal singular vector), refined in lockstep by a fixed-point
-iteration until the sample's leader bound closes its Bhatia-Davis bracket or
-is at most the caller's stop_below (a sample whose lower bound is above
-stop_above takes no step), or the start trails that leader too far to catch
-it at its recent pace, as one that no longer gains always does.
+iteration until the sample's leader bound closes its Bhatia-Davis bracket
+(or meets a stack call's stop_below or stop_above), or the start trails that
+leader too far to catch it at its recent pace, as one that no longer gains
+always does.
 Both unitary solvers run on a stack of samples at once
-(``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which return one
-array per estimate field and state the solver's stop rules and the meaning
-of converged and iterations; the per-sample ``dist_double_coset`` and
-``dist_conjugacy`` are stacks of one), with numpy's stacked linalg and
-matmul, and each sample's result is the one it would get alone.  Both
-solvers take a 2 x 2 polar factor (every k = 1 core's Procrustes step, Gram
-start or conjugation step) in closed form, a larger one by SVD; both take
-their operator norms from one stacked Hermitian eigensolve, and the Gram
-starts' sign search takes a 2 x 2 nuclear norm in closed form, so at k = 1
-neither solver makes an SVD.  Every estimate carries explicit witnesses, so
+(``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which take the
+sweep's stops, return one array per estimate field and state the stop rules
+and the meaning of converged and iterations; ``dist_double_coset`` and
+``dist_conjugacy`` are full solves, stacks of one with no stop), with numpy's
+stacked linalg and matmul, each sample's result that of its stack of one with
+the same stops.  Both solvers take a 2 x 2 polar factor (every k = 1 core's
+Procrustes step, Gram start or conjugation step) in closed form, a larger one
+by SVD; both take their operator norms from one stacked Hermitian
+eigensolve, and the Gram starts' sign search takes a 2 x 2 nuclear norm in
+closed form, so at k = 1 neither solver makes an SVD.  Every estimate carries explicit witnesses, so
 the reported bound can be re-verified by direct evaluation.
 
 scipy loads only in the ARPACK branch, for conjugation cores of non-corner size > 34.
@@ -329,14 +329,11 @@ def _gram_starts(x, r, layout):
     return [v[:n], _polar(layout.col_gram(layout.apply_left(r, u), x))]
 
 
-def dist_double_coset_stack(
-    xs,
-    target: CosetTarget,
-    stop_below: float | None = None,
-    stop_above: float | None = None,
-) -> tuple:
-    """``dist_double_coset`` for each of an (S, d, d) stack of unitary_orthogonal
-    samples, bit for bit.
+def dist_double_coset_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
+                            stop_above: float = np.inf) -> tuple:
+    """Witnessed bounds for an (S, d, d) stack of unitary_orthogonal samples:
+    each lane's estimate is, bit for bit, that of a stack of one with the same
+    stops, and with no stop (the defaults) that of ``dist_double_coset``.
 
     Every sample runs from the identity and then, unless that run's bound is
     at most stop_below or the corner bound ||x_aa - r_aa|| (0 at alpha = 0; a
@@ -361,19 +358,17 @@ def dist_double_coset_stack(
     if not len(x):
         return (np.zeros(0), np.zeros(0, int), np.zeros(0, bool), *np.zeros((2,) + x.shape))
     layout = _CopyLayout(target.family.spec)
-    floor = -np.inf if stop_below is None else stop_below
-    ceiling = np.inf if stop_above is None else stop_above
     bound, u, v, iters, converged = _alternate_stack(
-        x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), floor)
+        x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), stop_below)
     a = layout.alpha
     corner = _op_norm(x[:, :a, :a] - r[:a, :a]) if a else np.zeros(len(x))
-    above = np.flatnonzero((bound > floor) & (corner - ceiling <= _CONJ_EXACT))
+    above = np.flatnonzero((bound > stop_below) & (corner - stop_above <= _CONJ_EXACT))
     chunk = -(-len(x) // 3)
     for i in range(0, len(above), chunk):
         lanes = above[i:i + chunk]
         xl = x[lanes]
         run = list(_alternate_stack(np.concatenate([xl, xl]), r, layout,
-                                    np.concatenate(_gram_starts(xl, r, layout)), floor))
+                                    np.concatenate(_gram_starts(xl, r, layout)), stop_below))
         iters[lanes] += run.pop(3).reshape(2, -1).sum(axis=0)
         # the v-side start's wins before the u-side's: the first least bound wins
         for start in (slice(None, len(lanes)), slice(len(lanes), None)):
@@ -384,19 +379,14 @@ def dist_double_coset_stack(
     return bound, iters, converged, layout.apply_left(eye, u), layout.apply_right(eye, v)
 
 
-def _lone(solve, x: BlockMatrix, target: CosetTarget, **kwargs) -> DistanceEstimate:
-    """The stacked solver solve on x alone, as a DistanceEstimate."""
-    bound, iters, converged, *witnesses = (a[0] for a in solve(x.entries[None], target, **kwargs))
+def _lone(solve, x: BlockMatrix, target: CosetTarget) -> DistanceEstimate:
+    """The stacked solver solve on x alone with no stop, as a DistanceEstimate."""
+    bound, iters, converged, *witnesses = (a[0] for a in solve(x.entries[None], target))
     return DistanceEstimate(float(bound), int(iters), bool(converged),
                             *(BlockMatrix(w) for w in witnesses))
 
 
-def dist_double_coset(
-    x: BlockMatrix,
-    target: CosetTarget,
-    stop_below: float | None = None,
-    stop_above: float | None = None,
-) -> DistanceEstimate:
+def dist_double_coset(x: BlockMatrix, target: CosetTarget) -> DistanceEstimate:
     """Witnessed upper bound on the operator-norm distance from x to K.r.K,
     for a unitary_orthogonal target.
 
@@ -405,13 +395,13 @@ def dist_double_coset(
     row cross-Gram, solved by the orthogonal polar factor; symmetrically for
     V.  Runs from the identity and from two Gram starts (``_gram_starts``) that
     move with x under K and give the coset's (u, v) on it.  A run's bound is
-    the root of the top eigenvalue of its residual's Gram matrix.  This is
-    ``dist_double_coset_stack`` on a stack of one, whose docstring states what
-    stops a run and what converged and iterations mean.
+    the root of the top eigenvalue of its residual's Gram matrix.  A full
+    solve, no stop: ``dist_double_coset_stack`` on a stack of one, whose
+    docstring states the stop rules and what converged and iterations mean.
     Raises ValueError for any other family (the symmetric family's view is
     exact membership, ``sym_membership``) and for non-finite entries.
     """
-    return _lone(dist_double_coset_stack, x, target, stop_below=stop_below, stop_above=stop_above)
+    return _lone(dist_double_coset_stack, x, target)
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +509,9 @@ def _min_singular_init(x, r, alpha, spectral_guess):
     return _blockify_unitary(from_vec(p), alpha)
 
 
-def dist_conjugacy_stack(
-    xs,
-    target: CosetTarget,
-    stop_below: float | None = None,
-    stop_above: float | None = None,
-) -> tuple:
-    """``dist_conjugacy`` for every matrix of an (S, d, d) stack, in one run.
+def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
+                         stop_above: float = np.inf) -> tuple:
+    """Witnessed bounds for every matrix of an (S, d, d) stack, in one run.
 
     Every sample gets one lane per start, so one fixed-point run covers 3S
     lanes, each with its own best conjugator and step count.  Two rules stop
@@ -545,8 +531,9 @@ def dist_conjugacy_stack(
     the sample's lanes, its cost, as in ``dist_double_coset_stack``.  So a
     sample that meets a sample rule before step 1, as a certified miss does, takes no step.
     A sample's lanes depend on each other, but not on the rest of the stack:
-    each sample gets the estimate ``dist_conjugacy`` gives for it alone, bit
-    for bit, in the arrays of ``dist_double_coset_stack`` with complex
+    each sample gets, bit for bit, the estimate of a stack of one with the
+    same stops, and with no stop (the defaults) that of ``dist_conjugacy``,
+    in the arrays of ``dist_double_coset_stack`` with complex
     witnesses W, W^H.  W r is one product over all lanes; each lane's rows of
     it are those of its own W r.  Memory is O(S d^2) for the lanes (each
     holds W, Z = x^H (W r), x^H and its best W) plus a few Sylvester maps,
@@ -579,8 +566,7 @@ def dist_conjugacy_stack(
     lead = best.reshape(3, samples).min(axis=0)
     past = np.full((window, len(lanes)), np.inf)
     past[0] = best
-    floor = -np.inf if stop_below is None else stop_below
-    certified = gap - (np.inf if stop_above is None else stop_above) > _CONJ_EXACT
+    certified = gap - stop_above > _CONJ_EXACT
     pace = np.inf  # no lane retires on pace before step 1
     for t in range(_MAX_ITERS + 1):
         if t:
@@ -597,7 +583,7 @@ def dist_conjugacy_stack(
             past[t % window] = best
         # the sample rule, then the lane rule
         leader = lead[own]
-        closed = (lead - gap < _CONJ_EXACT) | (lead <= floor) | certified
+        closed = (lead - gap < _CONJ_EXACT) | (lead <= stop_below) | certified
         stop = closed[own] | (best - leader >= pace)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)
@@ -618,12 +604,7 @@ def dist_conjugacy_stack(
             W.conj().swapaxes(-1, -2))
 
 
-def dist_conjugacy(
-    x: BlockMatrix,
-    target: CosetTarget,
-    stop_below: float | None = None,
-    stop_above: float | None = None,
-) -> DistanceEstimate:
+def dist_conjugacy(x: BlockMatrix, target: CosetTarget) -> DistanceEstimate:
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
     Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w) and
@@ -641,12 +622,12 @@ def dist_conjugacy(
     Hermitian eigensolve), and the next step takes the polar factor of Z's
     non-corner block, in closed form for a 2 x 2 block, else by the SVD.
     When the Sylvester start's ARPACK solve (non-corner size above 34) does
-    not converge, that lane starts from the spectral guess.  This is
-    ``dist_conjugacy_stack`` on a stack of one, whose docstring states what
-    stops a start and what converged and iterations mean.
+    not converge, that lane starts from the spectral guess.  A full solve, no
+    stop: ``dist_conjugacy_stack`` on a stack of one, whose docstring states
+    the stop rules and what converged and iterations mean.
     Raises ValueError for any other family or non-finite entries.
     """
-    return _lone(dist_conjugacy_stack, x, target, stop_below=stop_below, stop_above=stop_above)
+    return _lone(dist_conjugacy_stack, x, target)
 
 
 # ---------------------------------------------------------------------------
@@ -751,8 +732,11 @@ def sym_membership(x, target: CosetTarget) -> bool:
 
 
 def sym_corner_invariant(x, alpha: int) -> np.ndarray:
-    """0-1 pattern of the corner block: entry (i, j) is 1 iff x sends j to i (both <= alpha)."""
+    """0-1 pattern of the corner block: entry (i, j) is 1 iff x sends j to i (both
+    <= alpha).  Raises ValueError unless 0 <= alpha <= x's degree."""
     xw = as_word(x)
+    if not 0 <= alpha <= xw.degree:
+        raise ValueError(f"alpha={alpha} must lie in 0..{xw.degree}")
     out = np.zeros((alpha, alpha))
     for j in range(1, alpha + 1):
         i = xw(j)

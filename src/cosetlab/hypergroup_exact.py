@@ -38,10 +38,6 @@ class ExactDistribution:
     atoms: tuple  # of (PermutationWord representative, Fraction probability)
     family: GroupFamily
 
-    def max_atom(self):
-        """(representative, probability) of the most likely atom."""
-        return max(self.atoms, key=lambda a: a[1])
-
     def to_json_dict(self) -> dict:
         return {
             "family": self.family.kind,

@@ -25,6 +25,7 @@ from cosetlab.geometry import (
 )
 from cosetlab.haar import RandomStream, haar_unitary, uniform_permutation
 from cosetlab.hypergroup_exact import concentration_exact, exact_convolution
+from testkit import fractions_by_N, max_atom
 
 SWAP = PermutationWord([2, 1])
 
@@ -67,7 +68,7 @@ def test_criterion_3_unitary_concentration_trend():
         epsilon_list=(0.4,), samples=200, seed=42)
     report = run_concentration(cfg)
     elapsed = time.perf_counter() - start
-    fr = report.fractions_by_N(0.4)
+    fr = fractions_by_N(report, 0.4)
     n = cfg.samples
     monotone = True
     for a, b in zip(cfg.N_list, cfg.N_list[1:]):
@@ -102,7 +103,7 @@ def test_criterion_5_two_copy_unique_maximal_atom():
             target = circ_N(g, h, fam)
             dist = exact_convolution(embed(g, fam.spec), embed(h, fam.spec), fam)
             probs = sorted((p for _, p in dist.atoms), reverse=True)
-            rep, p_max = dist.max_atom()
+            rep, p_max = max_atom(dist)
             if len(probs) > 1 and probs[0] == probs[1]:
                 failures.append((trial, N, "tie"))
             elif not sym_membership(rep, target):
@@ -119,7 +120,7 @@ def test_criterion_6_conjugation_family():
         family="unitary_conjugation", alpha=1, k=1, m=1, N_list=(8, 64),
         epsilon_list=(0.4,), samples=200, seed=42)
     report = run_concentration(cfg)
-    fr = report.fractions_by_N(0.4)
+    fr = fractions_by_N(report, 0.4)
 
     worst_eig = worst_char = 0.0
     grid = [2 * np.exp(2j * np.pi * t / 4) for t in range(4)]
@@ -197,6 +198,24 @@ def test_criterion_7_algebraic_identities():
     ok = unitary_ok and corner_ok and sym_assoc_ok and worst_assoc <= 1e-6
     _verdict(7, "product unitarity, corner multiplicativity, and coset-level associativity",
              ok, f"worst unitary associativity distance {worst_assoc:.1e}")
+
+
+@pytest.mark.parametrize("alpha", [1, 2])
+def test_characteristic_function_of_a_product_is_the_product(alpha):
+    # theta_r(z) = theta_g(z) theta_h(z) for r = circ_infinite(g, h, alpha), at
+    # points |z| > 1 off the tail blocks' spectra; at alpha = 2 the alpha x alpha
+    # values do not commute, and the reverse order misses by more than 0.1
+    # (0.84 at seed 1), so the order is pinned
+    gen = RandomStream(1, 0).generator()
+    g = BlockMatrix(haar_unitary(alpha + 2, gen))
+    h = BlockMatrix(haar_unitary(alpha + 3, gen))
+    grid = [1.5, -2j, 1.2 + 1.2j]
+    thetas = [colligation_char_function(m, alpha, grid)
+              for m in (circ_infinite(g, h, alpha), g, h)]
+    for r_z, g_z, h_z in zip(*thetas):
+        assert np.abs(r_z - g_z @ h_z).max() <= 1e-12
+        if alpha == 2:
+            assert np.abs(r_z - h_z @ g_z).max() > 0.1
 
 
 def _diag_words(spec):

@@ -21,7 +21,7 @@ from cosetlab.experiments import (
     wilson_interval,
     write_report,
 )
-from cosetlab.geometry import dist_conjugacy, dist_double_coset, sym_membership
+from cosetlab.geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from cosetlab.haar import (
     RandomStream,
     _block_normals,
@@ -31,6 +31,7 @@ from cosetlab.haar import (
     uniform_permutation,
 )
 from cosetlab.hypergroup_exact import concentration_exact
+from testkit import fractions_by_N, zeroed_runtime
 
 
 def _cfg(**overrides):
@@ -210,8 +211,8 @@ class TestRunConcentration:
     def test_reports_are_reproducible(self):
         cfg = _cfg(family="unitary_orthogonal", N_list=(2, 4), epsilon_list=(0.25, 0.5),
                    samples=12, seed=5, g_spec="random_unitary", h_spec="random_unitary")
-        a = run_concentration(cfg).with_zeroed_runtime().to_csv_text()
-        b = run_concentration(cfg).with_zeroed_runtime().to_csv_text()
+        a = zeroed_runtime(run_concentration(cfg)).to_csv_text()
+        b = zeroed_runtime(run_concentration(cfg)).to_csv_text()
         assert a == b
 
     @pytest.mark.parametrize("alpha,k,m,N,samples,g,h,confidence", [
@@ -248,7 +249,7 @@ class TestRunConcentration:
     def test_fraction_improves_with_tail_size(self):
         cfg = _cfg(family="unitary_orthogonal", N_list=(2, 8), epsilon_list=(0.5,),
                    samples=40, seed=42, g_spec="random_unitary", h_spec="random_unitary")
-        fr = run_concentration(cfg).fractions_by_N(0.5)
+        fr = fractions_by_N(run_concentration(cfg), 0.5)
         assert fr[8] >= fr[2]
 
     def test_conjugation_family_runs(self):
@@ -332,13 +333,14 @@ class TestRunConcentration:
         setup = RandomStream(cfg.seed, 0).generator()
         g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
         target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(1, 1, 1, 1)))
-        rows = iter(run_concentration(cfg).with_zeroed_runtime().rows)
+        rows = iter(zeroed_runtime(run_concentration(cfg)).rows)
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
-            dists = [dist_conjugacy(sample_core(g, h, fam, _sample_block(cfg.seed, i, N, True)),
-                                    target, stop_below=min(cfg.epsilon_list),
-                                    stop_above=max(cfg.epsilon_list)).upper_bound
-                     for i in range(cfg.samples)]
+            # each sample a stack of one with the sweep's stops
+            dists = [dist_conjugacy_stack(
+                sample_core(g, h, fam, _sample_block(cfg.seed, i, N, True)).entries[None],
+                target, stop_below=min(cfg.epsilon_list), stop_above=max(cfg.epsilon_list))[0][0]
+                for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
                 lo, hi = wilson_interval(hits, cfg.samples)
@@ -357,14 +359,15 @@ class TestRunConcentration:
         setup = RandomStream(cfg.seed, 0).generator()
         g, h = BlockMatrix(haar_unitary(2, setup)), BlockMatrix(haar_unitary(2, setup))
         target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(1, 1, 1, 1)))
-        rows = iter(run_concentration(cfg).with_zeroed_runtime().rows)
+        rows = iter(zeroed_runtime(run_concentration(cfg)).rows)
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(1, 1, N, 1))
             dists = []
             for i in range(cfg.samples):
                 core = sample_core(g, h, fam, _sample_block(cfg.seed, i, N, False))
-                dists.append(dist_double_coset(core, target, stop_below=0.2,
-                                               stop_above=0.4).upper_bound)
+                # a stack of one with the sweep's stops
+                dists.append(dist_double_coset_stack(core.entries[None], target, stop_below=0.2,
+                                                     stop_above=0.4)[0][0])
             for eps in cfg.epsilon_list:
                 hits = sum(d <= eps for d in dists)
                 lo, hi = wilson_interval(hits, cfg.samples)
@@ -405,7 +408,7 @@ class TestRunConcentration:
                 if src == "random_unitary" else load_source(src, window)
                 for src in (g_spec, h_spec))
         target = circ_N(g, h, GroupFamily(cfg.family, BlockSpec(alpha, k, k, m)))
-        rows = iter(run_concentration(cfg).with_zeroed_runtime().rows)
+        rows = iter(zeroed_runtime(run_concentration(cfg)).rows)
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(alpha, k, N, m))
             dists = [0.0 if sym_membership(sample_core(g, h, fam, _sample_row(
@@ -453,11 +456,11 @@ class TestRunConcentration:
         # default 658 or 2663
         monkeypatch.setattr(geometry, "_MAX_ITERS", steps)
         cfg = _cfg(**case, epsilon_list=(0.4,), samples=300, seed=13)
-        want = run_concentration(cfg).with_zeroed_runtime()
+        want = zeroed_runtime(run_concentration(cfg))
         lane_bytes = 2048 + 480 * 9 if case["family"] == "unitary_conjugation" else 175 * 9
         for per in (1, 100):
             monkeypatch.setattr(experiments, "_BLOCK_BYTES", per * lane_bytes)
-            assert run_concentration(cfg).with_zeroed_runtime() == want
+            assert zeroed_runtime(run_concentration(cfg)) == want
 
     @pytest.mark.parametrize("family,samples,sizes", [
         ("unitary_orthogonal", 1000, [2663, 337]), ("unitary_conjugation", 300, [658, 242])])
@@ -479,7 +482,7 @@ class TestRunConcentration:
         kwargs = dict(family=family, epsilon_list=(0.2, 0.4), samples=samples, seed=11,
                       g_spec="random_unitary", h_spec="random_unitary")
         def rows(N_list):
-            return run_concentration(_cfg(**kwargs, N_list=N_list)).with_zeroed_runtime().rows
+            return zeroed_runtime(run_concentration(_cfg(**kwargs, N_list=N_list))).rows
 
         swept = rows((8, 64, 10**6))
         assert seen == sizes

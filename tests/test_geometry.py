@@ -13,6 +13,7 @@ from cosetlab.blockmat import (
     BlockMatrix,
     BlockSpec,
     PermutationWord,
+    as_word,
     embed,
     embed_k,
     operator_norm,
@@ -45,6 +46,7 @@ from cosetlab.haar import (
     haar_orthogonal,
     haar_unitary,
 )
+from testkit import zeroed_runtime
 
 SWAP = BlockMatrix.from_permutation(PermutationWord([2, 1]))
 
@@ -159,27 +161,62 @@ class TestDistConjugacy:
 
 
 @pytest.mark.parametrize("solver,keywords", [
-    (dist_double_coset, ["stop_below", "stop_above"]),
+    (dist_double_coset, []),
     (dist_double_coset_stack, ["stop_below", "stop_above"]),
-    (dist_conjugacy, ["stop_below", "stop_above"]),
+    (dist_conjugacy, []),
     (dist_conjugacy_stack, ["stop_below", "stop_above"]),
 ])
 def test_solver_keywords(solver, keywords):
-    # the stop thresholds and the step cap are module constants, not options
-    assert list(inspect.signature(solver).parameters)[2:] == keywords
+    # the stop margins and the step cap are module constants, not options; the
+    # sweep's stops are arguments of the stacked solvers only, and by default
+    # they stop nothing
+    params = list(inspect.signature(solver).parameters.values())[2:]
+    assert [p.name for p in params] == keywords
+    assert [p.default for p in params] == [-np.inf, np.inf][:len(params)]
 
 
-@pytest.mark.parametrize("solver,steps", [(dist_double_coset, 1), (dist_conjugacy, 0)])
+def _lone_family_stack(lone):
+    """A few sweep cores of lone's family with their target, as (stack, target)."""
+    kind = "unitary_conjugation" if lone is dist_conjugacy else "unitary_orthogonal"
+    return _stop_above_stack(kind, 1, 1, 8, 6, seed=3)
+
+
+@pytest.mark.parametrize("lone", [dist_double_coset, dist_conjugacy])
+@pytest.mark.parametrize("stop", ["stop_below", "stop_above"])
+def test_lone_calls_take_no_stop(lone, stop):
+    xs, target = _lone_family_stack(lone)
+    with pytest.raises(TypeError, match=stop):
+        lone(BlockMatrix(xs[0]), target, **{stop: 0.4})
+
+
+@pytest.mark.parametrize("lone,stack", [(dist_double_coset, dist_double_coset_stack),
+                                        (dist_conjugacy, dist_conjugacy_stack)])
+def test_lone_call_is_a_stack_of_one_with_no_stop(lone, stack):
+    # a lone call is a full solve: lane 0 of its stacked solver on x[None]
+    # with the default stops, in all five fields, whatever epsilon a sweep tests
+    xs, target = _lone_family_stack(lone)
+    for x in xs:
+        assert _same_lanes(_as_lanes([lone(BlockMatrix(x), target)]), stack(x[None], target))
+
+
+def _stack_of_one(solve, x, target, **stops):
+    """Lane 0 of the stacked solver solve on the one sample array x, with the
+    given stops, as a DistanceEstimate."""
+    bound, iters, converged, left, right = (a[0] for a in solve(x[None], target, **stops))
+    return geometry.DistanceEstimate(bound, iters, converged, BlockMatrix(left), BlockMatrix(right))
+
+
+@pytest.mark.parametrize("solver,steps", [(dist_double_coset_stack, 1), (dist_conjugacy_stack, 0)])
 def test_floor_stop_is_converged(solver, steps):
     # a stop_below above every bound stops each sample at its first test: the
     # identity run's first step, or before step 1; both solvers count a stop
     # on a rule as converged
-    kind = "unitary_conjugation" if solver is dist_conjugacy else "unitary_orthogonal"
+    kind = "unitary_conjugation" if solver is dist_conjugacy_stack else "unitary_orthogonal"
     gen = RandomStream(8, 0).generator()
     g, h = BlockMatrix(haar_unitary(2, gen)), BlockMatrix(haar_unitary(2, gen))
     target = circ_N(g, h, GroupFamily(kind, BlockSpec(1, 1, 1, 1)))
     for _ in range(5):
-        est = solver(BlockMatrix(haar_unitary(3, gen)), target, stop_below=10.0)
+        est = _stack_of_one(solver, haar_unitary(3, gen), target, stop_below=10.0)
         assert (est.iterations, est.converged) == (steps, True)
         assert est.upper_bound <= 10.0
 
@@ -253,7 +290,8 @@ def _reference_run(x, r, alpha, W, max_iters=200):
     return lane.best, max_iters, False, lane.best_W
 
 
-def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=None, stop_above=None):
+def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=-np.inf,
+                         stop_above=np.inf):
     """A sample's starts run in lockstep and the first with the least bound,
     with the iterations of all runs: the reference the stacked solver must
     match bit for bit.  Before step 1 and after each step, every running
@@ -265,7 +303,6 @@ def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=None, sto
     length), when its best bound b trails the leader bound by more than
     max_iters times its mean gain per step since step t - L."""
     lower, stall_len = eigenvalue_matching_distance(x, r), _stall_len(x, alpha)
-    floor = -np.inf if stop_below is None else stop_below
     lanes = [_ReferenceLane(x, r, alpha, W) for W in inits]
     runs = [None] * len(lanes)
     lead = min(lane.best for lane in lanes)
@@ -275,8 +312,7 @@ def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=None, sto
             for i in running:
                 lanes[i].step()
             lead = min([lead] + [lanes[i].best for i in running])
-        closed = (lead - lower < 1e-11 or lead <= floor
-                  or (stop_above is not None and lower - stop_above > 1e-11))
+        closed = lead - lower < 1e-11 or lead <= stop_below or lower - stop_above > 1e-11
         for i in running:
             b = lanes[i].best
             past = lanes[i].history[t - stall_len] if t >= stall_len else np.inf
@@ -382,7 +418,7 @@ class TestDistConjugacyStack:
         monkeypatch.setattr(geometry, "_MAX_ITERS", max_iters)
         cores, target = self._cores(6, 8, seed=3, alpha=alpha, k=k)
         r, xs = target.representative.entries, np.stack([c.entries for c in cores])
-        stop_below = float(np.median(dist_conjugacy_stack(xs, target)[0])) if stop else None
+        stop_below = float(np.median(dist_conjugacy_stack(xs, target)[0])) if stop else -np.inf
         bound, iters, converged, left, _ = dist_conjugacy_stack(xs, target, stop_below)
         for i, core in enumerate(cores):
             x = core.entries
@@ -562,7 +598,7 @@ class TestDistConjugacyStack:
         monkeypatch.undo()
         assert (full[1] > capped[1]).all()
         for core, bound, steps in zip(cores, capped[0], capped[1]):
-            est = dist_conjugacy(core, target, stop_below=bound)
+            est = _stack_of_one(dist_conjugacy_stack, core.entries, target, stop_below=bound)
             assert (est.upper_bound, est.converged) == (bound, True)
             assert est.iterations <= steps
 
@@ -739,7 +775,7 @@ class TestConjugationKernels:
                               np.linalg.svd(M, compute_uv=False).sum(axis=-1))
 
 
-def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
+def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=-np.inf):
     """One per-sample run of the alternation from the start v: (bound, u, v,
     iterations, converged)."""
     layout = geometry._CopyLayout(target.family.spec)
@@ -756,7 +792,7 @@ def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
         corner = (x[:, :alpha].conj() * Ur[:, :alpha]).sum().real
         inner = corner + float((Mv * v).sum())
         f = float(np.sqrt(max(2.0 * dim - 2.0 * inner, 0.0)))
-        if stop_below is not None and f <= stop_below:
+        if f <= stop_below:
             converged = True
             break
         if f_prev is not None:
@@ -769,7 +805,7 @@ def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=None):
     return op, u, v, iters, converged
 
 
-def _reference_double_coset(x, target, stop_below=None, stop_above=None, **kwargs):
+def _reference_double_coset(x, target, stop_below=-np.inf, stop_above=np.inf, **kwargs):
     """The per-sample solver, one start after another: the identity, then the
     two Gram starts unless the identity's bound is at most stop_below or the
     corner bound ||x_aa - r_aa|| exceeds stop_above by more than 1e-11; the
@@ -782,8 +818,7 @@ def _reference_double_coset(x, target, stop_below=None, stop_above=None, **kwarg
     best = _reference_procrustes_run(x, target, np.eye(layout.w), stop_below=stop_below,
                                      **kwargs)
     steps = best[3]
-    if ((stop_below is None or best[0] > stop_below)
-            and (stop_above is None or corner - stop_above <= 1e-11)):
+    if best[0] > stop_below and corner - stop_above <= 1e-11:
         for v in geometry._gram_starts(x[None], target.representative.entries, layout):
             result = _reference_procrustes_run(x, target, v[0], stop_below=stop_below, **kwargs)
             steps += result[3]
@@ -814,7 +849,7 @@ class TestDistDoubleCosetStack:
         # the median identity-start bound: some lanes stop there, others run the Gram starts
         eye = np.eye(target.family.spec.copy_size)
         stop_below = float(np.median([_reference_procrustes_run(x, target, eye)[0]
-                                      for x in xs])) if stop else None
+                                      for x in xs])) if stop else -np.inf
         stacked = dist_double_coset_stack(xs, target, stop_below=stop_below)
         _check_lane_arrays(stacked, xs, target)
         assert _same_lanes(stacked, _as_lanes(
@@ -833,21 +868,25 @@ class TestDistDoubleCosetStack:
             [_reference_double_coset(x, target, max_iters=max_iters) for x in xs]))
 
     def test_direct_call_is_a_stack_of_one(self):
+        # a lone call is the full solve; a stack of one with a stop is the
+        # reference run with that stop
         xs, target = self._cores(1, 1, 1, samples=4)
         for x in xs:
-            est = dist_double_coset(BlockMatrix(x), target, stop_below=0.3)
+            est = _stack_of_one(dist_double_coset_stack, x, target, stop_below=0.3)
             assert _same_estimate(est, _reference_double_coset(x, target, stop_below=0.3))
+            assert _same_estimate(dist_double_coset(BlockMatrix(x), target),
+                                  _reference_double_coset(x, target))
 
     @pytest.mark.parametrize("alpha,k,m", [(1, 1, 2), (0, 2, 1), (2, 2, 1)])
-    @pytest.mark.parametrize("stop_below", [None, 0.3])
+    @pytest.mark.parametrize("stop_below", [-np.inf, 0.3])
     def test_deterministic_and_each_lane_its_lone_call(self, alpha, k, m, stop_below):
         # the solver reads no random stream: a second call gives the same
-        # bits, and so does each lane's lone call
+        # bits, and so does each lane's stack of one with the same stop
         xs, target = self._cores(alpha, k, m, samples=12)
         first = dist_double_coset_stack(xs, target, stop_below=stop_below)
         assert _same_lanes(first, dist_double_coset_stack(xs, target, stop_below=stop_below))
-        assert _same_lanes(first, _as_lanes([dist_double_coset(
-            BlockMatrix(x), target, stop_below=stop_below) for x in xs]))
+        assert _same_lanes(first, _as_lanes([_stack_of_one(
+            dist_double_coset_stack, x, target, stop_below=stop_below) for x in xs]))
 
     def test_empty_stack(self):
         xs, target = self._cores(1, 1, 1, samples=2)
@@ -870,12 +909,12 @@ class TestDistDoubleCosetStack:
     @pytest.mark.parametrize("stop", [False, True], ids=["no_stop", "stop_below"])
     def test_chunked_gram_phase_equals_lone_calls(self, alpha, k, m, stop, monkeypatch):
         # 13 samples: the Gram phase runs in chunks of at most ceil(13/3) = 5
-        # samples, two lanes each, and every lane is its lone call; with the
+        # samples, two lanes each, and every lane is its stack of one; with the
         # median identity bound as stop_below, 6 or 7 samples run it
         xs, target = self._cores(alpha, k, m, samples=12)
         eye = np.eye(target.family.spec.copy_size)
         stop_below = float(np.median([_reference_procrustes_run(x, target, eye)[0]
-                                      for x in xs])) if stop else None
+                                      for x in xs])) if stop else -np.inf
         runs, alternate = [], geometry._alternate_stack
 
         def alternate_stack(x, *args):
@@ -886,8 +925,8 @@ class TestDistDoubleCosetStack:
         stacked = dist_double_coset_stack(xs, target, stop_below=stop_below)
         assert runs[0] == 13 and len(runs) >= 3 and max(runs[1:]) <= 10
         monkeypatch.setattr(geometry, "_alternate_stack", alternate)
-        assert _same_lanes(stacked, _as_lanes([dist_double_coset(
-            BlockMatrix(x), target, stop_below=stop_below) for x in xs]))
+        assert _same_lanes(stacked, _as_lanes([_stack_of_one(
+            dist_double_coset_stack, x, target, stop_below=stop_below) for x in xs]))
 
     def test_tied_starts_keep_the_first(self, monkeypatch):
         # at alpha = 0, k = 1 the starts v and -v run to (-u, -v) and (u, v),
@@ -913,15 +952,15 @@ class TestDistDoubleCosetStack:
         # whose samples are each solved by the reference loop
         cfg = ExperimentConfig(family="unitary_orthogonal", alpha=1, k=1, m=1, N_list=(8, 64),
                                epsilon_list=(0.1, 0.4), samples=30, seed=9)
-        stacked = run_concentration(cfg).with_zeroed_runtime()
+        stacked = zeroed_runtime(run_concentration(cfg))
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", 175 * 9 * 7)
-        assert run_concentration(cfg).with_zeroed_runtime() == stacked
+        assert zeroed_runtime(run_concentration(cfg)) == stacked
 
         def reference(xs, target, **kwargs):
             return _as_lanes([_reference_double_coset(x, target, **kwargs) for x in xs])
 
         monkeypatch.setattr(experiments, "dist_double_coset_stack", reference)
-        assert run_concentration(cfg).with_zeroed_runtime() == stacked
+        assert zeroed_runtime(run_concentration(cfg)) == stacked
 
 
 def _lower_bounds(xs, target):
@@ -987,7 +1026,7 @@ class TestStopAbove:
             assert abs(verify_estimate(est, BlockMatrix(xs[i]), target) - est.upper_bound) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["unitary_conjugation", "unitary_orthogonal"])
-    @pytest.mark.parametrize("stop_below", [None, 0.2])
+    @pytest.mark.parametrize("stop_below", [-np.inf, 0.2])
     def test_ceiling_two_runs_as_without(self, kind, stop_below):
         # no unitary distance, so no lower bound, exceeds 2
         xs, target = _stop_above_stack(kind, 1, 1, 8, 60, seed=4)
@@ -1003,6 +1042,7 @@ class TestStopAbove:
         # of 1e-11 certifies
         xs, target = _stop_above_stack(kind, 1, 1, 8, 30, seed=6)
         lone = dist_conjugacy if kind == "unitary_conjugation" else dist_double_coset
+        solve = self.SOLVERS[kind]
         lower = _lower_bounds(xs, target)
         checked = 0
         for margin in (geometry._CONJ_EXACT, 2.0 ** -10):
@@ -1016,7 +1056,7 @@ class TestStopAbove:
                     assert low - (low - margin) == margin
                     cases.append((low - margin, False))
                 for ceiling, certified in cases:
-                    got = lone(BlockMatrix(x), target, stop_above=ceiling)
+                    got = _stack_of_one(solve, x, target, stop_above=ceiling)
                     assert got.upper_bound >= est.upper_bound
                     assert (got.iterations < est.iterations) == certified, (margin, ceiling)
                     if not certified:
@@ -1151,8 +1191,10 @@ class TestCoreAgainstFullSolver:
                 x = BlockMatrix(x.entries @ X.entries.conj().T)
                 yield dist_conjugacy(x, full_target), dist_conjugacy(core, core_target)
             else:
-                yield (dist_double_coset(x, full_target, stop_below=self.EPS),
-                       dist_double_coset(core, core_target, stop_below=self.EPS))
+                yield (_stack_of_one(dist_double_coset_stack, x.entries, full_target,
+                                     stop_below=self.EPS),
+                       _stack_of_one(dist_double_coset_stack, core.entries, core_target,
+                                     stop_below=self.EPS))
 
     def test_conjugation_core_never_worse(self):
         for full, core in self._pairs("unitary_conjugation", 5, 60):
@@ -1327,6 +1369,18 @@ class TestSymCornerInvariant:
             k2 = embed_k(uniform_permutation(3, gen), spec).exact_permutation
             np.testing.assert_array_equal(
                 sym_corner_invariant(k1 * x * k2, spec.alpha), base)
+
+    @pytest.mark.parametrize("x", [PermutationWord.from_cycles(5, [(1, 4, 2)]),
+                                   BlockMatrix.identity(2)], ids=["word", "matrix"])
+    def test_alpha_outside_the_degree_rejected(self, x):
+        # alpha = degree reads the whole permutation matrix; below 0 or above
+        # the degree there is no corner block, and the error names both
+        degree = as_word(x).degree
+        np.testing.assert_array_equal(sym_corner_invariant(x, degree),
+                                      BlockMatrix.from_permutation(as_word(x)).entries)
+        for alpha in (-1, degree + 1):
+            with pytest.raises(ValueError, match=rf"alpha={alpha} must lie in 0\.\.{degree}"):
+                sym_corner_invariant(x, alpha)
 
 
 class TestColligationCharFunction:
