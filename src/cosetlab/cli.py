@@ -29,19 +29,15 @@ from .hypergroup_exact import _check_budget, exact_convolution
 __all__ = ["main"]
 
 
-class ConfigError(ValueError):
-    """A bad command line, config file or matrix source: exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad usage; the contract wants config errors -> 1
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _cmd_sample(args) -> int:
     if args.dim < 1:
-        raise ConfigError(f"--dim must be a positive integer; got {args.dim}")
+        raise ValueError(f"--dim must be a positive integer; got {args.dim}")
     mat = _draw(args.kind, args.dim, RandomStream(args.seed))
     write_text(json.dumps(mat.to_json_dict()) + "\n", args.out)
     return 0
@@ -53,12 +49,12 @@ def _cmd_product(args) -> int:
     h = load_source(args.h, spec.window)
     if args.N is None:
         if args.m != 1:
-            raise ConfigError("the size-stable product needs m=1; pass --N for the finite product")
+            raise ValueError("the size-stable product needs m=1; pass --N for the finite product")
         if args.family != "symmetric" and not (is_unitary(g) and is_unitary(h)):
-            raise ConfigError(f"the {args.family} family needs unitary g and h")
+            raise ValueError(f"the {args.family} family needs unitary g and h")
         rep = circ_infinite(g, h, alpha=args.alpha)
         if args.family == "symmetric" and rep.exact_permutation is None:
-            raise ConfigError("symmetric family requires exact permutation inputs")
+            raise ValueError("symmetric family requires exact permutation inputs")
     else:
         fam = GroupFamily(args.family, spec)
         rep = circ_N(g, h, fam).representative
@@ -103,12 +99,12 @@ def _cmd_concentration(args) -> int:
     if args.config is not None:
         data = _read_json(args.config, "config")
         if not isinstance(data, dict):
-            raise ConfigError(f"config {args.config} must hold a JSON object; "
-                              f"got {type(data).__name__}")
+            raise ValueError(f"config {args.config} must hold a JSON object; "
+                             f"got {type(data).__name__}")
     overrides = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)}
     data.update({key: val for key, val in overrides.items() if val is not None})
     if data.get("seed") is None:
-        raise ConfigError("concentration needs an explicit --seed (or a seed in the config)")
+        raise ValueError("concentration needs an explicit --seed (or a seed in the config)")
     report = run_concentration(ExperimentConfig.from_json_dict(data))
     write_report(report, args.out, args.format)
     return 0
@@ -122,8 +118,14 @@ def _build_parser() -> _Parser:
                      description="Double-coset products and concentration experiments.")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
 
-    def add(name, fn, help_, example):
-        p = sub.add_parser(name, help=help_, epilog=f"example: {example}",
+    # the block shape flags of product, membership and exact-sym
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--alpha", type=int, required=True)
+    shape.add_argument("--k", type=int, required=True)
+    shape.add_argument("--m", type=int, default=1)
+
+    def add(name, fn, help_, example, parents=()):
+        p = sub.add_parser(name, help=help_, epilog=f"example: {example}", parents=parents,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.set_defaults(fn=fn)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
@@ -136,31 +138,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, required=True, help="required: reproducibility by default")
 
     p = add("product", _cmd_product, "emit a product representative",
-            'cosetlab product --family symmetric --alpha 1 --k 1 --N 3 --g "(1 2)" --h "(1 2)"')
+            'cosetlab product --family symmetric --alpha 1 --k 1 --N 3 --g "(1 2)" --h "(1 2)"',
+            [shape])
     p.add_argument("--family", choices=FAMILY_KINDS, required=True)
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
     p.add_argument("--N", type=int, default=None,
                    help="tail size; omit for the size-stable corner product")
     p.add_argument("--g", required=True, help="'identity', a permutation, or a matrix JSON path")
     p.add_argument("--h", required=True)
 
     p = add("membership", _cmd_membership, "exact symmetric double-coset membership",
-            'cosetlab membership --alpha 1 --k 1 --N 3 --x identity --target "(1 2)"')
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+            'cosetlab membership --alpha 1 --k 1 --N 3 --x identity --target "(1 2)"', [shape])
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
     p.add_argument("--x", required=True)
     p.add_argument("--target", required=True, help="full-size coset representative")
 
     p = add("exact-sym", _cmd_exact_sym, "exact convolution atoms for the symmetric family",
-            'cosetlab exact-sym --alpha 1 --k 1 --N 3 --g "(1 2)" --h "(1 2)"')
-    p.add_argument("--alpha", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+            'cosetlab exact-sym --alpha 1 --k 1 --N 3 --g "(1 2)" --h "(1 2)"', [shape])
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
     p.add_argument("--g", required=True, help="window- or full-size matrix source")
     p.add_argument("--h", required=True)
 
@@ -199,7 +193,7 @@ def main(argv=None) -> int:
             parser.print_help(sys.stderr)
             return 1
         return args.fn(args)
-    except ValueError as exc:  # ConfigError and bad inputs found while running
+    except ValueError as exc:  # bad usage, config or inputs, found before or while running
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failures: I/O, memory, numerical

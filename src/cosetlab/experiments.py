@@ -178,6 +178,14 @@ class BlockDecayReport(tuple):
         return json.dumps({"rows": rows}, indent=2) + "\n"
 
 
+def _median(values) -> float:
+    """np.median of a nonempty 1-D array, bit for bit, from one sort: np.median
+    imports numpy.ma on its first call, which sweeps need nowhere else."""
+    s = np.sort(values)
+    h = len(s) // 2
+    return float(s[h] if len(s) % 2 else (s[h - 1] + s[h]) / 2)
+
+
 def wilson_interval(hits: int, samples: int, confidence: float = 0.95):
     """Wilson score interval for a binomial proportion, as Python floats; the
     ends are exactly 0.0 at zero hits and 1.0 at full hits."""
@@ -238,7 +246,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     """
     rows = []
     for N, dists, elapsed in _sweep_distances(cfg):
-        med, mean = float(np.median(dists)), float(np.mean(dists))
+        med, mean = _median(dists), float(np.mean(dists))
         for eps in cfg.epsilon_list:
             hits = int(np.count_nonzero(dists == 0.0 if cfg.family == "symmetric" else dists <= eps))
             lo, hi = wilson_interval(hits, cfg.samples)
@@ -342,7 +350,7 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
         norms = np.concatenate([np.linalg.norm(_top_blocks(z), 2, axis=(1, 2))
                                 for z in _sample_rows(seed, samples, lambda gen, count:
                                                       _block_normals(k, N, gen, count=count))])
-        out.append((N, float(np.median(norms)), float(np.mean(norms))))
+        out.append((N, _median(norms), float(np.mean(norms))))
     return BlockDecayReport(out)
 
 

@@ -6,9 +6,10 @@ targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (identity, spectral match,
 structured minimal singular vector), refined in lockstep by a fixed-point
 iteration until the sample's leader bound closes its Bhatia-Davis bracket
-(or meets a stack call's stop_below or stop_above), or the start trails that
+(or a stack call's stops decide the sample), or the start trails that
 leader too far to catch it at its recent pace, as one that no longer gains
-always does.
+always does.  One sample rule (``_decided``) compares a sample's bounds with
+a stack call's stops in both unitary solvers.
 Both unitary solvers run on a stack of samples at once
 (``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which take the
 sweep's stops, return one array per estimate field and state the stop rules
@@ -91,6 +92,15 @@ _CONJ_EXACT = 1e-11
 # Step cap of an orthogonal run and of a conjugation start, read at each call:
 # a lane still running after this many steps is written out unconverged.
 _MAX_ITERS = 200
+
+
+def _decided(upper, lower, stop_below, stop_above):
+    """The sample rule of both stacked solvers: whether each sample's sweep
+    verdict is known, as its witnessed upper bound is at most stop_below (a hit
+    at every epsilon) or its lower bound exceeds stop_above by more than
+    ``_CONJ_EXACT`` (a miss at every epsilon).  Every comparison with a NaN
+    stop is False, so a NaN stop decides nothing, as the +-inf defaults."""
+    return (upper <= stop_below) | (lower - stop_above > _CONJ_EXACT)
 
 
 def _check_stack(xs, target: CosetTarget, kind: str):
@@ -241,16 +251,16 @@ def _alternate_stack(x, r, layout, v0, floor):
         Ur = layout.apply_left(r, u)
         Mv = layout.col_gram(Ur, xl)
         v = _polar(Mv)
-        corner = (xc * Ur[..., :alpha]).reshape(len(lanes), -1).sum(axis=-1).real
-        inner = corner + (Mv * v).reshape(len(lanes), -1).sum(axis=-1)
+        corner = (xc * Ur[..., :alpha]).sum(axis=(-2, -1)).real
+        inner = corner + (Mv * v).sum(axis=(-2, -1))
         f = np.sqrt(np.maximum(2.0 * dim - 2.0 * inner, 0.0))
         stop = (f <= floor) | (f_prev - f < np.maximum(_REL_GAIN * f, _NO_GAIN))
         if np.count_nonzero(stop):
             done, go = lanes[stop], ~stop
             u_out[done], v_out[done], iters[done], converged[done] = u[stop], v[stop], t + 1, True
             lanes, xl, xc, u, v, f = lanes[go], xl[go], xc[go], u[go], v[go], f[go]
-            if not len(lanes):
-                break
+        if not len(lanes):
+            break
         f_prev = f
     u_out[lanes], v_out[lanes] = u, v
     a = x - layout.apply_right(layout.apply_left(r, u_out), v_out)
@@ -335,12 +345,15 @@ def dist_double_coset_stack(xs, target: CosetTarget, stop_below: float = -np.inf
     each lane's estimate is, bit for bit, that of a stack of one with the same
     stops, and with no stop (the defaults) that of ``dist_double_coset``.
 
-    Every sample runs from the identity and then, unless that run's bound is
-    at most stop_below or the corner bound ||x_aa - r_aa|| (0 at alpha = 0; a
-    lower bound, as K fixes the corner) exceeds stop_above by more than 1e-11
-    (``_CONJ_EXACT``), from both Gram starts, searched and refined as one stack
-    of two lanes per sample over chunks of at most ceil(S/3) samples, so from
-    S = 2 on the pair never runs more lanes than the identity run.
+    Every sample runs from the identity and then, unless the sample rule of
+    both stacked solvers (``_decided``) decides it, from both Gram starts,
+    searched and refined as one stack of two lanes per sample over chunks of
+    at most max(1, ceil(S/3)) samples, so from S = 2 on the pair never runs
+    more lanes than the identity run.  The rule decides a sample whose
+    identity-run bound is at most stop_below, or whose corner bound
+    ||x_aa - r_aa|| (0 at alpha = 0; a lower bound, as K fixes the corner)
+    exceeds stop_above by more than 1e-11 (``_CONJ_EXACT``); a NaN stop, like
+    the defaults, decides none.
     A run stops, converged, once its Frobenius residual f is at most
     stop_below or a step gains less than max(1e-3 f, 1e-12) (``_REL_GAIN``,
     ``_NO_GAIN``), and is cut, unconverged, after 200 steps (``_MAX_ITERS``).
@@ -355,15 +368,13 @@ def dist_double_coset_stack(xs, target: CosetTarget, stop_below: float = -np.inf
     real witness stacks L, R (S, d, d), with bound i = ||x_i - L_i r R_i||.
     Memory is O(S d^2): callers bound S."""
     x, r = _check_stack(xs, target, "unitary_orthogonal")
-    if not len(x):
-        return (np.zeros(0), np.zeros(0, int), np.zeros(0, bool), *np.zeros((2,) + x.shape))
     layout = _CopyLayout(target.family.spec)
     bound, u, v, iters, converged = _alternate_stack(
         x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), stop_below)
     a = layout.alpha
     corner = _op_norm(x[:, :a, :a] - r[:a, :a]) if a else np.zeros(len(x))
-    above = np.flatnonzero((bound > stop_below) & (corner - stop_above <= _CONJ_EXACT))
-    chunk = -(-len(x) // 3)
+    above = np.flatnonzero(~_decided(bound, corner, stop_below, stop_above))
+    chunk = max(1, -(-len(x) // 3))
     for i in range(0, len(above), chunk):
         lanes = above[i:i + chunk]
         xl = x[lanes]
@@ -518,8 +529,10 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
     them, tested before step 1 and after every step:
     - the sample rule: once a sample's leader bound (the least best bound of
       its lanes so far) is within 1e-11 (``_CONJ_EXACT``) of its Bhatia-Davis
-      lower bound, or at most stop_below, or that lower bound exceeds
-      stop_above by more than 1e-11, all its lanes leave the stack;
+      lower bound, or the rule of both stacked solvers (``_decided``) decides
+      it (the leader bound at most stop_below, or that lower bound above
+      stop_above by more than 1e-11; a NaN stop, like the defaults, decides
+      none), all its lanes leave the stack;
     - the lane rule: from step L on (L = 5 on a 2 x 2 non-corner block, k = 1,
       else 25: ``_CONJ_WINDOW``) a lane leaves once it trails its sample's
       leader bound by at least ``_MAX_ITERS`` steps at its mean gain over its
@@ -566,7 +579,6 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
     lead = best.reshape(3, samples).min(axis=0)
     past = np.full((window, len(lanes)), np.inf)
     past[0] = best
-    certified = gap - stop_above > _CONJ_EXACT
     pace = np.inf  # no lane retires on pace before step 1
     for t in range(_MAX_ITERS + 1):
         if t:
@@ -583,7 +595,7 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
             past[t % window] = best
         # the sample rule, then the lane rule
         leader = lead[own]
-        closed = (lead - gap < _CONJ_EXACT) | (lead <= stop_below) | certified
+        closed = (lead - gap < _CONJ_EXACT) | _decided(lead, gap, stop_below, stop_above)
         stop = closed[own] | (best - leader >= pace)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)

@@ -713,12 +713,16 @@ class TestTopLevel:
                     "--m", str(m), "--N", "8", "--epsilon", "0.4", "--samples", "3",
                     "--seed", "1", "--out", os.devnull])
                 assert code == 0, family
+            assert cosetlab.cli.main(["block-decay", "--k", "1", "--N", "8", "--samples", "30",
+                                      "--seed", "1", "--out", os.devnull]) == 0
             cosetlab.eigenvalue_matching_distance([[1j]], [[1]])
-            print(json.dumps([n for n in sys.modules if n.split(".")[0] == "scipy"]))
+            print(json.dumps([n for n in sys.modules if n.split(".")[0] == "scipy"
+                              or n.split(".")[:2] == ["numpy", "ma"]]))
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=_child_env())
         assert proc.returncode == 0, proc.stderr
+        # neither scipy nor numpy.ma, which np.median imports on its first call
         assert json.loads(proc.stdout) == []
 
     def test_import_loads_no_numpy_random(self):

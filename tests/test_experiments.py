@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -488,6 +489,23 @@ class TestRunConcentration:
         assert seen == sizes
         assert swept == rows((8,)) + rows((64,)) + rows((10**6,))
 
+    @pytest.mark.parametrize("family,N_list,spec", [
+        # one solver block holds the 600 samples of both N, so each N's runtime
+        # takes its share of the block's solve time
+        ("unitary_orthogonal", (8, 64), "random_unitary"), ("symmetric", (3, 128), "(1 2)")])
+    def test_runtime_is_each_N_share_of_the_wall_time(self, family, N_list, spec):
+        cfg = _cfg(family=family, N_list=N_list, epsilon_list=(0.2, 0.4, 0.8), samples=300,
+                   seed=5, g_spec=spec, h_spec=spec)
+        start = time.perf_counter()
+        report = run_concentration(cfg)
+        wall = time.perf_counter() - start
+        per_N = {}
+        for row in report.rows:
+            assert math.isfinite(row.runtime_s) and row.runtime_s > 0
+            assert per_N.setdefault(row.N, row.runtime_s) == row.runtime_s
+        assert list(per_N) == list(N_list)
+        assert sum(per_N.values()) <= wall
+
     @pytest.mark.parametrize("k,samples,N_list", [
         (1, 400, tuple(range(1, 11))), (2, 500, (2, 3, 5, 8, 10**6)), (3, 60, (3, 4, 10**6))])
     def test_symmetric_sweep_tests_each_core_pattern_once(self, monkeypatch, k, samples, N_list):
@@ -571,9 +589,8 @@ class TestRunConcentration:
         monkeypatch.setattr(geometry, "_MAX_ITERS", 2)
         kwargs = dict(family=family, k=k, N_list=N_list, epsilon_list=(eps, 2), seed=3,
                       g_spec="random_unitary", h_spec="random_unitary")
-        # a first sweep pays numpy's lazy imports (np.median loads numpy.ma,
-        # about 1.7 MB) outside the trace, so the peak is the block's whichever
-        # test runs first
+        # a first sweep pays its lazy imports and caches outside the trace, so
+        # the peak is the block's whichever test runs first
         run_concentration(_cfg(**kwargs, samples=1))
         tracemalloc.start()
         try:

@@ -1035,6 +1035,16 @@ class TestStopAbove:
                            solve(xs, target, stop_below=stop_below))
 
     @pytest.mark.parametrize("kind", ["unitary_conjugation", "unitary_orthogonal"])
+    @pytest.mark.parametrize("stop", ["stop_below", "stop_above"])
+    def test_nan_stop_runs_as_the_defaults(self, kind, stop):
+        # every comparison with NaN is false, so one sample rule (``_decided``)
+        # lets a NaN stop decide no sample in either solver, and a NaN floor
+        # stops no orthogonal run: all five arrays are the default stops'
+        xs, target = _stop_above_stack(kind, 1, 1, 8, 20, seed=3)
+        solve = self.SOLVERS[kind]
+        assert _same_lanes(solve(xs, target, **{stop: np.nan}), solve(xs, target))
+
+    @pytest.mark.parametrize("kind", ["unitary_conjugation", "unitary_orthogonal"])
     def test_certified_only_beyond_the_margin(self, monkeypatch, kind):
         # a lower bound exactly the margin above stop_above, or less, certifies
         # nothing; with a power-of-two margin the difference is exact, so a
