@@ -13,8 +13,8 @@ import json
 import sys
 from dataclasses import fields
 
-from .blockmat import BlockSpec, _read_json, embed, is_unitary, load_source
-from .cosets import FAMILY_KINDS, CosetTarget, GroupFamily, circ_N, circ_infinite
+from .blockmat import BlockSpec, _read_json, embed, load_source
+from .cosets import FAMILY_KINDS, CosetTarget, GroupFamily, _check_group, circ_N, circ_infinite
 from .experiments import (
     ExperimentConfig,
     run_block_decay,
@@ -50,11 +50,8 @@ def _cmd_product(args) -> int:
     if args.N is None:
         if args.m != 1:
             raise ValueError("the size-stable product needs m=1; pass --N for the finite product")
-        if args.family != "symmetric" and not (is_unitary(g) and is_unitary(h)):
-            raise ValueError(f"the {args.family} family needs unitary g and h")
+        _check_group(g, h, args.family)
         rep = circ_infinite(g, h, alpha=args.alpha)
-        if args.family == "symmetric" and rep.exact_permutation is None:
-            raise ValueError("symmetric family requires exact permutation inputs")
     else:
         fam = GroupFamily(args.family, spec)
         rep = circ_N(g, h, fam).representative

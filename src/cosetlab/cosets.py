@@ -99,16 +99,24 @@ def circ_N(g: BlockMatrix, h: BlockMatrix, family: GroupFamily) -> CosetTarget:
     the group: not unitary (tol 1e-10), or for the symmetric family not an
     exact permutation.
     """
+    _check_group(g, h, family.kind)
     spec = family.spec
     J = build_JN(spec)  # raises when n_tail < k
-    if family.kind != "symmetric" and not (is_unitary(g) and is_unitary(h)):
-        raise ValueError(f"the {family.kind} family needs unitary g and h")
     rep = embed(g, spec) @ J @ embed(h, spec)
     if family.kind == "unitary_conjugation":
         rep = rep @ J
-    if family.kind == "symmetric" and rep.exact_permutation is None:
-        raise ValueError("symmetric family requires exact permutation inputs")
     return CosetTarget(rep, family)
+
+
+def _check_group(g: BlockMatrix, h: BlockMatrix, kind: str) -> None:
+    """Raise ValueError unless g and h lie in the family's group: unitary (tol
+    1e-10), or for the symmetric family exact permutations.  ``embed``,
+    ``_place`` and J keep permutations exact, so the products of
+    ``circ_N`` and ``circ_infinite`` pass exactly when their inputs do."""
+    if kind != "symmetric" and not (is_unitary(g) and is_unitary(h)):
+        raise ValueError(f"the {kind} family needs unitary g and h")
+    if kind == "symmetric" and (g.exact_permutation is None or h.exact_permutation is None):
+        raise ValueError("symmetric family requires exact permutation inputs")
 
 
 _DRAW_KIND = {"symmetric": "permutation", "unitary_conjugation": "unitary",

@@ -228,9 +228,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     one stack, each lane's core and estimate exactly those of a stack of one
     with the sweep's stops on that sample's A, so each N's rows are those of
     a sweep over that N alone.
-    A row's runtime_s is its N's own draw and QR time plus, for each block
-    holding its samples, the block's core and solve time times the N's share
-    of the block's samples.
+    A row's runtime_s is the sum of its N's per-sample time shares: each
+    chunk's draw and QR (symmetric: pattern draw and membership tests) time,
+    and each block's core and solve time, is spread evenly over the samples
+    it served.
     A symmetric sample's pattern, ``cosets.core_images`` of its middle
     permutation's k active images, is drawn directly from its law
     (``haar._core_patterns``); each pattern's membership is tested once per
@@ -260,7 +261,12 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
 
 
 def _sweep_distances(cfg: ExperimentConfig):
-    """(N, the samples' distances in order as an array, seconds) for each N, in order."""
+    """(N, the samples' distances in order as an array, seconds) for each N, in order.
+
+    Two tables hold every sample, one lane per sample, N by N, then sample by
+    sample: its distance and its share of the sweep's time.  A chunk's draw
+    and preparation time is spread evenly over its lanes, and so is a unitary
+    block's core and solve time, so an N's seconds are the sum of its lanes."""
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
     kind = "permutation" if cfg.family == "symmetric" else "unitary"
@@ -269,63 +275,52 @@ def _sweep_distances(cfg: ExperimentConfig):
     target = circ_N(g_win, h_win, fam0)
     conj = cfg.family == "unitary_conjugation"
     h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
-    seconds = [0.0] * len(cfg.N_list)
+    dist, seconds = np.empty((2, len(cfg.N_list) * cfg.samples))
 
-    def sym_distances():
-        verdicts, out = {}, []  # distance per core pattern (0 for a hit), for every N
-        for i, N in enumerate(cfg.N_list):
-            start, dists = time.perf_counter(), []
-            for rows in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _core_patterns(
-                    cfg.k, N, gen, count)):
-                keys = list(map(tuple, rows.tolist()))
-                for key in set(keys).difference(verdicts):
-                    verdicts[key] = 0.0 if sym_membership(sample_core(g_win, h_core, fam0, key),
-                                                          target) else 1.0
-                dists += map(verdicts.__getitem__, keys)
-            out.append(np.asarray(dists))
-            seconds[i] = time.perf_counter() - start
-        return out
+    def chunks(draw, prepare):
+        # (first lane, prepared rows) for each chunk of samples, in lane order
+        lane = 0
+        for N in cfg.N_list:
+            start = time.perf_counter()
+            for rows in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: draw(N, gen, count)):
+                rows = prepare(rows)
+                seconds[lane:lane + len(rows)] = (time.perf_counter() - start) / len(rows)
+                yield lane, rows
+                lane, start = lane + len(rows), time.perf_counter()
 
-    def unitary_distances():
-        # blocks fill in N order, then sample order, so one may hold the end of
-        # one N and the start of the next; pending holds the filling block's
-        # (N index, stack of A) pieces
+    if cfg.family == "symmetric":
+        verdicts = {}  # distance per core pattern (0 for a hit), for every N
+
+        def test(rows):
+            keys = list(map(tuple, rows.tolist()))
+            for key in set(keys).difference(verdicts):
+                verdicts[key] = 0.0 if sym_membership(sample_core(g_win, h_core, fam0, key),
+                                                      target) else 1.0
+            return list(map(verdicts.__getitem__, keys))
+
+        for lane, rows in chunks(lambda N, gen, count: _core_patterns(cfg.k, N, gen, count), test):
+            dist[lane:lane + len(rows)] = rows
+    else:
+        # blocks fill in lane order, so one may hold the end of one N and the
+        # start of the next; held is the filling block's stack of A
         d = fam0.spec.dim
         block = max(1, _BLOCK_BYTES // (2048 + 480 * d * d if conj else 175 * d * d))
         solve = dist_conjugacy_stack if conj else dist_double_coset_stack
-        out, pending, lanes = [[] for _ in cfg.N_list], [], 0
-
-        def solve_pending():
-            start = time.perf_counter()
-            cores = sample_core_stack(g_win, h_core, fam0, np.concatenate([a for _, a in pending]))
-            dists = solve(cores, target, stop_below=min(cfg.epsilon_list),
-                          stop_above=max(cfg.epsilon_list))[0]
-            share = (time.perf_counter() - start) / len(dists)
-            for i, a in pending:
-                out[i].append(dists[:len(a)])
-                dists = dists[len(a):]
-                seconds[i] += share * len(a)
-            pending.clear()
-
-        for i, N in enumerate(cfg.N_list):
-            start = time.perf_counter()
-            for z in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: _block_normals(
-                    cfg.k, N, gen, conj, count)):
-                a = _top_blocks(z, conj)
-                while len(a):
-                    pending.append((i, a[:block - lanes]))
-                    lanes, a = lanes + len(pending[-1][1]), a[block - lanes:]
-                    if lanes == block:
-                        seconds[i] += time.perf_counter() - start
-                        solve_pending()
-                        lanes, start = 0, time.perf_counter()
-            seconds[i] += time.perf_counter() - start
-        if pending:
-            solve_pending()
-        return [np.concatenate(parts) for parts in out]
-
-    distances = sym_distances() if cfg.family == "symmetric" else unitary_distances()
-    return list(zip(cfg.N_list, distances, seconds))
+        held = np.empty((block, cfg.k, cfg.k), complex if conj else float)
+        for lane, a in chunks(lambda N, gen, count: _block_normals(cfg.k, N, gen, conj, count),
+                              lambda z: _top_blocks(z, conj)):
+            while len(a):
+                at = lane % block  # the place of lane in its block
+                n = min(len(a), block - at)
+                held[at:at + n], a, lane = a[:n], a[n:], lane + n
+                if at + n == block or lane == len(dist):
+                    lo, start = lane - at - n, time.perf_counter()
+                    dist[lo:lane] = solve(sample_core_stack(g_win, h_core, fam0, held[:lane - lo]),
+                                          target, stop_below=min(cfg.epsilon_list),
+                                          stop_above=max(cfg.epsilon_list))[0]
+                    seconds[lo:lane] += (time.perf_counter() - start) / (lane - lo)
+    shape = (len(cfg.N_list), cfg.samples)
+    return list(zip(cfg.N_list, dist.reshape(shape), seconds.reshape(shape).sum(axis=1).tolist()))
 
 
 def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport:

@@ -489,11 +489,19 @@ class TestRunConcentration:
         assert seen == sizes
         assert swept == rows((8,)) + rows((64,)) + rows((10**6,))
 
-    @pytest.mark.parametrize("family,N_list,spec", [
+    @pytest.mark.parametrize("family,N_list,spec,lanes", [
         # one solver block holds the 600 samples of both N, so each N's runtime
         # takes its share of the block's solve time
-        ("unitary_orthogonal", (8, 64), "random_unitary"), ("symmetric", (3, 128), "(1 2)")])
-    def test_runtime_is_each_N_share_of_the_wall_time(self, family, N_list, spec):
+        pytest.param("unitary_orthogonal", (8, 64), "random_unitary", None, id="orthogonal"),
+        pytest.param("unitary_conjugation", (8, 64), "random_unitary", None, id="conjugation"),
+        # blocks of 7 samples: one holds the last 6 of N=8 and the first of
+        # N=64, and the last holds the 5 samples left
+        pytest.param("unitary_orthogonal", (8, 64), "random_unitary", 7, id="orthogonal_7"),
+        pytest.param("symmetric", (3, 128), "(1 2)", None, id="symmetric")])
+    def test_runtime_is_each_N_share_of_the_wall_time(self, monkeypatch, family, N_list, spec,
+                                                      lanes):
+        if lanes is not None:
+            monkeypatch.setattr(experiments, "_BLOCK_BYTES", lanes * 175 * 9)
         cfg = _cfg(family=family, N_list=N_list, epsilon_list=(0.2, 0.4, 0.8), samples=300,
                    seed=5, g_spec=spec, h_spec=spec)
         start = time.perf_counter()
