@@ -50,7 +50,8 @@ __all__ = [
 # 93-165 d^2 bytes for the Procrustes solver, draw and core included (d = 3..17;
 # the low end when most lanes stop at the identity start), counted as 175 d^2,
 # and 2 KB plus 235-419 d^2 for the conjugation solver's three lanes (d = 3..9;
-# a full block peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2.
+# a full block peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2,
+# a worst case: where frame starts decide most samples, one peaked at 0.19.
 # Dense Sylvester maps are built, and the k = 1 Gram sign table is scored, in
 # stacks of at most 512 KiB (``geometry._SCRATCH_BYTES``; a Sylvester chunk may
 # be one lane) and A holds O(k^2) numbers (``haar._block_normals``), so nothing
@@ -243,7 +244,10 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     The solvers take min(epsilon_list) as ``stop_below`` and max(epsilon_list)
     as ``stop_above``: a sample stops at a bound at most the first or a lower
     bound above the second, so every hit count is the full run's, but
-    median_dist and mean_dist summarize bounds cut off there.
+    median_dist and mean_dist summarize bounds cut off there: a conjugation
+    sample's least start bound by the first stage that decides it (0: the
+    frame start J, at most 2 phi(||A||), where most far-tail samples stop;
+    1: identity and spectral; 2: Sylvester), an orthogonal one's identity run.
     """
     rows = []
     for N, dists, elapsed in _sweep_distances(cfg):

@@ -3,13 +3,14 @@
 Unitary_orthogonal targets get an alternating two-sided Procrustes minimizer
 whose alignment steps respect the diagonal-copy block structure; symmetric
 targets get exact membership by forced propagation between the two subgroup
-factors; conjugation targets get three starts (identity, spectral match,
-structured minimal singular vector), refined in lockstep by a fixed-point
-iteration until the sample's leader bound closes its Bhatia-Davis bracket
-(or a stack call's stops decide the sample), or the start trails that
-leader too far to catch it at its recent pace, as one that no longer gains
-always does.  One sample rule (``_decided``) compares a sample's bounds with
-a stack call's stops in both unitary solvers.
+factors; conjugation targets get a frame start J and three starts (identity,
+spectral match, structured minimal singular vector) in stages, then a
+fixed-point iteration refining the three in lockstep: a sample stops once its
+bracket closes or a stack call's stops decide it, after any stage or step,
+and a start once it trails its sample's leader too far to catch it at its
+recent pace, as one that no longer gains always does.  One sample rule
+(``_decided``) compares a sample's bounds with a stack call's stops in both
+unitary solvers.
 Both unitary solvers run on a stack of samples at once
 (``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which take the
 sweep's stops, return one array per estimate field and state the stop rules
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockMatrix, as_word, is_unitary, operator_norm
+from .blockmat import BlockMatrix, as_word, build_JN, is_unitary, operator_norm
 from .cosets import CosetTarget
 
 __all__ = [
@@ -522,61 +523,86 @@ def _min_singular_init(x, r, alpha, spectral_guess):
 
 def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
                          stop_above: float = np.inf) -> tuple:
-    """Witnessed bounds for every matrix of an (S, d, d) stack, in one run.
+    """Witnessed bounds for every matrix of an (S, d, d) stack, in stages.
 
-    Every sample gets one lane per start, so one fixed-point run covers 3S
-    lanes, each with its own best conjugator and step count.  Two rules stop
-    them, tested before step 1 and after every step:
-    - the sample rule: once a sample's leader bound (the least best bound of
-      its lanes so far) is within 1e-11 (``_CONJ_EXACT``) of its Bhatia-Davis
-      lower bound, or the rule of both stacked solvers (``_decided``) decides
-      it (the leader bound at most stop_below, or that lower bound above
-      stop_above by more than 1e-11; a NaN stop, like the defaults, decides
-      none), all its lanes leave the stack;
-    - the lane rule: from step L on (L = 5 on a 2 x 2 non-corner block, k = 1,
-      else 25: ``_CONJ_WINDOW``) a lane leaves once it trails its sample's
-      leader bound by at least ``_MAX_ITERS`` steps at its mean gain over its
-      last L steps, as one that gained nothing in them, the leader too,
-      always does.
-    A lane still running after 200 steps (``_MAX_ITERS``) is cut.  The first
-    start with the least bound wins: converged says whether the winner
+    Each stage runs on the samples the ones before left open, and after it
+    the sample rule is tested: a sample is decided once its least bound so
+    far (the frame start's included) is within 1e-11 (``_CONJ_EXACT``) of its
+    lower bound, or the rule of both stacked solvers (``_decided``) decides
+    it (that bound at most stop_below, or the lower bound above stop_above by
+    more than 1e-11; a NaN stop, like the defaults, decides none).  Stage 0
+    takes the frame start W = J (``build_JN`` of the target's spec; a sweep
+    core at A = 0 is J r J, so J's bound is at most 2 phi(||A||)) and the
+    corner bound ||x_aa - r_aa|| as the lower bound; stage 1 the identity and
+    spectral starts, the lower bound becoming the larger of the corner bound
+    and the Bhatia-Davis gap; stage 2 the Sylvester start.  Stage 3 refines
+    the three starts (not J) in lockstep, one lane each with its own best
+    conjugator and step count, and tests after every step the sample rule
+    and the lane rule: from step L on (L = 5 on a 2 x 2 non-corner block,
+    k = 1, else 25: ``_CONJ_WINDOW``) a lane leaves once it trails its
+    sample's leader bound (the least best bound of its lanes) by at least
+    ``_MAX_ITERS`` steps at its mean gain over its last L steps, as one that
+    gained nothing in them, the leader too, always does.  A lane still
+    running after 200 steps (``_MAX_ITERS``) is cut.  The first start with
+    the least bound wins, unless J's bound is strictly less (J's bound and
+    witness then replace its own): converged says whether the winning lane
     stopped on a rule before the cap, and iterations sums the steps of all
-    the sample's lanes, its cost, as in ``dist_double_coset_stack``.  So a
-    sample that meets a sample rule before step 1, as a certified miss does, takes no step.
-    A sample's lanes depend on each other, but not on the rest of the stack:
-    each sample gets, bit for bit, the estimate of a stack of one with the
-    same stops, and with no stop (the defaults) that of ``dist_conjugacy``,
-    in the arrays of ``dist_double_coset_stack`` with complex
-    witnesses W, W^H.  W r is one product over all lanes; each lane's rows of
-    it are those of its own W r.  Memory is O(S d^2) for the lanes (each
-    holds W, Z = x^H (W r), x^H and its best W) plus a few Sylvester maps,
-    O(d^2 (1 + w^2)) each with w = d - alpha, or 512 KiB chunks of them:
-    callers bound S.
+    the sample's lanes, its cost, as in ``dist_double_coset_stack``; a
+    sample decided before stage 3 takes 0 steps, converged.  A sample's
+    lanes depend on each other, not on the rest of the stack: each sample
+    gets, bit for bit, the estimate of a stack of one with the same stops,
+    and with no stop (the defaults) that of ``dist_conjugacy``, in the arrays
+    of ``dist_double_coset_stack`` with complex witnesses W, W^H.  Memory is
+    O(S d^2): each lane holds W, Z = x^H (W r), x^H and its best W, plus a
+    few Sylvester maps, O(d^2 (1 + w^2)) each with w = d - alpha, or 512 KiB
+    chunks of them: callers bound S.
     """
     x, r = _check_stack(xs, target, "unitary_conjugation")
-    alpha, samples = target.family.spec.alpha, len(x)
-    spectral, gap = _spectral_match_init(x, r, alpha)
-    # lanes in (3, S) start order: each sample's identity, spectral match, Sylvester vector
-    owner = np.tile(np.arange(samples), 3)
-    W = np.concatenate([np.broadcast_to(np.eye(len(r), dtype=complex), x.shape),
-                        spectral, _min_singular_init(x, r, alpha, spectral)])
-    lanes, own = np.arange(len(owner)), owner
-    xh = x[owner].conj().swapaxes(-1, -2)
-    window = _CONJ_WINDOW if len(r) - alpha == 2 else _CONJ_WINDOW_WIDE
+    alpha, samples, dim = target.family.spec.alpha, len(x), len(r)
+    # stage 0: the frame start J and the corner bound, which K fixes
+    J = build_JN(target.family.spec).entries
+    frame = _op_norm(J - x.conj().swapaxes(-1, -2) @ (J @ r))
+    lower = _op_norm(x[:, :alpha, :alpha] - r[:alpha, :alpha]) if alpha else np.zeros(samples)
+    # lanes in (3, S) start order (identity, spectral match, Sylvester vector),
+    # each with its start's W, Z and bound (inf if no stage reaches it); lead is
+    # each sample's leader bound
+    W_out, Z_out = (np.empty((3 * samples, dim, dim), dtype=complex) for _ in range(2))
+    op_out, lead = np.full(3 * samples, np.inf), np.full(samples, np.inf)
+    iters, converged = np.zeros(3 * samples, dtype=int), np.ones(3 * samples, dtype=bool)
 
-    def aligned(W):
+    def aligned(W, xh):
         # Z = x^H (W r), with W r as one product over the whole stack: for
         # unitary x and W, ||x - W r W^H|| = ||xW - Wr|| = ||W - Z||, and Z's
         # non-corner block is the next step's polar input
-        return xh @ (W.reshape(-1, len(r)) @ r).reshape(W.shape)
+        return xh @ (W.reshape(-1, dim) @ r).reshape(W.shape)
 
-    Z = aligned(W)
-    best, best_W = _op_norm(W - Z), W.copy()
-    op_out, W_out, iters = np.empty_like(best), np.empty_like(W), np.full(len(lanes), _MAX_ITERS)
-    converged = np.zeros(len(lanes), dtype=bool)
-    # each sample's leader bound, and each lane's best bound of the last window
-    # steps (slot t % window holds step t's; inf before step 0 retires no lane)
-    lead = best.reshape(3, samples).min(axis=0)
+    def start(lanes, W):
+        W_out[lanes], Z_out[lanes] = W, aligned(W, x[lanes % samples].conj().swapaxes(-1, -2))
+        op_out[lanes] = _op_norm(W - Z_out[lanes])
+        np.minimum.at(lead, lanes % samples, op_out[lanes])
+
+    def closed(s):
+        # the sample rule on the samples s, J's bound among their bounds
+        up = np.minimum(lead[s], frame[s])
+        return (up - lower[s] < _CONJ_EXACT) | _decided(up, lower[s], stop_below, stop_above)
+
+    live = np.flatnonzero(~closed(slice(None)))
+    if len(live):  # stage 1: the identity and spectral starts, and the Bhatia-Davis gap
+        spectral, gap = _spectral_match_init(x[live], r, alpha)
+        lower[live] = np.maximum(lower[live], gap)
+        start(np.concatenate([live, samples + live]), np.concatenate(
+            [np.broadcast_to(np.eye(dim, dtype=complex), spectral.shape), spectral]))
+        live = live[~closed(live)]
+    if len(live):  # stage 2: the Sylvester start, guessed from the spectral one
+        start(2 * samples + live, _min_singular_init(x[live], r, alpha, W_out[samples + live]))
+        live = live[~closed(live)]
+    # stage 3: the step loop on the lanes of the samples left
+    lanes = np.concatenate([live, samples + live, 2 * samples + live])
+    own, W, Z, best = lanes % samples, W_out[lanes], Z_out[lanes], op_out[lanes]
+    xh, best_W = x[own].conj().swapaxes(-1, -2), W.copy()
+    window = _CONJ_WINDOW if dim - alpha == 2 else _CONJ_WINDOW_WIDE
+    # each lane's best bound of the last window steps (slot t % window holds
+    # step t's; inf before step 0 retires no lane)
     past = np.full((window, len(lanes)), np.inf)
     past[0] = best
     pace = np.inf  # no lane retires on pace before step 1
@@ -585,7 +611,7 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
             # W keeps its identity corner and zero off-corner blocks, so the step
             # rewrites only its non-corner block
             W[..., alpha:, alpha:] = _polar(Z[..., alpha:, alpha:])
-            Z = aligned(W)
+            Z = aligned(W, xh)
             op = _op_norm(W - Z)
             better = op < best - _NO_GAIN
             best = np.where(better, op, best)
@@ -594,40 +620,41 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
             pace = _MAX_ITERS * (past[t % window] - best) / window
             past[t % window] = best
         # the sample rule, then the lane rule
-        leader = lead[own]
-        closed = (lead - gap < _CONJ_EXACT) | _decided(lead, gap, stop_below, stop_above)
-        stop = closed[own] | (best - leader >= pace)
+        stop = closed(own) | (best - lead[own] >= pace)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)
-            op_out[done], W_out[done], iters[done], converged[done] = (
-                best[stop], best_W[stop], t, True)
+            op_out[done], W_out[done], iters[done] = best[stop], best_W[stop], t
             # one index array for every take: half the cost of a mask per array
             lanes, own, W, Z, xh, best, best_W = (
                 a.take(keep, axis=0) for a in (lanes, own, W, Z, xh, best, best_W))
             past = past.take(keep, axis=1)
         if not len(lanes):
             break
-    op_out[lanes], W_out[lanes] = best, best_W
+    op_out[lanes], W_out[lanes], iters[lanes], converged[lanes] = best, best_W, _MAX_ITERS, False
 
-    # per sample, the first start with the least bound
+    # per sample, the first start with the least bound, or J where it is strictly less
     win = op_out.reshape(3, samples).argmin(axis=0) * samples + np.arange(samples)
-    W = W_out[win]
-    return (op_out[win], iters.reshape(3, samples).sum(axis=0), converged[win], W,
+    bound, W = op_out[win], W_out[win]
+    framed = frame < bound
+    bound[framed], W[framed] = frame[framed], J
+    return (bound, iters.reshape(3, samples).sum(axis=0), converged[win], W,
             W.conj().swapaxes(-1, -2))
 
 
 def dist_conjugacy(x: BlockMatrix, target: CosetTarget) -> DistanceEstimate:
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
-    Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w) and
-    refines three starts in lockstep: the identity, the spectral match of
-    eigenvalues around the circle, and the smallest singular vector of the
-    structured Sylvester map with its copy block projected to the nearest
-    unitary.  The matching's largest eigenvalue gap, by Bhatia and Davis the
-    distance to r's unitary orbit, bounds the distance below (exactly at
-    alpha = 0).  Each start runs the fixed-point iteration W <- blockified
-    polar of x^H W r, which is not monotone (its bound can rise from one step
-    to the next), so each start keeps its own best conjugator, which a step
+    Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w), tries
+    the frame start J (with no stop it ends the solve only on a closed
+    bracket) and refines three starts in lockstep: the identity, the
+    spectral match of eigenvalues around the circle, and the smallest
+    singular vector of the structured Sylvester map with its copy block
+    projected to the nearest unitary.  Two lower bounds hold: the corner
+    bound ||x_aa - r_aa||, and the matching's largest eigenvalue gap, by
+    Bhatia and Davis the distance to r's unitary orbit (exact at alpha = 0).
+    Each start runs the fixed-point iteration W <- blockified polar of
+    x^H W r, which is not monotone (its bound can rise from one step to the
+    next), so each start keeps its own best conjugator, which a step
     replaces only when it gains more than ``_NO_GAIN``.  A step forms
     Z = x^H (W r) once: its bound ||W - Z||, equal to ||xW - Wr|| for unitary
     x, is the root of the top eigenvalue of that matrix's Gram matrix (one

@@ -414,6 +414,37 @@ class TestSampleCore:
     @pytest.mark.parametrize("kind,m", [("unitary_orthogonal", 1), ("unitary_orthogonal", 2),
                                         ("unitary_conjugation", 1)])
     @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_core_within_two_phi_of_the_frame_start(self, kind, m, alpha, k):
+        # the conjugation solver's frame start: at A = 0 a stacked core is
+        # J r J (J r for the orthogonal family), J the core-size build_JN, in
+        # K.  With Y = Y_0 C, C = I_alpha (+) c per copy and ||c - I|| =
+        # phi(||A||) = sqrt(2 - 2 sqrt(1 - ||A||^2)), core(A) - core(0) =
+        # (C^* B C - B) h with B + I = Y_0^* g Y_0 + (I - Y_0^* Y_0) a
+        # contraction, so the core stays within 2 phi(||A||) of it
+        fam = GroupFamily(kind, BlockSpec(alpha, k, 5, m))
+        core_fam = fam.with_n_tail(k)
+        gen = RandomStream(12, 10 * alpha + k).generator()
+        g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
+        r = circ_N(g, h, core_fam).representative.entries
+        J = build_JN(core_fam.spec).entries
+        at_zero = J @ r @ J if kind == "unitary_conjugation" else J @ r
+        assert np.abs(sample_core_stack(g, h, fam, np.zeros((3, k, k))) - at_zero).max() <= 1e-15
+        # 40 blocks A of norms in [0.05, 1], the last of norm 1 to rounding;
+        # real ones for the orthogonal family, as its draws are
+        a = gen.standard_normal((40, k, k))
+        if kind == "unitary_conjugation":
+            a = a + 1j * gen.standard_normal((40, k, k))
+        a *= np.append(gen.uniform(0.05, 1.0, 39), 1.0)[:, None, None] / np.linalg.norm(
+            a, 2, axis=(1, 2))[:, None, None]
+        s = np.linalg.norm(a, 2, axis=(1, 2))
+        phi = np.sqrt(2 - 2 * np.sqrt(np.clip(1 - s * s, 0, None)))
+        dist = np.linalg.norm(sample_core_stack(g, h, fam, a) - at_zero, 2, axis=(1, 2))
+        assert (dist <= 2 * phi * (1 + 1e-12)).all()
+
+    @pytest.mark.parametrize("kind,m", [("unitary_orthogonal", 1), ("unitary_orthogonal", 2),
+                                        ("unitary_conjugation", 1)])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
     @pytest.mark.parametrize("k", [1, 2])
     def test_stacked_cores_equal_per_sample_cores(self, kind, m, alpha, k):
         # bit for bit, with h at window and at core size, as the sweep draws A

@@ -582,7 +582,9 @@ class TestRunConcentration:
         assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
     @pytest.mark.parametrize("family,k,samples,eps,N_list", [
-        ("unitary_conjugation", 1, 2000, 0.4, (8,)), ("unitary_conjugation", 2, 400, 0.4, (8,)),
+        # at epsilon 0.4 the frame start decides most k = 1 conjugation samples
+        # (the block then peaked at 0.19 budgets), at 1e-9 none
+        ("unitary_conjugation", 1, 2000, 1e-9, (8,)), ("unitary_conjugation", 2, 400, 0.4, (8,)),
         ("unitary_orthogonal", 1, 3000, 0.4, (8,)), ("unitary_orthogonal", 2, 1200, 0.4, (8,)),
         ("unitary_orthogonal", 4, 600, 0.4, (8,)),
         # every lane, or (k=8) nearly every lane, runs the Gram starts

@@ -14,6 +14,7 @@ from cosetlab.blockmat import (
     BlockSpec,
     PermutationWord,
     as_word,
+    build_JN,
     embed,
     embed_k,
     operator_norm,
@@ -290,20 +291,45 @@ def _reference_run(x, r, alpha, W, max_iters=200):
     return lane.best, max_iters, False, lane.best_W
 
 
-def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=-np.inf,
+def _reference_conjugacy(x, target, inits, max_iters=200, stop_below=-np.inf,
                          stop_above=np.inf):
-    """A sample's starts run in lockstep and the first with the least bound,
-    with the iterations of all runs: the reference the stacked solver must
-    match bit for bit.  Before step 1 and after each step, every running
-    start stops once the sample's leader bound (the least best bound of its
-    starts so far) is within 1e-11 of its Bhatia-Davis lower bound or at most
-    stop_below, or that lower bound exceeds stop_above by more than 1e-11.
-    Otherwise, after each step, a start stops after 5 (2 x 2
-    non-corner block) or 25 flat steps, or, from step L on (L that stall
-    length), when its best bound b trails the leader bound by more than
-    max_iters times its mean gain per step since step t - L."""
-    lower, stall_len = eigenvalue_matching_distance(x, r), _stall_len(x, alpha)
-    lanes = [_ReferenceLane(x, r, alpha, W) for W in inits]
+    """A sample's staged solve: the reference the stacked solver must match
+    bit for bit.  Stage 0 takes the frame start J (build_JN of the target's
+    spec) and the corner bound ||x_aa - r_aa|| as the lower bound, stage 1
+    the first two starts of inits (identity, spectral) and the larger of the
+    corner bound and the Bhatia-Davis gap, stage 2 the rest (Sylvester).
+    After each stage, and before step 1 and after each step of stage 3, the
+    sample stops once its least bound so far, J's included, is within 1e-11
+    of the lower bound or at most stop_below, or the lower bound exceeds
+    stop_above by more than 1e-11.  In stage 3 the starts run in lockstep,
+    and after each step a start also stops after 5 (2 x 2 non-corner block)
+    or 25 flat steps, or, from step L on (L that stall length), when its best
+    bound b trails the leader bound (the least best bound of the starts, not
+    J) by more than max_iters times its mean gain per step since step t - L.
+    The result is the first start with the least bound, with the iterations
+    of all runs, or J's bound and witness where J's bound is strictly less."""
+    r, alpha = target.representative.entries, target.family.spec.alpha
+    J = build_JN(target.family.spec).entries
+    frame, stall_len = _reference_bound(x, J, r)[0], _stall_len(x, alpha)
+    lower = geometry._op_norm(x[None, :alpha, :alpha] - r[:alpha, :alpha])[0] if alpha else 0.0
+
+    def shut(lead):
+        lead = min(lead, frame)
+        return lead - lower < 1e-11 or lead <= stop_below or lower - stop_above > 1e-11
+
+    def result(runs):
+        op, _, converged, W = min(runs, key=lambda run: run[0], default=(np.inf, 0, True, None))
+        if frame < op:
+            op, W = frame, J
+        return op, sum(run[1] for run in runs), converged, W
+
+    lanes = []
+    for stage, starts in enumerate([[], inits[:2], inits[2:]]):
+        if stage == 1:
+            lower = max(lower, eigenvalue_matching_distance(x, r))
+        lanes += [_ReferenceLane(x, r, alpha, W) for W in starts]
+        if shut(min([lane.best for lane in lanes], default=np.inf)):
+            return result([(lane.best, 0, True, lane.best_W) for lane in lanes])
     runs = [None] * len(lanes)
     lead = min(lane.best for lane in lanes)
     for t in range(max_iters + 1):
@@ -312,7 +338,7 @@ def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=-np.inf,
             for i in running:
                 lanes[i].step()
             lead = min([lead] + [lanes[i].best for i in running])
-        closed = lead - lower < 1e-11 or lead <= stop_below or lower - stop_above > 1e-11
+        closed = shut(lead)
         for i in running:
             b = lanes[i].best
             past = lanes[i].history[t - stall_len] if t >= stall_len else np.inf
@@ -321,9 +347,8 @@ def _reference_conjugacy(x, r, alpha, inits, max_iters=200, stop_below=-np.inf,
                 runs[i] = (b, t, True, lanes[i].best_W)
         if all(runs):
             break
-    runs = [run or (lane.best, max_iters, False, lane.best_W) for run, lane in zip(runs, lanes)]
-    op, _, converged, W = min(runs, key=lambda run: run[0])
-    return op, sum(run[1] for run in runs), converged, W
+    return result([run or (lane.best, max_iters, False, lane.best_W)
+                   for run, lane in zip(runs, lanes)])
 
 
 def _conjugacy_starts(x, r, alpha):
@@ -346,6 +371,12 @@ def _as_lanes(ests):
             np.array([e.converged for e in ests]),
             np.array([e.witness_left.entries for e in ests]),
             np.array([e.witness_right.entries for e in ests]))
+
+
+def _lane_estimates(lanes):
+    """A stacked solver's arrays as per-sample DistanceEstimates."""
+    return [geometry.DistanceEstimate(b, i, c, BlockMatrix(w), BlockMatrix(v))
+            for b, i, c, w, v in zip(*lanes)]
 
 
 def _same_lanes(a, b):
@@ -422,8 +453,22 @@ class TestDistConjugacyStack:
         bound, iters, converged, left, _ = dist_conjugacy_stack(xs, target, stop_below)
         for i, core in enumerate(cores):
             x = core.entries
-            want = _reference_conjugacy(x, r, alpha, _conjugacy_starts(x, r, alpha), max_iters,
+            want = _reference_conjugacy(x, target, _conjugacy_starts(x, r, alpha), max_iters,
                                         stop_below)
+            assert (bound[i], iters[i], converged[i]) == want[:3]
+            assert np.array_equal(left[i], want[3])
+
+    def test_frame_start_replaces_a_higher_loop_result(self):
+        # with no stop, 8 of these 30 samples run the step loop and end above
+        # J's bound: J's bound and witness replace the loop's result, whose
+        # iterations and converged stay, as in the reference
+        cores, target = self._cores(2, 30, seed=4, alpha=1, k=2)
+        r, xs = target.representative.entries, np.stack([c.entries for c in cores])
+        bound, iters, converged, left, _ = dist_conjugacy_stack(xs, target)
+        framed = np.flatnonzero((left == build_JN(target.family.spec).entries).all(axis=(1, 2)))
+        assert len(framed) >= 5 and (iters[framed] > 0).all()
+        for i in framed:
+            want = _reference_conjugacy(xs[i], target, _conjugacy_starts(xs[i], r, 1))
             assert (bound[i], iters[i], converged[i]) == want[:3]
             assert np.array_equal(left[i], want[3])
 
@@ -456,8 +501,10 @@ class TestDistConjugacyStack:
         assert abs(bound - 0.9473151938290134) <= 1e-12
 
     def test_mixed_lanes(self, monkeypatch):
-        # every sample gets all three starts; on the exact samples the identity
-        # start's bound meets the lower bound, so no start takes a step
+        # no sample's frame start closes its bracket, so every sample gets the
+        # identity and spectral starts; on the exact samples the identity
+        # start's bound meets the lower bound, so they take no Sylvester
+        # start and no step, and the others get all three starts
         cores, target = self._cores(8, 6, seed=11)
         r = target.representative.entries
         xs = np.stack([c.entries if i % 2 else r for i, c in enumerate(cores)])
@@ -474,8 +521,8 @@ class TestDistConjugacyStack:
         for name in ("_spectral_match_init", "_min_singular_init"):
             monkeypatch.setattr(geometry, name, spy(name))
         stacked = dist_conjugacy_stack(xs, target)
-        for name in ("_spectral_match_init", "_min_singular_init"):
-            assert np.array_equal(seen[name], xs)
+        assert np.array_equal(seen["_spectral_match_init"], xs)
+        assert np.array_equal(seen["_min_singular_init"], xs[1::2])
         assert _same_lanes(stacked, _as_lanes([
             dist_conjugacy(BlockMatrix(x), target) for x in xs]))
         bound, iters, converged = stacked[:3]
@@ -534,10 +581,10 @@ class TestDistConjugacyStack:
         eye = np.eye(fam.spec.dim, dtype=complex)
         spectral = geometry._spectral_match_init(xs[:1], r, 1)[0][0]
         guess = geometry._blockify_unitary(spectral, 1)
-        op, it, conv, W = _reference_conjugacy(xs[0], r, 1, [eye, spectral, guess], 40)
+        op, it, conv, W = _reference_conjugacy(xs[0], target, [eye, spectral, guess], 40)
         assert (bound[0], iters[0], converged[0]) == (op, it, conv)
         assert np.array_equal(left[0], W)
-        assert op <= _reference_conjugacy(xs[0], r, 1, [eye, spectral], 40)[0]
+        assert op <= _reference_conjugacy(xs[0], target, [eye, spectral], 40)[0]
         assert _same_lanes((bound[1:], iters[1:], converged[1:], left[1:], right[1:]), _as_lanes(
             [dist_conjugacy(BlockMatrix(xs[1]), target)]))
 
@@ -584,6 +631,43 @@ class TestDistConjugacyStack:
                                                 BlockMatrix(stopped[3][i]),
                                                 BlockMatrix(stopped[4][i]))
                 assert abs(verify_estimate(est, cores[i], target) - est.upper_bound) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_far_tails_stop_at_the_frame_start(self, monkeypatch, k):
+        # at N = 10^6, ||A|| is about sqrt(k / N), so J's bound, at most
+        # 2 phi(||A||), lies far below epsilon 0.4: stage 0 decides every
+        # sample, neither the spectral nor the Sylvester start runs, no sample
+        # takes a step, and each reports J, whose bound re-verifies
+        cores, target = self._cores(10**6, 30, seed=k, alpha=1, k=k)
+        xs = np.stack([c.entries for c in cores])
+        seen = []
+        for name in ("_spectral_match_init", "_min_singular_init"):
+            real = getattr(geometry, name)
+            monkeypatch.setattr(geometry, name, lambda x, *args, real=real: (
+                seen.append(len(x)), real(x, *args))[1])
+        stacked = dist_conjugacy_stack(xs, target, stop_below=0.4, stop_above=0.4)
+        bound, iters, converged, left, _ = stacked
+        assert seen == []
+        assert (iters == 0).all() and converged.all() and (bound < 0.05).all()
+        assert (left == build_JN(target.family.spec).entries).all()
+        _check_lane_arrays(stacked, xs, target)
+        for x, est in zip(xs, _lane_estimates(stacked)):
+            assert abs(verify_estimate(est, BlockMatrix(x), target) - est.upper_bound) <= 1e-12
+
+    @pytest.mark.parametrize("N", [8, 64])
+    # the (alpha, k) shapes of the 15-config comparison
+    @pytest.mark.parametrize("alpha,k", [(1, 1), (0, 1), (2, 1), (1, 2), (0, 2)])
+    def test_stage_decided_witnesses_verify(self, alpha, k, N):
+        # with a sweep's stops most samples are decided before any step, by
+        # the frame start J or a later start; each such witness re-verifies
+        cores, target = self._cores(N, 40, seed=N + k, alpha=alpha, k=k)
+        xs = np.stack([c.entries for c in cores])
+        stacked = dist_conjugacy_stack(xs, target, stop_below=0.2, stop_above=0.4)
+        decided = np.flatnonzero(stacked[1] == 0)
+        assert len(decided) >= 10 and stacked[2][decided].all()
+        ests = _lane_estimates(stacked)
+        for i in decided:
+            assert abs(verify_estimate(ests[i], cores[i], target) - ests[i].upper_bound) <= 1e-12
 
     @pytest.mark.parametrize("cap", [0, 3])
     def test_stop_below_stops_by_the_step_that_reaches_it(self, monkeypatch, cap):
@@ -965,12 +1049,13 @@ class TestDistDoubleCosetStack:
 
 def _lower_bounds(xs, target):
     """Each sample's K-invariant lower bound, as its solver forms it: the
-    Bhatia-Davis gap (conjugation) or the corner bound ||x_aa - r_aa||
-    (orthogonal; 0 at alpha = 0)."""
+    corner bound ||x_aa - r_aa|| (0 at alpha = 0), and for conjugation the
+    larger of it and the Bhatia-Davis gap."""
     r, a = target.representative.entries, target.family.spec.alpha
+    corner = geometry._op_norm(xs[:, :a, :a] - r[:a, :a]) if a else np.zeros(len(xs))
     if target.family.kind == "unitary_conjugation":
-        return geometry._spectral_match_init(xs, r, a)[1]
-    return geometry._op_norm(xs[:, :a, :a] - r[:a, :a]) if a else np.zeros(len(xs))
+        return np.maximum(corner, geometry._spectral_match_init(xs, r, a)[1])
+    return corner
 
 
 def _stop_above_stack(kind, alpha, k, N, samples, seed):
