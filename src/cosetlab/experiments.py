@@ -51,7 +51,7 @@ __all__ = [
 # the low end when most lanes stop at the identity start), counted as 175 d^2,
 # and 2 KB plus 235-419 d^2 for the conjugation solver's three lanes (d = 3..9;
 # a full block peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2,
-# a worst case: where frame starts decide most samples, one peaked at 0.19.
+# a worst case: where frame starts decide most samples, one peaked at 0.25.
 # Dense Sylvester maps are built, and the k = 1 Gram sign table is scored, in
 # stacks of at most 512 KiB (``geometry._SCRATCH_BYTES``; a Sylvester chunk may
 # be one lane) and A holds O(k^2) numbers (``haar._block_normals``), so nothing
@@ -247,7 +247,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     median_dist and mean_dist summarize bounds cut off there: a conjugation
     sample's least start bound by the first stage that decides it (0: the
     frame start J, at most 2 phi(||A||), where most far-tail samples stop;
-    1: identity and spectral; 2: Sylvester), an orthogonal one's identity run.
+    1: spectral; 2: Sylvester), an orthogonal one's identity run.
     """
     rows = []
     for N, dists, elapsed in _sweep_distances(cfg):
@@ -354,7 +354,10 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
 
 
 def write_report(report, path, format: str = "csv") -> None:
-    """Write a ConcentrationReport or BlockDecayReport as csv or json."""
+    """Write a ConcentrationReport or BlockDecayReport as csv or json, or
+    raise ValueError naming any other format before writing."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown report format {format!r}; expected 'csv' or 'json'")
     write_text(report.to_csv_text() if format == "csv" else report.to_json_text(), path)
 
 

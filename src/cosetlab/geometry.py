@@ -3,12 +3,12 @@
 Unitary_orthogonal targets get an alternating two-sided Procrustes minimizer
 whose alignment steps respect the diagonal-copy block structure; symmetric
 targets get exact membership by forced propagation between the two subgroup
-factors; conjugation targets get a frame start J and three starts (identity,
-spectral match, structured minimal singular vector) in stages, then a
-fixed-point iteration refining the three in lockstep: a sample stops once its
-bracket closes or a stack call's stops decide it, after any stage or step,
-and a start once it trails its sample's leader too far to catch it at its
-recent pace, as one that no longer gains always does.  One sample rule
+factors; conjugation targets get three starts (the frame start J, spectral
+match, structured minimal singular vector) in stages, then a fixed-point
+iteration refining the three in lockstep: a sample stops once its bracket
+closes or a stack call's stops decide it, after any stage or step, and a
+start once it trails its sample's leader too far to catch it at its recent
+pace, as one that no longer gains always does.  One sample rule
 (``_decided``) compares a sample's bounds with a stack call's stops in both
 unitary solvers.
 Both unitary solvers run on a stack of samples at once
@@ -526,48 +526,42 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
     """Witnessed bounds for every matrix of an (S, d, d) stack, in stages.
 
     Each stage runs on the samples the ones before left open, and after it
-    the sample rule is tested: a sample is decided once its least bound so
-    far (the frame start's included) is within 1e-11 (``_CONJ_EXACT``) of its
-    lower bound, or the rule of both stacked solvers (``_decided``) decides
-    it (that bound at most stop_below, or the lower bound above stop_above by
-    more than 1e-11; a NaN stop, like the defaults, decides none).  Stage 0
-    takes the frame start W = J (``build_JN`` of the target's spec; a sweep
-    core at A = 0 is J r J, so J's bound is at most 2 phi(||A||)) and the
-    corner bound ||x_aa - r_aa|| as the lower bound; stage 1 the identity and
-    spectral starts, the lower bound becoming the larger of the corner bound
-    and the Bhatia-Davis gap; stage 2 the Sylvester start.  Stage 3 refines
-    the three starts (not J) in lockstep, one lane each with its own best
-    conjugator and step count, and tests after every step the sample rule
-    and the lane rule: from step L on (L = 5 on a 2 x 2 non-corner block,
-    k = 1, else 25: ``_CONJ_WINDOW``) a lane leaves once it trails its
-    sample's leader bound (the least best bound of its lanes) by at least
-    ``_MAX_ITERS`` steps at its mean gain over its last L steps, as one that
-    gained nothing in them, the leader too, always does.  A lane still
-    running after 200 steps (``_MAX_ITERS``) is cut.  The first start with
-    the least bound wins, unless J's bound is strictly less (J's bound and
-    witness then replace its own): converged says whether the winning lane
+    the sample rule is tested: a sample is decided once its least bound so far
+    is within 1e-11 (``_CONJ_EXACT``) of its lower bound, or the rule of both
+    stacked solvers (``_decided``) decides it (that bound at most stop_below,
+    or the lower bound above stop_above by more than 1e-11; a NaN stop, like
+    the defaults, decides none).  Stage 0 takes the frame start W = J
+    (``build_JN`` of the target's spec; a sweep core at A = 0 is J r J, so J's
+    bound is at most 2 phi(||A||)) and the corner bound ||x_aa - r_aa|| as
+    the lower bound; stage 1 the spectral start, the lower bound becoming the
+    larger of the corner bound and the Bhatia-Davis gap; stage 2 the
+    Sylvester start.  Stage 3 refines the three starts in lockstep, one lane
+    each with its own best conjugator and step count, and tests after every
+    step the sample rule and the lane rule: from step L on (L = 5 on a 2 x 2
+    non-corner block, k = 1, else 25: ``_CONJ_WINDOW``) a lane leaves once it
+    trails its sample's leader bound (the least best bound of its lanes) by
+    at least ``_MAX_ITERS`` steps at its mean gain over its last L steps, as
+    one that gained nothing in them, the leader too, always does.  A lane
+    still running after 200 steps (``_MAX_ITERS``) is cut.  The first start
+    with the least bound wins: converged says whether the winning lane
     stopped on a rule before the cap, and iterations sums the steps of all
-    the sample's lanes, its cost, as in ``dist_double_coset_stack``; a
-    sample decided before stage 3 takes 0 steps, converged.  A sample's
-    lanes depend on each other, not on the rest of the stack: each sample
-    gets, bit for bit, the estimate of a stack of one with the same stops,
-    and with no stop (the defaults) that of ``dist_conjugacy``, in the arrays
-    of ``dist_double_coset_stack`` with complex witnesses W, W^H.  Memory is
+    the sample's lanes, its cost, as in ``dist_double_coset_stack``; a sample
+    decided before stage 3 takes 0 steps, converged.  A sample's lanes depend
+    on each other, not on the rest of the stack: each sample gets, bit for
+    bit, the estimate of a stack of one with the same stops, and with no stop
+    (the defaults) that of ``dist_conjugacy``, in the arrays of
+    ``dist_double_coset_stack`` with complex witnesses W, W^H.  Memory is
     O(S d^2): each lane holds W, Z = x^H (W r), x^H and its best W, plus a
     few Sylvester maps, O(d^2 (1 + w^2)) each with w = d - alpha, or 512 KiB
     chunks of them: callers bound S.
     """
     x, r = _check_stack(xs, target, "unitary_conjugation")
     alpha, samples, dim = target.family.spec.alpha, len(x), len(r)
-    # stage 0: the frame start J and the corner bound, which K fixes
-    J = build_JN(target.family.spec).entries
-    frame = _op_norm(J - x.conj().swapaxes(-1, -2) @ (J @ r))
-    lower = _op_norm(x[:, :alpha, :alpha] - r[:alpha, :alpha]) if alpha else np.zeros(samples)
-    # lanes in (3, S) start order (identity, spectral match, Sylvester vector),
-    # each with its start's W, Z and bound (inf if no stage reaches it); lead is
+    # lanes in (3, S) start order (J, spectral match, Sylvester vector), each
+    # with its start's W, Z and bound (inf if no stage reaches it); lead is
     # each sample's leader bound
     W_out, Z_out = (np.empty((3 * samples, dim, dim), dtype=complex) for _ in range(2))
-    op_out, lead = np.full(3 * samples, np.inf), np.full(samples, np.inf)
+    op_out = np.full(3 * samples, np.inf)
     iters, converged = np.zeros(3 * samples, dtype=int), np.ones(3 * samples, dtype=bool)
 
     def aligned(W, xh):
@@ -582,16 +576,20 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
         np.minimum.at(lead, lanes % samples, op_out[lanes])
 
     def closed(s):
-        # the sample rule on the samples s, J's bound among their bounds
-        up = np.minimum(lead[s], frame[s])
-        return (up - lower[s] < _CONJ_EXACT) | _decided(up, lower[s], stop_below, stop_above)
+        # the sample rule on the samples s
+        up, low = lead[s], lower[s]
+        return (up - low < _CONJ_EXACT) | _decided(up, low, stop_below, stop_above)
 
+    # stage 0: J's lane, written without start()'s gather of x, and the corner bound
+    J = build_JN(target.family.spec).entries
+    W_out[:samples], Z_out[:samples] = J, x.conj().swapaxes(-1, -2) @ (J @ r)
+    op_out[:samples] = lead = _op_norm(J - Z_out[:samples])
+    lower = _op_norm(x[:, :alpha, :alpha] - r[:alpha, :alpha]) if alpha else np.zeros(samples)
     live = np.flatnonzero(~closed(slice(None)))
-    if len(live):  # stage 1: the identity and spectral starts, and the Bhatia-Davis gap
+    if len(live):  # stage 1: the spectral start and the Bhatia-Davis gap
         spectral, gap = _spectral_match_init(x[live], r, alpha)
         lower[live] = np.maximum(lower[live], gap)
-        start(np.concatenate([live, samples + live]), np.concatenate(
-            [np.broadcast_to(np.eye(dim, dtype=complex), spectral.shape), spectral]))
+        start(samples + live, spectral)
         live = live[~closed(live)]
     if len(live):  # stage 2: the Sylvester start, guessed from the spectral one
         start(2 * samples + live, _min_singular_init(x[live], r, alpha, W_out[samples + live]))
@@ -632,26 +630,24 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
             break
     op_out[lanes], W_out[lanes], iters[lanes], converged[lanes] = best, best_W, _MAX_ITERS, False
 
-    # per sample, the first start with the least bound, or J where it is strictly less
+    # per sample, the first start with the least bound
     win = op_out.reshape(3, samples).argmin(axis=0) * samples + np.arange(samples)
-    bound, W = op_out[win], W_out[win]
-    framed = frame < bound
-    bound[framed], W[framed] = frame[framed], J
-    return (bound, iters.reshape(3, samples).sum(axis=0), converged[win], W,
+    W = W_out[win]
+    return (op_out[win], iters.reshape(3, samples).sum(axis=0), converged[win], W,
             W.conj().swapaxes(-1, -2))
 
 
 def dist_conjugacy(x: BlockMatrix, target: CosetTarget) -> DistanceEstimate:
     """Witnessed upper bound on the distance from x to the conjugacy class of r.
 
-    Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w), tries
-    the frame start J (with no stop it ends the solve only on a closed
-    bracket) and refines three starts in lockstep: the identity, the
-    spectral match of eigenvalues around the circle, and the smallest
-    singular vector of the structured Sylvester map with its copy block
-    projected to the nearest unitary.  Two lower bounds hold: the corner
-    bound ||x_aa - r_aa||, and the matching's largest eigenvalue gap, by
-    Bhatia and Davis the distance to r's unitary orbit (exact at alpha = 0).
+    Uses ||x - W r W^-1|| = ||xW - Wr|| for unitary W = diag(1_alpha, w) and
+    refines three starts in lockstep: the frame start J (a sweep core at
+    A = 0 is J r J), the spectral match of eigenvalues around the circle,
+    and the smallest singular vector of the structured Sylvester map with
+    its copy block projected to the nearest unitary.  Two lower bounds hold:
+    the corner bound ||x_aa - r_aa||, and the matching's largest eigenvalue
+    gap, by Bhatia and Davis the distance to r's unitary orbit (exact at
+    alpha = 0).
     Each start runs the fixed-point iteration W <- blockified polar of
     x^H W r, which is not monotone (its bound can rise from one step to the
     next), so each start keeps its own best conjugator, which a step

@@ -27,7 +27,9 @@ from cosetlab.cosets import (
 )
 from cosetlab.geometry import (
     dist_conjugacy,
+    dist_conjugacy_stack,
     dist_double_coset,
+    dist_double_coset_stack,
     eigenvalue_matching_distance,
     sym_membership,
     verify_estimate,
@@ -426,10 +428,20 @@ class TestSampleCore:
         core_fam = fam.with_n_tail(k)
         gen = RandomStream(12, 10 * alpha + k).generator()
         g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
-        r = circ_N(g, h, core_fam).representative.entries
+        target = circ_N(g, h, core_fam)
+        r = target.representative.entries
         J = build_JN(core_fam.spec).entries
         at_zero = J @ r @ J if kind == "unitary_conjugation" else J @ r
-        assert np.abs(sample_core_stack(g, h, fam, np.zeros((3, k, k))) - at_zero).max() <= 1e-15
+        zero = sample_core_stack(g, h, fam, np.zeros((3, k, k)))
+        assert np.abs(zero - at_zero).max() <= 1e-15
+        # both stacked solvers read d(core(0)) as rounding; the conjugation
+        # one at its first start, J, before any step
+        if kind == "unitary_conjugation":
+            bound, iters, _, left, _ = dist_conjugacy_stack(zero, target)
+            assert (iters == 0).all() and (left == J).all()
+        else:
+            bound = dist_double_coset_stack(zero, target)[0]
+        assert (bound <= 1e-12).all()
         # 40 blocks A of norms in [0.05, 1], the last of norm 1 to rounding;
         # real ones for the orthogonal family, as its draws are
         a = gen.standard_normal((40, k, k))
