@@ -49,9 +49,9 @@ __all__ = [
 # sample of core dimension d, tracemalloc (solvers capped at 2 steps) reads
 # 93-165 d^2 bytes for the Procrustes solver, draw and core included (d = 3..17;
 # the low end when most lanes stop at the identity start), counted as 175 d^2,
-# and 2 KB plus 235-419 d^2 for the conjugation solver's three lanes (d = 3..9;
-# a full block peaks at 0.65-0.87 of this budget), counted as 2 KB + 480 d^2,
-# a worst case: where frame starts decide most samples, one peaked at 0.25.
+# and 2 KB plus 234-409 d^2 for the conjugation solver's three lanes (d = 3..9,
+# alpha = 1; a full block peaks at 0.65-0.86 of this budget), counted as 2 KB +
+# 480 d^2, a worst case: where frame starts decide most samples, one peaked at 0.21.
 # Dense Sylvester maps are built, and the k = 1 Gram sign table is scored, in
 # stacks of at most 512 KiB (``geometry._SCRATCH_BYTES``; a Sylvester chunk may
 # be one lane) and A holds O(k^2) numbers (``haar._block_normals``), so nothing

@@ -5,12 +5,11 @@ whose alignment steps respect the diagonal-copy block structure; symmetric
 targets get exact membership by forced propagation between the two subgroup
 factors; conjugation targets get three starts (the frame start J, spectral
 match, structured minimal singular vector) in stages, then a fixed-point
-iteration refining the three in lockstep: a sample stops once its bracket
-closes or a stack call's stops decide it, after any stage or step, and a
-start once it trails its sample's leader too far to catch it at its recent
-pace, as one that no longer gains always does.  One sample rule
-(``_decided``) compares a sample's bounds with a stack call's stops in both
-unitary solvers.
+iteration refining the three in lockstep: a sample stops once the sample
+rule decides it, after any stage or step, and a start once it trails its
+sample's leader too far to catch it at its recent pace.  One sample rule
+(``_decided``), the only code that compares a sample's bounds with each
+other or with a stack call's stops, serves both unitary solvers.
 Both unitary solvers run on a stack of samples at once
 (``dist_double_coset_stack`` and ``dist_conjugacy_stack``, which take the
 sweep's stops, return one array per estimate field and state the stop rules
@@ -96,12 +95,18 @@ _MAX_ITERS = 200
 
 
 def _decided(upper, lower, stop_below, stop_above):
-    """The sample rule of both stacked solvers: whether each sample's sweep
-    verdict is known, as its witnessed upper bound is at most stop_below (a hit
-    at every epsilon) or its lower bound exceeds stop_above by more than
-    ``_CONJ_EXACT`` (a miss at every epsilon).  Every comparison with a NaN
-    stop is False, so a NaN stop decides nothing, as the +-inf defaults."""
-    return (upper <= stop_below) | (lower - stop_above > _CONJ_EXACT)
+    """The sample rule of both stacked solvers: whether each sample is done, as
+    its witnessed upper bound is within ``_CONJ_EXACT`` of its lower bound (a
+    closed bracket) or at most stop_below (a hit at every epsilon), or its lower
+    bound exceeds stop_above by more than ``_CONJ_EXACT`` (a miss at every
+    epsilon).  Comparisons with a NaN stop are False, as with the +-inf defaults."""
+    return (upper - lower < _CONJ_EXACT) | (upper <= stop_below) | (lower - stop_above > _CONJ_EXACT)
+
+
+def _corner_bound(x, r, alpha):
+    """||x_aa - r_aa|| per sample (0 at alpha = 0): as K fixes the corner, a lower
+    bound on both distances, for any x."""
+    return _op_norm(x[:, :alpha, :alpha] - r[:alpha, :alpha]) if alpha else np.zeros(len(x))
 
 
 def _check_stack(xs, target: CosetTarget, kind: str):
@@ -350,11 +355,10 @@ def dist_double_coset_stack(xs, target: CosetTarget, stop_below: float = -np.inf
     both stacked solvers (``_decided``) decides it, from both Gram starts,
     searched and refined as one stack of two lanes per sample over chunks of
     at most max(1, ceil(S/3)) samples, so from S = 2 on the pair never runs
-    more lanes than the identity run.  The rule decides a sample whose
-    identity-run bound is at most stop_below, or whose corner bound
-    ||x_aa - r_aa|| (0 at alpha = 0; a lower bound, as K fixes the corner)
-    exceeds stop_above by more than 1e-11 (``_CONJ_EXACT``); a NaN stop, like
-    the defaults, decides none.
+    more lanes than the identity run.  The rule reads the identity-run bound
+    and the corner bound (``_corner_bound``): it decides a sample whose first
+    is within 1e-11 (``_CONJ_EXACT``) of the second or at most stop_below, or
+    whose second exceeds stop_above by more than 1e-11.
     A run stops, converged, once its Frobenius residual f is at most
     stop_below or a step gains less than max(1e-3 f, 1e-12) (``_REL_GAIN``,
     ``_NO_GAIN``), and is cut, unconverged, after 200 steps (``_MAX_ITERS``).
@@ -372,8 +376,7 @@ def dist_double_coset_stack(xs, target: CosetTarget, stop_below: float = -np.inf
     layout = _CopyLayout(target.family.spec)
     bound, u, v, iters, converged = _alternate_stack(
         x, r, layout, np.tile(np.eye(layout.w), (len(x), 1, 1)), stop_below)
-    a = layout.alpha
-    corner = _op_norm(x[:, :a, :a] - r[:a, :a]) if a else np.zeros(len(x))
+    corner = _corner_bound(x, r, layout.alpha)
     above = np.flatnonzero(~_decided(bound, corner, stop_below, stop_above))
     chunk = max(1, -(-len(x) // 3))
     for i in range(0, len(above), chunk):
@@ -525,79 +528,73 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
                          stop_above: float = np.inf) -> tuple:
     """Witnessed bounds for every matrix of an (S, d, d) stack, in stages.
 
-    Each stage runs on the samples the ones before left open, and after it
-    the sample rule is tested: a sample is decided once its least bound so far
-    is within 1e-11 (``_CONJ_EXACT``) of its lower bound, or the rule of both
-    stacked solvers (``_decided``) decides it (that bound at most stop_below,
-    or the lower bound above stop_above by more than 1e-11; a NaN stop, like
-    the defaults, decides none).  Stage 0 takes the frame start W = J
-    (``build_JN`` of the target's spec; a sweep core at A = 0 is J r J, so J's
-    bound is at most 2 phi(||A||)) and the corner bound ||x_aa - r_aa|| as
-    the lower bound; stage 1 the spectral start, the lower bound becoming the
-    larger of the corner bound and the Bhatia-Davis gap; stage 2 the
+    Each stage runs one start on the samples the ones before left open, and
+    after it the sample rule of both stacked solvers (``_decided``) is tested
+    on each sample's least bound so far and its lower bound: it decides a
+    sample whose first is within 1e-11 (``_CONJ_EXACT``) of the second or at
+    most stop_below, or whose second exceeds stop_above by more than 1e-11.
+    Stage 0 takes the frame start W = J (``build_JN`` of the target's spec; a
+    sweep core at A = 0 is J r J, so J's bound is at most 2 phi(||A||)) and
+    the corner bound (``_corner_bound``) as the lower bound; stage 1 the
+    spectral start, the lower bound becoming the larger of the corner bound
+    and the Bhatia-Davis gap (a lower bound for unitary x only); stage 2 the
     Sylvester start.  Stage 3 refines the three starts in lockstep, one lane
     each with its own best conjugator and step count, and tests after every
     step the sample rule and the lane rule: from step L on (L = 5 on a 2 x 2
     non-corner block, k = 1, else 25: ``_CONJ_WINDOW``) a lane leaves once it
-    trails its sample's leader bound (the least best bound of its lanes) by
-    at least ``_MAX_ITERS`` steps at its mean gain over its last L steps, as
-    one that gained nothing in them, the leader too, always does.  A lane
-    still running after 200 steps (``_MAX_ITERS``) is cut.  The first start
-    with the least bound wins: converged says whether the winning lane
-    stopped on a rule before the cap, and iterations sums the steps of all
-    the sample's lanes, its cost, as in ``dist_double_coset_stack``; a sample
-    decided before stage 3 takes 0 steps, converged.  A sample's lanes depend
-    on each other, not on the rest of the stack: each sample gets, bit for
-    bit, the estimate of a stack of one with the same stops, and with no stop
-    (the defaults) that of ``dist_conjugacy``, in the arrays of
+    trails its sample's leader bound (the least best bound of its lanes) by at
+    least ``_MAX_ITERS`` steps at its mean gain over its last L steps, as one
+    that gained nothing in them, the leader too, always does.  A lane still
+    running after 200 steps (``_MAX_ITERS``) is cut.  The first start with the
+    least bound wins: converged says whether the winning lane stopped on a
+    rule before the cap, and iterations sums the steps of all the sample's
+    lanes, its cost, as in ``dist_double_coset_stack``; a sample decided
+    before stage 3 takes 0 steps, converged.  A sample's lanes depend on each
+    other, not on the rest of the stack: each sample gets, bit for bit, the
+    estimate of a stack of one with the same stops, and with no stop (the
+    defaults) that of ``dist_conjugacy``, in the arrays of
     ``dist_double_coset_stack`` with complex witnesses W, W^H.  Memory is
-    O(S d^2): each lane holds W, Z = x^H (W r), x^H and its best W, plus a
+    O(S d^2): a lane holds W, its best W and x^H, in stage 3 also Z, plus a
     few Sylvester maps, O(d^2 (1 + w^2)) each with w = d - alpha, or 512 KiB
     chunks of them: callers bound S.
     """
     x, r = _check_stack(xs, target, "unitary_conjugation")
     alpha, samples, dim = target.family.spec.alpha, len(x), len(r)
+    xh = x.conj().swapaxes(-1, -2)
     # lanes in (3, S) start order (J, spectral match, Sylvester vector), each
-    # with its start's W, Z and bound (inf if no stage reaches it); lead is
-    # each sample's leader bound
-    W_out, Z_out = (np.empty((3 * samples, dim, dim), dtype=complex) for _ in range(2))
-    op_out = np.full(3 * samples, np.inf)
+    # with its start's W and bound (inf if no stage reaches it); lead is each
+    # sample's leader bound
+    W_out = np.empty((3 * samples, dim, dim), dtype=complex)
+    op_out, lead = np.full(3 * samples, np.inf), np.full(samples, np.inf)
     iters, converged = np.zeros(3 * samples, dtype=int), np.ones(3 * samples, dtype=bool)
+    lower = _corner_bound(x, r, alpha)
 
     def aligned(W, xh):
-        # Z = x^H (W r), with W r as one product over the whole stack: for
-        # unitary x and W, ||x - W r W^H|| = ||xW - Wr|| = ||W - Z||, and Z's
-        # non-corner block is the next step's polar input
+        # Z = x^H (W r), with W r as one product over the whole stack: as
+        # W^H - r^H W^H x = r^H W^H (W r W^H - x), ||x - W r W^H|| = ||W - Z||
+        # for any x; Z's non-corner block is the next step's polar input
         return xh @ (W.reshape(-1, dim) @ r).reshape(W.shape)
 
-    def start(lanes, W):
-        W_out[lanes], Z_out[lanes] = W, aligned(W, x[lanes % samples].conj().swapaxes(-1, -2))
-        op_out[lanes] = _op_norm(W - Z_out[lanes])
-        np.minimum.at(lead, lanes % samples, op_out[lanes])
+    def start(lanes, s, W):
+        # the start W on the lanes of the samples s; returns those still open
+        W_out[lanes], op_out[lanes] = W, _op_norm(W - aligned(W, xh[s]))
+        lead[s] = np.minimum(lead[s], op_out[lanes])
+        return np.arange(samples)[s][~_decided(lead[s], lower[s], stop_below, stop_above)]
 
-    def closed(s):
-        # the sample rule on the samples s
-        up, low = lead[s], lower[s]
-        return (up - low < _CONJ_EXACT) | _decided(up, low, stop_below, stop_above)
-
-    # stage 0: J's lane, written without start()'s gather of x, and the corner bound
-    J = build_JN(target.family.spec).entries
-    W_out[:samples], Z_out[:samples] = J, x.conj().swapaxes(-1, -2) @ (J @ r)
-    op_out[:samples] = lead = _op_norm(J - Z_out[:samples])
-    lower = _op_norm(x[:, :alpha, :alpha] - r[:alpha, :alpha]) if alpha else np.zeros(samples)
-    live = np.flatnonzero(~closed(slice(None)))
+    # stage 0: J's lanes, and the corner bound as the lower bound
+    live = start(slice(samples), slice(samples), build_JN(target.family.spec).entries)
     if len(live):  # stage 1: the spectral start and the Bhatia-Davis gap
         spectral, gap = _spectral_match_init(x[live], r, alpha)
         lower[live] = np.maximum(lower[live], gap)
-        start(samples + live, spectral)
-        live = live[~closed(live)]
+        live = start(samples + live, live, spectral)
     if len(live):  # stage 2: the Sylvester start, guessed from the spectral one
-        start(2 * samples + live, _min_singular_init(x[live], r, alpha, W_out[samples + live]))
-        live = live[~closed(live)]
+        live = start(2 * samples + live, live,
+                     _min_singular_init(x[live], r, alpha, W_out[samples + live]))
     # stage 3: the step loop on the lanes of the samples left
     lanes = np.concatenate([live, samples + live, 2 * samples + live])
-    own, W, Z, best = lanes % samples, W_out[lanes], Z_out[lanes], op_out[lanes]
-    xh, best_W = x[own].conj().swapaxes(-1, -2), W.copy()
+    own, W, best = lanes % samples, W_out[lanes], op_out[lanes]
+    xh, best_W = xh[own], W.copy()
+    Z = aligned(W, xh)
     window = _CONJ_WINDOW if dim - alpha == 2 else _CONJ_WINDOW_WIDE
     # each lane's best bound of the last window steps (slot t % window holds
     # step t's; inf before step 0 retires no lane)
@@ -618,7 +615,7 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
             pace = _MAX_ITERS * (past[t % window] - best) / window
             past[t % window] = best
         # the sample rule, then the lane rule
-        stop = closed(own) | (best - lead[own] >= pace)
+        stop = _decided(lead[own], lower[own], stop_below, stop_above) | (best - lead[own] >= pace)
         if stop.any():
             done, keep = lanes[stop], np.flatnonzero(~stop)
             op_out[done], W_out[done], iters[done] = best[stop], best_W[stop], t
@@ -645,17 +642,18 @@ def dist_conjugacy(x: BlockMatrix, target: CosetTarget) -> DistanceEstimate:
     A = 0 is J r J), the spectral match of eigenvalues around the circle,
     and the smallest singular vector of the structured Sylvester map with
     its copy block projected to the nearest unitary.  Two lower bounds hold:
-    the corner bound ||x_aa - r_aa||, and the matching's largest eigenvalue
-    gap, by Bhatia and Davis the distance to r's unitary orbit (exact at
-    alpha = 0).
+    the corner bound ||x_aa - r_aa||, and for unitary x the matching's largest
+    eigenvalue gap, by Bhatia and Davis the distance to r's unitary orbit
+    (exact at alpha = 0).
     Each start runs the fixed-point iteration W <- blockified polar of
     x^H W r, which is not monotone (its bound can rise from one step to the
     next), so each start keeps its own best conjugator, which a step
     replaces only when it gains more than ``_NO_GAIN``.  A step forms
-    Z = x^H (W r) once: its bound ||W - Z||, equal to ||xW - Wr|| for unitary
-    x, is the root of the top eigenvalue of that matrix's Gram matrix (one
-    Hermitian eigensolve), and the next step takes the polar factor of Z's
-    non-corner block, in closed form for a 2 x 2 block, else by the SVD.
+    Z = x^H (W r) once: its bound ||W - Z||, equal to ||x - W r W^H|| for
+    any x as W and r are unitary, is the root of the top eigenvalue of that
+    matrix's Gram matrix (one Hermitian eigensolve), and the next step takes
+    the polar factor of Z's non-corner block, in closed form for a 2 x 2
+    block, else by the SVD.
     When the Sylvester start's ARPACK solve (non-corner size above 34) does
     not converge, that lane starts from the spectral guess.  A full solve, no
     stop: ``dist_conjugacy_stack`` on a stack of one, whose docstring states

@@ -32,6 +32,7 @@ from cosetlab.haar import (
     uniform_permutation,
 )
 from cosetlab.hypergroup_exact import concentration_exact
+import comparison_table
 from testkit import fractions_by_N, zeroed_runtime
 
 
@@ -583,7 +584,7 @@ class TestRunConcentration:
 
     @pytest.mark.parametrize("family,k,samples,eps,N_list", [
         # at epsilon 0.4 the frame start decides most k = 1 conjugation samples
-        # (the block then peaked at 0.25 budgets), at 1e-9 none
+        # (the block then peaked at 0.21 budgets), at 1e-9 none
         ("unitary_conjugation", 1, 2000, 1e-9, (8,)), ("unitary_conjugation", 2, 400, 0.4, (8,)),
         ("unitary_orthogonal", 1, 3000, 0.4, (8,)), ("unitary_orthogonal", 2, 1200, 0.4, (8,)),
         ("unitary_orthogonal", 4, 600, 0.4, (8,)),
@@ -684,35 +685,136 @@ class TestRunConcentration:
             run_concentration(cfg)
 
 
-# The 15-config comparison's verdicts: per family and (alpha, k), for seeds
-# 1-3, the hits of 150 samples at (N, epsilon) = (8, 0.2), (8, 0.4), (64, 0.2)
-# and (64, 0.4), m = 1, random g and h.  Solver changes are gated on these
-# counts: a change that moves one re-pins it and lists each move.
-COMPARISON_HITS = {
+# The 15-config comparison's rows (``comparison_table``): per family and
+# (alpha, k), for seeds 1-3, the hits of 150 samples at (N, epsilon) = (8, 0.2),
+# (8, 0.4), (64, 0.2) and (64, 0.4), and (median_dist, mean_dist) at N = 8 and
+# 64.  Solver changes are gated on these rows: a change that moves one re-pins
+# the table with ``python tests/comparison_table.py`` and lists each move.
+COMPARISON_ROWS = {
     "unitary_orthogonal": {
-        (1, 1): ([92, 142, 149, 150], [92, 138, 149, 150], [138, 150, 150, 150]),
-        (0, 1): ([137, 149, 150, 150], [150, 150, 150, 150], [150, 150, 150, 150]),
-        (2, 1): ([89, 142, 149, 150], [89, 136, 149, 150], [85, 140, 148, 150]),
-        (1, 2): ([34, 114, 142, 150], [19, 86, 123, 150], [13, 72, 113, 150]),
-        (0, 2): ([58, 124, 150, 150], [126, 150, 150, 150], [138, 150, 150, 150]),
+        (1, 1): (
+            ([92, 142, 149, 150],
+             [(0.148685313989486, 0.178714659789572), (0.0540965984840701, 0.0628630304492323)]),
+            ([92, 138, 149, 150],
+             [(0.159568546472302, 0.182090294848973), (0.0570605029532424, 0.0640164825102118)]),
+            ([138, 150, 150, 150],
+             [(0.0861704123609877, 0.0976994710531101), (0.0301545625583092, 0.0348247737714567)]),
+        ),
+        (0, 1): (
+            ([137, 149, 150, 150],
+             [(0.0994973620371071, 0.102566488487906), (0.0349158132380481, 0.0402906683719292)]),
+            ([150, 150, 150, 150],
+             [(0.0120429814703023, 0.0214970702059695), (0.00191240442753004, 0.00314286170518572)]),
+            ([150, 150, 150, 150],
+             [(0.00572353550757992, 0.00954766651301791), (0.0013062373796181, 0.00183929647505948)]),
+        ),
+        (2, 1): (
+            ([89, 142, 149, 150],
+             [(0.157670680294396, 0.184752821052869), (0.055821182815481, 0.06508207975828)]),
+            ([89, 136, 149, 150],
+             [(0.163622228049339, 0.186567330898282), (0.0587935915796367, 0.0654824675743944)]),
+            ([85, 140, 148, 150],
+             [(0.168225039111947, 0.192078950313336), (0.0637859521512177, 0.0725333051696254)]),
+        ),
+        (1, 2): (
+            ([34, 114, 142, 150],
+             [(0.293943193337946, 0.311196997770257), (0.109414960423945, 0.11493398199742)]),
+            ([19, 86, 123, 150],
+             [(0.37105713064298, 0.399354439838453), (0.136678702943897, 0.145920331591291)]),
+            ([13, 72, 113, 150],
+             [(0.415728874235247, 0.423125683857044), (0.150865266127354, 0.154458466815298)]),
+        ),
+        (0, 2): (
+            ([58, 124, 150, 150],
+             [(0.233635688864639, 0.270389748601477), (0.11038458701672, 0.109647479243)]),
+            ([126, 150, 150, 150],
+             [(0.144464967046261, 0.158735929328086), (0.0863787363662559, 0.0858664096311408)]),
+            ([138, 150, 150, 150],
+             [(0.118603999090112, 0.125331277672639), (0.0720748181386936, 0.0748591321215854)]),
+        ),
     },
     "unitary_conjugation": {
-        (1, 1): ([103, 148, 150, 150], [99, 148, 149, 150], [147, 150, 150, 150]),
-        (0, 1): ([57, 102, 148, 150], [80, 127, 149, 150], [150, 150, 150, 150]),
-        (2, 1): ([88, 147, 150, 150], [74, 142, 149, 150], [42, 121, 144, 150]),
-        (1, 2): ([8, 56, 90, 149], [2, 33, 63, 141], [4, 73, 112, 150]),
-        (0, 2): ([80, 137, 150, 150], [82, 127, 150, 150], [134, 149, 150, 150]),
+        (1, 1): (
+            ([103, 148, 150, 150],
+             [(0.178604341433829, 0.188771895826565), (0.0810685968880065, 0.0907790592375868)]),
+            ([99, 148, 149, 150],
+             [(0.183259593426212, 0.183688217125466), (0.0726907324599193, 0.0744571803906018)]),
+            ([147, 150, 150, 150],
+             [(0.120087130005807, 0.115622931993389), (0.0418100736677806, 0.0430265636180683)]),
+        ),
+        (0, 1): (
+            ([57, 102, 148, 150],
+             [(0.258353226111176, 0.319788613727835), (0.117192451748643, 0.118305723093021)]),
+            ([80, 127, 149, 150],
+             [(0.182363763289538, 0.229373841725703), (0.0732702650326743, 0.0871443460755931)]),
+            ([150, 150, 150, 150],
+             [(0.0278001196558684, 0.0274857297645324), (0.00976817655736895, 0.0100419144583858)]),
+        ),
+        (2, 1): (
+            ([88, 147, 150, 150],
+             [(0.191703370577925, 0.197347036569348), (0.0691489447185117, 0.0779250042320598)]),
+            ([74, 142, 149, 150],
+             [(0.201420279496611, 0.222415629664277), (0.088404420321577, 0.0902465345349398)]),
+            ([42, 121, 144, 150],
+             [(0.280874797010255, 0.288975823009271), (0.124570339566446, 0.123664188246223)]),
+        ),
+        (1, 2): (
+            ([8, 56, 90, 149],
+             [(0.484299992166075, 0.590386610948177), (0.190217477672732, 0.202238114924454)]),
+            ([2, 33, 63, 141],
+             [(0.667790440716686, 0.693634007558369), (0.211222738780752, 0.237627012752521)]),
+            ([4, 73, 112, 150],
+             [(0.410920957243843, 0.502608713880291), (0.172749952929727, 0.179482734369963)]),
+        ),
+        (0, 2): (
+            ([80, 137, 150, 150],
+             [(0.185121308875251, 0.202359555758339), (0.0353688196013267, 0.0522917082360625)]),
+            ([82, 127, 150, 150],
+             [(0.17848974048674, 0.219992811222075), (0.0424273915287757, 0.0602655736354481)]),
+            ([134, 149, 150, 150],
+             [(0.0921116771227828, 0.108403559425093), (0.0728791140519435, 0.09006119872055)]),
+        ),
     },
 }
 
 
-@pytest.mark.parametrize("family", sorted(COMPARISON_HITS))
-@pytest.mark.parametrize("alpha,k", [(1, 1), (0, 1), (2, 1), (1, 2), (0, 2)])
-def test_comparison_hits_pinned(family, alpha, k):
-    for seed, want in enumerate(COMPARISON_HITS[family][alpha, k], start=1):
-        cfg = ExperimentConfig(family=family, alpha=alpha, k=k, m=1, N_list=(8, 64),
-                               epsilon_list=(0.2, 0.4), samples=150, seed=seed)
-        assert [row.hits for row in run_concentration(cfg).rows] == list(want), seed
+def _two_phi(s):
+    # 2 phi(s), phi(s) = sqrt(2 - 2 sqrt(1 - s^2)): ||core(A) - core(0)|| <= 2 phi(||A||)
+    return 2.0 * np.sqrt(2.0 - 2.0 * np.sqrt(np.maximum(1.0 - s * s, 0.0)))
+
+
+@pytest.mark.parametrize("family", comparison_table.FAMILIES)
+@pytest.mark.parametrize("alpha,k", comparison_table.SHAPES)
+def test_comparison_hits_pinned(monkeypatch, family, alpha, k):
+    # every row, and the radius check: core(0) lies in the target's coset and a
+    # core is within 2 phi(||A||) of it, so every sample with 2 phi(||A||) <= epsilon
+    # is a hit at epsilon; A and the distances are the sweep's own, recorded as
+    # it draws and solves them
+    blocks, sweeps = [], []
+
+    def record(into, real):
+        def recorded(*args):
+            into.append(real(*args))
+            return into[-1]
+        return recorded
+
+    monkeypatch.setattr(experiments, "_top_blocks", record(blocks, experiments._top_blocks))
+    monkeypatch.setattr(experiments, "_sweep_distances",
+                        record(sweeps, experiments._sweep_distances))
+    inside = 0
+    for seed, (hits, dists) in zip(comparison_table.SEEDS, COMPARISON_ROWS[family][alpha, k]):
+        cfg = comparison_table.config(family, alpha, k, seed)
+        rows = run_concentration(cfg).rows
+        assert [row.hits for row in rows] == hits, seed
+        assert [(row.median_dist, row.mean_dist) for row in rows] == [
+            pytest.approx(pair, rel=1e-12) for pair in dists for _ in cfg.epsilon_list], seed
+        radius = _two_phi(np.linalg.norm(np.concatenate(blocks), 2, axis=(1, 2)))
+        dist = np.concatenate([d for _, d, _ in sweeps.pop()])
+        for eps in cfg.epsilon_list:
+            assert (dist[radius <= eps] <= eps).all(), (seed, eps)
+            inside += np.count_nonzero(radius <= eps)
+        blocks.clear()
+    assert inside
 
 
 class TestReports:

@@ -244,6 +244,25 @@ def test_non_finite_entry_rejected(solver, where, bad):
         solver(xs if solver.__name__.endswith("_stack") else BlockMatrix(xs[1]), target)
 
 
+@pytest.mark.parametrize("lone", [dist_double_coset, dist_conjugacy])
+@pytest.mark.parametrize("alpha,k", [(0, 1), (1, 1), (2, 2)])
+def test_non_unitary_samples_reverify(lone, alpha, k):
+    # the solvers take any finite x: a conjugation bound ||W - Z||, with
+    # Z = x^H (W r), equals ||x - W r W^H|| for any x, as W and r are unitary,
+    # and an orthogonal bound is ||x - U r V|| itself, so witnesses re-verify
+    # off the group too (only the Bhatia-Davis gap needs a unitary x)
+    kind = "unitary_conjugation" if lone is dist_conjugacy else "unitary_orthogonal"
+    gen = RandomStream(12, 0).generator()
+    fam = GroupFamily(kind, BlockSpec(alpha, k, k, 1))
+    g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
+    target = circ_N(g, h, fam)
+    d = target.representative.dim
+    for scale in (1e-3, 1.0, 1e3):
+        x = BlockMatrix(scale * (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))))
+        est = lone(x, target)
+        assert abs(verify_estimate(est, x, target) - est.upper_bound) <= 1e-12 * est.upper_bound
+
+
 def _reference_bound(x, W, r):
     """||x - W r W^H|| as the solver forms it: ||W - Z|| with Z = x^H (W r),
     from the top eigenvalue of its Gram matrix; and Z, the next step's input."""
@@ -857,9 +876,10 @@ def _reference_procrustes_run(x, target, v, max_iters=200, stop_below=-np.inf):
 
 def _reference_double_coset(x, target, stop_below=-np.inf, stop_above=np.inf, **kwargs):
     """The per-sample solver, one start after another: the identity, then the
-    two Gram starts unless the identity's bound is at most stop_below or the
-    corner bound ||x_aa - r_aa|| exceeds stop_above by more than 1e-11; the
-    first least bound wins, with the iterations of all runs.  The reference
+    two Gram starts unless the identity's bound is at most stop_below or
+    within 1e-11 of the corner bound ||x_aa - r_aa||, or the corner bound
+    exceeds stop_above by more than 1e-11; the first least bound wins, with
+    the iterations of all runs.  The reference
     the stacked Procrustes solver must match bit for bit."""
     spec = target.family.spec
     layout = geometry._CopyLayout(spec)
@@ -868,7 +888,7 @@ def _reference_double_coset(x, target, stop_below=-np.inf, stop_above=np.inf, **
     best = _reference_procrustes_run(x, target, np.eye(layout.w), stop_below=stop_below,
                                      **kwargs)
     steps = best[3]
-    if best[0] > stop_below and corner - stop_above <= 1e-11:
+    if best[0] > stop_below and corner - stop_above <= 1e-11 and best[0] - corner >= 1e-11:
         for v in geometry._gram_starts(x[None], target.representative.entries, layout):
             result = _reference_procrustes_run(x, target, v[0], stop_below=stop_below, **kwargs)
             steps += result[3]
@@ -996,6 +1016,37 @@ class TestDistDoubleCosetStack:
         eye = np.eye(target.family.spec.copy_size)
         identity = [_reference_procrustes_run(x, target, eye)[0] for x in xs]
         assert np.count_nonzero(stacked[0] < identity) >= 3
+
+    def test_mixed_lanes(self, monkeypatch):
+        # the twin of the conjugation test: the x = r samples close their
+        # bracket at the identity run (its bound within 1e-11 of the corner
+        # bound, 0), so with no stop only the others take the Gram starts;
+        # with stops (0.05, 0.1) sample 7 is also a hit at the identity run
+        # and sample 3 a certified miss (corner bound 0.134), which leaves
+        # samples 1, 5, 9 and 11 open
+        cores, target = self._cores(1, 1, 1, samples=12)
+        r = target.representative.entries
+        xs = np.stack([x if i % 2 else r for i, x in enumerate(cores)])
+        seen, gram_starts = [], geometry._gram_starts
+
+        def spy(x, *args):
+            seen.append(x.copy())
+            return gram_starts(x, *args)
+
+        monkeypatch.setattr(geometry, "_gram_starts", spy)
+        for stops, open_samples in [((-np.inf, np.inf), [1, 3, 5, 7, 9, 11]),
+                                    ((0.05, 0.1), [1, 5, 9, 11])]:
+            seen.clear()
+            stacked = dist_double_coset_stack(xs, target, *stops)
+            # in chunks of at most ceil(13/3) = 5 samples
+            assert np.array_equal(np.concatenate(seen), xs[open_samples]), stops
+            assert _same_lanes(stacked, _as_lanes(
+                [_reference_double_coset(x, target, *stops) for x in xs]))
+        bound, _, converged = stacked[:3]
+        corner = geometry._corner_bound(xs, r, 1)
+        assert (bound[::2] < 1e-11).all() and (corner[::2] == 0).all() and converged[::2].all()
+        assert bound[7] <= 0.05 < bound[3] and corner[3] > 0.1 + 1e-11
+        assert (bound[open_samples] > 0.05).all() and (corner[open_samples] <= 0.1).all()
 
     def test_run_concentration_matches_reference(self, monkeypatch):
         # the sweep's report, in its own blocks and in blocks of 7, against one
