@@ -23,10 +23,13 @@ from .blockmat import BlockSpec, embed, load_source, tail_sizes
 from .cosets import GroupFamily, circ_N, sample_core, sample_core_stack
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import (
+    _CHUNK,
     RandomStream,
     _block_normals,
-    _core_patterns,
+    _chunk_streams,
     _draw,
+    _pattern_draw,
+    _patterns_at,
     _sample_rows,
     _top_blocks,
 )
@@ -230,13 +233,18 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     with the sweep's stops on that sample's A, so each N's rows are those of
     a sweep over that N alone.
     A row's runtime_s is the sum of its N's per-sample time shares: each
-    chunk's draw and QR (symmetric: pattern draw and membership tests) time,
-    and each block's core and solve time, is spread evenly over the samples
-    it served.
+    unitary chunk's draw and QR time, and each block's core and solve time,
+    is spread evenly over the samples it served.
     A symmetric sample's pattern, ``cosets.core_images`` of its middle
     permutation's k active images, is drawn directly from its law
-    (``haar._core_patterns``); each pattern's membership is tested once per
-    sweep, at its first sample, and reused for every later sample and N
+    (``haar._core_patterns``).  Only the pattern's tail thresholds depend on
+    N, so the symmetric sweep runs chunk by chunk: each chunk's uniforms and
+    their order are drawn once (``haar._pattern_draw``), and every N derives
+    its patterns from that one draw (``haar._patterns_at``).  The draw's
+    time is spread evenly over the chunk's samples at every N, and each N's
+    pattern pass and membership tests over that N's samples of the chunk.
+    Each pattern's membership is tested once per sweep, at its first sample
+    (of the first N to meet it), and reused for every later sample and N
     with that pattern.  The samples follow tau_tilde; the outer
     draws of tau_full leave the core unchanged, so that measure gives the same
     report.  Symmetric hits are exact membership verdicts recorded as 0/1
@@ -268,9 +276,15 @@ def _sweep_distances(cfg: ExperimentConfig):
     """(N, the samples' distances in order as an array, seconds) for each N, in order.
 
     Two tables hold every sample, one lane per sample, N by N, then sample by
-    sample: its distance and its share of the sweep's time.  A chunk's draw
-    and preparation time is spread evenly over its lanes, and so is a unitary
-    block's core and solve time, so an N's seconds are the sum of its lanes."""
+    sample: its distance and its share of the sweep's time.  A unitary chunk
+    is drawn once per N, and its draw and QR time is spread evenly over its
+    lanes, as is a block's core and solve time.  A symmetric chunk is drawn
+    once per sweep (``haar._pattern_draw``), and its draw time is spread
+    evenly over its lanes at every N; each N then derives the chunk's
+    patterns (``haar._patterns_at``) and looks up their verdicts, a time
+    spread over that N's lanes of the chunk, so a membership test is charged
+    to the N that first meets its pattern.  An N's seconds are the sum of
+    its lanes."""
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
     kind = "permutation" if cfg.family == "symmetric" else "unitary"
@@ -293,17 +307,21 @@ def _sweep_distances(cfg: ExperimentConfig):
                 lane, start = lane + len(rows), time.perf_counter()
 
     if cfg.family == "symmetric":
+        # chunk by chunk: one draw serves the chunk's lanes at every N
         verdicts = {}  # distance per core pattern (0 for a hit), for every N
-
-        def test(rows):
-            keys = list(map(tuple, rows.tolist()))
-            for key in set(keys).difference(verdicts):
-                verdicts[key] = 0.0 if sym_membership(sample_core(g_win, h_core, fam0, key),
-                                                      target) else 1.0
-            return list(map(verdicts.__getitem__, keys))
-
-        for lane, rows in chunks(lambda N, gen, count: _core_patterns(cfg.k, N, gen, count), test):
-            dist[lane:lane + len(rows)] = rows
+        start = time.perf_counter()
+        for lo, n, gen in _chunk_streams(cfg.seed, cfg.samples):
+            drawn = [a[:n] for a in _pattern_draw(cfg.k, gen, _CHUNK)]
+            share = (time.perf_counter() - start) / (n * len(cfg.N_list))
+            for lane, N in zip(range(lo, len(dist), cfg.samples), cfg.N_list):
+                start = time.perf_counter()
+                keys = list(map(tuple, _patterns_at(cfg.k, N, drawn).tolist()))
+                for key in set(keys).difference(verdicts):
+                    verdicts[key] = 0.0 if sym_membership(sample_core(g_win, h_core, fam0, key),
+                                                          target) else 1.0
+                dist[lane:lane + n] = list(map(verdicts.__getitem__, keys))
+                seconds[lane:lane + n] = share + (time.perf_counter() - start) / n
+            start = time.perf_counter()
     else:
         # blocks fill in lane order, so one may hold the end of one N and the
         # start of the next; held is the filling block's stack of A

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmat import BlockMatrix, as_word, build_JN, is_unitary, operator_norm
+from .blockmat import _UNITARY_TOL, BlockMatrix, as_word, build_JN, is_unitary, operator_norm
 from .cosets import CosetTarget
 
 __all__ = [
@@ -536,15 +536,17 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
     Stage 0 takes the frame start W = J (``build_JN`` of the target's spec; a
     sweep core at A = 0 is J r J, so J's bound is at most 2 phi(||A||)) and
     the corner bound (``_corner_bound``) as the lower bound; stage 1 the
-    spectral start, the lower bound becoming the larger of the corner bound
-    and the Bhatia-Davis gap (a lower bound for unitary x only); stage 2 the
-    Sylvester start.  Stage 3 refines the three starts in lockstep, one lane
-    each with its own best conjugator and step count, and tests after every
-    step the sample rule and the lane rule: from step L on (L = 5 on a 2 x 2
-    non-corner block, k = 1, else 25: ``_CONJ_WINDOW``) a lane leaves once it
-    trails its sample's leader bound (the least best bound of its lanes) by at
-    least ``_MAX_ITERS`` steps at its mean gain over its last L steps, as one
-    that gained nothing in them, the leader too, always does.  A lane still
+    spectral start, the lower bound of a sample with ||x^H x - I||_F at most
+    1e-10 (``blockmat._UNITARY_TOL``) becoming the larger of the corner bound
+    and the Bhatia-Davis gap, which bounds the distance for unitary x only;
+    stage 2 the Sylvester start.  Stage 3 refines the three starts in
+    lockstep, one lane each with its own best conjugator and step count, and
+    tests after every step the sample rule and the lane rule: from step L on
+    (L = 5 on a 2 x 2 non-corner block, k = 1, else 25: ``_CONJ_WINDOW``) a
+    lane leaves once it trails its sample's leader bound (the least best
+    bound of its lanes) by at least ``_MAX_ITERS`` steps at its mean gain
+    over its last L steps, as one that gained nothing in them, the leader
+    too, always does.  A lane still
     running after 200 steps (``_MAX_ITERS``) is cut.  The first start with the
     least bound wins: converged says whether the winning lane stopped on a
     rule before the cap, and iterations sums the steps of all the sample's
@@ -583,9 +585,12 @@ def dist_conjugacy_stack(xs, target: CosetTarget, stop_below: float = -np.inf,
 
     # stage 0: J's lanes, and the corner bound as the lower bound
     live = start(slice(samples), slice(samples), build_JN(target.family.spec).entries)
-    if len(live):  # stage 1: the spectral start and the Bhatia-Davis gap
+    if len(live):  # stage 1: the spectral start, and the Bhatia-Davis gap for unitary x
         spectral, gap = _spectral_match_init(x[live], r, alpha)
-        lower[live] = np.maximum(lower[live], gap)
+        # ||x^H x - I||_F <= tol implies is_unitary's ||x^H x - I|| <= tol,
+        # without an eigensolve per lane
+        unitary = np.linalg.norm(xh[live] @ x[live] - np.eye(dim), axis=(1, 2)) <= _UNITARY_TOL
+        lower[live] = np.where(unitary, np.maximum(lower[live], gap), lower[live])
         live = start(samples + live, live, spectral)
     if len(live):  # stage 2: the Sylvester start, guessed from the spectral one
         live = start(2 * samples + live, live,

@@ -25,7 +25,7 @@ from cosetlab.geometry import (
 )
 from cosetlab.haar import RandomStream, haar_unitary, uniform_permutation
 from cosetlab.hypergroup_exact import concentration_exact, exact_convolution
-from testkit import fractions_by_N, max_atom
+from testkit import fractions_by_N, max_atom, radius_checked
 
 SWAP = PermutationWord([2, 1])
 
@@ -61,11 +61,18 @@ def test_criterion_2_enumeration_vs_monte_carlo():
              ok, f"[{row.ci_low:.4f}, {row.ci_high:.4f}] around {row.fraction:.4f}, {elapsed:.2f}s")
 
 
+# the acceptance-scale unitary sweeps of criteria 3 and 6
+ORTHOGONAL_SWEEP = ExperimentConfig(
+    family="unitary_orthogonal", alpha=1, k=1, m=1, N_list=(8, 32, 128, 256),
+    epsilon_list=(0.4,), samples=200, seed=42)
+CONJUGATION_SWEEP = ExperimentConfig(
+    family="unitary_conjugation", alpha=1, k=1, m=1, N_list=(8, 64),
+    epsilon_list=(0.4,), samples=200, seed=42)
+
+
 def test_criterion_3_unitary_concentration_trend():
     start = time.perf_counter()
-    cfg = ExperimentConfig(
-        family="unitary_orthogonal", alpha=1, k=1, m=1, N_list=(8, 32, 128, 256),
-        epsilon_list=(0.4,), samples=200, seed=42)
+    cfg = ORTHOGONAL_SWEEP
     report = run_concentration(cfg)
     elapsed = time.perf_counter() - start
     fr = fractions_by_N(report, 0.4)
@@ -116,9 +123,7 @@ def test_criterion_5_two_copy_unique_maximal_atom():
 
 def test_criterion_6_conjugation_family():
     start = time.perf_counter()
-    cfg = ExperimentConfig(
-        family="unitary_conjugation", alpha=1, k=1, m=1, N_list=(8, 64),
-        epsilon_list=(0.4,), samples=200, seed=42)
+    cfg = CONJUGATION_SWEEP
     report = run_concentration(cfg)
     fr = fractions_by_N(report, 0.4)
 
@@ -198,6 +203,14 @@ def test_criterion_7_algebraic_identities():
     ok = unitary_ok and corner_ok and sym_assoc_ok and worst_assoc <= 1e-6
     _verdict(7, "product unitarity, corner multiplicativity, and coset-level associativity",
              ok, f"worst unitary associativity distance {worst_assoc:.1e}")
+
+
+@pytest.mark.parametrize("cfg", [ORTHOGONAL_SWEEP, CONJUGATION_SWEEP],
+                         ids=["criterion_3", "criterion_6"])
+def test_sweep_samples_inside_the_radius_are_hits(monkeypatch, cfg):
+    # the radius check (``testkit.radius_checked``) on the sweeps of criteria
+    # 3 and 6: every sample with 2 phi(||A||) <= epsilon is a hit
+    assert radius_checked(monkeypatch, cfg)[1]
 
 
 @pytest.mark.parametrize("alpha", [1, 2])

@@ -33,7 +33,7 @@ from cosetlab.haar import (
 )
 from cosetlab.hypergroup_exact import concentration_exact
 import comparison_table
-from testkit import fractions_by_N, zeroed_runtime
+from testkit import fractions_by_N, radius_checked, zeroed_runtime
 
 
 def _cfg(**overrides):
@@ -533,6 +533,23 @@ class TestRunConcentration:
         run_concentration(cfg)
         assert 0 < len(calls) <= min(samples, math.perm(2 * k, k))
 
+    def test_symmetric_sweep_draws_each_chunk_once(self, monkeypatch):
+        # only the tail thresholds of a core pattern depend on N, so a sweep
+        # opens each chunk's stream once for its whole N list, after the
+        # setup stream 0, not once per N
+        streams = []
+        real = RandomStream.generator
+
+        def spy(stream):
+            streams.append(stream.stream_index)
+            return real(stream)
+
+        monkeypatch.setattr(RandomStream, "generator", spy)
+        cfg = _cfg(k=2, m=2, N_list=(2, 5, 10**6, 10**30), samples=600, seed=4,
+                   g_spec="random_unitary", h_spec="random_unitary")
+        run_concentration(cfg)
+        assert streams == [0, 1, 2, 3]
+
     def test_conjugation_stacks_stay_bounded(self, monkeypatch):
         # blocks of _BLOCK_BYTES // (2048 + 480 d^2) samples: 658 at d=3, 29 at d=17
         seen = []
@@ -778,42 +795,19 @@ COMPARISON_ROWS = {
 }
 
 
-def _two_phi(s):
-    # 2 phi(s), phi(s) = sqrt(2 - 2 sqrt(1 - s^2)): ||core(A) - core(0)|| <= 2 phi(||A||)
-    return 2.0 * np.sqrt(2.0 - 2.0 * np.sqrt(np.maximum(1.0 - s * s, 0.0)))
-
-
 @pytest.mark.parametrize("family", comparison_table.FAMILIES)
 @pytest.mark.parametrize("alpha,k", comparison_table.SHAPES)
 def test_comparison_hits_pinned(monkeypatch, family, alpha, k):
-    # every row, and the radius check: core(0) lies in the target's coset and a
-    # core is within 2 phi(||A||) of it, so every sample with 2 phi(||A||) <= epsilon
-    # is a hit at epsilon; A and the distances are the sweep's own, recorded as
-    # it draws and solves them
-    blocks, sweeps = [], []
-
-    def record(into, real):
-        def recorded(*args):
-            into.append(real(*args))
-            return into[-1]
-        return recorded
-
-    monkeypatch.setattr(experiments, "_top_blocks", record(blocks, experiments._top_blocks))
-    monkeypatch.setattr(experiments, "_sweep_distances",
-                        record(sweeps, experiments._sweep_distances))
+    # every row, and the radius check (``testkit.radius_checked``)
     inside = 0
     for seed, (hits, dists) in zip(comparison_table.SEEDS, COMPARISON_ROWS[family][alpha, k]):
         cfg = comparison_table.config(family, alpha, k, seed)
-        rows = run_concentration(cfg).rows
+        report, count = radius_checked(monkeypatch, cfg)
+        rows = report.rows
         assert [row.hits for row in rows] == hits, seed
         assert [(row.median_dist, row.mean_dist) for row in rows] == [
             pytest.approx(pair, rel=1e-12) for pair in dists for _ in cfg.epsilon_list], seed
-        radius = _two_phi(np.linalg.norm(np.concatenate(blocks), 2, axis=(1, 2)))
-        dist = np.concatenate([d for _, d, _ in sweeps.pop()])
-        for eps in cfg.epsilon_list:
-            assert (dist[radius <= eps] <= eps).all(), (seed, eps)
-            inside += np.count_nonzero(radius <= eps)
-        blocks.clear()
+        inside += count
     assert inside
 
 

@@ -17,6 +17,7 @@ from cosetlab.blockmat import (
     build_JN,
     embed,
     embed_k,
+    is_unitary,
     operator_norm,
 )
 from cosetlab.cosets import (
@@ -314,8 +315,8 @@ def _reference_conjugacy(x, target, inits, max_iters=200, stop_below=-np.inf,
     """A sample's staged solve: the reference the stacked solver must match
     bit for bit.  Stage 0 takes the first start of inits (J) and the corner
     bound ||x_aa - r_aa|| as the lower bound, stage 1 the second (spectral)
-    and the larger of the corner bound and the Bhatia-Davis gap, stage 2 the
-    rest (Sylvester).  After each stage, and before step 1 and after each
+    and, for unitary x, the larger of the corner bound and the Bhatia-Davis
+    gap, stage 2 the rest (Sylvester).  After each stage, and before step 1 and after each
     step of stage 3, the sample stops once its least bound so far is within
     1e-11 of the lower bound or at most stop_below, or the lower bound
     exceeds stop_above by more than 1e-11.  In stage 3 the starts run in
@@ -338,7 +339,7 @@ def _reference_conjugacy(x, target, inits, max_iters=200, stop_below=-np.inf,
 
     lanes = []
     for stage, starts in enumerate([inits[:1], inits[1:2], inits[2:]]):
-        if stage == 1:
+        if stage == 1 and is_unitary(x):
             lower = max(lower, eigenvalue_matching_distance(x, r))
         lanes += [_ReferenceLane(x, r, alpha, W) for W in starts]
         if shut(min(lane.best for lane in lanes)):
@@ -1126,6 +1127,27 @@ class TestStopAbove:
             est = geometry.DistanceEstimate(cut[0][i], cut[1][i], cut[2][i],
                                             BlockMatrix(cut[3][i]), BlockMatrix(cut[4][i]))
             assert abs(verify_estimate(est, BlockMatrix(xs[i]), target) - est.upper_bound) <= 1e-12
+
+    def test_gap_certifies_no_non_unitary_sample(self):
+        # the Bhatia-Davis gap bounds the distance only for unitary x: this
+        # x = r + E, ||E|| = 0.187, has gap 0.1995 above stop_above 0.19, yet
+        # W = I witnesses ||E||, a hit there; taking the gap, the stack
+        # certified it a miss at 0 steps (0.245) and, with no stop_above,
+        # closed its bracket on the gap at 0.199
+        fam = GroupFamily("unitary_conjugation", BlockSpec(0, 1, 1, 1))
+        gen = RandomStream(7, 0).generator()
+        g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
+        target = circ_N(g, h, fam)
+        r = target.representative.entries
+        gen = RandomStream(86, 1).generator()
+        E = gen.standard_normal((2, 2)) + 1j * gen.standard_normal((2, 2))
+        x = (r + 0.187 / np.linalg.norm(E, 2) * E)[None]
+        assert geometry._spectral_match_init(x, r, 0)[1][0] > 0.19
+        cut = dist_conjugacy_stack(x, target, stop_below=0.1, stop_above=0.19)
+        full = dist_conjugacy_stack(x, target, stop_below=0.1)
+        assert _same_lanes(cut, full)
+        assert cut[1][0] > 0 and cut[0][0] <= 0.19
+        _check_lane_arrays(cut, x, target)
 
     @pytest.mark.parametrize("kind", ["unitary_conjugation", "unitary_orthogonal"])
     @pytest.mark.parametrize("stop_below", [-np.inf, 0.2])
