@@ -23,14 +23,12 @@ from .blockmat import BlockSpec, embed, load_source, tail_sizes
 from .cosets import GroupFamily, circ_N, sample_core, sample_core_stack
 from .geometry import dist_conjugacy_stack, dist_double_coset_stack, sym_membership
 from .haar import (
-    _CHUNK,
     RandomStream,
     _block_normals,
-    _chunk_streams,
+    _chunk_rows,
     _draw,
     _pattern_draw,
     _patterns_at,
-    _sample_rows,
     _top_blocks,
 )
 
@@ -213,7 +211,7 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     report per-(N, epsilon) hit fractions.
 
     Sample i's middle draw is row i mod 256 of one draw of 256 from stream
-    (seed, 1 + i // 256) (``haar._sample_rows``), and the solvers read no
+    (seed, 1 + i // 256) (``haar._chunk_rows``), and the solvers read no
     stream, so sample i's distance depends only on the seed, i and N, and
     reports are reproducible.  Every N reuses the same streams.  A sample
     draws only the leading k x k block A of its middle Haar element, or the
@@ -232,23 +230,22 @@ def run_concentration(cfg: ExperimentConfig) -> ConcentrationReport:
     one stack, each lane's core and estimate exactly those of a stack of one
     with the sweep's stops on that sample's A, so each N's rows are those of
     a sweep over that N alone.
+    A symmetric sample's pattern is ``cosets.core_images`` of its middle
+    permutation's k active images.  Only its tail thresholds depend on N, so
+    each chunk's uniforms and their order are drawn once per sweep
+    (``haar._pattern_draw``), and every N derives its patterns from that one
+    draw (``haar._patterns_at``).  Each pattern's membership is tested once
+    per sweep, at its first sample (of the first N to meet it), and reused
+    for every later sample and N with that pattern.
     A row's runtime_s is the sum of its N's per-sample time shares: each
     unitary chunk's draw and QR time, and each block's core and solve time,
-    is spread evenly over the samples it served.
-    A symmetric sample's pattern, ``cosets.core_images`` of its middle
-    permutation's k active images, is drawn directly from its law
-    (``haar._core_patterns``).  Only the pattern's tail thresholds depend on
-    N, so the symmetric sweep runs chunk by chunk: each chunk's uniforms and
-    their order are drawn once (``haar._pattern_draw``), and every N derives
-    its patterns from that one draw (``haar._patterns_at``).  The draw's
-    time is spread evenly over the chunk's samples at every N, and each N's
-    pattern pass and membership tests over that N's samples of the chunk.
-    Each pattern's membership is tested once per sweep, at its first sample
-    (of the first N to meet it), and reused for every later sample and N
-    with that pattern.  The samples follow tau_tilde; the outer
-    draws of tau_full leave the core unchanged, so that measure gives the same
-    report.  Symmetric hits are exact membership verdicts recorded as 0/1
-    distances; unitary distances are witnessed upper bounds for the sample.
+    is spread evenly over the samples it served; a symmetric chunk's draw
+    time over its samples at every N, and each N's pattern pass and
+    membership tests over that N's samples of the chunk.
+    The samples follow tau_tilde; the outer draws of tau_full leave the core
+    unchanged, so that measure gives the same report.  Symmetric hits are
+    exact membership verdicts recorded as 0/1 distances; unitary distances
+    are witnessed upper bounds for the sample.
     The solvers take min(epsilon_list) as ``stop_below`` and max(epsilon_list)
     as ``stop_above``: a sample stops at a bound at most the first or a lower
     bound above the second, so every hit count is the full run's, but
@@ -276,15 +273,12 @@ def _sweep_distances(cfg: ExperimentConfig):
     """(N, the samples' distances in order as an array, seconds) for each N, in order.
 
     Two tables hold every sample, one lane per sample, N by N, then sample by
-    sample: its distance and its share of the sweep's time.  A unitary chunk
-    is drawn once per N, and its draw and QR time is spread evenly over its
-    lanes, as is a block's core and solve time.  A symmetric chunk is drawn
-    once per sweep (``haar._pattern_draw``), and its draw time is spread
-    evenly over its lanes at every N; each N then derives the chunk's
-    patterns (``haar._patterns_at``) and looks up their verdicts, a time
-    spread over that N's lanes of the chunk, so a membership test is charged
-    to the N that first meets its pattern.  An N's seconds are the sum of
-    its lanes."""
+    sample: its distance and its share of the sweep's time, spread as
+    ``run_concentration`` states for runtime_s; an N's seconds are the sum of
+    its lanes.  A unitary chunk (``haar._chunk_rows``) is drawn once per N, N
+    by N; a symmetric chunk once per sweep, each N then deriving the chunk's
+    patterns and looking up their verdicts, so a membership test is charged
+    to the N that first meets its pattern."""
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
     kind = "permutation" if cfg.family == "symmetric" else "unitary"
@@ -294,24 +288,13 @@ def _sweep_distances(cfg: ExperimentConfig):
     conj = cfg.family == "unitary_conjugation"
     h_core = embed(h_win, fam0.spec)  # sample_core takes h embedded at core size
     dist, seconds = np.empty((2, len(cfg.N_list) * cfg.samples))
-
-    def chunks(draw, prepare):
-        # (first lane, prepared rows) for each chunk of samples, in lane order
-        lane = 0
-        for N in cfg.N_list:
-            start = time.perf_counter()
-            for rows in _sample_rows(cfg.seed, cfg.samples, lambda gen, count: draw(N, gen, count)):
-                rows = prepare(rows)
-                seconds[lane:lane + len(rows)] = (time.perf_counter() - start) / len(rows)
-                yield lane, rows
-                lane, start = lane + len(rows), time.perf_counter()
-
+    start = time.perf_counter()
     if cfg.family == "symmetric":
         # chunk by chunk: one draw serves the chunk's lanes at every N
         verdicts = {}  # distance per core pattern (0 for a hit), for every N
-        start = time.perf_counter()
-        for lo, n, gen in _chunk_streams(cfg.seed, cfg.samples):
-            drawn = [a[:n] for a in _pattern_draw(cfg.k, gen, _CHUNK)]
+        for lo, drawn in _chunk_rows(cfg.seed, cfg.samples,
+                                     lambda gen, count: _pattern_draw(cfg.k, gen, count)):
+            n = len(drawn[1])
             share = (time.perf_counter() - start) / (n * len(cfg.N_list))
             for lane, N in zip(range(lo, len(dist), cfg.samples), cfg.N_list):
                 start = time.perf_counter()
@@ -328,19 +311,23 @@ def _sweep_distances(cfg: ExperimentConfig):
         d = fam0.spec.dim
         block = max(1, _BLOCK_BYTES // (2048 + 480 * d * d if conj else 175 * d * d))
         solve = dist_conjugacy_stack if conj else dist_double_coset_stack
-        held = np.empty((block, cfg.k, cfg.k), complex if conj else float)
-        for lane, a in chunks(lambda N, gen, count: _block_normals(cfg.k, N, gen, conj, count),
-                              lambda z: _top_blocks(z, conj)):
-            while len(a):
-                at = lane % block  # the place of lane in its block
-                n = min(len(a), block - at)
-                held[at:at + n], a, lane = a[:n], a[n:], lane + n
-                if at + n == block or lane == len(dist):
-                    lo, start = lane - at - n, time.perf_counter()
-                    dist[lo:lane] = solve(sample_core_stack(g_win, h_core, fam0, held[:lane - lo]),
-                                          target, stop_below=min(cfg.epsilon_list),
-                                          stop_above=max(cfg.epsilon_list))[0]
-                    seconds[lo:lane] += (time.perf_counter() - start) / (lane - lo)
+        held, lane = np.empty((block, cfg.k, cfg.k), complex if conj else float), 0
+        for N in cfg.N_list:
+            for _, z in _chunk_rows(cfg.seed, cfg.samples,
+                                    lambda gen, count: _block_normals(cfg.k, N, gen, conj, count)):
+                a = _top_blocks(z, conj)
+                seconds[lane:lane + len(a)] = (time.perf_counter() - start) / len(a)
+                while len(a):
+                    at = lane % block  # the place of lane in its block
+                    n = min(len(a), block - at)
+                    held[at:at + n], a, lane = a[:n], a[n:], lane + n
+                    if at + n == block or lane == len(dist):
+                        lo, start = lane - at - n, time.perf_counter()
+                        dist[lo:lane] = solve(
+                            sample_core_stack(g_win, h_core, fam0, held[:lane - lo]), target,
+                            stop_below=min(cfg.epsilon_list), stop_above=max(cfg.epsilon_list))[0]
+                        seconds[lo:lane] += (time.perf_counter() - start) / (lane - lo)
+                start = time.perf_counter()
     shape = (len(cfg.N_list), cfg.samples)
     return list(zip(cfg.N_list, dist.reshape(shape), seconds.reshape(shape).sum(axis=1).tolist()))
 
@@ -351,11 +338,12 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
     what makes the convolution samples collapse onto the product coset.
 
     Sample i's block is row i mod 256 of one draw of 256 from stream
-    (seed, 1 + i // 256), as in ``run_concentration``, and every N reuses the
-    same streams.  A draw (``haar._block_normals``) costs the same at any N,
-    so any N runs.  Each chunk's blocks (one stacked QR) and their norms (one
-    stacked SVD) are taken as the chunk is drawn, and only the norms are
-    kept, so memory holds one chunk's draws and the norms.
+    (seed, 1 + i // 256) (``haar._chunk_rows``), as in ``run_concentration``,
+    and every N reuses the same streams.  A draw (``haar._block_normals``)
+    costs the same at any N, so any N runs.  Each chunk's blocks (one stacked
+    QR) and their norms (one stacked SVD) are taken as the chunk is drawn,
+    and only the norms are kept, so memory holds one chunk's draws and the
+    norms.
     Raises ValueError, before any draw, for samples not an integer >= 30,
     k not an integer >= 1, or an N that is not an integer >= 0."""
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 30:
@@ -365,8 +353,8 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
     out = []
     for N in tail_sizes(N_list):
         norms = np.concatenate([np.linalg.norm(_top_blocks(z), 2, axis=(1, 2))
-                                for z in _sample_rows(seed, samples, lambda gen, count:
-                                                      _block_normals(k, N, gen, count=count))])
+                                for _, z in _chunk_rows(seed, samples, lambda gen, count:
+                                                        _block_normals(k, N, gen, count=count))])
         out.append((N, _median(norms), float(np.mean(norms))))
     return BlockDecayReport(out)
 

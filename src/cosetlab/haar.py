@@ -2,21 +2,20 @@
 blocks, uniform permutations and their core patterns.
 
 ``_block_normals`` and ``_top_blocks`` draw the leading k x k blocks of Haar
-elements of O(k+N) or U(k+N), and ``_core_patterns`` the core patterns of
-uniform permutations of 1..k+N, at a cost that does not depend on N, so any
-tail size runs.  Of a core pattern only the tail thresholds depend on N:
-``_core_patterns`` is ``_pattern_draw`` (the uniforms and their order) then
-``_patterns_at`` (the threshold pass at one N), so a symmetric sweep draws
-each chunk once and derives its patterns at every N from that one draw.
+elements of O(k+N) or U(k+N), and ``_pattern_draw`` then ``_patterns_at``
+the core patterns of uniform permutations of 1..k+N, at a cost that does not
+depend on N, so any tail size runs; only ``_patterns_at`` reads N, so a
+symmetric sweep draws each chunk once for all its tail sizes.
 Every sampler takes a RandomStream: a (seed, stream_index) pair mapped
 through numpy's SeedSequence spawn mechanism, so distinct stream indices
 give independent draws and the same pair is bit-for-bit reproducible.
 
-The sweeps lay their samples out in chunks of ``_CHUNK`` = 256
-(``_sample_rows``): sample i is row i mod 256 of one draw of 256 from stream
-(seed, 1 + i // 256).  A chunk is always drawn whole, so sample i's numbers
-depend only on the seed and i, not on the sample count or on how a sweep
-splits its work; stream 0 is left to the setup draws.
+The sweeps lay their samples out in chunks of ``_CHUNK`` = 256, and
+``_chunk_rows`` alone writes that layout: sample i is row i mod 256 of one
+draw of 256 from stream (seed, 1 + i // 256).  A chunk is always drawn
+whole, so sample i's numbers depend only on the seed and i, not on the
+sample count or on how a sweep splits its work; stream 0 is left to the
+setup draws.
 """
 
 from __future__ import annotations
@@ -56,20 +55,14 @@ class RandomStream:
 _CHUNK = 256  # samples per stream in the sweeps' layout
 
 
-def _chunk_streams(seed: int, samples: int):
-    """(first sample lo, samples n, generator) of each chunk of samples
-    0 .. samples-1 in order: samples lo .. lo+n-1, n = min(_CHUNK, samples - lo),
-    are the first n rows of a draw of _CHUNK from stream (seed, 1 + lo // _CHUNK)."""
+def _chunk_rows(seed: int, samples: int, draw):
+    """(lo, rows) for each chunk of samples 0 .. samples-1, in order: rows are
+    samples lo .. lo+n-1, n = min(_CHUNK, samples - lo), the first n rows of
+    ``draw(RandomStream(seed, 1 + lo // _CHUNK).generator(), _CHUNK)``, each
+    array of a tuple draw cut alike.  A chunk is drawn when it is reached."""
     for lo in range(0, samples, _CHUNK):
-        yield lo, min(_CHUNK, samples - lo), RandomStream(seed, 1 + lo // _CHUNK).generator()
-
-
-def _sample_rows(seed: int, samples: int, draw):
-    """Yield the rows of samples 0 .. samples-1 in order, one whole chunk at a
-    time (the last cut to the samples left): sample i's row is row i % _CHUNK of
-    ``draw(RandomStream(seed, 1 + i // _CHUNK).generator(), _CHUNK)``."""
-    for _, n, gen in _chunk_streams(seed, samples):
-        yield draw(gen, _CHUNK)[:n]
+        drawn, n = draw(RandomStream(seed, 1 + lo // _CHUNK).generator(), _CHUNK), samples - lo
+        yield lo, tuple(a[:n] for a in drawn) if isinstance(drawn, tuple) else drawn[:n]
 
 
 def _as_generator(rng) -> np.random.Generator:
@@ -145,20 +138,22 @@ def _draw(kind: str, n: int, rng) -> BlockMatrix:
 
 
 def _pattern_draw(k: int, gen: np.random.Generator, count: int):
-    """The part of count core patterns that does not depend on the tail size:
-    each row's 2k uniforms u, as (u_0..u_k-1, argsort(u_k..u_2k-1) + 1).
-    ``_patterns_at`` turns it into the patterns at any N, so a sweep draws a
-    chunk once for all its tail sizes."""
+    """The part of count core patterns that does not depend on the tail size
+    (``_patterns_at`` turns it into the patterns at any N): each row's 2k
+    uniforms u, as (u_0..u_k-1, argsort(u_k..u_2k-1) + 1)."""
     u = gen.random((count, 2 * k))
     return u[:, :k], np.argsort(u[:, k:], axis=1) + 1
 
 
 def _patterns_at(k: int, N: int, drawn) -> np.ndarray:
     """The core patterns at tail size N of a ``_pattern_draw`` (u, order), as a
-    (count, k) int64 array.  Position j, after t tail images, takes the next
-    tail slot k+1+t when u_j.(N+k-j) >= k-j+t, so an image at most k with
-    probability (k-j+t)/(N+k-j), as a uniform image not yet taken would; else
-    its own entry of the row's uniform order."""
+    (count, k) int64 array: in law, ``cosets.core_images`` of k distinct
+    images of 1..k+N in uniform random order, up to the 2^-53 grid of the
+    uniforms, for any N below 2^1023 - 2^969 (``blockmat.tail_sizes``).
+    Position j, after t tail images, takes the next tail slot k+1+t when
+    u_j.(N+k-j) >= k-j+t, so an image at most k with probability
+    (k-j+t)/(N+k-j), as a uniform image not yet taken would; else its own
+    entry of the row's uniform order."""
     u, order = drawn
     rows, t = np.empty(order.shape, dtype=np.int64), 0  # t: tail images so far
     for j in range(k):
@@ -166,12 +161,3 @@ def _patterns_at(k: int, N: int, drawn) -> np.ndarray:
         rows[:, j] = np.where(tail, k + 1 + t, order[:, j])
         t = t + tail
     return rows
-
-
-def _core_patterns(k: int, N: int, gen: np.random.Generator, count: int) -> np.ndarray:
-    """count symmetric core patterns at tail size N as a (count, k) int64
-    array: in law, ``cosets.core_images`` of k distinct images of 1..k+N in
-    uniform random order, up to the 2^-53 grid of the uniforms, for any N
-    below 2^1023 - 2^969 (``blockmat.tail_sizes``).  The patterns at N of
-    one ``_pattern_draw`` of count rows (``_patterns_at``)."""
-    return _patterns_at(k, N, _pattern_draw(k, gen, count))

@@ -26,7 +26,8 @@ from cosetlab.geometry import dist_conjugacy_stack, dist_double_coset_stack, sym
 from cosetlab.haar import (
     RandomStream,
     _block_normals,
-    _core_patterns,
+    _pattern_draw,
+    _patterns_at,
     _top_blocks,
     haar_unitary,
     uniform_permutation,
@@ -413,9 +414,11 @@ class TestRunConcentration:
         rows = iter(zeroed_runtime(run_concentration(cfg)).rows)
         for N in cfg.N_list:
             fam = GroupFamily(cfg.family, BlockSpec(alpha, k, N, m))
-            dists = [0.0 if sym_membership(sample_core(g, h, fam, _sample_row(
-                cfg.seed, i, lambda gen, count: _core_patterns(k, N, gen, count))), target)
-                else 1.0 for i in range(cfg.samples)]
+            def draw(gen, count):
+                return _patterns_at(k, N, _pattern_draw(k, gen, count))
+
+            dists = [0.0 if sym_membership(sample_core(g, h, fam, _sample_row(cfg.seed, i, draw)),
+                                           target) else 1.0 for i in range(cfg.samples)]
             for eps in cfg.epsilon_list:
                 hits = dists.count(0.0)
                 lo, hi = wilson_interval(hits, cfg.samples)
@@ -533,10 +536,24 @@ class TestRunConcentration:
         run_concentration(cfg)
         assert 0 < len(calls) <= min(samples, math.perm(2 * k, k))
 
-    def test_symmetric_sweep_draws_each_chunk_once(self, monkeypatch):
-        # only the tail thresholds of a core pattern depend on N, so a sweep
-        # opens each chunk's stream once for its whole N list, after the
-        # setup stream 0, not once per N
+    STREAM_CASES = [
+        # only the tail thresholds of a core pattern depend on N, so a
+        # symmetric sweep opens each chunk's stream once for its whole N list,
+        # after the setup stream 0
+        pytest.param(dict(family="symmetric", k=2, m=2, N_list=(2, 5, 10**6, 10**30)),
+                     [0, 1, 2, 3], id="symmetric"),
+        # a unitary sweep runs N by N, each N drawing every chunk again
+        pytest.param(dict(family="unitary_orthogonal", N_list=(8, 64)),
+                     [0, 1, 2, 3, 1, 2, 3], id="orthogonal"),
+        pytest.param(dict(family="unitary_conjugation", N_list=(8, 10**6)),
+                     [0, 1, 2, 3, 1, 2, 3], id="conjugation"),
+        # block decay has no setup draw
+        pytest.param(None, [1, 2, 3, 1, 2, 3], id="block_decay"),
+    ]
+
+    @pytest.mark.parametrize("case,want", STREAM_CASES)
+    def test_streams_opened_by_each_caller(self, monkeypatch, case, want):
+        # 600 samples are 3 chunks, drawn from streams 1, 2 and 3
         streams = []
         real = RandomStream.generator
 
@@ -544,11 +561,14 @@ class TestRunConcentration:
             streams.append(stream.stream_index)
             return real(stream)
 
+        monkeypatch.setattr(geometry, "_MAX_ITERS", 2)
         monkeypatch.setattr(RandomStream, "generator", spy)
-        cfg = _cfg(k=2, m=2, N_list=(2, 5, 10**6, 10**30), samples=600, seed=4,
-                   g_spec="random_unitary", h_spec="random_unitary")
-        run_concentration(cfg)
-        assert streams == [0, 1, 2, 3]
+        if case is None:
+            run_block_decay(2, [4, 10**6], 600, 4)
+        else:
+            run_concentration(_cfg(**case, samples=600, seed=4, g_spec="random_unitary",
+                                   h_spec="random_unitary"))
+        assert streams == want
 
     def test_conjugation_stacks_stay_bounded(self, monkeypatch):
         # blocks of _BLOCK_BYTES // (2048 + 480 d^2) samples: 658 at d=3, 29 at d=17
@@ -811,6 +831,37 @@ def test_comparison_hits_pinned(monkeypatch, family, alpha, k):
     assert inside
 
 
+# The benchmark's unitary sweep shapes (``perfbench/workloads.py``), copied:
+# name, family, N list and samples; each at alpha = k = m = 1, epsilon 0.4.
+BENCH_SWEEPS = [
+    ("orth_small", "unitary_orthogonal", (8,), 100),
+    ("orth_large", "unitary_orthogonal", (32, 128, 256), 2),
+    ("conj_small", "unitary_conjugation", (8,), 70),
+    ("conj_mid", "unitary_conjugation", (24,), 1),
+    ("conj_large", "unitary_conjugation", (64,), 6),
+]
+
+
+@pytest.mark.parametrize("family,N_list,samples", [s[1:] for s in BENCH_SWEEPS],
+                         ids=[s[0] for s in BENCH_SWEEPS])
+def test_bench_sweeps_inside_the_radius_are_hits(monkeypatch, tmp_path, family, N_list,
+                                                 samples):
+    # the radius check (``testkit.radius_checked``) on the benchmark's sweeps
+    # at 10 seeds, with its fixed g and h: criterion 3's pair, two Haar draws
+    # of U(2) from stream 0 of seed 42, read back from matrix JSON
+    gen = RandomStream(42, 0).generator()
+    g_spec, h_spec = (tmp_path / "g.json", tmp_path / "h.json")
+    for path in (g_spec, h_spec):
+        path.write_text(json.dumps(BlockMatrix(haar_unitary(2, gen)).to_json_dict()))
+    inside = 0
+    for seed in range(1, 11):
+        cfg = ExperimentConfig(family=family, alpha=1, k=1, m=1, N_list=N_list,
+                               epsilon_list=(0.4,), samples=samples, seed=seed,
+                               g_spec=str(g_spec), h_spec=str(h_spec))
+        inside += radius_checked(monkeypatch, cfg)[1]
+    assert inside
+
+
 class TestReports:
     def test_csv_header_and_width(self):
         header = ("family,alpha,k,m,N,epsilon,samples,hits,fraction,ci_low,ci_high,"
@@ -913,3 +964,13 @@ class TestRunBlockDecay:
 
     def test_deterministic_in_seed(self):
         assert run_block_decay(1, [4], 30, 9) == run_block_decay(1, [4], 30, 9)
+
+    def test_multi_N_call_equals_single_N_calls(self):
+        # every N reuses the same chunk streams, so each row of a call over
+        # several N (600 samples, 3 chunks) is, bit for bit, its own call's
+        N_list = [0, 3, 40, 10**9]
+        rows = run_block_decay(2, N_list, 600, 8)
+        assert [N for N, _, _ in rows] == N_list
+        for row, N in zip(rows, N_list):
+            (want,) = run_block_decay(2, [N], 600, 8)
+            assert [v.hex() for v in row[1:]] == [v.hex() for v in want[1:]]

@@ -12,8 +12,9 @@ from cosetlab.cosets import core_images
 from cosetlab.haar import (
     RandomStream,
     _block_normals,
-    _core_patterns,
-    _sample_rows,
+    _chunk_rows,
+    _pattern_draw,
+    _patterns_at,
     _top_blocks,
     haar_orthogonal,
     haar_unitary,
@@ -145,8 +146,8 @@ class TestHaarBlockStack:
         # every entry of a Haar element of size n has E|u|^2 = 1/n, so at
         # k = 2 the block has E||A||_F^2 = k^2 / (k + N)
         k = 2
-        z = np.concatenate(list(_sample_rows(
-            21, 4096, lambda gen, count: _block_normals(k, N, gen, unitary, count))))
+        z = np.concatenate([rows for _, rows in _chunk_rows(
+            21, 4096, lambda gen, count: _block_normals(k, N, gen, unitary, count))])
         f2 = (np.abs(_top_blocks(z, unitary)) ** 2).sum(axis=(1, 2))
         se = f2.std() / np.sqrt(len(f2))
         assert abs(f2.mean() - k * k / (k + N)) < 5 * se
@@ -229,7 +230,7 @@ class TestHaarColumnsStack:
         np.testing.assert_array_equal(stack, want)
 
 
-class TestSampleRows:
+class TestChunkRows:
     @staticmethod
     def _draw(gen, count):
         return gen.integers(1 << 40, size=(count, 2))
@@ -239,18 +240,19 @@ class TestSampleRows:
     def test_rows_depend_only_on_seed_and_index(self, samples, seed):
         # sample i is row i % 256 of a draw of 256 from stream 1 + i // 256,
         # whatever the seed and the sample count; each yield is one whole
-        # chunk, in sample order, and only the last may be short
+        # chunk with its first sample, in sample order, and only the last
+        # may be short
         want = np.concatenate([self._draw(RandomStream(seed, 1 + c).generator(), 256)
                                for c in range(3)])[:samples]
-        chunks = list(_sample_rows(seed, samples, self._draw))
-        assert len(chunks) == -(-samples // 256)
-        assert [len(c) for c in chunks[:-1]] == [256] * (len(chunks) - 1)
-        assert 0 < len(chunks[-1]) <= 256
-        for c, chunk in enumerate(chunks):
-            np.testing.assert_array_equal(chunk, want[256 * c:256 * (c + 1)])
+        chunks = list(_chunk_rows(seed, samples, self._draw))
+        assert [lo for lo, _ in chunks] == list(range(0, samples, 256))
+        assert [len(c) for _, c in chunks[:-1]] == [256] * (len(chunks) - 1)
+        assert 0 < len(chunks[-1][1]) <= 256
+        for lo, chunk in chunks:
+            np.testing.assert_array_equal(chunk, want[lo:lo + 256])
 
     def test_no_samples_no_rows(self):
-        assert list(_sample_rows(5, 0, self._draw)) == []
+        assert list(_chunk_rows(5, 0, self._draw)) == []
 
     # seeds across the 32-, 64- and 128-bit word edges of SeedSequence's entropy
     SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128]
@@ -265,7 +267,7 @@ class TestSampleRows:
             states.append(gen.bit_generator.state)
             return self._draw(gen, count)
 
-        list(_sample_rows(seed, samples, draw))
+        list(_chunk_rows(seed, samples, draw))
         want = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(1 + c,))))
                 .bit_generator.state for c in range(-(-samples // 256))]
         assert states == want
@@ -278,16 +280,21 @@ class TestSampleRows:
             calls.append(count)
             return self._draw(gen, count)
 
-        chunks = _sample_rows(3, 600, draw)
-        first = next(chunks)
-        assert calls == [256]
+        chunks = _chunk_rows(3, 600, draw)
+        lo, first = next(chunks)
+        assert lo == 0 and calls == [256]
         np.testing.assert_array_equal(first, self._draw(RandomStream(3, 1).generator(), 256))
-        assert len(next(chunks)) == 256 and calls == [256, 256]
+        assert next(chunks)[0] == 256 and calls == [256, 256]
 
     @pytest.mark.parametrize("seed", [-1, -2**32, -2**64, -2**128, -2**200])
     def test_negative_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="nonnegative"):
-            next(_sample_rows(seed, 1, self._draw))
+            next(_chunk_rows(seed, 1, self._draw))
+
+
+def _patterns(k, N, gen, count):
+    """count core patterns at tail size N: the patterns at N of one draw."""
+    return _patterns_at(k, N, _pattern_draw(k, gen, count))
 
 
 def _pattern_law(k, N):
@@ -323,7 +330,7 @@ class TestCorePatterns:
         # rows are counted by their digits base 2k + 1 (k <= 4 here); bins
         # whose expected count is under 5 are pooled into one
         gen, base = RandomStream(11, 1).generator(), (2 * k + 1) ** np.arange(k)
-        counts = sum(np.bincount(_core_patterns(k, N, gen, min(250_000, draws - lo)) @ base,
+        counts = sum(np.bincount(_patterns(k, N, gen, min(250_000, draws - lo)) @ base,
                                  minlength=(2 * k + 1) ** k) for lo in range(0, draws, 250_000))
         law = _pattern_law(k, N)
         obs = counts[[int(np.dot(key, base)) for key in law]]
@@ -344,15 +351,15 @@ class TestCorePatterns:
     def test_rows_are_core_patterns(self, k, N):
         # each row maps to itself under core_images: distinct values in
         # 1..2k, the tail images taking the slots k+1, k+2, ... in order
-        rows = _core_patterns(k, N, RandomStream(2, 1).generator(), 500)
+        rows = _patterns(k, N, RandomStream(2, 1).generator(), 500)
         assert rows.dtype == np.int64 and rows.shape == (500, k)
         assert rows.min() >= 1 and rows.max() <= 2 * k
         for row in map(tuple, rows.tolist()):
             assert len(set(row)) == k and core_images(row, k) == row
 
     def test_reproducible(self):
-        a = _core_patterns(3, 100, RandomStream(8, 1).generator(), 256)
-        b = _core_patterns(3, 100, RandomStream(8, 1).generator(), 256)
+        a = _patterns(3, 100, RandomStream(8, 1).generator(), 256)
+        b = _patterns(3, 100, RandomStream(8, 1).generator(), 256)
         np.testing.assert_array_equal(a, b)
 
     SEEDS = [0, 1, 42, 2**32 - 1, 2**64 + 5, 2**128 - 1, 2**128]
@@ -362,12 +369,12 @@ class TestCorePatterns:
     @pytest.mark.parametrize("samples", [1, 255, 257, 520])
     def test_sweep_rows_are_chunk_rows(self, samples, seed, k, N):
         # the symmetric sweep's patterns: sample i is row i % 256 of the
-        # chunk drawn from stream 1 + i // 256
-        rows = np.concatenate(list(_sample_rows(
-            seed, samples, lambda gen, count: _core_patterns(k, N, gen, count))))
+        # chunk drawn from stream 1 + i // 256, the draw cut before the pass
+        rows = np.concatenate([_patterns_at(k, N, drawn) for _, drawn in _chunk_rows(
+            seed, samples, lambda gen, count: _pattern_draw(k, gen, count))])
         assert rows.dtype == np.int64 and rows.shape == (samples, k)
         assert rows.min() >= 1 and rows.max() <= 2 * k
-        want = np.concatenate([_core_patterns(k, N, RandomStream(seed, 1 + c).generator(), 256)
+        want = np.concatenate([_patterns(k, N, RandomStream(seed, 1 + c).generator(), 256)
                                for c in range(-(-samples // 256))])[:samples]
         np.testing.assert_array_equal(rows, want)
 
