@@ -114,6 +114,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cosetlab",
                      description="Double-coset products and concentration experiments.")
     sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    parser.commands = sub.choices  # subcommand name -> its parser, for main's one pass
 
     # the block shape flags of product, membership and exact-sym
     shape = argparse.ArgumentParser(add_help=False)
@@ -183,9 +184,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command line (default: sys.argv[1:]) and return its exit code.
+
+    An argv whose first word names a subcommand is parsed once, by that
+    subcommand's parser, which gives the same namespace (less ``command``),
+    output and errors as the full parser; any other argv, empty, help or an
+    unknown command, goes through the full parser."""
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        sub = parser.commands.get(argv[0]) if argv else None
+        args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
         if getattr(args, "fn", None) is None:
             parser.print_help(sys.stderr)
             return 1

@@ -279,6 +279,7 @@ def _sweep_distances(cfg: ExperimentConfig):
     by N; a symmetric chunk once per sweep, each N then deriving the chunk's
     patterns and looking up their verdicts, so a membership test is charged
     to the N that first meets its pattern."""
+    # opened even when no source draws: a lazy first open (cold, about 170 us) would time as a draw
     setup_gen = RandomStream(cfg.seed, 0).generator()
     fam0 = GroupFamily(cfg.family, BlockSpec(cfg.alpha, cfg.k, cfg.k, cfg.m))
     kind = "permutation" if cfg.family == "symmetric" else "unitary"
@@ -298,7 +299,7 @@ def _sweep_distances(cfg: ExperimentConfig):
             share = (time.perf_counter() - start) / (n * len(cfg.N_list))
             for lane, N in zip(range(lo, len(dist), cfg.samples), cfg.N_list):
                 start = time.perf_counter()
-                keys = list(map(tuple, _patterns_at(cfg.k, N, drawn).tolist()))
+                keys = list(zip(*_patterns_at(cfg.k, N, drawn).T.tolist()))
                 for key in set(keys).difference(verdicts):
                     verdicts[key] = 0.0 if sym_membership(sample_core(g_win, h_core, fam0, key),
                                                           target) else 1.0
@@ -315,7 +316,7 @@ def _sweep_distances(cfg: ExperimentConfig):
         for N in cfg.N_list:
             for _, z in _chunk_rows(cfg.seed, cfg.samples,
                                     lambda gen, count: _block_normals(cfg.k, N, gen, conj, count)):
-                a = _top_blocks(z, conj)
+                a = _top_blocks(z, N, conj)
                 seconds[lane:lane + len(a)] = (time.perf_counter() - start) / len(a)
                 while len(a):
                     at = lane % block  # the place of lane in its block
@@ -352,7 +353,7 @@ def run_block_decay(k: int, N_list, samples: int, seed: int) -> BlockDecayReport
         raise ValueError(f"k must be an integer >= 1; got {k!r}")
     out = []
     for N in tail_sizes(N_list):
-        norms = np.concatenate([np.linalg.norm(_top_blocks(z), 2, axis=(1, 2))
+        norms = np.concatenate([np.linalg.norm(_top_blocks(z, N), 2, axis=(1, 2))
                                 for _, z in _chunk_rows(seed, samples, lambda gen, count:
                                                         _block_normals(k, N, gen, count=count))])
         out.append((N, _median(norms), float(np.mean(norms))))

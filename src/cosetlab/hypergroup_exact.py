@@ -61,13 +61,6 @@ def _check_budget(spec):
                          f"> {ENUMERATION_BUDGET}; shrink k + n_tail")
 
 
-def _fixed_labels(word: PermutationWord, spec) -> set:
-    """Labels j in 1..copy_size whose point word fixes in every copy."""
-    w = spec.copy_size
-    return {j for j in range(1, w + 1)
-            if all(word(p) == p for p in range(spec.alpha + j, spec.dim + 1, w))}
-
-
 def exact_convolution(g, h, family: GroupFamily) -> ExactDistribution:
     """Exact distribution of the coset of g.diag(u).h over uniform u.
 
@@ -76,6 +69,9 @@ def exact_convolution(g, h, family: GroupFamily) -> ExactDistribution:
     g.diag(a.u.b).h = diag(a).(g.diag(u).h).diag(b) lies in the coset of
     g.diag(u).h, so a draw u is keyed by its values at the labels outside F_h,
     each value in F_g read as one symbol; equal keys are exactly such a.u.b.
+    A label is fixed when its point p has images[p - 1] == p in every copy,
+    read off the image tuples; a key is built through one table that sends
+    each value of F_g to 0 and every other value to itself.
     Only the first draw of a key (in lexicographic u order) is classified: its
     product joins the first earlier representative whose coset contains it,
     or becomes one.  The atoms, their order and probabilities are those of a
@@ -90,8 +86,13 @@ def exact_convolution(g, h, family: GroupFamily) -> ExactDistribution:
     if gw.degree != spec.dim or hw.degree != spec.dim:
         raise ValueError(f"g and h must have degree {spec.dim}")
     w, alpha = spec.copy_size, spec.alpha
-    fixed_g, fixed_h = _fixed_labels(gw, spec), _fixed_labels(hw, spec)
-    keyed = [j for j in range(w) if j + 1 not in fixed_h]
+
+    def fixed(im):  # per label: whether the image tuple im fixes its point in every copy
+        return [all(im[p] == p + 1 for p in range(alpha + j, spec.dim, w)) for j in range(w)]
+
+    keyed = [j for j, f in enumerate(fixed(hw.images)) if not f]
+    # symbol[v]: 0 for v in F_g, else v itself; symbol[0] is never read
+    symbol = [0] + [0 if f else v for v, f in enumerate(fixed(gw.images), 1)]
     # x = g.diag(u).h on images: x(p) = g(diag(u)(h(p))), and diag(u) fixes the
     # corner and sends point base + 1 + j of a copy to point base + u(j + 1);
     # h(p) is kept as (base, j), or as (h(p), None) in the corner
@@ -106,7 +107,7 @@ def exact_convolution(g, h, family: GroupFamily) -> ExactDistribution:
     total = 0
     for images in itertools.permutations(range(1, w + 1)):
         total += 1
-        key = tuple(0 if images[j] in fixed_g else images[j] for j in keyed)
+        key = tuple([symbol[images[j]] for j in keyed])
         i = atom_of.get(key)
         if i is None:
             x = PermutationWord([gi[b - 1] if j is None else gi[b + images[j] - 1]

@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import pkgutil
 import shlex
@@ -592,7 +593,11 @@ class TestExitCodes:
     def test_runs_up_to_the_bound(self, capsys, argv, N):
         code, out, err = run_cli(capsys, *argv, "--N", str(N))
         assert code == 0 and err == ""
-        assert str(N) in out.splitlines()[1].split(",")
+        row = out.splitlines()[1].split(",")
+        assert str(N) in row
+        if argv[0] == "block-decay":
+            # A keeps its digits (about 1e-154) up to the bound
+            assert math.isfinite(float(row[1])) and float(row[1]) > 0, row
 
     @pytest.mark.parametrize("argv", [
         ("sample", "--kind", "permutation", "--dim", "3", "--seed", "1"),
@@ -658,6 +663,59 @@ class TestTopLevel:
         code, _, _ = run_cli(capsys, *base, "--N", "7", "--epsilon", "0.3", "--N", "x")
         assert code == 1
         assert rows("--N", "3", "--N", "5", "--epsilon", "0.25") == first
+
+    ONE_PASS_ARGVS = [
+        *(shlex.split(line) for line in (
+            "sample --kind orthogonal --dim 4 --seed 7",
+            'product --family symmetric --alpha 1 --k 1 --N 3 --g "(1 2)" --h "(1 2)"',
+            'membership --alpha 1 --k 1 --N 3 --x "(1 4)" --target "(1 3)"',
+            'exact-sym --alpha 1 --k 1 --N 3 --g "(1 2)" --h "(1 2)"',
+            "block-decay --k 2 --N 20 --N 200 --samples 200 --seed 3",
+            "concentration --family unitary_orthogonal --alpha 1 --k 1 --m 1 "
+            "--N 8 --N 32 --epsilon 0.4 --samples 50 --seed 42",
+            "sample --kind permutation --dim 3 --seed 1 --bogus",
+            "sample --kind permutation --dim 3",
+            "concentration --family bogus --alpha 1 --k 1 --N 3 --samples 3 --seed 1",
+            "concentration --help",
+            "sample --ki permutation --di 3 --se 2",
+            "block-decay --k 1 --N 5 --N x --seed 1",
+        )),
+        [], ["--help"], ["bogus", "--k", "1"],
+    ]
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out, err = capsys.readouterr()
+        if argv[:1] == ["concentration"]:  # runtime_s, the last column, varies
+            out = "\n".join(line.rsplit(",", 1)[0] for line in out.splitlines())
+        return code, out, err
+
+    @pytest.mark.parametrize("argv", ONE_PASS_ARGVS, ids=" ".join)
+    def test_one_pass_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        # exit code, stdout and stderr are those of a parse by the full parser,
+        # which main takes when it knows no subcommand
+        got = self._outcome(capsys, argv)
+        monkeypatch.setattr(_build_parser(), "commands", {})
+        assert got == self._outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv,full", [
+        (("sample", "--kind", "permutation", "--dim", "3", "--seed", "1"), False),
+        (("exact-sym", "--alpha", "1", "--k", "1", "--N", "3", "--g", "(1 2)", "--h", "(1 2)"),
+         False),
+        ((), True), (("bogus",), True),
+    ])
+    def test_known_subcommand_skips_the_top_level_parse(self, capsys, monkeypatch, argv, full):
+        parser, seen = _build_parser(), []
+        real = parser.parse_known_args
+        monkeypatch.setattr(parser, "parse_known_args",
+                            lambda *a, **kw: seen.append(a) or real(*a, **kw))
+        main(list(argv))
+        capsys.readouterr()
+        assert len(seen) == full
 
     def test_no_subcommand_exits_one(self, capsys):
         code, _, err = run_cli(capsys)

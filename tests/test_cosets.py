@@ -464,7 +464,7 @@ class TestSampleCore:
         gen = RandomStream(9, 10 * alpha + k).generator()
         g, h = (BlockMatrix(haar_unitary(fam.spec.window, gen)) for _ in range(2))
         unitary = kind == "unitary_conjugation"
-        a = _top_blocks(_block_normals(k, 5, RandomStream(9, 1), unitary, count=6), unitary)
+        a = _top_blocks(_block_normals(k, 5, RandomStream(9, 1), unitary, count=6), 5, unitary)
         for h_in in (h, embed(h, fam.with_n_tail(k).spec)):
             stack = sample_core_stack(g, h_in, fam, a)
             cores = [sample_core(g, h_in, fam, lane) for lane in a]
@@ -482,7 +482,7 @@ class TestSampleCore:
         gen = RandomStream(4, 10 * alpha + k).generator()
         g, h = (BlockMatrix(haar_unitary(spec.window, gen)) for _ in range(2))
         unitary = kind == "unitary_conjugation"
-        a = _top_blocks(_block_normals(k, 5, RandomStream(4, 1), unitary, count=5), unitary)
+        a = _top_blocks(_block_normals(k, 5, RandomStream(4, 1), unitary, count=5), 5, unitary)
         y = np.zeros((len(a), spec.window, core_spec.dim), dtype=complex)
         y[:, :alpha, :alpha] = np.eye(alpha)
         y[:, alpha:, alpha:] = np.kron(np.eye(m), cosets._frame(a))

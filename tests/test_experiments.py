@@ -54,7 +54,7 @@ def _sample_row(seed, i, draw):
 def _sample_block(seed, i, N, unitary):
     # sample i's A at k=1: the QR of its row of its chunk's Gaussians
     z = _sample_row(seed, i, lambda gen, count: _block_normals(1, N, gen, unitary, count))
-    return _top_blocks(z[None], unitary)[0]
+    return _top_blocks(z[None], N, unitary)[0]
 
 
 class TestWilsonInterval:
@@ -940,6 +940,14 @@ class TestRunBlockDecay:
         assert medians[8] < 1.0
         assert medians[32] < medians[8]
         assert medians[32] <= 3 * np.sqrt(2 / 34)
+
+    def test_far_tail_median_keeps_its_digits(self):
+        # sqrt(N) times the median norm holds to 1e-9 from N = 10^24 to 10^300:
+        # for N > k A is Z1 R^-1, while the Householder Q read was 6% off at
+        # 10^30 and gave 0 from 10^60
+        N_list = [10**24, 10**30, 10**60, 10**100, 10**200, 10**300]
+        scaled = [math.sqrt(N) * md for N, md, _ in run_block_decay(1, N_list, 600, 3)]
+        assert max(scaled) - min(scaled) <= 1e-9 * min(scaled), scaled
 
     def test_requires_enough_samples(self):
         with pytest.raises(ValueError):

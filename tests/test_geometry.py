@@ -413,7 +413,7 @@ def _check_lane_arrays(lanes, xs, target):
 
 def _block(k, N, rng, unitary=False):
     # one leading k x k block of a Haar element of size k + N
-    return _top_blocks(_block_normals(k, N, rng, unitary), unitary)[0]
+    return _top_blocks(_block_normals(k, N, rng, unitary), N, unitary)[0]
 
 
 class TestDistConjugacyStack:
@@ -1230,7 +1230,7 @@ class TestGramStartsStack:
         setup = RandomStream(alpha + 3 * m, 0).generator()
         g, h = (BlockMatrix(haar_unitary(fam.spec.window, setup)) for _ in range(2))
         r = circ_N(g, h, fam.with_n_tail(1)).representative.entries
-        a = _top_blocks(_block_normals(1, 8, RandomStream(alpha + 3 * m, 1), count=550))
+        a = _top_blocks(_block_normals(1, 8, RandomStream(alpha + 3 * m, 1), count=550), 8)
         xs = sample_core_stack(g, h, fam, a)
         x = np.concatenate([xs, xs.swapaxes(-1, -2)])
         rs = np.repeat(np.stack([r, r.T]), len(xs), axis=0)
@@ -1286,7 +1286,7 @@ class TestGramStartsMoveWithK:
         xs = sample_core_stack(g, h, fam, np.array(
             [_block(1, 8, RandomStream(seed, 1 + i)) for i in range(300)]))
         r, layout = target.representative.entries, geometry._CopyLayout(core_spec)
-        u, v = _top_blocks(_block_normals(2, 0, RandomStream(seed, 10**6), count=600)).reshape(
+        u, v = _top_blocks(_block_normals(2, 0, RandomStream(seed, 10**6), count=600), 0).reshape(
             2, 300, 2, 2)
         eye = np.eye(core_spec.dim)
         ys = layout.apply_left(eye, u) @ xs @ layout.apply_right(eye, v)

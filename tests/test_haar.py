@@ -110,7 +110,7 @@ def _reference_block(k, N, gen, unitary):
 
 def _blocks(k, N, rng, unitary=False, count=1):
     # count leading k x k blocks drawn by one generator
-    return _top_blocks(_block_normals(k, N, rng, unitary, count), unitary)
+    return _top_blocks(_block_normals(k, N, rng, unitary, count), N, unitary)
 
 
 class TestHaarBlockStack:
@@ -148,7 +148,7 @@ class TestHaarBlockStack:
         k = 2
         z = np.concatenate([rows for _, rows in _chunk_rows(
             21, 4096, lambda gen, count: _block_normals(k, N, gen, unitary, count))])
-        f2 = (np.abs(_top_blocks(z, unitary)) ** 2).sum(axis=(1, 2))
+        f2 = (np.abs(_top_blocks(z, N, unitary)) ** 2).sum(axis=(1, 2))
         se = f2.std() / np.sqrt(len(f2))
         assert abs(f2.mean() - k * k / (k + N)) < 5 * se
 
@@ -190,6 +190,19 @@ class TestHaarBlockStack:
         norms = np.linalg.norm(a, 2, axis=(1, 2))
         assert a.shape == (50, 3, 3) and 0 < norms.min() and norms.max() < 1e-5
 
+    @pytest.mark.parametrize("unitary", [False, True])
+    @pytest.mark.parametrize("k,N", [(1, 2), (3, 4), (3, 800)])
+    def test_bartlett_tail_reads_z1_r_inverse(self, unitary, k, N):
+        # N > k: A is Z1 R^-1, the Householder Q's top rows up to their
+        # rounding (about 1e-16 sqrt(N) relative)
+        z = _block_normals(k, N, RandomStream(6, 1), unitary, count=200)
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r, axis1=-2, axis2=-1)[:, None, :]
+        want = q[:, :k] * (d / np.abs(d) if unitary else np.where(d >= 0, 1.0, -1.0))
+        a = _top_blocks(z, N, unitary)
+        assert a.shape == (200, k, k) and a.dtype == z.dtype
+        np.testing.assert_allclose(a, want, rtol=0, atol=1e-13)
+
     @pytest.mark.parametrize("k,N", [(0, 3), (-1, 3), (1, -1), (1.5, 3), (2, 2.5)])
     def test_bad_size_rejected(self, k, N):
         with pytest.raises(ValueError, match="k >= 1 and N >= 0"):
@@ -223,9 +236,9 @@ class TestHaarColumnsStack:
     @pytest.mark.parametrize("per", [1, 3, 8])
     def test_equals_per_sample_draws(self, unitary, n, k, per):
         z = _block_normals(k, n - k, RandomStream(4, 1), unitary, count=8)
-        stack = np.concatenate([_top_blocks(z[lo:lo + per], unitary)
+        stack = np.concatenate([_top_blocks(z[lo:lo + per], n - k, unitary)
                                 for lo in range(0, len(z), per)])
-        want = np.array([_top_blocks(row[None], unitary)[0] for row in z])
+        want = np.array([_top_blocks(row[None], n - k, unitary)[0] for row in z])
         assert stack.dtype == want.dtype and stack.shape == (8, k, k)
         np.testing.assert_array_equal(stack, want)
 
